@@ -1,7 +1,5 @@
 //! `namd-rs analyze` — parallel trajectory analysis from the command
-//! line, and `namd-rs bench analyze` — the PE/backend sweep that proves
-//! the reduced observables are bit-identical everywhere and measures
-//! analysis throughput.
+//! line.
 //!
 //! `analyze` reads an XYZ trajectory through the typed
 //! [`mdcore::trajectory::Trajectory`] reader (frame-indexed, torn tails
@@ -10,14 +8,8 @@
 //! peak, per-frame RMSD envelope, contact occupancy, and the MSD-slope
 //! diffusion coefficient. The box must be given on the command line —
 //! XYZ files carry no cell.
-//!
-//! `bench analyze` synthesizes a deterministic random-walk trajectory,
-//! sweeps it over backends × PE counts, asserts one `obs_crc` across the
-//! whole sweep, and finishes with an end-to-end service scenario — a
-//! simulate job and an analyze job sharing one scheduler pool — writing
-//! everything to `BENCH_analyze.json`.
 
-use analyze::{analyze_frames, AnalysisRun, AnalyzeConfig, AnalyzeParams};
+use analyze::{analyze_frames, AnalysisRun, AnalyzeConfig};
 use mdcore::prelude::{Cell, Trajectory, Vec3};
 use namd_core::prelude::*;
 
@@ -188,312 +180,4 @@ fn print_report(run: &AnalysisRun) {
         obs.diffusion
     );
     println!("obs_crc:   {:016x}", obs.obs_crc);
-}
-
-// ---------------------------------------------------------------------------
-// bench analyze
-// ---------------------------------------------------------------------------
-
-const BENCH_USAGE: &str = "usage: namd-rs bench analyze [opts]\n\
-    --frames N      synthetic trajectory frames (default 24)\n\
-    --atoms N       atoms per frame (default 96)\n\
-    --pes LIST      PE counts to sweep (default 1,2,4,8)\n\
-    --backends LIST des,threads,proc (default all three)\n\
-    --seed N        trajectory generator seed (default 7)\n\
-    --out PATH      output file (default BENCH_analyze.json)\n\
-    --check         exit 1 if the sweep is not bit-identical";
-
-struct BenchOpts {
-    frames: usize,
-    atoms: usize,
-    pes: Vec<usize>,
-    backends: Vec<String>,
-    seed: u64,
-    out: String,
-    check: bool,
-}
-
-impl Default for BenchOpts {
-    fn default() -> Self {
-        BenchOpts {
-            frames: 24,
-            atoms: 96,
-            pes: vec![1, 2, 4, 8],
-            backends: vec!["des".into(), "threads".into(), "proc".into()],
-            seed: 7,
-            out: String::from("BENCH_analyze.json"),
-            check: false,
-        }
-    }
-}
-
-struct BenchPoint {
-    backend: &'static str,
-    pes: usize,
-    tasks: usize,
-    makespan: f64,
-    frames_per_s: f64,
-    msgs: u64,
-    obs_crc: u64,
-    oracle_ok: bool,
-}
-
-fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, String> {
-    let mut o = BenchOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = || -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{a} needs a value"))
-        };
-        match a.as_str() {
-            "--frames" => o.frames = value()?.parse().map_err(|_| "bad --frames".to_string())?,
-            "--atoms" => o.atoms = value()?.parse().map_err(|_| "bad --atoms".to_string())?,
-            "--pes" => {
-                o.pes = value()?
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| "bad --pes list".to_string())?
-            }
-            "--backends" => {
-                o.backends =
-                    value()?.split(',').map(|s| s.trim().to_ascii_lowercase()).collect()
-            }
-            "--seed" => o.seed = value()?.parse().map_err(|_| "bad --seed".to_string())?,
-            "--out" => o.out = value()?,
-            "--check" => o.check = true,
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    if o.frames < 2 || o.atoms < 2 || o.pes.is_empty() {
-        return Err("need at least 2 frames, 2 atoms, and one PE count".into());
-    }
-    for b in &o.backends {
-        parse_backend(b)?;
-    }
-    Ok(o)
-}
-
-/// SplitMix64: a tiny seeded generator so the synthetic trajectory is
-/// deterministic without pulling a rand dependency into the sweep.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn unit_f64(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Deterministic random-walk trajectory in a cubic cell: uniform initial
-/// placement, then small per-atom displacements each frame — enough
-/// structure for a nonzero RDF, RMSD, and MSD slope.
-fn synthetic_trajectory(frames: usize, atoms: usize, seed: u64, edge: f64) -> Vec<Vec<Vec3>> {
-    let mut state = seed ^ 0xa076_1d64_78bd_642f;
-    let mut pos: Vec<Vec3> = (0..atoms)
-        .map(|_| {
-            Vec3::new(
-                unit_f64(&mut state) * edge,
-                unit_f64(&mut state) * edge,
-                unit_f64(&mut state) * edge,
-            )
-        })
-        .collect();
-    let mut out = Vec::with_capacity(frames);
-    out.push(pos.clone());
-    for _ in 1..frames {
-        for p in &mut pos {
-            p.x += (unit_f64(&mut state) - 0.5) * 0.6;
-            p.y += (unit_f64(&mut state) - 0.5) * 0.6;
-            p.z += (unit_f64(&mut state) - 0.5) * 0.6;
-        }
-        out.push(pos.clone());
-    }
-    out
-}
-
-fn render_bench_json(
-    o: &BenchOpts,
-    edge: f64,
-    points: &[BenchPoint],
-    identical: bool,
-    serve_json: &str,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"bench-analyze-v1\",\n");
-    out.push_str(&format!("  \"frames\": {},\n", o.frames));
-    out.push_str(&format!("  \"atoms\": {},\n", o.atoms));
-    out.push_str(&format!("  \"seed\": {},\n", o.seed));
-    out.push_str(&format!("  \"box_edge\": {edge},\n"));
-    out.push_str(&format!("  \"bit_identical\": {identical},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"pes\": {}, \"tasks\": {}, \
-             \"makespan_s\": {:.6e}, \"frames_per_s\": {:.4}, \"msgs\": {}, \
-             \"obs_crc\": \"{:016x}\", \"oracle_ok\": {}}}{}\n",
-            p.backend,
-            p.pes,
-            p.tasks,
-            p.makespan,
-            p.frames_per_s,
-            p.msgs,
-            p.obs_crc,
-            p.oracle_ok,
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"serve\": {serve_json}\n"));
-    out.push_str("}\n");
-    out
-}
-
-/// End-to-end service scenario: one simulate job and one analyze job with
-/// the same physics share a 4-PE pool; the analyze job's summary and the
-/// pool counters land in the benchmark record.
-fn serve_scenario() -> Result<String, String> {
-    use serve::{JobKind, JobSpec, Scheduler, SchedulerConfig};
-    use std::time::Duration;
-
-    let sched = Scheduler::new(SchedulerConfig { pool_pes: 4, ..Default::default() });
-    let sim = JobSpec {
-        steps: 8,
-        seed: 3,
-        atoms: 96,
-        box_size: 14.0,
-        cutoff: 6.0,
-        migrate_every: 4,
-        ..JobSpec::default()
-    };
-    let mut ana = sim.clone();
-    ana.kind = JobKind::Analyze;
-    ana.frame_every = 2;
-    ana.pes = 2;
-    let (sid, _) = sched.submit(sim)?;
-    let (aid, _) = sched.submit(ana)?;
-    let sim_out = sched
-        .wait(sid, Duration::from_secs(300))
-        .ok_or("simulate job timed out")??;
-    let ana_out = sched
-        .wait(aid, Duration::from_secs(300))
-        .ok_or("analyze job timed out")??;
-    let stats = sched.stats();
-    sched.shutdown();
-    let summary = ana_out.analysis.ok_or("analyze outcome missing observables")?;
-    Ok(format!(
-        "{{\"pool_pes\": 4, \"simulate_steps\": {}, \"analyze_frames\": {}, \
-         \"state_crc_match\": {}, \"analysis_obs_crc\": \"{:016x}\", \
-         \"rdf_peak_g\": {:.4}, \"rmsd_max\": {:.6}, \"completed\": {}, \
-         \"cache_misses\": {}}}",
-        sim_out.steps,
-        summary.frames,
-        sim_out.state_crc == ana_out.state_crc,
-        summary.obs_crc,
-        summary.rdf_peak_g,
-        summary.rmsd_max,
-        stats.completed,
-        stats.cache_misses,
-    ))
-}
-
-/// Entry point for `namd-rs bench analyze ...` (args exclude "analyze").
-pub fn cmd_bench_analyze(args: &[String]) -> i32 {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{BENCH_USAGE}");
-        return 0;
-    }
-    let o = match parse_bench_opts(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}\n{BENCH_USAGE}");
-            return 2;
-        }
-    };
-    let edge = 16.0;
-    let cell = Cell::periodic(Vec3::splat(0.0), Vec3::splat(edge));
-    let frames = synthetic_trajectory(o.frames, o.atoms, o.seed, edge);
-    println!(
-        "bench analyze: {} frame(s) x {} atom(s), backends {:?}, pes {:?}",
-        o.frames, o.atoms, o.backends, o.pes
-    );
-    println!("backend  pes  tasks   makespan    frames/s  obs_crc          oracle");
-
-    let mut points: Vec<BenchPoint> = Vec::new();
-    for b in &o.backends {
-        let backend = parse_backend(b).expect("validated");
-        for &p in &o.pes {
-            let cfg = AnalyzeConfig {
-                backend,
-                n_pes: p,
-                params: AnalyzeParams::default(),
-                ..AnalyzeConfig::default()
-            };
-            let run = match analyze_frames(&frames, &cell, &cfg, None) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{b} x {p} PEs failed: {e}");
-                    return 1;
-                }
-            };
-            let point = BenchPoint {
-                backend: analyze::backend_str(backend),
-                pes: p,
-                tasks: run.n_tasks,
-                makespan: run.makespan,
-                frames_per_s: o.frames as f64 / run.makespan.max(1e-12),
-                msgs: run.stats.msgs_sent,
-                obs_crc: run.observables.obs_crc,
-                oracle_ok: run.oracle.ok(),
-            };
-            println!(
-                "{:>7} {:>4} {:>6} {:>10.4e} {:>11.1} {:016x} {}",
-                point.backend,
-                point.pes,
-                point.tasks,
-                point.makespan,
-                point.frames_per_s,
-                point.obs_crc,
-                if point.oracle_ok { "ok" } else { "FAIL" }
-            );
-            points.push(point);
-        }
-    }
-
-    let first_crc = points.first().map(|p| p.obs_crc).unwrap_or(0);
-    let identical = points.iter().all(|p| p.obs_crc == first_crc && p.oracle_ok);
-    if identical {
-        println!(
-            "bit-identical: obs_crc {first_crc:016x} across {} sweep point(s)",
-            points.len()
-        );
-    } else {
-        eprintln!("BIT-IDENTITY FAILURE: observables differ across the sweep");
-    }
-
-    let serve_json = match serve_scenario() {
-        Ok(j) => {
-            println!("serve scenario: simulate + analyze shared one pool");
-            j
-        }
-        Err(e) => {
-            eprintln!("serve scenario failed: {e}");
-            format!("{{\"error\": \"{}\"}}", e.replace('"', "'"))
-        }
-    };
-    let failed_serve = serve_json.starts_with("{\"error\"");
-
-    let json = render_bench_json(&o, edge, &points, identical, &serve_json);
-    if let Err(e) = std::fs::write(&o.out, &json) {
-        eprintln!("cannot write {}: {e}", o.out);
-        return 1;
-    }
-    println!("{} point(s) -> {}", points.len(), o.out);
-    if o.check && (!identical || failed_serve) {
-        return 1;
-    }
-    0
 }

@@ -6,10 +6,8 @@
 //! or full-electrostatics (PME + r-RESPA) driver, with optional thermostats
 //! and XYZ trajectory output. The `namd-rs` binary adds `run`, `info`,
 //! `bench` (DES scaling sweeps), and `sample-config` subcommands, plus
-//! `serve` (the many-tenant simulation service; see the `serve` crate),
-//! `bench serve` (its open-loop traffic generator), `analyze` (parallel
-//! trajectory analysis over the `analyze` crate), and `bench analyze`
-//! (the cross-backend bit-identity sweep).
+//! `serve` (the many-tenant simulation service; see the `serve` crate)
+//! and `analyze` (parallel trajectory analysis over the `analyze` crate).
 
 // Clippy: indexed loops are kept where they mirror the mathematical
 // notation of the kernels and the per-axis geometry code, and chare/builder
@@ -19,5 +17,4 @@
 pub mod analyze_cmd;
 pub mod config;
 pub mod runner;
-pub mod scaling;
 pub mod serve_cmd;

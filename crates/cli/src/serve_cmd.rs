@@ -22,8 +22,7 @@ options:
   --always-park        park at every slice boundary even when the queue is
                        empty (deterministic preemption; mainly for testing)
 
-Clients speak the framed wire protocol in serve::proto; `bench serve`
-generates synthetic traffic against an in-process scheduler.
+Clients speak the framed wire protocol in serve::proto.
 ";
 
 /// Entry point for `namd-rs serve`. Returns a process exit code.

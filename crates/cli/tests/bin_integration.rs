@@ -77,6 +77,19 @@ fn bench_prints_a_speedup_table() {
 }
 
 #[test]
+fn retired_bench_suites_get_the_usage_text() {
+    // The name is resolved before the options: an unknown system must not
+    // surface as "unknown option" for the first flag that follows it.
+    for suite in ["scaling", "serve", "analyze"] {
+        let out = namd_rs().args(["bench", suite, "--check"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "bench {suite}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: namd-rs bench"), "{err}");
+        assert!(err.contains("benchmark/run.sh"), "{err}");
+    }
+}
+
+#[test]
 fn missing_file_is_a_clean_error() {
     let out = namd_rs().args(["run", "/nonexistent/path.conf"]).output().unwrap();
     assert!(!out.status.success());

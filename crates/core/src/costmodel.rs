@@ -28,7 +28,9 @@ pub const WORK_PER_LISTED_CANDIDATE: f64 = 0.02;
 /// evaluates a within-cutoff pair cheaper than the listed path: there is no
 /// per-pair exclusion binary search (masks are precomputed at build time) and
 /// the lane arithmetic vectorizes. 0.7 is calibrated against the measured
-/// cluster-vs-listed steps/s ratio in `BENCH_hotpath.json` (≥1.3×).
+/// cluster-vs-listed steps/s ratio at a 5 Å margin with `simd` (≥1.3×);
+/// `benchmark/` tracks it as `mdcore.nb_cluster_x4_ns_per_pair` over
+/// `mdcore.nb_listed_ns_per_pair`.
 pub const WORK_PER_CLUSTER_PAIR: f64 = 0.7;
 
 /// Work units per *dead or out-of-cutoff* lane walked by the cluster kernels.

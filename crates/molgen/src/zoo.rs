@@ -14,7 +14,7 @@
 //! max/avg per-PE predicted-load ratio the static RCB placement and the
 //! measurement-based strategies are allowed to leave behind, as read from
 //! the engine's `LbAudit` log. `tests/scenario_stress.rs` enforces the
-//! budgets; `namd-rs bench scaling` reports them in `BENCH_scaling.json`.
+//! budgets.
 //!
 //! Budgets are calibrated from measurements over the stress operating
 //! envelope (2-8 PEs, 1-16k atoms, DES backend in Counted mode, default

@@ -27,6 +27,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -160,9 +161,16 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest container nesting [`Json::parse`] accepts. The parser recurses
+/// once per level, and specs arrive straight off a socket on a
+/// default-stack connection thread, so depth must not be the sender's to
+/// choose. Job specs and the benchmark's reports nest fewer than 10 deep.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -191,8 +199,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -387,6 +409,31 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+        // 100 KB of open brackets: unbounded recursion overflows the stack
+        // long before the input ends. On a spawned thread, so the parser
+        // gets the default stack a `serve-conn` thread gives it, whatever
+        // the test harness uses.
+        std::thread::spawn(|| {
+            let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+            for bad in [
+                "[".repeat(100_000),
+                "{\"a\":".repeat(100_000),
+                nested(MAX_DEPTH + 1),
+            ] {
+                assert!(
+                    Json::parse(&bad).is_err(),
+                    "accepted {} bytes of {:?}",
+                    bad.len(),
+                    &bad[..5]
+                );
+            }
+            assert!(
+                Json::parse(&nested(MAX_DEPTH)).is_ok(),
+                "rejected {MAX_DEPTH} levels"
+            );
+        })
+        .join()
+        .expect("parser thread panicked");
     }
 
     #[test]

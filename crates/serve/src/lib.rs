@@ -31,12 +31,10 @@
 //! Both kinds share the pool, the fair-share queue, and the result cache.
 //!
 //! [`proto`]/[`server`] expose this over Unix or TCP sockets with the
-//! same length-prefix + CRC64 framing the proc backend uses, and
-//! [`bench`] is a seeded open-loop traffic generator for capacity runs.
+//! same length-prefix + CRC64 framing the proc backend uses.
 //! See DESIGN.md §3.9 for queue states, the fair-share policy, the cache
 //! key definition, and the drain protocol.
 
-pub mod bench;
 pub mod json;
 pub mod proto;
 pub mod sched;

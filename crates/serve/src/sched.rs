@@ -289,7 +289,7 @@ pub struct JobStatus {
     pub error: Option<String>,
 }
 
-/// Pool-wide counters, readable at any time and streamed by `bench serve`.
+/// Pool-wide counters, readable at any time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServeStats {
     pub submitted: u64,

@@ -1,7 +1,7 @@
 //! Socket front-end: accept connections on a Unix or TCP endpoint, speak
 //! the framed [`crate::proto`] protocol, one thread per connection. The
 //! same binary-framed codec serves both transports; [`Client`] is the
-//! in-process counterpart used by `bench serve`, tests, and the CLI.
+//! in-process counterpart used by tests and the CLI.
 
 use crate::proto::{Request, Response, WireOutcome};
 use crate::sched::{JobOutcome, MetricsFrame, Scheduler, ServeStats};

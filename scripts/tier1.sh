@@ -38,8 +38,9 @@ SCHEDULE_FUZZ_CASES=25 cargo test -q --test proc_backend || status=1
 
 # Scenario-zoo LB stress at a reduced scenario count (the zoo is ordered
 # most-stressing first, so the reduced run keeps the hot-spot and droplet
-# scenarios). Blocking — a blown imbalance budget or oracle violation on
-# the deterministic DES backend is a real LB regression; the full matrix
+# scenarios). Blocking — a blown imbalance budget on the deterministic DES
+# backend is a real LB regression, and an oracle violation on DES or on
+# the threads backend's real-kernel runs is a runtime bug; the full matrix
 # runs in CI.
 echo "==> scenario-zoo LB stress (SCENARIO_STRESS_CASES=3)"
 SCENARIO_STRESS_CASES=3 cargo test -q --test scenario_stress || status=1
@@ -50,6 +51,12 @@ SCENARIO_STRESS_CASES=3 cargo test -q --test scenario_stress || status=1
 # obs_crc is a determinism regression in the runtime or the reduction.
 echo "==> trajectory-analysis correctness (closed forms + bit-identity)"
 cargo test -q --test analyze_correctness || status=1
+
+# benchmark/ is a workspace of its own, so nothing above compiles it: a
+# crate API change can break the harness without any test noticing.
+# Blocking — the benchmark is the only way this repo is measured.
+echo "==> benchmark harness still compiles against the crates"
+cargo check --release --offline --manifest-path benchmark/Cargo.toml || status=1
 
 echo "==> cargo clippy (non-blocking)"
 if ! cargo clippy --workspace --all-targets -- -D warnings; then
