@@ -3,6 +3,7 @@
 //! and the exclusion check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mdcore::nonbonded::nb_self_ranged;
 use mdcore::prelude::*;
 use std::hint::black_box;
 
@@ -44,11 +45,12 @@ fn bench_nonbonded(c: &mut Criterion) {
             let mut forces = vec![Vec3::ZERO; n];
             b.iter(|| {
                 forces.fill(Vec3::ZERO);
-                black_box(nb_self(
+                black_box(nb_self_ranged(
                     &sys.forcefield,
                     &sys.exclusions,
                     group,
                     &sys.cell,
+                    0..n,
                     &mut forces,
                 ))
             });
@@ -125,7 +127,7 @@ fn bench_nonbonded_clusters(c: &mut Criterion) {
         let group = AtomGroup::new(&sys.positions, &ids, &lj, &q);
         let pairs = count_self_pairs(group, &sys.cell, sys.forcefield.cutoff);
         g.throughput(Throughput::Elements(pairs));
-        for width in [SimdWidth::Scalar, SimdWidth::X4, SimdWidth::X8] {
+        for width in [SimdWidth::Scalar, SimdWidth::X4] {
             let mut grid = ClusterGrid::new();
             grid.refresh(group, &sys.cell, width);
             let mut cpairs = Vec::new();

@@ -27,6 +27,7 @@
 //! earlier ones. Unknown keys are errors (typos should not silently
 //! de-configure a simulation).
 
+use namd_core::prelude::{Backend, NbKernel, SimdWidth};
 use std::collections::BTreeMap;
 
 /// Which molecular system to build.
@@ -79,24 +80,24 @@ pub struct RunConfig {
     /// packed wire messages over Unix sockets), or `des` (deterministic
     /// virtual-time execution). Any value other than `threads` forces the
     /// parallel driver even with `threads 1`.
-    pub backend: String,
+    pub backend: Backend,
     /// Worker-process count for `backend proc` (0 = one per PE).
     pub procs: usize,
     /// Directory for the proc backend's Unix socket mesh (empty = a fresh
     /// directory under the system temp dir).
     pub socket_dir: String,
-    /// Reuse non-bonded pair lists across steps (NAMD's `pairlistdist`
-    /// reuse). Applies to the sequential and threads drivers.
-    pub pairlist_cache: bool,
-    /// Pair-list margin beyond the cutoff, Å.
+    /// Pair-list margin beyond the cutoff, Å: non-bonded pair lists are
+    /// built at `cutoff + margin` and reused until an atom has moved half
+    /// the margin (NAMD's `pairlistdist` reuse); 0 rebuilds every step.
+    /// Applies to the sequential and parallel drivers.
     pub pairlist_margin: f64,
     /// Non-bonded kernel family: `listed` (atom-pair lists) or `cluster`
-    /// (4-wide cluster pairs with dual-list dynamic pruning; requires
-    /// `pairlistCache on` and the parallel driver).
-    pub nb_kernel: String,
-    /// Cluster-kernel lane width/precision: `scalar` (bit-identical to
-    /// listed), `x4` (f64 lanes) or `x8` (f32 lanes, f64 accumulation).
-    pub simd_width: String,
+    /// (4-wide cluster pairs with dual-list dynamic pruning; selects the
+    /// parallel driver).
+    pub nb_kernel: NbKernel,
+    /// Cluster-kernel lane width: `scalar` (bit-identical to listed) or
+    /// `x4` (f64 lanes).
+    pub simd_width: SimdWidth,
     /// Basename for outputs (`<name>.xyz`, `<name>.energies`); empty = none.
     pub output_name: String,
     pub trajectory_every: usize,
@@ -158,13 +159,12 @@ impl Default for RunConfig {
             langevin_gamma: 0.005,
             berendsen_tau: 100.0,
             threads: 1,
-            backend: String::from("threads"),
+            backend: Backend::Threads,
             procs: 0,
             socket_dir: String::new(),
-            pairlist_cache: true,
             pairlist_margin: 2.5,
-            nb_kernel: String::from("listed"),
-            simd_width: String::from("scalar"),
+            nb_kernel: NbKernel::Listed,
+            simd_width: SimdWidth::Scalar,
             output_name: String::new(),
             trajectory_every: 10,
             pme: false,
@@ -185,6 +185,22 @@ impl Default for RunConfig {
             profile_dir: String::new(),
             profile_interval: 10,
         }
+    }
+}
+
+impl RunConfig {
+    /// Whether `runner::run` steps this configuration on the message-driven
+    /// parallel driver (`ParallelSim`) rather than a sequential one.
+    /// Checkpointing and restart are barriers of its message protocol, the
+    /// `des`/`proc` backends are its runtimes, and the cluster kernels live
+    /// in its pair-list cache, so each selects it even with `threads 1`.
+    /// `validate` and `run` both ask here, so what is validated is what runs.
+    pub fn uses_parallel_driver(&self) -> bool {
+        self.threads > 1
+            || !self.checkpoint_dir.is_empty()
+            || !self.restart_from.is_empty()
+            || self.backend != Backend::Threads
+            || self.nb_kernel == NbKernel::Cluster
     }
 }
 
@@ -259,13 +275,12 @@ pub fn parse(text: &str) -> Result<RunConfig, String> {
             "langevingamma" => cfg.langevin_gamma = parse_f64(&value)?,
             "berendsentau" => cfg.berendsen_tau = parse_f64(&value)?,
             "threads" => cfg.threads = parse_usize(&value)?,
-            "backend" => cfg.backend = value.to_ascii_lowercase(),
+            "backend" => cfg.backend = value.parse().map_err(|e: String| err(&e))?,
             "procs" => cfg.procs = parse_usize(&value)?,
             "socketdir" => cfg.socket_dir = value,
-            "pairlistcache" => cfg.pairlist_cache = parse_bool(&value)?,
             "pairlistmargin" => cfg.pairlist_margin = parse_f64(&value)?,
-            "nbkernel" => cfg.nb_kernel = value.to_ascii_lowercase(),
-            "simdwidth" => cfg.simd_width = value.to_ascii_lowercase(),
+            "nbkernel" => cfg.nb_kernel = value.parse().map_err(|e: String| err(&e))?,
+            "simdwidth" => cfg.simd_width = value.parse().map_err(|e: String| err(&e))?,
             "outputname" => cfg.output_name = value,
             "trajectoryevery" => cfg.trajectory_every = parse_usize(&value)?,
             "pme" => cfg.pme = parse_bool(&value)?,
@@ -310,15 +325,6 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
             cfg.pairlist_margin
         ));
     }
-    let kernel = namd_core::prelude::NbKernel::parse(&cfg.nb_kernel)
-        .ok_or_else(|| format!("unknown nbKernel '{}' (listed | cluster)", cfg.nb_kernel))?;
-    namd_core::prelude::SimdWidth::parse(&cfg.simd_width)
-        .ok_or_else(|| format!("unknown simdWidth '{}' (scalar | x4 | x8)", cfg.simd_width))?;
-    if kernel == namd_core::prelude::NbKernel::Cluster && !cfg.pairlist_cache {
-        return Err(
-            "nbKernel cluster needs pairlistCache on (the dual cluster list lives in it)".into(),
-        );
-    }
     if matches!(cfg.system, SystemKind::Zoo(_)) && cfg.restrain_protein {
         return Err(
             "restrainProtein applies to the benchmark decks (apoa1/bc1/br), \
@@ -338,9 +344,11 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
     if cfg.pme && cfg.mts_frequency > 8 {
         return Err("mtsFrequency above 8 is unstable; choose 1-8".into());
     }
-    if cfg.thermostat == ThermostatKind::Langevin && (cfg.threads > 1 || cfg.pme) {
+    if cfg.thermostat == ThermostatKind::Langevin && (cfg.uses_parallel_driver() || cfg.pme) {
         return Err(
-            "thermostat langevin runs on the sequential cutoff driver only              (threads 1, pme off); use berendsen for multicore or PME runs"
+            "thermostat langevin runs on the sequential cutoff driver only; threads > 1, \
+             backend des/proc, checkpointing/restart and nbKernel cluster select the parallel \
+             driver and pme the full-electrostatics one (use berendsen or none)"
                 .into(),
         );
     }
@@ -354,20 +362,10 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
                 .into(),
         );
     }
-    if ckpt_active && cfg.thermostat == ThermostatKind::Langevin {
-        return Err(
-            "checkpointing/restart runs on the parallel driver; thermostat langevin is \
-             sequential-only (use berendsen or none)"
-                .into(),
-        );
-    }
     if !cfg.checkpoint_dir.is_empty() && cfg.checkpoint_interval == 0 {
         return Err("checkpointInterval must be at least 1".into());
     }
-    // One parser for backend names everywhere: config files, job specs,
-    // and CLI flags all go through `Backend::from_str`.
-    cfg.backend.parse::<namd_core::prelude::Backend>()?;
-    let proc_backend = cfg.backend == "proc";
+    let proc_backend = cfg.backend == Backend::Proc;
     if !proc_backend && (cfg.procs != 0 || !cfg.socket_dir.is_empty()) {
         return Err("procs/socketDir apply to backend proc only".into());
     }
@@ -377,16 +375,9 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
             cfg.threads, cfg.procs
         ));
     }
-    if cfg.backend != "threads" && cfg.pme {
+    if cfg.backend != Backend::Threads && cfg.pme {
         return Err(format!(
             "backend {} drives the parallel cutoff path; pme is not supported",
-            cfg.backend
-        ));
-    }
-    if cfg.backend != "threads" && cfg.thermostat == ThermostatKind::Langevin {
-        return Err(format!(
-            "backend {} uses the parallel driver; thermostat langevin is \
-             sequential-only (use berendsen or none)",
             cfg.backend
         ));
     }
@@ -413,8 +404,7 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
     // Faults and schedule perturbations exercise the message-driven
     // parallel driver; on the sequential drivers they would be silently
     // ignored — reject rather than de-configure.
-    let parallel_active = cfg.threads > 1 || ckpt_active || cfg.backend != "threads";
-    if (!cfg.fault_plan.is_empty() || cfg.schedule != "fifo") && !parallel_active {
+    if (!cfg.fault_plan.is_empty() || cfg.schedule != "fifo") && !cfg.uses_parallel_driver() {
         return Err(
             "faultPlan/schedule apply to the parallel driver only; set threads > 1 \
              or enable checkpointing"
@@ -430,7 +420,7 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
                 "profileDir runs on the parallel cutoff driver; pme is not supported".into(),
             );
         }
-        if !parallel_active {
+        if !cfg.uses_parallel_driver() {
             return Err(
                 "profileDir applies to the parallel driver only; set threads > 1 \
                  or enable checkpointing"
@@ -500,34 +490,42 @@ mod tests {
         assert!(parse("thermostat langevin\nthreads 2\n")
             .unwrap_err()
             .contains("sequential"));
+        // nbKernel cluster selects the parallel driver even at threads 1,
+        // whose loop applies only Berendsen.
+        let e = parse("thermostat langevin\nnbKernel cluster\n").unwrap_err();
+        assert!(e.contains("langevin") && e.contains("parallel driver"), "{e}");
+        assert!(parse("thermostat langevin\ncheckpointDir ck\n").unwrap_err().contains("langevin"));
         assert!(parse("pme on\nthreads 4\n").unwrap_err().contains("threads 1"));
     }
 
     #[test]
     fn pairlist_keys_parse_and_validate() {
-        let cfg = parse("pairlistCache off\npairlistMargin 1.5\n").unwrap();
-        assert!(!cfg.pairlist_cache);
+        let cfg = parse("pairlistMargin 1.5\n").unwrap();
         assert_eq!(cfg.pairlist_margin, 1.5);
+        // Margin 0 rebuilds every list on every step.
+        assert_eq!(parse("pairlistMargin 0\n").unwrap().pairlist_margin, 0.0);
         let defaults = parse("system water\n").unwrap();
-        assert!(defaults.pairlist_cache);
         assert_eq!(defaults.pairlist_margin, 2.5);
         assert!(parse("pairlistMargin -1\n").unwrap_err().contains("pairlistMargin"));
+        let e = parse("system water\npairlistCache off\n").unwrap_err();
+        assert!(e.contains("line 2") && e.contains("unknown key 'pairlistcache'"), "{e}");
     }
 
     #[test]
     fn nb_kernel_keys_parse_and_validate() {
         let cfg = parse("nbKernel Cluster\nsimdWidth X4\n").unwrap();
-        assert_eq!(cfg.nb_kernel, "cluster");
-        assert_eq!(cfg.simd_width, "x4");
+        assert_eq!(cfg.nb_kernel, NbKernel::Cluster);
+        assert_eq!(cfg.simd_width, SimdWidth::X4);
         let defaults = parse("").unwrap();
-        assert_eq!(defaults.nb_kernel, "listed");
-        assert_eq!(defaults.simd_width, "scalar");
+        assert_eq!(defaults.nb_kernel, NbKernel::Listed);
+        assert_eq!(defaults.simd_width, SimdWidth::Scalar);
         assert!(parse("nbKernel turbo\n").unwrap_err().contains("nbKernel"));
         assert!(parse("simdWidth x16\n").unwrap_err().contains("simdWidth"));
-        // The dual cluster list lives in the pair-list cache.
-        assert!(parse("nbKernel cluster\npairlistCache off\n")
-            .unwrap_err()
-            .contains("pairlistCache"));
+        assert!(parse("simdWidth x8\n").unwrap_err().contains("(scalar | x4)"));
+        // The cluster kernels select the parallel driver, so its knobs
+        // apply at threads 1.
+        assert!(parse("nbKernel cluster\nprofileDir prof\n").is_ok());
+        assert!(parse("nbKernel cluster\nschedule lifo\n").is_ok());
     }
 
     #[test]
@@ -554,11 +552,11 @@ mod tests {
     #[test]
     fn backend_keys_parse_and_validate() {
         let cfg = parse("threads 3\nbackend proc\nprocs 3\nsocketDir /tmp/mesh\n").unwrap();
-        assert_eq!(cfg.backend, "proc");
+        assert_eq!(cfg.backend, Backend::Proc);
         assert_eq!(cfg.procs, 3);
         assert_eq!(cfg.socket_dir, "/tmp/mesh");
         // `backend des` needs no extra knobs and forces the parallel driver.
-        assert_eq!(parse("backend DES\n").unwrap().backend, "des");
+        assert_eq!(parse("backend DES\n").unwrap().backend, Backend::Des);
         assert!(parse("backend qemu\n").unwrap_err().contains("unknown backend"));
         assert!(parse("threads 2\nprocs 2\n").unwrap_err().contains("backend proc"));
         assert!(parse("threads 4\nbackend proc\nprocs 3\n")

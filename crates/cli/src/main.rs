@@ -67,11 +67,12 @@ minimize      0          # steepest-descent steps before dynamics
 thermostat    berendsen  # none | berendsen | langevin (langevin: threads 1)
 berendsenTau  100
 threads       2
-pairlistCache on         # reuse non-bonded pair lists across steps
-pairlistMargin 2.5       # list radius = cutoff + margin, Å
+pairlistMargin 2.5       # pair lists are built at cutoff + margin (Å) and
+#                        #  reused until an atom moves margin/2; 0 = rebuild
+#                        #  every step
 #nbKernel     cluster    # listed | cluster (4x4 SIMD cluster pairs,
-#                        #  dual-list pruning; needs pairlistCache on)
-#simdWidth    x4         # scalar | x4 | x8 (cluster lane width)
+#                        #  dual-list pruning; parallel driver)
+#simdWidth    x4         # scalar | x4 (cluster lane width)
 outputName    demo       # writes demo.xyz
 trajectoryEvery 10
 pme           off        # full electrostatics (particle-mesh Ewald)

@@ -3,7 +3,7 @@
 use crate::config::{RunConfig, SystemKind, ThermostatKind};
 use mdcore::prelude::*;
 use mdcore::thermostat::{Berendsen, Langevin};
-use namd_core::config::Backend;
+use namd_core::config::{Backend, NbKernel};
 use namd_core::parallel::ParallelSim;
 use pme::md::MtsSimulator;
 use std::io::Write;
@@ -155,13 +155,6 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
 
     let checkpointing = !cfg.checkpoint_dir.is_empty();
     let restarting = !cfg.restart_from.is_empty();
-    // The cluster kernels live in the engine's pair-list cache, so
-    // nbKernel cluster routes through the parallel driver even at threads 1.
-    let use_parallel = cfg.threads > 1
-        || checkpointing
-        || restarting
-        || cfg.backend != "threads"
-        || cfg.nb_kernel == "cluster";
     let mut e_first = f64::NAN;
     let mut frames = 0usize;
     let mut start_step = 0usize;
@@ -182,23 +175,21 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
             cfg.timestep,
             cfg.mts_frequency,
         )))
-    } else if use_parallel {
-        let backend: Backend = cfg.backend.parse().unwrap_or(Backend::Threads);
-        let mut par = ParallelSim::with_backend(system.clone(), cfg.threads, cfg.timestep, backend)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
-        if backend == Backend::Proc {
+    } else if cfg.uses_parallel_driver() {
+        let mut par =
+            ParallelSim::with_backend(system.clone(), cfg.threads, cfg.timestep, cfg.backend)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
+        if cfg.backend == Backend::Proc {
             let dir = (!cfg.socket_dir.is_empty())
                 .then(|| std::path::PathBuf::from(&cfg.socket_dir));
             par.set_proc_options(cfg.procs, dir);
             writeln!(log, "backend proc: one worker process per PE ({})", cfg.threads)?;
-        } else if backend == Backend::Des {
+        } else if cfg.backend == Backend::Des {
             writeln!(log, "backend des: deterministic virtual-time execution")?;
         }
-        par.set_pairlist(cfg.pairlist_cache, cfg.pairlist_margin);
-        if cfg.nb_kernel == "cluster" {
-            let width = namd_core::prelude::SimdWidth::parse(&cfg.simd_width)
-                .expect("validated by config::parse");
-            par.set_nb_kernel(namd_core::prelude::NbKernel::Cluster, width);
+        par.set_pairlist(cfg.pairlist_margin);
+        if cfg.nb_kernel == NbKernel::Cluster {
+            par.set_nb_kernel(cfg.nb_kernel, cfg.simd_width);
             writeln!(log, "nonbonded: cluster kernels ({}), dual-list pruning", cfg.simd_width)?;
         }
         if !cfg.fault_plan.is_empty() {
@@ -244,7 +235,7 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
             par.set_checkpointing(&cfg.checkpoint_dir, cfg.checkpoint_interval);
         }
         Driver::Threads(Box::new(par))
-    } else if cfg.pairlist_cache && cfg.pairlist_margin > 0.0 {
+    } else if cfg.pairlist_margin > 0.0 {
         // Sequential analogue of the engine's pair-list cache: a Verlet list
         // at cutoff + margin with displacement-based rebuilds.
         Driver::Sequential(Simulator::with_pairlist(&system, cfg.timestep, cfg.pairlist_margin))

@@ -38,9 +38,7 @@ use charmrt::{
     PRIO_NORMAL,
 };
 use mdcore::bonded::{angle_force, bond_force, dihedral_force, improper_force, restraint_force};
-use mdcore::cluster::{nb_pair_clusters, nb_self_clusters};
 use mdcore::forcefield::units;
-use mdcore::nonbonded::{nb_pair_listed, nb_pair_ranged, nb_self_listed, nb_self_ranged};
 use mdcore::vec3::Vec3;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -139,14 +137,12 @@ pub struct RunParams {
     /// PME cadence: reciprocal space evaluated on steps where
     /// `step % pme_every == 0`; 0 disables PME.
     pub pme_every: usize,
-    /// Reuse each non-bonded compute's candidate list across steps (Real
-    /// mode), rebuilding on displacement-based invalidation.
-    pub pairlist_cache: bool,
-    /// Candidate-list margin beyond the cutoff, Å (NAMD's `pairlistdist`
-    /// minus the cutoff).
+    /// Pair-list margin beyond the cutoff, Å (NAMD's `pairlistdist` minus
+    /// the cutoff); each non-bonded compute reuses its list until an atom
+    /// has moved half of it.
     pub pairlist_margin: f64,
     /// Non-bonded kernel family: listed atom-pair kernels or cluster-pair
-    /// kernels with dual-list pruning (needs `pairlist_cache`).
+    /// kernels with dual-list pruning.
     pub nb_kernel: crate::config::NbKernel,
     /// Lane width/precision for the cluster kernels.
     pub simd_width: mdcore::cluster::SimdWidth,
@@ -731,167 +727,20 @@ impl ComputeChare {
             .collect();
 
         match &spec.kind {
-            // Non-bonded computes run from persistent per-compute SoA buffers
-            // (positions refreshed in place — no per-step gather allocation)
-            // and, when the pair-list cache is on, from a cached candidate
-            // list at cutoff + margin. A cache hit charges the cheaper
-            // `nonbonded_work_cached` so LB sees the real cost difference
-            // between hit and rebuild steps.
-            ComputeKind::SelfNb { .. } => {
+            // Which list format and kernel serve the compute is the cache
+            // entry's business; self and pair computes differ only in how
+            // many force blocks they fill.
+            ComputeKind::SelfNb { .. } | ComputeKind::PairNb { .. } => {
                 let mut cache = shared.nb_cache.entry(self.index).lock().unwrap();
-                cache.refresh_arrays(&st.system, &shared.decomp.grid, &spec.patches);
-                let ff = &st.system.forcefield;
-                let ex = &st.system.exclusions;
-                let (res, work);
-                if self.params.pairlist_cache
-                    && self.params.nb_kernel == crate::config::NbKernel::Cluster
-                {
-                    let margin = self.params.pairlist_margin;
-                    let width = self.params.simd_width;
-                    let rebuilt = cache.ensure_clusters(
-                        spec,
-                        ex,
-                        &cell,
-                        ff.cutoff + margin,
-                        margin,
-                        ff.cutoff,
-                        width,
-                    );
-                    res = nb_self_clusters(
-                        ff,
-                        cache.arrays[0].group(),
-                        &cell,
-                        &cache.grids[0],
-                        &cache.cpairs,
-                        &cache.inner,
-                        width,
-                        &mut blocks[0],
-                    );
-                    work = if rebuilt {
-                        costmodel::nonbonded_work_cluster_rebuild(
-                            res.pairs,
-                            spec.candidates,
-                            cache.inner.len() as u64,
-                            cache.cpairs.len() as u64,
-                        )
-                    } else {
-                        costmodel::nonbonded_work_clusters(
-                            res.pairs,
-                            cache.inner.len() as u64,
-                            cache.cpairs.len() as u64,
-                        )
-                    };
-                } else if self.params.pairlist_cache {
-                    let margin = self.params.pairlist_margin;
-                    let rebuilt = cache.ensure_list(spec, &cell, ff.cutoff + margin, margin);
-                    res = nb_self_listed(
-                        ff,
-                        ex,
-                        cache.arrays[0].group(),
-                        &cell,
-                        &cache.list,
-                        &mut blocks[0],
-                    );
-                    work = if rebuilt {
-                        costmodel::nonbonded_work(res.pairs, spec.candidates)
-                    } else {
-                        costmodel::nonbonded_work_cached(res.pairs, cache.list.len() as u64)
-                    };
-                } else {
-                    res = nb_self_ranged(
-                        ff,
-                        ex,
-                        cache.arrays[0].group(),
-                        &cell,
-                        spec.outer.clone(),
-                        &mut blocks[0],
-                    );
-                    work = costmodel::nonbonded_work(res.pairs, spec.candidates);
-                }
-                acc.e_lj += res.e_lj;
-                acc.e_elec += res.e_elec;
-                acc.pairs += res.pairs;
-                ctx.add_work(work);
-            }
-            ComputeKind::PairNb { .. } => {
-                let mut cache = shared.nb_cache.entry(self.index).lock().unwrap();
-                cache.refresh_arrays(&st.system, &shared.decomp.grid, &spec.patches);
-                let ff = &st.system.forcefield;
-                let ex = &st.system.exclusions;
-                let (first, rest) = blocks.split_at_mut(1);
-                let (res, work);
-                if self.params.pairlist_cache
-                    && self.params.nb_kernel == crate::config::NbKernel::Cluster
-                {
-                    let margin = self.params.pairlist_margin;
-                    let width = self.params.simd_width;
-                    let rebuilt = cache.ensure_clusters(
-                        spec,
-                        ex,
-                        &cell,
-                        ff.cutoff + margin,
-                        margin,
-                        ff.cutoff,
-                        width,
-                    );
-                    res = nb_pair_clusters(
-                        ff,
-                        cache.arrays[0].group(),
-                        cache.arrays[1].group(),
-                        &cell,
-                        &cache.grids[0],
-                        &cache.grids[1],
-                        &cache.cpairs,
-                        &cache.inner,
-                        width,
-                        &mut first[0],
-                        &mut rest[0],
-                    );
-                    work = if rebuilt {
-                        costmodel::nonbonded_work_cluster_rebuild(
-                            res.pairs,
-                            spec.candidates,
-                            cache.inner.len() as u64,
-                            cache.cpairs.len() as u64,
-                        )
-                    } else {
-                        costmodel::nonbonded_work_clusters(
-                            res.pairs,
-                            cache.inner.len() as u64,
-                            cache.cpairs.len() as u64,
-                        )
-                    };
-                } else if self.params.pairlist_cache {
-                    let margin = self.params.pairlist_margin;
-                    let rebuilt = cache.ensure_list(spec, &cell, ff.cutoff + margin, margin);
-                    res = nb_pair_listed(
-                        ff,
-                        ex,
-                        cache.arrays[0].group(),
-                        cache.arrays[1].group(),
-                        &cell,
-                        &cache.list,
-                        &mut first[0],
-                        &mut rest[0],
-                    );
-                    work = if rebuilt {
-                        costmodel::nonbonded_work(res.pairs, spec.candidates)
-                    } else {
-                        costmodel::nonbonded_work_cached(res.pairs, cache.list.len() as u64)
-                    };
-                } else {
-                    res = nb_pair_ranged(
-                        ff,
-                        ex,
-                        cache.arrays[0].group(),
-                        cache.arrays[1].group(),
-                        &cell,
-                        spec.outer.clone(),
-                        &mut first[0],
-                        &mut rest[0],
-                    );
-                    work = costmodel::nonbonded_work(res.pairs, spec.candidates);
-                }
+                let (res, work) = cache.evaluate(
+                    spec,
+                    &st.system,
+                    &shared.decomp.grid,
+                    self.params.nb_kernel,
+                    self.params.simd_width,
+                    self.params.pairlist_margin,
+                    &mut blocks,
+                );
                 acc.e_lj += res.e_lj;
                 acc.e_elec += res.e_elec;
                 acc.pairs += res.pairs;

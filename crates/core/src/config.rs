@@ -129,16 +129,11 @@ pub enum NbKernel {
     Listed,
     /// Cluster-pair kernels (`mdcore::cluster`) with dual-list dynamic
     /// pruning in the cache layer. Scalar width is bit-identical to
-    /// `Listed`; X4/X8 trade bits for speed (see DESIGN.md §3.8).
+    /// `Listed`; X4 trades bits for speed (see DESIGN.md §3.8).
     Cluster,
 }
 
 impl NbKernel {
-    /// Parse a config-file value (`listed` | `cluster`).
-    pub fn parse(s: &str) -> Option<NbKernel> {
-        s.parse().ok()
-    }
-
     /// Canonical config-file spelling.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -183,18 +178,16 @@ pub struct SimConfig {
     pub force_mode: ForceMode,
     /// Timestep for Real mode, fs.
     pub dt_fs: f64,
-    /// Reuse each non-bonded compute's candidate pair list across steps
-    /// (Real mode), with displacement-based invalidation — the parallel
-    /// analogue of NAMD's `pairlistdist` reuse. Bit-compatible with the
-    /// uncached ranged kernels, so it defaults to on.
-    pub pairlist_cache: bool,
-    /// Candidate-list margin beyond the cutoff, Å (`pairlistdist − cutoff`).
-    /// Larger margins survive more motion between rebuilds but walk more
-    /// candidates per step.
+    /// Margin beyond the cutoff, Å (`pairlistdist − cutoff`), at which each
+    /// non-bonded compute (Real mode) builds the pair list it reuses across
+    /// steps until an atom has moved `margin/2` — the parallel analogue of
+    /// NAMD's `pairlistdist` reuse. Larger margins survive more motion
+    /// between rebuilds but walk more candidates per step; 0 rebuilds every
+    /// evaluation. Every margin gives the same bits.
     pub pairlist_margin: f64,
     /// Non-bonded kernel family (Real mode): atom-pair listed kernels, or
-    /// GROMACS-style cluster-pair kernels with dual-list dynamic pruning
-    /// (requires `pairlist_cache`). File key `nbKernel`.
+    /// GROMACS-style cluster-pair kernels with dual-list dynamic pruning.
+    /// File key `nbKernel`.
     pub nb_kernel: NbKernel,
     /// Lane width/precision for the cluster kernels (`Scalar` is
     /// bit-identical to the listed kernels). File key `simdWidth`.
@@ -283,7 +276,6 @@ impl SimConfig {
             patch_margin: 3.5,
             force_mode: ForceMode::Counted,
             dt_fs: 1.0,
-            pairlist_cache: true,
             pairlist_margin: 2.5,
             nb_kernel: NbKernel::Listed,
             simd_width: mdcore::cluster::SimdWidth::Scalar,
@@ -346,13 +338,6 @@ impl SimConfig {
                 which: "pairlist_margin",
                 value: self.pairlist_margin,
             });
-        }
-        if self.nb_kernel == NbKernel::Cluster && !self.pairlist_cache {
-            return Err(ConfigError::BadKernel(
-                "nb_kernel=cluster needs the pair-list cache (the dual cluster list \
-                 lives in it); enable pairlist_cache"
-                    .into(),
-            ));
         }
         if self.self_split_atoms == 0 {
             return Err(ConfigError::BadSplit { which: "self_split_atoms", value: 0 });
@@ -463,8 +448,6 @@ pub enum ConfigError {
     BadCheckpoint(String),
     /// An inconsistent multi-process (`backend=proc`) configuration.
     BadProc(String),
-    /// An inconsistent non-bonded kernel configuration.
-    BadKernel(String),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -491,7 +474,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadPme(msg) => write!(f, "pme: {msg}"),
             ConfigError::BadCheckpoint(msg) => write!(f, "checkpointing: {msg}"),
             ConfigError::BadProc(msg) => write!(f, "proc backend: {msg}"),
-            ConfigError::BadKernel(msg) => write!(f, "nb kernel: {msg}"),
         }
     }
 }
@@ -540,9 +522,8 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enable/disable the pair-list cache and set its margin, Å.
-    pub fn pairlist(mut self, cache: bool, margin: f64) -> Self {
-        self.cfg.pairlist_cache = cache;
+    /// Pair-list margin beyond the cutoff, Å (0 = rebuild every evaluation).
+    pub fn pairlist(mut self, margin: f64) -> Self {
         self.cfg.pairlist_margin = margin;
         self
     }
@@ -715,7 +696,7 @@ mod tests {
             ConfigError::BadTimestep(0.0)
         );
         assert_eq!(
-            SimConfig::builder(4, m).pairlist(true, -1.0).build().unwrap_err(),
+            SimConfig::builder(4, m).pairlist(-1.0).build().unwrap_err(),
             ConfigError::BadMargin { which: "pairlist_margin", value: -1.0 }
         );
         assert_eq!(
@@ -788,7 +769,6 @@ mod tests {
         }
         for k in [NbKernel::Listed, NbKernel::Cluster] {
             assert_eq!(k.to_string().parse::<NbKernel>().unwrap(), k);
-            assert_eq!(NbKernel::parse(k.as_str()), Some(k));
         }
         assert!("qemu".parse::<Backend>().unwrap_err().contains("qemu"));
         assert!("turbo".parse::<NbKernel>().unwrap_err().contains("turbo"));

@@ -88,8 +88,8 @@ pub fn bonded_work(bonds: usize, angles: usize, dihedrals: usize, impropers: usi
 }
 
 /// Work for a non-bonded compute that evaluated `pairs` interactions out of
-/// `candidates` candidate pairs. This is the *rebuild* (or uncached) cost:
-/// every candidate was distance-tested from scratch.
+/// `candidates` candidate pairs. This is the *rebuild* cost: every candidate
+/// was distance-tested from scratch.
 pub fn nonbonded_work(pairs: u64, candidates: u64) -> f64 {
     pairs as f64 * WORK_PER_PAIR + candidates.saturating_sub(pairs) as f64 * WORK_PER_CANDIDATE
 }

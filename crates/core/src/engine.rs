@@ -552,7 +552,6 @@ impl Engine {
             force_mode: cfg.force_mode,
             multicast: cfg.multicast,
             pme_every: cfg.pme.map_or(0, |p| p.every.max(1)),
-            pairlist_cache: cfg.pairlist_cache,
             pairlist_margin: cfg.pairlist_margin,
             checkpoint_every: if ckpt_dir.is_some() { cfg.checkpoint_interval } else { 0 },
             step_offset: self.steps_done,

@@ -9,12 +9,15 @@
 //!
 //! - **Persistent SoA buffers** (one [`PatchArrays`] per patch the compute
 //!   reads): gathered once, then only *positions* are rewritten in place each
-//!   step — no per-step allocation, in cached *and* uncached mode.
+//!   step — no per-step allocation.
 //! - A **candidate list** at `cutoff + margin`, in the exact order the ranged
 //!   kernels visit pairs, reused until displacement-based invalidation fires:
 //!   any atom of the compute's patches moving more than `margin/2` from its
 //!   build-time reference position may let a new pair enter the cutoff, so
-//!   the list rebuilds (in place — buffers are reused).
+//!   the list rebuilds (in place — buffers are reused). A margin of 0
+//!   therefore rebuilds on every evaluation: the list is then exactly the
+//!   ranged kernels' candidate sweep, and the tests hold every other
+//!   margin to that run's state bit for bit.
 //! - With `NbKernel::Cluster`, the **dual cluster list** instead: an *outer*
 //!   i-cluster × j-cluster list built at `cutoff + margin` on the same
 //!   margin/2 trigger (with precomputed exclusion lane masks), and a cheap
@@ -22,6 +25,10 @@
 //!   *inner* list the kernels actually evaluate. Pruning is conservative
 //!   (triangle inequality on the torus metric), so the inner list always
 //!   covers every within-cutoff pair.
+//!
+//! [`ComputeCacheEntry::evaluate`] is the one entry point: which list format
+//! and which kernel serve a compute is decided here, so the compute chare
+//! knows neither.
 //!
 //! `Engine::migrate_atoms` changes patch membership, so it resets the cache
 //! via [`PairlistCache::recycled`] — entries are cleared but their heap
@@ -36,13 +43,17 @@
 //! Lock order: an entry is taken after `state` and released before
 //! `energies` — see `state.rs`.
 
+use crate::config::NbKernel;
+use crate::costmodel;
 use crate::decomp::{ComputeKind, ComputeSpec, PatchArrays};
 use crate::patchgrid::PatchGrid;
 use mdcore::cluster::{
-    pair_cluster_pairs_into, prune_into, self_cluster_pairs_into, ClusterGrid, ClusterPair,
-    SimdWidth,
+    nb_pair_clusters, nb_self_clusters, pair_cluster_pairs_into, prune_into,
+    self_cluster_pairs_into, ClusterGrid, ClusterPair, SimdWidth,
 };
-use mdcore::nonbonded::{pair_candidates_into, self_candidates_into};
+use mdcore::nonbonded::{
+    nb_pair_listed, nb_self_listed, pair_candidates_into, self_candidates_into, NbResult,
+};
 use mdcore::prelude::*;
 use std::sync::Mutex;
 
@@ -50,11 +61,11 @@ use std::sync::Mutex;
 #[derive(Debug, Default)]
 pub struct ComputeCacheEntry {
     /// Persistent SoA buffers, parallel to the compute's `spec.patches`.
-    pub(crate) arrays: Vec<PatchArrays>,
+    arrays: Vec<PatchArrays>,
     /// Cached candidate pairs at `cutoff + margin`: slot indices into
     /// `arrays[0]` (self) or `arrays[0]`/`arrays[1]` (pair), in ranged-kernel
     /// visit order.
-    pub(crate) list: Vec<(u32, u32)>,
+    list: Vec<(u32, u32)>,
     /// Per-patch positions at list-build time, for displacement tracking.
     ref_pos: Vec<Vec<Vec3>>,
     /// `cutoff + margin` the current candidate list was built at; 0.0 = no
@@ -66,31 +77,123 @@ pub struct ComputeCacheEntry {
     half_margin: f64,
     /// Cluster bounding spheres + SoA mirrors, parallel to `arrays`;
     /// refreshed every cluster-kernel step.
-    pub(crate) grids: Vec<ClusterGrid>,
+    grids: Vec<ClusterGrid>,
     /// Outer cluster-pair list at `cutoff + margin` with precomputed
     /// exclusion lane masks.
-    pub(crate) cpairs: Vec<ClusterPair>,
+    cpairs: Vec<ClusterPair>,
     /// Inner list from the latest prune pass: indices into `cpairs`.
-    pub(crate) inner: Vec<u32>,
+    inner: Vec<u32>,
     /// `cutoff + margin` the outer cluster list was built at; 0.0 = none.
     cluster_radius: f64,
     /// List (re)builds performed by this compute (either representation).
-    pub(crate) builds: u64,
+    builds: u64,
     /// Steps served from a still-valid list.
-    pub(crate) hits: u64,
+    hits: u64,
     /// Prune passes run (one per cluster-kernel step).
-    pub(crate) prunes: u64,
+    prunes: u64,
     /// Sum over prune passes of the inner-list length.
-    pub(crate) inner_pairs: u64,
+    inner_pairs: u64,
     /// Sum over prune passes of the outer-list length.
-    pub(crate) outer_pairs: u64,
+    outer_pairs: u64,
 }
 
 impl ComputeCacheEntry {
+    /// Evaluate one non-bonded compute at the system's current positions:
+    /// refresh the SoA buffers, make the list `kernel` reads valid (a
+    /// rebuild when the margin/2 guarantee has lapsed, and for the cluster
+    /// kernels a prune pass every time), run the kernel into `blocks` —
+    /// one force block for a self compute, two for a pair compute, in
+    /// `spec.patches` order — and return the result with the work units to
+    /// declare. A hit is charged less than a rebuild, so LB sees the real
+    /// cost difference between the two kinds of step.
+    pub(crate) fn evaluate(
+        &mut self,
+        spec: &ComputeSpec,
+        system: &System,
+        grid: &PatchGrid,
+        kernel: NbKernel,
+        width: SimdWidth,
+        margin: f64,
+        blocks: &mut [Vec<Vec3>],
+    ) -> (NbResult, f64) {
+        self.refresh_arrays(system, grid, &spec.patches);
+        let ff = &system.forcefield;
+        let ex = &system.exclusions;
+        let cell = &system.cell;
+        let radius = ff.cutoff + margin;
+        match kernel {
+            NbKernel::Listed => {
+                let rebuilt = self.ensure_list(spec, cell, radius, margin);
+                let res = match blocks {
+                    [f] => nb_self_listed(ff, ex, self.arrays[0].group(), cell, &self.list, f),
+                    [fa, fb] => nb_pair_listed(
+                        ff,
+                        ex,
+                        self.arrays[0].group(),
+                        self.arrays[1].group(),
+                        cell,
+                        &self.list,
+                        fa,
+                        fb,
+                    ),
+                    _ => unreachable!("a non-bonded compute reads one or two patches"),
+                };
+                let work = if rebuilt {
+                    costmodel::nonbonded_work(res.pairs, spec.candidates)
+                } else {
+                    costmodel::nonbonded_work_cached(res.pairs, self.list.len() as u64)
+                };
+                (res, work)
+            }
+            NbKernel::Cluster => {
+                let rebuilt =
+                    self.ensure_clusters(spec, ex, cell, radius, margin, ff.cutoff, width);
+                let res = match blocks {
+                    [f] => nb_self_clusters(
+                        ff,
+                        self.arrays[0].group(),
+                        cell,
+                        &self.grids[0],
+                        &self.cpairs,
+                        &self.inner,
+                        width,
+                        f,
+                    ),
+                    [fa, fb] => nb_pair_clusters(
+                        ff,
+                        self.arrays[0].group(),
+                        self.arrays[1].group(),
+                        cell,
+                        &self.grids[0],
+                        &self.grids[1],
+                        &self.cpairs,
+                        &self.inner,
+                        width,
+                        fa,
+                        fb,
+                    ),
+                    _ => unreachable!("a non-bonded compute reads one or two patches"),
+                };
+                let (inner, outer) = (self.inner.len() as u64, self.cpairs.len() as u64);
+                let work = if rebuilt {
+                    costmodel::nonbonded_work_cluster_rebuild(
+                        res.pairs,
+                        spec.candidates,
+                        inner,
+                        outer,
+                    )
+                } else {
+                    costmodel::nonbonded_work_clusters(res.pairs, inner, outer)
+                };
+                (res, work)
+            }
+        }
+    }
+
     /// Bring the persistent SoA buffers up to date with the shared state:
     /// full gather on first use (or after a cache reset), position-only
     /// rewrite afterwards.
-    pub(crate) fn refresh_arrays(&mut self, system: &System, grid: &PatchGrid, patches: &[usize]) {
+    fn refresh_arrays(&mut self, system: &System, grid: &PatchGrid, patches: &[usize]) {
         if self.arrays.len() != patches.len() {
             self.arrays =
                 patches.iter().map(|&p| PatchArrays::gather(system, &grid.atoms[p])).collect();
@@ -106,7 +209,7 @@ impl ComputeCacheEntry {
     /// guarantee has lapsed (or no list exists / the margin was reconfigured
     /// mid-run). `radius` is `cutoff + margin`. Returns `true` when the list
     /// was (re)built this step.
-    pub(crate) fn ensure_list(
+    fn ensure_list(
         &mut self,
         spec: &ComputeSpec,
         cell: &Cell,
@@ -150,7 +253,7 @@ impl ComputeCacheEntry {
     /// has lapsed, then always run the cheap prune pass producing the
     /// *inner* list in `self.inner`. Returns `true` when the outer list was
     /// (re)built this step.
-    pub(crate) fn ensure_clusters(
+    fn ensure_clusters(
         &mut self,
         spec: &ComputeSpec,
         ex: &Exclusions,

@@ -174,30 +174,25 @@ impl ParallelSim {
         &self.engine
     }
 
-    /// Enable/disable the non-bonded pair-list cache and set its margin, Å.
-    /// Takes effect from the next step; changing the margin mid-run forces
-    /// the caches to rebuild (the stored build radius no longer matches).
-    pub fn set_pairlist(&mut self, cache: bool, margin: f64) {
+    /// Set the non-bonded pair-list margin, Å (0 = rebuild every
+    /// evaluation). Takes effect from the next step; changing the margin
+    /// mid-run forces the caches to rebuild (the stored build radius no
+    /// longer matches).
+    pub fn set_pairlist(&mut self, margin: f64) {
         assert!(
             margin >= 0.0 && margin.is_finite(),
             "pairlist margin must be non-negative and finite, got {margin}"
         );
-        self.engine.config.pairlist_cache = cache;
         self.engine.config.pairlist_margin = margin;
     }
 
     /// Select the non-bonded kernel family and cluster lane width for
-    /// subsequent phases. `NbKernel::Cluster` requires the pair-list cache
-    /// (enable it with [`Self::set_pairlist`] first).
+    /// subsequent phases.
     pub fn set_nb_kernel(
         &mut self,
         kernel: crate::config::NbKernel,
         width: mdcore::cluster::SimdWidth,
     ) {
-        assert!(
-            kernel != crate::config::NbKernel::Cluster || self.engine.config.pairlist_cache,
-            "nb_kernel=cluster needs pairlist_cache; call set_pairlist(true, ..) first"
-        );
         self.engine.config.nb_kernel = kernel;
         self.engine.config.simd_width = width;
     }

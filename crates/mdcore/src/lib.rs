@@ -71,8 +71,8 @@ pub mod prelude {
     pub use crate::constraints::{ConstrainedSimulator, Constraints, DistanceConstraint};
     pub use crate::forcefield::{units, ForceField, LjType};
     pub use crate::nonbonded::{
-        count_pairs, count_self_pairs, nb_pair, nb_pair_listed, nb_self, nb_self_listed,
-        pair_candidates_into, self_candidates_into, AtomGroup, NbResult, FLOPS_PER_PAIR,
+        count_pairs, count_self_pairs, nb_pair_listed, nb_self_listed, pair_candidates_into,
+        self_candidates_into, AtomGroup, NbResult, FLOPS_PER_PAIR,
     };
     pub use crate::minimize::{minimize, MinimizeResult};
     pub use crate::observables::instantaneous_pressure;

@@ -209,18 +209,6 @@ pub fn nb_self_ranged(
     res
 }
 
-/// Convenience wrapper: full self interaction (outer range = all atoms).
-pub fn nb_self(
-    ff: &ForceField,
-    ex: &Exclusions,
-    g: AtomGroup,
-    cell: &Cell,
-    forces: &mut [Vec3],
-) -> NbResult {
-    let n = g.len();
-    nb_self_ranged(ff, ex, g, cell, 0..n, forces)
-}
-
 /// All cross-pair interactions between two disjoint atom groups (the work of
 /// a "pair" compute object between two neighbouring patches). `fa`/`fb`
 /// accumulate forces on groups `a`/`b` respectively. The outer loop over `a`
@@ -268,20 +256,6 @@ pub fn nb_pair_ranged(
         fa[i] += fi;
     }
     res
-}
-
-/// Convenience wrapper: full pair interaction.
-pub fn nb_pair(
-    ff: &ForceField,
-    ex: &Exclusions,
-    a: AtomGroup,
-    b: AtomGroup,
-    cell: &Cell,
-    fa: &mut [Vec3],
-    fb: &mut [Vec3],
-) -> NbResult {
-    let n = a.len();
-    nb_pair_ranged(ff, ex, a, b, cell, 0..n, fa, fb)
 }
 
 /// Build the candidate list for a *self* compute: every unique pair inside
@@ -549,7 +523,7 @@ mod tests {
         let (ff, ex, pos, ids, lj, q) = two_atom_setup(3.1);
         let cell = Cell::cube(50.0);
         let mut f = vec![Vec3::ZERO; 2];
-        let r = nb_self(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, &mut f);
+        let r = nb_self_ranged(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, 0..f.len(), &mut f);
         assert_eq!(r.pairs, 1);
         assert!((f[0] + f[1]).norm() < 1e-12, "forces must cancel: {f:?}");
         assert!(f[0].norm() > 0.0);
@@ -565,13 +539,13 @@ mod tests {
             let energy = |x: f64| {
                 let pos = vec![Vec3::ZERO, Vec3::new(x, 0.0, 0.0)];
                 let mut f = vec![Vec3::ZERO; 2];
-                nb_self(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, &mut f).energy()
+                nb_self_ranged(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, 0..2, &mut f).energy()
             };
             let h = 1e-6;
             let fd = -(energy(r + h) - energy(r - h)) / (2.0 * h); // force on atom1 along +x
             let pos = vec![Vec3::ZERO, Vec3::new(r, 0.0, 0.0)];
             let mut f = vec![Vec3::ZERO; 2];
-            nb_self(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, &mut f);
+            nb_self_ranged(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, 0..f.len(), &mut f);
             let analytic = f[1].x;
             let tol = 1e-5 * (1.0 + fd.abs());
             assert!(
@@ -587,13 +561,13 @@ mod tests {
         let cell = Cell::cube(100.0);
         let pos = vec![Vec3::ZERO, Vec3::new(11.999999, 0.0, 0.0)];
         let mut f = vec![Vec3::ZERO; 2];
-        let r = nb_self(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, &mut f);
+        let r = nb_self_ranged(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, 0..f.len(), &mut f);
         assert!(r.energy().abs() < 1e-6, "energy at cutoff: {}", r.energy());
         assert!(f[1].norm() < 1e-4, "force at cutoff: {:?}", f[1]);
 
         let pos2 = vec![Vec3::ZERO, Vec3::new(12.000001, 0.0, 0.0)];
         let mut f2 = vec![Vec3::ZERO; 2];
-        let r2 = nb_self(&ff, &ex, group(&pos2, &ids, &lj, &q), &cell, &mut f2);
+        let r2 = nb_self_ranged(&ff, &ex, group(&pos2, &ids, &lj, &q), &cell, 0..f2.len(), &mut f2);
         assert_eq!(r2.pairs, 0);
         assert_eq!(r2.energy(), 0.0);
     }
@@ -614,7 +588,7 @@ mod tests {
         let lj = vec![0, 0];
         let q = vec![-0.5, 0.5];
         let mut f = vec![Vec3::ZERO; 2];
-        let r = nb_self(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, &mut f);
+        let r = nb_self_ranged(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, 0..f.len(), &mut f);
         assert_eq!(r.pairs, 0);
         assert_eq!(r.energy(), 0.0);
         assert_eq!(f[0], Vec3::ZERO);
@@ -642,13 +616,13 @@ mod tests {
         let lj = vec![0u16; 4];
         let q = vec![0.3; 4];
         let mut f = vec![Vec3::ZERO; 4];
-        let scaled = nb_self(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, &mut f);
+        let scaled = nb_self_ranged(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, 0..4, &mut f);
         assert_eq!(scaled.pairs, 1);
 
         // With scale14 = 1.0 the energy should be 1/scale14 times larger.
         ff.scale14 = 1.0;
         let mut f1 = vec![Vec3::ZERO; 4];
-        let unscaled = nb_self(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, &mut f1);
+        let unscaled = nb_self_ranged(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, 0..4, &mut f1);
         assert!(
             (scaled.energy() - 0.5 * unscaled.energy()).abs() < 1e-12,
             "scaled {} vs unscaled {}",
@@ -678,7 +652,7 @@ mod tests {
         let ex = Exclusions::none(n);
 
         let mut f_all = vec![Vec3::ZERO; n];
-        let all = nb_self(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, &mut f_all);
+        let all = nb_self_ranged(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, 0..n, &mut f_all);
 
         let k = 8;
         let (pa, pb) = pos.split_at(k);
@@ -690,9 +664,9 @@ mod tests {
         let mut fa = vec![Vec3::ZERO; k];
         let mut fb = vec![Vec3::ZERO; n - k];
         let mut total = NbResult::default();
-        total.add(nb_self(&ff, &ex, ga, &cell, &mut fa));
-        total.add(nb_self(&ff, &ex, gb, &cell, &mut fb));
-        total.add(nb_pair(&ff, &ex, ga, gb, &cell, &mut fa, &mut fb));
+        total.add(nb_self_ranged(&ff, &ex, ga, &cell, 0..fa.len(), &mut fa));
+        total.add(nb_self_ranged(&ff, &ex, gb, &cell, 0..fb.len(), &mut fb));
+        total.add(nb_pair_ranged(&ff, &ex, ga, gb, &cell, 0..k, &mut fa, &mut fb));
 
         assert_eq!(total.pairs, all.pairs);
         assert!((total.energy() - all.energy()).abs() < 1e-9);
@@ -719,7 +693,7 @@ mod tests {
         let g = group(&pos, &ids, &lj, &q);
 
         let mut f_full = vec![Vec3::ZERO; n];
-        let full = nb_self(&ff, &ex, g, &cell, &mut f_full);
+        let full = nb_self_ranged(&ff, &ex, g, &cell, 0..f_full.len(), &mut f_full);
 
         let mut f_split = vec![Vec3::ZERO; n];
         let mut acc = NbResult::default();
@@ -747,7 +721,7 @@ mod tests {
         let ex = Exclusions::none(n);
         let g = group(&pos, &ids, &lj, &q);
         let mut f = vec![Vec3::ZERO; n];
-        let r = nb_self(&ff, &ex, g, &cell, &mut f);
+        let r = nb_self_ranged(&ff, &ex, g, &cell, 0..f.len(), &mut f);
         assert_eq!(r.pairs, count_self_pairs(g, &cell, ff.cutoff));
     }
 
@@ -763,7 +737,7 @@ mod tests {
         let q = vec![0.2, -0.2];
         let ex = Exclusions::none(2);
         let mut f = vec![Vec3::ZERO; 2];
-        let r = nb_self(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, &mut f);
+        let r = nb_self_ranged(&ff, &ex, group(&pos, &ids, &lj, &q), &cell, 0..f.len(), &mut f);
         assert_eq!(r.pairs, 1);
         // Opposite charges 2 Å apart attract: force on atom0 points toward
         // the boundary (negative x).

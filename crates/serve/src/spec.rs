@@ -117,7 +117,8 @@ pub struct JobSpec {
     pub migrate_every: usize,
     /// Non-bonded kernel family.
     pub nb_kernel: NbKernel,
-    /// Cluster lane width (`x4`/`x8` change bits, so it is in the key).
+    /// Cluster lane width (`x4` changes bits, so under `cluster` it is in
+    /// the key; the listed kernels never read it).
     pub simd_width: SimdWidth,
     /// Ensemble fan-out clause (parent jobs only).
     pub ensemble: Option<Ensemble>,
@@ -425,8 +426,8 @@ impl JobSpec {
         if let Some(plan) = &self.fault_plan {
             charmrt::FaultPlan::parse(plan).map_err(|e| format!("faultPlan: {e}"))?;
         }
-        // The engine's own validation: kernel/cache consistency, timestep,
-        // margins — identical rules to a CLI run.
+        // The engine's own validation: timestep, margins, backend rules —
+        // identical to a CLI run.
         self.engine_config().map(|_| ())
     }
 
@@ -473,10 +474,13 @@ impl JobSpec {
             "nbKernel".to_string(),
             Json::Str(self.nb_kernel.to_string()),
         );
-        m.insert(
-            "simdWidth".to_string(),
-            Json::Str(self.simd_width.to_string()),
-        );
+        // Only the cluster kernels read the width: under `listed` every
+        // width is the same physics, so it canonicalizes to the default.
+        let width = match self.nb_kernel {
+            NbKernel::Listed => SimdWidth::Scalar,
+            NbKernel::Cluster => self.simd_width,
+        };
+        m.insert("simdWidth".to_string(), Json::Str(width.to_string()));
         if let Some(e) = self.ensemble {
             let mut em = BTreeMap::new();
             em.insert("count".to_string(), Json::Num(e.count as f64));
@@ -606,6 +610,9 @@ mod tests {
             .unwrap_err()
             .contains("2×cutoff"));
         assert!(JobSpec::parse(r#"{"nbKernel": "turbo"}"#).is_err());
+        assert!(JobSpec::parse(r#"{"simdWidth":"x8"}"#)
+            .unwrap_err()
+            .contains("(scalar | x4)"));
         assert!(JobSpec::parse(r#"{"ensemble": {"count": 0}}"#).is_err());
         assert!(JobSpec::parse(r#"{"ensemble": {"seeds": 3}}"#).is_err());
     }

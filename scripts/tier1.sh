@@ -58,6 +58,12 @@ cargo test -q --test analyze_correctness || status=1
 echo "==> benchmark harness still compiles against the crates"
 cargo check --release --offline --manifest-path benchmark/Cargo.toml || status=1
 
+# `cargo test` skips bench targets and clippy is advisory, so nothing above
+# compiles crates/bench/benches/*.rs: a kernel signature change can break
+# the criterion benches unnoticed. Blocking — compile them, run nothing.
+echo "==> criterion benches still compile"
+cargo bench --offline --no-run -p namd-bench $FEAT || status=1
+
 echo "==> cargo clippy (non-blocking)"
 if ! cargo clippy --workspace --all-targets -- -D warnings; then
   echo "WARNING: clippy reported lints (non-blocking)"

@@ -2,14 +2,16 @@
 //! machinery:
 //!
 //! * proptest over schedule policies × PE counts × margins: a cached DES
-//!   phase reproduces the sequential mdcore physics and matches the
-//!   uncached engine at the `backend_equivalence.rs` tolerances, and
-//!   passes every invariant oracle;
+//!   phase reproduces the sequential mdcore physics at the
+//!   `backend_equivalence.rs` tolerances, lands bit for bit on the state of
+//!   the margin-0 engine (which rebuilds every list on every evaluation, so
+//!   no list is ever reused), and passes every invariant oracle;
 //! * forced mid-phase invalidation: a tiny margin trips the displacement
-//!   guarantee inside a phase, the lists rebuild, and the physics is
-//!   unchanged;
+//!   guarantee inside a phase, the lists rebuild, and the state is
+//!   unchanged to the bit;
 //! * `migrate_atoms` boundary: the facade's migration resets the cache and
-//!   the cached trajectory still tracks the uncached and sequential ones;
+//!   the cached trajectory still equals the margin-0 one and tracks the
+//!   sequential one;
 //! * DES virtual time: cache hits are charged `nonbonded_work_cached`,
 //!   which is strictly cheaper than the rebuild cost;
 //! * `lb::greedy` / `lb::refine` stay valid when compute loads are a mix
@@ -103,14 +105,22 @@ fn n_nonbonded_computes(engine: &Engine) -> u64 {
         .count() as u64
 }
 
-/// Run one cached Real-mode DES phase and check it against the sequential
-/// reference, the uncached engine, and the invariant oracles.
+/// First atom whose position differs in any bit between two runs.
+fn first_bit_difference(a: &[Vec3], b: &[Vec3]) -> Option<usize> {
+    assert_eq!(a.len(), b.len());
+    let bits = |v: &Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+    a.iter().zip(b).position(|(p, q)| bits(p) != bits(q))
+}
+
+/// Run one Real-mode DES phase at `margin` and check it against the
+/// sequential reference, the engine that never reuses a list (margin 0),
+/// and the invariant oracles.
 fn check_cached_phase(policy: SchedulePolicy, n_pes: usize, margin: f64) -> Result<(), String> {
     let reference = seq_ref();
-    let run = |cached: bool| {
+    let run = |margin: f64| {
         let cfg = real_des_cfg(n_pes)
             .schedule(policy)
-            .pairlist(cached, margin)
+            .pairlist(margin)
             .build()
             .expect("valid test config");
         let mut engine = Engine::new(restrained_apoa1_small(), cfg);
@@ -119,7 +129,7 @@ fn check_cached_phase(policy: SchedulePolicy, n_pes: usize, margin: f64) -> Resu
         let report = check_phase(&engine, &r);
         (r, pos, report)
     };
-    let (rc, pos_c, report) = run(true);
+    let (rc, pos_c, report) = run(margin);
     let ctx = format!("{:?} seed {} pes {n_pes} margin {margin}", policy.kind, policy.seed);
 
     // Step-0 energy and exact pair count against the sequential reference.
@@ -164,20 +174,24 @@ fn check_cached_phase(policy: SchedulePolicy, n_pes: usize, margin: f64) -> Resu
         return Err(format!("no list builds recorded ({ctx})"));
     }
 
-    // The uncached engine must land on the same trajectory.
-    let (ru, pos_u, _) = run(false);
-    if ru.metrics.pairlist.executions() != 0 {
-        return Err(format!("uncached run touched the cache ({ctx}): {:?}", ru.metrics.pairlist));
+    // The engine that rebuilds every list on every evaluation must land on
+    // the same state, bit for bit: a reused list loses no pair.
+    let (r0, pos_0, _) = run(0.0);
+    if (r0.metrics.pairlist.builds, r0.metrics.pairlist.hits) != (expect, 0) {
+        return Err(format!(
+            "margin 0 must rebuild on every evaluation ({ctx}): {:?}",
+            r0.metrics.pairlist
+        ));
     }
-    let dp = (rc.energies[0].potential() - ru.energies[0].potential()).abs();
+    let dp = (rc.energies[0].potential() - r0.energies[0].potential()).abs();
     if dp >= tol {
-        return Err(format!("cached vs uncached step-0 potential differs by {dp} ({ctx})"));
+        return Err(format!("margin {margin} vs margin 0 step-0 potential differs by {dp} ({ctx})"));
     }
-    for (i, (pc, pu)) in pos_c.iter().zip(&pos_u).enumerate() {
-        let d = (*pc - *pu).norm();
-        if d >= 1e-6 {
-            return Err(format!("cached atom {i} diverged from uncached by {d} ({ctx})"));
-        }
+    if let Some(i) = first_bit_difference(&pos_c, &pos_0) {
+        return Err(format!(
+            "atom {i}: margin {margin} {:?} vs margin 0 {:?} ({ctx})",
+            pos_c[i], pos_0[i]
+        ));
     }
     Ok(())
 }
@@ -201,13 +215,13 @@ proptest! {
 
 /// A margin small enough that thermal motion trips the displacement bound
 /// *inside* a phase: the lists must rebuild mid-phase (more builds than
-/// one per compute) and the trajectory must still match the uncached run.
+/// one per compute) and the state must still equal the margin-0 run's.
 #[test]
 fn mid_phase_invalidation_rebuilds_and_stays_exact() {
     let steps = 7;
-    let run = |cached: bool| {
+    let run = |margin: f64| {
         let cfg = real_des_cfg(2)
-            .pairlist(cached, 0.25)
+            .pairlist(margin)
             .build()
             .expect("valid test config");
         let mut engine = Engine::new(restrained_apoa1_small(), cfg);
@@ -216,7 +230,7 @@ fn mid_phase_invalidation_rebuilds_and_stays_exact() {
         let pos = engine.shared.state.read().unwrap().system.positions.clone();
         (r, n_nb, pos)
     };
-    let (rc, n_nb, pos_c) = run(true);
+    let (rc, n_nb, pos_c) = run(0.25);
     assert!(
         rc.metrics.pairlist.builds > n_nb,
         "margin 0.25 over {steps} evaluations must force mid-phase rebuilds: \
@@ -226,48 +240,54 @@ fn mid_phase_invalidation_rebuilds_and_stays_exact() {
     assert!(rc.metrics.pairlist.hits > 0, "even a tiny margin serves the no-motion bootstrap step");
     assert_eq!(rc.metrics.pairlist.executions(), n_nb * steps as u64);
 
-    let (ru, _, pos_u) = run(false);
-    let tol = 1e-8 * ru.energies[0].potential().abs().max(1.0);
-    for (ec, eu) in rc.energies.iter().zip(&ru.energies) {
+    let (r0, _, pos_0) = run(0.0);
+    assert_eq!(
+        (r0.metrics.pairlist.builds, r0.metrics.pairlist.hits),
+        (n_nb * steps as u64, 0),
+        "margin 0 must rebuild on every evaluation"
+    );
+    let tol = 1e-8 * r0.energies[0].potential().abs().max(1.0);
+    for (ec, e0) in rc.energies.iter().zip(&r0.energies) {
         assert!(
-            (ec.potential() - eu.potential()).abs() < tol,
-            "cached {} vs uncached {}",
+            (ec.potential() - e0.potential()).abs() < tol,
+            "margin 0.25 {} vs margin 0 {}",
             ec.potential(),
-            eu.potential()
+            e0.potential()
         );
-        assert_eq!(ec.pairs, eu.pairs, "within-cutoff pair counts must agree");
+        assert_eq!(ec.pairs, e0.pairs, "within-cutoff pair counts must agree");
     }
-    for (i, (pc, pu)) in pos_c.iter().zip(&pos_u).enumerate() {
-        let d = (*pc - *pu).norm();
-        assert!(d < 1e-6, "atom {i} diverged by {d} after forced invalidation");
-    }
+    assert_eq!(
+        first_bit_difference(&pos_c, &pos_0),
+        None,
+        "state differs from the margin-0 run after forced invalidation"
+    );
 }
 
 /// Atom migration re-bins patches, so cached slot indices go stale; the
 /// engine drops the cache at the boundary. Crossing several migrations,
-/// the cached facade must still track the uncached facade and the
-/// sequential simulator.
+/// the cached facade must still equal the margin-0 facade bit for bit and
+/// track the sequential simulator.
 #[test]
 fn migration_boundary_resets_cache_and_preserves_trajectory() {
     let sys = restrained_apoa1_small();
     let steps = 8;
-    let run = |cached: bool| {
+    let run = |margin: f64| {
         let mut p = ParallelSim::new(sys.clone(), 2, 1.0).unwrap();
         p.migrate_every = 3; // two migrations inside the run
-        p.set_pairlist(cached, 2.5);
+        p.set_pairlist(margin);
         let energies = p.run(steps);
         let stats = p.pairlist_stats();
         let pos = p.system().positions.clone();
         (energies, stats, pos)
     };
-    let (ec, stats, pos_c) = run(true);
+    let (ec, stats, pos_c) = run(2.5);
     // Counters reset at each migration, so these are the post-reset phase:
     // a rebuild for every compute, then hits.
     assert!(stats.builds > 0, "cache must re-prime after migration");
     assert!(stats.hits > 0, "margin 2.5 must serve hits between migrations");
 
-    let (eu, ustats, pos_u) = run(false);
-    assert_eq!(ustats.executions(), 0, "uncached run must not touch the cache");
+    let (e0, stats0, pos_0) = run(0.0);
+    assert!(stats0.builds > stats.builds, "margin 0 must rebuild where margin 2.5 hit");
 
     let mut seq = sys.clone();
     let mut sim = Simulator::new(&seq, 1.0);
@@ -282,39 +302,41 @@ fn migration_boundary_resets_cache_and_preserves_trajectory() {
             es[i]
         );
         assert!(
-            (ec[i].potential() - eu[i].potential()).abs() < tol,
-            "step {i}: cached {} vs uncached {}",
+            (ec[i].potential() - e0[i].potential()).abs() < tol,
+            "step {i}: margin 2.5 {} vs margin 0 {}",
             ec[i].potential(),
-            eu[i].potential()
+            e0[i].potential()
         );
     }
     for (i, (pc, ps)) in pos_c.iter().zip(&seq.positions).enumerate() {
         let d = (*pc - *ps).norm();
         assert!(d < 1e-6, "atom {i} diverged from sequential by {d}");
     }
-    for (i, (pc, pu)) in pos_c.iter().zip(&pos_u).enumerate() {
-        let d = (*pc - *pu).norm();
-        assert!(d < 1e-6, "atom {i}: cached vs uncached diverged by {d}");
-    }
+    assert_eq!(
+        first_bit_difference(&pos_c, &pos_0),
+        None,
+        "margin 2.5 vs margin 0 state differs across migrations"
+    );
 }
 
 /// On the DES, cache hits are charged `costmodel::nonbonded_work_cached`
-/// instead of the full rebuild cost, so the modeled makespan of a cached
-/// phase must be strictly below the uncached one.
+/// instead of the full rebuild cost, so the modeled makespan of a phase
+/// that reuses its lists must be strictly below one that rebuilds them on
+/// every evaluation.
 #[test]
 fn des_virtual_time_rewards_cache_hits() {
-    let total_time = |cached: bool| {
+    let total_time = |margin: f64| {
         let cfg = real_des_cfg(2)
-            .pairlist(cached, 2.5)
+            .pairlist(margin)
             .build()
             .expect("valid test config");
         let mut engine = Engine::new(restrained_apoa1_small(), cfg);
         engine.run_phase(PHASE_STEPS).total_time
     };
-    let (t_cached, t_plain) = (total_time(true), total_time(false));
+    let (t_cached, t_rebuild) = (total_time(2.5), total_time(0.0));
     assert!(
-        t_cached < t_plain,
-        "cached virtual makespan {t_cached} must beat uncached {t_plain}"
+        t_cached < t_rebuild,
+        "virtual makespan at margin 2.5 ({t_cached}) must beat margin 0 ({t_rebuild})"
     );
 }
 

@@ -235,7 +235,7 @@ fn phase_metrics_is_the_one_counter_surface() {
     let cfg = SimConfig::builder(2, presets::generic_cluster())
         .force_mode(ForceMode::Real)
         .dt_fs(1.0)
-        .pairlist(true, 2.5)
+        .pairlist(2.5)
         .build()
         .unwrap();
     let mut engine = Engine::new(test_system(9), cfg);
