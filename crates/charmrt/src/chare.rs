@@ -19,10 +19,12 @@ pub trait Chare: Send {
     /// declare modeled work, and query the runtime.
     fn receive(&mut self, entry: crate::msg::EntryId, payload: Payload, ctx: &mut Ctx);
 
-    /// Pack the state this chare mutated during the run that the *parent*
-    /// address space needs back when PEs are separate OS processes (the
-    /// `proc` backend). Default: nothing — most chares are pure protocol
-    /// actors whose results leave via messages or the checkpoint directory.
+    /// Pack the state this chare holds after the run and its driver needs
+    /// back: drivers read it through `Runtime::object`, and when PEs are
+    /// separate OS processes (the `proc` backend) the same bytes carry it
+    /// from the worker to the parent's instance first. Default: nothing —
+    /// most chares are pure protocol actors whose results leave via
+    /// messages or the checkpoint directory.
     fn harvest_state(&self) -> Payload {
         Vec::new()
     }
@@ -81,11 +83,6 @@ pub struct Ctx {
     pub(crate) sends: Vec<OutMsg>,
     pub(crate) work: f64,
     pub(crate) stop: bool,
-    /// True when PEs are separate OS processes (the `proc` backend): a
-    /// handler cannot see state written on other PEs, so chares that rely
-    /// on shared memory for cross-PE data (e.g. proxies reading home-patch
-    /// coordinates) must instead apply the payload bytes they received.
-    pub(crate) distributed: bool,
     pe: Pe,
     now: f64,
     this: ObjId,
@@ -94,7 +91,7 @@ pub struct Ctx {
 
 impl Ctx {
     pub(crate) fn new(pe: Pe, now: f64, this: ObjId, n_pes: usize) -> Self {
-        Ctx { sends: Vec::new(), work: 0.0, stop: false, distributed: false, pe, now, this, n_pes }
+        Ctx { sends: Vec::new(), work: 0.0, stop: false, pe, now, this, n_pes }
     }
 
     /// Send a message of `bytes` bytes to another object. The payload is
@@ -175,13 +172,6 @@ impl Ctx {
     /// Number of PEs in the run.
     pub fn n_pes(&self) -> usize {
         self.n_pes
-    }
-
-    /// True when PEs are separate OS processes (the `proc` backend): no
-    /// shared address space, so cross-PE data exists only in the payload
-    /// bytes this handler received.
-    pub fn distributed(&self) -> bool {
-        self.distributed
     }
 
     /// Request that the engine stop after this handler (end of simulation).

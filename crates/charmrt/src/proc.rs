@@ -5,9 +5,8 @@
 //! This is the closest shape in the repo to the paper's real deployments:
 //! PEs share *nothing* but the wire (and the filesystem), so every byte a
 //! handler consumes arrived as a packed [`WireMsg`] and every result the
-//! parent reads back crossed the process boundary explicitly — via
-//! [`Chare::harvest_state`] per object, or the runtime-level shared hooks
-//! ([`crate::Runtime::set_shared_hooks`]) for process-global accumulators.
+//! parent reads back crossed the process boundary explicitly, via
+//! [`Chare::harvest_state`] per object.
 //!
 //! ## Topology and lifecycle
 //!
@@ -59,9 +58,9 @@
 //!
 //! Handlers mutate memory owned by a *child*; the parent's copies are
 //! untouched (copy-on-write). After a clean drain each child harvests
-//! every object it owns ([`Chare::harvest_state`]) plus the shared hook,
-//! and the parent applies the bytes in PE order
-//! ([`Chare::merge_state`] / the merge hook) — so `Runtime::object` reads
+//! every object it owns ([`Chare::harvest_state`]), and the parent
+//! applies the bytes in PE order ([`Chare::merge_state`]) — so
+//! `Runtime::object` reads
 //! the post-run state just as on the shared-memory backends, provided the
 //! chare implements the pair. Filesystem effects (checkpoints) need no
 //! harvesting: children write them durably in place.
@@ -218,7 +217,6 @@ struct ChildResults {
     obj_secs: Vec<(ObjId, f64)>,
     trace: Vec<TraceEvent>,
     harvests: Vec<(ObjId, Vec<u8>)>,
-    shared: Vec<u8>,
 }
 
 impl ChildResults {
@@ -264,7 +262,6 @@ impl ChildResults {
         for _ in 0..n_harvest {
             harvests.push((ObjId(d.u32("h_obj")?), d.bytes("h_state")?));
         }
-        let shared = d.bytes("shared")?;
         if d.remaining() != 0 {
             return Err(WireError(format!("{} trailing bytes in Results", d.remaining())));
         }
@@ -284,7 +281,6 @@ impl ChildResults {
             obj_secs,
             trace,
             harvests,
-            shared,
         })
     }
 }
@@ -316,8 +312,6 @@ pub struct ProcRuntime {
     /// No-progress window after which the run is declared stalled and the
     /// children felled. Generous: real processes start slowly.
     stall_timeout: Duration,
-    harvest_hook: Option<Box<dyn Fn() -> Payload + Send + Sync>>,
-    merge_hook: Option<Box<dyn FnMut(Pe, &[u8]) -> Result<(), WireError> + Send>>,
     /// Summary-profile instrumentation (measured wall-clock, merged from
     /// the children's `Results` frames).
     pub stats: SummaryStats,
@@ -350,8 +344,6 @@ impl ProcRuntime {
             fault: None,
             socket_dir: dir,
             stall_timeout: Duration::from_millis(2000),
-            harvest_hook: None,
-            merge_hook: None,
             stats: SummaryStats::new(n_pes),
             trace: Trace::default(),
             ldb: LdbDatabase::new(n_pes),
@@ -656,7 +648,7 @@ impl ProcRuntime {
     }
 
     /// Fold the children's `Results` frames into the runtime's
-    /// instrumentation, per-object harvested state, and shared hooks.
+    /// instrumentation and per-object harvested state.
     fn merge_results(&mut self, mut results: Vec<ChildResults>) -> f64 {
         results.sort_by_key(|r| r.pe);
         let mut makespan = 0.0f64;
@@ -687,10 +679,6 @@ impl ProcRuntime {
                     .expect("harvest for unregistered object")
                     .merge_state(&bytes)
                     .unwrap_or_else(|e| panic!("merge_state failed for {obj:?}: {e}"));
-            }
-            if let Some(merge) = self.merge_hook.as_mut() {
-                merge(r.pe, &r.shared)
-                    .unwrap_or_else(|e| panic!("shared merge failed for PE {}: {e}", r.pe));
             }
             makespan = makespan.max(r.last_end);
         }
@@ -892,7 +880,6 @@ impl ProcRuntime {
 
             let start = epoch.elapsed().as_secs_f64();
             let mut ctx = Ctx::new(pe, start, msg.to, self.n_pes);
-            ctx.distributed = true;
             let obj = self.objects[msg.to.idx()]
                 .as_deref_mut()
                 .expect("message routed to a process that does not own the object");
@@ -1038,8 +1025,6 @@ impl ProcRuntime {
             e.u32(*o);
             e.bytes(st);
         }
-        let shared_state = self.harvest_hook.as_ref().map(|h| h()).unwrap_or_default();
-        e.bytes(&shared_state);
         let mut w = ctrl.lock().unwrap();
         let _ = write_frame(&mut *w, &e.0);
     }
@@ -1185,15 +1170,6 @@ impl Runtime for ProcRuntime {
     fn object_mut(&mut self, obj: ObjId) -> &mut dyn Chare {
         self.objects[obj.idx()].as_deref_mut().expect("object missing")
     }
-
-    fn set_shared_hooks(
-        &mut self,
-        harvest: Box<dyn Fn() -> Payload + Send + Sync>,
-        merge: Box<dyn FnMut(Pe, &[u8]) -> Result<(), WireError> + Send>,
-    ) {
-        self.harvest_hook = Some(harvest);
-        self.merge_hook = Some(merge);
-    }
 }
 
 impl Drop for ProcRuntime {
@@ -1220,7 +1196,6 @@ mod tests {
     impl Chare for Hopper {
         fn receive(&mut self, _e: EntryId, _p: Payload, ctx: &mut Ctx) {
             self.hits += 1;
-            assert!(ctx.distributed(), "proc handlers must see a distributed ctx");
             if self.hops > 0 {
                 self.hops -= 1;
                 if let Some(next) = self.next {
@@ -1350,47 +1325,6 @@ mod tests {
         assert_eq!(rt.stats.entry_count[e.idx()], 1);
         assert_eq!(rt.stats.msgs_discarded, 1);
         assert_eq!(rt.stats.conservation_residual(), 0);
-    }
-
-    #[test]
-    fn shared_hooks_carry_process_global_state() {
-        use std::sync::atomic::AtomicU32;
-        use std::sync::Arc;
-        // Incremented by handlers *in the children*; the parent's copy
-        // stays zero — only the harvest/merge hook pair moves the total.
-        static CHILD_COUNTER: AtomicU32 = AtomicU32::new(0);
-
-        struct Bumper;
-        impl Chare for Bumper {
-            fn receive(&mut self, _e: EntryId, _p: Payload, _ctx: &mut Ctx) {
-                CHILD_COUNTER.fetch_add(1, AtOrd::SeqCst);
-            }
-        }
-
-        let mut rt = ProcRuntime::new(2);
-        let e = rt.register_entry("bump");
-        for pe in 0..2 {
-            rt.register(Box::new(Bumper), pe, true);
-        }
-        let total = Arc::new(AtomicU32::new(0));
-        let total_in_merge = total.clone();
-        rt.set_shared_hooks(
-            Box::new(|| {
-                let mut enc = Enc::new();
-                enc.u32(CHILD_COUNTER.load(AtOrd::SeqCst));
-                enc.into_bytes()
-            }),
-            Box::new(move |_pe, bytes| {
-                let mut d = Dec::new(bytes);
-                total_in_merge.fetch_add(d.u32("count")?, AtOrd::SeqCst);
-                Ok(())
-            }),
-        );
-        rt.inject(ObjId(0), e, 0, PRIO_NORMAL, Vec::new());
-        rt.inject(ObjId(1), e, 0, PRIO_NORMAL, Vec::new());
-        rt.run();
-        assert_eq!(total.load(AtOrd::SeqCst), 2);
-        assert_eq!(CHILD_COUNTER.load(AtOrd::SeqCst), 0, "parent copy untouched");
     }
 
     #[test]

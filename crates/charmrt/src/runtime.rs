@@ -159,19 +159,6 @@ pub trait Runtime {
     /// backends only; real backends run at whatever speed the hardware
     /// delivers and ignore this.
     fn set_pe_speeds(&mut self, _speeds: Vec<f64>) {}
-
-    /// Install hooks for carrying *process-global* shared state (anything
-    /// not owned by a single chare, e.g. accumulated step energies) across
-    /// the process boundary of the `proc` backend: `harvest` packs the
-    /// state inside a worker process after its last handler; `merge` folds
-    /// those bytes back in the parent, called once per PE in PE order.
-    /// Shared-memory backends see every write directly and ignore this.
-    fn set_shared_hooks(
-        &mut self,
-        _harvest: Box<dyn Fn() -> Payload + Send + Sync>,
-        _merge: Box<dyn FnMut(Pe, &[u8]) -> Result<(), crate::wire::WireError> + Send>,
-    ) {
-    }
 }
 
 impl Runtime for crate::Des {

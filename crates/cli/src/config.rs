@@ -189,18 +189,32 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// Whether `runner::run` steps this configuration on the message-driven
-    /// parallel driver (`ParallelSim`) rather than a sequential one.
-    /// Checkpointing and restart are barriers of its message protocol, the
-    /// `des`/`proc` backends are its runtimes, and the cluster kernels live
-    /// in its pair-list cache, so each selects it even with `threads 1`.
-    /// `validate` and `run` both ask here, so what is validated is what runs.
+    /// The key that makes `runner::run` step this configuration on the
+    /// message-driven parallel driver (`ParallelSim`) rather than a
+    /// sequential one, if any. Checkpointing and restart are barriers of its
+    /// message protocol, the `des`/`proc` backends are its runtimes, and the
+    /// cluster kernels live in its pair-list cache, so each selects it even
+    /// with `threads 1`. `validate` and `run` both ask here, so what is
+    /// validated is what runs.
+    pub fn parallel_driver_key(&self) -> Option<&'static str> {
+        if self.threads > 1 {
+            Some("threads > 1")
+        } else if !self.checkpoint_dir.is_empty() {
+            Some("checkpointDir")
+        } else if !self.restart_from.is_empty() {
+            Some("restartFrom")
+        } else if self.backend != Backend::Threads {
+            Some("backend des/proc")
+        } else if self.nb_kernel == NbKernel::Cluster {
+            Some("nbKernel cluster")
+        } else {
+            None
+        }
+    }
+
+    /// Whether `runner::run` steps this configuration on the parallel driver.
     pub fn uses_parallel_driver(&self) -> bool {
-        self.threads > 1
-            || !self.checkpoint_dir.is_empty()
-            || !self.restart_from.is_empty()
-            || self.backend != Backend::Threads
-            || self.nb_kernel == NbKernel::Cluster
+        self.parallel_driver_key().is_some()
     }
 }
 
@@ -352,15 +366,12 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
                 .into(),
         );
     }
-    if cfg.pme && cfg.threads > 1 {
-        return Err("pme runs use the sequential full-electrostatics driver; set threads 1".into());
-    }
-    let ckpt_active = !cfg.checkpoint_dir.is_empty() || !cfg.restart_from.is_empty();
-    if ckpt_active && cfg.pme {
-        return Err(
-            "checkpointing/restart runs on the parallel cutoff driver; pme is not supported"
-                .into(),
-        );
+    if let (true, Some(key)) = (cfg.pme, cfg.parallel_driver_key()) {
+        return Err(format!(
+            "pme runs on the sequential full-electrostatics driver, but {key} selects the \
+             parallel cutoff driver (pme needs threads 1, backend threads, nbKernel listed \
+             and no checkpointing/restart)"
+        ));
     }
     if !cfg.checkpoint_dir.is_empty() && cfg.checkpoint_interval == 0 {
         return Err("checkpointInterval must be at least 1".into());
@@ -373,12 +384,6 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
         return Err(format!(
             "procs must be 0 (one per PE) or equal threads ({}), got {}",
             cfg.threads, cfg.procs
-        ));
-    }
-    if cfg.backend != Backend::Threads && cfg.pme {
-        return Err(format!(
-            "backend {} drives the parallel cutoff path; pme is not supported",
-            cfg.backend
         ));
     }
     if !cfg.fault_plan.is_empty() {
@@ -414,11 +419,6 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
     if !cfg.profile_dir.is_empty() {
         if cfg.profile_interval == 0 {
             return Err("profileInterval must be at least 1".into());
-        }
-        if cfg.pme {
-            return Err(
-                "profileDir runs on the parallel cutoff driver; pme is not supported".into(),
-            );
         }
         if !cfg.uses_parallel_driver() {
             return Err(
@@ -496,6 +496,19 @@ mod tests {
         assert!(e.contains("langevin") && e.contains("parallel driver"), "{e}");
         assert!(parse("thermostat langevin\ncheckpointDir ck\n").unwrap_err().contains("langevin"));
         assert!(parse("pme on\nthreads 4\n").unwrap_err().contains("threads 1"));
+        // pme selects the full-electrostatics driver, so every key that
+        // selects the parallel one is refused with it, by name — the cluster
+        // kernel (and what it made legal) used to be silently ignored.
+        for (keys, named) in [
+            ("nbKernel cluster\n", "nbKernel cluster"),
+            ("nbKernel cluster\nschedule lifo\n", "nbKernel cluster"),
+            ("checkpointDir ck\n", "checkpointDir"),
+            ("restartFrom ck\n", "restartFrom"),
+            ("backend des\n", "backend des/proc"),
+        ] {
+            let e = parse(&format!("pme on\n{keys}")).unwrap_err();
+            assert!(e.contains("pme") && e.contains(named), "{keys:?}: {e}");
+        }
     }
 
     #[test]
@@ -546,7 +559,7 @@ mod tests {
         assert!(parse("threads 2\nprofileDir prof\nprofileInterval 0\n")
             .unwrap_err()
             .contains("profileInterval"));
-        assert!(parse("pme on\nprofileDir prof\n").unwrap_err().contains("pme"));
+        assert!(parse("pme on\nprofileDir prof\n").unwrap_err().contains("parallel"));
     }
 
     #[test]

@@ -4,35 +4,38 @@
 //!
 //! Per-step protocol (all message-driven, no barriers):
 //!
-//! 1. A home patch *publishes* its coordinates: one multicast to its proxy
-//!    patches (§4.2.3's costed naive/optimized multicast) and ready-signals
-//!    to co-located computes.
-//! 2. A proxy receives the coordinates and ready-signals the computes on its
-//!    processor.
+//! 1. A home patch *publishes* its coordinates, packed once: one multicast
+//!    to its proxy patches (§4.2.3's costed naive/optimized multicast) and a
+//!    ready message to each co-located compute.
+//! 2. A proxy receives the coordinates and forwards them on a ready message
+//!    to each compute on its processor.
 //! 3. A compute that has heard from all of its (1 or 2+) patches self-enqueues
-//!    an execute message; the execution runs the force kernels (or replays
-//!    counted work), then sends one force message per involved patch — the
-//!    payload carries that patch's force contributions, in the patch's atom
-//!    order — to the patch's local representative (home patch or proxy).
+//!    an execute message; the execution runs the force kernels on the
+//!    coordinates it was sent (or replays counted work), then sends one force
+//!    message per involved patch — the payload carries that patch's force
+//!    contributions, in the patch's atom order, and the first one the
+//!    compute's energies — to the patch's local representative (home patch
+//!    or proxy).
 //! 4. A proxy that has collected all local force contributions combines them
 //!    element-wise and sends one force message to the home patch.
 //! 5. A home patch that has collected everything self-enqueues *integrate*:
-//!    velocity-Verlet update from the accumulated payload forces, then
-//!    publish the next step's coordinates (this is the entry method the
-//!    multicast optimization halves), or report completion to the reducer
-//!    after the final step.
+//!    velocity-Verlet update of the atoms it owns from the accumulated
+//!    payload forces, then publish the next step's coordinates (this is the
+//!    entry method the multicast optimization halves), or report completion
+//!    and its per-step energies to the reducer after the final step.
 //!
-//! Thread safety: force kernels hold the shared *read* lock (positions only);
-//! integration holds the *write* lock; forces travel in messages rather than
-//! through a shared accumulator, so handlers never race on them. Lock order
-//! is `state` → `pme_real` → `energies` (see `state`'s module docs).
+//! Thread safety: one owner per datum. A home patch is the only reader and
+//! writer of its atoms' positions, velocities and forces for the length of a
+//! phase; everything else sees copies that arrived in messages, so handlers
+//! never race and none takes the between-phase `Shared::state` lock.
 
 use crate::config::ForceMode;
 use crate::costmodel;
 use crate::decomp::ComputeKind;
-use crate::messages::{CkptMsg, CoordMsg, ForceMsg, PatchStateMsg};
+use crate::messages::{CkptMsg, CoordMsg, EnergiesMsg, ForceMsg, PatchStateMsg};
 use crate::patchgrid::PatchId;
 use crate::state::{Shared, StepAcc};
+use charmrt::wire::{Dec, Enc};
 use charmrt::{
     Chare, Ctx, EntryId, MulticastMode, ObjId, Payload, Runtime, WireCodec, WireError, PRIO_HIGH,
     PRIO_NORMAL,
@@ -48,14 +51,24 @@ use std::sync::Arc;
 pub type ForceBlock = Vec<Vec3>;
 
 // Force blocks travel as packed [`ForceMsg`] payloads, tagged with the
-// sending object's id (unique per step). Receivers buffer the tagged blocks
-// and fold them in ascending-sender order once the step's set is complete,
-// so the accumulated force is a pure function of the positions and the
-// decomposition — independent of message arrival order. That makes every
-// backend's trajectory bitwise reproducible, which is what lets a
-// checkpoint-resumed run (or a multi-process run) reproduce an
-// uninterrupted DES one bit for bit. (Energies keep order-dependent
-// accumulation: they are observables, not trajectory state.)
+// sending object's id (unique per step). Receivers buffer the tagged
+// messages and fold them in ascending-sender order once the step's set is
+// complete, so the accumulated force — and the energy riding with it — is a
+// pure function of the positions, the decomposition and the placement,
+// independent of message arrival order. That makes every backend's
+// trajectory bitwise reproducible, which is what lets a checkpoint-resumed
+// run (or a multi-process run) reproduce an uninterrupted DES one bit for
+// bit.
+
+/// Modeled size of a header-only message — what `Ctx::signal` charges.
+const SIGNAL_BYTES: usize = 32;
+
+/// Tell `computes` a patch is ready, handing each its packed coordinates.
+/// Costed as separate header-only sends (`Naive` packs per destination);
+/// the last compute takes the buffer itself, the others copies.
+fn ready_all(ctx: &mut Ctx, computes: &[ObjId], ready: EntryId, coords: Payload) {
+    ctx.multicast(computes, ready, SIGNAL_BYTES, PRIO_NORMAL, MulticastMode::Naive, coords);
+}
 
 /// Entry-method ids shared by all chares, registered once per engine run.
 #[derive(Debug, Clone, Copy)]
@@ -169,13 +182,19 @@ pub struct HomePatch {
     /// patch + one combined message per proxy).
     expected: usize,
     received: usize,
-    /// Per-atom force accumulator for the current step, in
-    /// `decomp.grid.atoms[patch]` order (filled from `pending` at
-    /// integration).
-    accum: Vec<Vec3>,
-    /// Tagged force blocks received this step, folded into `accum` in
-    /// ascending-sender order at integration (see [`ForceMsg`]).
-    pending: Vec<(u32, ForceBlock)>,
+    /// This patch's atoms in `decomp.grid.atoms[patch]` order: positions,
+    /// velocities and the current step's total force. The patch is their
+    /// only reader and writer for the phase; `harvest_state` hands them
+    /// back.
+    atoms: PatchStateMsg,
+    masses: Vec<f64>,
+    /// Force messages received this step, folded into `atoms.forces` and
+    /// `energies` in ascending-sender order at integration (see
+    /// [`ForceMsg`]).
+    pending: Vec<ForceMsg>,
+    /// Per-step energies of this patch: what its force messages carried
+    /// plus its atoms' kinetic energy (Real mode; all zero otherwise).
+    energies: Vec<StepAcc>,
     step: usize,
     reducer: ObjId,
     /// Whether the velocity half-kick from the previous step is pending.
@@ -187,10 +206,12 @@ pub struct HomePatch {
 }
 
 impl HomePatch {
+    /// `system` is the between-phase state the patch takes its atoms from.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         patch: PatchId,
         shared: Arc<Shared>,
+        system: &mdcore::system::System,
         entries: Entries,
         params: RunParams,
         proxies: Vec<ObjId>,
@@ -200,7 +221,15 @@ impl HomePatch {
         slab: Option<ObjId>,
         ckpt: Option<ObjId>,
     ) -> Self {
-        let n_atoms = shared.decomp.grid.atoms[patch].len();
+        let ids = &shared.decomp.grid.atoms[patch];
+        let of = |all: &[Vec3]| ids.iter().map(|&a| all[a as usize]).collect();
+        let atoms = PatchStateMsg {
+            patch: patch as u32,
+            positions: of(&system.positions),
+            velocities: of(&system.velocities),
+            forces: vec![Vec3::ZERO; ids.len()],
+        };
+        let masses = ids.iter().map(|&a| shared.frame.topology.atoms[a as usize].mass).collect();
         HomePatch {
             patch,
             shared,
@@ -210,8 +239,10 @@ impl HomePatch {
             local_computes,
             expected,
             received: 0,
-            accum: vec![Vec3::ZERO; n_atoms],
+            atoms,
+            masses,
             pending: Vec::new(),
+            energies: vec![StepAcc::default(); params.n_steps],
             step: 0,
             reducer,
             started: false,
@@ -233,40 +264,32 @@ impl HomePatch {
     }
 
     fn n_atoms(&self) -> usize {
-        self.shared.decomp.grid.atoms[self.patch].len()
+        self.masses.len()
     }
 
-    /// Pack this step's coordinates for the proxy multicast. Real payloads
-    /// exist only in Real force mode (Counted mode has no live state to
-    /// ship) and only when there are proxies to receive them; the packed
-    /// bytes are what a remote process applies before its computes read
-    /// positions.
-    fn pack_coords(&self) -> Payload {
-        if self.params.force_mode != ForceMode::Real || self.proxies.is_empty() {
-            return Vec::new();
-        }
-        let st = self.shared.state.read().unwrap();
-        let atoms = &self.shared.decomp.grid.atoms[self.patch];
-        let positions = atoms.iter().map(|&a| st.system.positions[a as usize]).collect();
-        CoordMsg { patch: self.patch as u32, positions }.pack()
-    }
-
-    /// Send this step's coordinates to proxies and co-located computes; on
-    /// PME steps, also spread charges and ship them to this patch's slab.
+    /// Send this step's coordinates, packed once, to proxies and co-located
+    /// computes — the only positions any other object sees; on PME steps,
+    /// also spread charges and ship them to this patch's slab.
     fn publish(&self, ctx: &mut Ctx) {
         let bytes = self.n_atoms() * costmodel::BYTES_PER_ATOM;
+        let coords = match self.params.force_mode {
+            ForceMode::Real => {
+                CoordMsg { patch: self.atoms.patch, positions: self.atoms.positions.clone() }.pack()
+            }
+            // Counted mode has no live state to ship.
+            ForceMode::Counted => Vec::new(),
+        };
         ctx.multicast(
             &self.proxies,
             self.entries.proxy_coords,
             bytes,
             PRIO_HIGH,
             self.params.multicast,
-            self.pack_coords(),
+            coords.clone(),
         );
-        for &c in &self.local_computes {
-            ctx.signal(c, self.entries.ready, PRIO_NORMAL);
-        }
-        if self.pme_step() {
+        let for_slab = self.pme_step().then(|| coords.clone());
+        ready_all(ctx, &self.local_computes, self.entries.ready, coords);
+        if let Some(coords) = for_slab {
             // Charge spreading (half of WORK_PME_PER_ATOM; gathering happens
             // at integration) and the charge-grid message to the slab.
             ctx.add_work(self.n_atoms() as f64 * costmodel::WORK_PME_PER_ATOM * 0.5);
@@ -275,77 +298,61 @@ impl HomePatch {
                 self.entries.slab_charge,
                 bytes,
                 PRIO_NORMAL,
-                Vec::new(),
+                coords,
             );
         }
     }
 
-    /// Fold the step's buffered force blocks into `accum` in ascending
-    /// sender order. Sender ids are unique per step, so the fold order —
-    /// and therefore every rounding decision — is deterministic no matter
-    /// how the messages were scheduled.
+    /// Fold the step's buffered force messages into `atoms.forces` (from
+    /// zero) and this step's energies, in ascending sender order. Sender ids
+    /// are unique per step, so the fold order — and therefore every
+    /// rounding decision — is deterministic no matter how the messages were
+    /// scheduled.
     fn fold_pending(&mut self) {
-        self.pending.sort_by_key(|&(from, _)| from);
-        for (_, block) in self.pending.drain(..) {
-            debug_assert_eq!(block.len(), self.accum.len());
-            for (acc, f) in self.accum.iter_mut().zip(block.iter()) {
+        self.atoms.forces.fill(Vec3::ZERO);
+        self.pending.sort_by_key(|m| m.from);
+        for msg in self.pending.drain(..) {
+            debug_assert!(msg.block.is_empty() || msg.block.len() == self.atoms.forces.len());
+            for (acc, f) in self.atoms.forces.iter_mut().zip(msg.block.iter()) {
                 *acc += *f;
             }
+            self.energies[self.step].merge(&msg.energy);
         }
     }
 
     /// First half of the step's velocity-Verlet update (Real mode): fold
     /// the pending force payloads, complete the previous step's second
     /// half-kick, and record kinetic energy. Leaves the step's total force
-    /// in the shared force array so [`HomePatch::integrate_second_half`]
-    /// re-derives the bitwise-identical acceleration — which is what lets a
-    /// checkpoint barrier split the step without changing any bits.
-    ///
-    /// Write lock: the protocol guarantees no compute is reading while a
-    /// patch integrates — every compute needing these atoms has already
-    /// sent its forces.
+    /// in `atoms.forces` so [`HomePatch::integrate_second_half`] re-derives
+    /// the bitwise-identical acceleration — which is what lets a checkpoint
+    /// barrier split the step without changing any bits.
     fn integrate_first_half(&mut self) {
-        let shared = self.shared.clone();
         self.fold_pending();
-        let mut guard = shared.state.write().unwrap();
-        let st = &mut *guard;
-        // Lock order: state → pme_real. Reciprocal-space forces are folded
-        // in only on PME steps (impulse multiple-timestepping).
+        // Reciprocal-space forces are folded in only on PME steps (impulse
+        // multiple-timestepping).
         let pme = if self.pme_step() {
             self.shared.pme_real.as_ref().map(|m| m.lock().unwrap())
         } else {
             None
         };
-        let atoms = &self.shared.decomp.grid.atoms[self.patch];
+        let ids = &self.shared.decomp.grid.atoms[self.patch];
         let dt = self.params.dt_fs;
 
         let mut kinetic = 0.0;
-        for (slot, &a) in atoms.iter().enumerate() {
-            let i = a as usize;
-            let mut f = self.accum[slot];
+        for slot in 0..self.masses.len() {
             if let Some(pr) = &pme {
-                f += pr.forces[i];
+                self.atoms.forces[slot] += pr.forces[ids[slot] as usize];
             }
-            self.accum[slot] = Vec3::ZERO;
-            // Keep the shared force array current for observers
-            // (`Engine`-level force queries read it after a phase) and for
-            // the second half's acceleration.
-            st.forces[i] = f;
-            let m = st.system.topology.atoms[i].mass;
-            let acc = f * (units::ACCEL / m);
+            let m = self.masses[slot];
+            let acc = self.atoms.forces[slot] * (units::ACCEL / m);
             // Complete the previous step's second half-kick.
             if self.started {
-                st.system.velocities[i] += acc * (0.5 * dt);
+                self.atoms.velocities[slot] += acc * (0.5 * dt);
             }
-            let v = st.system.velocities[i];
+            let v = self.atoms.velocities[slot];
             kinetic += 0.5 * m * v.norm2() * units::KE;
         }
-        drop(pme);
-        drop(guard);
-        let mut en = shared.energies.lock().unwrap();
-        if self.step < en.len() {
-            en[self.step].kinetic += kinetic;
-        }
+        self.energies[self.step].kinetic += kinetic;
     }
 
     /// Second half of the step (Real mode): first half-kick and drift into
@@ -357,19 +364,13 @@ impl HomePatch {
         if self.step + 1 == self.params.n_steps {
             return;
         }
-        let shared = self.shared.clone();
-        let mut guard = shared.state.write().unwrap();
-        let st = &mut *guard;
-        let atoms = &self.shared.decomp.grid.atoms[self.patch];
+        let cell = &self.shared.frame.cell;
         let dt = self.params.dt_fs;
-        for &a in atoms.iter() {
-            let i = a as usize;
-            let f = st.forces[i];
-            let m = st.system.topology.atoms[i].mass;
-            let acc = f * (units::ACCEL / m);
-            st.system.velocities[i] += acc * (0.5 * dt);
-            let vnew = st.system.velocities[i];
-            st.system.positions[i] = st.system.cell.wrap(st.system.positions[i] + vnew * dt);
+        for slot in 0..self.masses.len() {
+            let acc = self.atoms.forces[slot] * (units::ACCEL / self.masses[slot]);
+            self.atoms.velocities[slot] += acc * (0.5 * dt);
+            let vnew = self.atoms.velocities[slot];
+            self.atoms.positions[slot] = cell.wrap(self.atoms.positions[slot] + vnew * dt);
         }
     }
 
@@ -397,35 +398,36 @@ impl HomePatch {
         if self.step < self.params.n_steps {
             self.publish(ctx);
         } else {
-            ctx.signal(self.reducer, self.entries.done, PRIO_NORMAL);
+            let energies = match self.params.force_mode {
+                ForceMode::Real => EnergiesMsg {
+                    from: ctx.this().0,
+                    steps: std::mem::take(&mut self.energies),
+                }
+                .pack(),
+                ForceMode::Counted => Vec::new(),
+            };
+            ctx.send(self.reducer, self.entries.done, SIGNAL_BYTES, PRIO_NORMAL, energies);
         }
     }
 
     /// Buffer a force payload (if any) for the step's ordered fold.
-    /// Signal-only messages (Counted mode, PME potential blocks) carry no
-    /// forces — an empty payload means "no force data" and every packed
+    /// Signal-only messages (Counted mode, most PME potential blocks) carry
+    /// nothing — an empty payload means "no data" and every packed
     /// [`ForceMsg`] is non-empty, so the two cannot collide.
     fn absorb(&mut self, payload: Payload) {
         if payload.is_empty() {
             return;
         }
-        let msg = ForceMsg::unpack(&payload).expect("malformed ForceMsg payload");
-        debug_assert_eq!(msg.block.len(), self.accum.len());
-        self.pending.push((msg.from, msg.block));
+        self.pending.push(ForceMsg::unpack(&payload).expect("malformed ForceMsg payload"));
     }
 
     /// Snapshot this patch's clean post-half-kick state (x_k, v_k) for the
-    /// checkpoint chare. Shipping the state in the message — instead of
-    /// letting the checkpoint chare read shared memory — keeps one code
-    /// path for every backend, including the one where the checkpoint
-    /// chare lives in a different OS process.
+    /// checkpoint chare, which may live in a different OS process.
     fn pack_ckpt(&self) -> Payload {
-        let st = self.shared.state.read().unwrap();
-        let atoms = &self.shared.decomp.grid.atoms[self.patch];
         CkptMsg {
-            patch: self.patch as u32,
-            positions: atoms.iter().map(|&a| st.system.positions[a as usize]).collect(),
-            velocities: atoms.iter().map(|&a| st.system.velocities[a as usize]).collect(),
+            patch: self.atoms.patch,
+            positions: self.atoms.positions.clone(),
+            velocities: self.atoms.velocities.clone(),
         }
         .pack()
     }
@@ -460,7 +462,7 @@ impl Chare for HomePatch {
                     // checkpoint chare, which resumes every patch once the
                     // snapshot is on disk.
                     let ckpt = self.ckpt.expect("checkpoint_now implies a ckpt chare");
-                    ctx.send(ckpt, self.entries.ckpt_ready, 32, PRIO_HIGH, self.pack_ckpt());
+                    ctx.send(ckpt, self.entries.ckpt_ready, SIGNAL_BYTES, PRIO_HIGH, self.pack_ckpt());
                     return;
                 }
             }
@@ -472,66 +474,46 @@ impl Chare for HomePatch {
         }
     }
 
-    /// `proc` backend: ship this patch's end-of-phase atom state (positions,
-    /// velocities, last forces) back to the parent process. Real mode only —
-    /// Counted mode never touches the atom arrays.
+    /// This patch's end-of-phase atoms (positions, velocities, last forces),
+    /// which the engine scatters into the between-phase state. Real mode
+    /// only — Counted mode never touches the atom arrays.
     fn harvest_state(&self) -> Payload {
         if self.params.force_mode != ForceMode::Real {
             return Vec::new();
         }
-        let st = self.shared.state.read().unwrap();
-        let atoms = &self.shared.decomp.grid.atoms[self.patch];
-        PatchStateMsg {
-            patch: self.patch as u32,
-            positions: atoms.iter().map(|&a| st.system.positions[a as usize]).collect(),
-            velocities: atoms.iter().map(|&a| st.system.velocities[a as usize]).collect(),
-            forces: atoms.iter().map(|&a| st.forces[a as usize]).collect(),
-        }
-        .pack()
+        self.atoms.pack()
     }
 
-    /// Apply a worker process's harvested patch state to the parent's copy.
+    /// `proc` backend: take over the atoms a worker process's copy of this
+    /// patch harvested.
     fn merge_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         if bytes.is_empty() {
             return Ok(());
         }
         let msg = PatchStateMsg::unpack(bytes)?;
-        if msg.patch as usize != self.patch {
+        if msg.patch != self.atoms.patch {
             return Err(WireError(format!(
                 "patch state for patch {} merged into patch {}",
                 msg.patch, self.patch
             )));
         }
-        let shared = self.shared.clone();
-        let mut guard = shared.state.write().unwrap();
-        let st = &mut *guard;
-        let atoms = &self.shared.decomp.grid.atoms[self.patch];
-        if msg.positions.len() != atoms.len()
-            || msg.velocities.len() != atoms.len()
-            || msg.forces.len() != atoms.len()
-        {
+        let n = self.n_atoms();
+        if msg.positions.len() != n || msg.velocities.len() != n || msg.forces.len() != n {
             return Err(WireError(format!(
-                "patch {} state carries {} atoms, expected {}",
+                "patch {} state carries {} atoms, expected {n}",
                 self.patch,
                 msg.positions.len(),
-                atoms.len()
             )));
         }
-        for (slot, &a) in atoms.iter().enumerate() {
-            let i = a as usize;
-            st.system.positions[i] = msg.positions[slot];
-            st.system.velocities[i] = msg.velocities[slot];
-            st.forces[i] = msg.forces[slot];
-        }
+        self.atoms = msg;
         Ok(())
     }
 }
 
 /// A proxy patch: stands in for a remote home patch on this processor,
-/// combining the local computes' force contributions into one message.
+/// forwarding its coordinates to the local computes and combining their
+/// force contributions into one message.
 pub struct ProxyPatch {
-    pub patch: PatchId,
-    shared: Arc<Shared>,
     entries: Entries,
     home: ObjId,
     /// Computes on this PE that need this patch.
@@ -539,21 +521,16 @@ pub struct ProxyPatch {
     /// Force contributions expected per step (= local_computes needing it).
     expected: usize,
     received: usize,
-    /// Element-wise combination of the received force payloads.
-    accum: Vec<Vec3>,
-    /// Tagged force blocks received this step, folded into `accum` in
-    /// ascending-sender order before forwarding (see [`ForceMsg`]).
-    pending: Vec<(u32, ForceBlock)>,
-    /// Bytes of a combined force message (patch atoms × per-atom bytes).
-    force_bytes: usize,
+    /// Force messages received this step, combined in ascending-sender
+    /// order before forwarding (see [`ForceMsg`]).
+    pending: Vec<ForceMsg>,
+    n_atoms: usize,
     /// Unpacking cost per coordinate message, work units.
     unpack_work: f64,
 }
 
 impl ProxyPatch {
     pub fn new(
-        patch: PatchId,
-        shared: Arc<Shared>,
         entries: Entries,
         home: ObjId,
         local_computes: Vec<ObjId>,
@@ -561,16 +538,13 @@ impl ProxyPatch {
         n_atoms: usize,
     ) -> Self {
         ProxyPatch {
-            patch,
-            shared,
             entries,
             home,
             local_computes,
             expected,
             received: 0,
-            accum: vec![Vec3::ZERO; n_atoms],
             pending: Vec::new(),
-            force_bytes: n_atoms * costmodel::BYTES_PER_ATOM,
+            n_atoms,
             unpack_work: n_atoms as f64 * 0.3,
         }
     }
@@ -580,29 +554,10 @@ impl Chare for ProxyPatch {
     fn receive(&mut self, entry: EntryId, payload: Payload, ctx: &mut Ctx) {
         if entry == self.entries.proxy_coords {
             ctx.add_work(self.unpack_work);
-            if ctx.distributed() && !payload.is_empty() {
-                // No shared address space: apply the home patch's published
-                // coordinates to this process's copy of the state before the
-                // local computes read positions. On shared-memory backends
-                // the home patch's integration already wrote them.
-                let msg = CoordMsg::unpack(&payload).expect("malformed CoordMsg payload");
-                debug_assert_eq!(msg.patch as usize, self.patch);
-                let shared = self.shared.clone();
-                let mut st = shared.state.write().unwrap();
-                let atoms = &self.shared.decomp.grid.atoms[self.patch];
-                debug_assert_eq!(msg.positions.len(), atoms.len());
-                for (slot, &a) in atoms.iter().enumerate() {
-                    st.system.positions[a as usize] = msg.positions[slot];
-                }
-            }
-            for &c in &self.local_computes {
-                ctx.signal(c, self.entries.ready, PRIO_NORMAL);
-            }
+            ready_all(ctx, &self.local_computes, self.entries.ready, payload);
         } else if entry == self.entries.proxy_forces {
             if !payload.is_empty() {
-                let msg = ForceMsg::unpack(&payload).expect("malformed ForceMsg payload");
-                debug_assert_eq!(msg.block.len(), self.accum.len());
-                self.pending.push((msg.from, msg.block));
+                self.pending.push(ForceMsg::unpack(&payload).expect("malformed ForceMsg payload"));
             }
             self.received += 1;
             debug_assert!(self.received <= self.expected);
@@ -614,20 +569,20 @@ impl Chare for ProxyPatch {
                 } else {
                     // Combine in ascending-sender order (see ForceMsg), then
                     // forward one tagged block to the home patch.
-                    self.pending.sort_by_key(|&(from, _)| from);
-                    for (_, block) in self.pending.drain(..) {
-                        for (acc, f) in self.accum.iter_mut().zip(block.iter()) {
+                    self.pending.sort_by_key(|m| m.from);
+                    let mut block = vec![Vec3::ZERO; self.n_atoms];
+                    let mut energy = StepAcc::default();
+                    for msg in self.pending.drain(..) {
+                        debug_assert_eq!(msg.block.len(), block.len());
+                        for (acc, f) in block.iter_mut().zip(msg.block.iter()) {
                             *acc += *f;
                         }
+                        energy.merge(&msg.energy);
                     }
-                    let n = self.accum.len();
-                    ForceMsg {
-                        from: ctx.this().0,
-                        block: std::mem::replace(&mut self.accum, vec![Vec3::ZERO; n]),
-                    }
-                    .pack()
+                    ForceMsg { from: ctx.this().0, block, energy }.pack()
                 };
-                ctx.send(self.home, self.entries.patch_forces, self.force_bytes, PRIO_HIGH, payload);
+                let bytes = self.n_atoms * costmodel::BYTES_PER_ATOM;
+                ctx.send(self.home, self.entries.patch_forces, bytes, PRIO_HIGH, payload);
             }
         } else {
             unreachable!("ProxyPatch got unexpected entry {entry:?}");
@@ -647,13 +602,16 @@ pub struct ComputeChare {
     /// co-located, else proxy), the entry to invoke on it (`patch_forces`
     /// vs `proxy_forces`), and the byte size of that contribution.
     targets: Vec<(ObjId, EntryId, usize)>,
-    /// Bonded computes: global atom id → (index into `spec.patches`, slot
-    /// within that patch's atom list). Built once; bonded terms scatter
-    /// through it into the per-patch force blocks.
-    atom_slot: Option<HashMap<u32, (usize, usize)>>,
-    expected: usize,
+    /// Bonded computes: for every atom of every term, in the order
+    /// `execute_real` walks them, its (index into `spec.patches`, slot
+    /// within that patch's atom list). Resolved once; bonded terms read
+    /// their atoms' coordinates and scatter their forces through it.
+    term_slots: Vec<(usize, usize)>,
+    /// The packed [`CoordMsg`] each patch sent for the step about to
+    /// execute, parallel to `spec.patches`; decoded (and dropped) when the
+    /// compute executes.
+    coords: Vec<Payload>,
     received: usize,
-    step: usize,
     /// Multiplier on the counted work (slow load drift, §3.2).
     work_scale: f64,
     /// Scheduler priority of this compute's execution (remote-feeding
@@ -674,28 +632,46 @@ impl ComputeChare {
         let spec = &shared.decomp.computes[index];
         let expected = spec.patches.len();
         debug_assert_eq!(targets.len(), expected, "one force target per patch");
-        let atom_slot = match spec.kind {
-            ComputeKind::BondedIntra { .. } | ComputeKind::BondedInter { .. } => {
-                let mut map = HashMap::new();
-                for (pi, &p) in spec.patches.iter().enumerate() {
-                    for (slot, &a) in shared.decomp.grid.atoms[p].iter().enumerate() {
-                        map.insert(a, (pi, slot));
-                    }
+        let mut term_slots = Vec::new();
+        if let Some(terms) = &spec.terms {
+            let mut slot_of = HashMap::new();
+            for (pi, &p) in spec.patches.iter().enumerate() {
+                for (slot, &a) in shared.decomp.grid.atoms[p].iter().enumerate() {
+                    slot_of.insert(a, (pi, slot));
                 }
-                Some(map)
             }
-            _ => None,
-        };
+            let topo = &shared.frame.topology;
+            // Indexing panics on a term atom outside the compute's patches.
+            let mut resolve = |atoms: &[u32]| term_slots.extend(atoms.iter().map(|a| slot_of[a]));
+            for &i in &terms.bonds {
+                let t = &topo.bonds[i as usize];
+                resolve(&[t.a, t.b]);
+            }
+            for &i in &terms.angles {
+                let t = &topo.angles[i as usize];
+                resolve(&[t.a, t.b, t.c]);
+            }
+            for &i in &terms.dihedrals {
+                let t = &topo.dihedrals[i as usize];
+                resolve(&[t.a, t.b, t.c, t.d]);
+            }
+            for &i in &terms.impropers {
+                let t = &topo.impropers[i as usize];
+                resolve(&[t.a, t.b, t.c, t.d]);
+            }
+            for &i in &terms.restraints {
+                resolve(&[topo.restraints[i as usize].atom]);
+            }
+        }
         ComputeChare {
             index,
             shared,
             entries,
             params,
             targets,
-            atom_slot,
-            expected,
+            term_slots,
+            coords: vec![Vec::new(); expected],
             received: 0,
-            step: 0,
             work_scale,
             exec_priority,
         }
@@ -711,14 +687,13 @@ impl ComputeChare {
         }
     }
 
-    /// Run the real force kernels under the shared *read* lock. Returns one
-    /// force block per patch in `spec.patches` order; energies go to the
-    /// shared per-step accumulator after the lock is released.
-    fn execute_real(&mut self, ctx: &mut Ctx) -> Vec<ForceBlock> {
-        let shared = self.shared.clone();
+    /// Run the real force kernels on the coordinates this compute was sent.
+    /// Returns one force block per patch in `spec.patches` order and the
+    /// energies evaluated.
+    fn execute_real(&mut self, ctx: &mut Ctx) -> (Vec<ForceBlock>, StepAcc) {
+        let shared = &self.shared;
         let spec = &shared.decomp.computes[self.index];
-        let st = shared.state.read().unwrap();
-        let cell = st.system.cell;
+        let cell = &shared.frame.cell;
         let mut acc = StepAcc::default();
         let mut blocks: Vec<ForceBlock> = spec
             .patches
@@ -734,8 +709,9 @@ impl ComputeChare {
                 let mut cache = shared.nb_cache.entry(self.index).lock().unwrap();
                 let (res, work) = cache.evaluate(
                     spec,
-                    &st.system,
+                    &shared.frame,
                     &shared.decomp.grid,
+                    &mut self.coords,
                     self.params.nb_kernel,
                     self.params.simd_width,
                     self.params.pairlist_margin,
@@ -748,102 +724,102 @@ impl ComputeChare {
             }
             ComputeKind::BondedIntra { .. } | ComputeKind::BondedInter { .. } => {
                 let terms = spec.terms.as_ref().expect("bonded compute without terms");
-                let slots = self.atom_slot.as_ref().expect("bonded compute without atom map");
-                let topo = &st.system.topology;
-                let pos = &st.system.positions;
-                let mut add = |atom: u32, f: Vec3| {
-                    let &(pi, slot) = slots
-                        .get(&atom)
-                        .expect("bonded term atom outside the compute's patches");
-                    blocks[pi][slot] += f;
-                };
+                let topo = &shared.frame.topology;
+                let coords: Vec<Vec<Vec3>> = self
+                    .coords
+                    .iter_mut()
+                    .map(|c| {
+                        let msg = CoordMsg::unpack(&std::mem::take(c));
+                        msg.expect("malformed CoordMsg payload").positions
+                    })
+                    .collect();
+                let mut slots = self.term_slots.iter().copied();
+                let mut next = || slots.next().expect("one resolved slot per term atom");
+                let pos = |(pi, slot): (usize, usize)| coords[pi][slot];
+                let mut add = |(pi, slot): (usize, usize), f: Vec3| blocks[pi][slot] += f;
                 for &bi in &terms.bonds {
                     let b = &topo.bonds[bi as usize];
-                    let (e, fa, fb) =
-                        bond_force(&cell, pos[b.a as usize], pos[b.b as usize], b.k, b.r0);
+                    let (ia, ib) = (next(), next());
+                    let (e, fa, fb) = bond_force(cell, pos(ia), pos(ib), b.k, b.r0);
                     acc.e_bond += e;
-                    add(b.a, fa);
-                    add(b.b, fb);
+                    add(ia, fa);
+                    add(ib, fb);
                 }
                 for &ai in &terms.angles {
                     let t = &topo.angles[ai as usize];
-                    let (e, fa, fb, fc) = angle_force(
-                        &cell,
-                        pos[t.a as usize],
-                        pos[t.b as usize],
-                        pos[t.c as usize],
-                        t.k,
-                        t.theta0,
-                    );
+                    let (ia, ib, ic) = (next(), next(), next());
+                    let (e, fa, fb, fc) =
+                        angle_force(cell, pos(ia), pos(ib), pos(ic), t.k, t.theta0);
                     acc.e_angle += e;
-                    add(t.a, fa);
-                    add(t.b, fb);
-                    add(t.c, fc);
+                    add(ia, fa);
+                    add(ib, fb);
+                    add(ic, fc);
                 }
                 for &di in &terms.dihedrals {
                     let d = &topo.dihedrals[di as usize];
+                    let at = [next(), next(), next(), next()];
                     let (e, f) = dihedral_force(
-                        &cell,
-                        pos[d.a as usize],
-                        pos[d.b as usize],
-                        pos[d.c as usize],
-                        pos[d.d as usize],
+                        cell,
+                        pos(at[0]),
+                        pos(at[1]),
+                        pos(at[2]),
+                        pos(at[3]),
                         d.k,
                         d.n,
                         d.delta,
                     );
                     acc.e_dihedral += e;
-                    add(d.a, f[0]);
-                    add(d.b, f[1]);
-                    add(d.c, f[2]);
-                    add(d.d, f[3]);
+                    at.into_iter().zip(f).for_each(|(a, f)| add(a, f));
                 }
                 for &ii in &terms.impropers {
                     let d = &topo.impropers[ii as usize];
+                    let at = [next(), next(), next(), next()];
                     let (e, f) = improper_force(
-                        &cell,
-                        pos[d.a as usize],
-                        pos[d.b as usize],
-                        pos[d.c as usize],
-                        pos[d.d as usize],
+                        cell,
+                        pos(at[0]),
+                        pos(at[1]),
+                        pos(at[2]),
+                        pos(at[3]),
                         d.k,
                         d.psi0,
                     );
                     acc.e_improper += e;
-                    add(d.a, f[0]);
-                    add(d.b, f[1]);
-                    add(d.c, f[2]);
-                    add(d.d, f[3]);
+                    at.into_iter().zip(f).for_each(|(a, f)| add(a, f));
                 }
                 for &ri in &terms.restraints {
                     let r = &topo.restraints[ri as usize];
-                    let (e, f) = restraint_force(&cell, pos[r.atom as usize], r.target, r.k);
+                    let ia = next();
+                    let (e, f) = restraint_force(cell, pos(ia), r.target, r.k);
                     acc.e_restraint += e;
-                    add(r.atom, f);
+                    add(ia, f);
                 }
                 ctx.add_work(terms.work());
             }
         }
-        drop(st);
-        let mut en = shared.energies.lock().unwrap();
-        if self.step < en.len() {
-            en[self.step].merge(&acc);
-        }
-        blocks
+        (blocks, acc)
     }
 }
 
 impl Chare for ComputeChare {
-    fn receive(&mut self, entry: EntryId, _payload: Payload, ctx: &mut Ctx) {
+    fn receive(&mut self, entry: EntryId, payload: Payload, ctx: &mut Ctx) {
         if entry == self.entries.ready {
+            if !payload.is_empty() {
+                let patch = CoordMsg::peek_patch(&payload).expect("malformed CoordMsg payload");
+                let k = self.shared.decomp.computes[self.index]
+                    .patches
+                    .iter()
+                    .position(|&p| p == patch as usize)
+                    .expect("coordinates from a patch this compute does not read");
+                self.coords[k] = payload;
+            }
             self.received += 1;
-            debug_assert!(self.received <= self.expected);
-            if self.received == self.expected {
+            debug_assert!(self.received <= self.coords.len());
+            if self.received == self.coords.len() {
                 self.received = 0;
                 ctx.signal(ctx.this(), self.exec_entry(), self.exec_priority);
             }
         } else if entry == self.exec_entry() {
-            let mut blocks = match self.params.force_mode {
+            let mut real = match self.params.force_mode {
                 ForceMode::Real => Some(self.execute_real(ctx)),
                 ForceMode::Counted => {
                     ctx.add_work(
@@ -852,12 +828,13 @@ impl Chare for ComputeChare {
                     None
                 }
             };
-            self.step += 1;
             for (k, &(target, entry, bytes)) in self.targets.iter().enumerate() {
-                let payload: Payload = match &mut blocks {
-                    Some(b) => ForceMsg {
+                let payload: Payload = match &mut real {
+                    // The energies ride the first block, zeros the rest.
+                    Some((blocks, energy)) => ForceMsg {
                         from: ctx.this().0,
-                        block: std::mem::take(&mut b[k]),
+                        block: std::mem::take(&mut blocks[k]),
+                        energy: std::mem::take(energy),
                     }
                     .pack(),
                     None => Vec::new(),
@@ -877,10 +854,13 @@ impl Chare for ComputeChare {
 /// share of the 3-D FFT + influence multiply, and returns potential blocks
 /// to its patches. Non-migratable — its placement is fixed like NAMD's
 /// other grid infrastructure.
+///
+/// In Real force mode the charge messages carry the patches' coordinates
+/// and the transposes pass them on, so after the all-to-all every slab
+/// holds every atom's position for the round.
 pub struct SlabChare {
     shared: Arc<Shared>,
     entries: Entries,
-    params: RunParams,
     /// All other slab objects (transpose partners).
     peers: Vec<ObjId>,
     /// Patches assigned to this slab: (home patch object, potential bytes).
@@ -891,24 +871,28 @@ pub struct SlabChare {
     transpose_bytes: usize,
     charges_received: usize,
     transposes_received: usize,
-    /// PME rounds this slab has completed (tracks the step for energies).
+    /// PME rounds this slab has completed.
     rounds: usize,
+    /// Real mode: every atom's position this round, by global atom id.
+    positions: Vec<Vec3>,
+    /// Real mode: this round's packed [`CoordMsg`]s from this slab's own
+    /// patches, length-framed back to back — the transpose payload.
+    collected: Enc,
 }
 
 impl SlabChare {
     pub fn new(
         shared: Arc<Shared>,
         entries: Entries,
-        params: RunParams,
         peers: Vec<ObjId>,
         patches: Vec<(ObjId, usize)>,
         fft_work: f64,
         transpose_bytes: usize,
     ) -> Self {
+        let n_atoms = if shared.pme_real.is_some() { shared.frame.topology.n_atoms() } else { 0 };
         SlabChare {
             shared,
             entries,
-            params,
             peers,
             patches,
             fft_work,
@@ -916,13 +900,28 @@ impl SlabChare {
             charges_received: 0,
             transposes_received: 0,
             rounds: 0,
+            positions: vec![Vec3::ZERO; n_atoms],
+            collected: Enc::new(),
+        }
+    }
+
+    /// Scatter one patch's packed coordinates into `positions`.
+    fn collect(&mut self, coords: &[u8]) {
+        let msg = CoordMsg::unpack(coords).expect("malformed CoordMsg payload");
+        let ids = &self.shared.decomp.grid.atoms[msg.patch as usize];
+        for (&a, &p) in ids.iter().zip(&msg.positions) {
+            self.positions[a as usize] = p;
         }
     }
 }
 
 impl Chare for SlabChare {
-    fn receive(&mut self, entry: EntryId, _payload: Payload, ctx: &mut Ctx) {
+    fn receive(&mut self, entry: EntryId, payload: Payload, ctx: &mut Ctx) {
         if entry == self.entries.slab_charge {
+            if !payload.is_empty() {
+                self.collect(&payload);
+                self.collected.bytes(&payload);
+            }
             self.charges_received += 1;
             debug_assert!(self.charges_received <= self.patches.len());
             if self.charges_received == self.patches.len() {
@@ -930,13 +929,14 @@ impl Chare for SlabChare {
                 // First FFT stage over the slab's planes, then the
                 // transpose all-to-all.
                 ctx.add_work(self.fft_work * 0.5);
+                let collected = std::mem::take(&mut self.collected).into_bytes();
                 for &p in &self.peers {
                     ctx.send(
                         p,
                         self.entries.slab_transpose,
                         self.transpose_bytes,
                         PRIO_NORMAL,
-                        Vec::new(),
+                        collected.clone(),
                     );
                 }
                 // A lone slab (n_slabs == 1) has no peers: complete locally.
@@ -945,6 +945,10 @@ impl Chare for SlabChare {
                 }
             }
         } else if entry == self.entries.slab_transpose {
+            let mut d = Dec::new(&payload);
+            while d.remaining() > 0 {
+                self.collect(&d.bytes("transposed CoordMsg").expect("malformed transpose payload"));
+            }
             self.transposes_received += 1;
             debug_assert!(self.transposes_received <= self.peers.len());
             if self.transposes_received == self.peers.len() {
@@ -962,64 +966,97 @@ impl SlabChare {
     /// blocks to this slab's patches. In Real force mode, the *first* slab
     /// to finish a PME round evaluates the actual reciprocal-space physics
     /// into the PME force buffer — safe, because the transposes it waited
-    /// for prove every patch has published this step's coordinates, and no
-    /// patch can integrate before this slab's potential message arrives.
+    /// for carried every patch's coordinates for this step, and no patch
+    /// can integrate before this slab's potential message arrives. The
+    /// round's energy leaves on the lowest-numbered slab's first potential
+    /// message, whichever slab evaluated it, so where it is folded in does
+    /// not depend on arrival order.
     fn finish(&mut self, ctx: &mut Ctx) {
         ctx.add_work(self.fft_work * 0.5);
+        let mut energy = None;
         if let Some(pme) = &self.shared.pme_real {
-            // Lock order: state → pme_real → energies.
-            let st = self.shared.state.read().unwrap();
             let mut pr = pme.lock().unwrap();
             if pr.rounds_done == self.rounds {
                 pr.rounds_done += 1;
-                let step = self.rounds * self.params.pme_every.max(1);
+                let frame = &self.shared.frame;
                 let crate::state::PmeReal { solver, ewald, charges, forces, .. } = &mut *pr;
-                for f in forces.iter_mut() {
-                    *f = Vec3::ZERO;
-                }
-                let recip = solver.reciprocal(&st.system.positions, charges, forces);
+                forces.fill(Vec3::ZERO);
+                let recip = solver.reciprocal(&self.positions, charges, forces);
                 let corr_ex = pme::ewald::exclusion_correction(
-                    &st.system.cell,
-                    &st.system.positions,
+                    &frame.cell,
+                    &self.positions,
                     charges,
-                    &st.system.exclusions,
+                    &frame.exclusions,
                     ewald,
                     forces,
                 );
                 let corr_self = pme::ewald::self_energy(charges, ewald);
-                drop(pr);
-                drop(st);
-                let mut en = self.shared.energies.lock().unwrap();
-                if step < en.len() {
-                    en[step].e_elec += recip.reciprocal + corr_ex + corr_self;
-                }
+                pr.energy = recip.reciprocal + corr_ex + corr_self;
+            }
+            if self.peers.iter().all(|p| ctx.this() < *p) {
+                energy = Some(StepAcc { e_elec: pr.energy, ..Default::default() });
             }
         }
         self.rounds += 1;
         for &(patch, bytes) in &self.patches {
-            ctx.send(patch, self.entries.patch_forces, bytes, PRIO_HIGH, Vec::new());
+            let payload = match energy.take() {
+                Some(energy) => ForceMsg { from: ctx.this().0, block: Vec::new(), energy }.pack(),
+                None => Vec::new(),
+            };
+            ctx.send(patch, self.entries.patch_forces, bytes, PRIO_HIGH, payload);
         }
     }
 }
 
-/// Counts patch completions; stops the engine when all patches finish.
+/// Counts patch completions and folds the patches' per-step energies in
+/// ascending patch order; stops the engine when all patches finish. The
+/// engine reads the folded energies back through `harvest_state`.
 pub struct Reducer {
     expected: usize,
     received: usize,
+    pending: Vec<EnergiesMsg>,
+    total: EnergiesMsg,
 }
 
 impl Reducer {
     pub fn new(expected: usize) -> Self {
-        Reducer { expected, received: 0 }
+        let total = EnergiesMsg { from: 0, steps: Vec::new() };
+        Reducer { expected, received: 0, pending: Vec::new(), total }
     }
 }
 
 impl Chare for Reducer {
-    fn receive(&mut self, _entry: EntryId, _payload: Payload, ctx: &mut Ctx) {
+    fn receive(&mut self, _entry: EntryId, payload: Payload, ctx: &mut Ctx) {
+        if !payload.is_empty() {
+            self.pending.push(EnergiesMsg::unpack(&payload).expect("malformed EnergiesMsg payload"));
+        }
         self.received += 1;
         if self.received == self.expected {
+            // Home patch object ids ascend with the patch index.
+            self.pending.sort_by_key(|m| m.from);
+            self.total.from = ctx.this().0;
+            for msg in self.pending.drain(..) {
+                self.total.steps.resize(msg.steps.len(), StepAcc::default());
+                for (dst, src) in self.total.steps.iter_mut().zip(&msg.steps) {
+                    dst.merge(src);
+                }
+            }
             ctx.stop();
         }
+    }
+
+    fn harvest_state(&self) -> Payload {
+        if self.total.steps.is_empty() {
+            return Vec::new();
+        }
+        self.total.pack()
+    }
+
+    fn merge_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        if !bytes.is_empty() {
+            self.total = EnergiesMsg::unpack(bytes)?;
+        }
+        Ok(())
     }
 }
 

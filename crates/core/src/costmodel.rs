@@ -237,9 +237,10 @@ mod tests {
 
     #[test]
     fn analysis_work_scales_and_stays_below_force_work() {
-        // The frame sweep is quadratic in atoms…
-        let w1 = analysis_frame_work(100);
-        let w2 = analysis_frame_work(200);
+        // The frame sweep is quadratic in atoms once the pair term has
+        // outgrown the linear RMSD pass…
+        let w1 = analysis_frame_work(1_000);
+        let w2 = analysis_frame_work(2_000);
         assert!(w2 > 3.5 * w1, "pair sweep should dominate: {w1} -> {w2}");
         // …but an analysis pair is far cheaper than a force pair, so a
         // frame of analysis costs less than a step of nonbonded forces on

@@ -135,9 +135,8 @@ pub fn even_ranges(n: usize, pieces: usize) -> Vec<Range<usize>> {
 }
 
 /// An owned struct-of-arrays copy of a patch's atoms. Built once per compute
-/// (or per cost-model probe) and *refreshed in place* on later steps —
-/// ids/lj/charge never change between migrations, so only positions are
-/// rewritten.
+/// (or per cost-model probe); ids/lj/charge never change between
+/// migrations, so on later steps only `pos` is replaced.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PatchArrays {
     pub pos: Vec<Vec3>,
@@ -147,29 +146,21 @@ pub(crate) struct PatchArrays {
 }
 
 impl PatchArrays {
-    pub(crate) fn gather(system: &System, atoms: &[u32]) -> Self {
-        let mut pos = Vec::with_capacity(atoms.len());
-        let mut ids = Vec::with_capacity(atoms.len());
-        let mut lj = Vec::with_capacity(atoms.len());
-        let mut charge = Vec::with_capacity(atoms.len());
-        for &a in atoms {
-            let i = a as usize;
-            pos.push(system.positions[i]);
-            ids.push(a);
-            lj.push(system.topology.atoms[i].lj_type);
-            charge.push(system.topology.atoms[i].charge);
+    /// The arrays of the patch holding `atoms`, at positions `pos` (one per
+    /// atom, in the same order; the non-bonded cache fills them in after).
+    pub(crate) fn new(topology: &Topology, atoms: &[u32], pos: Vec<Vec3>) -> Self {
+        let at = |&a: &u32| &topology.atoms[a as usize];
+        PatchArrays {
+            pos,
+            ids: atoms.to_vec(),
+            lj: atoms.iter().map(|a| at(a).lj_type).collect(),
+            charge: atoms.iter().map(|a| at(a).charge).collect(),
         }
-        PatchArrays { pos, ids, lj, charge }
     }
 
-    /// Rewrite positions from the current system state without touching the
-    /// other arrays or allocating. The atom membership must be unchanged
-    /// since `gather` (guaranteed between migrations).
-    pub(crate) fn refresh_positions(&mut self, system: &System, atoms: &[u32]) {
-        debug_assert_eq!(self.pos.len(), atoms.len());
-        for (slot, &a) in atoms.iter().enumerate() {
-            self.pos[slot] = system.positions[a as usize];
-        }
+    pub(crate) fn gather(system: &System, atoms: &[u32]) -> Self {
+        let pos = atoms.iter().map(|&a| system.positions[a as usize]).collect();
+        Self::new(&system.topology, atoms, pos)
     }
 
     pub(crate) fn group(&self) -> AtomGroup<'_> {

@@ -19,8 +19,9 @@ use crate::chares::{CkptChare, ComputeChare, Entries, HomePatch, ProxyPatch, Red
 use crate::config::{Backend, ForceMode, LbStrategy, SimConfig};
 use crate::costmodel;
 use crate::decomp::{self, Decomposition};
+use crate::messages::{EnergiesMsg, PatchStateMsg};
 use crate::nbcache::PairlistCache;
-use crate::state::{Shared, SimState, StepAcc};
+use crate::state::{Frame, Shared, SimState, StepAcc};
 use charmrt::{Des, ObjId, Pe, Runtime, SummaryStats, Trace, WireCodec, PRIO_NORMAL};
 use mdcore::prelude::*;
 use std::collections::BTreeMap;
@@ -251,14 +252,15 @@ impl Engine {
                     charges: system.charges(),
                     forces: vec![Vec3::ZERO; n],
                     rounds_done: 0,
+                    energy: 0.0,
                 }))
             }
             _ => None,
         };
         let n_computes = decomp.computes.len();
         let shared = Arc::new(Shared {
+            frame: Frame::of(&system),
             state: std::sync::RwLock::new(SimState { system, forces: vec![Vec3::ZERO; n] }),
-            energies: std::sync::Mutex::new(Vec::new()),
             decomp,
             pme_real,
             nb_cache: PairlistCache::new(n_computes),
@@ -410,10 +412,8 @@ impl Engine {
                 )));
             }
         }
-        let shared = Arc::get_mut(&mut self.shared)
-            .expect("restore must run between phases (no live engine objects)");
         {
-            let st = shared.state.get_mut().expect("state lock poisoned");
+            let mut st = self.shared.state.write().expect("state lock poisoned");
             for (p, s) in st.system.positions.iter_mut().zip(&snap.positions) {
                 *p = Vec3::new(s[0], s[1], s[2]);
             }
@@ -421,20 +421,10 @@ impl Engine {
                 *v = Vec3::new(s[0], s[1], s[2]);
             }
             // Forces are re-evaluated by the next phase's bootstrap step.
-            for f in &mut st.forces {
-                *f = Vec3::ZERO;
-            }
+            st.forces.fill(Vec3::ZERO);
         }
-        let decomp = decomp::build(
-            &shared.state.get_mut().expect("state lock poisoned").system,
-            &self.config,
-        );
-        shared.decomp = decomp;
-        let old = std::mem::replace(&mut shared.nb_cache, PairlistCache::new(0));
-        shared.nb_cache = PairlistCache::recycled(old, shared.decomp.computes.len());
-        let (patch_pe, placement) = Self::static_placement(&shared.decomp, self.config.n_pes);
-        self.patch_pe = patch_pe;
-        self.placement = placement;
+        // The same rebuild the uninterrupted run performed at this step.
+        self.migrate_atoms();
         self.drift_rng = snap.drift_rng;
         self.drift = snap.drift.clone();
         self.drift.resize(self.shared.decomp.computes.len(), 1.0);
@@ -460,8 +450,8 @@ impl Engine {
 
     /// Like [`Engine::run_phase`], but a kill fault surfaces as
     /// [`PhaseCrash`] instead of panicking. The crashed runtime is
-    /// abandoned; the shared state may hold a partially integrated step —
-    /// recover with [`Engine::restore`].
+    /// abandoned with everything its patches integrated, so the state is
+    /// still the phase-start one — recover with [`Engine::restore`].
     pub fn try_run_phase(&mut self, n_steps: usize) -> Result<PhaseResult, PhaseCrash> {
         match self.config.backend {
             Backend::Des => {
@@ -515,12 +505,9 @@ impl Engine {
         let n_patches = decomp.grid.n_patches();
         let n_computes = decomp.computes.len();
 
-        if cfg.force_mode == ForceMode::Real {
-            *self.shared.energies.lock().unwrap() = vec![StepAcc::default(); n_steps];
-            if let Some(pme) = &self.shared.pme_real {
-                // Fresh slab chares restart their round counters each phase.
-                pme.lock().unwrap().rounds_done = 0;
-            }
+        if let Some(pme) = &self.shared.pme_real {
+            // Fresh slab chares restart their round counters each phase.
+            pme.lock().unwrap().rounds_done = 0;
         }
 
         let entries = Entries::register(rt);
@@ -635,6 +622,8 @@ impl Engine {
         let reg = rt.register(Box::new(Reducer::new(n_patches)), 0, false);
         assert_eq!(reg, reducer_id);
 
+        // Each home patch takes its atoms out of the between-phase state.
+        let state = self.shared.state.read().expect("state lock poisoned");
         for p in 0..n_patches {
             let home_pe = self.patch_pe[p];
             let locals = local.get(&(p, home_pe)).cloned().unwrap_or_default();
@@ -642,6 +631,7 @@ impl Engine {
             let obj = HomePatch::new(
                 p,
                 self.shared.clone(),
+                &state.system,
                 entries,
                 params,
                 patch_proxies[p].clone(),
@@ -654,14 +644,13 @@ impl Engine {
             let id = rt.register(Box::new(obj), home_pe, false);
             assert_eq!(id, patch_id(p));
         }
+        drop(state);
 
         for (&(p, pe), &k) in &proxy_index {
             let locals = local.get(&(p, pe)).cloned().unwrap_or_default();
             let expected = locals.len();
             debug_assert!(expected > 0, "proxy with no local computes");
             let obj = ProxyPatch::new(
-                p,
-                self.shared.clone(),
                 entries,
                 patch_id(p),
                 locals,
@@ -727,7 +716,6 @@ impl Engine {
                 let obj = crate::chares::SlabChare::new(
                     self.shared.clone(),
                     entries,
-                    params,
                     peers,
                     patches,
                     sp.fft_per_slab,
@@ -760,41 +748,6 @@ impl Engine {
             );
             let id = rt.register(Box::new(obj), 0, false);
             assert_eq!(Some(id), ckpt_id);
-        }
-
-        // ---- Shared-state return hooks (proc backend) ---------------------
-        // Per-step energies accumulate in each worker process's copy of
-        // `Shared::energies`; the parent's copy (zeroed above) never sees a
-        // handler, so merging every worker's block additively reproduces
-        // exactly what the shared-memory backends accumulate in place.
-        // No-ops on the in-process backends.
-        {
-            let shared = self.shared.clone();
-            let harvest = Box::new(move || {
-                let en = shared.energies.lock().unwrap();
-                if en.is_empty() {
-                    Vec::new()
-                } else {
-                    crate::messages::EnergiesMsg { steps: en.clone() }.pack()
-                }
-            });
-            let shared = self.shared.clone();
-            let merge =
-                Box::new(move |_pe: Pe, bytes: &[u8]| -> Result<(), charmrt::WireError> {
-                    if bytes.is_empty() {
-                        return Ok(());
-                    }
-                    let msg = crate::messages::EnergiesMsg::unpack(bytes)?;
-                    let mut en = shared.energies.lock().unwrap();
-                    if en.len() < msg.steps.len() {
-                        en.resize(msg.steps.len(), StepAcc::default());
-                    }
-                    for (dst, src) in en.iter_mut().zip(msg.steps.iter()) {
-                        dst.merge(src);
-                    }
-                    Ok(())
-                });
-            rt.set_shared_hooks(harvest, merge);
         }
 
         // ---- Bootstrap and run --------------------------------------------
@@ -847,11 +800,27 @@ impl Engine {
         let compute_loads: Vec<f64> = (0..n_computes)
             .map(|j| snapshot.objects[compute_id(j).idx()].load)
             .collect();
-        let energies = if cfg.force_mode == ForceMode::Real {
-            std::mem::take(&mut *self.shared.energies.lock().unwrap())
-        } else {
-            Vec::new()
-        };
+        // Real mode: the patches hand their atoms back and the reducer the
+        // energies it folded — on every backend through the objects' own
+        // `harvest_state`, the path that also crosses `proc`'s process
+        // boundary.
+        let mut energies = Vec::new();
+        if cfg.force_mode == ForceMode::Real {
+            let mut state = self.shared.state.write().expect("state lock poisoned");
+            let state = &mut *state;
+            for (p, ids) in decomp.grid.atoms.iter().enumerate() {
+                let atoms = PatchStateMsg::unpack(&rt.object(patch_id(p)).harvest_state())
+                    .expect("a home patch harvests its PatchStateMsg");
+                for (slot, &a) in ids.iter().enumerate() {
+                    state.system.positions[a as usize] = atoms.positions[slot];
+                    state.system.velocities[a as usize] = atoms.velocities[slot];
+                    state.forces[a as usize] = atoms.forces[slot];
+                }
+            }
+            energies = EnergiesMsg::unpack(&rt.object(reducer_id).harvest_state())
+                .expect("the reducer harvests its EnergiesMsg")
+                .steps;
+        }
 
         // Remember harvest + progress for checkpoint snapshots: a snapshot
         // taken after this phase must carry the measured loads the LB would

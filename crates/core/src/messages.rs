@@ -40,13 +40,50 @@ fn put_vecs(e: &mut Enc, vs: &[Vec3]) {
     }
 }
 
-fn take_vecs(d: &mut Dec, label: &'static str) -> Result<Vec<Vec3>, WireError> {
+/// Decode a vector list into `out`, reusing its allocation.
+fn take_vecs_into(d: &mut Dec, label: &'static str, out: &mut Vec<Vec3>) -> Result<(), WireError> {
     let n = d.u64(label)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(Vec3::new(d.f64(label)?, d.f64(label)?, d.f64(label)?));
-    }
+    let bytes = d.take(n.saturating_mul(24), label)?;
+    let f = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+    out.clear();
+    out.extend(bytes.chunks_exact(24).map(|c| Vec3::new(f(&c[..8]), f(&c[8..16]), f(&c[16..]))));
+    Ok(())
+}
+
+fn take_vecs(d: &mut Dec, label: &'static str) -> Result<Vec<Vec3>, WireError> {
+    let mut out = Vec::new();
+    take_vecs_into(d, label, &mut out)?;
     Ok(out)
+}
+
+fn put_acc(e: &mut Enc, s: &StepAcc) {
+    for x in [
+        s.e_lj,
+        s.e_elec,
+        s.e_bond,
+        s.e_angle,
+        s.e_dihedral,
+        s.e_improper,
+        s.e_restraint,
+        s.kinetic,
+    ] {
+        e.f64(x);
+    }
+    e.u64(s.pairs);
+}
+
+fn take_acc(d: &mut Dec, label: &'static str) -> Result<StepAcc, WireError> {
+    Ok(StepAcc {
+        e_lj: d.f64(label)?,
+        e_elec: d.f64(label)?,
+        e_bond: d.f64(label)?,
+        e_angle: d.f64(label)?,
+        e_dihedral: d.f64(label)?,
+        e_improper: d.f64(label)?,
+        e_restraint: d.f64(label)?,
+        kinetic: d.f64(label)?,
+        pairs: d.u64(label)?,
+    })
 }
 
 /// A block of per-atom forces computed by a compute object (or combined by a
@@ -56,15 +93,21 @@ fn take_vecs(d: &mut Dec, label: &'static str) -> Result<Vec<Vec3>, WireError> {
 pub struct ForceMsg {
     /// Sending object's raw id (`ObjId.0`), used for deterministic folding.
     pub from: u32,
-    /// One force vector per atom of the destination patch.
+    /// One force vector per atom of the destination patch; empty when the
+    /// message carries only energy (a PME slab's reciprocal sum).
     pub block: Vec<Vec3>,
+    /// The energies the sender evaluated this step, riding to the home
+    /// patch: a compute attaches its record to its first block and zeros to
+    /// the rest, a proxy forwards the sum of what it combined.
+    pub energy: StepAcc,
 }
 
 impl WireCodec for ForceMsg {
     fn pack(&self) -> Payload {
-        let mut e = Enc::with_capacity(4 + 8 + 24 * self.block.len());
+        let mut e = Enc::with_capacity(4 + 8 + 24 * self.block.len() + 72);
         e.u32(self.from);
         put_vecs(&mut e, &self.block);
+        put_acc(&mut e, &self.energy);
         e.into_bytes()
     }
 
@@ -72,15 +115,15 @@ impl WireCodec for ForceMsg {
         let mut d = Dec::new(bytes);
         let from = d.u32("ForceMsg.from")?;
         let block = take_vecs(&mut d, "ForceMsg.block")?;
+        let energy = take_acc(&mut d, "ForceMsg.energy")?;
         finish(&d, "ForceMsg")?;
-        Ok(ForceMsg { from, block })
+        Ok(ForceMsg { from, block, energy })
     }
 }
 
-/// Atom coordinates multicast from a home patch to its proxies at the start
-/// of a step. On shared-memory backends the proxies read positions directly
-/// from [`crate::state::Shared`]; on the `proc` backend the receiving
-/// process applies these bytes to its local copy instead.
+/// Atom coordinates published by a home patch at the start of a step: to its
+/// proxies and to the computes on its own PE, and forwarded by each proxy to
+/// the computes on its PE. These bytes are the only positions a compute sees.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoordMsg {
     /// Owning patch's raw id (patch index, not ObjId).
@@ -98,11 +141,26 @@ impl WireCodec for CoordMsg {
     }
 
     fn unpack(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut positions = Vec::new();
+        let patch = CoordMsg::unpack_into(bytes, &mut positions)?;
+        Ok(CoordMsg { patch, positions })
+    }
+}
+
+impl CoordMsg {
+    /// The `patch` of a packed message, without decoding its positions.
+    pub fn peek_patch(bytes: &[u8]) -> Result<u32, WireError> {
+        Ok(Dec::new(bytes).u32("CoordMsg.patch")?)
+    }
+
+    /// [`WireCodec::unpack`] that decodes the positions into `positions`,
+    /// reusing its allocation, and returns the patch.
+    pub fn unpack_into(bytes: &[u8], positions: &mut Vec<Vec3>) -> Result<u32, WireError> {
         let mut d = Dec::new(bytes);
         let patch = d.u32("CoordMsg.patch")?;
-        let positions = take_vecs(&mut d, "CoordMsg.positions")?;
+        take_vecs_into(&mut d, "CoordMsg.positions", positions)?;
         finish(&d, "CoordMsg")?;
-        Ok(CoordMsg { patch, positions })
+        Ok(patch)
     }
 }
 
@@ -141,9 +199,10 @@ impl WireCodec for CkptMsg {
     }
 }
 
-/// End-of-phase state of one home patch, harvested from a worker process of
-/// the `proc` backend and merged back into the parent's [`crate::state::Shared`]:
-/// positions, velocities, and last-computed forces of the patch's atoms.
+/// What a home patch owns for the length of a phase — positions, velocities
+/// and last total forces of its atoms — and what it hands back at phase end
+/// through `harvest_state` for the engine to scatter into
+/// [`crate::state::Shared::state`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PatchStateMsg {
     /// Patch index.
@@ -175,52 +234,37 @@ impl WireCodec for PatchStateMsg {
     }
 }
 
-/// Per-step energy accumulators harvested from a worker process via the
-/// runtime's shared-state hook. The parent starts each `proc` phase with its
-/// accumulators zeroed and merges every worker's block additively, which
-/// reproduces exactly what the shared-memory backends accumulate in place.
+/// Per-step energy records: each home patch's, shipped to the reducer on its
+/// `done` message, and the reducer's fold of them, which the engine reads
+/// back through `harvest_state`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergiesMsg {
+    /// Sending object's raw id (`ObjId.0`), used for deterministic folding.
+    pub from: u32,
     pub steps: Vec<StepAcc>,
 }
 
 impl WireCodec for EnergiesMsg {
     fn pack(&self) -> Payload {
-        let mut e = Enc::with_capacity(8 + 72 * self.steps.len());
+        let mut e = Enc::with_capacity(4 + 8 + 72 * self.steps.len());
+        e.u32(self.from);
         e.u64(self.steps.len() as u64);
         for s in &self.steps {
-            e.f64(s.e_lj);
-            e.f64(s.e_elec);
-            e.f64(s.e_bond);
-            e.f64(s.e_angle);
-            e.f64(s.e_dihedral);
-            e.f64(s.e_improper);
-            e.f64(s.e_restraint);
-            e.f64(s.kinetic);
-            e.u64(s.pairs);
+            put_acc(&mut e, s);
         }
         e.into_bytes()
     }
 
     fn unpack(bytes: &[u8]) -> Result<Self, WireError> {
         let mut d = Dec::new(bytes);
+        let from = d.u32("EnergiesMsg.from")?;
         let n = d.u64("EnergiesMsg.len")? as usize;
         let mut steps = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
-            steps.push(StepAcc {
-                e_lj: d.f64("EnergiesMsg.e_lj")?,
-                e_elec: d.f64("EnergiesMsg.e_elec")?,
-                e_bond: d.f64("EnergiesMsg.e_bond")?,
-                e_angle: d.f64("EnergiesMsg.e_angle")?,
-                e_dihedral: d.f64("EnergiesMsg.e_dihedral")?,
-                e_improper: d.f64("EnergiesMsg.e_improper")?,
-                e_restraint: d.f64("EnergiesMsg.e_restraint")?,
-                kinetic: d.f64("EnergiesMsg.kinetic")?,
-                pairs: d.u64("EnergiesMsg.pairs")?,
-            });
+            steps.push(take_acc(&mut d, "EnergiesMsg.steps")?);
         }
         finish(&d, "EnergiesMsg")?;
-        Ok(EnergiesMsg { steps })
+        Ok(EnergiesMsg { from, steps })
     }
 }
 
@@ -239,7 +283,8 @@ mod tests {
 
     #[test]
     fn force_msg_round_trips_bit_exactly() {
-        let m = ForceMsg { from: 17, block: vecs(3, 5) };
+        let energy = StepAcc { e_lj: -1.5, pairs: 9, ..Default::default() };
+        let m = ForceMsg { from: 17, block: vecs(3, 5), energy };
         let bytes = m.pack();
         assert!(!bytes.is_empty());
         assert_eq!(ForceMsg::unpack(&bytes).unwrap(), m);
@@ -284,13 +329,14 @@ mod tests {
             },
             StepAcc::default(),
         ];
-        let m = EnergiesMsg { steps };
+        let m = EnergiesMsg { from: 3, steps };
         assert_eq!(EnergiesMsg::unpack(&m.pack()).unwrap(), m);
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = ForceMsg { from: 1, block: vecs(0, 2) }.pack();
+        let mut bytes =
+            ForceMsg { from: 1, block: vecs(0, 2), energy: StepAcc::default() }.pack();
         bytes.push(0);
         assert!(ForceMsg::unpack(&bytes).is_err());
         let mut bytes = CkptMsg { patch: 0, positions: vec![], velocities: vec![] }.pack();

@@ -8,8 +8,8 @@
 //! [`ComputeCacheEntry`] holding:
 //!
 //! - **Persistent SoA buffers** (one [`PatchArrays`] per patch the compute
-//!   reads): gathered once, then only *positions* are rewritten in place each
-//!   step — no per-step allocation.
+//!   reads): gathered once, then only the *positions* are replaced each
+//!   step, by the ones the compute was sent.
 //! - A **candidate list** at `cutoff + margin`, in the exact order the ranged
 //!   kernels visit pairs, reused until displacement-based invalidation fires:
 //!   any atom of the compute's patches moving more than `margin/2` from its
@@ -40,13 +40,14 @@
 //! compute. Only the owning compute chare ever locks its entry (runtimes
 //! never run the same chare concurrently with itself), so the mutexes are
 //! uncontended; they exist to keep `Shared: Sync` on the threads backend.
-//! Lock order: an entry is taken after `state` and released before
-//! `energies` — see `state.rs`.
 
 use crate::config::NbKernel;
 use crate::costmodel;
 use crate::decomp::{ComputeKind, ComputeSpec, PatchArrays};
+use crate::messages::CoordMsg;
 use crate::patchgrid::PatchGrid;
+use crate::state::Frame;
+use charmrt::Payload;
 use mdcore::cluster::{
     nb_pair_clusters, nb_self_clusters, pair_cluster_pairs_into, prune_into,
     self_cluster_pairs_into, ClusterGrid, ClusterPair, SimdWidth,
@@ -98,28 +99,30 @@ pub struct ComputeCacheEntry {
 }
 
 impl ComputeCacheEntry {
-    /// Evaluate one non-bonded compute at the system's current positions:
-    /// refresh the SoA buffers, make the list `kernel` reads valid (a
-    /// rebuild when the margin/2 guarantee has lapsed, and for the cluster
-    /// kernels a prune pass every time), run the kernel into `blocks` —
-    /// one force block for a self compute, two for a pair compute, in
-    /// `spec.patches` order — and return the result with the work units to
-    /// declare. A hit is charged less than a rebuild, so LB sees the real
+    /// Evaluate one non-bonded compute at `coords`, the packed `CoordMsg`
+    /// each of its patches sent for this step (in `spec.patches` order;
+    /// decoded into the SoA buffers and dropped): make the list `kernel`
+    /// reads valid (a rebuild when the margin/2 guarantee has lapsed, and for
+    /// the cluster kernels a prune pass every time), run the kernel into
+    /// `blocks` — one force block for a self compute, two for a pair
+    /// compute, in `spec.patches` order — and return the result with the
+    /// work units to declare. A hit is charged less than a rebuild, so LB sees the real
     /// cost difference between the two kinds of step.
     pub(crate) fn evaluate(
         &mut self,
         spec: &ComputeSpec,
-        system: &System,
+        frame: &Frame,
         grid: &PatchGrid,
+        coords: &mut [Payload],
         kernel: NbKernel,
         width: SimdWidth,
         margin: f64,
         blocks: &mut [Vec<Vec3>],
     ) -> (NbResult, f64) {
-        self.refresh_arrays(system, grid, &spec.patches);
-        let ff = &system.forcefield;
-        let ex = &system.exclusions;
-        let cell = &system.cell;
+        self.refresh_arrays(frame, grid, &spec.patches, coords);
+        let ff = &frame.forcefield;
+        let ex = &frame.exclusions;
+        let cell = &frame.cell;
         let radius = ff.cutoff + margin;
         match kernel {
             NbKernel::Listed => {
@@ -190,17 +193,26 @@ impl ComputeCacheEntry {
         }
     }
 
-    /// Bring the persistent SoA buffers up to date with the shared state:
-    /// full gather on first use (or after a cache reset), position-only
-    /// rewrite afterwards.
-    fn refresh_arrays(&mut self, system: &System, grid: &PatchGrid, patches: &[usize]) {
+    /// Decode this step's coordinates into the persistent SoA buffers: full
+    /// gather on first use (or after a cache reset), positions only — in
+    /// place — afterwards.
+    fn refresh_arrays(
+        &mut self,
+        frame: &Frame,
+        grid: &PatchGrid,
+        patches: &[usize],
+        coords: &mut [Payload],
+    ) {
         if self.arrays.len() != patches.len() {
-            self.arrays =
-                patches.iter().map(|&p| PatchArrays::gather(system, &grid.atoms[p])).collect();
-            return;
+            self.arrays = patches
+                .iter()
+                .map(|&p| PatchArrays::new(&frame.topology, &grid.atoms[p], Vec::new()))
+                .collect();
         }
-        for (arr, &p) in self.arrays.iter_mut().zip(patches) {
-            arr.refresh_positions(system, &grid.atoms[p]);
+        for (arr, packed) in self.arrays.iter_mut().zip(coords) {
+            CoordMsg::unpack_into(&std::mem::take(packed), &mut arr.pos)
+                .expect("malformed CoordMsg payload");
+            debug_assert_eq!(arr.pos.len(), arr.ids.len());
         }
     }
 

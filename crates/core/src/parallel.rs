@@ -8,8 +8,11 @@
 //! splitting, and measurement machinery are the single implementation in
 //! [`crate::engine`] — the exact code path the load balancer measures.
 //! Every self/pair/bonded compute object is a chare executed on a worker
-//! thread; force contributions travel as messages and the home patches
-//! integrate, just as on the DES backend but in wall-clock time.
+//! thread; coordinates and force contributions travel as messages and the
+//! home patches integrate the atoms they own, just as on the DES backend
+//! but in wall-clock time. What [`ParallelSim::system`] shows is the
+//! engine's between-phase state, gathered from the patches whenever a
+//! phase ends.
 //!
 //! The facade's step/run calls map onto engine *phases*: a phase of
 //! `n + 1` timesteps performs one bootstrap force evaluation (no motion —
@@ -51,10 +54,10 @@ impl std::fmt::Display for ParallelSimError {
 
 impl std::error::Error for ParallelSimError {}
 
-/// Shared read access to the simulated [`System`].
+/// Shared read access to the simulated [`System`] between steps.
 ///
-/// Dereferences to [`System`]; drop it before the next `step`/`run` call
-/// (holding it across one would deadlock the worker threads).
+/// Dereferences to [`System`]; it borrows the simulator, so it cannot be
+/// held across a `step`/`run` call.
 pub struct SystemRef<'a>(RwLockReadGuard<'a, SimState>);
 
 impl Deref for SystemRef<'_> {
@@ -253,9 +256,9 @@ impl ParallelSim {
     /// updates (the first timestep is the bootstrap force evaluation); its
     /// `energies[1..=c]` are the per-step records.
     ///
-    /// On `Err`, atoms completed before the crashed phase are still applied;
-    /// the caller is expected to restore from a checkpoint (the crashed
-    /// phase's partial state is discarded by [`ParallelSim::restore`]).
+    /// On `Err`, the phases completed before the crashed one are still
+    /// applied and the crashed one left no trace; the caller is expected to
+    /// restore from a checkpoint.
     pub fn try_advance(&mut self, n: usize) -> Result<Vec<StepAcc>, PhaseCrash> {
         let mut out = Vec::with_capacity(n);
         let mut remaining = n;

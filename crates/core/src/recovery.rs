@@ -264,6 +264,25 @@ mod tests {
     }
 
     #[test]
+    fn crashed_phase_leaves_the_state_at_phase_start() {
+        let tmp = tempdir("recovery-untouched");
+        let mut engine = small_engine(&tmp, Backend::Des);
+        // Late enough that every patch has integrated several steps.
+        engine.config.fault_plan = Some(
+            charmrt::FaultPlan::parse("kill:entry=PatchRecvForces:dst=1:skip=150").unwrap(),
+        );
+        let bits = |engine: &Engine| -> Vec<u64> {
+            let st = engine.shared.state.read().unwrap();
+            let all = [&st.system.positions, &st.system.velocities, &st.forces];
+            all.iter().flat_map(|v| v.iter()).flat_map(|v| [v.x, v.y, v.z]).map(f64::to_bits).collect()
+        };
+        let before = bits(&engine);
+        engine.try_run_phase(9).expect_err("the kill must fire");
+        assert!(bits(&engine) == before, "a crashed phase wrote to the between-phase state");
+        std::fs::remove_dir_all(&tmp).ok();
+    }
+
+    #[test]
     fn policy_is_configurable_through_sim_config() {
         let cfg = SimConfig::builder(2, machine::presets::generic_cluster())
             .recovery(5, 40)

@@ -1,27 +1,20 @@
-//! Shared simulation state, safe on both execution backends.
+//! What an engine's chares share, and the between-phase store.
 //!
-//! On the DES backend handlers run to completion in event order, so locks
-//! are uncontended; on the real-threads backend many compute chares execute
-//! concurrently. The message protocol (coordinates → computes → forces →
-//! integration) provides the same ordering guarantees a distributed NAMD
-//! run has: computes only *read* positions (shared read lock) while the
-//! owning patch is waiting for their force messages, and a patch only
-//! *writes* (write lock, at integration) after every force contribution
-//! for the step has arrived. Forces travel **in messages** — each compute
-//! sends per-patch force payloads to patch representatives — so no two
-//! handlers ever write the same atom's force concurrently.
-//!
-//! Lock order (deadlock freedom): `state` → { `nb_cache[j]` | `pme_real` }
-//! → `energies`. Every handler that takes more than one of these acquires
-//! them in that order and drops them before sending messages. A non-bonded
-//! compute only ever locks *its own* `nb_cache` entry (and never `pme_real`),
-//! and PME slab chares never touch `nb_cache`, so the middle tier is two
-//! disjoint families and the order is total in practice.
+//! During a phase every datum has one owner: a home patch holds its atoms'
+//! positions, velocities and forces, computes see only the coordinate
+//! payloads they are sent, and forces and energy records travel back in
+//! messages. [`Shared`] is what is left to share: the immutable [`Frame`]
+//! and decomposition, the per-compute pair-list cache (each entry locked
+//! only by its own compute) and the PME force buffer. [`Shared::state`]
+//! is the store *between* phases: the engine hands each home patch its
+//! atoms from it before the phase and scatters what the patches hand back
+//! into it after — no handler touches it, so a crashed phase leaves it at
+//! the phase-start state.
 
 use crate::decomp::Decomposition;
 use crate::nbcache::PairlistCache;
 use mdcore::prelude::*;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 
 /// Per-step energy accumulator (Real force mode only).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -68,16 +61,36 @@ impl StepAcc {
     }
 }
 
-/// Mutable simulation state shared by all chares. Computes take the read
-/// lock (positions); home patches take the write lock at integration.
+/// The simulation state between phases: current after every completed
+/// phase, after [`crate::engine::Engine::restore`], and after edits
+/// through `ParallelSim::system_mut`.
 #[derive(Debug)]
 pub struct SimState {
     pub system: System,
-    /// The most recently evaluated total force per atom, written by each
-    /// home patch at integration (accumulated from the force payloads it
-    /// received for the step). Read-only observability — the integration
-    /// itself consumes the payload-borne forces directly.
+    /// The total force per atom at the last evaluated step, gathered from
+    /// the home patches at phase end.
     pub forces: Vec<Vec3>,
+}
+
+/// Everything a kernel needs besides coordinates, immutable for the life of
+/// an engine (atom migration and restore change neither).
+#[derive(Debug)]
+pub struct Frame {
+    pub topology: Topology,
+    pub exclusions: Exclusions,
+    pub forcefield: ForceField,
+    pub cell: Cell,
+}
+
+impl Frame {
+    pub fn of(system: &System) -> Frame {
+        Frame {
+            topology: system.topology.clone(),
+            exclusions: system.exclusions.clone(),
+            forcefield: system.forcefield.clone(),
+            cell: system.cell,
+        }
+    }
 }
 
 /// Real-physics PME solver shared by the slab chares (Real force mode with
@@ -93,36 +106,21 @@ pub struct PmeReal {
     pub forces: Vec<Vec3>,
     /// PME rounds whose physics has been computed.
     pub rounds_done: usize,
+    /// Reciprocal-space energy plus Ewald corrections of the latest round.
+    pub energy: f64,
 }
 
-/// Everything chares share: the mutable state plus the immutable
-/// decomposition. See the module docs for the locking discipline.
+/// Everything an engine's chares share. See the module docs.
 pub struct Shared {
+    /// The between-phase store; no handler locks it.
     pub state: RwLock<SimState>,
-    /// Per-step energy records (Real mode), accumulated by computes and
-    /// patches. Always the innermost lock.
-    pub energies: Mutex<Vec<StepAcc>>,
+    pub frame: Frame,
     pub decomp: Decomposition,
     /// Present only in Real mode with full electrostatics.
     pub pme_real: Option<Mutex<PmeReal>>,
     /// Per-compute pair-list cache + persistent SoA buffers for the
     /// non-bonded hot path (Real mode). Reset wholesale on atom migration.
     pub nb_cache: PairlistCache,
-}
-
-impl Shared {
-    /// Package a system and its decomposition for a run of `n_steps`.
-    pub fn new(system: System, decomp: Decomposition, n_steps: usize) -> Arc<Shared> {
-        let n = system.n_atoms();
-        let n_computes = decomp.computes.len();
-        Arc::new(Shared {
-            state: RwLock::new(SimState { system, forces: vec![Vec3::ZERO; n] }),
-            energies: Mutex::new(vec![StepAcc::default(); n_steps]),
-            decomp,
-            pme_real: None,
-            nb_cache: PairlistCache::new(n_computes),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -18,6 +18,13 @@ cargo build --release $FEAT || status=1
 echo "==> cargo test -q $FEAT"
 cargo test -q $FEAT || status=1
 
+# Root `cargo test` runs the root package only; the crates' own unit tests
+# (engine, recovery, proc, scheduler, ...) run here. Blocking. With
+# `--workspace`, cargo applies the feature flag to the members that define
+# it and unifies it into the rest.
+echo "==> crate unit tests (cargo test --workspace --lib $FEAT)"
+cargo test --workspace --lib --offline -q $FEAT || status=1
+
 # Bounded schedule-fuzz soak: more seeds × policies than the default run,
 # still deterministic (cases are seeded per test name + index). Blocking —
 # an invariant-oracle violation here is a real runtime bug.
@@ -57,6 +64,11 @@ cargo test -q --test analyze_correctness || status=1
 # Blocking — the benchmark is the only way this repo is measured.
 echo "==> benchmark harness still compiles against the crates"
 cargo check --release --offline --manifest-path benchmark/Cargo.toml || status=1
+# The check refreshes benchmark/Cargo.lock in the work tree; a staged
+# refresh would read as an edit under benchmark/.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  git checkout -- benchmark/Cargo.lock
+fi
 
 # `cargo test` skips bench targets and clippy is advisory, so nothing above
 # compiles crates/bench/benches/*.rs: a kernel signature change can break
@@ -72,6 +84,20 @@ fi
 echo "==> cargo fmt --check (non-blocking)"
 if ! cargo fmt --all -- --check; then
   echo "WARNING: rustfmt would reformat files (non-blocking)"
+fi
+
+# One side per PR: a change touches benchmark/ + BENCHMARK.json or
+# everything else, never both. Blocking.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  changed=$(git diff --name-only HEAD)
+  bench_side=$(echo "$changed" | grep -E '^(benchmark/|BENCHMARK\.json$)' || true)
+  code_side=$(echo "$changed" | grep -vE '^(benchmark/|BENCHMARK\.json$)' || true)
+  if [ -n "$bench_side" ] && [ -n "$code_side" ]; then
+    echo "tier1: change touches both sides of the benchmark boundary:"
+    echo "$bench_side" | sed 's/^/  benchmark side: /'
+    echo "$code_side" | sed 's/^/  program side:   /'
+    status=1
+  fi
 fi
 
 if [ "$status" -ne 0 ]; then

@@ -9,10 +9,12 @@
 //! * on the threads backend, one measure → greedy cycle repairs a
 //!   deliberately imbalanced placement using *measured wall-clock* loads.
 
+use namd_repro::charmrt::WireCodec;
 use namd_repro::lb;
 use namd_repro::mdcore::prelude::*;
 use namd_repro::mdcore::thermostat::{Berendsen, Langevin};
 use namd_repro::molgen;
+use namd_repro::namd_core::messages::EnergiesMsg;
 use namd_repro::namd_core::parallel::ParallelSim;
 use namd_repro::namd_core::prelude::*;
 
@@ -169,6 +171,31 @@ fn des_and_threads_build_identical_compute_sets_and_valid_assignments() {
         let moved = engine.apply_assignment(&map, &assignment);
         assert!(moved <= map.len());
     }
+}
+
+#[test]
+fn per_step_energies_are_bit_identical_across_backends() {
+    // Energies ride the force messages and fold in sender order, so at equal
+    // PE count every backend must report the same bits — packed, a record is
+    // its fields' bit patterns.
+    let sys = restrained_apoa1_small();
+    let energies_on = |backend| {
+        let r = Engine::new(sys.clone(), real_mode_config(2, backend)).run_phase(4);
+        assert_eq!(r.energies.len(), 4);
+        EnergiesMsg { from: 0, steps: r.energies }.pack()
+    };
+    let des = energies_on(Backend::Des);
+    assert!(energies_on(Backend::Threads) == des, "threads energies differ from des");
+    assert!(energies_on(Backend::Proc) == des, "proc energies differ from des");
+}
+
+#[test]
+fn des_makespan_and_message_count_ignore_payloads() {
+    // Modeled time is charged from declared work and modeled bytes, never
+    // from what a payload carries: these are the values this deck produced
+    // when co-located ready messages and done signals were still empty.
+    let r = Engine::new(restrained_apoa1_small(), real_mode_config(2, Backend::Des)).run_phase(4);
+    assert_eq!((r.total_time.to_bits(), r.stats.msgs_sent), (4595382563603875143, 1264));
 }
 
 #[test]

@@ -433,8 +433,12 @@ mod wire_roundtrips {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn force_msg_roundtrip(from in 0u32..=u32::MAX, block in arb_vecs(24)) {
-            let m = ForceMsg { from, block };
+        fn force_msg_roundtrip(
+            from in 0u32..=u32::MAX,
+            block in arb_vecs(24),
+            energy in arb_step_acc(),
+        ) {
+            let m = ForceMsg { from, block, energy };
             let bytes = m.pack();
             prop_assert!(!bytes.is_empty(), "packed messages are never empty");
             prop_assert_eq!(ForceMsg::unpack(&bytes).unwrap(), m);
@@ -469,9 +473,10 @@ mod wire_roundtrips {
 
         #[test]
         fn energies_msg_roundtrip(
+            from in 0u32..=u32::MAX,
             steps in proptest::collection::vec(arb_step_acc(), 0..12),
         ) {
-            let m = EnergiesMsg { steps };
+            let m = EnergiesMsg { from, steps };
             prop_assert_eq!(EnergiesMsg::unpack(&m.pack()).unwrap(), m);
         }
 

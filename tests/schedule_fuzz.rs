@@ -17,11 +17,12 @@
 //! Case count for the fuzz groups comes from `SCHEDULE_FUZZ_CASES`
 //! (default 6; CI's soak job runs 25).
 
-use namd_repro::charmrt::{FaultPlan, SchedulePolicy};
+use namd_repro::charmrt::{FaultPlan, SchedulePolicy, WireCodec};
 use namd_repro::lb;
 use namd_repro::machine::presets;
 use namd_repro::mdcore::prelude::*;
 use namd_repro::molgen;
+use namd_repro::namd_core::messages::EnergiesMsg;
 use namd_repro::namd_core::prelude::*;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -200,6 +201,28 @@ fn different_seeds_change_the_interleaving() {
         engine.run_phase(PHASE_STEPS).trace.expect("tracing on")
     };
     assert_ne!(trace_for(1), trace_for(2), "seeds 1 and 2 gave the same interleaving");
+}
+
+#[test]
+fn energies_are_bit_identical_across_schedule_seeds_on_threads() {
+    // Energies ride the force messages and fold in sender order, so — like
+    // the trajectory — they must not notice how the worker threads and a
+    // shuffled dequeue order interleave the computes.
+    // Packed, a record is its fields' bit patterns: equal bytes, equal bits.
+    let energies_for = |seed: u64| -> Vec<u8> {
+        let cfg = real_des_cfg(2)
+            .backend(Backend::Threads)
+            .schedule(SchedulePolicy::random_shuffle(seed))
+            .build()
+            .expect("valid test config");
+        let r = Engine::new(restrained_apoa1_small(), cfg).run_phase(PHASE_STEPS);
+        assert_eq!(r.energies.len(), PHASE_STEPS);
+        EnergiesMsg { from: 0, steps: r.energies }.pack()
+    };
+    let first = energies_for(1);
+    for seed in [2, 3] {
+        assert_eq!(energies_for(seed), first, "seed {seed} changed the energies' bits");
+    }
 }
 
 /// The ISSUE acceptance scenario: a fault plan that drops one force
