@@ -238,6 +238,79 @@ fn bench_nonbonded_clusters(c: &mut Criterion) {
     g.finish();
 }
 
+/// The minimum image alone: one `Cell::dist2` per element, over
+/// displacements that stay inside half a box (a patch against itself), that
+/// straddle it (two patches of a 2-patch axis), and that sit one box away
+/// (neighbours through the periodic face).
+fn bench_min_image(c: &mut Criterion) {
+    let cell = Cell::cube(38.3);
+    // The deterministic scatter the kernel unit tests use.
+    let cloud = |lo: f64, span: f64| -> Vec<Vec3> {
+        (0..4096)
+            .map(|i| {
+                let at = |k: f64, o: f64| lo + (i as f64 * k + o) % span;
+                Vec3::new(at(7.13, 0.31), at(3.77, 1.07), at(5.41, 2.03))
+            })
+            .collect()
+    };
+    let a = cloud(0.0, 12.0);
+    let mut g = c.benchmark_group("min_image");
+    g.throughput(Throughput::Elements(a.len() as u64));
+    for (name, b) in [
+        ("inside_half_box", cloud(0.0, 12.0)),
+        ("straddling_half_box", cloud(10.0, 20.0)),
+        ("through_the_face", cloud(27.0, 11.0)),
+    ] {
+        g.bench_function(name, |bench| {
+            bench.iter(|| {
+                let mut acc = 0.0;
+                for (&p, &q) in a.iter().zip(&b) {
+                    acc += cell.dist2(black_box(p), q);
+                }
+                black_box(acc)
+            });
+        });
+    }
+    g.finish();
+}
+
+/// One rebuild of a candidate list at cutoff + margin: the whole box as one
+/// self compute, and its two halves as a pair compute.
+fn bench_list_build(c: &mut Criterion) {
+    let margin = 2.5;
+    let mut g = c.benchmark_group("list_build");
+    for n_side in [6usize, 10] {
+        let sys = water_system(n_side);
+        let n = sys.n_atoms();
+        let lj = sys.lj_types();
+        let q = sys.charges();
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let radius = sys.forcefield.cutoff + margin;
+        let group = AtomGroup::new(&sys.positions, &ids, &lj, &q);
+        let mut list = Vec::new();
+        self_candidates_into(group, &sys.cell, 0..n, radius, &mut list);
+        g.throughput(Throughput::Elements(list.len() as u64));
+        g.bench_with_input(BenchmarkId::new("self", n), &sys, |b, sys| {
+            b.iter(|| {
+                self_candidates_into(group, &sys.cell, 0..n, radius, &mut list);
+                black_box(list.len())
+            });
+        });
+        let h = n / 2;
+        let ga = AtomGroup::new(&sys.positions[..h], &ids[..h], &lj[..h], &q[..h]);
+        let gb = AtomGroup::new(&sys.positions[h..], &ids[h..], &lj[h..], &q[h..]);
+        pair_candidates_into(ga, gb, &sys.cell, 0..h, radius, &mut list);
+        g.throughput(Throughput::Elements(list.len() as u64));
+        g.bench_with_input(BenchmarkId::new("pair", n), &sys, |b, sys| {
+            b.iter(|| {
+                pair_candidates_into(ga, gb, &sys.cell, 0..h, radius, &mut list);
+                black_box(list.len())
+            });
+        });
+    }
+    g.finish();
+}
+
 fn bench_celllist(c: &mut Criterion) {
     let mut g = c.benchmark_group("celllist");
     for n_side in [6usize, 10] {
@@ -299,6 +372,8 @@ criterion_group!(
     bench_nonbonded,
     bench_nonbonded_listed,
     bench_nonbonded_clusters,
+    bench_min_image,
+    bench_list_build,
     bench_celllist,
     bench_bonded,
     bench_exclusions,

@@ -32,9 +32,9 @@
 //!
 //! `Engine::migrate_atoms` changes patch membership, so it resets the cache
 //! via [`PairlistCache::recycled`] — entries are cleared but their heap
-//! buffers (candidate lists, cluster lists, reference positions) are kept as
-//! shared scratch and handed to the new computes, so steady-state migration
-//! does not re-grow the big allocations from zero.
+//! buffers (candidate lists, cluster lists, reference positions) stay with
+//! the compute of the same index, so steady-state migration does not re-grow
+//! the big allocations from zero.
 //!
 //! Locking: entries live in [`PairlistCache`] inside `Shared`, one mutex per
 //! compute. Only the owning compute chare ever locks its entry (runtimes
@@ -381,10 +381,18 @@ impl PairlistCache {
     }
 
     /// Cache for a new compute decomposition, recycling the old cache's
-    /// entry buffers as shared scratch: each new entry takes over an old
-    /// entry's allocations (cleared, counters reset) instead of growing its
-    /// candidate/cluster vectors from zero again. Old entries beyond
-    /// `n_computes` are dropped; missing ones start empty.
+    /// entry buffers: new entry `j` takes over old entry `j`'s allocations
+    /// (cleared, counters reset) instead of growing its candidate/cluster
+    /// vectors from zero again. Old entries beyond `n_computes` are dropped;
+    /// missing ones start empty.
+    ///
+    /// Entries keep their index because compute `j` after a migration is,
+    /// give or take a grainsize split, compute `j` before it, with a list of
+    /// about the same length. Any other order (largest buffer first, say)
+    /// hands most computes a buffer some other compute filled; each buffer is
+    /// then written up to the longest list it ever held and the resident set
+    /// climbs with every migration (small benchmark deck: 41 → 61 MB over 30
+    /// of them).
     pub fn recycled(old: PairlistCache, n_computes: usize) -> Self {
         let mut pool: Vec<ComputeCacheEntry> = old
             .entries
@@ -395,9 +403,6 @@ impl PairlistCache {
                 e
             })
             .collect();
-        // Hand the largest scratch buffers out first so truncation (fewer
-        // computes after migration) keeps the biggest allocations alive.
-        pool.sort_by_key(|e| std::cmp::Reverse(e.list.capacity() + e.cpairs.capacity()));
         pool.truncate(n_computes);
         while pool.len() < n_computes {
             pool.push(ComputeCacheEntry::default());
@@ -487,5 +492,27 @@ impl PairlistStats {
             inner_pairs: self.inner_pairs - earlier.inner_pairs,
             outer_pairs: self.outer_pairs - earlier.outer_pairs,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn recycled_entries_keep_their_index_and_their_buffers() {
+        let old = PairlistCache::new(3);
+        for (j, cap) in [(0, 10), (1, 1000), (2, 100)] {
+            old.entry(j).lock().unwrap().list.reserve_exact(cap);
+        }
+        let caps = |c: &PairlistCache, n| -> Vec<usize> {
+            (0..n).map(|j| c.entry(j).lock().unwrap().list.capacity()).collect()
+        };
+        let same = PairlistCache::recycled(old, 3);
+        assert_eq!(caps(&same, 3), [10, 1000, 100]);
+        let grown = PairlistCache::recycled(same, 4);
+        assert_eq!(caps(&grown, 4), [10, 1000, 100, 0]);
+        let shrunk = PairlistCache::recycled(grown, 2);
+        assert_eq!(caps(&shrunk, 2), [10, 1000]);
     }
 }

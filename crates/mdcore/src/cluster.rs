@@ -42,7 +42,7 @@
 
 use crate::forcefield::{units, ForceField};
 use crate::nonbonded::{eval_pair, AtomGroup, NbResult};
-use crate::pbc::Cell;
+use crate::pbc::{image_shift, Cell};
 use crate::topology::{ExclusionKind, Exclusions};
 use crate::vec3::Vec3;
 use std::ops::Range;
@@ -54,8 +54,9 @@ pub const CLUSTER: usize = 4;
 /// Kernel precision/width selector for the cluster kernels.
 ///
 /// * `Scalar` — bit-identical to the listed kernels (reference path).
-/// * `X4` — double-precision lanes, branchless selects, reciprocal-length
-///   minimum image; ≤ 1e-12 relative deviation from `Scalar`.
+/// * `X4` — double-precision lanes, branchless selects, hoisted reciprocals
+///   in the switching/shifting functions; ≤ 1e-12 relative deviation from
+///   `Scalar`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimdWidth {
     /// Bit-identical scalar lane walk.
@@ -410,24 +411,11 @@ pub fn prune_into(
     inner: &mut Vec<u32>,
 ) {
     inner.clear();
-    // Division-free minimum image (multiply by reciprocal lengths): this
-    // pass runs every step over the whole outer list, and `Cell::min_image`
-    // would spend three fdivs per block.
-    let lens = [cell.lengths.x, cell.lengths.y, cell.lengths.z];
-    let inv = [1.0 / lens[0], 1.0 / lens[1], 1.0 / lens[2]];
     for (k, p) in pairs.iter().enumerate() {
         let ci = p.ci as usize;
         let cj = p.cj as usize;
         let rr = cutoff + gi.radii[ci] + gj.radii[cj];
-        let a = gi.centers[ci];
-        let b = gj.centers[cj];
-        let mut d = [a.x - b.x, a.y - b.y, a.z - b.z];
-        for ax in 0..3 {
-            if cell.periodic[ax] {
-                d[ax] -= lens[ax] * (d[ax] * inv[ax]).round();
-            }
-        }
-        if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < rr * rr {
+        if cell.dist2(gi.centers[ci], gj.centers[cj]) < rr * rr {
             inner.push(k as u32);
         }
     }
@@ -676,7 +664,6 @@ struct LaneConsts {
     scale14: f64,
     beta: Option<f64>,
     lens: [f64; 3],
-    inv_lens: [f64; 3],
     periodic: [bool; 3],
 }
 
@@ -684,7 +671,6 @@ impl LaneConsts {
     fn new(ff: &ForceField, cell: &Cell) -> LaneConsts {
         let rc2 = ff.cutoff * ff.cutoff;
         let rs2 = ff.switch_dist * ff.switch_dist;
-        let lens = [cell.lengths.x, cell.lengths.y, cell.lengths.z];
         LaneConsts {
             cutoff2: ff.cutoff2(),
             rc2,
@@ -693,8 +679,7 @@ impl LaneConsts {
             inv_rc2: 1.0 / rc2,
             scale14: ff.scale14,
             beta: ff.ewald_beta,
-            lens,
-            inv_lens: [1.0 / lens[0], 1.0 / lens[1], 1.0 / lens[2]],
+            lens: [cell.lengths.x, cell.lengths.y, cell.lengths.z],
             periodic: cell.periodic,
         }
     }
@@ -702,7 +687,8 @@ impl LaneConsts {
 
 /// Evaluate one i-row against one j-cluster in f64 lanes. Returns the force
 /// on the i atom from the 4 lanes; subtracts lane forces into `fj*`.
-/// The geometry phase (min-image, r²) is branchless across all 4 lanes;
+/// The geometry phase is straight-line across all 4 lanes on interior blocks
+/// (one hoisted shift) and calls `pbc::image_shift` per lane on the rest;
 /// the expensive phase (divide, sqrt, erfc) runs only on live lanes —
 /// typical occupancy is ~3 live lanes per 16-lane block, so skipping dead
 /// lanes there is what makes the cluster kernel competitive.
@@ -734,10 +720,10 @@ fn x4_row(
     let mut dz = [0.0f64; CLUSTER];
     if interior {
         // Interior block: every lane shares the block's periodic image, so
-        // the per-lane round() min-image collapses to one subtraction of the
-        // precomputed `L·k` shift. Bit-identical to the rounding path: both
-        // compute `(xi - xj) - L·k` with the same `L·k` product and the same
-        // lane `k` (the interior test guarantees no lane straddles a
+        // the per-lane minimum image collapses to one subtraction of the
+        // block's precomputed lattice shift. Bit-identical to the per-lane
+        // path: both compute `(xi - xj) - L·k` with the same `L·k` and the
+        // same lane `k` (the interior test guarantees no lane straddles a
         // half-box boundary).
         for l in 0..CLUSTER {
             dx[l] = (xi - xj[l]) - shift[0];
@@ -750,19 +736,11 @@ fn x4_row(
             dy[l] = yi - yj[l];
             dz[l] = zi - zj[l];
         }
-        if kc.periodic[0] {
-            for l in 0..CLUSTER {
-                dx[l] -= kc.lens[0] * (dx[l] * kc.inv_lens[0]).round();
-            }
-        }
-        if kc.periodic[1] {
-            for l in 0..CLUSTER {
-                dy[l] -= kc.lens[1] * (dy[l] * kc.inv_lens[1]).round();
-            }
-        }
-        if kc.periodic[2] {
-            for l in 0..CLUSTER {
-                dz[l] -= kc.lens[2] * (dz[l] * kc.inv_lens[2]).round();
+        for (d, ax) in [&mut dx, &mut dy, &mut dz].into_iter().zip(0..3) {
+            if kc.periodic[ax] {
+                for c in d.iter_mut() {
+                    *c -= image_shift(*c, kc.lens[ax]);
+                }
             }
         }
     }
@@ -851,9 +829,9 @@ fn x4_row(
 }
 
 /// f64-lane kernel body shared by self and pair computes. The i side reads
-/// the grid's padded mirrors (exact copies of the positions), so only the
-/// minimum-image reciprocal multiply and lane summation order differ from
-/// the scalar path — ≤ 1e-12 relative.
+/// the grid's padded mirrors (exact copies of the positions) and the
+/// minimum image is the scalar path's, so only the hoisted reciprocals and
+/// the lane summation order differ from it — ≤ 1e-12 relative.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn clusters_x4(
@@ -886,8 +864,8 @@ fn clusters_x4(
             let j0 = p.cj as usize * CLUSTER;
             // Per-block periodic image: if every lane of this 4x4 block is
             // provably on the same image as the cluster centers (no lane can
-            // reach a half-box boundary), hoist the min-image round() out of
-            // the rows into one shift per block.
+            // reach a half-box boundary), hoist the minimum image out of the
+            // rows into one shift per block.
             let cb = gj.centers[p.cj as usize];
             let rr = ra + gj.raw_radii[p.cj as usize];
             let dc = [ca.x - cb.x, ca.y - cb.y, ca.z - cb.z];
@@ -895,7 +873,7 @@ fn clusters_x4(
             let mut interior = true;
             for ax in 0..3 {
                 if kc.periodic[ax] {
-                    shift[ax] = kc.lens[ax] * (dc[ax] * kc.inv_lens[ax]).round();
+                    shift[ax] = image_shift(dc[ax], kc.lens[ax]);
                     interior &= (dc[ax] - shift[ax]).abs() + rr < 0.5 * kc.lens[ax];
                 }
             }

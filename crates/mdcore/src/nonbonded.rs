@@ -264,7 +264,11 @@ pub fn nb_pair_ranged(
 /// Pairs are emitted in the exact order [`nb_self_ranged`] visits them, so
 /// [`nb_self_listed`] over a fresh list reproduces the ranged kernel's
 /// floating-point summation order bit for bit. `out` is cleared and reused —
-/// no allocation once its capacity has grown to the working-set size.
+/// it only grows, to the exact size, when the new list does not fit.
+///
+/// The list is the one the plain double loop with `cell.dist2(..) < radius²`
+/// would write, element for element; `candidates_into` below says how most
+/// of that loop's distance tests are skipped without changing its output.
 pub fn self_candidates_into(
     g: AtomGroup,
     cell: &Cell,
@@ -272,16 +276,7 @@ pub fn self_candidates_into(
     radius: f64,
     out: &mut Vec<(u32, u32)>,
 ) {
-    out.clear();
-    let r2max = radius * radius;
-    for i in outer {
-        let pi = g.pos[i];
-        for j in (i + 1)..g.len() {
-            if cell.dist2(pi, g.pos[j]) < r2max {
-                out.push((i as u32, j as u32));
-            }
-        }
-    }
+    candidates_into(g.pos, g.pos, true, cell, outer, radius, out);
 }
 
 /// Build the candidate list for a *pair* compute: every cross pair between
@@ -295,15 +290,232 @@ pub fn pair_candidates_into(
     radius: f64,
     out: &mut Vec<(u32, u32)>,
 ) {
-    out.clear();
-    let r2max = radius * radius;
-    for i in outer {
-        let pi = a.pos[i];
-        for j in 0..b.len() {
-            if cell.dist2(pi, b.pos[j]) < r2max {
-                out.push((i as u32, j as u32));
+    candidates_into(a.pos, b.pos, false, cell, outer, radius, out);
+}
+
+/// Most bins per axis of a [`Bins`] grid (bounds its tables whatever the
+/// group's extent).
+const MAX_BINS: usize = 32;
+
+/// Bins are cut this many to a list radius. Finer bins hug the sphere more
+/// closely but cost more bin visits per row.
+const BINS_PER_RADIUS: f64 = 3.0;
+
+/// Relative slack of the bin rejection test: 2⁻⁴⁰ of the largest magnitude
+/// involved, against the ~2⁻⁵⁰ a chain of a dozen f64 operations can lose.
+const BIN_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Row bitmaps are filled this many words at a time, so the builders' scratch
+/// stays at 64 KiB however large the groups are.
+const ROW_BLOCK_WORDS: usize = 1 << 13;
+
+/// The j group of a candidate build, sorted into a grid of bins laid over its
+/// bounding box in the frame of one of its atoms (minimum-image displacements
+/// from the anchor, so a group straddling a periodic face is still compact).
+/// It only decides which atoms a row *skips*; which of the others are listed
+/// is still decided by the exact test.
+///
+/// Why not [`crate::celllist::CellList`]: that grid spans the whole cell in
+/// bins no smaller than the cutoff and pairs whole neighbouring bins, which
+/// inside one patch (itself about a cutoff across) is one or two bins and
+/// rejects nothing, keeps a `Vec` per bin, and enumerates unordered pairs.
+/// Here the grid covers one group's bounding box in bins of a third of the
+/// radius, is queried with a point from *another* group, keeps one flat
+/// table, and must let the caller restore slot order.
+struct Bins {
+    anchor: Vec3,
+    lo: [f64; 3],
+    width: [f64; 3],
+    n: [usize; 3],
+    /// Entries of bin `b` are `start[b]..start[b + 1]`; x varies fastest.
+    start: Vec<u32>,
+    /// Per entry, in bin order: the atom's slot and a copy of its position.
+    slot: Vec<u32>,
+    pos: Vec<Vec3>,
+    /// Largest coordinate magnitude in the group (scales the slack).
+    mag: f64,
+}
+
+impl Bins {
+    fn new(pos: &[Vec3], cell: &Cell, radius: f64) -> Bins {
+        let anchor = pos[0];
+        let mut lo = [f64::INFINITY; 3];
+        let mut hi = [f64::NEG_INFINITY; 3];
+        let mut mag = 0.0f64;
+        for &p in pos {
+            let q = cell.min_image(p, anchor);
+            for ax in 0..3 {
+                lo[ax] = lo[ax].min(q.axis(ax));
+                hi[ax] = hi[ax].max(q.axis(ax));
+                mag = mag.max(p.axis(ax).abs());
             }
         }
+        let mut n = [1usize; 3];
+        let mut width = [0.0f64; 3];
+        let mut inv_width = [0.0f64; 3];
+        for ax in 0..3 {
+            let extent = hi[ax] - lo[ax];
+            // A NaN or empty extent casts to 0 bins and clamps to one.
+            n[ax] = ((extent * BINS_PER_RADIUS / radius) as usize).clamp(1, MAX_BINS);
+            width[ax] = extent / n[ax] as f64;
+            if width[ax] > 0.0 {
+                inv_width[ax] = 1.0 / width[ax];
+            }
+        }
+        // Out-of-range and NaN coordinates saturate into an end bin; that is
+        // harmless, since a misfiled atom can only fail the exact test.
+        let bin_of = |p: Vec3| {
+            let q = cell.min_image(p, anchor);
+            let t = |ax: usize| (((q.axis(ax) - lo[ax]) * inv_width[ax]) as usize).min(n[ax] - 1);
+            (t(2) * n[1] + t(1)) * n[0] + t(0)
+        };
+        // Counting sort with the table as its own cursor: counts go in two
+        // places up, so after the prefix sum `start[b + 1]` is where bin `b`
+        // begins, and filling bin `b` walks it to where bin `b + 1` begins.
+        let mut start = vec![0u32; n[0] * n[1] * n[2] + 2];
+        for &p in pos {
+            start[bin_of(p) + 2] += 1;
+        }
+        for b in 1..start.len() {
+            start[b] += start[b - 1];
+        }
+        let mut slot = vec![0u32; pos.len()];
+        let mut sorted = vec![Vec3::ZERO; pos.len()];
+        for (j, &p) in pos.iter().enumerate() {
+            let e = &mut start[bin_of(p) + 1];
+            slot[*e as usize] = j as u32;
+            sorted[*e as usize] = p;
+            *e += 1;
+        }
+        Bins { anchor, lo, width, n, start, slot, pos: sorted, mag }
+    }
+
+    /// Call `visit` with runs of entries that between them hold every atom
+    /// whose exact test against `p` can pass at `radius`.
+    ///
+    /// A bin is skipped only when the distance from `p` to the bin's box,
+    /// taken per axis over the periodic images and combined by Pythagoras,
+    /// exceeds `radius` by more than the slack. That distance is a lower
+    /// bound on the minimum-image distance to every atom filed in the bin, so
+    /// a skipped atom is one the exact test rejects; the slack covers the
+    /// rounding in the anchor-frame coordinates and in the exact test itself.
+    /// Every comparison is written so that a NaN keeps the bin.
+    fn near(
+        &self,
+        cell: &Cell,
+        p: Vec3,
+        radius: f64,
+        mut visit: impl FnMut(std::ops::Range<usize>),
+    ) {
+        let u = cell.min_image(p, self.anchor);
+        let mut scale = radius + self.mag;
+        for ax in 0..3 {
+            scale += p.axis(ax).abs();
+            if cell.periodic[ax] {
+                scale += cell.lengths.axis(ax).abs();
+            }
+        }
+        let reach = radius + BIN_SLACK * scale;
+        let reach2 = reach * reach;
+        let mut gap2 = [[0.0f64; MAX_BINS]; 3];
+        for ax in 0..3 {
+            let x = u.axis(ax);
+            let l = cell.lengths.axis(ax);
+            for t in 0..self.n[ax] {
+                let s = self.lo[ax] + t as f64 * self.width[ax];
+                let e = s + self.width[ax];
+                let gap = |x: f64| (s - x).max(x - e).max(0.0);
+                let g =
+                    if cell.periodic[ax] { gap(x).min(gap(x - l)).min(gap(x + l)) } else { gap(x) };
+                gap2[ax][t] = g * g;
+            }
+        }
+        for tz in 0..self.n[2] {
+            if gap2[2][tz] > reach2 {
+                continue;
+            }
+            for ty in 0..self.n[1] {
+                let gyz = gap2[2][tz] + gap2[1][ty];
+                if gyz > reach2 {
+                    continue;
+                }
+                // Bins adjacent in x hold adjacent entries: visit them as
+                // one run.
+                let row = (tz * self.n[1] + ty) * self.n[0];
+                let mut run: Option<usize> = None;
+                for tx in 0..self.n[0] {
+                    if gyz + gap2[0][tx] > reach2 {
+                        if let Some(first) = run.take() {
+                            visit(self.start[first] as usize..self.start[row + tx] as usize);
+                        }
+                    } else if run.is_none() {
+                        run = Some(row + tx);
+                    }
+                }
+                if let Some(first) = run {
+                    visit(self.start[first] as usize..self.start[row + self.n[0]] as usize);
+                }
+            }
+        }
+    }
+}
+
+/// The candidate builders' one body: rows `outer` of `pos_i` against all of
+/// `pos_j` (for a self build the same slice, keeping `j > i` only).
+///
+/// For each row, the atoms of the j group that can be near are taken from
+/// [`Bins`], put to the same `cell.dist2(pi, pj) < radius²` test the plain
+/// double loop applies, and the hits recorded in a bitmap over j slots — so
+/// whatever order the bins were walked in, the row is written out with j
+/// ascending. Rows are taken a block at a time and the list is given exactly
+/// the block's popcount before any of its rows is written; grown by bare
+/// `push` (doubling) the same lists cost the large benchmark deck ~8 % more
+/// resident memory (DESIGN §3.3 has the numbers).
+fn candidates_into(
+    pos_i: &[Vec3],
+    pos_j: &[Vec3],
+    upper_triangle: bool,
+    cell: &Cell,
+    outer: std::ops::Range<usize>,
+    radius: f64,
+    out: &mut Vec<(u32, u32)>,
+) {
+    out.clear();
+    if outer.is_empty() || pos_j.is_empty() {
+        return;
+    }
+    let r2max = radius * radius;
+    let radius = radius.abs();
+    let bins = Bins::new(pos_j, cell, radius);
+    let words = pos_j.len().div_ceil(64);
+    let block_rows = (ROW_BLOCK_WORDS / words).max(1);
+    let mut bits = vec![0u64; words * block_rows.min(outer.len())];
+    let mut block = outer.start;
+    while block < outer.end {
+        let rows = block..outer.end.min(block + block_rows);
+        let bits = &mut bits[..words * rows.len()];
+        bits.fill(0);
+        for (i, row) in rows.clone().zip(bits.chunks_exact_mut(words)) {
+            let pi = pos_i[i];
+            bins.near(cell, pi, radius, |run| {
+                for e in run {
+                    let j = bins.slot[e] as usize;
+                    let hit = (!upper_triangle || j > i) && cell.dist2(pi, bins.pos[e]) < r2max;
+                    row[j / 64] |= u64::from(hit) << (j % 64);
+                }
+            });
+        }
+        out.reserve_exact(bits.iter().map(|w| w.count_ones() as usize).sum());
+        for (i, row) in rows.clone().zip(bits.chunks_exact(words)) {
+            for (w, &word) in row.iter().enumerate() {
+                let mut m = word;
+                while m != 0 {
+                    out.push((i as u32, (w * 64) as u32 + m.trailing_zeros()));
+                    m &= m - 1;
+                }
+            }
+        }
+        block = rows.end;
     }
 }
 
@@ -484,6 +696,8 @@ pub fn count_self_pairs(g: AtomGroup, cell: &Cell, cutoff: f64) -> u64 {
 mod tests {
     use super::*;
     use crate::topology::{Atom, Bond, Topology};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn two_atom_setup(r: f64) -> (ForceField, Exclusions, Vec<Vec3>, Vec<AtomId>, Vec<u16>, Vec<f64>) {
         let ff = ForceField::biomolecular(12.0);
@@ -829,6 +1043,188 @@ mod tests {
         for i in 0..n {
             assert!((f_listed[i] - f_ranged[i]).norm() < 1e-12, "atom {i}");
         }
+    }
+
+    /// The plain double loops the builders must reproduce element for
+    /// element (what they were before the bins).
+    fn self_candidates_reference(
+        pos: &[Vec3],
+        cell: &Cell,
+        outer: std::ops::Range<usize>,
+        radius: f64,
+    ) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for i in outer {
+            for j in (i + 1)..pos.len() {
+                if cell.dist2(pos[i], pos[j]) < radius * radius {
+                    out.push((i as u32, j as u32));
+                }
+            }
+        }
+        out
+    }
+
+    fn pair_candidates_reference(
+        pa: &[Vec3],
+        pb: &[Vec3],
+        cell: &Cell,
+        outer: std::ops::Range<usize>,
+        radius: f64,
+    ) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for i in outer {
+            for j in 0..pb.len() {
+                if cell.dist2(pa[i], pb[j]) < radius * radius {
+                    out.push((i as u32, j as u32));
+                }
+            }
+        }
+        out
+    }
+
+    /// Both builders against the double loops on two point sets, over whole
+    /// and split outer ranges (the splits must tile the whole list).
+    fn assert_builders_match_reference(
+        pa: &[Vec3],
+        pb: &[Vec3],
+        cell: &Cell,
+        radius: f64,
+        what: &str,
+    ) {
+        let attrs =
+            |n: usize| ((0..n as u32).collect::<Vec<AtomId>>(), vec![0u16; n], vec![0.0; n]);
+        let (ia, la, qa) = attrs(pa.len());
+        let (ib, lb, qb) = attrs(pb.len());
+        let ga = group(pa, &ia, &la, &qa);
+        let gb = group(pb, &ib, &lb, &qb);
+        let na = pa.len();
+        // A stale, oversized buffer must be cleared, not appended to.
+        let mut got = vec![(7, 7); 3];
+        for outer in [0..na, 0..na / 3, na / 3..na, na / 2..na / 2] {
+            self_candidates_into(ga, cell, outer.clone(), radius, &mut got);
+            assert_eq!(
+                got,
+                self_candidates_reference(pa, cell, outer.clone(), radius),
+                "{what}: self list, outer {outer:?}, radius {radius}"
+            );
+            pair_candidates_into(ga, gb, cell, outer.clone(), radius, &mut got);
+            assert_eq!(
+                got,
+                pair_candidates_reference(pa, pb, cell, outer.clone(), radius),
+                "{what}: pair list, outer {outer:?}, radius {radius}"
+            );
+        }
+    }
+
+    #[test]
+    fn candidate_builders_write_exactly_the_double_loop_list() {
+        // The small benchmark deck's cell: 2×2×1 patches, so a patch spans
+        // L/2 in x and y and the whole of z.
+        let lengths = Vec3::new(38.303461205558015, 38.303461205558015, 28.72759590416851);
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut rng = || rng.gen::<f64>();
+        let mut cloud = |n: usize, lo: Vec3, span: Vec3| -> Vec<Vec3> {
+            (0..n).map(|_| lo + Vec3::new(rng() * span.x, rng() * span.y, rng() * span.z)).collect()
+        };
+        let half = Vec3::new(lengths.x / 2.0, lengths.y / 2.0, lengths.z);
+        let periodic = Cell::periodic(Vec3::ZERO, lengths);
+        let offset = Cell::periodic(Vec3::new(-1.0e4, 2.5e3, -7.0), lengths);
+        let open = Cell::open(Vec3::ZERO, lengths);
+        let slab = Cell { origin: Vec3::ZERO, lengths, periodic: [true, true, false] };
+
+        // Two face-sharing half-box patches, also neighbours through the
+        // periodic face.
+        let pa = cloud(230, Vec3::ZERO, half);
+        let pb = cloud(190, Vec3::new(half.x, 0.0, 0.0), half);
+        // A patch whose atoms drifted over the periodic face and were wrapped
+        // to the far side of the box.
+        let straddle: Vec<Vec3> = cloud(210, Vec3::new(-4.0, -3.0, -5.0), half)
+            .into_iter()
+            .map(|p| periodic.wrap(p))
+            .collect();
+        // Unwrapped coordinates several boxes away (the general branch).
+        let far: Vec<Vec3> = pb
+            .iter()
+            .map(|&p| p + Vec3::new(3.0 * lengths.x, -2.0 * lengths.y, lengths.z))
+            .collect();
+        let shifted = |ps: &[Vec3]| ps.iter().map(|&p| p + offset.origin).collect::<Vec<_>>();
+
+        // 0 lists nothing; 14.5 is cutoff + margin; 20 and 45 exceed L/2 and L.
+        for radius in [0.0, 3.0, 12.0, 14.5, 20.0, 45.0] {
+            assert_builders_match_reference(&pa, &pb, &periodic, radius, "half-box patches");
+            assert_builders_match_reference(&straddle, &pa, &periodic, radius, "straddling patch");
+            assert_builders_match_reference(
+                &pa,
+                &straddle,
+                &periodic,
+                radius,
+                "straddling j group",
+            );
+            assert_builders_match_reference(&pa, &far, &periodic, radius, "unwrapped j group");
+            assert_builders_match_reference(&pa, &pb, &open, radius, "open cell");
+            assert_builders_match_reference(&straddle, &pb, &slab, radius, "slab cell");
+            assert_builders_match_reference(
+                &shifted(&pa),
+                &shifted(&straddle),
+                &offset,
+                radius,
+                "offset origin",
+            );
+        }
+
+        // Degenerate groups: empty, one atom, all atoms on one point.
+        let one = [Vec3::new(1.0, 2.0, 3.0)];
+        let pile = vec![Vec3::new(5.0, 5.0, 5.0); 70];
+        for (a, b) in [
+            (&pa[..], &pa[..0]),
+            (&pa[..0], &pb[..]),
+            (&one[..], &one[..]),
+            (&pile[..], &one[..]),
+            (&pa[..], &pile[..]),
+        ] {
+            assert_builders_match_reference(a, b, &periodic, 14.5, "degenerate groups");
+        }
+
+        // Hostile coordinates never list and never hide a real neighbour.
+        let mut bad = pb.clone();
+        bad[0] = Vec3::new(f64::NAN, 1.0, 1.0);
+        bad[7] = Vec3::new(1.0, f64::INFINITY, 1.0);
+        bad[40] = Vec3::new(1.0e200, -1.0e200, 0.0);
+        assert_builders_match_reference(&bad, &pa, &periodic, 14.5, "hostile i group");
+        assert_builders_match_reference(&pa, &bad, &periodic, 14.5, "hostile j group");
+        assert_builders_match_reference(&pa, &bad, &open, 14.5, "hostile j group, open cell");
+        assert_builders_match_reference(&pa, &pb, &periodic, -14.5, "negative radius");
+        assert_builders_match_reference(&pa, &pb, &periodic, f64::NAN, "NaN radius");
+    }
+
+    #[test]
+    fn candidate_builders_size_the_list_exactly_and_skip_far_bins() {
+        // Two groups filling a 60 Å box (many blocks of row bitmaps): a
+        // rebuild must not test every pair, and the list must come out in a
+        // buffer of its own length. The distance tests a build makes are the
+        // entries `near` hands it.
+        let cell = Cell::cube(60.0);
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut rng = || rng.gen::<f64>();
+        let mut cloud = |n| {
+            (0..n).map(|_| Vec3::new(rng() * 60.0, rng() * 60.0, rng() * 60.0)).collect::<Vec<_>>()
+        };
+        let (pa, pb) = (cloud(3000), cloud(3000));
+        let mut list = Vec::new();
+        candidates_into(&pa, &pb, false, &cell, 0..pa.len(), 14.5, &mut list);
+        assert_eq!(list, pair_candidates_reference(&pa, &pb, &cell, 0..pa.len(), 14.5));
+        assert_eq!(list.capacity(), list.len());
+        let bins = Bins::new(&pb, &cell, 14.5);
+        let mut visited = 0;
+        for &p in &pa {
+            bins.near(&cell, p, 14.5, |run| visited += run.len());
+        }
+        let all = pa.len() * pb.len();
+        assert!(
+            visited < 3 * list.len() && visited < all / 3,
+            "{visited} distance tests for {} candidates of {all} pairs",
+            list.len()
+        );
     }
 
     #[test]

@@ -198,6 +198,40 @@ fn des_makespan_and_message_count_ignore_payloads() {
     assert_eq!((r.total_time.to_bits(), r.stats.msgs_sent), (4595382563603875143, 1264));
 }
 
+/// CRC-64 over the bit patterns of a run of vectors and scalars.
+fn bits_crc(vectors: &[&[Vec3]], scalars: &[f64]) -> u64 {
+    let mut bytes = Vec::new();
+    for v in vectors.iter().flat_map(|vs| vs.iter()) {
+        for c in [v.x, v.y, v.z] {
+            bytes.extend_from_slice(&c.to_le_bytes());
+        }
+    }
+    for s in scalars {
+        bytes.extend_from_slice(&s.to_le_bytes());
+    }
+    namd_repro::ckpt::crc64(&bytes)
+}
+
+#[test]
+fn forces_and_trajectory_bits_match_the_divide_and_round_minimum_image() {
+    // The minimum-image fast path and the binned candidate builders claim to
+    // change no bit of any output. These constants were produced by the
+    // commit before them (`c − L·round(c/L)` on every distance test, the
+    // plain double loop behind every list): per PE count, the CRC of one
+    // full force evaluation (force bits, then e_lj and e_elec) and the CRC
+    // of positions ++ velocities after one 20-step run.
+    let witness = |pes: usize| {
+        let mut par = ParallelSim::new(restrained_apoa1_small(), pes, 1.0).unwrap();
+        let acc = par.compute_forces();
+        let eval = bits_crc(&[par.forces()], &[acc.e_lj, acc.e_elec]);
+        par.run(20);
+        let sys = par.system();
+        (eval, bits_crc(&[&sys.positions, &sys.velocities], &[]))
+    };
+    assert_eq!(witness(1), (7831861008729912519, 2831989246207168576), "1 PE");
+    assert_eq!(witness(2), (7561040852872466812, 17388239924520338682), "2 PEs");
+}
+
 #[test]
 fn measured_loads_repair_an_imbalanced_placement_on_threads() {
     let sys = restrained_apoa1_small();
