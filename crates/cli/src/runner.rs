@@ -5,6 +5,7 @@ use mdcore::prelude::*;
 use mdcore::thermostat::{Berendsen, Langevin};
 use namd_core::config::{Backend, NbKernel};
 use namd_core::parallel::ParallelSim;
+use namd_core::recovery::Advanced;
 use pme::md::MtsSimulator;
 use std::io::Write;
 use std::path::Path;
@@ -232,7 +233,12 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
             writeln!(log, "restarted from {from} at step {start_step}")?;
         }
         if checkpointing {
-            par.set_checkpointing(&cfg.checkpoint_dir, cfg.checkpoint_interval);
+            par.set_checkpointing(
+                &cfg.checkpoint_dir,
+                cfg.checkpoint_interval,
+                cfg.max_recoveries,
+                cfg.recovery_backoff_ms,
+            );
         }
         Driver::Threads(Box::new(par))
     } else if cfg.pairlist_margin > 0.0 {
@@ -283,7 +289,6 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
     writeln!(log, "step      potential        kinetic          total     temp(K)")?;
     let start = std::time::Instant::now();
     let mut e_last = f64::NAN;
-    let mut recoveries = 0u32;
     let mut step = start_step;
     while step < cfg.steps {
         let (potential, kinetic) = match &mut driver {
@@ -313,43 +318,25 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
                         par.migrate_every as u64,
                     ));
                 }
-                match par.try_step() {
-                    Ok(e) => {
+                match par.try_advance(step + 1).map_err(std::io::Error::other)? {
+                    Advanced::Phase { phase, .. } => {
                         if cfg.thermostat == ThermostatKind::Berendsen {
                             berendsen.apply(&mut par.system_mut(), cfg.timestep);
                         }
+                        let e = phase.energies[1];
                         (e.potential(), e.kinetic)
                     }
-                    Err(crash) => {
-                        // Crash-recovery loop: strip the (one-shot) kill,
-                        // back off, reload the newest valid checkpoint, and
-                        // rewind the step counter to it.
-                        recoveries += 1;
-                        if recoveries > cfg.max_recoveries {
-                            return Err(std::io::Error::other(format!(
-                                "giving up after {recoveries} crash recoveries: {crash}"
-                            )));
-                        }
-                        writeln!(log, "{crash}; recovering (attempt {recoveries})")?;
-                        par.strip_kills();
-                        // Exponential backoff from the configured base
-                        // (`recoveryBackoffMs`, default 10 ms).
-                        std::thread::sleep(std::time::Duration::from_millis(
-                            cfg.recovery_backoff_ms << (recoveries - 1),
-                        ));
-                        let dir = ckpt::CheckpointDir::create(&cfg.checkpoint_dir)
-                            .map_err(ckpt_io_err)?;
-                        let (snap, path) = dir.latest_valid().map_err(ckpt_io_err)?;
-                        par.restore(&snap).map_err(ckpt_io_err)?;
-                        if snap.step > 0 && cfg.thermostat == ThermostatKind::Berendsen {
+                    Advanced::RolledBack { crash, attempt, step: resumed, from } => {
+                        // The driver restored the newest valid checkpoint;
+                        // what it cannot know is the thermostat and this
+                        // loop's own step counter.
+                        writeln!(log, "{crash}; recovering (attempt {attempt})")?;
+                        if resumed > 0 && cfg.thermostat == ThermostatKind::Berendsen {
                             berendsen.apply(&mut par.system_mut(), cfg.timestep);
                         }
-                        step = snap.step as usize;
-                        writeln!(
-                            log,
-                            "resumed from {} at step {step}",
-                            path.display()
-                        )?;
+                        step = resumed;
+                        let from = from.map_or("memory".into(), |p| p.display().to_string());
+                        writeln!(log, "resumed from {from} at step {step}")?;
                         continue;
                     }
                 }

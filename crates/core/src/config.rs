@@ -250,8 +250,8 @@ pub struct SimConfig {
     /// `None` disables checkpointing even when the interval is set.
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Crash-recovery retry budget: give up after this many consecutive
-    /// crash-recoveries without forward progress
-    /// (`recovery::RecoveryPolicy::from_config`; file key `maxRecoveries`).
+    /// crash-recoveries without forward progress (read by
+    /// `recovery::advance`; file key `maxRecoveries`).
     pub max_recoveries: u32,
     /// Base sleep before resuming after a crash, milliseconds; doubles per
     /// consecutive crash (file key `recoveryBackoffMs`).

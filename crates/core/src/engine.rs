@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 /// A phase ended by a kill fault instead of completing: a PE died, the
 /// protocol can never reach quiescence, and — unlike a dropped message —
-/// redelivery cannot repair it. Recover from a checkpoint instead
-/// ([`crate::recovery::run_with_recovery`]).
+/// redelivery cannot repair it. [`crate::recovery::advance`] rolls back to
+/// a snapshot instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseCrash {
     /// The PE the fault plan killed.
@@ -206,6 +206,12 @@ pub struct Engine {
     /// decision an [`profile::LbAudit`]; with a directory attached the
     /// registry streams Perfetto-loadable trace files and JSONL reports.
     pub metrics: Option<profile::MetricsRegistry>,
+    /// Crashed phases since the last completed one — what
+    /// [`crate::recovery::advance`] holds against `config.max_recoveries`.
+    pub(crate) crashes: u32,
+    /// The rebuild-boundary snapshot [`crate::recovery::advance`] keeps for
+    /// a caller that asked for memory-source recovery.
+    pub(crate) boundary: Option<ckpt::Snapshot>,
 }
 
 impl Engine {
@@ -277,6 +283,8 @@ impl Engine {
             last_background: Vec::new(),
             ckpt_extra: Vec::new(),
             metrics: None,
+            crashes: 0,
+            boundary: None,
         }
     }
 
@@ -432,6 +440,9 @@ impl Engine {
         self.last_loads = snap.loads.clone();
         self.last_background = snap.background.clone();
         self.ckpt_extra = snap.extra.clone();
+        // A kept rollback point belongs to the trajectory this call left;
+        // the driver puts its own back after restoring from it.
+        self.boundary = None;
         Ok(())
     }
 
@@ -478,18 +489,11 @@ impl Engine {
         }
     }
 
-    /// Run one phase on a caller-provided (fresh) runtime backend,
-    /// panicking on a crash. See [`Engine::try_run_phase_on`].
-    pub fn run_phase_on<R: Runtime>(&mut self, rt: &mut R, n_steps: usize) -> PhaseResult {
-        self.try_run_phase_on(rt, n_steps)
-            .unwrap_or_else(|crash| panic!("unrecovered crash: {crash}"))
-    }
-
-    /// Run one phase on a caller-provided (fresh) runtime backend. The
-    /// whole protocol — registration at the current placement, the timestep
-    /// messages, measurement harvest — is backend-agnostic; only the
-    /// meaning of a second (virtual vs wall-clock) differs.
-    pub fn try_run_phase_on<R: Runtime>(
+    /// Run one phase on a fresh runtime backend. The whole protocol —
+    /// registration at the current placement, the timestep messages,
+    /// measurement harvest — is backend-agnostic; only the meaning of a
+    /// second (virtual vs wall-clock) differs.
+    fn try_run_phase_on<R: Runtime>(
         &mut self,
         rt: &mut R,
         n_steps: usize,

@@ -88,9 +88,6 @@ pub mod prelude {
     pub use crate::engine::{topology_hash, BenchmarkRun, Engine, PhaseCrash, PhaseResult};
     pub use crate::nbcache::{PairlistCache, PairlistStats};
     pub use crate::oracle::{check_phase, check_phase_with, OracleParams, OracleReport};
-    pub use crate::recovery::{
-        run_with_recovery, RecoveryError, RecoveryPolicy, RecoveryReport,
-    };
     #[cfg(feature = "threads")]
     pub use crate::parallel::{ParallelSim, ParallelSimError};
     pub use crate::patchgrid::{PatchGrid, PatchId};

@@ -19,11 +19,15 @@
 //! the first step of a phase only completes when integration is `started`)
 //! followed by `n` full velocity-Verlet updates. Chaining phases repeats
 //! the boundary force evaluation, so the trajectory is step-for-step
-//! identical to a sequential simulator.
+//! identical to a sequential simulator. The chaining itself — phase
+//! lengths, the migration cadence, crash rollback — is
+//! [`crate::recovery::advance`]; this module only collects the per-step
+//! records it hands back.
 
 use crate::config::{Backend, ForceMode, SimConfig};
 use crate::decomp::Decomposition;
-use crate::engine::{Engine, PhaseCrash};
+use crate::engine::Engine;
+use crate::recovery::{advance, Advanced, RecoveryError};
 use crate::state::{SimState, StepAcc};
 use mdcore::prelude::*;
 use std::ops::{Deref, DerefMut};
@@ -67,6 +71,17 @@ impl Deref for SystemRef<'_> {
     }
 }
 
+/// What [`ParallelSim::forces`] hands out: [`SystemRef`]'s guard, seen as
+/// the force array.
+struct ForcesRef<'a>(RwLockReadGuard<'a, SimState>);
+
+impl Deref for ForcesRef<'_> {
+    type Target = [Vec3];
+    fn deref(&self) -> &[Vec3] {
+        &self.0.forces
+    }
+}
+
 /// Exclusive write access to the simulated [`System`] — thermostats rescale
 /// velocities through this between steps.
 pub struct SystemMut<'a>(RwLockWriteGuard<'a, SimState>);
@@ -96,7 +111,6 @@ pub struct ParallelSim {
     /// was sliced into `step`/`run` calls — and it survives checkpoint
     /// restore (the counter is part of the snapshot).
     pub migrate_every: usize,
-    forces: Vec<Vec3>,
 }
 
 impl ParallelSim {
@@ -130,13 +144,7 @@ impl ParallelSim {
             .dt_fs(dt)
             .build()
             .expect("facade arguments validated above");
-        let n = system.n_atoms();
-        Ok(ParallelSim {
-            engine: Engine::new(system, cfg),
-            dt,
-            migrate_every: 20,
-            forces: vec![Vec3::ZERO; n],
-        })
+        Ok(ParallelSim { engine: Engine::new(system, cfg), dt, migrate_every: 20 })
     }
 
     /// Proc-backend knobs: worker-process count (0 = one per PE; any other
@@ -224,58 +232,39 @@ impl ParallelSim {
     /// [`ParallelSim::forces`] holds the per-atom result.
     pub fn compute_forces(&mut self) -> StepAcc {
         self.engine.config.dt_fs = self.dt;
-        let phase = self.engine.run_phase(1);
-        self.cache_forces();
-        phase.energies[0]
+        self.engine.run_phase(1).energies[0]
     }
 
     /// One velocity-Verlet step; returns the step's energies.
     pub fn step(&mut self) -> StepAcc {
-        self.advance(1).pop().expect("one step requested")
+        self.run(1).pop().expect("one step requested")
     }
 
-    /// Crash-aware [`ParallelSim::step`]: surfaces a PE kill from the fault
-    /// plan instead of panicking, so a recovery driver can restore.
-    pub fn try_step(&mut self) -> Result<StepAcc, PhaseCrash> {
-        Ok(self.try_advance(1)?.pop().expect("one step requested"))
-    }
-
-    /// Run `n` steps; returns per-step energies.
+    /// Run `n` steps; returns per-step energies. Panics if a PE is killed —
+    /// a caller that installs a fault plan drives
+    /// [`ParallelSim::try_advance`] and handles the rollback.
     pub fn run(&mut self, n: usize) -> Vec<StepAcc> {
-        self.advance(n)
-    }
-
-    fn advance(&mut self, n: usize) -> Vec<StepAcc> {
-        self.try_advance(n)
-            .unwrap_or_else(|crash| panic!("unrecovered PE crash: {crash}"))
-    }
-
-    /// Advance `n` velocity-Verlet steps in engine phases, migrating atoms
-    /// whenever the global step counter reaches a multiple of
-    /// `migrate_every`. A phase of `c + 1` timesteps yields `c` completed
-    /// updates (the first timestep is the bootstrap force evaluation); its
-    /// `energies[1..=c]` are the per-step records.
-    ///
-    /// On `Err`, the phases completed before the crashed one are still
-    /// applied and the crashed one left no trace; the caller is expected to
-    /// restore from a checkpoint.
-    pub fn try_advance(&mut self, n: usize) -> Result<Vec<StepAcc>, PhaseCrash> {
+        let target = self.engine.steps_done + n;
         let mut out = Vec::with_capacity(n);
-        let mut remaining = n;
-        while remaining > 0 {
-            let until_migrate =
-                self.migrate_every - self.engine.steps_done % self.migrate_every;
-            let c = remaining.min(until_migrate);
-            self.engine.config.dt_fs = self.dt;
-            let phase = self.engine.try_run_phase(c + 1)?;
-            out.extend_from_slice(&phase.energies[1..=c]);
-            self.cache_forces();
-            remaining -= c;
-            if self.engine.steps_done % self.migrate_every == 0 {
-                self.migrate_atoms();
+        while self.engine.steps_done < target {
+            match self.try_advance(target) {
+                Ok(Advanced::Phase { phase, updates }) => {
+                    out.extend_from_slice(&phase.energies[1..=updates])
+                }
+                Ok(Advanced::RolledBack { crash, .. }) => panic!("unrecovered PE crash: {crash}"),
+                Err(e) => panic!("unrecovered PE crash: {e}"),
             }
         }
-        Ok(out)
+        out
+    }
+
+    /// One [`advance`] call toward global step `target` at this simulator's
+    /// `dt` and `migrate_every`: one completed phase (which ends rebuilt
+    /// when it lands on a multiple of `migrate_every`), or one rollback to
+    /// the newest checkpoint of [`ParallelSim::set_checkpointing`].
+    pub fn try_advance(&mut self, target: usize) -> Result<Advanced, RecoveryError> {
+        self.engine.config.dt_fs = self.dt;
+        advance(&mut self.engine, target, self.migrate_every, None, false)
     }
 
     /// Re-bin atoms into patches and rebuild the compute set — the analogue
@@ -290,24 +279,27 @@ impl ParallelSim {
         self.engine.steps_done
     }
 
-    /// Enable periodic in-phase checkpoints: a snapshot is written into
-    /// `dir` every `interval` global steps. The interval must be a multiple
-    /// of `migrate_every` so that every checkpoint lands on a phase-final
-    /// step at an atom-migration boundary — the alignment that makes a
-    /// restored run bit-identical to an uninterrupted one (the restore's
-    /// decomposition rebuild reproduces exactly what the reference run
-    /// builds at the same step).
-    pub fn set_checkpointing(&mut self, dir: impl Into<std::path::PathBuf>, interval: usize) {
+    /// Enable periodic in-phase checkpoints and crash recovery from them: a
+    /// snapshot is written into `dir` every `interval` global steps, and a
+    /// killed PE rolls the run back to the newest one, giving up after
+    /// `max_recoveries` consecutive crashes (`backoff_ms` base sleep,
+    /// doubled per consecutive crash). The interval must be a multiple of
+    /// `migrate_every` — checked when a step runs — so that every
+    /// checkpoint lands on a phase-final step at an atom-migration
+    /// boundary, the alignment that makes a restored run bit-identical to
+    /// an uninterrupted one.
+    pub fn set_checkpointing(
+        &mut self,
+        dir: impl Into<std::path::PathBuf>,
+        interval: usize,
+        max_recoveries: u32,
+        backoff_ms: u64,
+    ) {
         assert!(interval > 0, "checkpoint interval must be positive");
-        assert_eq!(
-            interval % self.migrate_every,
-            0,
-            "checkpoint interval ({interval}) must be a multiple of \
-             migrate_every ({}) for bit-identical restore",
-            self.migrate_every
-        );
         self.engine.config.checkpoint_interval = interval;
         self.engine.config.checkpoint_dir = Some(dir.into());
+        self.engine.config.max_recoveries = max_recoveries;
+        self.engine.config.recovery_backoff_ms = backoff_ms;
     }
 
     /// Take a snapshot of the current state (between steps).
@@ -325,9 +317,7 @@ impl ParallelSim {
     /// state from `snap`, rebuilding the decomposition. Refuses snapshots
     /// from a different topology or configuration.
     pub fn restore(&mut self, snap: &ckpt::Snapshot) -> Result<(), ckpt::CkptError> {
-        self.engine.restore(snap)?;
-        self.cache_forces();
-        Ok(())
+        self.engine.restore(snap)
     }
 
     /// Opaque payload restored by the last [`ParallelSim::restore`] (or set
@@ -341,27 +331,15 @@ impl ParallelSim {
         self.engine.config.fault_plan = plan;
     }
 
-    /// Drop any PE-kill rules from the installed fault plan, keeping the
-    /// message-level faults. A recovery driver calls this before resuming so
-    /// the same kill does not re-fire forever.
-    pub fn strip_kills(&mut self) {
-        self.engine.config.fault_plan =
-            self.engine.config.fault_plan.take().and_then(|p| p.without_kills());
-    }
-
     /// Install a message dequeue-order policy (exercised fresh each phase).
     pub fn set_schedule(&mut self, policy: charmrt::SchedulePolicy) {
         self.engine.config.schedule = policy;
     }
 
-    /// The most recently evaluated force on each atom.
-    pub fn forces(&self) -> &[Vec3] {
-        &self.forces
-    }
-
-    fn cache_forces(&mut self) {
-        let st = self.engine.shared.state.read().expect("state lock poisoned");
-        self.forces.clone_from(&st.forces);
+    /// The most recently evaluated force on each atom (zero after a
+    /// restore, until the next evaluation).
+    pub fn forces(&self) -> impl Deref<Target = [Vec3]> + '_ {
+        ForcesRef(self.engine.shared.state.read().expect("state lock poisoned"))
     }
 }
 
@@ -448,6 +426,47 @@ mod tests {
         let e1 = energies[39].total();
         let drift = (e1 - e0).abs() / e0.abs().max(1.0);
         assert!(drift < 1e-2, "drift {drift}: {e0} -> {e1}");
+    }
+
+    /// `run` cuts phases at multiples of `migrate_every` and — not knowing
+    /// whether more steps follow — ends on a multiple rebuilt. A phase on
+    /// freshly rebuilt lists builds every one of them in its first
+    /// evaluation (1 of `n_steps` executions per list); a phase on live
+    /// lists would build next to none.
+    #[test]
+    fn run_rebuilds_at_every_multiple_including_the_last() {
+        let mut p = ParallelSim::new(small_system(5), 2, 0.5).unwrap();
+        p.set_metrics(Some(profile::MetricsRegistry::in_memory()));
+        p.run(60);
+        let phases = &p.metrics().unwrap().phases;
+        assert_eq!(phases.iter().map(|ph| ph.n_steps).collect::<Vec<_>>(), [21, 21, 21]);
+        for ph in phases {
+            let lists = &ph.metrics.pairlist;
+            assert!(
+                lists.builds * 21 >= lists.builds + lists.hits,
+                "phase {} ran on lists an earlier phase built: {lists:?}",
+                ph.index
+            );
+        }
+        assert_eq!(p.pairlist_stats().executions(), 0, "step 60 must end rebuilt (emptied cache)");
+        assert_eq!(p.steps_done(), 60);
+    }
+
+    #[test]
+    #[should_panic(expected = "migrate_every (0) must be at least 1")]
+    fn zero_migrate_every_is_refused_by_name() {
+        let mut p = ParallelSim::new(small_system(6), 1, 1.0).unwrap();
+        p.migrate_every = 0;
+        p.step();
+    }
+
+    #[test]
+    #[should_panic(expected = "migrate_every (8) must be at least 1 and divide the checkpoint interval (20)")]
+    fn cadence_changed_after_set_checkpointing_is_refused_by_name() {
+        let mut p = ParallelSim::new(small_system(6), 1, 1.0).unwrap();
+        p.set_checkpointing(std::env::temp_dir().join("namd-par-misaligned"), 20, 3, 10);
+        p.migrate_every = 8;
+        p.step();
     }
 
     #[test]

@@ -1,68 +1,57 @@
-//! Crash-recovery driver: run a simulation to a target step count,
-//! automatically rolling back to the newest valid checkpoint whenever the
-//! fault plan kills a PE mid-phase.
+//! The phase-chaining driver: [`advance`] is the one place that turns a
+//! global-step target into engine phases, and therefore the one place that
+//! knows the atom-migration cadence and what a crashed phase triggers.
+//! [`crate::parallel::ParallelSim`], the job scheduler in `crates/serve`
+//! and (through `ParallelSim`) the CLI are `while done < target` loops
+//! around it.
 //!
-//! The driver slices the trajectory into checkpoint-interval-sized phases
-//! and migrates atoms after each one, so every in-phase checkpoint barrier
-//! lands on a phase-final step at a decomposition-rebuild boundary. That
-//! alignment is what makes recovery *bit-identical*: [`Engine::restore`]
-//! rebuilds the decomposition from the snapshot positions, producing
-//! exactly the pair-term partition (and therefore exactly the
-//! floating-point summation grouping) the uninterrupted run builds at the
-//! same step. A checkpoint taken mid-phase away from a rebuild point is
-//! still a *valid* restart state, but resuming from it changes how force
-//! terms are grouped and the trajectories diverge in the last bits.
+//! **Cadence.** A phase never crosses a multiple of `migrate_every` on the
+//! *global* step counter, and the decomposition is rebuilt
+//! ([`Engine::migrate_atoms`]) whenever the counter lands on one — so the
+//! rebuild pattern is a property of the trajectory, not of how a caller
+//! sliced it into targets. Every in-phase checkpoint barrier
+//! (`checkpoint_interval` is a multiple of `migrate_every`) therefore lands
+//! on a phase-final step at a rebuild boundary. That alignment is what
+//! makes recovery *bit-identical*: [`Engine::restore`] rebuilds the
+//! decomposition from the snapshot positions, producing exactly the
+//! pair-term partition (and therefore exactly the floating-point summation
+//! grouping) the uninterrupted run builds at the same step. A snapshot
+//! taken away from a rebuild point is still a *valid* restart state, but
+//! resuming from it changes how force terms are grouped and the
+//! trajectories diverge in the last bits.
+//!
+//! **Recovery.** A [`PhaseCrash`] leaves the engine at the phase-start
+//! state. The driver strips the (one-shot) kill rules, backs off
+//! exponentially, and restores the newest rollback point: the newest valid
+//! file in `config.checkpoint_dir` when one is set, else the rebuild-
+//! boundary snapshot it keeps in memory for a caller that asked for one,
+//! else nothing — the crash is surfaced. It then *returns* before
+//! replaying, because only the caller knows what else the rollback undid
+//! (the CLI re-applies a thermostat rescale and rewinds its frame mark,
+//! the scheduler counts the recovery). `config.max_recoveries` bounds
+//! *consecutive* crashes: a completed phase resets the count.
 
 use crate::config::ForceMode;
-use crate::engine::Engine;
+use crate::engine::{Engine, PhaseCrash, PhaseResult};
 use charmrt::Pe;
+use std::path::PathBuf;
 use std::time::Duration;
 
-/// Retry/backoff policy for [`run_with_recovery`].
-#[derive(Debug, Clone)]
-pub struct RecoveryPolicy {
-    /// Give up after this many crash-recoveries without forward progress
-    /// between them.
-    pub max_recoveries: u32,
-    /// Base sleep before resuming after a crash; doubles per consecutive
-    /// crash (exponential backoff).
-    pub backoff: Duration,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy::from_config(&crate::config::SimConfig::new(
-            1,
-            machine::presets::generic_cluster(),
-        ))
-    }
-}
-
-impl RecoveryPolicy {
-    /// The policy a configuration asks for (`max_recoveries` /
-    /// `recovery_backoff_ms`, CLI keys `maxRecoveries` /
-    /// `recoveryBackoffMs`). The service layer sets these per job; the
-    /// defaults reproduce the historical hard-coded 3 attempts / 10 ms.
-    pub fn from_config(cfg: &crate::config::SimConfig) -> RecoveryPolicy {
-        RecoveryPolicy {
-            max_recoveries: cfg.max_recoveries,
-            backoff: Duration::from_millis(cfg.recovery_backoff_ms),
-        }
-    }
-}
-
-/// Why [`run_with_recovery`] gave up.
+/// Why [`advance`] gave up.
 #[derive(Debug)]
 pub enum RecoveryError {
     /// Checkpoint I/O or validation failed during recovery.
     Ckpt(ckpt::CkptError),
-    /// Crashed more than [`RecoveryPolicy::max_recoveries`] times in a row.
+    /// Crashed more than `config.max_recoveries` times in a row.
     TooManyCrashes {
         /// Consecutive crashes observed.
         crashes: u32,
         /// The PE killed by the final crash.
         last_pe: Pe,
     },
+    /// A phase crashed with neither a checkpoint directory nor a kept
+    /// boundary snapshot to roll back to.
+    Unrecoverable(PhaseCrash),
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -74,6 +63,9 @@ impl std::fmt::Display for RecoveryError {
                 "giving up after {crashes} consecutive crashes \
                  (last killed PE {last_pe})"
             ),
+            RecoveryError::Unrecoverable(crash) => {
+                write!(f, "{crash}; no checkpoint or boundary snapshot to roll back to")
+            }
         }
     }
 }
@@ -83,6 +75,7 @@ impl std::error::Error for RecoveryError {
         match self {
             RecoveryError::Ckpt(e) => Some(e),
             RecoveryError::TooManyCrashes { .. } => None,
+            RecoveryError::Unrecoverable(crash) => Some(crash),
         }
     }
 }
@@ -93,101 +86,138 @@ impl From<ckpt::CkptError> for RecoveryError {
     }
 }
 
-/// What happened during a recovered run.
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryReport {
-    /// Velocity-Verlet updates completed (== the requested total on `Ok`).
-    pub updates: usize,
-    /// Crash-recoveries performed.
-    pub recoveries: u32,
-    /// The snapshot step each recovery resumed from, in order.
-    pub resumed_from: Vec<u64>,
+/// What one [`advance`] call did.
+// Returned by value once per phase; a boxed `PhaseResult` would be the
+// per-phase allocation the `ParallelSim::run` path does not make.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Advanced {
+    /// A phase completed `updates` velocity-Verlet updates;
+    /// `phase.energies[1..=updates]` are their per-step records
+    /// (`energies[0]` is the phase's bootstrap force evaluation).
+    Phase { phase: PhaseResult, updates: usize },
+    /// A PE was killed mid-phase and the engine was rolled back to global
+    /// step `step`; nothing has been replayed yet.
+    RolledBack {
+        crash: PhaseCrash,
+        /// Consecutive crashes so far, this one included.
+        attempt: u32,
+        step: usize,
+        /// The checkpoint file restored, `None` for the in-memory boundary
+        /// snapshot.
+        from: Option<PathBuf>,
+    },
 }
 
-/// Drive `engine` until it has completed `total_updates` velocity-Verlet
-/// updates, checkpointing every `config.checkpoint_interval` steps and
-/// recovering from PE-kill crashes by restoring the newest valid
-/// checkpoint from `config.checkpoint_dir`.
+/// Run one phase of `engine` toward global step `target` (which must lie
+/// ahead of `engine.steps_done`): at most up to the next multiple of
+/// `migrate_every`, followed by the decomposition rebuild when the counter
+/// lands on one. `last_step` is the job's final step when the caller knows
+/// it — the rebuild after it is skipped; with `None` a run that ends on a
+/// multiple ends rebuilt. A crashed phase is rolled back as the module docs
+/// describe; `keep_snapshot` asks for the in-memory rollback point (one
+/// [`Engine::snapshot`] on entry and per rebuild), which a configured
+/// `checkpoint_dir` makes unnecessary. With a `checkpoint_dir`, a step-0
+/// file is written on entry if the directory holds none, so a crash before
+/// the first barrier is recoverable too.
 ///
-/// Requirements (asserted): `ForceMode::Real`, a positive
-/// `checkpoint_interval`, and a `checkpoint_dir`. A step-0 snapshot is
-/// written first if the engine has not advanced yet, so a crash in the
-/// very first interval is recoverable too.
+/// Panics unless `migrate_every >= 1` divides `config.checkpoint_interval`
+/// (checked on every call: both are public fields of their owners).
 ///
-/// On success the produced trajectory is bit-identical to an uninterrupted
-/// run through this same driver (same seed, schedule policy, and interval)
-/// with no kills in the fault plan.
-pub fn run_with_recovery(
+/// A run through this driver is bit-identical to the same run with no
+/// kills in the fault plan, whatever sequence of targets slices it.
+pub fn advance(
     engine: &mut Engine,
-    total_updates: usize,
-    policy: &RecoveryPolicy,
-) -> Result<RecoveryReport, RecoveryError> {
+    target: usize,
+    migrate_every: usize,
+    last_step: Option<usize>,
+    keep_snapshot: bool,
+) -> Result<Advanced, RecoveryError> {
     assert_eq!(
         engine.config.force_mode,
         ForceMode::Real,
-        "run_with_recovery requires real force kernels"
+        "the phase driver counts real velocity-Verlet updates"
     );
     let interval = engine.config.checkpoint_interval;
-    assert!(interval > 0, "run_with_recovery requires a checkpoint interval");
-    let dir_path = engine
-        .config
-        .checkpoint_dir
-        .clone()
-        .expect("run_with_recovery requires a checkpoint directory");
-    let dir = ckpt::CheckpointDir::create(&dir_path)?;
+    assert!(
+        migrate_every >= 1 && interval % migrate_every == 0,
+        "migrate_every ({migrate_every}) must be at least 1 and divide the checkpoint \
+         interval ({interval}): restores are bit-identical only at rebuild boundaries"
+    );
+    let done = engine.steps_done;
+    assert!(done < target, "target step {target} is not ahead of step {done}");
 
-    let mut report = RecoveryReport::default();
-    if engine.steps_done == 0 {
-        // Baseline snapshot: without it, a crash before the first barrier
-        // would leave nothing to roll back to.
-        dir.write(&engine.snapshot())?;
-    }
-
-    let mut consecutive = 0u32;
-    while engine.steps_done < total_updates {
-        let updates = interval.min(total_updates - engine.steps_done);
-        match engine.try_run_phase(updates + 1) {
-            Ok(_) => {
-                consecutive = 0;
-                report.updates = engine.steps_done;
-                if engine.steps_done < total_updates {
-                    // Phase-final steps are decomposition-rebuild points;
-                    // see the module docs for why this keeps restores
-                    // bit-identical.
-                    engine.migrate_atoms();
-                }
-            }
-            Err(crash) => {
-                report.recoveries += 1;
-                consecutive += 1;
-                if consecutive > policy.max_recoveries {
-                    return Err(RecoveryError::TooManyCrashes {
-                        crashes: consecutive,
-                        last_pe: crash.pe,
-                    });
-                }
-                // The kill already fired; replaying it verbatim would crash
-                // the same phase forever. Keep the message-level faults.
-                engine.config.fault_plan =
-                    engine.config.fault_plan.take().and_then(|p| p.without_kills());
-                std::thread::sleep(policy.backoff * 2u32.saturating_pow(consecutive - 1));
-                let (snap, _path) = dir.latest_valid()?;
-                engine.restore(&snap)?;
-                report.resumed_from.push(snap.step);
-            }
+    let keep_snapshot = keep_snapshot && engine.config.checkpoint_dir.is_none();
+    if let (0, Some(path)) = (done, &engine.config.checkpoint_dir) {
+        let dir = ckpt::CheckpointDir::create(path)?;
+        if !dir.file_for_step(0).exists() {
+            dir.write(&engine.snapshot())?;
         }
     }
-    report.updates = engine.steps_done;
-    Ok(report)
+    if keep_snapshot && engine.boundary.is_none() {
+        engine.boundary = Some(engine.snapshot());
+    }
+
+    let updates = (target - done).min(migrate_every - done % migrate_every);
+    match engine.try_run_phase(updates + 1) {
+        Ok(phase) => {
+            engine.crashes = 0;
+            let done = engine.steps_done;
+            if done % migrate_every == 0 && last_step.is_none_or(|last| done < last) {
+                engine.migrate_atoms();
+                if keep_snapshot {
+                    engine.boundary = Some(engine.snapshot());
+                }
+            }
+            Ok(Advanced::Phase { phase, updates })
+        }
+        Err(crash) => {
+            let disk = engine.config.checkpoint_dir.clone();
+            if disk.is_none() && engine.boundary.is_none() {
+                return Err(RecoveryError::Unrecoverable(crash));
+            }
+            engine.crashes += 1;
+            let attempt = engine.crashes;
+            if attempt > engine.config.max_recoveries {
+                return Err(RecoveryError::TooManyCrashes { crashes: attempt, last_pe: crash.pe });
+            }
+            // The kill already fired; replaying it verbatim would crash the
+            // same phase forever. Keep the message-level faults.
+            engine.config.fault_plan =
+                engine.config.fault_plan.take().and_then(|p| p.without_kills());
+            std::thread::sleep(
+                Duration::from_millis(engine.config.recovery_backoff_ms)
+                    * 2u32.saturating_pow(attempt - 1),
+            );
+            let from = match disk {
+                Some(path) => {
+                    let (snap, file) = ckpt::CheckpointDir::create(path)?.latest_valid()?;
+                    engine.restore(&snap)?;
+                    Some(file)
+                }
+                None => {
+                    let snap = engine.boundary.take().expect("checked above");
+                    engine.restore(&snap)?;
+                    engine.boundary = Some(snap);
+                    None
+                }
+            };
+            Ok(Advanced::RolledBack { crash, attempt, step: engine.steps_done, from })
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Backend, SimConfig};
+    use crate::state::StepAcc;
     use mdcore::prelude::Vec3;
 
-    fn small_engine(dir: &std::path::Path, backend: Backend) -> Engine {
+    const KILL: &str = "kill:entry=PatchRecvForces:dst=1:skip=6";
+
+    /// A 2-PE engine; with `dir`, checkpointing into it every 4 steps.
+    fn small_engine(dir: Option<&std::path::Path>, backend: Backend) -> Engine {
         let mut sys = molgen::SystemBuilder::new(molgen::SystemSpec {
             name: "recovery-test",
             box_lengths: Vec3::new(28.0, 28.0, 28.0),
@@ -200,28 +230,60 @@ mod tests {
         })
         .build();
         sys.thermalize(150.0, 7);
-        let cfg = SimConfig::builder(2, machine::presets::generic_cluster())
+        let mut cfg = SimConfig::builder(2, machine::presets::generic_cluster())
             .force_mode(ForceMode::Real)
-            .backend(backend)
-            .checkpoint(dir, 4)
-            .build()
-            .expect("valid test config");
-        Engine::new(sys, cfg)
+            .backend(backend);
+        if let Some(dir) = dir {
+            cfg = cfg.checkpoint(dir, 4);
+        }
+        Engine::new(sys, cfg.build().expect("valid test config"))
     }
 
-    fn final_state(engine: &Engine) -> (Vec<Vec3>, Vec<Vec3>) {
+    fn kill_plan() -> Option<charmrt::FaultPlan> {
+        Some(charmrt::FaultPlan::parse(KILL).unwrap())
+    }
+
+    /// Chain [`advance`] calls through `targets` (the last one is the job's
+    /// final step) the way every caller does; returns the recoveries and
+    /// the per-step records.
+    fn drive(
+        engine: &mut Engine,
+        targets: &[usize],
+        migrate_every: usize,
+        keep_snapshot: bool,
+    ) -> Result<(u32, Vec<StepAcc>), RecoveryError> {
+        let (start, last) = (engine.steps_done, *targets.last().unwrap());
+        let (mut recoveries, mut records) = (0, Vec::new());
+        for &target in targets {
+            while engine.steps_done < target {
+                match advance(engine, target, migrate_every, Some(last), keep_snapshot)? {
+                    Advanced::Phase { phase, updates } => {
+                        records.extend_from_slice(&phase.energies[1..=updates])
+                    }
+                    Advanced::RolledBack { step, .. } => {
+                        recoveries += 1;
+                        records.truncate(step - start);
+                    }
+                }
+            }
+        }
+        Ok((recoveries, records))
+    }
+
+    fn state_bits(engine: &Engine) -> Vec<u64> {
         let st = engine.shared.state.read().unwrap();
-        (st.system.positions.clone(), st.system.velocities.clone())
+        let all = [&st.system.positions, &st.system.velocities];
+        all.iter().flat_map(|v| v.iter()).flat_map(|v| [v.x, v.y, v.z]).map(f64::to_bits).collect()
     }
 
     #[test]
     fn uninterrupted_run_completes_and_checkpoints() {
         let tmp = tempdir("recovery-clean");
-        let mut engine = small_engine(&tmp, Backend::Des);
-        let report =
-            run_with_recovery(&mut engine, 8, &RecoveryPolicy::default()).unwrap();
-        assert_eq!(report.updates, 8);
-        assert_eq!(report.recoveries, 0);
+        let mut engine = small_engine(Some(&tmp), Backend::Des);
+        let (recoveries, records) = drive(&mut engine, &[8], 4, false).unwrap();
+        assert_eq!(engine.steps_done, 8);
+        assert_eq!(records.len(), 8);
+        assert_eq!(recoveries, 0);
         let dir = ckpt::CheckpointDir::create(&tmp).unwrap();
         let files = dir.list().unwrap();
         let names: Vec<String> = files
@@ -239,25 +301,24 @@ mod tests {
         std::fs::remove_dir_all(&tmp).ok();
     }
 
+    /// Both rollback sources — the checkpoint directory and the kept
+    /// boundary snapshot — resume onto the clean run's trajectory.
     #[test]
     fn killed_run_recovers_bit_identically() {
         let tmp_a = tempdir("recovery-ref");
-        let mut reference = small_engine(&tmp_a, Backend::Des);
-        run_with_recovery(&mut reference, 8, &RecoveryPolicy::default()).unwrap();
-        let (ref_x, ref_v) = final_state(&reference);
+        let mut reference = small_engine(Some(&tmp_a), Backend::Des);
+        let (_, ref_records) = drive(&mut reference, &[8], 4, false).unwrap();
+        let ref_bits = state_bits(&reference);
 
         let tmp_b = tempdir("recovery-killed");
-        let mut killed = small_engine(&tmp_b, Backend::Des);
-        killed.config.fault_plan = Some(
-            charmrt::FaultPlan::parse("kill:entry=PatchRecvForces:dst=1:skip=6").unwrap(),
-        );
-        let report = run_with_recovery(&mut killed, 8, &RecoveryPolicy::default()).unwrap();
-        assert!(report.recoveries >= 1, "the kill must have fired");
-        let (x, v) = final_state(&killed);
-
-        for i in 0..ref_x.len() {
-            assert_eq!(ref_x[i].x.to_bits(), x[i].x.to_bits(), "atom {i} x");
-            assert_eq!(ref_v[i].x.to_bits(), v[i].x.to_bits(), "atom {i} vx");
+        let mut from_disk = small_engine(Some(&tmp_b), Backend::Des);
+        let mut from_memory = small_engine(None, Backend::Des);
+        for (killed, keep_snapshot) in [(&mut from_disk, false), (&mut from_memory, true)] {
+            killed.config.fault_plan = kill_plan();
+            let (recoveries, records) = drive(killed, &[8], 4, keep_snapshot).unwrap();
+            assert!(recoveries >= 1, "the kill must have fired");
+            assert!(state_bits(killed) == ref_bits, "keep_snapshot {keep_snapshot}: state differs");
+            assert_eq!(records, ref_records, "keep_snapshot {keep_snapshot}");
         }
         std::fs::remove_dir_all(&tmp_a).ok();
         std::fs::remove_dir_all(&tmp_b).ok();
@@ -266,7 +327,7 @@ mod tests {
     #[test]
     fn crashed_phase_leaves_the_state_at_phase_start() {
         let tmp = tempdir("recovery-untouched");
-        let mut engine = small_engine(&tmp, Backend::Des);
+        let mut engine = small_engine(Some(&tmp), Backend::Des);
         // Late enough that every patch has integrated several steps.
         engine.config.fault_plan = Some(
             charmrt::FaultPlan::parse("kill:entry=PatchRecvForces:dst=1:skip=150").unwrap(),
@@ -283,29 +344,14 @@ mod tests {
     }
 
     #[test]
-    fn policy_is_configurable_through_sim_config() {
-        let cfg = SimConfig::builder(2, machine::presets::generic_cluster())
-            .recovery(5, 40)
-            .build()
-            .unwrap();
-        let p = RecoveryPolicy::from_config(&cfg);
-        assert_eq!(p.max_recoveries, 5);
-        assert_eq!(p.backoff, Duration::from_millis(40));
-        let d = RecoveryPolicy::default();
-        assert_eq!((d.max_recoveries, d.backoff), (3, Duration::from_millis(10)));
-    }
-
-    #[test]
     fn persistent_crashes_give_up() {
         let tmp = tempdir("recovery-giveup");
-        let mut engine = small_engine(&tmp, Backend::Des);
-        // without_kills() strips the kill after the first crash, so set
+        let mut engine = small_engine(Some(&tmp), Backend::Des);
+        // The driver strips the kill after the first crash, so set
         // max_recoveries = 0 to observe the give-up path directly.
-        engine.config.fault_plan = Some(
-            charmrt::FaultPlan::parse("kill:entry=PatchRecvForces:dst=1:skip=6").unwrap(),
-        );
-        let policy = RecoveryPolicy { max_recoveries: 0, ..Default::default() };
-        match run_with_recovery(&mut engine, 8, &policy) {
+        engine.config.fault_plan = kill_plan();
+        engine.config.max_recoveries = 0;
+        match drive(&mut engine, &[8], 4, false) {
             Err(RecoveryError::TooManyCrashes { crashes, last_pe }) => {
                 assert_eq!(crashes, 1);
                 assert_eq!(last_pe, 1);
@@ -313,6 +359,95 @@ mod tests {
             other => panic!("expected TooManyCrashes, got {other:?}"),
         }
         std::fs::remove_dir_all(&tmp).ok();
+    }
+
+    /// `max_recoveries` bounds crashes *in a row*: two crashes with a
+    /// completed phase between them fit a budget of one.
+    #[test]
+    fn progress_resets_the_crash_count() {
+        let mut engine = small_engine(None, Backend::Des);
+        engine.config.fault_plan = kill_plan();
+        engine.config.max_recoveries = 1;
+        let mut attempts = Vec::new();
+        while engine.steps_done < 8 {
+            match advance(&mut engine, 8, 4, Some(8), true).unwrap() {
+                Advanced::Phase { .. } if attempts.len() == 1 => {
+                    // Lose a second worker after the first loss was repaired.
+                    engine.config.fault_plan = kill_plan();
+                }
+                Advanced::Phase { .. } => {}
+                Advanced::RolledBack { attempt, .. } => attempts.push(attempt),
+            }
+        }
+        assert_eq!(attempts, [1, 1]);
+    }
+
+    #[test]
+    fn crash_without_a_rollback_point_is_surfaced() {
+        let mut engine = small_engine(None, Backend::Des);
+        engine.config.fault_plan = kill_plan();
+        let err = drive(&mut engine, &[8], 4, false).unwrap_err();
+        assert!(matches!(err, RecoveryError::Unrecoverable(crash) if crash.pe == 1), "{err}");
+    }
+
+    /// The trajectory and its per-step records are a function of the
+    /// final target alone, not of the intermediate targets that slice it.
+    #[test]
+    fn slicing_into_targets_changes_no_bit() {
+        for backend in [Backend::Des, Backend::Threads] {
+            let per_step: Vec<usize> = (1..=13).collect();
+            let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+            let mut random = Vec::new();
+            while random.last() != Some(&13) {
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let from = random.last().copied().unwrap_or(0);
+                random.push((from + 1 + (seed >> 33) as usize % 5).min(13));
+            }
+            let mut runs = [&[13][..], &per_step, &random].map(|targets| {
+                let mut engine = small_engine(None, backend);
+                let (_, records) = drive(&mut engine, targets, 4, false).unwrap();
+                assert_eq!(records.len(), 13);
+                (state_bits(&engine), records)
+            });
+            let whole = runs[0].clone();
+            for (i, run) in runs.iter_mut().enumerate().skip(1) {
+                assert!(run.0 == whole.0, "{backend:?}: slicing {i} moved the state");
+                assert_eq!(run.1, whole.1, "{backend:?}: slicing {i} changed a step record");
+            }
+        }
+    }
+
+    /// A caller that names the job's last step gets no rebuild after it;
+    /// one that cannot (`ParallelSim`) ends on a multiple rebuilt. The
+    /// pair-list cache is emptied by a rebuild and filled by any phase, so
+    /// an empty cache after a call means the call ended with a rebuild.
+    #[test]
+    fn rebuilds_follow_the_cadence_and_skip_a_known_last_step() {
+        for (last_step, expected) in [(Some(40), 3), (None, 4)] {
+            let mut engine = small_engine(None, Backend::Des);
+            let mut rebuilds = 0;
+            while engine.steps_done < 40 {
+                advance(&mut engine, 40, 10, last_step, false).unwrap();
+                assert_eq!(engine.steps_done % 10, 0, "phases are cut at multiples");
+                rebuilds += (engine.shared.nb_cache.totals().executions() == 0) as u32;
+            }
+            assert_eq!(rebuilds, expected, "last_step {last_step:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "migrate_every (0) must be at least 1")]
+    fn zero_cadence_is_refused_by_name() {
+        let mut engine = small_engine(None, Backend::Des);
+        let _ = advance(&mut engine, 1, 0, None, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "migrate_every (3) must be at least 1 and divide the checkpoint interval (4)")]
+    fn checkpoint_interval_off_the_cadence_is_refused_by_name() {
+        let tmp = tempdir("recovery-misaligned");
+        let mut engine = small_engine(Some(&tmp), Backend::Des);
+        let _ = advance(&mut engine, 1, 3, None, false);
     }
 
     fn tempdir(tag: &str) -> std::path::PathBuf {

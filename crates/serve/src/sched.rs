@@ -15,12 +15,16 @@
 //! `migrate_every` on the *global* step counter) and parking uses the
 //! same [`Engine::snapshot`]/[`Engine::restore`] pair as crash recovery —
 //! see `crates/core/src/recovery.rs` for why boundary alignment makes
-//! restores exact to the last bit.
+//! restores exact to the last bit. A worker only picks targets (the slice
+//! end, an analyze job's next frame) and reports what comes back: phase
+//! lengths, the rebuild cadence and the rollback of a killed PE are
+//! [`namd_core::recovery::advance`], the same driver the CLI runs on.
 
 use crate::spec::{CacheKey, JobKind, JobSpec};
 use analyze::{AnalyzeConfig, AnalyzeParams};
 use mdcore::prelude::Vec3;
-use namd_core::engine::{Engine, PhaseCrash};
+use namd_core::engine::Engine;
+use namd_core::recovery::{advance, Advanced};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -936,17 +940,13 @@ fn run_slices(sched: &Scheduler, id: JobId) -> SliceEnd {
         let job = st.jobs.get_mut(&id).unwrap();
         (job.spec.clone(), job.parked.take())
     };
-    let cfg = match spec.engine_config() {
+    let mut cfg = match spec.engine_config() {
         Ok(c) => c,
         Err(e) => return SliceEnd::Failed(e),
     };
-    let max_recoveries = spec
-        .max_recoveries
-        .unwrap_or(sched.inner.cfg.max_recoveries);
-    let backoff = Duration::from_millis(
-        spec.recovery_backoff_ms
-            .unwrap_or(sched.inner.cfg.recovery_backoff_ms),
-    );
+    cfg.max_recoveries = spec.max_recoveries.unwrap_or(sched.inner.cfg.max_recoveries);
+    cfg.recovery_backoff_ms =
+        spec.recovery_backoff_ms.unwrap_or(sched.inner.cfg.recovery_backoff_ms);
 
     // Build the deck deterministically and either start fresh or restore
     // the parked snapshot. `Engine::restore` rebuilds the decomposition
@@ -966,9 +966,6 @@ fn run_slices(sched: &Scheduler, id: JobId) -> SliceEnd {
     if spec.kind == JobKind::Analyze {
         capture_frame(sched, id, &engine, frame_every);
     }
-    // Newest boundary snapshot, for in-slice crash recovery.
-    let mut recovery_snap = engine.snapshot();
-    let mut consecutive = 0u32;
     let mut slice_recoveries = 0u32;
 
     loop {
@@ -987,31 +984,20 @@ fn run_slices(sched: &Scheduler, id: JobId) -> SliceEnd {
         };
 
         while engine.steps_done < slice_target {
-            let done = engine.steps_done;
-            let until_migrate = migrate - done % migrate;
-            let mut c = (slice_target - done).min(until_migrate);
+            let mut target = slice_target;
             if spec.kind == JobKind::Analyze {
-                // Cut phases additionally at frame boundaries, so every
-                // capture point lands exactly on a multiple of frame_every.
-                c = c.min(frame_every - done % frame_every);
+                // Stop additionally at frame boundaries, so every capture
+                // point lands exactly on a multiple of frame_every.
+                let done = engine.steps_done;
+                target = target.min(done + frame_every - done % frame_every);
             }
-            match engine.try_run_phase(c + 1) {
-                Ok(phase) => {
-                    consecutive = 0;
-                    if engine.steps_done % migrate == 0 && engine.steps_done < total {
-                        engine.migrate_atoms();
-                    }
+            // The driver keeps the boundary snapshot a killed PE rolls
+            // back to; replays after a rollback recapture nothing (capture
+            // is keyed by step count).
+            match advance(&mut engine, target, migrate, Some(total), true) {
+                Ok(Advanced::Phase { phase, updates: c }) => {
                     if spec.kind == JobKind::Analyze {
                         capture_frame(sched, id, &engine, frame_every);
-                    }
-                    // Refresh the crash-recovery baseline only at
-                    // migration boundaries (and the final step): restore
-                    // is bit-exact exactly at decomposition-rebuild
-                    // steps, and frame-boundary phase ends in between are
-                    // not that. Replays after a rollback recapture
-                    // nothing (capture is keyed by step count).
-                    if engine.steps_done % migrate == 0 || engine.steps_done >= total {
-                        recovery_snap = engine.snapshot();
                     }
                     let last = phase.energies[c];
                     let frame = MetricsFrame {
@@ -1033,27 +1019,8 @@ fn run_slices(sched: &Scheduler, id: JobId) -> SliceEnd {
                         c as f64 * spec.pes as f64;
                     sched.inner.done_cv.notify_all();
                 }
-                Err(PhaseCrash { pe, .. }) => {
-                    consecutive += 1;
-                    slice_recoveries += 1;
-                    if consecutive > max_recoveries {
-                        return SliceEnd::Failed(format!(
-                            "giving up after {consecutive} consecutive crashes (last killed PE {pe})"
-                        ));
-                    }
-                    // Same repair protocol as run_with_recovery: the kill
-                    // fired once; keep only message-level faults, back
-                    // off, and roll back to the newest boundary snapshot.
-                    engine.config.fault_plan = engine
-                        .config
-                        .fault_plan
-                        .take()
-                        .and_then(|p| p.without_kills());
-                    std::thread::sleep(backoff * 2u32.saturating_pow(consecutive - 1));
-                    if let Err(e) = engine.restore(&recovery_snap) {
-                        return SliceEnd::Failed(format!("crash recovery failed: {e}"));
-                    }
-                }
+                Ok(Advanced::RolledBack { .. }) => slice_recoveries += 1,
+                Err(e) => return SliceEnd::Failed(e.to_string()),
             }
         }
 

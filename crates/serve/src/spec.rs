@@ -432,18 +432,16 @@ impl JobSpec {
     }
 
     /// The [`SimConfig`] a worker executes this job under. Shares the
-    /// engine's validation; the returned config is ready for `Engine::new`.
+    /// engine's validation; the returned config is ready for `Engine::new`
+    /// once the scheduler has written the recovery policy into it (the
+    /// job's value, else the server's — only the scheduler knows both).
     pub fn engine_config(&self) -> Result<SimConfig, String> {
         let mut b = SimConfig::builder(self.pes, machine::presets::generic_cluster())
             .force_mode(ForceMode::Real)
             .backend(self.backend)
             .dt_fs(self.dt)
             .nb_kernel(self.nb_kernel)
-            .simd_width(self.simd_width)
-            .recovery(
-                self.max_recoveries.unwrap_or(3),
-                self.recovery_backoff_ms.unwrap_or(10),
-            );
+            .simd_width(self.simd_width);
         if let Some(plan) = &self.fault_plan {
             let plan = charmrt::FaultPlan::parse(plan).map_err(|e| format!("faultPlan: {e}"))?;
             b = b.fault_plan(Some(plan));

@@ -31,15 +31,17 @@ cargo test --workspace --lib --offline -q $FEAT || status=1
 echo "==> schedule fuzz soak (SCHEDULE_FUZZ_CASES=25)"
 SCHEDULE_FUZZ_CASES=25 cargo test -q --test schedule_fuzz || status=1
 
-# Checkpoint → PE-kill → recover round trip at the soak case count.
-# Blocking — a recovered run that is not bit-identical to the clean run
-# breaks the restart guarantee.
+# Checkpoint → PE-kill → recover round trip at the soak case count, through
+# `recovery::advance` — the driver the CLI and the service ship, not a
+# test-only copy of it. Blocking — a recovered run that is not bit-identical
+# to the clean run breaks the restart guarantee.
 echo "==> checkpoint kill/recover soak (SCHEDULE_FUZZ_CASES=25)"
 SCHEDULE_FUZZ_CASES=25 cargo test -q --test checkpoint_restart || status=1
 
 # Proc backend: real OS processes over Unix sockets must stay bit-identical
 # to DES/threads (equivalence tests + the seeds × PE-counts fuzz group), and
-# a SIGKILLed worker must recover through checkpoints. Blocking.
+# a SIGKILLed worker must recover through checkpoints — again through the
+# shipped `recovery::advance`. Blocking.
 echo "==> proc backend equivalence + fuzz (SCHEDULE_FUZZ_CASES=25)"
 SCHEDULE_FUZZ_CASES=25 cargo test -q --test proc_backend || status=1
 

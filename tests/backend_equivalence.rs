@@ -223,7 +223,7 @@ fn forces_and_trajectory_bits_match_the_divide_and_round_minimum_image() {
     let witness = |pes: usize| {
         let mut par = ParallelSim::new(restrained_apoa1_small(), pes, 1.0).unwrap();
         let acc = par.compute_forces();
-        let eval = bits_crc(&[par.forces()], &[acc.e_lj, acc.e_elec]);
+        let eval = bits_crc(&[&par.forces()], &[acc.e_lj, acc.e_elec]);
         par.run(20);
         let sys = par.system();
         (eval, bits_crc(&[&sys.positions, &sys.velocities], &[]))

@@ -18,6 +18,7 @@ use namd_repro::ckpt;
 use namd_repro::mdcore::prelude::*;
 use namd_repro::molgen;
 use namd_repro::namd_core::prelude::*;
+use namd_repro::namd_core::recovery::{advance, Advanced};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -85,7 +86,18 @@ fn final_bits(engine: &Engine) -> Vec<(u64, u64, u64, u64, u64, u64)> {
         .collect()
 }
 
-/// Run to [`TOTAL_UPDATES`] through the recovery driver — with or without
+/// Chain the production driver to `total` updates, rebuilding the
+/// decomposition at every checkpoint barrier; returns the recoveries.
+fn drive(engine: &mut Engine, total: usize) -> u32 {
+    let mut recoveries = 0;
+    while engine.steps_done < total {
+        let outcome = advance(engine, total, INTERVAL, Some(total), false).expect("driver gave up");
+        recoveries += matches!(outcome, Advanced::RolledBack { .. }) as u32;
+    }
+    recoveries
+}
+
+/// Run to [`TOTAL_UPDATES`] through the driver — with or without
 /// a kill in the fault plan — and return the final state bits plus the
 /// number of recoveries performed.
 fn run_to_end(
@@ -97,12 +109,11 @@ fn run_to_end(
     let dir = tempdir(tag);
     let mut engine = make_engine(backend, policy, &dir);
     engine.config.fault_plan = kill;
-    let report = run_with_recovery(&mut engine, TOTAL_UPDATES, &RecoveryPolicy::default())
-        .expect("run_with_recovery failed");
-    assert_eq!(report.updates, TOTAL_UPDATES);
+    let recoveries = drive(&mut engine, TOTAL_UPDATES);
+    assert_eq!(engine.steps_done, TOTAL_UPDATES);
     let bits = final_bits(&engine);
     let _ = std::fs::remove_dir_all(&dir);
-    (bits, report.recoveries)
+    (bits, recoveries)
 }
 
 fn check_killed_run_matches_reference(
@@ -176,7 +187,7 @@ fn backends_agree_bit_for_bit() {
 fn mismatched_snapshots_are_refused() {
     let dir = tempdir("refuse");
     let mut engine = make_engine(Backend::Des, SchedulePolicy::default(), &dir);
-    run_with_recovery(&mut engine, INTERVAL, &RecoveryPolicy::default()).unwrap();
+    drive(&mut engine, INTERVAL);
     let ckdir = ckpt::CheckpointDir::create(&dir).unwrap();
     let (snap, _) = ckdir.latest_valid().unwrap();
 
@@ -238,7 +249,7 @@ fn mismatched_snapshots_are_refused() {
 fn corrupted_checkpoints_are_skipped_then_refused() {
     let dir = tempdir("corrupt");
     let mut engine = make_engine(Backend::Des, SchedulePolicy::default(), &dir);
-    run_with_recovery(&mut engine, TOTAL_UPDATES, &RecoveryPolicy::default()).unwrap();
+    drive(&mut engine, TOTAL_UPDATES);
     let ckdir = ckpt::CheckpointDir::create(&dir).unwrap();
 
     // Corrupt the newest snapshot: latest_valid must fall back to the next

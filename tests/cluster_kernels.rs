@@ -349,7 +349,8 @@ fn langevin_sampled_forces_match_between_kernels() {
             par.set_pairlist(2.5);
             par.set_nb_kernel(kernel, width);
             let acc = par.compute_forces();
-            (acc, par.forces().to_vec())
+            let forces = par.forces().to_vec();
+            (acc, forces)
         };
         let (al, fl) = eval(NbKernel::Listed, SimdWidth::Scalar);
         let (ac, fc) = eval(NbKernel::Cluster, SimdWidth::Scalar);

@@ -87,3 +87,30 @@ fn parked_and_resumed_job_is_bit_identical_on_both_backends() {
     );
     assert_eq!(outcomes[0].energy, outcomes[1].energy);
 }
+
+/// A job that loses a PE mid-slice is rolled back to its last rebuild
+/// boundary and replayed onto exactly the clean job's result — the
+/// guarantee that lets the cache key exclude `faultPlan`. The analyze job
+/// cuts its phases at frame boundaries too (3 does not divide 4), so its
+/// rollback crosses frames already captured.
+#[test]
+fn killed_job_recovers_onto_the_clean_jobs_result() {
+    for kind in [r#""kind": "simulate""#, r#""kind": "analyze", "frameEvery": 3"#] {
+        let run = |fault: &str| {
+            let spec = JobSpec::parse(&format!(
+                r#"{{"steps": 12, "migrateEvery": 4, "atoms": 600, "boxSize": 26,
+                    "cutoff": 6, "pes": 2, {kind}{fault}}}"#
+            ))
+            .unwrap();
+            run_one(SchedulerConfig { pool_pes: 2, ..Default::default() }, spec)
+        };
+        let clean = run("");
+        let killed = run(r#", "faultPlan": "kill:dst=1:skip=50""#);
+        assert_eq!(clean.recoveries, 0, "{kind}");
+        assert_eq!(killed.recoveries, 1, "{kind}: the kill must fire exactly once");
+        assert_eq!(killed.state_crc, clean.state_crc, "{kind}: final state differs");
+        assert_eq!(killed.energy, clean.energy, "{kind}: energy summary differs");
+        assert_eq!(killed.analysis, clean.analysis, "{kind}: analysis summary differs");
+        assert_eq!(killed.steps, 12);
+    }
+}
