@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use charmrt::{Des, ObjId, ProcRuntime, Runtime, ThreadRuntime, WireCodec, PRIO_NORMAL};
+use charmrt::{ObjId, WireCodec, PRIO_NORMAL};
 use machine::MachineModel;
 use mdcore::prelude::{Cell, Vec3};
 use namd_core::config::Backend;
@@ -112,17 +112,7 @@ pub fn analyze_frames(
     let blocks = msd_blocks(n_atoms, params.msd_tasks);
     let n_tasks = n_frames + blocks.len();
 
-    let mut rt: Box<dyn Runtime> = match cfg.backend {
-        Backend::Des => Box::new(Des::new(cfg.n_pes, cfg.machine)),
-        Backend::Threads => Box::new(ThreadRuntime::new(cfg.n_pes)),
-        Backend::Proc => {
-            let mut p = ProcRuntime::new(cfg.n_pes);
-            if let Some(dir) = &cfg.socket_dir {
-                p.set_socket_dir(dir.clone());
-            }
-            Box::new(p)
-        }
-    };
+    let mut rt = cfg.backend.runtime(cfg.n_pes, cfg.machine, cfg.socket_dir.as_deref());
     let want_trace = cfg.tracing || metrics.as_ref().map(|r| r.wants_trace()).unwrap_or(false);
     rt.set_tracing(want_trace);
 
@@ -185,7 +175,6 @@ pub fn analyze_frames(
         n_tasks,
     );
     if let Some(reg) = metrics.as_deref_mut() {
-        let backend = backend_str(cfg.backend);
         let pm = profile::PhaseMetrics {
             pairlist: profile::PairlistCounters::default(),
             messages: profile::MessageCounters::from(&stats),
@@ -195,7 +184,7 @@ pub fn analyze_frames(
             wire_bytes: stats.entry_wire_bytes.iter().sum(),
         };
         let trace = if want_trace { Some(rt.trace()) } else { None };
-        if let Err(e) = reg.record_phase(backend, &stats, trace, makespan, 1, pm) {
+        if let Err(e) = reg.record_phase(cfg.backend.as_str(), &stats, trace, makespan, 1, pm) {
             eprintln!("profile: failed to stream analysis phase: {e}");
         }
         // The analysis placement is static round-robin; audit it so analyze
@@ -226,11 +215,3 @@ pub fn analyze_frames(
     Ok(AnalysisRun { observables, makespan, n_tasks, stats, oracle })
 }
 
-/// Stable lowercase backend label (matches the engine's phase records).
-pub fn backend_str(b: Backend) -> &'static str {
-    match b {
-        Backend::Des => "des",
-        Backend::Threads => "threads",
-        Backend::Proc => "proc",
-    }
-}

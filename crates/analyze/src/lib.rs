@@ -31,7 +31,7 @@ pub mod messages;
 pub mod observables;
 
 pub use chares::{AnalyzeEntries, TaskChare};
-pub use driver::{analyze_frames, backend_str, msd_blocks, AnalysisRun, AnalyzeConfig};
+pub use driver::{analyze_frames, msd_blocks, AnalysisRun, AnalyzeConfig};
 pub use messages::{PartialMsg, TaskMsg};
 pub use observables::{
     finalize, frame_partial, kabsch_rmsd, msd_partial, AnalyzeParams, Observables, Partial,

@@ -130,6 +130,7 @@ mod tests {
     use super::*;
     use crate::des::Des;
     use crate::msg::PRIO_NORMAL;
+    use crate::Runtime;
     use machine::presets;
     use std::sync::{Arc, Mutex};
 
@@ -233,7 +234,7 @@ mod tests {
         des.run();
         // Every non-root node received exactly one broadcast message:
         // n-1 sends plus the injected one = n executions of the entry.
-        assert_eq!(des.stats.entry_count[broadcast.idx()], n as u64);
+        assert_eq!(des.stats().entry_count[broadcast.idx()], n as u64);
     }
 
     #[test]

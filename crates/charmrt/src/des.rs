@@ -10,59 +10,21 @@
 //! execution is attributed to the summary profile, the optional full trace,
 //! and the load-balancing database.
 //!
+//! What this file owns is what the substrate decides: the virtual clock,
+//! the event queue and the machine-model costing. The queue entry, the
+//! accounting and the fault semantics are the crate-private `pe` module's;
+//! the object table and every bookkeeping method are [`RuntimeCore`]'s.
+//!
 //! Determinism: event ordering is (time, sequence number); all queues break
 //! ties by insertion order, so a run is a pure function of its inputs.
 
-use crate::chare::{Chare, Ctx, PackCost};
-use crate::fault::{DeadLetter, FaultAction, FaultPlan, FaultState};
-use crate::ldb::LdbDatabase;
+use crate::chare::{Ctx, PackCost};
 use crate::msg::{EntryId, ObjId, Payload, Pe, Priority};
-use crate::sched::SchedulePolicy;
-use crate::stats::SummaryStats;
-use crate::trace::{Trace, TraceEvent};
+use crate::pe::{apply_fault, Fate, Letter, Queued};
+use crate::runtime::{RunStall, Runtime, RuntimeCore};
 use machine::MachineModel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// A queued (delivered but not yet executed) message on a PE.
-struct QMsg {
-    /// Dequeue-order key from the [`SchedulePolicy`] (smaller runs first);
-    /// `(priority, seq)` under the default FIFO policy.
-    key: (i64, u64),
-    seq: u64,
-    /// Sending object (recorded on the LDB communication graph).
-    #[allow(dead_code)]
-    from: ObjId,
-    to: ObjId,
-    entry: EntryId,
-    bytes: usize,
-    payload: Payload,
-    /// Payload CRC stamped at send time (only when a corrupt fault rule is
-    /// installed); delivery verifies it and rejects damaged payloads.
-    crc: Option<u64>,
-    /// Length of the dependency chain (sum of handler costs, virtual
-    /// seconds) that produced this message — the critical-path accumulator.
-    path: f64,
-}
-
-impl PartialEq for QMsg {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
-    }
-}
-impl Eq for QMsg {}
-impl PartialOrd for QMsg {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QMsg {
-    // BinaryHeap is a max-heap; we want the *smallest* (key, seq) out
-    // first, so invert the comparison.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.key, other.seq).cmp(&(self.key, self.seq))
-    }
-}
 
 /// A future event in virtual time.
 struct Event {
@@ -73,7 +35,7 @@ struct Event {
 
 enum EventKind {
     /// A message reaches a PE's queue.
-    Deliver { pe: Pe, msg: QMsg },
+    Deliver { pe: Pe, msg: Queued },
     /// A PE's scheduler wakes up to run the next queued message.
     Execute { pe: Pe },
 }
@@ -104,15 +66,18 @@ struct PeState {
     /// Virtual time until which the PE is executing a handler.
     busy_until: f64,
     /// Prioritized scheduler queue.
-    queue: BinaryHeap<QMsg>,
+    queue: BinaryHeap<Queued>,
     /// Whether an Execute event is already pending for this PE.
     execute_scheduled: bool,
+    /// Felled by a kill fault: a dead machine whose deliveries are
+    /// discarded and whose scheduler never wakes again.
+    dead: bool,
 }
 
 /// The engine. See the module docs for the execution model.
 ///
 /// ```
-/// use charmrt::{Chare, Ctx, Des, EntryId, Payload, PRIO_NORMAL};
+/// use charmrt::{Chare, Ctx, Des, EntryId, Payload, Runtime, PRIO_NORMAL};
 ///
 /// // A chare that does 1000 work units when poked.
 /// struct Worker;
@@ -128,51 +93,28 @@ struct PeState {
 /// des.inject(w, poke, 0, PRIO_NORMAL, Vec::new());
 /// let makespan = des.run();
 /// assert!(makespan > 0.0);
-/// assert_eq!(des.stats.entry_count[poke.idx()], 1);
+/// assert_eq!(des.stats().entry_count[poke.idx()], 1);
 /// ```
 pub struct Des {
+    core: RuntimeCore,
     machine: MachineModel,
-    n_pes: usize,
     now: f64,
     seq: u64,
     events: BinaryHeap<Event>,
     pes: Vec<PeState>,
-    objects: Vec<Option<Box<dyn Chare>>>,
-    obj_pe: Vec<Pe>,
     stopped: bool,
-    /// Latest handler completion time (the run's makespan).
-    last_activity: f64,
     /// Per-PE speed factor (1.0 = nominal). Models heterogeneous or
     /// externally-loaded processors (workstation clusters, ref [3] of the
     /// paper): all CPU time on PE p is divided by `pe_speed[p]`.
     pe_speed: Vec<f64>,
-    /// Dequeue-order perturbation (default: native FIFO).
-    policy: SchedulePolicy,
-    /// Installed fault plan, if any.
-    fault: Option<FaultState>,
-    /// Messages the fault plan dropped, awaiting possible redelivery.
-    dead_letters: Vec<DeadLetter>,
-    /// PEs felled by kill faults: dead machines whose deliveries are
-    /// discarded and whose scheduler never wakes again.
-    dead: Vec<bool>,
-    /// First PE killed during this run, if any.
-    crashed: Option<Pe>,
-    /// Summary-profile instrumentation (always on; it is cheap).
-    pub stats: SummaryStats,
-    /// Full event trace (opt-in via [`Des::set_tracing`]).
-    pub trace: Trace,
-    tracing: bool,
-    /// Load-balancing measurement database.
-    pub ldb: LdbDatabase,
 }
 
 impl Des {
     /// Create an engine with `n_pes` virtual processors costed by `machine`.
     pub fn new(n_pes: usize, machine: MachineModel) -> Self {
-        assert!(n_pes > 0, "need at least one PE");
         Des {
+            core: RuntimeCore::new(n_pes),
             machine,
-            n_pes,
             now: 0.0,
             seq: 0,
             events: BinaryHeap::new(),
@@ -181,28 +123,12 @@ impl Des {
                     busy_until: 0.0,
                     queue: BinaryHeap::new(),
                     execute_scheduled: false,
+                    dead: false,
                 })
                 .collect(),
-            objects: Vec::new(),
-            obj_pe: Vec::new(),
             stopped: false,
-            last_activity: 0.0,
             pe_speed: vec![1.0; n_pes],
-            policy: SchedulePolicy::default(),
-            fault: None,
-            dead_letters: Vec::new(),
-            dead: vec![false; n_pes],
-            crashed: None,
-            stats: SummaryStats::new(n_pes),
-            trace: Trace::default(),
-            tracing: false,
-            ldb: LdbDatabase::new(n_pes),
         }
-    }
-
-    /// Number of PEs.
-    pub fn n_pes(&self) -> usize {
-        self.n_pes
     }
 
     /// Current virtual time, seconds.
@@ -210,145 +136,9 @@ impl Des {
         self.now
     }
 
-    /// The PE felled by a kill fault during the last run, if any. Such a
-    /// run cannot be repaired by redelivery — recover from a checkpoint.
-    pub fn crashed(&self) -> Option<Pe> {
-        self.crashed
-    }
-
     /// The machine model in use.
     pub fn machine(&self) -> &MachineModel {
         &self.machine
-    }
-
-    /// Register an entry method by name; returns its id.
-    pub fn register_entry(&mut self, name: &str) -> EntryId {
-        self.stats.register_entry(name)
-    }
-
-    /// Register an object on a PE. `migratable` controls whether its load is
-    /// measured per-object (true) or folded into the PE's background load.
-    pub fn register(&mut self, obj: Box<dyn Chare>, pe: Pe, migratable: bool) -> ObjId {
-        assert!(pe < self.n_pes, "PE {pe} out of range ({} PEs)", self.n_pes);
-        let id = ObjId(self.objects.len() as u32);
-        self.objects.push(Some(obj));
-        self.obj_pe.push(pe);
-        self.ldb.on_register(migratable);
-        id
-    }
-
-    /// The PE an object currently lives on.
-    pub fn pe_of(&self, obj: ObjId) -> Pe {
-        self.obj_pe[obj.idx()]
-    }
-
-    /// Current object→PE placement (indexed by `ObjId`).
-    pub fn placement(&self) -> &[Pe] {
-        &self.obj_pe
-    }
-
-    /// Move an object to another PE (between steps; the engine does not
-    /// model migration message cost — the paper likewise excludes the load
-    /// balancer's own cost from per-step times).
-    pub fn migrate(&mut self, obj: ObjId, pe: Pe) {
-        assert!(pe < self.n_pes);
-        self.obj_pe[obj.idx()] = pe;
-    }
-
-    /// Immutable access to a registered object (e.g. to read results out
-    /// after the run). Panics if the object is currently executing.
-    pub fn object(&self, obj: ObjId) -> &dyn Chare {
-        self.objects[obj.idx()].as_deref().expect("object is executing")
-    }
-
-    /// Mutable access to a registered object between runs.
-    pub fn object_mut(&mut self, obj: ObjId) -> &mut dyn Chare {
-        self.objects[obj.idx()].as_deref_mut().expect("object is executing")
-    }
-
-    /// Enable or disable full event tracing.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    /// Set per-PE speed factors (1.0 = nominal; 0.5 = half speed, e.g. a
-    /// workstation shared with an interactive user). All handler CPU time
-    /// on a PE is divided by its factor, so the measurement-based load
-    /// balancer *observes* the slowdown and can adapt to it.
-    pub fn set_pe_speeds(&mut self, speeds: Vec<f64>) {
-        assert_eq!(speeds.len(), self.n_pes);
-        assert!(speeds.iter().all(|&s| s > 0.0), "speeds must be positive");
-        self.pe_speed = speeds;
-    }
-
-    /// Set the schedule-perturbation policy for subsequent deliveries.
-    /// Install before injecting: already-queued messages keep their keys.
-    pub fn set_schedule_policy(&mut self, policy: SchedulePolicy) {
-        self.policy = policy;
-    }
-
-    /// Install a fault plan, applied to every subsequent send. Panics if a
-    /// rule names an entry method that is not registered (a plan that can
-    /// never match is a harness bug, not a no-op).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault =
-            Some(FaultState::install(plan, &self.stats.entry_names).expect("bad fault plan"));
-    }
-
-    /// Re-send every dead-lettered (dropped) message — the sender's
-    /// retransmission after a delivery timeout. Redeliveries bypass the
-    /// fault plan (the retry succeeds) and are delivered at the current
-    /// virtual time. Returns how many messages were re-sent.
-    pub fn redeliver_dead_letters(&mut self) -> usize {
-        let letters = std::mem::take(&mut self.dead_letters);
-        let n = letters.len();
-        for dl in letters {
-            let pe = self.obj_pe[dl.to.idx()];
-            let seq = self.next_seq();
-            let msg = QMsg {
-                key: self.policy.key(dl.priority, seq),
-                seq,
-                from: dl.to,
-                to: dl.to,
-                entry: dl.entry,
-                bytes: dl.bytes,
-                payload: dl.payload,
-                crc: None, // the retransmission arrives clean
-                path: dl.path,
-            };
-            let t = self.now;
-            self.push_event(t, EventKind::Deliver { pe, msg });
-        }
-        self.stats.msgs_redelivered += n as u64;
-        n
-    }
-
-    /// Inject a message from "outside" (the driver bootstrap). It is
-    /// delivered at the current virtual time with no communication cost.
-    pub fn inject(
-        &mut self,
-        to: ObjId,
-        entry: EntryId,
-        bytes: usize,
-        priority: Priority,
-        payload: Payload,
-    ) {
-        let pe = self.obj_pe[to.idx()];
-        let seq = self.next_seq();
-        let msg = QMsg {
-            key: self.policy.key(priority, seq),
-            seq,
-            from: to,
-            to,
-            entry,
-            bytes,
-            payload,
-            crc: None,
-            path: 0.0,
-        };
-        self.stats.msgs_injected += 1;
-        let t = self.now;
-        self.push_event(t, EventKind::Deliver { pe, msg });
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -361,9 +151,179 @@ impl Des {
         self.events.push(Event { time, seq, kind });
     }
 
+    /// Queue `msg` for its destination's PE at virtual time `at` — plus the
+    /// schedule policy's seeded latency jitter when it crosses over from
+    /// another PE, `from`.
+    fn deliver(&mut self, mut at: f64, from: Option<Pe>, msg: Letter, crc: Option<u64>) {
+        let pe = self.core.obj_pe[msg.to.idx()];
+        let seq = self.next_seq();
+        if from.is_some_and(|src| src != pe) {
+            at += self.core.policy.delivery_jitter(seq);
+        }
+        let msg = Queued::new(&self.core.policy, seq, msg, crc);
+        self.push_event(at, EventKind::Deliver { pe, msg });
+    }
+
+    fn on_deliver(&mut self, pe: Pe, msg: Queued) {
+        let st = &mut self.pes[pe];
+        if st.dead {
+            // Addressed to a dead machine: the message is gone, but the
+            // conservation ledger must see it leave the system.
+            self.core.meter.stats.msgs_discarded += 1;
+            return;
+        }
+        st.queue.push(msg);
+        self.reschedule(pe);
+    }
+
+    fn on_execute(&mut self, pe: Pe) {
+        let st = &mut self.pes[pe];
+        if st.dead {
+            return;
+        }
+        st.execute_scheduled = false;
+        let Some(q) = st.queue.pop() else { return };
+        let start = self.now;
+
+        // The object may have migrated since delivery: forward the message.
+        let home = self.core.obj_pe[q.msg.to.idx()];
+        if home != pe {
+            let t = start + self.machine.wire_time(q.msg.bytes);
+            self.push_event(t, EventKind::Deliver { pe: home, msg: q });
+            self.reschedule(pe);
+            return;
+        }
+        if self.core.meter.rejects(&q) {
+            self.reschedule(pe);
+            return;
+        }
+
+        // Run the handler.
+        let Letter { to, entry, payload, path, .. } = q.msg;
+        let mut obj = self.core.objects[to.idx()].take().expect("re-entrant object execution");
+        let mut ctx = Ctx::new(pe, start, to, self.core.n_pes);
+        obj.receive(entry, payload, &mut ctx);
+        self.core.objects[to.idx()] = Some(obj);
+
+        // Cost the execution: receive overhead + declared work + send costs.
+        let mut send_cpu = 0.0;
+        let mut pack_cpu = 0.0;
+        for s in &ctx.sends {
+            let (pack, send) = match s.pack {
+                PackCost::Single => (self.machine.pack_overhead_s, self.machine.send_time(s.bytes)),
+                PackCost::McFirst => {
+                    (self.machine.pack_overhead_s, self.machine.send_time(s.bytes))
+                }
+                // Buffer reuse: only the fixed per-message overhead remains.
+                PackCost::McRest => (0.0, self.machine.send_overhead_s),
+            };
+            pack_cpu += pack;
+            send_cpu += send;
+        }
+        let mut cpu = self.machine.recv_time() + self.machine.task_time(ctx.work);
+        cpu += send_cpu + pack_cpu;
+        cpu /= self.pe_speed[pe];
+        let stats = &mut self.core.meter.stats;
+        stats.recv_overhead += self.machine.recv_time();
+        stats.send_overhead += send_cpu;
+        stats.pack_time += pack_cpu;
+        stats.pe_overhead[pe] +=
+            (self.machine.recv_time() + send_cpu + pack_cpu) / self.pe_speed[pe];
+
+        // The DES time axis is purely virtual; there is no meaningful wall
+        // clock to stamp on the trace.
+        let end = start + cpu;
+        let end_path = self.core.meter.executed(pe, to, entry, start, cpu, 0.0, path);
+        self.pes[pe].busy_until = end;
+
+        // Dispatch the sends: they leave the sender when the handler ends.
+        let stamp_crc = self.core.stamp_crc();
+        for s in ctx.sends.drain(..) {
+            self.core.meter.sent(&s);
+            self.core.meter.ldb.on_message(to, s.to, s.bytes);
+            let dest_pe = self.core.obj_pe[s.to.idx()];
+            let mut arrive =
+                if dest_pe == pe { end } else { end + self.machine.wire_time(s.bytes) };
+            let action = self.core.fault.as_mut().and_then(|f| f.decide(s.entry, pe, dest_pe));
+            let fate = apply_fault(
+                action,
+                Letter::from_send(s, end_path),
+                stamp_crc,
+                &mut self.core.meter.stats,
+                &mut self.core.dead_letters,
+            );
+            match fate {
+                Fate::Lost { killed } => {
+                    // A killed machine dies at delivery time, and everything
+                    // already queued there dies with it.
+                    let victim = &mut self.pes[dest_pe];
+                    if killed && !victim.dead {
+                        victim.dead = true;
+                        victim.execute_scheduled = false;
+                        let stats = &mut self.core.meter.stats;
+                        stats.pes_killed += 1;
+                        stats.msgs_discarded += victim.queue.len() as u64;
+                        victim.queue.clear();
+                        self.core.crashed.get_or_insert(dest_pe);
+                    }
+                }
+                Fate::Deliver { msg, crc, duplicate, delay } => {
+                    if let Some(dup) = duplicate {
+                        self.deliver(arrive, None, dup, None);
+                    }
+                    if let Some(d) = delay {
+                        arrive += d;
+                    }
+                    self.deliver(arrive, Some(pe), msg, crc);
+                }
+            }
+        }
+
+        if ctx.stop {
+            self.stopped = true;
+        }
+        // Wake the scheduler for the next queued message.
+        self.reschedule(pe);
+    }
+
+    /// Schedule an Execute for `pe` if it has queued work and none pending.
+    fn reschedule(&mut self, pe: Pe) {
+        let st = &mut self.pes[pe];
+        if !st.queue.is_empty() && !st.execute_scheduled {
+            st.execute_scheduled = true;
+            let t = st.busy_until.max(self.now);
+            self.push_event(t, EventKind::Execute { pe });
+        }
+    }
+}
+
+impl Runtime for Des {
+    fn core(&self) -> &RuntimeCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut RuntimeCore {
+        &mut self.core
+    }
+
+    /// Delivered at the current virtual time with no communication cost.
+    fn inject(
+        &mut self,
+        to: ObjId,
+        entry: EntryId,
+        bytes: usize,
+        priority: Priority,
+        payload: Payload,
+    ) {
+        self.core.meter.stats.msgs_injected += 1;
+        let boot = Letter { to, entry, bytes, priority, payload, path: 0.0 };
+        self.deliver(self.now, None, boot, None);
+    }
+
     /// Run until the event queue drains or a handler calls [`Ctx::stop`].
-    /// Returns the final virtual time (when the last handler finished).
-    pub fn run(&mut self) -> f64 {
+    /// Returns the final virtual time (when the last handler finished);
+    /// never stalls.
+    fn try_run(&mut self) -> Result<f64, RunStall> {
         self.stopped = false;
         while let Some(ev) = self.events.pop() {
             debug_assert!(ev.time >= self.now - 1e-12, "time went backwards");
@@ -380,265 +340,41 @@ impl Des {
             // `Ctx::stop` discards whatever is still queued or in flight;
             // count the discards so the message-conservation ledger stays
             // exact (residual 0) even when stop races pending deliveries.
+            let stats = &mut self.core.meter.stats;
             for ev in self.events.drain() {
                 if matches!(ev.kind, EventKind::Deliver { .. }) {
-                    self.stats.msgs_discarded += 1;
+                    stats.msgs_discarded += 1;
                 }
             }
             for st in &mut self.pes {
-                self.stats.msgs_discarded += st.queue.len() as u64;
+                stats.msgs_discarded += st.queue.len() as u64;
                 st.queue.clear();
                 st.execute_scheduled = false;
             }
         }
-        self.now = self.now.max(self.last_activity);
-        self.now
+        self.now = self.now.max(self.core.meter.last_end);
+        Ok(self.now)
     }
 
-    fn on_deliver(&mut self, pe: Pe, msg: QMsg) {
-        if self.dead[pe] {
-            // Addressed to a dead machine: the message is gone, but the
-            // conservation ledger must see it leave the system.
-            drop(msg);
-            self.stats.msgs_discarded += 1;
-            return;
+    /// Redeliveries arrive clean at the current virtual time.
+    fn redeliver_dead_letters(&mut self) -> usize {
+        let letters = std::mem::take(&mut self.core.dead_letters);
+        let n = letters.len();
+        for dl in letters {
+            self.deliver(self.now, None, dl, None);
         }
-        let st = &mut self.pes[pe];
-        st.queue.push(msg);
-        if !st.execute_scheduled {
-            st.execute_scheduled = true;
-            let t = st.busy_until.max(self.now);
-            self.push_event(t, EventKind::Execute { pe });
-        }
+        self.core.meter.stats.msgs_redelivered += n as u64;
+        n
     }
 
-    fn on_execute(&mut self, pe: Pe) {
-        if self.dead[pe] {
-            return;
-        }
-        let msg = {
-            let st = &mut self.pes[pe];
-            st.execute_scheduled = false;
-            match st.queue.pop() {
-                Some(m) => m,
-                None => return,
-            }
-        };
-        let start = self.now;
-
-        // The object may have migrated since delivery: forward the message.
-        let home = self.obj_pe[msg.to.idx()];
-        if home != pe {
-            let t = start + self.machine.wire_time(msg.bytes);
-            self.push_event(t, EventKind::Deliver { pe: home, msg });
-            self.reschedule(pe);
-            return;
-        }
-
-        // Verify the payload CRC stamped at send time (corrupt-fault runs
-        // only): a damaged payload is rejected here — counted as dropped so
-        // the conservation ledger balances — and never reaches the handler.
-        // The clean dead-lettered copy repairs delivery later.
-        if let Some(stamped) = msg.crc {
-            if ckpt::crc64(&msg.payload) != stamped {
-                self.stats.msgs_crc_rejected += 1;
-                self.stats.msgs_dropped += 1;
-                self.reschedule(pe);
-                return;
-            }
-        }
-
-        // Run the handler.
-        let mut obj = self.objects[msg.to.idx()].take().expect("re-entrant object execution");
-        let mut ctx = Ctx::new(pe, start, msg.to, self.n_pes);
-        obj.receive(msg.entry, msg.payload, &mut ctx);
-        self.objects[msg.to.idx()] = Some(obj);
-
-        // Cost the execution: receive overhead + declared work + send costs.
-        let mut cpu = self.machine.recv_time() + self.machine.task_time(ctx.work);
-        self.stats.recv_overhead += self.machine.recv_time();
-        let mut send_cpu = 0.0;
-        let mut pack_cpu = 0.0;
-        for s in &ctx.sends {
-            let (pack, send) = match s.pack {
-                PackCost::Single => (self.machine.pack_overhead_s, self.machine.send_time(s.bytes)),
-                PackCost::McFirst => {
-                    (self.machine.pack_overhead_s, self.machine.send_time(s.bytes))
-                }
-                // Buffer reuse: only the fixed per-message overhead remains.
-                PackCost::McRest => (0.0, self.machine.send_overhead_s),
-            };
-            pack_cpu += pack;
-            send_cpu += send;
-        }
-        cpu += send_cpu + pack_cpu;
-        cpu /= self.pe_speed[pe];
-        self.stats.send_overhead += send_cpu;
-        self.stats.pack_time += pack_cpu;
-
-        let end = start + cpu;
-        // Critical path: the longest dependency chain ending at this
-        // handler is whatever chain produced the triggering message plus
-        // this handler's own cost. Sends below inherit it.
-        let end_path = msg.path + cpu;
-        self.stats.critical_path = self.stats.critical_path.max(end_path);
-        self.pes[pe].busy_until = end;
-        self.last_activity = self.last_activity.max(end);
-        self.stats.pe_busy[pe] += cpu;
-        self.stats.pe_overhead[pe] +=
-            (self.machine.recv_time() + send_cpu + pack_cpu) / self.pe_speed[pe];
-        self.stats.entry_time[msg.entry.idx()] += cpu;
-        self.stats.entry_count[msg.entry.idx()] += 1;
-        self.stats.msgs_sent += ctx.sends.len() as u64;
-        self.stats.msgs_received += 1;
-        self.ldb.attribute(msg.to, pe, cpu);
-        if self.tracing {
-            // The DES time axis is purely virtual; there is no meaningful
-            // wall clock to stamp.
-            self.trace.record(TraceEvent {
-                pe,
-                obj: msg.to,
-                entry: msg.entry,
-                start,
-                end,
-                wall: 0.0,
-            });
-        }
-
-        // Dispatch the sends: they leave the sender when the handler ends.
-        let stop = ctx.stop;
-        let stamp_crc = self.fault.as_ref().is_some_and(|f| f.has_corruption());
-        for mut s in ctx.sends.drain(..) {
-            self.stats.bytes_sent += s.bytes as u64;
-            self.stats.count_wire(s.entry, s.payload.len());
-            self.ldb.on_message(msg.to, s.to, s.bytes);
-            let dest_pe = self.obj_pe[s.to.idx()];
-            let mut arrive =
-                if dest_pe == pe { end } else { end + self.machine.wire_time(s.bytes) };
-            // Stamp the payload CRC before the "network" can touch the
-            // bytes (only worth the cycles when corruption is possible).
-            let mut crc = stamp_crc.then(|| ckpt::crc64(&s.payload));
-            let fate = self
-                .fault
-                .as_mut()
-                .and_then(|f| f.decide(s.entry, pe, dest_pe));
-            match fate {
-                Some(FaultAction::Drop) => {
-                    // Lost in the network: the send was costed and counted,
-                    // but no Deliver event exists. Retained for redelivery.
-                    self.stats.msgs_dropped += 1;
-                    self.dead_letters.push(DeadLetter {
-                        to: s.to,
-                        entry: s.entry,
-                        bytes: s.bytes,
-                        priority: s.priority,
-                        payload: s.payload,
-                        path: end_path,
-                    });
-                    continue;
-                }
-                Some(FaultAction::Duplicate) => {
-                    // An extra copy arrives alongside the original; its
-                    // payload is an empty header re-send (delivering the
-                    // body twice would double-apply it — the protocol only
-                    // has to tolerate the spurious wakeup).
-                    self.stats.msgs_duplicated += 1;
-                    let seq = self.next_seq();
-                    let dup = QMsg {
-                        key: self.policy.key(s.priority, seq),
-                        seq,
-                        from: msg.to,
-                        to: s.to,
-                        entry: s.entry,
-                        bytes: s.bytes,
-                        payload: Vec::new(),
-                        crc: None,
-                        path: end_path,
-                    };
-                    self.push_event(arrive, EventKind::Deliver { pe: dest_pe, msg: dup });
-                }
-                Some(FaultAction::Delay(d)) => {
-                    self.stats.msgs_delayed += 1;
-                    arrive += d;
-                }
-                Some(FaultAction::Corrupt(n)) => {
-                    // Keep a clean copy for repair, then flip bytes in the
-                    // copy that travels. Empty payloads have no bytes to
-                    // flip, so damage the stamped CRC instead — either way
-                    // delivery must reject the message.
-                    self.stats.msgs_corrupted += 1;
-                    self.dead_letters.push(DeadLetter {
-                        to: s.to,
-                        entry: s.entry,
-                        bytes: s.bytes,
-                        priority: s.priority,
-                        payload: s.payload.clone(),
-                        path: end_path,
-                    });
-                    if s.payload.is_empty() {
-                        crc = crc.map(|c| !c);
-                    } else {
-                        let flip = (n as usize).min(s.payload.len());
-                        for b in &mut s.payload[..flip] {
-                            *b ^= 0xFF;
-                        }
-                    }
-                }
-                Some(FaultAction::Kill) => {
-                    // The destination machine dies at delivery time; the
-                    // message is lost with it (dropped, not dead-lettered —
-                    // there is no PE left to retry into), and everything
-                    // already queued there dies too.
-                    self.stats.msgs_dropped += 1;
-                    if !self.dead[dest_pe] {
-                        self.dead[dest_pe] = true;
-                        self.stats.pes_killed += 1;
-                        self.crashed.get_or_insert(dest_pe);
-                        let queued = self.pes[dest_pe].queue.len() as u64;
-                        self.stats.msgs_discarded += queued;
-                        self.pes[dest_pe].queue.clear();
-                        self.pes[dest_pe].execute_scheduled = false;
-                    }
-                    continue;
-                }
-                None => {}
-            }
-            let seq = self.next_seq();
-            if dest_pe != pe {
-                arrive += self.policy.delivery_jitter(seq);
-            }
-            let q = QMsg {
-                key: self.policy.key(s.priority, seq),
-                seq,
-                from: msg.to,
-                to: s.to,
-                entry: s.entry,
-                bytes: s.bytes,
-                payload: s.payload,
-                crc,
-                path: end_path,
-            };
-            self.push_event(arrive, EventKind::Deliver { pe: dest_pe, msg: q });
-        }
-
-        if stop {
-            self.stopped = true;
-        }
-        // Wake the scheduler for the next queued message.
-        let st = &mut self.pes[pe];
-        if !st.queue.is_empty() && !st.execute_scheduled {
-            st.execute_scheduled = true;
-            self.push_event(end, EventKind::Execute { pe });
-        }
-    }
-
-    fn reschedule(&mut self, pe: Pe) {
-        let st = &mut self.pes[pe];
-        if !st.queue.is_empty() && !st.execute_scheduled {
-            st.execute_scheduled = true;
-            let t = st.busy_until.max(self.now);
-            self.push_event(t, EventKind::Execute { pe });
-        }
+    /// 0.5 = half speed, e.g. a workstation shared with an interactive
+    /// user. All handler CPU time on a PE is divided by its factor, so the
+    /// measurement-based load balancer *observes* the slowdown and can
+    /// adapt to it.
+    fn set_pe_speeds(&mut self, speeds: Vec<f64>) {
+        assert_eq!(speeds.len(), self.core.n_pes);
+        assert!(speeds.iter().all(|&s| s > 0.0), "speeds must be positive");
+        self.pe_speed = speeds;
     }
 }
 
@@ -646,6 +382,7 @@ impl Des {
 mod tests {
     use super::*;
     use crate::msg::{PRIO_HIGH, PRIO_LOW, PRIO_NORMAL};
+    use crate::{Chare, FaultPlan, SchedulePolicy};
     use machine::presets;
 
     use std::sync::{Arc, Mutex};
@@ -698,9 +435,9 @@ mod tests {
         let t = des.run();
         // a: 50 µs, then b: 100 µs (ideal machine: 1 µs per work unit).
         assert!((t - 150e-6).abs() < 1e-12, "final time {t}");
-        assert_eq!(des.stats.entry_count[ping.idx()], 2);
-        assert!((des.stats.pe_busy[0] - 50e-6).abs() < 1e-12);
-        assert!((des.stats.pe_busy[1] - 100e-6).abs() < 1e-12);
+        assert_eq!(des.stats().entry_count[ping.idx()], 2);
+        assert!((des.stats().pe_busy[0] - 50e-6).abs() < 1e-12);
+        assert!((des.stats().pe_busy[1] - 100e-6).abs() < 1e-12);
     }
 
     #[test]
@@ -762,12 +499,12 @@ mod tests {
         let o = des.register(Box::new(Node { work: 5.0, ..Node::new() }), 0, true);
         des.inject(o, e, 0, PRIO_NORMAL, Vec::new());
         des.run();
-        assert!(des.stats.pe_busy[0] > 0.0);
+        assert!(des.stats().pe_busy[0] > 0.0);
         des.migrate(o, 1);
-        let before = des.stats.pe_busy[1];
+        let before = des.stats().pe_busy[1];
         des.inject(o, e, 0, PRIO_NORMAL, Vec::new());
         des.run();
-        assert!(des.stats.pe_busy[1] > before, "work should land on PE 1 after migration");
+        assert!(des.stats().pe_busy[1] > before, "work should land on PE 1 after migration");
     }
 
     #[test]
@@ -779,7 +516,7 @@ mod tests {
         des.inject(mig, e, 0, PRIO_NORMAL, Vec::new());
         des.inject(fixed, e, 0, PRIO_NORMAL, Vec::new());
         des.run();
-        let snap = des.ldb.snapshot(des.placement());
+        let snap = des.ldb().snapshot(des.placement());
         assert!((snap.objects[mig.idx()].load - 100e-6).abs() < 1e-12);
         assert_eq!(snap.objects[fixed.idx()].load, 0.0);
         assert!((snap.background[1] - 200e-6).abs() < 1e-12);
@@ -793,8 +530,8 @@ mod tests {
         des.set_tracing(true);
         des.inject(o, e, 0, PRIO_NORMAL, Vec::new());
         des.run();
-        assert_eq!(des.trace.events.len(), 1);
-        let ev = des.trace.events[0];
+        assert_eq!(des.trace().events.len(), 1);
+        let ev = des.trace().events[0];
         assert_eq!(ev.pe, 0);
         assert!((ev.duration() - 50e-6).abs() < 1e-12);
     }
@@ -815,7 +552,7 @@ mod tests {
         des.inject(n, e, 0, PRIO_LOW, Vec::new());
         des.run();
         // The big task never ran.
-        assert_eq!(des.stats.entry_count[e.idx()], 1);
+        assert_eq!(des.stats().entry_count[e.idx()], 1);
     }
 
     #[test]
@@ -858,15 +595,15 @@ mod tests {
         des.inject(a, e, 0, PRIO_NORMAL, Vec::new());
         des.run();
         // b never ran; the drop is accounted, so conservation still holds.
-        assert_eq!(des.stats.entry_count[e.idx()], 1);
-        assert_eq!(des.stats.msgs_dropped, 1);
-        assert_eq!(des.stats.conservation_residual(), 0);
+        assert_eq!(des.stats().entry_count[e.idx()], 1);
+        assert_eq!(des.stats().msgs_dropped, 1);
+        assert_eq!(des.stats().conservation_residual(), 0);
         // The sender retransmits; the protocol completes.
         assert_eq!(des.redeliver_dead_letters(), 1);
         des.run();
-        assert_eq!(des.stats.entry_count[e.idx()], 2);
-        assert_eq!(des.stats.msgs_redelivered, 1);
-        assert_eq!(des.stats.conservation_residual(), 0);
+        assert_eq!(des.stats().entry_count[e.idx()], 2);
+        assert_eq!(des.stats().msgs_redelivered, 1);
+        assert_eq!(des.stats().conservation_residual(), 0);
     }
 
     #[test]
@@ -876,9 +613,9 @@ mod tests {
         des.inject(a, e, 0, PRIO_NORMAL, Vec::new());
         des.run();
         // a once, b twice (original + empty-payload copy).
-        assert_eq!(des.stats.entry_count[e.idx()], 3);
-        assert_eq!(des.stats.msgs_duplicated, 1);
-        assert_eq!(des.stats.conservation_residual(), 0);
+        assert_eq!(des.stats().entry_count[e.idx()], 3);
+        assert_eq!(des.stats().msgs_duplicated, 1);
+        assert_eq!(des.stats().conservation_residual(), 0);
     }
 
     #[test]
@@ -888,8 +625,8 @@ mod tests {
         des.inject(a, e, 0, PRIO_NORMAL, Vec::new());
         let t = des.run();
         assert!(t >= 1.0, "delayed delivery should dominate the makespan, got {t}");
-        assert_eq!(des.stats.msgs_delayed, 1);
-        assert_eq!(des.stats.entry_count[e.idx()], 2);
+        assert_eq!(des.stats().msgs_delayed, 1);
+        assert_eq!(des.stats().entry_count[e.idx()], 2);
     }
 
     #[test]
@@ -899,20 +636,20 @@ mod tests {
         des.inject(a, e, 0, PRIO_NORMAL, Vec::new());
         des.run();
         // a ran; b's PE died before the forward arrived.
-        assert_eq!(des.stats.entry_count[e.idx()], 1);
+        assert_eq!(des.stats().entry_count[e.idx()], 1);
         assert_eq!(des.crashed(), Some(1));
-        assert_eq!(des.stats.pes_killed, 1);
+        assert_eq!(des.stats().pes_killed, 1);
         // The lost message is dropped (no dead letter to redeliver), and
         // the conservation ledger still balances.
-        assert_eq!(des.stats.msgs_dropped, 1);
+        assert_eq!(des.stats().msgs_dropped, 1);
         assert_eq!(des.redeliver_dead_letters(), 0);
-        assert_eq!(des.stats.conservation_residual(), 0);
+        assert_eq!(des.stats().conservation_residual(), 0);
         // Injections into the dead PE are discarded, not executed.
-        let before = des.stats.entry_count[e.idx()];
+        let before = des.stats().entry_count[e.idx()];
         des.inject(b, e, 0, PRIO_NORMAL, Vec::new());
         des.run();
-        assert_eq!(des.stats.entry_count[e.idx()], before);
-        assert_eq!(des.stats.conservation_residual(), 0);
+        assert_eq!(des.stats().entry_count[e.idx()], before);
+        assert_eq!(des.stats().conservation_residual(), 0);
     }
 
     /// Forwards one tagged (non-empty) payload to a peer on first receipt.
@@ -939,16 +676,16 @@ mod tests {
         des.run();
         // The flipped payload failed its CRC at delivery: b never saw it.
         assert!(order.lock().unwrap().is_empty());
-        assert_eq!(des.stats.msgs_corrupted, 1);
-        assert_eq!(des.stats.msgs_crc_rejected, 1);
-        assert_eq!(des.stats.msgs_dropped, 1);
-        assert_eq!(des.stats.conservation_residual(), 0);
+        assert_eq!(des.stats().msgs_corrupted, 1);
+        assert_eq!(des.stats().msgs_crc_rejected, 1);
+        assert_eq!(des.stats().msgs_dropped, 1);
+        assert_eq!(des.stats().conservation_residual(), 0);
         // The clean copy was dead-lettered; the retransmission arrives
         // intact and delivers the original bytes.
         assert_eq!(des.redeliver_dead_letters(), 1);
         des.run();
         assert_eq!(*order.lock().unwrap(), vec![7]);
-        assert_eq!(des.stats.conservation_residual(), 0);
+        assert_eq!(des.stats().conservation_residual(), 0);
     }
 
     #[test]
@@ -959,12 +696,12 @@ mod tests {
         des.run();
         // There are no payload bytes to flip, so the fault inverts the
         // stored checksum instead — the receiver must still reject it.
-        assert_eq!(des.stats.entry_count[e.idx()], 1, "only the sender ran");
-        assert_eq!((des.stats.msgs_corrupted, des.stats.msgs_crc_rejected), (1, 1));
+        assert_eq!(des.stats().entry_count[e.idx()], 1, "only the sender ran");
+        assert_eq!((des.stats().msgs_corrupted, des.stats().msgs_crc_rejected), (1, 1));
         assert_eq!(des.redeliver_dead_letters(), 1);
         des.run();
-        assert_eq!(des.stats.entry_count[e.idx()], 2);
-        assert_eq!(des.stats.conservation_residual(), 0);
+        assert_eq!(des.stats().entry_count[e.idx()], 2);
+        assert_eq!(des.stats().conservation_residual(), 0);
     }
 
     #[test]
@@ -1004,9 +741,9 @@ mod tests {
         des.run();
         // The a→b chain (50 + 100 µs) dominates the independent 120 µs task.
         assert!(
-            (des.stats.critical_path - 150e-6).abs() < 1e-12,
+            (des.stats().critical_path - 150e-6).abs() < 1e-12,
             "critical path {}",
-            des.stats.critical_path
+            des.stats().critical_path
         );
     }
 
@@ -1020,10 +757,10 @@ mod tests {
         des.inject(a, e, 0, PRIO_NORMAL, Vec::new());
         des.run();
         // a declares no work: its whole handler cost is messaging overhead.
-        assert!(des.stats.pe_overhead[0] > 0.0);
-        assert!((des.stats.pe_overhead[0] - des.stats.pe_busy[0]).abs() < 1e-15);
+        assert!(des.stats().pe_overhead[0] > 0.0);
+        assert!((des.stats().pe_overhead[0] - des.stats().pe_busy[0]).abs() < 1e-15);
         for pe in 0..2 {
-            assert!(des.stats.pe_overhead[pe] <= des.stats.pe_busy[pe] + 1e-15);
+            assert!(des.stats().pe_overhead[pe] <= des.stats().pe_busy[pe] + 1e-15);
         }
     }
 
@@ -1043,7 +780,7 @@ mod tests {
                 des.inject(last.unwrap(), e, 64, PRIO_NORMAL, Vec::new());
             }
             let t = des.run();
-            (t.to_bits(), des.trace.clone())
+            (t.to_bits(), des.trace().clone())
         };
         let (t1, trace1) = run_with(7);
         let (t2, trace2) = run_with(7);

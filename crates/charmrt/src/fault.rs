@@ -36,7 +36,7 @@
 //! (`msgs_dropped`, `msgs_duplicated`, `msgs_delayed`, `msgs_redelivered`),
 //! feeding the message-conservation oracle.
 
-use crate::msg::{EntryId, ObjId, Payload, Pe, Priority};
+use crate::msg::{EntryId, Pe};
 use crate::wire::EntryTable;
 
 /// What to do to a matching message.
@@ -204,21 +204,6 @@ impl FaultPlan {
         }
         Ok(FaultPlan { rules })
     }
-}
-
-/// A message the network "lost": everything needed to re-send it later.
-/// Payloads survive the drop — a retransmitting sender still holds the
-/// message body.
-pub(crate) struct DeadLetter {
-    pub to: ObjId,
-    pub entry: EntryId,
-    pub bytes: usize,
-    pub priority: Priority,
-    pub payload: Payload,
-    /// Dependency-chain length the message carried when it was dropped,
-    /// preserved across redelivery so critical-path accounting survives
-    /// the retransmission.
-    pub path: f64,
 }
 
 /// An installed plan: rules with entry names resolved to ids, plus

@@ -8,6 +8,7 @@
 //! applies it by migrating objects.
 
 use crate::msg::{ObjId, Pe};
+use crate::wire::{Dec, Enc, WireError};
 use std::collections::HashMap;
 
 /// Per-object measured data.
@@ -96,6 +97,47 @@ impl LdbDatabase {
             e.0 += 1;
             e.1 += bytes as u64;
         }
+    }
+
+    /// The same objects with the same migratability and no measurements:
+    /// one worker's share of the database, to be [`absorb`]ed back.
+    ///
+    /// [`absorb`]: LdbDatabase::absorb
+    pub(crate) fn zeroed(&self) -> LdbDatabase {
+        LdbDatabase {
+            obj_load: vec![0.0; self.obj_load.len()],
+            migratable: self.migratable.clone(),
+            background: vec![0.0; self.background.len()],
+            comm: HashMap::new(),
+            record_comm: self.record_comm,
+        }
+    }
+
+    /// Add a worker's measured loads (same objects, same PEs) into this
+    /// database. The communication graph is not a worker's to record: only
+    /// the DES fills it, into its runtime's database directly.
+    pub(crate) fn absorb(&mut self, o: &LdbDatabase) {
+        assert_eq!(
+            (self.obj_load.len(), self.background.len()),
+            (o.obj_load.len(), o.background.len()),
+            "absorbing loads of a different shape"
+        );
+        self.obj_load.iter_mut().zip(&o.obj_load).for_each(|(x, y)| *x += y);
+        self.background.iter_mut().zip(&o.background).for_each(|(x, y)| *x += y);
+    }
+
+    /// Pack the measured loads (not the registrations, which both sides of
+    /// a process boundary already share).
+    pub(crate) fn pack_loads(&self, e: &mut Enc) {
+        e.f64s(&self.obj_load);
+        e.f64s(&self.background);
+    }
+
+    /// Inverse of [`LdbDatabase::pack_loads`].
+    pub(crate) fn unpack_loads(&mut self, d: &mut Dec) -> Result<(), WireError> {
+        self.obj_load = d.f64s("obj_load")?;
+        self.background = d.f64s("background")?;
+        Ok(())
     }
 
     /// Is the object migratable?

@@ -41,11 +41,28 @@
 //!   declare work, send messages (including costed naive/optimized
 //!   multicasts, §4.2.3).
 //! * [`runtime::Runtime`] — the backend-agnostic contract (register, inject,
-//!   run-to-quiescence, migrate, harvest measurements).
-//! * [`des::Des`] — the modeled engine: event loop, per-PE prioritized
-//!   queues, machine-model costing, migration.
-//! * [`threads::ThreadRuntime`] — the real-threads engine: worker threads,
-//!   in-flight-counter quiescence, wall-clock measurement.
+//!   run-to-quiescence, migrate, harvest measurements). A backend supplies
+//!   `inject`, `try_run`, `redeliver_dead_letters` and `set_pe_speeds`;
+//!   every bookkeeping method is provided once over its
+//!   [`runtime::RuntimeCore`] (object table, placement, measurement
+//!   products, schedule policy, fault state, dead letters).
+//! * `pe` (crate-private) — what a PE is whatever executes it: the queue
+//!   entry and its one dequeue order, the meter that fills stats / trace /
+//!   load database (and packs itself to cross a process boundary), and the
+//!   fault applicator. All three backends call it; none re-implements it.
+//! * [`backend::Backend`] — names the three backends and builds one.
+//! * [`des::Des`] — owns the virtual clock, the event queue and the
+//!   machine-model costing.
+//! * [`threads::ThreadRuntime`] — owns the worker threads and their queues,
+//!   the in-flight-counter quiescence and the no-progress watchdog.
+//! * [`proc::ProcRuntime`] — owns the fork, the Unix-socket mesh, the probe
+//!   rounds and the return of harvested object state.
+//! * [`wire`] — owned byte payloads, [`WireCodec`], the entry table, CRC-64
+//!   framing.
+//! * [`sched::SchedulePolicy`] — seeded dequeue-order perturbations.
+//! * [`fault`] — fault plans (drop / duplicate / delay / corrupt / kill) and
+//!   their occurrence windows.
+//! * [`collectives`] — spanning-tree broadcast and reduction helpers.
 //! * [`stats::SummaryStats`] — per-entry-method summary profiles (§4.1).
 //! * [`trace::Trace`] — Projections-style full traces: grainsize histograms
 //!   (Figs 1-2) and text timelines (Figs 3-4).
@@ -56,12 +73,14 @@
 // constructors take positional wiring arguments by design.
 #![allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 #![allow(clippy::field_reassign_with_default)]
+pub mod backend;
 pub mod chare;
 pub mod collectives;
 pub mod des;
 pub mod fault;
 pub mod ldb;
 pub mod msg;
+mod pe;
 pub mod proc;
 pub mod runtime;
 pub mod sched;
@@ -70,6 +89,7 @@ pub mod threads;
 pub mod trace;
 pub mod wire;
 
+pub use backend::Backend;
 pub use chare::{Chare, Ctx, MulticastMode};
 pub use collectives::{tree_children, tree_depth, tree_parent, TreeNode};
 pub use des::Des;
@@ -77,7 +97,7 @@ pub use fault::{FaultAction, FaultPlan, FaultRule};
 pub use ldb::{LdbDatabase, LdbSnapshot, ObjLoad};
 pub use msg::{EntryId, ObjId, Payload, Pe, Priority, PRIO_HIGH, PRIO_LOW, PRIO_NORMAL};
 pub use proc::ProcRuntime;
-pub use runtime::{RunStall, Runtime};
+pub use runtime::{RunStall, Runtime, RuntimeCore};
 pub use sched::{SchedulePolicy, SchedulePolicyKind};
 pub use stats::SummaryStats;
 pub use threads::ThreadRuntime;

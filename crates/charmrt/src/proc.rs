@@ -6,7 +6,7 @@
 //! PEs share *nothing* but the wire (and the filesystem), so every byte a
 //! handler consumes arrived as a packed [`WireMsg`] and every result the
 //! parent reads back crossed the process boundary explicitly, via
-//! [`Chare::harvest_state`] per object.
+//! [`crate::Chare::harvest_state`] per object.
 //!
 //! ## Topology and lifecycle
 //!
@@ -58,23 +58,19 @@
 //!
 //! Handlers mutate memory owned by a *child*; the parent's copies are
 //! untouched (copy-on-write). After a clean drain each child harvests
-//! every object it owns ([`Chare::harvest_state`]), and the parent
-//! applies the bytes in PE order ([`Chare::merge_state`]) — so
+//! every object it owns ([`crate::Chare::harvest_state`]), and the parent
+//! applies the bytes in PE order ([`crate::Chare::merge_state`]) — so
 //! `Runtime::object` reads
 //! the post-run state just as on the shared-memory backends, provided the
 //! chare implements the pair. Filesystem effects (checkpoints) need no
 //! harvesting: children write them durably in place.
 
-use crate::chare::{Chare, Ctx};
 use crate::fault::{FaultAction, FaultPlan, FaultState};
-use crate::ldb::LdbDatabase;
 use crate::msg::{EntryId, ObjId, Payload, Pe, Priority};
-use crate::runtime::{RunStall, Runtime};
+use crate::pe::{Letter, Meter, Queued, WallClock};
+use crate::runtime::{RunStall, Runtime, RuntimeCore};
 use crate::sched::SchedulePolicy;
-use crate::stats::SummaryStats;
-use crate::trace::{Trace, TraceEvent};
 use crate::wire::{read_frame, write_frame, Dec, Enc, WireCodec, WireError, WireMsg};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::io::Write as _;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -82,7 +78,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtOrd};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Minimal libc surface. The build has no `libc` crate; these five calls
@@ -124,41 +120,10 @@ const TAG_MSG: u8 = 8;
 const TAG_FLUSH: u8 = 9;
 const TAG_HELLO: u8 = 10;
 
-/// A queued message awaiting execution inside a worker process. Identical
-/// ordering contract to the threads backend's queue entry.
-struct PMsg {
-    key: (i64, u64),
-    seq: u64,
-    priority: Priority,
-    bytes: usize,
-    to: ObjId,
-    entry: EntryId,
-    payload: Payload,
-    path: f64,
-}
-
-impl PartialEq for PMsg {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
-    }
-}
-impl Eq for PMsg {}
-impl PartialOrd for PMsg {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PMsg {
-    // Max-heap → invert for smallest (key, seq) first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.key, other.seq).cmp(&(self.key, self.seq))
-    }
-}
-
 /// State shared between a child's scheduler, its peer readers, and its
 /// control reader.
 struct ChildShared {
-    heap: Mutex<BinaryHeap<PMsg>>,
+    heap: Mutex<BinaryHeap<Queued>>,
     available: Condvar,
     seq: AtomicU64,
     /// Scheduler is between a dequeue and finishing that handler's sends.
@@ -178,19 +143,10 @@ struct ChildShared {
 }
 
 impl ChildShared {
-    fn enqueue(
-        &self,
-        priority: Priority,
-        bytes: usize,
-        to: ObjId,
-        entry: EntryId,
-        payload: Payload,
-        path: f64,
-    ) {
+    fn enqueue(&self, msg: Letter) {
         let seq = self.seq.fetch_add(1, AtOrd::SeqCst);
-        let key = self.policy.key(priority, seq);
         let mut heap = self.heap.lock().unwrap();
-        heap.push(PMsg { key, seq, priority, bytes, to, entry, payload, path });
+        heap.push(Queued::new(&self.policy, seq, msg, None));
         self.available.notify_all();
     }
 
@@ -200,89 +156,23 @@ impl ChildShared {
     }
 }
 
-/// One child's measurements and harvested state, decoded from `Results`.
-struct ChildResults {
-    pe: Pe,
-    busy: f64,
-    last_end: f64,
-    critical_path: f64,
-    executed: u64,
-    discarded: u64,
-    msgs_sent: u64,
-    bytes_sent: u64,
-    entry_time: Vec<f64>,
-    entry_count: Vec<u64>,
-    wire_msgs: Vec<u64>,
-    wire_bytes: Vec<u64>,
-    obj_secs: Vec<(ObjId, f64)>,
-    trace: Vec<TraceEvent>,
-    harvests: Vec<(ObjId, Vec<u8>)>,
-}
+/// One child's `Results` body: what it measured, and the harvested state
+/// of every object it owns.
+type WorkerResults = (Meter, Vec<(ObjId, Payload)>);
 
-impl ChildResults {
-    fn decode(bytes: &[u8], n_entries: usize) -> Result<ChildResults, WireError> {
-        let mut d = Dec::new(bytes);
-        let pe = d.u32("pe")? as usize;
-        let busy = d.f64("busy")?;
-        let last_end = d.f64("last_end")?;
-        let critical_path = d.f64("critical_path")?;
-        let executed = d.u64("executed")?;
-        let discarded = d.u64("discarded")?;
-        let msgs_sent = d.u64("msgs_sent")?;
-        let bytes_sent = d.u64("bytes_sent")?;
-        let mut entry_time = Vec::with_capacity(n_entries);
-        let mut entry_count = Vec::with_capacity(n_entries);
-        let mut wire_msgs = Vec::with_capacity(n_entries);
-        let mut wire_bytes = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            entry_time.push(d.f64("entry_time")?);
-            entry_count.push(d.u64("entry_count")?);
-            wire_msgs.push(d.u64("wire_msgs")?);
-            wire_bytes.push(d.u64("wire_bytes")?);
-        }
-        let n_obj = d.u64("n_obj_secs")? as usize;
-        let mut obj_secs = Vec::with_capacity(n_obj);
-        for _ in 0..n_obj {
-            obj_secs.push((ObjId(d.u32("obj")?), d.f64("secs")?));
-        }
-        let n_trace = d.u64("n_trace")? as usize;
-        let mut trace = Vec::with_capacity(n_trace);
-        for _ in 0..n_trace {
-            trace.push(TraceEvent {
-                pe,
-                obj: ObjId(d.u32("t_obj")?),
-                entry: EntryId(d.u16("t_entry")?),
-                start: d.f64("t_start")?,
-                end: d.f64("t_end")?,
-                wall: d.f64("t_wall")?,
-            });
-        }
-        let n_harvest = d.u64("n_harvest")? as usize;
-        let mut harvests = Vec::with_capacity(n_harvest);
-        for _ in 0..n_harvest {
-            harvests.push((ObjId(d.u32("h_obj")?), d.bytes("h_state")?));
-        }
-        if d.remaining() != 0 {
-            return Err(WireError(format!("{} trailing bytes in Results", d.remaining())));
-        }
-        Ok(ChildResults {
-            pe,
-            busy,
-            last_end,
-            critical_path,
-            executed,
-            discarded,
-            msgs_sent,
-            bytes_sent,
-            entry_time,
-            entry_count,
-            wire_msgs,
-            wire_bytes,
-            obj_secs,
-            trace,
-            harvests,
-        })
+fn decode_results(bytes: &[u8]) -> Result<WorkerResults, WireError> {
+    let mut d = Dec::new(bytes);
+    let meter = Meter::unpack(&d.bytes("meter")?)?;
+    let n_harvest = d.u64("n_harvest")? as usize;
+    // Bound the allocation by what the frame can actually hold.
+    let mut harvests = Vec::with_capacity(n_harvest.min(d.remaining() / 8));
+    for _ in 0..n_harvest {
+        harvests.push((ObjId(d.u32("h_obj")?), d.bytes("h_state")?));
     }
+    if d.remaining() != 0 {
+        return Err(WireError(format!("{} trailing bytes in Results", d.remaining())));
+    }
+    Ok((meter, harvests))
 }
 
 /// Events the parent's per-child control readers feed into its main loop.
@@ -298,13 +188,9 @@ enum Event {
 
 /// Multi-process [`Runtime`] backend. See the module docs.
 pub struct ProcRuntime {
-    n_pes: usize,
-    objects: Vec<Option<Box<dyn Chare>>>,
-    obj_pe: Vec<Pe>,
-    injected: Vec<(ObjId, EntryId, usize, Priority, Payload, f64)>,
-    tracing: bool,
-    policy: SchedulePolicy,
-    fault: Option<FaultState>,
+    core: RuntimeCore,
+    /// Bootstrap messages queued by `inject` until the next run.
+    injected: Vec<Letter>,
     /// Where the per-PE listener sockets live. Unix socket paths are
     /// limited to ~107 bytes, so this defaults to a short directory under
     /// the system temp dir, unique per runtime.
@@ -312,14 +198,6 @@ pub struct ProcRuntime {
     /// No-progress window after which the run is declared stalled and the
     /// children felled. Generous: real processes start slowly.
     stall_timeout: Duration,
-    /// Summary-profile instrumentation (measured wall-clock, merged from
-    /// the children's `Results` frames).
-    pub stats: SummaryStats,
-    /// Full event trace (opt-in via `set_tracing`).
-    pub trace: Trace,
-    /// Load-balancing measurement database (measured wall-clock).
-    pub ldb: LdbDatabase,
-    crashed: Option<Pe>,
 }
 
 /// Distinguishes concurrently-constructed runtimes in one parent process.
@@ -328,32 +206,17 @@ static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 impl ProcRuntime {
     /// Create a runtime that will fork `n_pes` worker processes per run.
     pub fn new(n_pes: usize) -> Self {
-        assert!(n_pes > 0, "need at least one worker process");
         let dir = std::env::temp_dir().join(format!(
             "namd-proc-{}-{}",
             unsafe { getpid() },
             DIR_COUNTER.fetch_add(1, AtOrd::SeqCst)
         ));
         ProcRuntime {
-            n_pes,
-            objects: Vec::new(),
-            obj_pe: Vec::new(),
+            core: RuntimeCore::new(n_pes),
             injected: Vec::new(),
-            tracing: false,
-            policy: SchedulePolicy::default(),
-            fault: None,
             socket_dir: dir,
             stall_timeout: Duration::from_millis(2000),
-            stats: SummaryStats::new(n_pes),
-            trace: Trace::default(),
-            ldb: LdbDatabase::new(n_pes),
-            crashed: None,
         }
-    }
-
-    /// Number of worker processes per run.
-    pub fn n_pes(&self) -> usize {
-        self.n_pes
     }
 
     /// Override where the per-PE listener sockets are created. Keep it
@@ -362,112 +225,9 @@ impl ProcRuntime {
         self.socket_dir = dir;
     }
 
-    /// The PE whose process died during any run of this runtime, if any.
-    pub fn crashed(&self) -> Option<Pe> {
-        self.crashed
-    }
-
-    /// Set the schedule-perturbation policy for subsequent deliveries.
-    pub fn set_schedule_policy(&mut self, policy: SchedulePolicy) {
-        self.policy = policy;
-    }
-
-    /// Install a fault plan. Only [`FaultAction::Kill`] rules are
-    /// supported on this backend (see the module docs); panics on other
-    /// actions or on a rule naming an unregistered entry method.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        assert!(
-            plan.rules.iter().all(|r| r.action == FaultAction::Kill),
-            "the proc backend supports kill fault rules only"
-        );
-        self.fault =
-            Some(FaultState::install(plan, &self.stats.entry_names).expect("bad fault plan"));
-    }
-
     /// Shrink the no-progress watchdog window (tests; default 2 s).
     pub fn set_stall_timeout(&mut self, timeout: Duration) {
         self.stall_timeout = timeout;
-    }
-
-    /// Run to quiescence (or `Ctx::stop`) on real worker processes.
-    /// Returns the makespan: the latest handler end time in wall seconds
-    /// from a child epoch. Panics on a stall — use
-    /// [`ProcRuntime::try_run`] when kills are expected.
-    pub fn run(&mut self) -> f64 {
-        self.try_run().expect("quiescence unreachable")
-    }
-
-    /// Like [`ProcRuntime::run`], but a wedged or crashed run is returned
-    /// as [`RunStall`] (check [`ProcRuntime::crashed`] to tell a real
-    /// process death from a stall). Unlike the shared-memory backends, a
-    /// crashed run loses the children's in-memory state — recover from a
-    /// checkpoint, not by redelivery.
-    pub fn try_run(&mut self) -> Result<f64, RunStall> {
-        if self.injected.is_empty() {
-            return Ok(0.0);
-        }
-        std::fs::create_dir_all(&self.socket_dir)
-            .unwrap_or_else(|e| panic!("cannot create socket dir {:?}: {e}", self.socket_dir));
-
-        // Bind every listener and build every control pair *before* the
-        // first fork: children connect to already-bound sockets (the
-        // backlog holds early connects) and inherit their own pair end.
-        let listeners: Vec<UnixListener> = (0..self.n_pes)
-            .map(|p| {
-                let path = self.sock_path(p);
-                let _ = std::fs::remove_file(&path);
-                UnixListener::bind(&path).unwrap_or_else(|e| panic!("cannot bind {path:?}: {e}"))
-            })
-            .collect();
-        let mut pairs: Vec<Option<(UnixStream, UnixStream)>> = (0..self.n_pes)
-            .map(|_| Some(UnixStream::pair().expect("socketpair failed")))
-            .collect();
-
-        // Route bootstrap messages to their destination PE; each child
-        // inherits its slice through fork.
-        let mut bootstrap: Vec<Vec<PMsg>> = (0..self.n_pes).map(|_| Vec::new()).collect();
-        let injected: Vec<_> = self.injected.drain(..).collect();
-        self.stats.msgs_injected += injected.len() as u64;
-        for (to, entry, bytes, priority, payload, path) in injected {
-            let dst = self.obj_pe[to.idx()];
-            // key/seq are assigned at enqueue time in the child.
-            bootstrap[dst].push(PMsg { key: (0, 0), seq: 0, priority, bytes, to, entry, payload, path });
-        }
-
-        // Flush inherited stdio buffers so children don't replay them.
-        let _ = std::io::stdout().flush();
-        let _ = std::io::stderr().flush();
-
-        let mut pids: Vec<i32> = Vec::with_capacity(self.n_pes);
-        for p in 0..self.n_pes {
-            let pid = unsafe { fork() };
-            assert!(pid >= 0, "fork failed");
-            if pid == 0 {
-                // Child: shed every inherited stream that is not ours,
-                // then never return — even on panic — so the parent's
-                // test harness or CLI is never re-entered from here.
-                let my_ctrl = pairs[p].take().map(|(_parent, child)| child).unwrap();
-                drop(pairs);
-                let my_boot = std::mem::take(&mut bootstrap[p]);
-                drop(bootstrap);
-                let my_listener = listeners.into_iter().nth(p).unwrap();
-                let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.child_main(p, my_listener, my_ctrl, my_boot)
-                }))
-                .is_ok();
-                let _ = std::io::stderr().flush();
-                unsafe { _exit(if ok { 0 } else { 101 }) }
-            }
-            pids.push(pid);
-        }
-        // Parent: close the children's pair ends and the listeners.
-        drop(listeners);
-        let ctrls: Vec<UnixStream> = pairs.into_iter().map(|pair| pair.unwrap().0).collect();
-        let outcome = self.parent_loop(ctrls, pids);
-        for p in 0..self.n_pes {
-            let _ = std::fs::remove_file(self.sock_path(p));
-        }
-        outcome
     }
 
     fn sock_path(&self, pe: Pe) -> PathBuf {
@@ -478,7 +238,7 @@ impl ProcRuntime {
     // Parent side.
 
     fn parent_loop(&mut self, ctrls: Vec<UnixStream>, pids: Vec<i32>) -> Result<f64, RunStall> {
-        let n = self.n_pes;
+        let n = self.core.n_pes;
         let (tx, rx) = mpsc::channel::<Event>();
         let mut writers: Vec<UnixStream> = Vec::with_capacity(n);
         let mut reader_handles = Vec::with_capacity(n);
@@ -491,7 +251,7 @@ impl ProcRuntime {
         drop(tx);
 
         let mut ready = vec![false; n];
-        let mut results: Vec<Option<ChildResults>> = (0..n).map(|_| None).collect();
+        let mut results: Vec<Option<WorkerResults>> = (0..n).map(|_| None).collect();
         let mut reaped = vec![false; n];
         let mut run_killed = 0u64;
         let mut run_dropped = 0u64;
@@ -537,9 +297,9 @@ impl ProcRuntime {
                     }
                 }
                 finish_run(&mut reaped, &pids, &mut reader_handles);
-                self.crashed = self.crashed.or(Some(first_dead));
-                self.stats.pes_killed += run_killed.max(1);
-                self.stats.msgs_dropped += run_dropped;
+                self.core.crashed = self.core.crashed.or(Some(first_dead));
+                self.core.meter.stats.pes_killed += run_killed.max(1);
+                self.core.meter.stats.msgs_dropped += run_dropped;
                 return Err(RunStall {
                     makespan: epoch.elapsed().as_secs_f64(),
                     in_flight: 1,
@@ -603,8 +363,7 @@ impl ProcRuntime {
                     crashed.get_or_insert(dst);
                 }
                 Ok(Event::Results(pe, bytes)) => {
-                    let n_entries = self.stats.entry_names.len();
-                    match ChildResults::decode(&bytes, n_entries) {
+                    match decode_results(&bytes) {
                         Ok(r) => results[pe] = Some(r),
                         Err(e) => panic!("malformed Results frame from PE {pe}: {e}"),
                     }
@@ -635,9 +394,9 @@ impl ProcRuntime {
                     }
                 }
                 finish_run(&mut reaped, &pids, &mut reader_handles);
-                self.stats.pes_killed += run_killed;
-                self.stats.msgs_dropped += run_dropped;
-                self.crashed = self.crashed.or(crashed);
+                self.core.meter.stats.pes_killed += run_killed;
+                self.core.meter.stats.msgs_dropped += run_dropped;
+                self.core.crashed = self.core.crashed.or(crashed);
                 return Err(RunStall {
                     makespan: epoch.elapsed().as_secs_f64(),
                     in_flight: 0,
@@ -647,40 +406,20 @@ impl ProcRuntime {
         }
     }
 
-    /// Fold the children's `Results` frames into the runtime's
+    /// Fold the children's `Results`, in PE order, into the runtime's
     /// instrumentation and per-object harvested state.
-    fn merge_results(&mut self, mut results: Vec<ChildResults>) -> f64 {
-        results.sort_by_key(|r| r.pe);
+    fn merge_results(&mut self, results: Vec<WorkerResults>) -> f64 {
         let mut makespan = 0.0f64;
-        for r in results {
-            self.stats.pe_busy[r.pe] += r.busy;
-            self.stats.critical_path = self.stats.critical_path.max(r.critical_path);
-            for i in 0..r.entry_time.len() {
-                self.stats.entry_time[i] += r.entry_time[i];
-                self.stats.entry_count[i] += r.entry_count[i];
-                self.stats.entry_wire_msgs[i] += r.wire_msgs[i];
-                self.stats.entry_wire_bytes[i] += r.wire_bytes[i];
-            }
-            self.stats.msgs_sent += r.msgs_sent;
-            self.stats.bytes_sent += r.bytes_sent;
-            self.stats.msgs_received += r.executed;
-            self.stats.msgs_discarded += r.discarded;
-            for (obj, secs) in r.obj_secs {
-                self.ldb.attribute(obj, r.pe, secs);
-            }
-            if self.tracing {
-                for ev in r.trace {
-                    self.trace.record(ev);
-                }
-            }
-            for (obj, bytes) in r.harvests {
-                self.objects[obj.idx()]
+        for (meter, harvests) in results {
+            makespan = makespan.max(meter.last_end);
+            self.core.meter.absorb(meter);
+            for (obj, bytes) in harvests {
+                self.core.objects[obj.idx()]
                     .as_deref_mut()
                     .expect("harvest for unregistered object")
                     .merge_state(&bytes)
                     .unwrap_or_else(|e| panic!("merge_state failed for {obj:?}: {e}"));
             }
-            makespan = makespan.max(r.last_end);
         }
         makespan
     }
@@ -695,10 +434,11 @@ impl ProcRuntime {
         pe: Pe,
         listener: UnixListener,
         ctrl: UnixStream,
-        bootstrap: Vec<PMsg>,
+        bootstrap: Vec<Letter>,
     ) {
         // Build the peer mesh: connect downward, accept upward.
-        let mut peers: Vec<Option<UnixStream>> = (0..self.n_pes).map(|_| None).collect();
+        let n_pes = self.core.n_pes;
+        let mut peers: Vec<Option<UnixStream>> = (0..n_pes).map(|_| None).collect();
         for q in 0..pe {
             let mut s = UnixStream::connect(self.sock_path(q))
                 .unwrap_or_else(|e| panic!("PE {pe}: connect to {q} failed: {e}"));
@@ -708,7 +448,7 @@ impl ProcRuntime {
             write_frame(&mut s, &hello.0).expect("hello write failed");
             peers[q] = Some(s);
         }
-        for _ in pe + 1..self.n_pes {
+        for _ in pe + 1..n_pes {
             let (mut s, _) = listener.accept().expect("accept failed");
             let body = read_frame(&mut s)
                 .expect("hello read failed")
@@ -730,7 +470,7 @@ impl ProcRuntime {
             .expect("parent closed before go");
         let mut d = Dec::new(&go);
         assert_eq!(d.u8("tag").unwrap(), TAG_GO, "expected Go");
-        let pids: Vec<i32> = (0..self.n_pes).map(|_| d.i32("pid").unwrap()).collect();
+        let pids: Vec<i32> = (0..n_pes).map(|_| d.i32("pid").unwrap()).collect();
 
         let shared = ChildShared {
             heap: Mutex::new(BinaryHeap::new()),
@@ -738,14 +478,14 @@ impl ProcRuntime {
             seq: AtomicU64::new(0),
             busy: AtomicBool::new(false),
             drain: AtomicBool::new(false),
-            flush_seen: (0..self.n_pes).map(|q| AtomicBool::new(q == pe)).collect(),
+            flush_seen: (0..n_pes).map(|q| AtomicBool::new(q == pe)).collect(),
             sent_x: AtomicU64::new(0),
             recv_x: AtomicU64::new(0),
             executed: AtomicU64::new(0),
-            policy: self.policy,
+            policy: self.core.policy,
         };
         for m in bootstrap {
-            shared.enqueue(m.priority, m.bytes, m.to, m.entry, m.payload, m.path);
+            shared.enqueue(m);
         }
 
         let ctrl_mutex = Mutex::new(ctrl_write);
@@ -761,14 +501,14 @@ impl ProcRuntime {
                             Some(TAG_MSG) => {
                                 let m = WireMsg::unpack(&body[1..]).expect("bad wire msg");
                                 shared.recv_x.fetch_add(1, AtOrd::SeqCst);
-                                shared.enqueue(
-                                    m.priority,
-                                    m.bytes as usize,
-                                    m.to,
-                                    m.entry,
-                                    m.payload,
-                                    m.path,
-                                );
+                                shared.enqueue(Letter {
+                                    to: m.to,
+                                    entry: m.entry,
+                                    bytes: m.bytes as usize,
+                                    priority: m.priority,
+                                    payload: m.payload,
+                                    path: m.path,
+                                });
                             }
                             Some(TAG_FLUSH) => {
                                 shared.flush_seen[q].store(true, AtOrd::SeqCst);
@@ -833,24 +573,9 @@ impl ProcRuntime {
         pids: &[i32],
         ctrl: &Mutex<UnixStream>,
     ) {
-        let n_entries = self.stats.entry_names.len();
-        let epoch = Instant::now();
-        let epoch_wall = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0);
-        let mut busy = 0.0f64;
-        let mut last_end = 0.0f64;
-        let mut critical_path = 0.0f64;
-        let mut entry_time = vec![0.0f64; n_entries];
-        let mut entry_count = vec![0u64; n_entries];
-        let mut wire_msgs = vec![0u64; n_entries];
-        let mut wire_bytes = vec![0u64; n_entries];
-        let mut msgs_sent = 0u64;
-        let mut bytes_sent = 0u64;
-        let mut discarded = 0u64;
-        let mut obj_secs: Vec<(ObjId, f64)> = Vec::new();
-        let mut trace: Vec<TraceEvent> = Vec::new();
+        let n_pes = self.core.n_pes;
+        let clock = WallClock::start();
+        let mut meter = self.core.meter.fresh();
         let mut stopped = false;
 
         loop {
@@ -861,7 +586,7 @@ impl ProcRuntime {
                 let mut heap = shared.heap.lock().unwrap();
                 loop {
                     if shared.drain.load(AtOrd::SeqCst) {
-                        discarded += heap.len() as u64;
+                        meter.stats.msgs_discarded += heap.len() as u64;
                         heap.clear();
                         break None;
                     }
@@ -878,42 +603,16 @@ impl ProcRuntime {
             };
             let Some(msg) = msg else { break };
 
-            let start = epoch.elapsed().as_secs_f64();
-            let mut ctx = Ctx::new(pe, start, msg.to, self.n_pes);
-            let obj = self.objects[msg.to.idx()]
+            let obj = self.core.objects[msg.msg.to.idx()]
                 .as_deref_mut()
                 .expect("message routed to a process that does not own the object");
-            obj.receive(msg.entry, msg.payload, &mut ctx);
-            let end = epoch.elapsed().as_secs_f64();
-
-            let secs = end - start;
-            let end_path = msg.path + secs;
-            critical_path = critical_path.max(end_path);
-            busy += secs;
-            entry_time[msg.entry.idx()] += secs;
-            entry_count[msg.entry.idx()] += 1;
-            obj_secs.push((msg.to, secs));
-            last_end = last_end.max(end);
-            if self.tracing {
-                trace.push(TraceEvent {
-                    pe,
-                    obj: msg.to,
-                    entry: msg.entry,
-                    start,
-                    end,
-                    wall: epoch_wall + start,
-                });
-            }
+            let (mut ctx, end_path) = meter.run_handler(&clock, pe, n_pes, obj, msg.msg);
             shared.executed.fetch_add(1, AtOrd::SeqCst);
 
-            let stop = ctx.stop;
             for s in ctx.sends.drain(..) {
-                msgs_sent += 1;
-                bytes_sent += s.bytes as u64;
-                wire_msgs[s.entry.idx()] += 1;
-                wire_bytes[s.entry.idx()] += s.payload.len() as u64;
-                let dst = self.obj_pe[s.to.idx()];
-                let fate = self.fault.as_mut().and_then(|f| f.decide(s.entry, pe, dst));
+                meter.sent(&s);
+                let dst = self.core.obj_pe[s.to.idx()];
+                let fate = self.core.fault.as_mut().and_then(|f| f.decide(s.entry, pe, dst));
                 if matches!(fate, Some(FaultAction::Kill)) {
                     // A real process death: SIGKILL the destination; the
                     // message dies with it. Tell the parent which PE we
@@ -931,7 +630,7 @@ impl ProcRuntime {
                     continue;
                 }
                 if dst == pe {
-                    shared.enqueue(s.priority, s.bytes, s.to, s.entry, s.payload, end_path);
+                    shared.enqueue(Letter::from_send(s, end_path));
                 } else {
                     let m = WireMsg {
                         to: s.to,
@@ -956,7 +655,7 @@ impl ProcRuntime {
                 }
             }
             shared.busy.store(false, AtOrd::SeqCst);
-            if stop && !stopped {
+            if ctx.stop && !stopped {
                 stopped = true;
                 let mut w = ctrl.lock().unwrap();
                 let _ = write_frame(&mut *w, &[TAG_STOPPED]);
@@ -974,43 +673,17 @@ impl ProcRuntime {
         }
         {
             let mut heap = shared.heap.lock().unwrap();
-            discarded += heap.len() as u64;
+            meter.stats.msgs_discarded += heap.len() as u64;
             heap.clear();
         }
 
         // Ship measurements and harvested state back to the parent.
         let mut e = Enc::new();
         e.u8(TAG_RESULTS);
-        e.u32(pe as u32);
-        e.f64(busy);
-        e.f64(last_end);
-        e.f64(critical_path);
-        e.u64(shared.executed.load(AtOrd::SeqCst));
-        e.u64(discarded);
-        e.u64(msgs_sent);
-        e.u64(bytes_sent);
-        for i in 0..n_entries {
-            e.f64(entry_time[i]);
-            e.u64(entry_count[i]);
-            e.u64(wire_msgs[i]);
-            e.u64(wire_bytes[i]);
-        }
-        e.u64(obj_secs.len() as u64);
-        for (o, s) in &obj_secs {
-            e.u32(o.0);
-            e.f64(*s);
-        }
-        e.u64(trace.len() as u64);
-        for ev in &trace {
-            e.u32(ev.obj.0);
-            e.u16(ev.entry.0);
-            e.f64(ev.start);
-            e.f64(ev.end);
-            e.f64(ev.wall);
-        }
+        e.bytes(&meter.pack());
         let mut harvests: Vec<(u32, Payload)> = Vec::new();
-        for (idx, slot) in self.objects.iter().enumerate() {
-            if self.obj_pe[idx] != pe {
+        for (idx, slot) in self.core.objects.iter().enumerate() {
+            if self.core.obj_pe[idx] != pe {
                 continue;
             }
             if let Some(obj) = slot.as_deref() {
@@ -1090,21 +763,25 @@ fn parent_reader(pe: Pe, mut stream: UnixStream, tx: mpsc::Sender<Event>) {
 }
 
 impl Runtime for ProcRuntime {
-    fn n_pes(&self) -> usize {
-        self.n_pes
+    fn core(&self) -> &RuntimeCore {
+        &self.core
     }
 
-    fn register_entry(&mut self, name: &str) -> EntryId {
-        self.stats.register_entry(name)
+    fn core_mut(&mut self) -> &mut RuntimeCore {
+        &mut self.core
     }
 
-    fn register(&mut self, obj: Box<dyn Chare>, pe: Pe, migratable: bool) -> ObjId {
-        assert!(pe < self.n_pes, "PE {pe} out of range ({} processes)", self.n_pes);
-        let id = ObjId(self.objects.len() as u32);
-        self.objects.push(Some(obj));
-        self.obj_pe.push(pe);
-        self.ldb.on_register(migratable);
-        id
+    /// Only [`FaultAction::Kill`] rules are supported on this backend (see
+    /// the module docs); panics on other actions as well as on a rule
+    /// naming an unregistered entry method.
+    fn set_fault_plan(&mut self, plan: FaultPlan) {
+        assert!(
+            plan.rules.iter().all(|r| r.action == FaultAction::Kill),
+            "the proc backend supports kill fault rules only"
+        );
+        self.core.fault = Some(
+            FaultState::install(plan, &self.core.meter.stats.entry_names).expect("bad fault plan"),
+        );
     }
 
     fn inject(
@@ -1115,61 +792,89 @@ impl Runtime for ProcRuntime {
         priority: Priority,
         payload: Payload,
     ) {
-        self.injected.push((to, entry, bytes, priority, payload, 0.0));
+        self.injected.push(Letter { to, entry, bytes, priority, payload, path: 0.0 });
     }
 
-    fn run(&mut self) -> f64 {
-        Self::run(self)
-    }
-
+    /// Run to quiescence (or `Ctx::stop`) on real worker processes.
+    /// Returns the makespan: the latest handler end time in wall seconds
+    /// from a child epoch. A wedged or crashed run is returned as
+    /// [`RunStall`] (check [`Runtime::crashed`] to tell a real process
+    /// death from a stall). Unlike the shared-memory backends, a crashed
+    /// run loses the children's in-memory state — recover from a
+    /// checkpoint, not by redelivery.
     fn try_run(&mut self) -> Result<f64, RunStall> {
-        Self::try_run(self)
+        if self.injected.is_empty() {
+            return Ok(0.0);
+        }
+        let n_pes = self.core.n_pes;
+        std::fs::create_dir_all(&self.socket_dir)
+            .unwrap_or_else(|e| panic!("cannot create socket dir {:?}: {e}", self.socket_dir));
+
+        // Bind every listener and build every control pair *before* the
+        // first fork: children connect to already-bound sockets (the
+        // backlog holds early connects) and inherit their own pair end.
+        let listeners: Vec<UnixListener> = (0..n_pes)
+            .map(|p| {
+                let path = self.sock_path(p);
+                let _ = std::fs::remove_file(&path);
+                UnixListener::bind(&path).unwrap_or_else(|e| panic!("cannot bind {path:?}: {e}"))
+            })
+            .collect();
+        let mut pairs: Vec<Option<(UnixStream, UnixStream)>> = (0..n_pes)
+            .map(|_| Some(UnixStream::pair().expect("socketpair failed")))
+            .collect();
+
+        // Route bootstrap messages to their destination PE; each child
+        // inherits its slice through fork and enqueues it there.
+        let mut bootstrap: Vec<Vec<Letter>> = (0..n_pes).map(|_| Vec::new()).collect();
+        self.core.meter.stats.msgs_injected += self.injected.len() as u64;
+        for msg in self.injected.drain(..) {
+            bootstrap[self.core.obj_pe[msg.to.idx()]].push(msg);
+        }
+
+        // Flush inherited stdio buffers so children don't replay them.
+        let _ = std::io::stdout().flush();
+        let _ = std::io::stderr().flush();
+
+        let mut pids: Vec<i32> = Vec::with_capacity(n_pes);
+        for p in 0..n_pes {
+            let pid = unsafe { fork() };
+            assert!(pid >= 0, "fork failed");
+            if pid == 0 {
+                // Child: shed every inherited stream that is not ours,
+                // then never return — even on panic — so the parent's
+                // test harness or CLI is never re-entered from here.
+                let my_ctrl = pairs[p].take().map(|(_parent, child)| child).unwrap();
+                drop(pairs);
+                let my_boot = std::mem::take(&mut bootstrap[p]);
+                drop(bootstrap);
+                let my_listener = listeners.into_iter().nth(p).unwrap();
+                let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    self.child_main(p, my_listener, my_ctrl, my_boot)
+                }))
+                .is_ok();
+                let _ = std::io::stderr().flush();
+                unsafe { _exit(if ok { 0 } else { 101 }) }
+            }
+            pids.push(pid);
+        }
+        // Parent: close the children's pair ends and the listeners.
+        drop(listeners);
+        let ctrls: Vec<UnixStream> = pairs.into_iter().map(|pair| pair.unwrap().0).collect();
+        let outcome = self.parent_loop(ctrls, pids);
+        for p in 0..n_pes {
+            let _ = std::fs::remove_file(self.sock_path(p));
+        }
+        outcome
     }
 
-    fn set_schedule_policy(&mut self, policy: SchedulePolicy) {
-        Self::set_schedule_policy(self, policy)
+    /// Nothing to re-send: the only fault this backend injects is a PE's
+    /// death, and that is not repaired by redelivery.
+    fn redeliver_dead_letters(&mut self) -> usize {
+        0
     }
 
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        Self::set_fault_plan(self, plan)
-    }
-
-    fn crashed(&self) -> Option<Pe> {
-        Self::crashed(self)
-    }
-
-    fn stats(&self) -> &SummaryStats {
-        &self.stats
-    }
-
-    fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    fn ldb(&self) -> &LdbDatabase {
-        &self.ldb
-    }
-
-    fn placement(&self) -> &[Pe] {
-        &self.obj_pe
-    }
-
-    fn migrate(&mut self, obj: ObjId, pe: Pe) {
-        assert!(pe < self.n_pes);
-        self.obj_pe[obj.idx()] = pe;
-    }
-
-    fn object(&self, obj: ObjId) -> &dyn Chare {
-        self.objects[obj.idx()].as_deref().expect("object missing")
-    }
-
-    fn object_mut(&mut self, obj: ObjId) -> &mut dyn Chare {
-        self.objects[obj.idx()].as_deref_mut().expect("object missing")
-    }
+    fn set_pe_speeds(&mut self, _speeds: Vec<f64>) {}
 }
 
 impl Drop for ProcRuntime {
@@ -1183,6 +888,7 @@ impl Drop for ProcRuntime {
 mod tests {
     use super::*;
     use crate::msg::{PRIO_HIGH, PRIO_LOW, PRIO_NORMAL};
+    use crate::{Chare, Ctx};
 
     /// Counts hits in its own state; forwards `hops` more times along
     /// `next`. State crosses back to the parent via harvest/merge.
@@ -1241,9 +947,9 @@ mod tests {
         rt.inject(ObjId(0), e, 0, PRIO_NORMAL, Vec::new());
         let t = rt.run();
         // Bootstrap + each node forwards until its hop budget drains.
-        assert_eq!(rt.stats.entry_count[e.idx()], 16);
-        assert_eq!(rt.stats.msgs_received, 16);
-        assert_eq!(rt.stats.conservation_residual(), 0);
+        assert_eq!(rt.stats().entry_count[e.idx()], 16);
+        assert_eq!(rt.stats().msgs_received, 16);
+        assert_eq!(rt.stats().conservation_residual(), 0);
         assert!(t > 0.0);
         // Harvested per-object state made it back: total hits = handler
         // executions.
@@ -1297,10 +1003,10 @@ mod tests {
         // The exact bytes sent in the child on PE 0 are now readable on
         // the parent's copy of the sink, via harvest → wire → merge.
         assert_eq!(rt.object(sink).harvest_state(), vec![0xAB, 0xCD, 0xEF]);
-        assert_eq!(rt.stats.entry_count[e.idx()], 2);
+        assert_eq!(rt.stats().entry_count[e.idx()], 2);
         // Wire accounting counted the packed payload bytes.
-        assert_eq!(rt.stats.entry_wire_msgs[e.idx()], 1);
-        assert_eq!(rt.stats.entry_wire_bytes[e.idx()], 3);
+        assert_eq!(rt.stats().entry_wire_msgs[e.idx()], 1);
+        assert_eq!(rt.stats().entry_wire_bytes[e.idx()], 3);
     }
 
     #[test]
@@ -1322,9 +1028,9 @@ mod tests {
         rt.inject(o, e, 0, PRIO_HIGH, Vec::new());
         rt.inject(n, e, 0, PRIO_LOW, Vec::new());
         rt.run();
-        assert_eq!(rt.stats.entry_count[e.idx()], 1);
-        assert_eq!(rt.stats.msgs_discarded, 1);
-        assert_eq!(rt.stats.conservation_residual(), 0);
+        assert_eq!(rt.stats().entry_count[e.idx()], 1);
+        assert_eq!(rt.stats().msgs_discarded, 1);
+        assert_eq!(rt.stats().conservation_residual(), 0);
     }
 
     #[test]
@@ -1344,7 +1050,7 @@ mod tests {
         let err = rt.try_run().expect_err("a killed process must end the run");
         assert!(err.makespan >= 0.0);
         assert_eq!(rt.crashed(), Some(1));
-        assert_eq!(rt.stats.pes_killed, 1);
+        assert_eq!(rt.stats().pes_killed, 1);
     }
 
     #[test]

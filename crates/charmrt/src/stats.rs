@@ -143,6 +143,42 @@ impl SummaryStats {
         self.window_start = now;
     }
 
+    /// Add another window's measurements into this one — a worker's
+    /// [`crate::pe::Meter`] into its runtime's. Both must have the same
+    /// shape (PEs, registered entries); names and the window start are the
+    /// receiver's.
+    pub(crate) fn absorb(&mut self, o: &SummaryStats) {
+        assert_eq!(
+            (self.pe_busy.len(), self.entry_time.len()),
+            (o.pe_busy.len(), o.entry_time.len()),
+            "absorbing stats of a different shape"
+        );
+        let add_f = |a: &mut [f64], b: &[f64]| a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
+        let add_u = |a: &mut [u64], b: &[u64]| a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
+        add_f(&mut self.entry_time, &o.entry_time);
+        add_u(&mut self.entry_count, &o.entry_count);
+        add_u(&mut self.entry_wire_msgs, &o.entry_wire_msgs);
+        add_u(&mut self.entry_wire_bytes, &o.entry_wire_bytes);
+        add_f(&mut self.pe_busy, &o.pe_busy);
+        add_f(&mut self.pe_overhead, &o.pe_overhead);
+        self.critical_path = self.critical_path.max(o.critical_path);
+        self.send_overhead += o.send_overhead;
+        self.pack_time += o.pack_time;
+        self.recv_overhead += o.recv_overhead;
+        self.msgs_sent += o.msgs_sent;
+        self.bytes_sent += o.bytes_sent;
+        self.msgs_received += o.msgs_received;
+        self.msgs_injected += o.msgs_injected;
+        self.msgs_dropped += o.msgs_dropped;
+        self.msgs_duplicated += o.msgs_duplicated;
+        self.msgs_delayed += o.msgs_delayed;
+        self.msgs_redelivered += o.msgs_redelivered;
+        self.msgs_discarded += o.msgs_discarded;
+        self.pes_killed += o.pes_killed;
+        self.msgs_corrupted += o.msgs_corrupted;
+        self.msgs_crc_rejected += o.msgs_crc_rejected;
+    }
+
     /// Message-conservation residual: how many messages entered the system
     /// (sends + injections + duplicate copies + redeliveries, minus drops)
     /// but were neither received nor accounted for as discarded at

@@ -11,74 +11,34 @@
 //! sends, so the counter can only reach zero when no work remains.
 //!
 //! Measurement: every handler execution is timed with a monotonic clock
-//! from a common epoch and attributed to the same [`SummaryStats`],
-//! [`Trace`], and [`LdbDatabase`] the DES fills — so the
-//! measurement-based load-balancing cycle runs unchanged on real
-//! hardware, from *measured* rather than modeled durations. The makespan
-//! returned by [`ThreadRuntime::run`] is the latest handler end time,
-//! which excludes thread spawn/join overhead.
+//! from a common epoch and recorded by the worker's own `pe::Meter` — the
+//! same rules that fill the DES's [`crate::SummaryStats`], [`crate::Trace`]
+//! and [`crate::LdbDatabase`] — so the measurement-based load-balancing
+//! cycle runs unchanged on real hardware, from *measured* rather than
+//! modeled durations. The makespan returned by [`Runtime::try_run`] is the
+//! latest handler end time, which excludes thread spawn/join overhead.
+//!
+//! What this file owns is what the substrate decides: the worker queues,
+//! the in-flight counter and the no-progress watchdog.
 //!
 //! Unlike the DES, execution order across workers is nondeterministic —
 //! that is the point; programs must be written message-driven, and the
 //! tests check outcomes, not schedules.
 
-use crate::chare::{Chare, Ctx};
-use crate::fault::{DeadLetter, FaultAction, FaultPlan, FaultState};
-use crate::ldb::LdbDatabase;
+use crate::chare::Chare;
+use crate::fault::FaultState;
 use crate::msg::{EntryId, ObjId, Payload, Pe, Priority};
-use crate::runtime::{RunStall, Runtime};
+use crate::pe::{apply_fault, Fate, Letter, Meter, Queued, WallClock};
+use crate::runtime::{RunStall, Runtime, RuntimeCore};
 use crate::sched::SchedulePolicy;
-use crate::stats::SummaryStats;
-use crate::trace::{Trace, TraceEvent};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtOrd};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-
-/// A queued message awaiting execution on a worker.
-struct TMsg {
-    /// Dequeue-order key from the [`SchedulePolicy`] (smaller runs first);
-    /// `(priority, seq)` under the default FIFO policy.
-    key: (i64, u64),
-    seq: u64,
-    /// Original priority and declared size, retained so a message still
-    /// queued at a stall can be re-injected for the repair re-run.
-    priority: Priority,
-    bytes: usize,
-    to: ObjId,
-    entry: EntryId,
-    payload: Payload,
-    /// CRC-64 of the payload stamped at send time when the fault plan can
-    /// corrupt messages; verified before the handler runs. `None` when no
-    /// corruption is possible (the common case — checksumming is free then).
-    crc: Option<u64>,
-    /// Length of the dependency chain (sum of measured handler seconds)
-    /// that produced this message — the critical-path accumulator.
-    path: f64,
-}
-
-impl PartialEq for TMsg {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
-    }
-}
-impl Eq for TMsg {}
-impl PartialOrd for TMsg {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TMsg {
-    // Max-heap → invert for smallest (key, seq) first, like the DES.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.key, other.seq).cmp(&(self.key, self.seq))
-    }
-}
+use std::time::{Duration, Instant};
 
 /// One worker's scheduler queue.
 struct WorkerQueue {
-    heap: Mutex<BinaryHeap<TMsg>>,
+    heap: Mutex<BinaryHeap<Queued>>,
     available: Condvar,
 }
 
@@ -94,12 +54,7 @@ struct Sched {
     seq: AtomicU64,
     /// Object → owning worker, frozen for the duration of the run.
     obj_pe: Vec<Pe>,
-    n_pes: usize,
-    epoch: Instant,
-    /// Wall-clock time of the epoch, seconds since the Unix epoch: trace
-    /// events carry `epoch_wall + start` so timeline diagnostics line up
-    /// with external logs (checkpoint fsync stalls, competing load).
-    epoch_wall: f64,
+    clock: WallClock,
     /// Dequeue-order perturbation (default: native FIFO).
     policy: SchedulePolicy,
     /// Installed fault plan, if any (shared occurrence counters).
@@ -107,8 +62,6 @@ struct Sched {
     /// True when the fault plan holds a corrupt rule: every send gets a
     /// payload CRC stamped so flipped bytes are caught at delivery.
     stamp_crc: bool,
-    /// Messages the fault plan dropped, awaiting possible redelivery.
-    dead_letters: Mutex<Vec<DeadLetter>>,
     /// Handler executions completed — the watchdog's progress signal.
     executed: AtomicU64,
     /// Workers currently blocked waiting for a message.
@@ -120,20 +73,22 @@ struct Sched {
     dead: Vec<AtomicBool>,
     /// First PE killed during this run, if any.
     crashed: Mutex<Option<Pe>>,
-    msgs_dropped: AtomicU64,
-    msgs_duplicated: AtomicU64,
-    msgs_delayed: AtomicU64,
-    pes_killed: AtomicU64,
-    msgs_corrupted: AtomicU64,
-    msgs_crc_rejected: AtomicU64,
 }
 
 impl Sched {
-    fn enqueue(&self, pe: Pe, msg: TMsg) {
+    /// Queue `msg` on the worker that owns its destination. `demoted` puts
+    /// it behind all normal work: what a *delayed* message becomes here,
+    /// there being no virtual clock to postpone its delivery on.
+    fn enqueue(&self, msg: Letter, crc: Option<u64>, demoted: bool) {
         self.in_flight.fetch_add(1, AtOrd::SeqCst);
-        let q = &self.queues[pe];
+        let seq = self.seq.fetch_add(1, AtOrd::SeqCst);
+        let mut queued = Queued::new(&self.policy, seq, msg, crc);
+        if demoted {
+            queued.key = (i64::MAX, seq);
+        }
+        let q = &self.queues[self.obj_pe[queued.msg.to.idx()]];
         let mut heap = q.heap.lock().unwrap();
-        heap.push(msg);
+        heap.push(queued);
         q.available.notify_one();
     }
 
@@ -152,31 +107,6 @@ impl Sched {
             q.available.notify_all();
         }
     }
-
-    fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, AtOrd::SeqCst)
-    }
-}
-
-/// Per-worker measurement collector, merged into the runtime's
-/// instrumentation after the workers join.
-struct WorkerMetrics {
-    pe: Pe,
-    busy: f64,
-    entry_time: Vec<f64>,
-    entry_count: Vec<u64>,
-    msgs_sent: u64,
-    bytes_sent: u64,
-    /// Per-entry wire accounting: messages and packed payload bytes sent.
-    wire_msgs: Vec<u64>,
-    wire_bytes: Vec<u64>,
-    /// (object, measured seconds) per handler execution.
-    obj_secs: Vec<(ObjId, f64)>,
-    trace: Vec<TraceEvent>,
-    /// Latest handler end time (epoch-relative seconds).
-    last_end: f64,
-    /// Longest dependency chain ending at a handler this worker ran.
-    critical_path: f64,
 }
 
 /// Real-threads [`Runtime`] backend. See the module docs.
@@ -194,85 +124,31 @@ struct WorkerMetrics {
 /// let o = rt.register(Box::new(Echo), 1, true);
 /// rt.inject(o, e, 0, PRIO_NORMAL, Vec::new());
 /// rt.run();
-/// assert_eq!(rt.stats.entry_count[e.idx()], 1);
+/// assert_eq!(rt.stats().entry_count[e.idx()], 1);
 /// ```
 pub struct ThreadRuntime {
-    n_pes: usize,
-    objects: Vec<Option<Box<dyn Chare>>>,
-    obj_pe: Vec<Pe>,
-    /// Bootstrap messages queued by `inject` until the next `run`. The
-    /// trailing f64 is the carried critical-path length (0 for bootstraps).
-    injected: Vec<(ObjId, EntryId, usize, Priority, Payload, f64)>,
+    core: RuntimeCore,
+    /// Bootstrap messages queued by `inject` until the next run.
+    injected: Vec<Letter>,
     /// Messages queued for a repair re-run (redelivered dead letters and
     /// messages still queued when a stall ended the previous run). Unlike
     /// `injected` these are *not* new entries into the system, so draining
     /// them does not bump `msgs_injected`.
-    requeued: Vec<(ObjId, EntryId, usize, Priority, Payload, f64)>,
-    tracing: bool,
-    /// Dequeue-order perturbation (default: native FIFO).
-    policy: SchedulePolicy,
-    /// Installed fault plan (occurrence counters persist across re-runs,
-    /// so a `limit=1` drop rule does not re-drop its redelivery cascade).
-    fault: Option<FaultState>,
-    /// Messages the fault plan dropped, awaiting possible redelivery.
-    dead_letters: Vec<DeadLetter>,
+    requeued: Vec<Letter>,
     /// No-progress window after which a non-quiescent run is declared
     /// stalled. Generous relative to the 50 ms worker wait.
     stall_timeout: Duration,
-    /// Summary-profile instrumentation (measured wall-clock).
-    pub stats: SummaryStats,
-    /// Full event trace (opt-in via `set_tracing`).
-    pub trace: Trace,
-    /// Load-balancing measurement database (measured wall-clock).
-    pub ldb: LdbDatabase,
-    /// First PE felled by a kill fault, across all runs of this runtime.
-    crashed: Option<Pe>,
 }
 
 impl ThreadRuntime {
     /// Create a runtime with `n_pes` worker threads.
     pub fn new(n_pes: usize) -> Self {
-        assert!(n_pes > 0, "need at least one worker");
         ThreadRuntime {
-            n_pes,
-            objects: Vec::new(),
-            obj_pe: Vec::new(),
+            core: RuntimeCore::new(n_pes),
             injected: Vec::new(),
             requeued: Vec::new(),
-            tracing: false,
-            policy: SchedulePolicy::default(),
-            fault: None,
-            dead_letters: Vec::new(),
             stall_timeout: Duration::from_millis(500),
-            stats: SummaryStats::new(n_pes),
-            trace: Trace::default(),
-            ldb: LdbDatabase::new(n_pes),
-            crashed: None,
         }
-    }
-
-    /// Number of worker threads.
-    pub fn n_pes(&self) -> usize {
-        self.n_pes
-    }
-
-    /// The PE felled by a kill fault during any run of this runtime, if
-    /// any. A crashed run cannot be repaired by redelivery — recover from
-    /// a checkpoint.
-    pub fn crashed(&self) -> Option<Pe> {
-        self.crashed
-    }
-
-    /// Set the schedule-perturbation policy for subsequent deliveries.
-    pub fn set_schedule_policy(&mut self, policy: SchedulePolicy) {
-        self.policy = policy;
-    }
-
-    /// Install a fault plan, applied to every subsequent send. Panics if a
-    /// rule names an entry method that is not registered.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault =
-            Some(FaultState::install(plan, &self.stats.entry_names).expect("bad fault plan"));
     }
 
     /// Shrink the no-progress watchdog window (tests; default 500 ms).
@@ -280,47 +156,22 @@ impl ThreadRuntime {
         self.stall_timeout = timeout;
     }
 
-    /// Re-queue every dead-lettered (dropped) message for the next run —
-    /// the sender's retransmission after a delivery timeout. Redeliveries
-    /// take the bootstrap path, bypassing the fault plan entirely (the
-    /// retry succeeds). Returns how many were re-sent.
-    pub fn redeliver_dead_letters(&mut self) -> usize {
-        let letters = std::mem::take(&mut self.dead_letters);
-        let n = letters.len();
-        for dl in letters {
-            self.requeued.push((dl.to, dl.entry, dl.bytes, dl.priority, dl.payload, dl.path));
-        }
-        self.stats.msgs_redelivered += n as u64;
-        n
-    }
-
+    /// One PE's scheduler: pop, execute, route the sends. Returns what it
+    /// measured and the messages the fault plan made it lose.
     fn worker_loop(
         sched: &Sched,
         pe: Pe,
         objects: &mut [Option<Box<dyn Chare>>],
-        n_entries: usize,
-    ) -> WorkerMetrics {
-        let mut metrics = WorkerMetrics {
-            pe,
-            busy: 0.0,
-            entry_time: vec![0.0; n_entries],
-            entry_count: vec![0; n_entries],
-            msgs_sent: 0,
-            bytes_sent: 0,
-            wire_msgs: vec![0; n_entries],
-            wire_bytes: vec![0; n_entries],
-            obj_secs: Vec::new(),
-            trace: Vec::new(),
-            last_end: 0.0,
-            critical_path: 0.0,
-        };
+        mut meter: Meter,
+    ) -> (Meter, Vec<Letter>) {
+        let mut dead_letters = Vec::new();
         let q = &sched.queues[pe];
         loop {
-            let msg = {
+            let queued = {
                 let mut heap = q.heap.lock().unwrap();
                 loop {
                     if sched.done.load(AtOrd::SeqCst) {
-                        return metrics;
+                        return (meter, dead_letters);
                     }
                     if sched.dead[pe].load(AtOrd::SeqCst) {
                         // Killed by the fault plan: exit for good, counting
@@ -328,7 +179,7 @@ impl ThreadRuntime {
                         // no-progress watchdog can still see "everyone
                         // idle" and end the run.
                         sched.idle.fetch_add(1, AtOrd::SeqCst);
-                        return metrics;
+                        return (meter, dead_letters);
                     }
                     if let Some(m) = heap.pop() {
                         break m;
@@ -345,192 +196,100 @@ impl ThreadRuntime {
                     heap = guard;
                 }
             };
-
-            // Verify the payload checksum before the handler sees the bytes:
-            // a corrupted message is rejected here, exactly as a NIC would
-            // discard a frame with a bad FCS.
-            if let Some(stamped) = msg.crc {
-                if ckpt::crc64(&msg.payload) != stamped {
-                    sched.msgs_crc_rejected.fetch_add(1, AtOrd::SeqCst);
-                    sched.msgs_dropped.fetch_add(1, AtOrd::SeqCst);
-                    sched.finish_message();
-                    continue;
-                }
+            if meter.rejects(&queued) {
+                sched.finish_message();
+                continue;
             }
 
-            let start = sched.epoch.elapsed().as_secs_f64();
-            let mut ctx = Ctx::new(pe, start, msg.to, sched.n_pes);
-            let obj = objects[msg.to.idx()]
+            let obj = objects[queued.msg.to.idx()]
                 .as_deref_mut()
                 .expect("message routed to a worker that does not own the object");
-            obj.receive(msg.entry, msg.payload, &mut ctx);
-            let end = sched.epoch.elapsed().as_secs_f64();
-
-            let secs = end - start;
-            let end_path = msg.path + secs;
-            metrics.critical_path = metrics.critical_path.max(end_path);
-            metrics.busy += secs;
-            metrics.entry_time[msg.entry.idx()] += secs;
-            metrics.entry_count[msg.entry.idx()] += 1;
-            metrics.obj_secs.push((msg.to, secs));
-            metrics.last_end = metrics.last_end.max(end);
-            metrics.trace.push(TraceEvent {
-                pe,
-                obj: msg.to,
-                entry: msg.entry,
-                start,
-                end,
-                wall: sched.epoch_wall + start,
-            });
-
+            let (mut ctx, end_path) =
+                meter.run_handler(&sched.clock, pe, sched.queues.len(), obj, queued.msg);
             sched.executed.fetch_add(1, AtOrd::SeqCst);
-            let stop = ctx.stop;
-            for mut s in ctx.sends.drain(..) {
-                metrics.msgs_sent += 1;
-                metrics.bytes_sent += s.bytes as u64;
-                metrics.wire_msgs[s.entry.idx()] += 1;
-                metrics.wire_bytes[s.entry.idx()] += s.payload.len() as u64;
-                let mut crc = sched.stamp_crc.then(|| ckpt::crc64(&s.payload));
+
+            for s in ctx.sends.drain(..) {
+                meter.sent(&s);
                 let dest = sched.obj_pe[s.to.idx()];
-                let fate = sched
+                let action = sched
                     .fault
                     .as_ref()
                     .and_then(|f| f.lock().unwrap().decide(s.entry, pe, dest));
+                let fate = apply_fault(
+                    action,
+                    Letter::from_send(s, end_path),
+                    sched.stamp_crc,
+                    &mut meter.stats,
+                    &mut dead_letters,
+                );
                 match fate {
-                    Some(FaultAction::Drop) => {
+                    Fate::Lost { killed } => {
                         // A faithful lost packet: the quiescence counter
                         // sees the send but no receive will ever match it,
-                        // so the watchdog (not quiescence) ends the run.
-                        sched.in_flight.fetch_add(1, AtOrd::SeqCst);
-                        sched.msgs_dropped.fetch_add(1, AtOrd::SeqCst);
-                        sched.dead_letters.lock().unwrap().push(DeadLetter {
-                            to: s.to,
-                            entry: s.entry,
-                            bytes: s.bytes,
-                            priority: s.priority,
-                            payload: s.payload,
-                            path: end_path,
-                        });
-                        continue;
-                    }
-                    Some(FaultAction::Kill) => {
-                        // The destination PE dies at this delivery and the
-                        // message dies with it — a dropped send with no
-                        // dead letter (the process that would have read it
-                        // no longer exists). Like Drop, the in-flight
-                        // counter sees a send no receive will ever match,
                         // so quiescence is provably unreachable and the
-                        // watchdog ends the run; the caller must recover
-                        // from a checkpoint, not redeliver.
+                        // watchdog (not quiescence) ends the run.
                         sched.in_flight.fetch_add(1, AtOrd::SeqCst);
-                        sched.msgs_dropped.fetch_add(1, AtOrd::SeqCst);
-                        if !sched.dead[dest].swap(true, AtOrd::SeqCst) {
-                            sched.pes_killed.fetch_add(1, AtOrd::SeqCst);
+                        if killed && !sched.dead[dest].swap(true, AtOrd::SeqCst) {
+                            meter.stats.pes_killed += 1;
                             sched.crashed.lock().unwrap().get_or_insert(dest);
                             // Wake the victim so it notices it is dead.
                             let _guard = sched.queues[dest].heap.lock().unwrap();
                             sched.queues[dest].available.notify_all();
                         }
-                        continue;
                     }
-                    Some(FaultAction::Duplicate) => {
-                        sched.msgs_duplicated.fetch_add(1, AtOrd::SeqCst);
-                        let seq = sched.next_seq();
-                        sched.enqueue(
-                            dest,
-                            TMsg {
-                                key: sched.policy.key(s.priority, seq),
-                                seq,
-                                priority: s.priority,
-                                bytes: s.bytes,
-                                to: s.to,
-                                entry: s.entry,
-                                payload: Vec::new(),
-                                crc: None,
-                                path: end_path,
-                            },
-                        );
-                    }
-                    Some(FaultAction::Corrupt(n)) => {
-                        // Flip payload bytes in flight. A clean copy goes to
-                        // the dead-letter queue so the CRC rejection can be
-                        // repaired by retransmission, like a drop.
-                        sched.msgs_corrupted.fetch_add(1, AtOrd::SeqCst);
-                        sched.dead_letters.lock().unwrap().push(DeadLetter {
-                            to: s.to,
-                            entry: s.entry,
-                            bytes: s.bytes,
-                            priority: s.priority,
-                            payload: s.payload.clone(),
-                            path: end_path,
-                        });
-                        if s.payload.is_empty() {
-                            // Nothing to flip: corrupt the checksum instead.
-                            crc = crc.map(|c| !c);
-                        } else {
-                            let flip = (n as usize).min(s.payload.len());
-                            for byte in &mut s.payload[..flip] {
-                                *byte ^= 0xFF;
-                            }
+                    Fate::Deliver { msg, crc, duplicate, delay } => {
+                        if let Some(dup) = duplicate {
+                            sched.enqueue(dup, None, false);
                         }
+                        sched.enqueue(msg, crc, delay.is_some());
                     }
-                    _ => {}
                 }
-                let seq = sched.next_seq();
-                // No virtual clock to postpone delivery on: a delayed
-                // message is instead demoted behind all normal work.
-                let key = if matches!(fate, Some(FaultAction::Delay(_))) {
-                    sched.msgs_delayed.fetch_add(1, AtOrd::SeqCst);
-                    (i64::MAX, seq)
-                } else {
-                    sched.policy.key(s.priority, seq)
-                };
-                sched.enqueue(
-                    dest,
-                    TMsg {
-                        key,
-                        seq,
-                        priority: s.priority,
-                        bytes: s.bytes,
-                        to: s.to,
-                        entry: s.entry,
-                        payload: s.payload,
-                        crc,
-                        path: end_path,
-                    },
-                );
             }
-            if stop {
-                self::Sched::shutdown(sched);
+            if ctx.stop {
+                sched.shutdown();
                 sched.in_flight.fetch_sub(1, AtOrd::SeqCst);
             } else {
                 sched.finish_message();
             }
         }
     }
+}
+
+impl Runtime for ThreadRuntime {
+    fn core(&self) -> &RuntimeCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut RuntimeCore {
+        &mut self.core
+    }
+
+    fn inject(
+        &mut self,
+        to: ObjId,
+        entry: EntryId,
+        bytes: usize,
+        priority: Priority,
+        payload: Payload,
+    ) {
+        self.injected.push(Letter { to, entry, bytes, priority, payload, path: 0.0 });
+    }
 
     /// Run to quiescence (or `Ctx::stop`) on real worker threads. Returns
     /// the makespan: the latest handler end time, in wall seconds from the
-    /// run's epoch. Panics if the no-progress watchdog declares a stall —
-    /// use [`ThreadRuntime::try_run`] when stalls are expected (fault
-    /// injection).
-    pub fn run(&mut self) -> f64 {
-        self.try_run().expect("quiescence unreachable")
-    }
-
-    /// Like [`ThreadRuntime::run`], but a run that can never reach
-    /// quiescence (a dropped message leaves the in-flight counter pinned
-    /// above zero) is detected by a no-progress watchdog and returned as
-    /// [`RunStall`] instead of spinning forever. Messages still queued at
-    /// the stall are preserved and re-queued for the next run.
-    pub fn try_run(&mut self) -> Result<f64, RunStall> {
+    /// run's epoch. A run that can never reach quiescence (a dropped
+    /// message leaves the in-flight counter pinned above zero) is detected
+    /// by a no-progress watchdog and returned as [`RunStall`] instead of
+    /// spinning forever; messages still queued at the stall are preserved
+    /// and re-queued for the next run.
+    fn try_run(&mut self) -> Result<f64, RunStall> {
         if self.injected.is_empty() && self.requeued.is_empty() {
             return Ok(0.0);
         }
-        let n_entries = self.stats.entry_names.len();
-        let stamp_crc = self.fault.as_ref().is_some_and(|f| f.has_corruption());
+        let core = &mut self.core;
+        let n_pes = core.n_pes;
         let sched = Sched {
-            queues: (0..self.n_pes)
+            queues: (0..n_pes)
                 .map(|_| WorkerQueue {
                     heap: Mutex::new(BinaryHeap::new()),
                     available: Condvar::new(),
@@ -539,58 +298,41 @@ impl ThreadRuntime {
             in_flight: AtomicU64::new(0),
             done: AtomicBool::new(false),
             seq: AtomicU64::new(0),
-            obj_pe: self.obj_pe.clone(),
-            n_pes: self.n_pes,
-            epoch: Instant::now(),
-            epoch_wall: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_secs_f64())
-                .unwrap_or(0.0),
-            policy: self.policy,
-            fault: self.fault.take().map(Mutex::new),
-            stamp_crc,
-            dead_letters: Mutex::new(Vec::new()),
+            obj_pe: core.obj_pe.clone(),
+            clock: WallClock::start(),
+            policy: core.policy,
+            stamp_crc: core.stamp_crc(),
+            fault: core.fault.take().map(Mutex::new),
             executed: AtomicU64::new(0),
             idle: AtomicU64::new(0),
             stalled: AtomicBool::new(false),
-            dead: (0..self.n_pes).map(|_| AtomicBool::new(false)).collect(),
+            dead: (0..n_pes).map(|_| AtomicBool::new(false)).collect(),
             crashed: Mutex::new(None),
-            msgs_dropped: AtomicU64::new(0),
-            msgs_duplicated: AtomicU64::new(0),
-            msgs_delayed: AtomicU64::new(0),
-            pes_killed: AtomicU64::new(0),
-            msgs_corrupted: AtomicU64::new(0),
-            msgs_crc_rejected: AtomicU64::new(0),
         };
-        self.stats.msgs_injected += self.injected.len() as u64;
-        for (to, entry, bytes, priority, payload, path) in
-            self.injected.drain(..).chain(self.requeued.drain(..))
-        {
-            let pe = sched.obj_pe[to.idx()];
-            let seq = sched.next_seq();
-            let key = sched.policy.key(priority, seq);
-            sched.enqueue(pe, TMsg { key, seq, priority, bytes, to, entry, payload, crc: None, path });
+        core.meter.stats.msgs_injected += self.injected.len() as u64;
+        for msg in self.injected.drain(..).chain(self.requeued.drain(..)) {
+            sched.enqueue(msg, None, false);
         }
 
         // Partition object ownership: each worker gets a dense table with
-        // only its own objects present.
-        let n_objects = self.objects.len();
+        // only its own objects present, and an empty meter to fill.
+        let n_objects = core.objects.len();
         let mut owned: Vec<Vec<Option<Box<dyn Chare>>>> =
-            (0..self.n_pes).map(|_| (0..n_objects).map(|_| None).collect()).collect();
-        for (idx, slot) in self.objects.iter_mut().enumerate() {
+            (0..n_pes).map(|_| (0..n_objects).map(|_| None).collect()).collect();
+        for (idx, slot) in core.objects.iter_mut().enumerate() {
             if let Some(obj) = slot.take() {
-                owned[self.obj_pe[idx]][idx] = Some(obj);
+                owned[core.obj_pe[idx]][idx] = Some(obj);
             }
         }
 
         let stall_timeout = self.stall_timeout;
-        let mut worker_metrics: Vec<WorkerMetrics> = std::thread::scope(|scope| {
+        let results: Vec<(Meter, Vec<Letter>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = owned
                 .iter_mut()
                 .enumerate()
                 .map(|(pe, objs)| {
-                    let sched = &sched;
-                    scope.spawn(move || Self::worker_loop(sched, pe, objs, n_entries))
+                    let (sched, meter) = (&sched, core.meter.fresh());
+                    scope.spawn(move || Self::worker_loop(sched, pe, objs, meter))
                 })
                 .collect();
 
@@ -615,13 +357,13 @@ impl ThreadRuntime {
                 }
                 // A kill makes quiescence unreachable by construction, so
                 // don't make the recovery path wait out the full window.
-                let window = if sched.pes_killed.load(AtOrd::SeqCst) > 0 {
+                let window = if sched.crashed.lock().unwrap().is_some() {
                     stall_timeout.min(Duration::from_millis(50))
                 } else {
                     stall_timeout
                 };
                 if sched.in_flight.load(AtOrd::SeqCst) > 0
-                    && sched.idle.load(AtOrd::SeqCst) as usize == sched.n_pes
+                    && sched.idle.load(AtOrd::SeqCst) as usize == n_pes
                     && last_change.elapsed() >= window
                 {
                     sched.stalled.store(true, AtOrd::SeqCst);
@@ -636,169 +378,65 @@ impl ThreadRuntime {
         for objs in owned.iter_mut() {
             for (idx, slot) in objs.iter_mut().enumerate() {
                 if let Some(obj) = slot.take() {
-                    self.objects[idx] = Some(obj);
+                    core.objects[idx] = Some(obj);
                 }
             }
         }
 
-        // Fault state (occurrence counters) and dead letters outlive the run.
-        self.fault = sched.fault.map(|f| f.into_inner().unwrap());
-        self.dead_letters.extend(sched.dead_letters.into_inner().unwrap());
+        // Fault state (occurrence counters) and dead letters outlive the
+        // run; the workers' measurements fold in, in PE order.
+        core.fault = sched.fault.map(|f| f.into_inner().unwrap());
+        core.crashed = core.crashed.or(sched.crashed.into_inner().unwrap());
+        let mut makespan = 0.0f64;
+        for (meter, dead_letters) in results {
+            makespan = makespan.max(meter.last_end);
+            core.meter.absorb(meter);
+            core.dead_letters.extend(dead_letters);
+        }
         let stalled = sched.stalled.load(AtOrd::SeqCst);
         let mut undelivered = 0usize;
         for q in &sched.queues {
-            let mut heap = q.heap.lock().unwrap();
-            for m in heap.drain() {
+            for m in q.heap.lock().unwrap().drain() {
                 if stalled {
                     // Preserve for the repair re-run (no counter: the send
                     // was already counted; the receive is still to come).
                     undelivered += 1;
-                    self.requeued.push((m.to, m.entry, m.bytes, m.priority, m.payload, m.path));
+                    self.requeued.push(m.msg);
                 } else {
                     // `Ctx::stop` discards whatever was still queued.
-                    self.stats.msgs_discarded += 1;
+                    core.meter.stats.msgs_discarded += 1;
                 }
             }
         }
-
-        // Merge per-worker measurements into the shared instrumentation.
-        worker_metrics.sort_by_key(|m| m.pe);
-        let mut makespan = 0.0f64;
-        for m in worker_metrics {
-            self.stats.pe_busy[m.pe] += m.busy;
-            self.stats.critical_path = self.stats.critical_path.max(m.critical_path);
-            for (i, (&t, &c)) in m.entry_time.iter().zip(&m.entry_count).enumerate() {
-                self.stats.entry_time[i] += t;
-                self.stats.entry_count[i] += c;
-            }
-            self.stats.msgs_sent += m.msgs_sent;
-            self.stats.bytes_sent += m.bytes_sent;
-            for (i, (&wm, &wb)) in m.wire_msgs.iter().zip(&m.wire_bytes).enumerate() {
-                self.stats.entry_wire_msgs[i] += wm;
-                self.stats.entry_wire_bytes[i] += wb;
-            }
-            for (obj, secs) in m.obj_secs {
-                self.ldb.attribute(obj, m.pe, secs);
-            }
-            if self.tracing {
-                for ev in m.trace {
-                    self.trace.record(ev);
-                }
-            }
-            makespan = makespan.max(m.last_end);
-        }
-        self.stats.msgs_received += sched.executed.load(AtOrd::SeqCst);
-        self.stats.msgs_dropped += sched.msgs_dropped.load(AtOrd::SeqCst);
-        self.stats.msgs_duplicated += sched.msgs_duplicated.load(AtOrd::SeqCst);
-        self.stats.msgs_delayed += sched.msgs_delayed.load(AtOrd::SeqCst);
-        self.stats.pes_killed += sched.pes_killed.load(AtOrd::SeqCst);
-        self.stats.msgs_corrupted += sched.msgs_corrupted.load(AtOrd::SeqCst);
-        self.stats.msgs_crc_rejected += sched.msgs_crc_rejected.load(AtOrd::SeqCst);
-        self.crashed = self.crashed.or(sched.crashed.into_inner().unwrap());
 
         if stalled {
             Err(RunStall {
                 makespan,
                 in_flight: sched.in_flight.load(AtOrd::SeqCst),
-                undelivered: undelivered + self.dead_letters.len(),
+                undelivered: undelivered + core.dead_letters.len(),
             })
         } else {
             Ok(makespan)
         }
     }
-}
 
-impl Runtime for ThreadRuntime {
-    fn n_pes(&self) -> usize {
-        self.n_pes
-    }
-
-    fn register_entry(&mut self, name: &str) -> EntryId {
-        self.stats.register_entry(name)
-    }
-
-    fn register(&mut self, obj: Box<dyn Chare>, pe: Pe, migratable: bool) -> ObjId {
-        assert!(pe < self.n_pes, "PE {pe} out of range ({} workers)", self.n_pes);
-        let id = ObjId(self.objects.len() as u32);
-        self.objects.push(Some(obj));
-        self.obj_pe.push(pe);
-        self.ldb.on_register(migratable);
-        id
-    }
-
-    fn inject(
-        &mut self,
-        to: ObjId,
-        entry: EntryId,
-        bytes: usize,
-        priority: Priority,
-        payload: Payload,
-    ) {
-        self.injected.push((to, entry, bytes, priority, payload, 0.0));
-    }
-
-    fn run(&mut self) -> f64 {
-        Self::run(self)
-    }
-
-    fn try_run(&mut self) -> Result<f64, RunStall> {
-        Self::try_run(self)
-    }
-
-    fn set_schedule_policy(&mut self, policy: SchedulePolicy) {
-        Self::set_schedule_policy(self, policy)
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        Self::set_fault_plan(self, plan)
-    }
-
+    /// Redeliveries take the bootstrap path of the next run, so they bypass
+    /// the fault plan entirely.
     fn redeliver_dead_letters(&mut self) -> usize {
-        Self::redeliver_dead_letters(self)
+        let n = self.core.dead_letters.len();
+        self.requeued.append(&mut self.core.dead_letters);
+        self.core.meter.stats.msgs_redelivered += n as u64;
+        n
     }
 
-    fn crashed(&self) -> Option<Pe> {
-        Self::crashed(self)
-    }
-
-    fn stats(&self) -> &SummaryStats {
-        &self.stats
-    }
-
-    fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    fn ldb(&self) -> &LdbDatabase {
-        &self.ldb
-    }
-
-    fn placement(&self) -> &[Pe] {
-        &self.obj_pe
-    }
-
-    fn migrate(&mut self, obj: ObjId, pe: Pe) {
-        assert!(pe < self.n_pes);
-        self.obj_pe[obj.idx()] = pe;
-    }
-
-    fn object(&self, obj: ObjId) -> &dyn Chare {
-        self.objects[obj.idx()].as_deref().expect("object missing")
-    }
-
-    fn object_mut(&mut self, obj: ObjId) -> &mut dyn Chare {
-        self.objects[obj.idx()].as_deref_mut().expect("object missing")
-    }
+    fn set_pe_speeds(&mut self, _speeds: Vec<f64>) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::msg::{PRIO_HIGH, PRIO_NORMAL};
+    use crate::{Ctx, FaultPlan};
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
 
@@ -849,7 +487,7 @@ mod tests {
         // Bootstrap + each node forwards until its own hop budget drains:
         // 1 + 3 × 5 executions in a 3-ring.
         assert_eq!(hits.load(AtOrd::SeqCst), 16);
-        assert_eq!(rt.stats.entry_count[e.idx()], 16);
+        assert_eq!(rt.stats().entry_count[e.idx()], 16);
         assert!(t > 0.0);
     }
 
@@ -898,11 +536,11 @@ mod tests {
         }
         rt.inject(root, fan, 0, PRIO_NORMAL, Vec::new());
         rt.run();
-        assert_eq!(rt.stats.entry_count[fan.idx()], 1 + n_leaves as u64);
-        assert_eq!(rt.stats.entry_count[ack.idx()], n_leaves as u64);
+        assert_eq!(rt.stats().entry_count[fan.idx()], 1 + n_leaves as u64);
+        assert_eq!(rt.stats().entry_count[ack.idx()], n_leaves as u64);
         // Leaf loads were measured and attributed per object; the fixed
         // root landed in PE 0's background load.
-        let snap = rt.ldb.snapshot(Runtime::placement(&rt));
+        let snap = rt.ldb().snapshot(rt.placement());
         assert!(snap.objects.iter().skip(1).all(|o| o.load > 0.0));
         assert!(snap.background[0] > 0.0);
     }
@@ -952,13 +590,13 @@ mod tests {
         );
         rt.inject(o, e, 0, PRIO_NORMAL, Vec::new());
         rt.run();
-        let busy0 = rt.stats.pe_busy[0];
+        let busy0 = rt.stats().pe_busy[0];
         assert!(busy0 > 0.0);
 
-        Runtime::migrate(&mut rt, o, 1);
+        rt.migrate(o, 1);
         rt.inject(o, e, 0, PRIO_NORMAL, Vec::new());
         rt.run();
-        assert!(rt.stats.pe_busy[1] > 0.0, "work should land on worker 1 after migration");
+        assert!(rt.stats().pe_busy[1] > 0.0, "work should land on worker 1 after migration");
         assert_eq!(hits.load(AtOrd::SeqCst), 2);
     }
 
@@ -989,9 +627,9 @@ mod tests {
         assert_eq!(rt.redeliver_dead_letters(), 1);
         rt.try_run().expect("redelivered run must reach quiescence");
         assert_eq!(hits.load(AtOrd::SeqCst), 2);
-        assert_eq!(rt.stats.msgs_dropped, 1);
-        assert_eq!(rt.stats.msgs_redelivered, 1);
-        assert_eq!(rt.stats.conservation_residual(), 0);
+        assert_eq!(rt.stats().msgs_dropped, 1);
+        assert_eq!(rt.stats().msgs_redelivered, 1);
+        assert_eq!(rt.stats().conservation_residual(), 0);
     }
 
     #[test]
@@ -1017,11 +655,11 @@ mod tests {
         assert!(stall.in_flight >= 1);
         assert_eq!(hits.load(AtOrd::SeqCst), 1, "only the sender ran");
         assert_eq!(rt.crashed(), Some(1));
-        assert_eq!(rt.stats.pes_killed, 1);
-        assert_eq!(rt.stats.msgs_dropped, 1);
+        assert_eq!(rt.stats().pes_killed, 1);
+        assert_eq!(rt.stats().msgs_dropped, 1);
         // Nothing to retransmit: the loss is the PE, not the network.
         assert_eq!(rt.redeliver_dead_letters(), 0);
-        assert_eq!(rt.stats.conservation_residual(), 0);
+        assert_eq!(rt.stats().conservation_residual(), 0);
     }
 
     #[test]
@@ -1048,7 +686,7 @@ mod tests {
         }
         rt.run();
         assert_eq!(hits.load(AtOrd::SeqCst), (n + n * 10) as u32);
-        assert_eq!(rt.stats.conservation_residual(), 0);
+        assert_eq!(rt.stats().conservation_residual(), 0);
     }
 
     #[test]
@@ -1073,7 +711,7 @@ mod tests {
         rt.inject(o, e, 0, PRIO_HIGH, Vec::new());
         rt.inject(n, e, 0, crate::msg::PRIO_LOW, Vec::new());
         rt.run();
-        assert_eq!(rt.stats.entry_count[e.idx()], 1);
+        assert_eq!(rt.stats().entry_count[e.idx()], 1);
         assert_eq!(hits.load(AtOrd::SeqCst), 0);
     }
 }

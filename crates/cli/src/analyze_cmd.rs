@@ -41,15 +41,6 @@ fn parse_box(v: &str) -> Result<Cell, String> {
     Ok(Cell::periodic(Vec3::splat(0.0), lengths))
 }
 
-fn parse_backend(v: &str) -> Result<Backend, String> {
-    match v {
-        "des" => Ok(Backend::Des),
-        "threads" => Ok(Backend::Threads),
-        "proc" => Ok(Backend::Proc),
-        other => Err(format!("unknown backend '{other}' (des, threads, proc)")),
-    }
-}
-
 /// Entry point for `namd-rs analyze ...`.
 pub fn cmd_analyze(args: &[String]) -> i32 {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
@@ -71,7 +62,7 @@ pub fn cmd_analyze(args: &[String]) -> i32 {
                 "--pes" => {
                     cfg.n_pes = value()?.parse().map_err(|_| "bad --pes".to_string())?
                 }
-                "--backend" => cfg.backend = parse_backend(&value()?)?,
+                "--backend" => cfg.backend = value()?.parse()?,
                 "--bins" => {
                     cfg.params.rdf_bins =
                         value()?.parse().map_err(|_| "bad --bins".to_string())?
@@ -125,7 +116,7 @@ pub fn cmd_analyze(args: &[String]) -> i32 {
         "analyze {path}: {} frame(s) x {} atom(s), backend {}, {} PE(s)",
         frames.len(),
         traj.n_atoms(),
-        analyze::backend_str(cfg.backend),
+        cfg.backend.as_str(),
         cfg.n_pes
     );
 

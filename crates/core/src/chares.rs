@@ -107,7 +107,7 @@ pub struct Entries {
 
 impl Entries {
     /// Register all entry methods on any runtime backend.
-    pub fn register(rt: &mut impl Runtime) -> Entries {
+    pub fn register(rt: &mut dyn Runtime) -> Entries {
         Entries {
             start: rt.register_entry("PatchStart"),
             patch_forces: rt.register_entry("PatchRecvForces"),

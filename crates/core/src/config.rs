@@ -8,6 +8,7 @@
 //!
 //! [`build`]: SimConfigBuilder::build
 
+pub use charmrt::Backend;
 use charmrt::MulticastMode;
 use machine::MachineModel;
 
@@ -25,57 +26,6 @@ pub enum ForceMode {
     /// simulated step per PE-count would dominate wall time without
     /// changing any scheduling behaviour.
     Counted,
-}
-
-/// Which execution substrate runs the chare graph (`charmrt::Runtime`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Deterministic discrete-event simulation under the machine model:
-    /// object loads are *modeled* (declared work + messaging overheads).
-    #[default]
-    Des,
-    /// Real OS worker threads, one per PE: object loads are *measured*
-    /// wall-clock handler times. Requires the `threads` cargo feature
-    /// (on by default); `Engine::run_phase` panics otherwise.
-    Threads,
-    /// Real OS *processes*, one per PE, exchanging framed wire messages
-    /// over Unix domain sockets (`charmrt::ProcRuntime`). No shared
-    /// address space: all cross-PE data travels as packed payload bytes,
-    /// and fault-plan kills terminate real child processes. Linux/Unix
-    /// only. Incompatible with modeled PME (the slab pipeline shares
-    /// memory across PEs) and with non-kill fault rules.
-    Proc,
-}
-
-impl Backend {
-    /// Canonical config-file spelling (`des` | `threads` | `proc`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Backend::Des => "des",
-            Backend::Threads => "threads",
-            Backend::Proc => "proc",
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-    /// The one parser shared by CLI configs and job-spec JSON
-    /// (case-insensitive; `Display` is the canonical inverse).
-    fn from_str(s: &str) -> Result<Backend, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "des" => Ok(Backend::Des),
-            "threads" => Ok(Backend::Threads),
-            "proc" => Ok(Backend::Proc),
-            other => Err(format!("unknown backend '{other}' (des | threads | proc)")),
-        }
-    }
 }
 
 /// Which load-balancing pipeline the engine runs (§3.2 / ablations).

@@ -16,13 +16,13 @@
 //! wall-clock loads).
 
 use crate::chares::{CkptChare, ComputeChare, Entries, HomePatch, ProxyPatch, Reducer, RunParams};
-use crate::config::{Backend, ForceMode, LbStrategy, SimConfig};
+use crate::config::{ForceMode, LbStrategy, SimConfig};
 use crate::costmodel;
 use crate::decomp::{self, Decomposition};
 use crate::messages::{EnergiesMsg, PatchStateMsg};
 use crate::nbcache::PairlistCache;
 use crate::state::{Frame, Shared, SimState, StepAcc};
-use charmrt::{Des, ObjId, Pe, Runtime, SummaryStats, Trace, WireCodec, PRIO_NORMAL};
+use charmrt::{ObjId, Pe, Runtime, SummaryStats, Trace, WireCodec, PRIO_NORMAL};
 use mdcore::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -464,38 +464,18 @@ impl Engine {
     /// abandoned with everything its patches integrated, so the state is
     /// still the phase-start one — recover with [`Engine::restore`].
     pub fn try_run_phase(&mut self, n_steps: usize) -> Result<PhaseResult, PhaseCrash> {
-        match self.config.backend {
-            Backend::Des => {
-                let mut rt = Des::new(self.config.n_pes, self.config.machine);
-                self.try_run_phase_on(&mut rt, n_steps)
-            }
-            #[cfg(feature = "threads")]
-            Backend::Threads => {
-                let mut rt = charmrt::ThreadRuntime::new(self.config.n_pes);
-                self.try_run_phase_on(&mut rt, n_steps)
-            }
-            #[cfg(not(feature = "threads"))]
-            Backend::Threads => panic!(
-                "Backend::Threads needs namd-core's `threads` feature, \
-                 which is disabled in this build"
-            ),
-            Backend::Proc => {
-                let mut rt = charmrt::ProcRuntime::new(self.config.n_pes);
-                if let Some(dir) = &self.config.socket_dir {
-                    rt.set_socket_dir(dir.clone());
-                }
-                self.try_run_phase_on(&mut rt, n_steps)
-            }
-        }
+        let cfg = &self.config;
+        let mut rt = cfg.backend.runtime(cfg.n_pes, cfg.machine, cfg.socket_dir.as_deref());
+        self.try_run_phase_on(rt.as_mut(), n_steps)
     }
 
     /// Run one phase on a fresh runtime backend. The whole protocol —
     /// registration at the current placement, the timestep messages,
     /// measurement harvest — is backend-agnostic; only the meaning of a
     /// second (virtual vs wall-clock) differs.
-    fn try_run_phase_on<R: Runtime>(
+    fn try_run_phase_on(
         &mut self,
-        rt: &mut R,
+        rt: &mut dyn Runtime,
         n_steps: usize,
     ) -> Result<PhaseResult, PhaseCrash> {
         assert!(n_steps > 0);
@@ -871,13 +851,8 @@ impl Engine {
             entries,
         };
         if let Some(reg) = self.metrics.as_mut() {
-            let backend = match self.config.backend {
-                Backend::Des => "des",
-                Backend::Threads => "threads",
-                Backend::Proc => "proc",
-            };
             if let Err(e) = reg.record_phase(
-                backend,
+                self.config.backend.as_str(),
                 &result.stats,
                 result.trace.as_ref(),
                 total_time,

@@ -20,7 +20,7 @@
 //!   virtual time) or real worker threads (measured wall-clock loads) —
 //!   selected by `SimConfig::backend`;
 //! * a sequential-looking multicore facade over the threads backend
-//!   ([`parallel`], behind the default-on `threads` feature).
+//!   ([`parallel`]).
 //!
 //! ## Quick example
 //!
@@ -61,7 +61,6 @@ pub mod engine;
 pub mod nbcache;
 pub mod messages;
 pub mod oracle;
-#[cfg(feature = "threads")]
 pub mod parallel;
 pub mod patchgrid;
 pub mod recovery;
@@ -88,7 +87,6 @@ pub mod prelude {
     pub use crate::engine::{topology_hash, BenchmarkRun, Engine, PhaseCrash, PhaseResult};
     pub use crate::nbcache::{PairlistCache, PairlistStats};
     pub use crate::oracle::{check_phase, check_phase_with, OracleParams, OracleReport};
-    #[cfg(feature = "threads")]
     pub use crate::parallel::{ParallelSim, ParallelSimError};
     pub use crate::patchgrid::{PatchGrid, PatchId};
     pub use crate::state::StepAcc;

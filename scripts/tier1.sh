@@ -25,6 +25,12 @@ cargo test -q $FEAT || status=1
 echo "==> crate unit tests (cargo test --workspace --lib $FEAT)"
 cargo test --workspace --lib --offline -q $FEAT || status=1
 
+# `--lib` skips every crate's doc tests, and the root `cargo test` runs the
+# root package's only: the examples in the crates' API docs are compiled and
+# run here. Blocking — a doc example that no longer builds is a wrong doc.
+echo "==> crate doc tests (cargo test --workspace --doc $FEAT)"
+cargo test --workspace --doc --offline -q $FEAT || status=1
+
 # Bounded schedule-fuzz soak: more seeds × policies than the default run,
 # still deterministic (cases are seeded per test name + index). Blocking —
 # an invariant-oracle violation here is a real runtime bug.
