@@ -5,6 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mdcore::nonbonded::nb_self_ranged;
 use mdcore::prelude::*;
+use namd_core::decomp::{self, ComputeKind};
+use namd_core::prelude::{ForceMode, SimConfig};
 use std::hint::black_box;
 
 fn water_system(n_side: usize) -> System {
@@ -112,6 +114,95 @@ fn bench_nonbonded_listed(c: &mut Criterion) {
             });
         });
     }
+    g.finish();
+}
+
+/// One patch's atoms as a compute object is handed them.
+struct Gathered {
+    pos: Vec<Vec3>,
+    ids: Vec<AtomId>,
+    lj: Vec<u16>,
+    charge: Vec<f64>,
+}
+
+impl Gathered {
+    fn of(sys: &System, atoms: &[AtomId]) -> Gathered {
+        let at = |a: &AtomId| sys.topology.atoms[*a as usize];
+        Gathered {
+            pos: atoms.iter().map(|&a| sys.positions[a as usize]).collect(),
+            ids: atoms.to_vec(),
+            lj: atoms.iter().map(|a| at(a).lj_type).collect(),
+            charge: atoms.iter().map(|a| at(a).charge).collect(),
+        }
+    }
+
+    fn group(&self) -> AtomGroup<'_> {
+        AtomGroup::new(&self.pos, &self.ids, &self.lj, &self.charge)
+    }
+}
+
+/// One non-bonded compute of a decomposition: its patches (one for a self
+/// compute, two for a pair compute), its candidate list, a force block per
+/// patch.
+struct ReplayCompute {
+    patches: Vec<Gathered>,
+    list: Vec<(u32, u32)>,
+    forces: Vec<Vec<Vec3>>,
+}
+
+/// The listed kernels over the work they are given in a run: every self and
+/// pair compute of the decomposition of apoa1-like × 0.04 (the small
+/// benchmark deck), each walking its own candidate list at cutoff + 2.5 Å.
+/// Patch-shaped work — shorter rows, pairs folded through the periodic faces,
+/// protein exclusions — reads slower per pair than the whole water box of
+/// `nonbonded_listed`, and it is what a run's kernel time is made of.
+fn bench_nonbonded_listed_replay(c: &mut Criterion) {
+    let deck = molgen::apoa1_like().scaled(0.04);
+    let mut sys = molgen::SystemBuilder::new(deck.spec().clone()).build_restrained();
+    sys.thermalize(300.0, 1);
+    let config = SimConfig::builder(1, machine::presets::generic_cluster())
+        .force_mode(ForceMode::Real)
+        .build()
+        .expect("default configuration is valid");
+    let decomp = decomp::build(&sys, &config);
+    let (ff, ex, cell) = (&sys.forcefield, &sys.exclusions, &sys.cell);
+    let radius = ff.cutoff + 2.5;
+    let mut computes: Vec<ReplayCompute> = decomp
+        .computes
+        .iter()
+        .filter(|spec| matches!(spec.kind, ComputeKind::SelfNb { .. } | ComputeKind::PairNb { .. }))
+        .map(|spec| {
+            let patches: Vec<Gathered> =
+                spec.patches.iter().map(|&p| Gathered::of(&sys, &decomp.grid.atoms[p])).collect();
+            let mut list = Vec::new();
+            let outer = spec.outer.clone();
+            match patches.as_slice() {
+                [a] => self_candidates_into(a.group(), cell, outer, radius, &mut list),
+                [a, b] => {
+                    pair_candidates_into(a.group(), b.group(), cell, outer, radius, &mut list)
+                }
+                _ => unreachable!("a non-bonded compute reads one or two patches"),
+            }
+            let forces = patches.iter().map(|p| vec![Vec3::ZERO; p.pos.len()]).collect();
+            ReplayCompute { patches, list, forces }
+        })
+        .collect();
+    let mut walk = || {
+        let mut total = NbResult::default();
+        for c in &mut computes {
+            total.add(match (c.patches.as_slice(), c.forces.as_mut_slice()) {
+                ([a], [fa]) => nb_self_listed(ff, ex, a.group(), cell, &c.list, fa),
+                ([a, b], [fa, fb]) => {
+                    nb_pair_listed(ff, ex, a.group(), b.group(), cell, &c.list, fa, fb)
+                }
+                _ => unreachable!("one force block per patch"),
+            });
+        }
+        total
+    };
+    let mut g = c.benchmark_group("nonbonded_listed_replay");
+    g.throughput(Throughput::Elements(walk().pairs));
+    g.bench_function("apoa1x0.04", |b| b.iter(|| black_box(walk())));
     g.finish();
 }
 
@@ -371,6 +462,7 @@ criterion_group!(
     benches,
     bench_nonbonded,
     bench_nonbonded_listed,
+    bench_nonbonded_listed_replay,
     bench_nonbonded_clusters,
     bench_min_image,
     bench_list_build,

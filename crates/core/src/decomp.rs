@@ -17,7 +17,7 @@ use mdcore::prelude::*;
 use std::ops::Range;
 
 /// What a compute object computes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ComputeKind {
     /// Non-bonded pairs within one patch (piece of the triangle).
     SelfNb { patch: PatchId },

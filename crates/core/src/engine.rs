@@ -346,13 +346,14 @@ impl Engine {
             .expect("migrate_atoms must run between phases (no live engine objects)");
         let decomp =
             decomp::build(&shared.state.get_mut().expect("state lock poisoned").system, &self.config);
-        shared.decomp = decomp;
+        let old_decomp = std::mem::replace(&mut shared.decomp, decomp);
         // Patch membership changed: every cached candidate list and SoA
         // buffer is indexed by stale atom slots, so invalidate every entry.
         // Buffer capacity is recycled — entries re-prime (gather + list
         // build) on the next step without reallocating their Vec storage.
         let old = std::mem::replace(&mut shared.nb_cache, PairlistCache::new(0));
-        shared.nb_cache = PairlistCache::recycled(old, shared.decomp.computes.len());
+        shared.nb_cache =
+            PairlistCache::recycled(old, &old_decomp.computes, &shared.decomp.computes);
         // The compute count can change with the new binning; keep the drift
         // multipliers index-aligned (new computes start at nominal load).
         self.drift.resize(shared.decomp.computes.len(), 1.0);

@@ -32,9 +32,9 @@
 //!
 //! `Engine::migrate_atoms` changes patch membership, so it resets the cache
 //! via [`PairlistCache::recycled`] — entries are cleared but their heap
-//! buffers (candidate lists, cluster lists, reference positions) stay with
-//! the compute of the same index, so steady-state migration does not re-grow
-//! the big allocations from zero.
+//! buffers (candidate lists, cluster lists, reference positions) follow
+//! their patch pair to its compute in the new decomposition, so steady-state
+//! migration does not re-grow the big allocations from zero.
 //!
 //! Locking: entries live in [`PairlistCache`] inside `Shared`, one mutex per
 //! compute. Only the owning compute chare ever locks its entry (runtimes
@@ -56,6 +56,7 @@ use mdcore::nonbonded::{
     nb_pair_listed, nb_self_listed, pair_candidates_into, self_candidates_into, NbResult,
 };
 use mdcore::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Pair-list cache state for one non-bonded compute object.
@@ -366,6 +367,19 @@ impl ComputeCacheEntry {
     }
 }
 
+/// What a compute is called across a migration, which renumbers computes:
+/// its kind, which names its patches, and its ordinal among the computes of
+/// that kind — the piece number of a grainsize-split compute.
+fn identity(computes: &[ComputeSpec]) -> impl Iterator<Item = (ComputeKind, usize)> + '_ {
+    let mut pieces: BTreeMap<ComputeKind, usize> = BTreeMap::new();
+    computes.iter().map(move |c| {
+        let next = pieces.entry(c.kind).or_insert(0);
+        let piece = *next;
+        *next += 1;
+        (c.kind, piece)
+    })
+}
+
 /// One mutex-guarded cache entry per compute object, indexed by the
 /// compute's position in `Decomposition::computes`.
 pub struct PairlistCache {
@@ -381,33 +395,38 @@ impl PairlistCache {
     }
 
     /// Cache for a new compute decomposition, recycling the old cache's
-    /// entry buffers: new entry `j` takes over old entry `j`'s allocations
-    /// (cleared, counters reset) instead of growing its candidate/cluster
-    /// vectors from zero again. Old entries beyond `n_computes` are dropped;
-    /// missing ones start empty.
+    /// entry buffers: each new compute takes over the allocations (cleared,
+    /// counters reset) of the old compute with the same [`identity`] — the
+    /// same piece of the same patch or patch pair — instead of growing its
+    /// candidate/cluster vectors from zero again. Old entries nothing claims
+    /// are dropped; computes with no predecessor start empty.
     ///
-    /// Entries keep their index because compute `j` after a migration is,
-    /// give or take a grainsize split, compute `j` before it, with a list of
-    /// about the same length. Any other order (largest buffer first, say)
-    /// hands most computes a buffer some other compute filled; each buffer is
-    /// then written up to the longest list it ever held and the resident set
-    /// climbs with every migration (small benchmark deck: 41 → 61 MB over 30
-    /// of them).
-    pub fn recycled(old: PairlistCache, n_computes: usize) -> Self {
-        let mut pool: Vec<ComputeCacheEntry> = old
-            .entries
-            .into_iter()
-            .map(|m| {
-                let mut e = m.into_inner().unwrap();
+    /// A compute after a migration is, give or take a few atoms, the compute
+    /// of the same patches before it, with a list of about the same length.
+    /// Any other pairing hands computes a buffer some other compute filled;
+    /// each buffer is then written up to the longest list it ever held and
+    /// the resident set climbs with every migration. Largest-buffer-first
+    /// cost the small benchmark deck 41 → 61 MB over 30 migrations; pairing
+    /// by index holds there, but on the large deck a grainsize split comes
+    /// or goes at most migrations (1454 → 1460 → 1459 → … computes), every
+    /// later index shifts, and the lists crept ~15 MB per migration.
+    pub fn recycled(
+        old: PairlistCache,
+        old_computes: &[ComputeSpec],
+        computes: &[ComputeSpec],
+    ) -> Self {
+        assert_eq!(old.entries.len(), old_computes.len(), "one cache entry per compute");
+        let mut pool: BTreeMap<_, _> = identity(old_computes)
+            .zip(old.entries)
+            .map(|(id, m)| {
+                let mut e = m.into_inner().expect("cache entry poisoned");
                 e.reset_for_reuse();
-                e
+                (id, e)
             })
             .collect();
-        pool.truncate(n_computes);
-        while pool.len() < n_computes {
-            pool.push(ComputeCacheEntry::default());
-        }
-        PairlistCache { entries: pool.into_iter().map(Mutex::new).collect() }
+        let entries =
+            identity(computes).map(|id| Mutex::new(pool.remove(&id).unwrap_or_default())).collect();
+        PairlistCache { entries }
     }
 
     /// The cache entry for compute `j`.
@@ -499,20 +518,62 @@ impl PairlistStats {
 mod tests {
     use super::*;
 
+    fn spec(kind: ComputeKind) -> ComputeSpec {
+        let patches = match kind {
+            ComputeKind::PairNb { a, b } => vec![a, b],
+            ComputeKind::SelfNb { patch }
+            | ComputeKind::BondedIntra { patch }
+            | ComputeKind::BondedInter { patch } => vec![patch],
+        };
+        ComputeSpec {
+            kind,
+            patches,
+            outer: 0..0,
+            migratable: true,
+            work: 0.0,
+            pairs: 0,
+            candidates: 0,
+            terms: None,
+        }
+    }
+
     #[test]
-    fn recycled_entries_keep_their_index_and_their_buffers() {
-        let old = PairlistCache::new(3);
+    fn recycled_entries_follow_their_patch_pair_and_keep_their_buffers() {
+        let self0 = spec(ComputeKind::SelfNb { patch: 0 });
+        let pair01 = spec(ComputeKind::PairNb { a: 0, b: 1 });
+        let pair02 = spec(ComputeKind::PairNb { a: 0, b: 2 });
+        let bonded0 = spec(ComputeKind::BondedIntra { patch: 0 });
+        let caps = |c: &PairlistCache| -> Vec<usize> {
+            c.entries.iter().map(|e| e.lock().unwrap().list.capacity()).collect()
+        };
+
+        // self(0) in two pieces, one pair compute, a bonded compute.
+        let before = [self0.clone(), self0.clone(), pair01.clone(), bonded0.clone()];
+        let old = PairlistCache::new(before.len());
         for (j, cap) in [(0, 10), (1, 1000), (2, 100)] {
             old.entry(j).lock().unwrap().list.reserve_exact(cap);
         }
-        let caps = |c: &PairlistCache, n| -> Vec<usize> {
-            (0..n).map(|j| c.entry(j).lock().unwrap().list.capacity()).collect()
-        };
-        let same = PairlistCache::recycled(old, 3);
-        assert_eq!(caps(&same, 3), [10, 1000, 100]);
-        let grown = PairlistCache::recycled(same, 4);
-        assert_eq!(caps(&grown, 4), [10, 1000, 100, 0]);
-        let shrunk = PairlistCache::recycled(grown, 2);
-        assert_eq!(caps(&shrunk, 2), [10, 1000]);
+        let same = PairlistCache::recycled(old, &before, &before);
+        assert_eq!(caps(&same), [10, 1000, 100, 0]);
+
+        // A third piece of self(0) and a new pair compute arrive in the
+        // middle: every later index shifts, no buffer changes hands.
+        let grown = [
+            self0.clone(),
+            self0.clone(),
+            self0.clone(),
+            pair02.clone(),
+            pair01.clone(),
+            bonded0.clone(),
+        ];
+        let cache = PairlistCache::recycled(same, &before, &grown);
+        assert_eq!(caps(&cache), [10, 1000, 0, 0, 100, 0]);
+        cache.entry(3).lock().unwrap().list.reserve_exact(50);
+
+        // The first self piece's twin goes and pair(0,2) moves to the end:
+        // piece 1's buffer is dropped with it, the rest follow their pairs.
+        let shrunk = [self0.clone(), pair01.clone(), bonded0.clone(), pair02.clone()];
+        let cache = PairlistCache::recycled(cache, &grown, &shrunk);
+        assert_eq!(caps(&cache), [10, 100, 0, 50]);
     }
 }

@@ -36,6 +36,9 @@
 //! assert!(e.total().is_finite());
 //! ```
 
+// Only the `simd` feature's AVX2 dispatch of the cluster lane kernels needs
+// `unsafe`; the default build, listed kernels included, has none.
+#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
 // Clippy: indexed loops are kept where they mirror the mathematical
 // notation of the kernels and the per-axis geometry code, and chare/builder
 // constructors take positional wiring arguments by design.
@@ -87,8 +90,8 @@ pub mod prelude {
     pub use crate::sim::{compute_forces, Simulator, StepEnergy};
     pub use crate::system::System;
     pub use crate::topology::{
-        push_water, Angle, Atom, AtomId, Bond, Dihedral, ExclusionKind, Exclusions, Improper,
-        Restraint, Topology,
+        push_water, Angle, Atom, AtomId, Bond, Dihedral, ExclusionKind, ExclusionRow, Exclusions,
+        Improper, Restraint, Topology,
     };
     pub use crate::vec3::Vec3;
 }

@@ -10,9 +10,23 @@
 //! Exclusion checking happens inside the kernel, exactly as the paper
 //! describes ("these pairs must be detected as a part of the normal pairwise
 //! force computation"), via sorted per-atom exclusion lists.
+//!
+//! Three kernel families share one pair arithmetic (`eval_pair`):
+//!
+//! * the *ranged* kernels ([`nb_self_ranged`], [`nb_pair_ranged`]) are the
+//!   plain double loop, one pair at a time — the reference every other
+//!   kernel is held to, bit for bit;
+//! * the *listed* kernels ([`nb_self_listed`], [`nb_pair_listed`]) walk a
+//!   cached candidate list and are what a run spends its time in. They take
+//!   the list a row at a time through four passes over a small batch —
+//!   filter by distance without branching, classify against the exclusion
+//!   rows, evaluate the arithmetic in lanes, accumulate in list order (see
+//!   `ListedRows`) — and return the ranged kernels' bits;
+//! * [`nb_pairlist`] serves the sequential simulator's unordered Verlet
+//!   list with the same lanes and its own summation order.
 
 use crate::erf::{erfc, TWO_OVER_SQRT_PI};
-use crate::forcefield::{units, ForceField};
+use crate::forcefield::{units, ForceField, LjPair};
 use crate::pbc::Cell;
 use crate::topology::{AtomId, ExclusionKind, Exclusions};
 use crate::vec3::Vec3;
@@ -21,7 +35,10 @@ use crate::vec3::Vec3;
 /// cutoff. Used to produce GFLOPS ratings the same way the paper does
 /// (hardware-counter op count per step / time per step); counted from the
 /// kernel arithmetic below (distance 8, LJ 10, Coulomb+shift 12, switching 9,
-/// force accumulation ~6).
+/// force accumulation ~6). Every operation counts as one, though five of
+/// them are divides (1/r², two in the switching function, two in the shifting
+/// function) and one a square root (1/r), and those six keep the divider
+/// busy for about as long as all the others take together.
 pub const FLOPS_PER_PAIR: f64 = 45.0;
 
 /// A borrowed, struct-of-arrays view of one group of atoms, as a patch hands
@@ -107,9 +124,115 @@ impl NbResult {
     }
 }
 
-/// Evaluate one atom pair at squared distance `r2` (already known to be
-/// inside the cutoff). Returns `(e_lj, e_elec, f_over_r)` where the force on
-/// atom *i* is `f_over_r * (r_i - r_j)`.
+/// What the pair arithmetic needs of the force field besides the per-pair
+/// coefficients, worked out once per kernel call.
+#[derive(Clone, Copy)]
+struct PairConsts {
+    /// r_c² and r_s².
+    rc2: f64,
+    rs2: f64,
+    /// `(r_c² − r_s²)³`, the switching function's denominator.
+    sw_denom: f64,
+}
+
+impl PairConsts {
+    #[inline]
+    fn new(ff: &ForceField) -> Self {
+        let rc2 = ff.cutoff * ff.cutoff;
+        let rs2 = ff.switch_dist * ff.switch_dist;
+        PairConsts { rc2, rs2, sw_denom: (rc2 - rs2).powi(3) }
+    }
+}
+
+/// Switched Lennard-Jones energy and its derivative w.r.t. r².
+///
+/// The switching factor is [`ForceField::switching`] for `r² < r_c²`, its
+/// one remaining branch written as a select: both arms are computed and
+/// `r² ≤ r_s²` picks `(1, 0)`. The discarded arm costs two divides, and in
+/// exchange the whole function is straight-line code a loop over a batch can
+/// run two pairs at a time.
+#[inline(always)]
+fn lj_switched(
+    k: &PairConsts,
+    lj_a: f64,
+    lj_b: f64,
+    r2: f64,
+    inv_r2: f64,
+    scale: f64,
+) -> (f64, f64) {
+    let inv_r6 = inv_r2 * inv_r2 * inv_r2;
+    let inv_r12 = inv_r6 * inv_r6;
+
+    // Raw LJ energy and its derivative w.r.t. r².
+    let e_lj_raw = lj_a * inv_r12 - lj_b * inv_r6;
+    let de_lj_dr2 = (-6.0 * lj_a * inv_r12 + 3.0 * lj_b * inv_r6) * inv_r2;
+
+    let u = k.rc2 - r2;
+    let unswitched = r2 <= k.rs2;
+    let sw = u * u * (k.rc2 + 2.0 * r2 - 3.0 * k.rs2) / k.sw_denom;
+    let dsw_dr2 = -6.0 * u * (r2 - k.rs2) / k.sw_denom;
+    let sw = if unswitched { 1.0 } else { sw };
+    let dsw_dr2 = if unswitched { 0.0 } else { dsw_dr2 };
+    (scale * sw * e_lj_raw, scale * (dsw_dr2 * e_lj_raw + sw * de_lj_dr2))
+}
+
+/// One pair under cutoff electrostatics (Coulomb with shifting): the
+/// arithmetic behind [`eval_pair`] and behind every lane of the listed
+/// kernels' batch. Straight-line: five divides and one square root.
+#[inline(always)]
+fn pair_shifted(
+    k: &PairConsts,
+    lj_a: f64,
+    lj_b: f64,
+    qq: f64,
+    r2: f64,
+    scale: f64,
+) -> (f64, f64, f64) {
+    let inv_r2 = 1.0 / r2;
+    let (e_lj, de_lj) = lj_switched(k, lj_a, lj_b, r2, inv_r2, scale);
+    let inv_r = inv_r2.sqrt();
+    let e_c_raw = units::COULOMB * qq * inv_r;
+    let de_c_dr2 = -0.5 * e_c_raw * inv_r2;
+    // `ForceField::shifting` for r² < r_c².
+    let u = 1.0 - r2 / k.rc2;
+    let (sh, dsh_dr2) = (u * u, -2.0 * u / k.rc2);
+    let e_elec = scale * sh * e_c_raw;
+    let de_elec = scale * (dsh_dr2 * e_c_raw + sh * de_c_dr2);
+    // F_i = -dE/dr · r̂ = -2 dE/d(r²) · (r_i - r_j).
+    (e_lj, e_elec, -2.0 * (de_lj + de_elec))
+}
+
+/// One pair under Ewald real-space electrostatics, `E = C·qq·erfc(βr)/r`;
+/// 1-4 pairs keep full electrostatics under Ewald (the scale applies to LJ
+/// only). `erfc` is a series or a continued fraction — a loop — so it is
+/// evaluated once and this mode runs one pair at a time.
+#[inline(always)]
+fn pair_ewald(
+    k: &PairConsts,
+    beta: f64,
+    lj_a: f64,
+    lj_b: f64,
+    qq: f64,
+    r2: f64,
+    scale: f64,
+) -> (f64, f64, f64) {
+    let inv_r2 = 1.0 / r2;
+    let (e_lj, de_lj) = lj_switched(k, lj_a, lj_b, r2, inv_r2, scale);
+    let inv_r = inv_r2.sqrt();
+    let r = r2.sqrt();
+    let c = units::COULOMB * qq;
+    let erfc_br = erfc(beta * r);
+    let e_elec = c * erfc_br * inv_r;
+    // dE/dr = −C·qq·[erfc(βr)/r² + 2β/√π·e^{−β²r²}/r]; dE/d(r²) = dE/dr / (2r).
+    let de_dr =
+        -c * (erfc_br * inv_r2 + beta * TWO_OVER_SQRT_PI * (-beta * beta * r2).exp() * inv_r);
+    (e_lj, e_elec, -2.0 * (de_lj + de_dr / (2.0 * r)))
+}
+
+/// Evaluate one atom pair at squared distance `r2`, which the caller has
+/// tested against the cutoff: `r2 ≥ cutoff²` must not reach here (a NaN
+/// does, and comes out as NaN). Returns `(e_lj, e_elec, f_over_r)` where the
+/// force on atom *i* is `f_over_r * (r_i - r_j)`.
 #[inline]
 pub(crate) fn eval_pair(
     ff: &ForceField,
@@ -119,46 +242,11 @@ pub(crate) fn eval_pair(
     r2: f64,
     scale: f64,
 ) -> (f64, f64, f64) {
-    let inv_r2 = 1.0 / r2;
-    let inv_r6 = inv_r2 * inv_r2 * inv_r2;
-    let inv_r12 = inv_r6 * inv_r6;
-
-    // Raw LJ energy and its derivative w.r.t. r².
-    let e_lj_raw = lj_a * inv_r12 - lj_b * inv_r6;
-    let de_lj_dr2 = (-6.0 * lj_a * inv_r12 + 3.0 * lj_b * inv_r6) * inv_r2;
-
-    // Switching applied to LJ.
-    let (sw, dsw_dr2) = ff.switching(r2);
-    let e_lj = scale * sw * e_lj_raw;
-    let de_lj = scale * (dsw_dr2 * e_lj_raw + sw * de_lj_dr2);
-
-    let inv_r = inv_r2.sqrt();
-    let (e_elec, de_elec) = match ff.ewald_beta {
-        None => {
-            // Coulomb with shifting (cutoff simulation).
-            let e_c_raw = units::COULOMB * qq * inv_r;
-            let de_c_dr2 = -0.5 * e_c_raw * inv_r2;
-            let (sh, dsh_dr2) = ff.shifting(r2);
-            (scale * sh * e_c_raw, scale * (dsh_dr2 * e_c_raw + sh * de_c_dr2))
-        }
-        Some(beta) => {
-            // Ewald real-space: E = C·qq·erfc(βr)/r; 1-4 pairs keep full
-            // electrostatics under Ewald (the scale applies to LJ above).
-            let r = r2.sqrt();
-            let c = units::COULOMB * qq;
-            let e = c * erfc(beta * r) * inv_r;
-            // dE/d(r²) = −½ [ erfc(βr)/r² + 2β/√π·e^{−β²r²}/r ] · C·qq / r ·r ...
-            // derived: dE/dr = −C·qq·[erfc(βr)/r² + 2β/√π·e^{−β²r²}/r];
-            // dE/d(r²) = dE/dr / (2r).
-            let de_dr = -c * (erfc(beta * r) * inv_r2
-                + beta * TWO_OVER_SQRT_PI * (-beta * beta * r2).exp() * inv_r);
-            (e, de_dr / (2.0 * r))
-        }
-    };
-
-    // F_i = -dE/dr · r̂ = -2 dE/d(r²) · (r_i - r_j).
-    let f_over_r = -2.0 * (de_lj + de_elec);
-    (e_lj, e_elec, f_over_r)
+    let k = PairConsts::new(ff);
+    match ff.ewald_beta {
+        None => pair_shifted(&k, lj_a, lj_b, qq, r2, scale),
+        Some(beta) => pair_ewald(&k, beta, lj_a, lj_b, qq, r2, scale),
+    }
 }
 
 /// All-pairs non-bonded interactions *within* one atom group (the work of a
@@ -519,6 +607,232 @@ fn candidates_into(
     }
 }
 
+/// Pairs the listed kernels hold in flight: 12 arrays of 64 lanes, 6 KiB of
+/// stack, so a batch never leaves L1.
+const BATCH: usize = 64;
+
+/// Struct-of-arrays scratch for up to [`BATCH`] pairs, filled in three
+/// steps: geometry for the pairs inside the cutoff, coefficients for those
+/// of them that are not excluded, and the results of the pair arithmetic.
+struct Batch {
+    j: [u32; BATCH],
+    dx: [f64; BATCH],
+    dy: [f64; BATCH],
+    dz: [f64; BATCH],
+    r2: [f64; BATCH],
+    lj_a: [f64; BATCH],
+    lj_b: [f64; BATCH],
+    qq: [f64; BATCH],
+    scale: [f64; BATCH],
+    e_lj: [f64; BATCH],
+    e_elec: [f64; BATCH],
+    f_over_r: [f64; BATCH],
+}
+
+impl Batch {
+    fn new() -> Self {
+        Batch {
+            j: [0; BATCH],
+            dx: [0.0; BATCH],
+            dy: [0.0; BATCH],
+            dz: [0.0; BATCH],
+            r2: [0.0; BATCH],
+            lj_a: [0.0; BATCH],
+            lj_b: [0.0; BATCH],
+            qq: [0.0; BATCH],
+            scale: [0.0; BATCH],
+            e_lj: [0.0; BATCH],
+            e_elec: [0.0; BATCH],
+            f_over_r: [0.0; BATCH],
+        }
+    }
+
+    /// Pass (A): the displacement from each candidate partner to `pi`, the
+    /// ones inside the cutoff packed into lanes `..n`; returns `n`. Every
+    /// candidate is written to the lane after the last survivor whatever it
+    /// is, and only a survivor moves that lane on, so a miss is overwritten
+    /// and costs no branch. The test is `!(r² ≥ cutoff²)`, as in the ranged
+    /// kernels: a NaN distance stays in and poisons the forces it touches.
+    ///
+    /// Not inlined: on its own the loop keeps the cell and the cutoff in
+    /// registers, which the row body around it has none to spare for (the
+    /// replay reads ~5 % slower with this inlined).
+    #[inline(never)]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // not `r2 < cutoff2`: a NaN is kept
+    fn filter(
+        &mut self,
+        cell: &Cell,
+        pi: Vec3,
+        pos_j: &[Vec3],
+        candidates: &[(u32, u32)],
+        cutoff2: f64,
+    ) -> usize {
+        let mut n = 0;
+        for &(_, j) in candidates {
+            let d = cell.min_image(pi, pos_j[j as usize]);
+            let r2 = d.norm2();
+            self.set_geometry(n, j, d, r2);
+            n += usize::from(!(r2 >= cutoff2));
+        }
+        n
+    }
+
+    #[inline(always)]
+    fn set_geometry(&mut self, n: usize, j: u32, d: Vec3, r2: f64) {
+        self.j[n] = j;
+        self.dx[n] = d.x;
+        self.dy[n] = d.y;
+        self.dz[n] = d.z;
+        self.r2[n] = r2;
+    }
+
+    /// Pass (B), a survivor that is not excluded: its geometry moves from
+    /// lane `k` down to lane `m` — nothing moves until an excluded pair has
+    /// been squeezed out ahead of it.
+    #[inline(always)]
+    fn squeeze(&mut self, k: usize, m: usize) {
+        if m != k {
+            self.j[m] = self.j[k];
+            self.dx[m] = self.dx[k];
+            self.dy[m] = self.dy[k];
+            self.dz[m] = self.dz[k];
+            self.r2[m] = self.r2[k];
+        }
+    }
+
+    /// Pass (B): the coefficients of the pair in lane `m`.
+    #[inline(always)]
+    fn set_coefficients(&mut self, m: usize, lj: LjPair, qq: f64, scale: f64) {
+        self.lj_a[m] = lj.a;
+        self.lj_b[m] = lj.b;
+        self.qq[m] = qq;
+        self.scale[m] = scale;
+    }
+
+    /// Pass (C): the pair arithmetic over lanes `..m`. Each lane gets exactly
+    /// the operations [`eval_pair`] performs, in its order; with cutoff
+    /// electrostatics the body is straight-line, so the compiler is free to
+    /// run lanes side by side — packed IEEE divides, square roots, products
+    /// and sums round lane by lane as the scalar ones do.
+    fn evaluate(&mut self, ff: &ForceField, k: &PairConsts, m: usize) {
+        let (lj_a, lj_b, qq) = (&self.lj_a[..m], &self.lj_b[..m], &self.qq[..m]);
+        let (r2, scale) = (&self.r2[..m], &self.scale[..m]);
+        let (e_lj, e_elec) = (&mut self.e_lj[..m], &mut self.e_elec[..m]);
+        let f_over_r = &mut self.f_over_r[..m];
+        match ff.ewald_beta {
+            None => {
+                for l in 0..m {
+                    (e_lj[l], e_elec[l], f_over_r[l]) =
+                        pair_shifted(k, lj_a[l], lj_b[l], qq[l], r2[l], scale[l]);
+                }
+            }
+            Some(beta) => {
+                for l in 0..m {
+                    (e_lj[l], e_elec[l], f_over_r[l]) =
+                        pair_ewald(k, beta, lj_a[l], lj_b[l], qq[l], r2[l], scale[l]);
+                }
+            }
+        }
+    }
+
+    /// The force on the first atom of lane `l`'s pair.
+    #[inline(always)]
+    fn force(&self, l: usize) -> Vec3 {
+        Vec3::new(self.dx[l], self.dy[l], self.dz[l]) * self.f_over_r[l]
+    }
+}
+
+/// The listed kernels' one body: a row of the candidate list — one i atom
+/// and its candidate partners — goes through four passes, [`BATCH`]
+/// candidates at a time.
+///
+/// * **(A) filter**: minimum-image displacement and r² of every candidate,
+///   the ones inside the cutoff packed to the front of the batch
+///   ([`Batch::filter`]). About four candidates in nine miss, so a branch
+///   here would be mispredicted constantly.
+/// * **(B) classify**: exclusion lookup against the i atom's rows, fetched
+///   once per row ([`Exclusions::row`]); fully excluded pairs are squeezed
+///   out ([`Batch::squeeze`]), the rest get their LJ coefficients, charge
+///   product and 1-4 scale.
+/// * **(C) evaluate**: [`Batch::evaluate`].
+/// * **(D) accumulate**: energies, the i atom's force and the partners'
+///   forces, summed pair by pair in list order.
+///
+/// Which pairs are evaluated, what is computed for each and the order of
+/// every sum are those of the ranged kernels, so the results are theirs bit
+/// for bit; only the interleaving of independent operations differs.
+struct ListedRows<'a> {
+    ff: &'a ForceField,
+    ex: &'a Exclusions,
+    cell: &'a Cell,
+    consts: PairConsts,
+    batch: Batch,
+    res: NbResult,
+}
+
+impl<'a> ListedRows<'a> {
+    fn new(ff: &'a ForceField, ex: &'a Exclusions, cell: &'a Cell) -> Self {
+        ListedRows {
+            ff,
+            ex,
+            cell,
+            consts: PairConsts::new(ff),
+            batch: Batch::new(),
+            res: NbResult::default(),
+        }
+    }
+
+    /// Atom `i` of `gi` against the partners `row` names in `gj`: partner
+    /// forces go to `fj`, the force on `i` is returned for the caller to add
+    /// once.
+    fn row(
+        &mut self,
+        gi: AtomGroup,
+        i: usize,
+        gj: AtomGroup,
+        row: &[(u32, u32)],
+        fj: &mut [Vec3],
+    ) -> Vec3 {
+        let ListedRows { ff, ex, cell, consts, batch, res } = self;
+        let pi = gi.pos[i];
+        let qi = gi.charge[i];
+        let ti = gi.lj[i];
+        let ex_row = ex.row(gi.ids[i]);
+        let cutoff2 = consts.rc2;
+        let mut fi = Vec3::ZERO;
+        for candidates in row.chunks(BATCH) {
+            let n = batch.filter(cell, pi, gj.pos, candidates, cutoff2);
+            let mut m = 0;
+            for k in 0..n {
+                let j = batch.j[k] as usize;
+                let scale = match ex_row.kind(gj.ids[j]) {
+                    ExclusionKind::Full => continue,
+                    ExclusionKind::Scaled14 => ff.scale14,
+                    ExclusionKind::None => 1.0,
+                };
+                batch.squeeze(k, m);
+                batch.set_coefficients(m, ff.lj(ti, gj.lj[j]), qi * gj.charge[j], scale);
+                m += 1;
+            }
+            batch.evaluate(ff, consts, m);
+            for l in 0..m {
+                res.e_lj += batch.e_lj[l];
+                res.e_elec += batch.e_elec[l];
+                let f = batch.force(l);
+                fi += f;
+                fj[batch.j[l] as usize] -= f;
+            }
+            res.pairs += m as u64;
+        }
+        fi
+    }
+}
+
+/// The rows of a candidate list: runs of entries with the same outer index.
+fn rows(list: &[(u32, u32)]) -> impl Iterator<Item = &[(u32, u32)]> {
+    list.chunk_by(|p, q| p.0 == q.0)
+}
+
 /// Self-interaction kernel over a cached candidate list (slot-index pairs
 /// from [`self_candidates_into`], grouped by ascending outer index). Each
 /// pair still gets the exact `r² < cutoff²` test, so as long as the list
@@ -534,41 +848,13 @@ pub fn nb_self_listed(
     forces: &mut [Vec3],
 ) -> NbResult {
     assert_eq!(forces.len(), g.len(), "forces buffer must match group size");
-    let cutoff2 = ff.cutoff2();
-    let mut res = NbResult::default();
-    let mut k = 0;
-    while k < list.len() {
-        let i = list[k].0 as usize;
-        let pi = g.pos[i];
-        let idi = g.ids[i];
-        let qi = g.charge[i];
-        let ti = g.lj[i];
-        let mut fi = Vec3::ZERO;
-        while k < list.len() && list[k].0 as usize == i {
-            let j = list[k].1 as usize;
-            k += 1;
-            let d = cell.min_image(pi, g.pos[j]);
-            let r2 = d.norm2();
-            if r2 >= cutoff2 {
-                continue;
-            }
-            let scale = match ex.kind(idi, g.ids[j]) {
-                ExclusionKind::Full => continue,
-                ExclusionKind::Scaled14 => ff.scale14,
-                ExclusionKind::None => 1.0,
-            };
-            let lj = ff.lj(ti, g.lj[j]);
-            let (e_lj, e_el, fr) = eval_pair(ff, lj.a, lj.b, qi * g.charge[j], r2, scale);
-            res.e_lj += e_lj;
-            res.e_elec += e_el;
-            res.pairs += 1;
-            let f = d * fr;
-            fi += f;
-            forces[j] -= f;
-        }
+    let mut kernel = ListedRows::new(ff, ex, cell);
+    for row in rows(list) {
+        let i = row[0].0 as usize;
+        let fi = kernel.row(g, i, g, row, forces);
         forces[i] += fi;
     }
-    res
+    kernel.res
 }
 
 /// Cross-pair kernel over a cached candidate list (slot-index pairs from
@@ -587,46 +873,22 @@ pub fn nb_pair_listed(
 ) -> NbResult {
     assert_eq!(fa.len(), a.len(), "fa buffer must match group a");
     assert_eq!(fb.len(), b.len(), "fb buffer must match group b");
-    let cutoff2 = ff.cutoff2();
-    let mut res = NbResult::default();
-    let mut k = 0;
-    while k < list.len() {
-        let i = list[k].0 as usize;
-        let pi = a.pos[i];
-        let idi = a.ids[i];
-        let qi = a.charge[i];
-        let ti = a.lj[i];
-        let mut fi = Vec3::ZERO;
-        while k < list.len() && list[k].0 as usize == i {
-            let j = list[k].1 as usize;
-            k += 1;
-            let d = cell.min_image(pi, b.pos[j]);
-            let r2 = d.norm2();
-            if r2 >= cutoff2 {
-                continue;
-            }
-            let scale = match ex.kind(idi, b.ids[j]) {
-                ExclusionKind::Full => continue,
-                ExclusionKind::Scaled14 => ff.scale14,
-                ExclusionKind::None => 1.0,
-            };
-            let lj = ff.lj(ti, b.lj[j]);
-            let (e_lj, e_el, fr) = eval_pair(ff, lj.a, lj.b, qi * b.charge[j], r2, scale);
-            res.e_lj += e_lj;
-            res.e_elec += e_el;
-            res.pairs += 1;
-            let f = d * fr;
-            fi += f;
-            fb[j] -= f;
-        }
-        fa[i] += fi;
+    let mut kernel = ListedRows::new(ff, ex, cell);
+    for row in rows(list) {
+        let i = row[0].0 as usize;
+        fa[i] += kernel.row(a, i, b, row, fb);
     }
-    res
+    kernel.res
 }
 
 /// Evaluate non-bonded interactions over an explicit pair list (as produced
 /// by [`crate::celllist::CellList::neighbor_pairs`]). Atom arrays are indexed
 /// by global atom id. Used by the sequential reference simulator.
+///
+/// The list is in no particular order, so there are no rows: pairs are
+/// tested and classified one by one, [`BATCH`] at a time go through
+/// [`Batch::evaluate`] — the listed kernels' arithmetic — and each pair's
+/// force is added to both atoms in list order.
 pub fn nb_pairlist(
     ff: &ForceField,
     ex: &Exclusions,
@@ -637,28 +899,39 @@ pub fn nb_pairlist(
     cell: &Cell,
     forces: &mut [Vec3],
 ) -> NbResult {
-    let cutoff2 = ff.cutoff2();
+    let consts = PairConsts::new(ff);
+    let cutoff2 = consts.rc2;
+    let mut batch = Batch::new();
+    let mut first = [0u32; BATCH];
     let mut res = NbResult::default();
-    for &(i, j) in pairs {
-        let (i, j) = (i as usize, j as usize);
-        let d = cell.min_image(pos[i], pos[j]);
-        let r2 = d.norm2();
-        if r2 >= cutoff2 {
-            continue;
+    for chunk in pairs.chunks(BATCH) {
+        let mut m = 0;
+        for &(i, j) in chunk {
+            let (iu, ju) = (i as usize, j as usize);
+            let d = cell.min_image(pos[iu], pos[ju]);
+            let r2 = d.norm2();
+            if r2 >= cutoff2 {
+                continue;
+            }
+            let scale = match ex.kind(i, j) {
+                ExclusionKind::Full => continue,
+                ExclusionKind::Scaled14 => ff.scale14,
+                ExclusionKind::None => 1.0,
+            };
+            first[m] = i;
+            batch.set_geometry(m, j, d, r2);
+            batch.set_coefficients(m, ff.lj(lj[iu], lj[ju]), charge[iu] * charge[ju], scale);
+            m += 1;
         }
-        let scale = match ex.kind(i as AtomId, j as AtomId) {
-            ExclusionKind::Full => continue,
-            ExclusionKind::Scaled14 => ff.scale14,
-            ExclusionKind::None => 1.0,
-        };
-        let ljp = ff.lj(lj[i], lj[j]);
-        let (e_lj, e_el, fr) = eval_pair(ff, ljp.a, ljp.b, charge[i] * charge[j], r2, scale);
-        res.e_lj += e_lj;
-        res.e_elec += e_el;
-        res.pairs += 1;
-        let f = d * fr;
-        forces[i] += f;
-        forces[j] -= f;
+        batch.evaluate(ff, &consts, m);
+        for l in 0..m {
+            res.e_lj += batch.e_lj[l];
+            res.e_elec += batch.e_elec[l];
+            let f = batch.force(l);
+            forces[first[l] as usize] += f;
+            forces[batch.j[l] as usize] -= f;
+        }
+        res.pairs += m as u64;
     }
     res
 }
@@ -713,6 +986,14 @@ mod tests {
         q: &'a [f64],
     ) -> AtomGroup<'a> {
         AtomGroup::new(pos, ids, lj, q)
+    }
+
+    /// `g` cut in two at slot `k`.
+    fn split_at(g: AtomGroup<'_>, k: usize) -> (AtomGroup<'_>, AtomGroup<'_>) {
+        (
+            group(&g.pos[..k], &g.ids[..k], &g.lj[..k], &g.charge[..k]),
+            group(&g.pos[k..], &g.ids[k..], &g.lj[k..], &g.charge[k..]),
+        )
     }
 
     /// Deterministic scatter of `n` atoms with mixed charges in a box of the
@@ -1042,6 +1323,477 @@ mod tests {
         assert!((r_listed.energy() - r_ranged.energy()).abs() < 1e-12);
         for i in 0..n {
             assert!((f_listed[i] - f_ranged[i]).norm() < 1e-12, "atom {i}");
+        }
+    }
+
+    /// The pair arithmetic as it was written before the listed kernels ran
+    /// it in lanes — the switching and shifting functions' own branches, and
+    /// `erfc(β·r)` taken twice: the reference [`eval_pair`] must reproduce.
+    fn eval_pair_reference(
+        ff: &ForceField,
+        lj_a: f64,
+        lj_b: f64,
+        qq: f64,
+        r2: f64,
+        scale: f64,
+    ) -> (f64, f64, f64) {
+        let inv_r2 = 1.0 / r2;
+        let inv_r6 = inv_r2 * inv_r2 * inv_r2;
+        let inv_r12 = inv_r6 * inv_r6;
+        let e_lj_raw = lj_a * inv_r12 - lj_b * inv_r6;
+        let de_lj_dr2 = (-6.0 * lj_a * inv_r12 + 3.0 * lj_b * inv_r6) * inv_r2;
+        let (sw, dsw_dr2) = ff.switching(r2);
+        let e_lj = scale * sw * e_lj_raw;
+        let de_lj = scale * (dsw_dr2 * e_lj_raw + sw * de_lj_dr2);
+        let inv_r = inv_r2.sqrt();
+        let (e_elec, de_elec) = match ff.ewald_beta {
+            None => {
+                let e_c_raw = units::COULOMB * qq * inv_r;
+                let de_c_dr2 = -0.5 * e_c_raw * inv_r2;
+                let (sh, dsh_dr2) = ff.shifting(r2);
+                (scale * sh * e_c_raw, scale * (dsh_dr2 * e_c_raw + sh * de_c_dr2))
+            }
+            Some(beta) => {
+                let r = r2.sqrt();
+                let c = units::COULOMB * qq;
+                let e = c * erfc(beta * r) * inv_r;
+                let de_dr = -c
+                    * (erfc(beta * r) * inv_r2
+                        + beta * TWO_OVER_SQRT_PI * (-beta * beta * r2).exp() * inv_r);
+                (e, de_dr / (2.0 * r))
+            }
+        };
+        (e_lj, e_elec, -2.0 * (de_lj + de_elec))
+    }
+
+    /// `to_bits` equality, with any NaN equal to any other (which NaN an
+    /// operation on two NaNs returns is not specified).
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn assert_same_forces(got: &[Vec3], want: &[Vec3], what: &str) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                same_bits(g.x, w.x) && same_bits(g.y, w.y) && same_bits(g.z, w.z),
+                "{what}: atom {i}: got {g:?}, want {w:?}"
+            );
+        }
+    }
+
+    fn assert_same_result(got: NbResult, want: NbResult, what: &str) {
+        assert_eq!(got.pairs, want.pairs, "{what}: pairs");
+        assert!(same_bits(got.e_lj, want.e_lj), "{what}: e_lj {} vs {}", got.e_lj, want.e_lj);
+        assert!(
+            same_bits(got.e_elec, want.e_elec),
+            "{what}: e_elec {} vs {}",
+            got.e_elec,
+            want.e_elec
+        );
+    }
+
+    #[test]
+    fn select_form_pair_arithmetic_is_the_branching_form_bit_for_bit() {
+        // r from 0.5 Å to the cutoff in steps no grid aligns with, plus both
+        // sides of the switching radius and the last float below the cutoff.
+        let cutoff = 12.0f64;
+        let mut r2s: Vec<f64> = (0..)
+            .map(|k| 0.5 + 0.0137 * k as f64)
+            .take_while(|&r| r < cutoff)
+            .map(|r| r * r)
+            .collect();
+        let (rs2, rc2) = (100.0f64, cutoff * cutoff);
+        let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        r2s.extend([rs2, above(rs2), below(rs2), below(rc2), f64::NAN]);
+        let cutoff_ff = ForceField::biomolecular(cutoff);
+        let fields = [
+            cutoff_ff.clone(),
+            cutoff_ff.clone().with_ewald(0.25),
+            cutoff_ff.clone().with_ewald(0.34),
+        ];
+        for ff in &fields {
+            for &r2 in &r2s {
+                for (ti, tj, qq, scale) in
+                    [(0, 0, 0.695556, 1.0), (0, 1, -0.347778, 1.0), (2, 3, 0.06, 0.5)]
+                {
+                    let lj = ff.lj(ti, tj);
+                    let got = eval_pair(ff, lj.a, lj.b, qq, r2, scale);
+                    let want = eval_pair_reference(ff, lj.a, lj.b, qq, r2, scale);
+                    assert!(
+                        same_bits(got.0, want.0)
+                            && same_bits(got.1, want.1)
+                            && same_bits(got.2, want.2),
+                        "beta {:?}, r2 {r2}, types ({ti},{tj}): got {got:?}, want {want:?}",
+                        ff.ewald_beta
+                    );
+                }
+            }
+        }
+    }
+
+    /// `nb_pairlist` as it was before it borrowed the listed kernels' lanes.
+    #[allow(clippy::too_many_arguments)]
+    fn nb_pairlist_reference(
+        ff: &ForceField,
+        ex: &Exclusions,
+        pos: &[Vec3],
+        lj: &[u16],
+        charge: &[f64],
+        pairs: &[(u32, u32)],
+        cell: &Cell,
+        forces: &mut [Vec3],
+    ) -> NbResult {
+        let cutoff2 = ff.cutoff2();
+        let mut res = NbResult::default();
+        for &(i, j) in pairs {
+            let (i, j) = (i as usize, j as usize);
+            let d = cell.min_image(pos[i], pos[j]);
+            let r2 = d.norm2();
+            if r2 >= cutoff2 {
+                continue;
+            }
+            let scale = match ex.kind(i as AtomId, j as AtomId) {
+                ExclusionKind::Full => continue,
+                ExclusionKind::Scaled14 => ff.scale14,
+                ExclusionKind::None => 1.0,
+            };
+            let ljp = ff.lj(lj[i], lj[j]);
+            let (e_lj, e_el, fr) =
+                eval_pair_reference(ff, ljp.a, ljp.b, charge[i] * charge[j], r2, scale);
+            res.e_lj += e_lj;
+            res.e_elec += e_el;
+            res.pairs += 1;
+            let f = d * fr;
+            forces[i] += f;
+            forces[j] -= f;
+        }
+        res
+    }
+
+    #[test]
+    fn pairlist_kernel_keeps_its_bits_and_its_summation_order() {
+        // 200 waters, jittered, in a periodic box; the cell list's pair order.
+        let (nx, ny, nz, spacing) = (5, 5, 8, 3.1);
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let mut jitter = || (rng.gen::<f64>() - 0.5) * 0.8;
+        let mut topo = Topology::default();
+        let mut pos = Vec::new();
+        for ix in 0..nx {
+            for iy in 0..ny {
+                for iz in 0..nz {
+                    let base = Vec3::new(ix as f64 + 0.3, iy as f64 + 0.3, iz as f64 + 0.3)
+                        * spacing
+                        + Vec3::new(jitter(), jitter(), jitter());
+                    crate::topology::push_water(&mut topo, 0, 1);
+                    pos.push(base);
+                    pos.push(base + Vec3::new(0.9572, 0.0, 0.0));
+                    pos.push(base + Vec3::new(-0.2399, 0.9266, 0.0));
+                }
+            }
+        }
+        assert_eq!(pos.len(), 600);
+        let cell = Cell::periodic(Vec3::ZERO, Vec3::new(nx as f64, ny as f64, nz as f64) * spacing);
+        let ex = Exclusions::from_topology(&topo);
+        let lj: Vec<u16> = topo.atoms.iter().map(|a| a.lj_type).collect();
+        let q: Vec<f64> = topo.atoms.iter().map(|a| a.charge).collect();
+        let cutoff_ff = ForceField::biomolecular(7.0);
+        for ff in [cutoff_ff.clone(), cutoff_ff.with_ewald(0.4)] {
+            let list = crate::pairlist::PairList::build(&cell, &pos, ff.cutoff, 1.5);
+            let mut f_got = vec![Vec3::ZERO; pos.len()];
+            let mut f_want = f_got.clone();
+            let got = nb_pairlist(&ff, &ex, &pos, &lj, &q, list.pairs(), &cell, &mut f_got);
+            let want =
+                nb_pairlist_reference(&ff, &ex, &pos, &lj, &q, list.pairs(), &cell, &mut f_want);
+            let what = format!("beta {:?}", ff.ewald_beta);
+            assert!(want.pairs > 20_000 && (want.pairs as usize) < list.pairs().len(), "{what}");
+            assert_same_result(got, want, &what);
+            assert_same_forces(&f_got, &f_want, &what);
+        }
+    }
+
+    /// Listed against ranged over the same outer ranges, the lists built fresh
+    /// at `radius` from `built_from` (the groups themselves unless a test
+    /// moves an atom after the build): forces, energies and pair count must
+    /// agree bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_self_listed_is_ranged(
+        what: &str,
+        ff: &ForceField,
+        ex: &Exclusions,
+        built_from: AtomGroup,
+        g: AtomGroup,
+        cell: &Cell,
+        radius: f64,
+        outers: &[std::ops::Range<usize>],
+    ) -> (Vec<usize>, Vec<Vec3>) {
+        let mut f_listed = vec![Vec3::ZERO; g.len()];
+        let mut f_ranged = f_listed.clone();
+        let (mut listed, mut ranged) = (NbResult::default(), NbResult::default());
+        let mut list = Vec::new();
+        let mut row_lengths = Vec::new();
+        for outer in outers {
+            self_candidates_into(built_from, cell, outer.clone(), radius, &mut list);
+            row_lengths.extend(rows(&list).map(<[_]>::len));
+            listed.add(nb_self_listed(ff, ex, g, cell, &list, &mut f_listed));
+            ranged.add(nb_self_ranged(ff, ex, g, cell, outer.clone(), &mut f_ranged));
+        }
+        assert_same_result(listed, ranged, what);
+        assert_same_forces(&f_listed, &f_ranged, what);
+        (row_lengths, f_listed)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn assert_pair_listed_is_ranged(
+        what: &str,
+        ff: &ForceField,
+        ex: &Exclusions,
+        built_from: (AtomGroup, AtomGroup),
+        (a, b): (AtomGroup, AtomGroup),
+        cell: &Cell,
+        radius: f64,
+        outers: &[std::ops::Range<usize>],
+    ) -> Vec<usize> {
+        let (mut fa_listed, mut fb_listed) = (vec![Vec3::ZERO; a.len()], vec![Vec3::ZERO; b.len()]);
+        let (mut fa_ranged, mut fb_ranged) = (fa_listed.clone(), fb_listed.clone());
+        let (mut listed, mut ranged) = (NbResult::default(), NbResult::default());
+        let mut list = Vec::new();
+        let mut row_lengths = Vec::new();
+        for outer in outers {
+            pair_candidates_into(
+                built_from.0,
+                built_from.1,
+                cell,
+                outer.clone(),
+                radius,
+                &mut list,
+            );
+            row_lengths.extend(rows(&list).map(<[_]>::len));
+            listed.add(nb_pair_listed(ff, ex, a, b, cell, &list, &mut fa_listed, &mut fb_listed));
+            let outer = outer.clone();
+            ranged.add(nb_pair_ranged(ff, ex, a, b, cell, outer, &mut fa_ranged, &mut fb_ranged));
+        }
+        assert_same_result(listed, ranged, what);
+        assert_same_forces(&fa_listed, &fa_ranged, what);
+        assert_same_forces(&fb_listed, &fb_ranged, what);
+        row_lengths
+    }
+
+    /// Atoms in the ball of [`seam_scene`]: its first self row is 3·BATCH + 2
+    /// candidates long.
+    const CLUSTER: usize = 3 * BATCH + 3;
+
+    /// The atoms the batch-seam tests run on.
+    ///
+    /// * `0..CLUSTER`: a ball 13.8 Å across, sorted by distance from its
+    ///   centre, so listed at 14.5 Å the self rows are 3·BATCH + 2,
+    ///   3·BATCH + 1, …, 1 candidates long and atoms 0 and 1 are within 9 Å
+    ///   of every other. Bonds put a fully excluded partner and a 1-4 partner
+    ///   of atom 0 at candidates BATCH − 1 and BATCH of its row (the last
+    ///   lane of one batch and the first of the next), and a 1-4 and a fully
+    ///   excluded partner of atom 1 at the same seam of its row.
+    /// * a water on its own: three rows whose every candidate is excluded;
+    /// * two atoms 13 Å apart: a row entirely between cutoff and list radius;
+    /// * one atom with nothing near: no row at all.
+    ///
+    /// The ball sits on the corner of a 60 Å cell, so wrapped into a periodic
+    /// or slab cell its pairs fold across every face.
+    fn seam_scene() -> (Topology, Vec<Vec3>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        let mut ball: Vec<Vec3> = Vec::new();
+        while ball.len() < CLUSTER {
+            let mut c = || (rng.gen::<f64>() * 2.0 - 1.0) * 6.9;
+            let p = Vec3::new(c(), c(), c());
+            if p.norm() <= 6.9 && ball.iter().all(|&q| (p - q).norm() >= 1.5) {
+                ball.push(p);
+            }
+        }
+        ball.sort_by(|p, q| p.norm2().total_cmp(&q.norm2()));
+        let mut pos = ball;
+        let mut topo = Topology::default();
+        topo.atoms = (0..CLUSTER)
+            .map(|i| Atom {
+                mass: 12.0,
+                charge: if i % 2 == 0 { 0.4 } else { -0.4 },
+                lj_type: (i % 5) as u16,
+            })
+            .collect();
+        let seam = BATCH as AtomId;
+        let bond = |a: AtomId, b: AtomId| Bond { a, b, k: 300.0, r0: 1.5 };
+        // Atom 0's row is candidates 1, 2, …: candidate BATCH − 1 is atom
+        // `seam`, candidate BATCH is atom `seam + 1`.
+        topo.bonds.extend([bond(0, seam), bond(seam, 100), bond(100, seam + 1)]);
+        // Atom 1's row starts at 2: the same seam is atoms seam + 1, seam + 2.
+        topo.bonds.extend([bond(1, seam + 2), bond(seam + 2, 101), bond(101, seam + 1)]);
+        let water = crate::topology::push_water(&mut topo, 0, 1) as usize;
+        assert_eq!(water, pos.len());
+        let o = Vec3::new(30.0, 30.0, 30.0);
+        pos.extend([o, o + Vec3::new(0.9572, 0.0, 0.0), o + Vec3::new(-0.2399, 0.9266, 0.0)]);
+        for p in
+            [Vec3::new(30.0, 10.0, 30.0), Vec3::new(43.0, 10.0, 30.0), Vec3::new(10.0, 30.0, 30.0)]
+        {
+            topo.atoms.push(Atom { mass: 12.0, charge: 0.3, lj_type: 2 });
+            pos.push(p);
+        }
+        (topo, pos)
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)] // one outer range is a case like any other
+    fn listed_kernels_match_ranged_across_every_batch_seam() {
+        let (topo, open_pos) = seam_scene();
+        let n = open_pos.len();
+        let ex = Exclusions::from_topology(&topo);
+        let seam = BATCH as AtomId;
+        assert_eq!(ex.kind(0, seam), ExclusionKind::Full);
+        assert_eq!(ex.kind(0, seam + 1), ExclusionKind::Scaled14);
+        assert_eq!(ex.kind(1, seam + 1), ExclusionKind::Scaled14);
+        assert_eq!(ex.kind(1, seam + 2), ExclusionKind::Full);
+        let ids: Vec<AtomId> = (0..n as AtomId).collect();
+        let lj: Vec<u16> = topo.atoms.iter().map(|a| a.lj_type).collect();
+        let q: Vec<f64> = topo.atoms.iter().map(|a| a.charge).collect();
+        let lengths = Vec3::splat(60.0);
+        let cells = [
+            ("open", Cell::open(Vec3::ZERO, lengths)),
+            ("slab", Cell { origin: Vec3::ZERO, lengths, periodic: [true, true, false] }),
+            ("periodic", Cell::periodic(Vec3::ZERO, lengths)),
+        ];
+        let cutoff_ff = ForceField::biomolecular(9.0);
+        let radius = 14.5;
+        for (cell_name, cell) in &cells {
+            let pos: Vec<Vec3> = open_pos.iter().map(|&p| cell.wrap(p)).collect();
+            if cell.periodic[0] {
+                let folded = cell.min_image(pos[0], pos[1]) != pos[0] - pos[1]
+                    || (2..CLUSTER).any(|j| cell.min_image(pos[0], pos[j]) != pos[0] - pos[j]);
+                assert!(folded, "{cell_name}: no pair of the ball folds across a face");
+            }
+            let all = group(&pos, &ids, &lj, &q);
+            for ff in [cutoff_ff.clone(), cutoff_ff.clone().with_ewald(0.3)] {
+                let what = format!("{cell_name} cell, beta {:?}", ff.ewald_beta);
+                // The seam partners must pass the cutoff test to reach the
+                // exclusion lookup.
+                for (i, j) in [(0, BATCH), (0, BATCH + 1), (1, BATCH + 1), (1, BATCH + 2)] {
+                    assert!(cell.dist2(pos[i], pos[j]) < ff.cutoff2(), "{what}: pair ({i},{j})");
+                }
+
+                // Self kernel, whole and split outer ranges.
+                let (rows_seen, _) =
+                    assert_self_listed_is_ranged(&what, &ff, &ex, all, all, cell, radius, &[0..n]);
+                for len in [1, BATCH - 1, BATCH, BATCH + 1, 3 * BATCH + 2] {
+                    assert!(rows_seen.contains(&len), "{what}: no self row of {len} candidates");
+                }
+                // The water's rows (2 and 1 candidates, all excluded) and the
+                // far pair's (1 candidate, beyond the cutoff) evaluate nothing.
+                let tail = CLUSTER..n;
+                let (tail_rows, _) = assert_self_listed_is_ranged(
+                    &what,
+                    &ff,
+                    &ex,
+                    all,
+                    all,
+                    cell,
+                    radius,
+                    std::slice::from_ref(&tail),
+                );
+                assert_eq!(tail_rows, [2, 1, 1], "{what}");
+                let mut f = vec![Vec3::ZERO; n];
+                let mut list = Vec::new();
+                self_candidates_into(all, cell, tail, radius, &mut list);
+                assert_eq!(nb_self_listed(&ff, &ex, all, cell, &list, &mut f).pairs, 0, "{what}");
+                assert_self_listed_is_ranged(
+                    &what,
+                    &ff,
+                    &ex,
+                    all,
+                    all,
+                    cell,
+                    radius,
+                    &[0..1, 1..BATCH + 7, BATCH + 7..BATCH + 7, BATCH + 7..n],
+                );
+
+                // Pair kernel: atom 0 against the next k atoms is one row of
+                // exactly k candidates.
+                let a = group(&pos[..1], &ids[..1], &lj[..1], &q[..1]);
+                for k in [0, 1, BATCH - 1, BATCH, BATCH + 1, 3 * BATCH + 2] {
+                    let b = group(&pos[1..1 + k], &ids[1..1 + k], &lj[1..1 + k], &q[1..1 + k]);
+                    let rows_seen = assert_pair_listed_is_ranged(
+                        &format!("{what}, one row of {k}"),
+                        &ff,
+                        &ex,
+                        (a, b),
+                        (a, b),
+                        cell,
+                        radius,
+                        &[0..1],
+                    );
+                    assert_eq!(rows_seen, if k == 0 { vec![] } else { vec![k] }, "{what}");
+                }
+                // Many rows, split: the first 40 atoms against everything else.
+                let k = 40;
+                let ab = split_at(all, k);
+                assert_pair_listed_is_ranged(&what, &ff, &ex, ab, ab, cell, radius, &[0..k]);
+                assert_pair_listed_is_ranged(&what, &ff, &ex, ab, ab, cell, radius, &[0..2, 2..k]);
+            }
+        }
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    fn a_nan_or_infinite_coordinate_poisons_the_listed_kernels_as_it_does_the_ranged() {
+        // The ball alone, listed while every coordinate was finite: all pairs
+        // are candidates, so the list hides nothing the ranged kernel sees.
+        let (topo, pos) = seam_scene();
+        let n = CLUSTER;
+        let clean = &pos[..n];
+        let ids: Vec<AtomId> = (0..n as AtomId).collect();
+        let lj: Vec<u16> = topo.atoms[..n].iter().map(|a| a.lj_type).collect();
+        let q: Vec<f64> = topo.atoms[..n].iter().map(|a| a.charge).collect();
+        let ex = Exclusions::from_topology(&topo);
+        let cutoff_ff = ForceField::biomolecular(9.0);
+        let lengths = Vec3::splat(60.0);
+        for cell in [Cell::open(Vec3::ZERO, lengths), Cell::periodic(Vec3::ZERO, lengths)] {
+            let clean: Vec<Vec3> = clean.iter().map(|&p| cell.wrap(p)).collect();
+            let built_from = group(&clean, &ids, &lj, &q);
+            for (victim, value) in
+                [(5, f64::NAN), (BATCH + 3, f64::INFINITY), (2 * BATCH, f64::NEG_INFINITY)]
+            {
+                let mut bad = clean.clone();
+                bad[victim].y = value;
+                let g = group(&bad, &ids, &lj, &q);
+                for ff in [cutoff_ff.clone(), cutoff_ff.clone().with_ewald(0.3)] {
+                    let what = format!(
+                        "periodic {:?}, atom {victim} at y = {value}, beta {:?}",
+                        cell.periodic, ff.ewald_beta
+                    );
+                    let (rows_seen, f) = assert_self_listed_is_ranged(
+                        &what,
+                        &ff,
+                        &ex,
+                        built_from,
+                        g,
+                        &cell,
+                        14.5,
+                        &[0..n],
+                    );
+                    assert_eq!(rows_seen.iter().sum::<usize>(), n * (n - 1) / 2, "{what}");
+                    // An infinite displacement along an open axis is a miss;
+                    // folded it is a NaN, and a NaN is never dropped.
+                    let poisoned = value.is_nan() || cell.periodic[1];
+                    assert_eq!(f[victim].y.is_nan(), poisoned, "{what}");
+                    let k = BATCH + 10;
+                    let rows_seen = assert_pair_listed_is_ranged(
+                        &what,
+                        &ff,
+                        &ex,
+                        split_at(built_from, k),
+                        split_at(g, k),
+                        &cell,
+                        14.5,
+                        &[0..k],
+                    );
+                    assert_eq!(rows_seen.iter().sum::<usize>(), k * (n - k), "{what}");
+                }
+            }
         }
     }
 

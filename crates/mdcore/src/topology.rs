@@ -277,17 +277,24 @@ impl Exclusions {
         Exclusions { full: vec![Vec::new(); n], scaled14: vec![Vec::new(); n] }
     }
 
+    /// Atom `i`'s two exclusion rows, fetched once — what a kernel row asks
+    /// for before classifying every partner of `i`.
+    #[inline]
+    pub fn row(&self, i: AtomId) -> ExclusionRow<'_> {
+        let full = &self.full[i as usize][..];
+        let scaled14 = &self.scaled14[i as usize][..];
+        // An empty row takes no part in the range: `MAX..=0` holds nothing.
+        let ends = |r: &[AtomId]| {
+            (r.first().copied().unwrap_or(AtomId::MAX), r.last().copied().unwrap_or(0))
+        };
+        let ((f_lo, f_hi), (s_lo, s_hi)) = (ends(full), ends(scaled14));
+        ExclusionRow { full, scaled14, lo: f_lo.min(s_lo), hi: f_hi.max(s_hi) }
+    }
+
     /// Classify the pair `(i, j)`.
     #[inline]
     pub fn kind(&self, i: AtomId, j: AtomId) -> ExclusionKind {
-        let fi = &self.full[i as usize];
-        if fi.binary_search(&j).is_ok() {
-            return ExclusionKind::Full;
-        }
-        if self.scaled14[i as usize].binary_search(&j).is_ok() {
-            return ExclusionKind::Scaled14;
-        }
-        ExclusionKind::None
+        self.row(i).kind(j)
     }
 
     /// Number of atoms covered.
@@ -304,15 +311,44 @@ impl Exclusions {
     pub fn n_scaled14(&self) -> usize {
         self.scaled14.iter().map(Vec::len).sum()
     }
+}
 
-    /// Iterate over the fully-excluded partners of atom `i`.
-    pub fn full_of(&self, i: AtomId) -> &[AtomId] {
-        &self.full[i as usize]
+/// One atom's sorted exclusion rows with the id range they span. Bonded
+/// partners are neighbours in id space, so nearly every non-bonded partner
+/// falls outside that range and is classified by two compares, without a
+/// search.
+#[derive(Debug, Clone, Copy)]
+pub struct ExclusionRow<'a> {
+    full: &'a [AtomId],
+    scaled14: &'a [AtomId],
+    /// Smallest and largest id in either row; `lo > hi` when both are empty.
+    lo: AtomId,
+    hi: AtomId,
+}
+
+impl<'a> ExclusionRow<'a> {
+    /// How the row's atom and `j` enter the non-bonded sum.
+    #[inline]
+    pub fn kind(&self, j: AtomId) -> ExclusionKind {
+        if j < self.lo || j > self.hi {
+            ExclusionKind::None
+        } else if self.full.binary_search(&j).is_ok() {
+            ExclusionKind::Full
+        } else if self.scaled14.binary_search(&j).is_ok() {
+            ExclusionKind::Scaled14
+        } else {
+            ExclusionKind::None
+        }
     }
 
-    /// Iterate over the scaled 1-4 partners of atom `i`.
-    pub fn scaled14_of(&self, i: AtomId) -> &[AtomId] {
-        &self.scaled14[i as usize]
+    /// The fully-excluded partners, ascending.
+    pub fn full(&self) -> &'a [AtomId] {
+        self.full
+    }
+
+    /// The scaled 1-4 partners, ascending.
+    pub fn scaled14(&self) -> &'a [AtomId] {
+        self.scaled14
     }
 }
 
@@ -457,6 +493,50 @@ mod tests {
         let ex = Exclusions::none(5);
         assert_eq!(ex.kind(0, 4), ExclusionKind::None);
         assert_eq!(ex.n_full(), 0);
+    }
+
+    #[test]
+    fn kind_agrees_with_a_linear_scan_of_the_rows() {
+        // A branched molecule whose bonded neighbours are far apart in id, so
+        // its rows have holes; atoms 0, 1, 6, 8, 10, 14 and 15 are unbonded.
+        let mut t = Topology::default();
+        t.atoms = vec![atom(); 16];
+        // Hub 7 with arms 7-2-11, 7-13-4-9 and 7-5; 3-12 is a separate bond.
+        for (a, b) in [(7u32, 2u32), (2, 11), (7, 13), (13, 4), (4, 9), (7, 5), (3, 12)] {
+            t.bonds.push(Bond { a, b, k: 1.0, r0: 1.0 });
+        }
+        let ex = Exclusions::from_topology(&t);
+        let n = t.n_atoms() as AtomId;
+        let (mut below, mut inside_absent, mut above, mut empty) = (0, 0, 0, 0);
+        for i in 0..n {
+            let row = ex.row(i);
+            let ids = || row.full().iter().chain(row.scaled14());
+            let (lo, hi) = (ids().min().copied(), ids().max().copied());
+            for j in 0..n {
+                let want = if row.full().contains(&j) {
+                    ExclusionKind::Full
+                } else if row.scaled14().contains(&j) {
+                    ExclusionKind::Scaled14
+                } else {
+                    ExclusionKind::None
+                };
+                assert_eq!(row.kind(j), want, "pair ({i},{j})");
+                assert_eq!(ex.kind(i, j), want, "pair ({i},{j})");
+                match (lo, hi) {
+                    (Some(lo), _) if j < lo => below += 1,
+                    (_, Some(hi)) if j > hi => above += 1,
+                    (Some(_), Some(_)) if want == ExclusionKind::None => inside_absent += 1,
+                    (None, _) => empty += 1,
+                    _ => {}
+                }
+            }
+        }
+        assert!(below > 0 && inside_absent > 0 && above > 0 && empty == 7 * 16);
+        // The hub sees every kind: 1-2, 1-3 and 1-4 partners.
+        assert_eq!(ex.row(7).full(), [2, 4, 5, 11, 13]);
+        assert_eq!(ex.row(7).scaled14(), [9]);
+        assert_eq!(ex.kind(7, 9), ExclusionKind::Scaled14);
+        assert_eq!(ex.kind(0, 7), ExclusionKind::None);
     }
 
     #[test]

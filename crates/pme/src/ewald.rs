@@ -173,7 +173,7 @@ pub fn exclusion_correction(
     let beta = params.beta;
     let mut energy = 0.0;
     for i in 0..pos.len() {
-        for &j in ex.full_of(i as u32) {
+        for &j in ex.row(i as u32).full() {
             let j = j as usize;
             if j <= i {
                 continue; // each unordered pair once
