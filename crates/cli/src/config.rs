@@ -27,7 +27,7 @@
 //! earlier ones. Unknown keys are errors (typos should not silently
 //! de-configure a simulation).
 
-use namd_core::prelude::{Backend, NbKernel, SimdWidth};
+use namd_core::prelude::Backend;
 use std::collections::BTreeMap;
 
 /// Which molecular system to build.
@@ -91,13 +91,6 @@ pub struct RunConfig {
     /// the margin (NAMD's `pairlistdist` reuse); 0 rebuilds every step.
     /// Applies to the sequential and parallel drivers.
     pub pairlist_margin: f64,
-    /// Non-bonded kernel family: `listed` (atom-pair lists) or `cluster`
-    /// (4-wide cluster pairs with dual-list dynamic pruning; selects the
-    /// parallel driver).
-    pub nb_kernel: NbKernel,
-    /// Cluster-kernel lane width: `scalar` (bit-identical to listed) or
-    /// `x4` (f64 lanes).
-    pub simd_width: SimdWidth,
     /// Basename for outputs (`<name>.xyz`, `<name>.energies`); empty = none.
     pub output_name: String,
     pub trajectory_every: usize,
@@ -163,8 +156,6 @@ impl Default for RunConfig {
             procs: 0,
             socket_dir: String::new(),
             pairlist_margin: 2.5,
-            nb_kernel: NbKernel::Listed,
-            simd_width: SimdWidth::Scalar,
             output_name: String::new(),
             trajectory_every: 10,
             pme: false,
@@ -192,10 +183,9 @@ impl RunConfig {
     /// The key that makes `runner::run` step this configuration on the
     /// message-driven parallel driver (`ParallelSim`) rather than a
     /// sequential one, if any. Checkpointing and restart are barriers of its
-    /// message protocol, the `des`/`proc` backends are its runtimes, and the
-    /// cluster kernels live in its pair-list cache, so each selects it even
-    /// with `threads 1`. `validate` and `run` both ask here, so what is
-    /// validated is what runs.
+    /// message protocol and the `des`/`proc` backends are its runtimes, so
+    /// each selects it even with `threads 1`. `validate` and `run` both ask
+    /// here, so what is validated is what runs.
     pub fn parallel_driver_key(&self) -> Option<&'static str> {
         if self.threads > 1 {
             Some("threads > 1")
@@ -205,8 +195,6 @@ impl RunConfig {
             Some("restartFrom")
         } else if self.backend != Backend::Threads {
             Some("backend des/proc")
-        } else if self.nb_kernel == NbKernel::Cluster {
-            Some("nbKernel cluster")
         } else {
             None
         }
@@ -293,8 +281,6 @@ pub fn parse(text: &str) -> Result<RunConfig, String> {
             "procs" => cfg.procs = parse_usize(&value)?,
             "socketdir" => cfg.socket_dir = value,
             "pairlistmargin" => cfg.pairlist_margin = parse_f64(&value)?,
-            "nbkernel" => cfg.nb_kernel = value.parse().map_err(|e: String| err(&e))?,
-            "simdwidth" => cfg.simd_width = value.parse().map_err(|e: String| err(&e))?,
             "outputname" => cfg.output_name = value,
             "trajectoryevery" => cfg.trajectory_every = parse_usize(&value)?,
             "pme" => cfg.pme = parse_bool(&value)?,
@@ -361,16 +347,16 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
     if cfg.thermostat == ThermostatKind::Langevin && (cfg.uses_parallel_driver() || cfg.pme) {
         return Err(
             "thermostat langevin runs on the sequential cutoff driver only; threads > 1, \
-             backend des/proc, checkpointing/restart and nbKernel cluster select the parallel \
-             driver and pme the full-electrostatics one (use berendsen or none)"
+             backend des/proc and checkpointing/restart select the parallel driver and pme \
+             the full-electrostatics one (use berendsen or none)"
                 .into(),
         );
     }
     if let (true, Some(key)) = (cfg.pme, cfg.parallel_driver_key()) {
         return Err(format!(
             "pme runs on the sequential full-electrostatics driver, but {key} selects the \
-             parallel cutoff driver (pme needs threads 1, backend threads, nbKernel listed \
-             and no checkpointing/restart)"
+             parallel cutoff driver (pme needs threads 1, backend threads and no \
+             checkpointing/restart)"
         ));
     }
     if !cfg.checkpoint_dir.is_empty() && cfg.checkpoint_interval == 0 {
@@ -466,9 +452,16 @@ mod tests {
 
     #[test]
     fn unknown_key_is_an_error_with_line_number() {
-        let e = parse("system water\ncutoof 12\n").unwrap_err();
-        assert!(e.contains("line 2"), "{e}");
-        assert!(e.contains("cutoof"), "{e}");
+        // A typo, and the two kernel-selection keys that were removed with
+        // the cluster path: named in the error, never silently ignored.
+        for (line, key) in [
+            ("cutoof 12", "cutoof"),
+            ("nbKernel listed", "nbkernel"),
+            ("simdWidth x4", "simdwidth"),
+        ] {
+            let e = parse(&format!("system water\n{line}\n")).unwrap_err();
+            assert!(e.contains("line 2") && e.contains(&format!("unknown key '{key}'")), "{e}");
+        }
     }
 
     #[test]
@@ -490,18 +483,11 @@ mod tests {
         assert!(parse("thermostat langevin\nthreads 2\n")
             .unwrap_err()
             .contains("sequential"));
-        // nbKernel cluster selects the parallel driver even at threads 1,
-        // whose loop applies only Berendsen.
-        let e = parse("thermostat langevin\nnbKernel cluster\n").unwrap_err();
-        assert!(e.contains("langevin") && e.contains("parallel driver"), "{e}");
         assert!(parse("thermostat langevin\ncheckpointDir ck\n").unwrap_err().contains("langevin"));
         assert!(parse("pme on\nthreads 4\n").unwrap_err().contains("threads 1"));
         // pme selects the full-electrostatics driver, so every key that
-        // selects the parallel one is refused with it, by name — the cluster
-        // kernel (and what it made legal) used to be silently ignored.
+        // selects the parallel one is refused with it, by name.
         for (keys, named) in [
-            ("nbKernel cluster\n", "nbKernel cluster"),
-            ("nbKernel cluster\nschedule lifo\n", "nbKernel cluster"),
             ("checkpointDir ck\n", "checkpointDir"),
             ("restartFrom ck\n", "restartFrom"),
             ("backend des\n", "backend des/proc"),
@@ -522,23 +508,6 @@ mod tests {
         assert!(parse("pairlistMargin -1\n").unwrap_err().contains("pairlistMargin"));
         let e = parse("system water\npairlistCache off\n").unwrap_err();
         assert!(e.contains("line 2") && e.contains("unknown key 'pairlistcache'"), "{e}");
-    }
-
-    #[test]
-    fn nb_kernel_keys_parse_and_validate() {
-        let cfg = parse("nbKernel Cluster\nsimdWidth X4\n").unwrap();
-        assert_eq!(cfg.nb_kernel, NbKernel::Cluster);
-        assert_eq!(cfg.simd_width, SimdWidth::X4);
-        let defaults = parse("").unwrap();
-        assert_eq!(defaults.nb_kernel, NbKernel::Listed);
-        assert_eq!(defaults.simd_width, SimdWidth::Scalar);
-        assert!(parse("nbKernel turbo\n").unwrap_err().contains("nbKernel"));
-        assert!(parse("simdWidth x16\n").unwrap_err().contains("simdWidth"));
-        assert!(parse("simdWidth x8\n").unwrap_err().contains("(scalar | x4)"));
-        // The cluster kernels select the parallel driver, so its knobs
-        // apply at threads 1.
-        assert!(parse("nbKernel cluster\nprofileDir prof\n").is_ok());
-        assert!(parse("nbKernel cluster\nschedule lifo\n").is_ok());
     }
 
     #[test]

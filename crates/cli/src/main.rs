@@ -70,9 +70,6 @@ threads       2
 pairlistMargin 2.5       # pair lists are built at cutoff + margin (Å) and
 #                        #  reused until an atom moves margin/2; 0 = rebuild
 #                        #  every step
-#nbKernel     cluster    # listed | cluster (4x4 SIMD cluster pairs,
-#                        #  dual-list pruning; parallel driver)
-#simdWidth    x4         # scalar | x4 (cluster lane width)
 outputName    demo       # writes demo.xyz
 trajectoryEvery 10
 pme           off        # full electrostatics (particle-mesh Ewald)

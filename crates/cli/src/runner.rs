@@ -3,7 +3,7 @@
 use crate::config::{RunConfig, SystemKind, ThermostatKind};
 use mdcore::prelude::*;
 use mdcore::thermostat::{Berendsen, Langevin};
-use namd_core::config::{Backend, NbKernel};
+use namd_core::config::Backend;
 use namd_core::parallel::ParallelSim;
 use namd_core::recovery::Advanced;
 use pme::md::MtsSimulator;
@@ -76,36 +76,24 @@ pub struct RunReport {
 
 /// Build the molecular system a config describes.
 pub fn build_system(cfg: &RunConfig) -> System {
-    let mut system = match cfg.system {
-        SystemKind::Water => molgen::SystemBuilder::new(molgen::SystemSpec {
-            name: "water",
-            box_lengths: Vec3::splat(cfg.box_size),
-            target_atoms: cfg.atoms - cfg.atoms % 3,
-            protein_chains: 0,
-            protein_chain_len: 0,
-            lipid_slab: None,
-            cutoff: cfg.cutoff,
-            seed: cfg.seed,
-        })
-        .build(),
-        SystemKind::Apoa1 | SystemKind::Bc1 | SystemKind::Br => {
-            let bench = match cfg.system {
-                SystemKind::Apoa1 => molgen::apoa1_like(),
-                SystemKind::Bc1 => molgen::bc1_like(),
-                _ => molgen::br_like(),
-            };
-            let bench = if cfg.scale < 1.0 { bench.scaled(cfg.scale) } else { bench };
-            let builder = molgen::SystemBuilder::new(bench.spec().clone());
-            if cfg.restrain_protein {
-                builder.build_restrained()
-            } else {
-                builder.build()
-            }
-        }
-        SystemKind::Zoo(name) => molgen::zoo::by_name(name, cfg.atoms, cfg.seed)
-            .expect("config validation accepts known zoo names only")
-            .build_scaled(cfg.scale),
+    let name = match cfg.system {
+        SystemKind::Water => "water",
+        SystemKind::Apoa1 => "apoa1",
+        SystemKind::Bc1 => "bc1",
+        SystemKind::Br => "br",
+        SystemKind::Zoo(name) => name,
     };
+    let (_, build) = molgen::named_deck(
+        name,
+        cfg.atoms,
+        cfg.box_size,
+        cfg.cutoff,
+        cfg.seed,
+        cfg.scale,
+        cfg.restrain_protein,
+    )
+    .expect("config parsing accepts known system names only");
+    let mut system = build();
     if cfg.pme {
         let beta = if cfg.ewald_beta > 0.0 {
             cfg.ewald_beta
@@ -189,10 +177,6 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
             writeln!(log, "backend des: deterministic virtual-time execution")?;
         }
         par.set_pairlist(cfg.pairlist_margin);
-        if cfg.nb_kernel == NbKernel::Cluster {
-            par.set_nb_kernel(cfg.nb_kernel, cfg.simd_width);
-            writeln!(log, "nonbonded: cluster kernels ({}), dual-list pruning", cfg.simd_width)?;
-        }
         if !cfg.fault_plan.is_empty() {
             let plan = charmrt::FaultPlan::parse(&cfg.fault_plan)
                 .expect("validated by config::parse");
@@ -428,6 +412,35 @@ mod tests {
         assert!(drift < 2e-2, "NVE drift {drift}");
         let text = String::from_utf8(log).unwrap();
         assert!(text.lines().count() > 30);
+    }
+
+    #[test]
+    fn config_file_and_job_spec_name_the_same_deck() {
+        // One vocabulary, one builder (`molgen::named_deck`): the same
+        // system, size and seed through either front-end is the same deck.
+        for (conf, json) in [
+            (
+                "system water\natoms 301\nboxSize 20\ncutoff 6\nseed 5\n",
+                r#"{"system":"water","atoms":301,"boxSize":20,"cutoff":6,"seed":5}"#,
+            ),
+            ("system br\nscale 0.1\nseed 5\n", r#"{"system":"br","scale":0.1,"seed":5}"#),
+            (
+                "system vacuum-droplet\natoms 600\nscale 0.5\nseed 5\n",
+                r#"{"system":"vacuum-droplet","atoms":600,"scale":0.5,"seed":5}"#,
+            ),
+        ] {
+            let from_conf = build_system(&parse(conf).unwrap());
+            let from_json = serve::JobSpec::parse(json).unwrap().build_system();
+            assert_eq!(
+                namd_core::engine::topology_hash(&from_conf),
+                namd_core::engine::topology_hash(&from_json),
+                "{conf}"
+            );
+            let bits = |s: &System| -> Vec<[u64; 3]> {
+                s.positions.iter().map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect()
+            };
+            assert_eq!(bits(&from_conf), bits(&from_json), "{conf}");
+        }
     }
 
     #[test]

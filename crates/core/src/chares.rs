@@ -154,11 +154,6 @@ pub struct RunParams {
     /// the cutoff); each non-bonded compute reuses its list until an atom
     /// has moved half of it.
     pub pairlist_margin: f64,
-    /// Non-bonded kernel family: listed atom-pair kernels or cluster-pair
-    /// kernels with dual-list pruning.
-    pub nb_kernel: crate::config::NbKernel,
-    /// Lane width/precision for the cluster kernels.
-    pub simd_width: mdcore::cluster::SimdWidth,
     /// In-phase checkpoint cadence in *global* steps (0 = off): patches
     /// pause at the barrier on steps where
     /// `(step_offset + step) % checkpoint_every == 0`.
@@ -702,7 +697,7 @@ impl ComputeChare {
             .collect();
 
         match &spec.kind {
-            // Which list format and kernel serve the compute is the cache
+            // The list format and the kernel that reads it are the cache
             // entry's business; self and pair computes differ only in how
             // many force blocks they fill.
             ComputeKind::SelfNb { .. } | ComputeKind::PairNb { .. } => {
@@ -712,8 +707,6 @@ impl ComputeChare {
                     &shared.frame,
                     &shared.decomp.grid,
                     &mut self.coords,
-                    self.params.nb_kernel,
-                    self.params.simd_width,
                     self.params.pairlist_margin,
                     &mut blocks,
                 );

@@ -70,48 +70,6 @@ impl Default for PmeSimConfig {
     }
 }
 
-/// Which non-bonded kernel family the Real-mode computes run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NbKernel {
-    /// Atom-pair kernels over cached candidate lists (PR 3 path); the
-    /// bit-exactness reference.
-    #[default]
-    Listed,
-    /// Cluster-pair kernels (`mdcore::cluster`) with dual-list dynamic
-    /// pruning in the cache layer. Scalar width is bit-identical to
-    /// `Listed`; X4 trades bits for speed (see DESIGN.md §3.8).
-    Cluster,
-}
-
-impl NbKernel {
-    /// Canonical config-file spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            NbKernel::Listed => "listed",
-            NbKernel::Cluster => "cluster",
-        }
-    }
-}
-
-impl std::fmt::Display for NbKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for NbKernel {
-    type Err = String;
-    /// The one parser shared by CLI configs and job-spec JSON
-    /// (case-insensitive; `Display` is the canonical inverse).
-    fn from_str(s: &str) -> Result<NbKernel, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "listed" => Ok(NbKernel::Listed),
-            "cluster" => Ok(NbKernel::Cluster),
-            other => Err(format!("unknown nbKernel '{other}' (listed | cluster)")),
-        }
-    }
-}
-
 /// Tunables for one parallel simulation.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -135,13 +93,6 @@ pub struct SimConfig {
     /// between rebuilds but walk more candidates per step; 0 rebuilds every
     /// evaluation. Every margin gives the same bits.
     pub pairlist_margin: f64,
-    /// Non-bonded kernel family (Real mode): atom-pair listed kernels, or
-    /// GROMACS-style cluster-pair kernels with dual-list dynamic pruning.
-    /// File key `nbKernel`.
-    pub nb_kernel: NbKernel,
-    /// Lane width/precision for the cluster kernels (`Scalar` is
-    /// bit-identical to the listed kernels). File key `simdWidth`.
-    pub simd_width: mdcore::cluster::SimdWidth,
     /// Split self computes into pieces of at most this many atoms
     /// (grainsize control for within-cube work; always on in NAMD).
     pub self_split_atoms: usize,
@@ -227,8 +178,6 @@ impl SimConfig {
             force_mode: ForceMode::Counted,
             dt_fs: 1.0,
             pairlist_margin: 2.5,
-            nb_kernel: NbKernel::Listed,
-            simd_width: mdcore::cluster::SimdWidth::Scalar,
             self_split_atoms: 160,
             split_face_pairs: true,
             pair_split_atoms: 112,
@@ -478,18 +427,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Select the non-bonded kernel family (`nbKernel`).
-    pub fn nb_kernel(mut self, kernel: NbKernel) -> Self {
-        self.cfg.nb_kernel = kernel;
-        self
-    }
-
-    /// Select the cluster-kernel lane width/precision (`simdWidth`).
-    pub fn simd_width(mut self, width: mdcore::cluster::SimdWidth) -> Self {
-        self.cfg.simd_width = width;
-        self
-    }
-
     /// Grainsize control: self piece budget, face-pair splitting, pair
     /// piece budget.
     pub fn grainsize(mut self, self_atoms: usize, split_faces: bool, pair_atoms: usize) -> Self {
@@ -711,17 +648,13 @@ mod tests {
     }
 
     #[test]
-    fn backend_and_kernel_display_fromstr_round_trip() {
+    fn backend_display_fromstr_round_trip() {
         for b in [Backend::Des, Backend::Threads, Backend::Proc] {
             assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
             // Case-insensitive, like every other config value.
             assert_eq!(b.to_string().to_uppercase().parse::<Backend>().unwrap(), b);
         }
-        for k in [NbKernel::Listed, NbKernel::Cluster] {
-            assert_eq!(k.to_string().parse::<NbKernel>().unwrap(), k);
-        }
         assert!("qemu".parse::<Backend>().unwrap_err().contains("qemu"));
-        assert!("turbo".parse::<NbKernel>().unwrap_err().contains("turbo"));
     }
 
     #[test]

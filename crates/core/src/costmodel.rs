@@ -24,25 +24,6 @@ pub const WORK_PER_CANDIDATE: f64 = 0.05;
 /// [`WORK_PER_CANDIDATE`] sweep cost.
 pub const WORK_PER_LISTED_CANDIDATE: f64 = 0.02;
 
-/// Work units per evaluated pair in the *cluster* kernels. The cluster path
-/// evaluates a within-cutoff pair cheaper than the listed path: there is no
-/// per-pair exclusion binary search (masks are precomputed at build time) and
-/// the lane arithmetic vectorizes. 0.7 is calibrated against the measured
-/// cluster-vs-listed steps/s ratio at a 5 Å margin with `simd` (≥1.3×);
-/// `benchmark/` tracks it as `mdcore.nb_cluster_x4_ns_per_pair` over
-/// `mdcore.nb_listed_ns_per_pair`.
-pub const WORK_PER_CLUSTER_PAIR: f64 = 0.7;
-
-/// Work units per *dead or out-of-cutoff* lane walked by the cluster kernels.
-/// Inner cluster pairs are evaluated 16 lanes at a time whether or not every
-/// lane holds a real within-cutoff pair, so the padding overhead must be
-/// charged — but a branchless lane is far cheaper than a listed miss.
-pub const WORK_PER_CLUSTER_LANE: f64 = 0.005;
-
-/// Work units per outer cluster pair for one bounding-sphere distance test in
-/// the per-step prune pass (one min-image + compare per 16-lane block).
-pub const WORK_PER_CLUSTER_TEST: f64 = 0.05;
-
 /// Work units per 2-body bond term.
 pub const WORK_PER_BOND: f64 = 15.0;
 
@@ -102,35 +83,6 @@ pub fn nonbonded_work(pairs: u64, candidates: u64) -> f64 {
 pub fn nonbonded_work_cached(pairs: u64, listed: u64) -> f64 {
     pairs as f64 * WORK_PER_PAIR
         + listed.saturating_sub(pairs) as f64 * WORK_PER_LISTED_CANDIDATE
-}
-
-/// Work for a non-bonded compute running the *cluster* kernels on a dual-list
-/// hit step: `pairs` live interactions across `inner_clusters` pruned cluster
-/// pairs (16 lanes each), after a prune sweep over `outer_clusters` outer
-/// cluster pairs. For realistic occupancies this comes out *below*
-/// [`nonbonded_work_cached`] for the same pairs — the cluster path really is
-/// lighter per step, and DES virtual time / LB loads should see that.
-pub fn nonbonded_work_clusters(pairs: u64, inner_clusters: u64, outer_clusters: u64) -> f64 {
-    let lanes = (inner_clusters * (mdcore::cluster::CLUSTER * mdcore::cluster::CLUSTER) as u64)
-        .max(pairs);
-    pairs as f64 * WORK_PER_CLUSTER_PAIR
-        + (lanes - pairs) as f64 * WORK_PER_CLUSTER_LANE
-        + outer_clusters as f64 * WORK_PER_CLUSTER_TEST
-}
-
-/// Work for a cluster-kernel step that also *rebuilt* the outer list: the
-/// hit-step cost plus the O(n²) bounding-sphere sweep and exclusion-mask
-/// construction, charged at the same per-candidate rate as a listed rebuild
-/// (the sweep touches 16× fewer blocks but each emitted block walks its 16
-/// lanes through the exclusion table).
-pub fn nonbonded_work_cluster_rebuild(
-    pairs: u64,
-    candidates: u64,
-    inner_clusters: u64,
-    outer_clusters: u64,
-) -> f64 {
-    nonbonded_work_clusters(pairs, inner_clusters, outer_clusters)
-        + candidates.saturating_sub(pairs) as f64 * WORK_PER_CANDIDATE
 }
 
 /// FLOPs corresponding to `work` work units — used for the tables' GFLOPS
@@ -207,32 +159,6 @@ mod tests {
         assert!(hit >= pairs as f64 * WORK_PER_PAIR);
         // Degenerate case: a list with only true pairs costs exactly the pairs.
         assert_eq!(nonbonded_work_cached(pairs, pairs), pairs as f64 * WORK_PER_PAIR);
-    }
-
-    #[test]
-    fn cluster_hit_work_is_below_listed_hit_work() {
-        // Representative apoa1-small occupancies: listed list ~1.7× pairs,
-        // inner lanes ~2.2× pairs, outer clusters ~1.3× inner clusters.
-        let pairs: u64 = 10_000;
-        let listed: u64 = 17_000;
-        let inner_clusters: u64 = (pairs as f64 * 2.2 / 16.0) as u64;
-        let outer_clusters: u64 = (inner_clusters as f64 * 1.3) as u64;
-        let listed_hit = nonbonded_work_cached(pairs, listed);
-        let cluster_hit = nonbonded_work_clusters(pairs, inner_clusters, outer_clusters);
-        assert!(
-            cluster_hit < listed_hit,
-            "cluster hit {cluster_hit} must undercut listed hit {listed_hit}"
-        );
-        // The model still charges real work, not zero.
-        assert!(cluster_hit > pairs as f64 * WORK_PER_CLUSTER_PAIR);
-        // A rebuild step is strictly dearer than a hit step.
-        let rebuild =
-            nonbonded_work_cluster_rebuild(pairs, 60_000, inner_clusters, outer_clusters);
-        assert!(rebuild > cluster_hit);
-        // Degenerate: fully dense clusters (lanes == pairs) cost the pairs
-        // plus only the prune sweep.
-        let dense = nonbonded_work_clusters(16, 1, 1);
-        assert_eq!(dense, 16.0 * WORK_PER_CLUSTER_PAIR + WORK_PER_CLUSTER_TEST);
     }
 
     #[test]

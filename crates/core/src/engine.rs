@@ -506,18 +506,13 @@ impl Engine {
         }
 
         // In-phase checkpointing: Real mode with an interval and a target
-        // directory. Refused alongside modeled PME — the slab round
-        // counters are not captured by snapshots.
+        // directory (`validate` above refuses it alongside modeled PME —
+        // the slab round counters are not captured by snapshots).
         let ckpt_dir = if cfg.force_mode == ForceMode::Real && cfg.checkpoint_interval > 0 {
             cfg.checkpoint_dir.clone()
         } else {
             None
         };
-        assert!(
-            ckpt_dir.is_none() || cfg.pme.is_none(),
-            "in-phase checkpointing is incompatible with modeled PME \
-             (slab round state is not captured in snapshots)"
-        );
         let params = RunParams {
             n_steps,
             dt_fs: cfg.dt_fs,
@@ -527,8 +522,6 @@ impl Engine {
             pairlist_margin: cfg.pairlist_margin,
             checkpoint_every: if ckpt_dir.is_some() { cfg.checkpoint_interval } else { 0 },
             step_offset: self.steps_done,
-            nb_kernel: cfg.nb_kernel,
-            simd_width: cfg.simd_width,
         };
         let pairlist_before = self.shared.nb_cache.totals();
 
@@ -824,9 +817,6 @@ impl Engine {
             pairlist: profile::PairlistCounters {
                 builds: pairlist.builds,
                 hits: pairlist.hits,
-                prunes: pairlist.prunes,
-                inner_pairs: pairlist.inner_pairs,
-                outer_pairs: pairlist.outer_pairs,
             },
             messages: profile::MessageCounters::from(&stats),
             // Each barrier collects one CkptReady per patch.

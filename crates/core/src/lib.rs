@@ -80,7 +80,7 @@ pub mod state;
 pub mod prelude {
     pub use crate::audit::{audit, Audit, AuditRow};
     pub use crate::config::{
-        Backend, ConfigError, ForceMode, LbStrategy, NbKernel, PmeSimConfig, SimConfig,
+        Backend, ConfigError, ForceMode, LbStrategy, PmeSimConfig, SimConfig,
         SimConfigBuilder,
     };
     pub use crate::decomp::{build as build_decomposition, ComputeKind, Decomposition};
@@ -90,7 +90,6 @@ pub mod prelude {
     pub use crate::parallel::{ParallelSim, ParallelSimError};
     pub use crate::patchgrid::{PatchGrid, PatchId};
     pub use crate::state::StepAcc;
-    pub use mdcore::cluster::SimdWidth;
     pub use profile::{
         ChromeTraceWriter, CriticalPathReport, GrainsizeReport, LbAudit, MemorySink,
         MetricsRegistry, PhaseMetrics, PhaseProfile, TraceSink, UtilizationReport,

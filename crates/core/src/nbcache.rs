@@ -18,40 +18,28 @@
 //!   therefore rebuilds on every evaluation: the list is then exactly the
 //!   ranged kernels' candidate sweep, and the tests hold every other
 //!   margin to that run's state bit for bit.
-//! - With `NbKernel::Cluster`, the **dual cluster list** instead: an *outer*
-//!   i-cluster × j-cluster list built at `cutoff + margin` on the same
-//!   margin/2 trigger (with precomputed exclusion lane masks), and a cheap
-//!   per-step *prune* pass over refreshed bounding spheres producing the
-//!   *inner* list the kernels actually evaluate. Pruning is conservative
-//!   (triangle inequality on the torus metric), so the inner list always
-//!   covers every within-cutoff pair.
 //!
-//! [`ComputeCacheEntry::evaluate`] is the one entry point: which list format
-//! and which kernel serve a compute is decided here, so the compute chare
-//! knows neither.
+//! [`ComputeCacheEntry::evaluate`] is the one entry point: the list format
+//! and the kernel that reads it (`mdcore::nonbonded`'s listed kernels) are
+//! known here only, so the compute chare knows neither.
 //!
 //! `Engine::migrate_atoms` changes patch membership, so it resets the cache
 //! via [`PairlistCache::recycled`] — entries are cleared but their heap
-//! buffers (candidate lists, cluster lists, reference positions) follow
-//! their patch pair to its compute in the new decomposition, so steady-state
-//! migration does not re-grow the big allocations from zero.
+//! buffers (candidate lists, reference positions) follow their patch pair
+//! to its compute in the new decomposition, so steady-state migration does
+//! not re-grow the big allocations from zero.
 //!
 //! Locking: entries live in [`PairlistCache`] inside `Shared`, one mutex per
 //! compute. Only the owning compute chare ever locks its entry (runtimes
 //! never run the same chare concurrently with itself), so the mutexes are
 //! uncontended; they exist to keep `Shared: Sync` on the threads backend.
 
-use crate::config::NbKernel;
 use crate::costmodel;
 use crate::decomp::{ComputeKind, ComputeSpec, PatchArrays};
 use crate::messages::CoordMsg;
 use crate::patchgrid::PatchGrid;
 use crate::state::Frame;
 use charmrt::Payload;
-use mdcore::cluster::{
-    nb_pair_clusters, nb_self_clusters, pair_cluster_pairs_into, prune_into,
-    self_cluster_pairs_into, ClusterGrid, ClusterPair, SimdWidth,
-};
 use mdcore::nonbonded::{
     nb_pair_listed, nb_self_listed, pair_candidates_into, self_candidates_into, NbResult,
 };
@@ -72,51 +60,32 @@ pub struct ComputeCacheEntry {
     ref_pos: Vec<Vec<Vec3>>,
     /// `cutoff + margin` the current candidate list was built at; 0.0 = no
     /// list yet (also forces a rebuild if the margin is reconfigured
-    /// mid-run, or after the cluster path owned `ref_pos`).
+    /// mid-run).
     built_radius: f64,
     /// `margin / 2` at build time — the displacement bound under which the
     /// list is guaranteed complete.
     half_margin: f64,
-    /// Cluster bounding spheres + SoA mirrors, parallel to `arrays`;
-    /// refreshed every cluster-kernel step.
-    grids: Vec<ClusterGrid>,
-    /// Outer cluster-pair list at `cutoff + margin` with precomputed
-    /// exclusion lane masks.
-    cpairs: Vec<ClusterPair>,
-    /// Inner list from the latest prune pass: indices into `cpairs`.
-    inner: Vec<u32>,
-    /// `cutoff + margin` the outer cluster list was built at; 0.0 = none.
-    cluster_radius: f64,
-    /// List (re)builds performed by this compute (either representation).
+    /// List (re)builds performed by this compute.
     builds: u64,
     /// Steps served from a still-valid list.
     hits: u64,
-    /// Prune passes run (one per cluster-kernel step).
-    prunes: u64,
-    /// Sum over prune passes of the inner-list length.
-    inner_pairs: u64,
-    /// Sum over prune passes of the outer-list length.
-    outer_pairs: u64,
 }
 
 impl ComputeCacheEntry {
     /// Evaluate one non-bonded compute at `coords`, the packed `CoordMsg`
     /// each of its patches sent for this step (in `spec.patches` order;
-    /// decoded into the SoA buffers and dropped): make the list `kernel`
-    /// reads valid (a rebuild when the margin/2 guarantee has lapsed, and for
-    /// the cluster kernels a prune pass every time), run the kernel into
-    /// `blocks` — one force block for a self compute, two for a pair
-    /// compute, in `spec.patches` order — and return the result with the
-    /// work units to declare. A hit is charged less than a rebuild, so LB sees the real
-    /// cost difference between the two kinds of step.
+    /// decoded into the SoA buffers and dropped): make the candidate list
+    /// valid (a rebuild when the margin/2 guarantee has lapsed), run the
+    /// listed kernel into `blocks` — one force block for a self compute, two
+    /// for a pair compute, in `spec.patches` order — and return the result
+    /// with the work units to declare. A hit is charged less than a rebuild,
+    /// so LB sees the real cost difference between the two kinds of step.
     pub(crate) fn evaluate(
         &mut self,
         spec: &ComputeSpec,
         frame: &Frame,
         grid: &PatchGrid,
         coords: &mut [Payload],
-        kernel: NbKernel,
-        width: SimdWidth,
         margin: f64,
         blocks: &mut [Vec<Vec3>],
     ) -> (NbResult, f64) {
@@ -125,73 +94,27 @@ impl ComputeCacheEntry {
         let ex = &frame.exclusions;
         let cell = &frame.cell;
         let radius = ff.cutoff + margin;
-        match kernel {
-            NbKernel::Listed => {
-                let rebuilt = self.ensure_list(spec, cell, radius, margin);
-                let res = match blocks {
-                    [f] => nb_self_listed(ff, ex, self.arrays[0].group(), cell, &self.list, f),
-                    [fa, fb] => nb_pair_listed(
-                        ff,
-                        ex,
-                        self.arrays[0].group(),
-                        self.arrays[1].group(),
-                        cell,
-                        &self.list,
-                        fa,
-                        fb,
-                    ),
-                    _ => unreachable!("a non-bonded compute reads one or two patches"),
-                };
-                let work = if rebuilt {
-                    costmodel::nonbonded_work(res.pairs, spec.candidates)
-                } else {
-                    costmodel::nonbonded_work_cached(res.pairs, self.list.len() as u64)
-                };
-                (res, work)
-            }
-            NbKernel::Cluster => {
-                let rebuilt =
-                    self.ensure_clusters(spec, ex, cell, radius, margin, ff.cutoff, width);
-                let res = match blocks {
-                    [f] => nb_self_clusters(
-                        ff,
-                        self.arrays[0].group(),
-                        cell,
-                        &self.grids[0],
-                        &self.cpairs,
-                        &self.inner,
-                        width,
-                        f,
-                    ),
-                    [fa, fb] => nb_pair_clusters(
-                        ff,
-                        self.arrays[0].group(),
-                        self.arrays[1].group(),
-                        cell,
-                        &self.grids[0],
-                        &self.grids[1],
-                        &self.cpairs,
-                        &self.inner,
-                        width,
-                        fa,
-                        fb,
-                    ),
-                    _ => unreachable!("a non-bonded compute reads one or two patches"),
-                };
-                let (inner, outer) = (self.inner.len() as u64, self.cpairs.len() as u64);
-                let work = if rebuilt {
-                    costmodel::nonbonded_work_cluster_rebuild(
-                        res.pairs,
-                        spec.candidates,
-                        inner,
-                        outer,
-                    )
-                } else {
-                    costmodel::nonbonded_work_clusters(res.pairs, inner, outer)
-                };
-                (res, work)
-            }
-        }
+        let rebuilt = self.ensure_list(spec, cell, radius, margin);
+        let res = match blocks {
+            [f] => nb_self_listed(ff, ex, self.arrays[0].group(), cell, &self.list, f),
+            [fa, fb] => nb_pair_listed(
+                ff,
+                ex,
+                self.arrays[0].group(),
+                self.arrays[1].group(),
+                cell,
+                &self.list,
+                fa,
+                fb,
+            ),
+            _ => unreachable!("a non-bonded compute reads one or two patches"),
+        };
+        let work = if rebuilt {
+            costmodel::nonbonded_work(res.pairs, spec.candidates)
+        } else {
+            costmodel::nonbonded_work_cached(res.pairs, self.list.len() as u64)
+        };
+        (res, work)
     }
 
     /// Decode this step's coordinates into the persistent SoA buffers: full
@@ -253,75 +176,9 @@ impl ComputeCacheEntry {
         }
         self.snapshot_ref_pos();
         self.built_radius = radius;
-        // `ref_pos` now tracks the candidate list, not any cluster list.
-        self.cluster_radius = 0.0;
         self.half_margin = margin / 2.0;
         self.builds += 1;
         true
-    }
-
-    /// Dual-list cluster path: refresh the bounding-sphere grids at current
-    /// positions (O(n), every step), rebuild the *outer* cluster list at
-    /// `radius = cutoff + margin` when the margin/2 displacement guarantee
-    /// has lapsed, then always run the cheap prune pass producing the
-    /// *inner* list in `self.inner`. Returns `true` when the outer list was
-    /// (re)built this step.
-    fn ensure_clusters(
-        &mut self,
-        spec: &ComputeSpec,
-        ex: &Exclusions,
-        cell: &Cell,
-        radius: f64,
-        margin: f64,
-        cutoff: f64,
-        width: SimdWidth,
-    ) -> bool {
-        if self.grids.len() != self.arrays.len() {
-            self.grids = self.arrays.iter().map(|_| ClusterGrid::new()).collect();
-        }
-        for (g, a) in self.grids.iter_mut().zip(&self.arrays) {
-            g.refresh(a.group(), cell, width);
-        }
-        let rebuilt = !(self.cluster_radius == radius && self.displacements_ok(cell));
-        if rebuilt {
-            match spec.kind {
-                ComputeKind::SelfNb { .. } => self_cluster_pairs_into(
-                    self.arrays[0].group(),
-                    &self.grids[0],
-                    ex,
-                    cell,
-                    spec.outer.clone(),
-                    radius,
-                    &mut self.cpairs,
-                ),
-                ComputeKind::PairNb { .. } => pair_cluster_pairs_into(
-                    self.arrays[0].group(),
-                    &self.grids[0],
-                    self.arrays[1].group(),
-                    &self.grids[1],
-                    ex,
-                    cell,
-                    spec.outer.clone(),
-                    radius,
-                    &mut self.cpairs,
-                ),
-                _ => unreachable!("pair-list cache only serves non-bonded computes"),
-            }
-            self.snapshot_ref_pos();
-            self.cluster_radius = radius;
-            // `ref_pos` now tracks the cluster list, not the candidate list.
-            self.built_radius = 0.0;
-            self.half_margin = margin / 2.0;
-            self.builds += 1;
-        } else {
-            self.hits += 1;
-        }
-        let gj = if self.grids.len() > 1 { &self.grids[1] } else { &self.grids[0] };
-        prune_into(&self.cpairs, &self.grids[0], gj, cell, cutoff, &mut self.inner);
-        self.prunes += 1;
-        self.outer_pairs += self.cpairs.len() as u64;
-        self.inner_pairs += self.inner.len() as u64;
-        rebuilt
     }
 
     fn snapshot_ref_pos(&mut self) {
@@ -345,25 +202,19 @@ impl ComputeCacheEntry {
     }
 
     /// Clear the entry for reuse by a different compute (after migration),
-    /// keeping every heap buffer's capacity: candidate list, cluster list,
-    /// inner list, cluster grids, and reference-position vectors. Counters
-    /// reset — migration starts a fresh cache epoch.
+    /// keeping every heap buffer's capacity: candidate list and
+    /// reference-position vectors. Counters reset — migration starts a fresh
+    /// cache epoch.
     fn reset_for_reuse(&mut self) {
         self.arrays.clear();
         self.list.clear();
-        self.cpairs.clear();
-        self.inner.clear();
         for r in &mut self.ref_pos {
             r.clear();
         }
         self.built_radius = 0.0;
-        self.cluster_radius = 0.0;
         self.half_margin = 0.0;
         self.builds = 0;
         self.hits = 0;
-        self.prunes = 0;
-        self.inner_pairs = 0;
-        self.outer_pairs = 0;
     }
 }
 
@@ -398,7 +249,7 @@ impl PairlistCache {
     /// entry buffers: each new compute takes over the allocations (cleared,
     /// counters reset) of the old compute with the same [`identity`] — the
     /// same piece of the same patch or patch pair — instead of growing its
-    /// candidate/cluster vectors from zero again. Old entries nothing claims
+    /// candidate vectors from zero again. Old entries nothing claims
     /// are dropped; computes with no predecessor start empty.
     ///
     /// A compute after a migration is, give or take a few atoms, the compute
@@ -442,9 +293,6 @@ impl PairlistCache {
             let g = e.lock().unwrap();
             s.builds += g.builds;
             s.hits += g.hits;
-            s.prunes += g.prunes;
-            s.inner_pairs += g.inner_pairs;
-            s.outer_pairs += g.outer_pairs;
         }
         s
     }
@@ -453,19 +301,10 @@ impl PairlistCache {
 /// Aggregate pair-list cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairlistStats {
-    /// Candidate-list or outer-cluster-list (re)builds.
+    /// Candidate-list (re)builds.
     pub builds: u64,
     /// Steps served from a still-valid cached list.
     pub hits: u64,
-    /// Dynamic prune passes run (cluster kernels only; one per step per
-    /// compute).
-    pub prunes: u64,
-    /// Summed inner-list lengths over all prune passes (cluster pairs
-    /// actually evaluated).
-    pub inner_pairs: u64,
-    /// Summed outer-list lengths over all prune passes (cluster pairs
-    /// distance-tested).
-    pub outer_pairs: u64,
 }
 
 impl PairlistStats {
@@ -492,24 +331,11 @@ impl PairlistStats {
         }
     }
 
-    /// Fraction of outer cluster pairs dropped by dynamic pruning
-    /// (`1 − inner/outer`); 0.0 when the cluster path never ran.
-    pub fn prune_rate(&self) -> f64 {
-        if self.outer_pairs == 0 {
-            0.0
-        } else {
-            1.0 - self.inner_pairs as f64 / self.outer_pairs as f64
-        }
-    }
-
     /// Counter delta relative to an earlier snapshot.
     pub fn delta_since(&self, earlier: &PairlistStats) -> PairlistStats {
         PairlistStats {
             builds: self.builds - earlier.builds,
             hits: self.hits - earlier.hits,
-            prunes: self.prunes - earlier.prunes,
-            inner_pairs: self.inner_pairs - earlier.inner_pairs,
-            outer_pairs: self.outer_pairs - earlier.outer_pairs,
         }
     }
 }

@@ -197,17 +197,6 @@ impl ParallelSim {
         self.engine.config.pairlist_margin = margin;
     }
 
-    /// Select the non-bonded kernel family and cluster lane width for
-    /// subsequent phases.
-    pub fn set_nb_kernel(
-        &mut self,
-        kernel: crate::config::NbKernel,
-        width: mdcore::cluster::SimdWidth,
-    ) {
-        self.engine.config.nb_kernel = kernel;
-        self.engine.config.simd_width = width;
-    }
-
     /// Cumulative pair-list cache counters (builds/hits) since construction
     /// or the last atom migration (migration resets the cache).
     pub fn pairlist_stats(&self) -> crate::nbcache::PairlistStats {

@@ -1,5 +1,13 @@
 //! Cluster-pair nonbonded kernels with dual-list dynamic pruning support.
 //!
+//! **Nothing in the engine calls this module.** The listed kernels won every
+//! deck by 1.4–2.4× end to end (DESIGN.md §3.8), so `namd_core::nbcache`
+//! keeps one list format and the kernel choice is gone. The module is held
+//! only because `benchmark/src/md_ledger.rs` replays it to report
+//! `mdcore.nb_cluster_x4_ns_per_pair` and
+//! `mdcore.cluster_refresh_prune_ms_per_eval` (and `crates/bench` times it);
+//! it goes when a `benchmark/`-only change drops that replay (ROADMAP item 1).
+//!
 //! This module implements the GROMACS exascale scheme (Páll et al.): atoms
 //! are packed into fixed-size clusters of [`CLUSTER`] = 4 consecutive slots,
 //! neighbour search produces i-cluster × j-cluster pairs instead of atom
@@ -38,7 +46,7 @@
 //! `j ∈ C_j`, so dropping a cluster pair when
 //! `d(c_i, c_j) ≥ R + r_i + r_j` can never drop a pair inside radius `R`.
 //! The same test with `R = cutoff` and *current* positions is the per-step
-//! prune pass; see `namd_core::nbcache` for the dual-list state machine.
+//! prune pass ([`prune_into`]).
 
 use crate::forcefield::{units, ForceField};
 use crate::nonbonded::{eval_pair, AtomGroup, NbResult};
@@ -67,30 +75,11 @@ pub enum SimdWidth {
 }
 
 impl SimdWidth {
-    /// Canonical config-file spelling.
+    /// Short name, as the criterion bench ids spell it.
     pub fn as_str(&self) -> &'static str {
         match self {
             SimdWidth::Scalar => "scalar",
             SimdWidth::X4 => "x4",
-        }
-    }
-}
-
-impl std::fmt::Display for SimdWidth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for SimdWidth {
-    type Err = String;
-    /// The one parser shared by CLI configs and job-spec JSON
-    /// (case-insensitive; `Display` is the canonical inverse).
-    fn from_str(s: &str) -> Result<SimdWidth, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Ok(SimdWidth::Scalar),
-            "x4" => Ok(SimdWidth::X4),
-            other => Err(format!("unknown simdWidth '{other}' (scalar | x4)")),
         }
     }
 }
@@ -440,15 +429,6 @@ pub fn nb_self_clusters(
     match width {
         SimdWidth::Scalar => self_clusters_scalar(ff, g, cell, pairs, inner, forces),
         SimdWidth::X4 => {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            {
-                if is_x86_feature_detected!("avx2") {
-                    // SAFETY: avx2 support verified at runtime above.
-                    return unsafe {
-                        avx2::self_x4(ff, g, cell, grid, grid, pairs, inner, forces)
-                    };
-                }
-            }
             clusters_x4(ff, g.len(), cell, grid, grid, pairs, inner, SelfOrPair::SelfNb(forces))
         }
     }
@@ -476,15 +456,6 @@ pub fn nb_pair_clusters(
     match width {
         SimdWidth::Scalar => pair_clusters_scalar(ff, a, b, cell, pairs, inner, fa, fb),
         SimdWidth::X4 => {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            {
-                if is_x86_feature_detected!("avx2") {
-                    // SAFETY: avx2 support verified at runtime above.
-                    return unsafe {
-                        avx2::pair_x4(ff, a.len(), cell, ga, gb, pairs, inner, fa, fb)
-                    };
-                }
-            }
             clusters_x4(ff, a.len(), cell, ga, gb, pairs, inner, SelfOrPair::PairNb(fa, fb))
         }
     }
@@ -936,46 +907,6 @@ fn clusters_x4(
     res
 }
 
-/// AVX2-compiled wrappers around the lane-kernel bodies. Enabling only
-/// `avx2` (never `fma`) keeps the arithmetic bit-identical to the
-/// non-feature build: LLVM may reorder nothing and contracts nothing, it
-/// just gets wider registers for the same operation sequence.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2 {
-    use super::*;
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn self_x4(
-        ff: &ForceField,
-        g: AtomGroup,
-        cell: &Cell,
-        gi: &ClusterGrid,
-        gj: &ClusterGrid,
-        pairs: &[ClusterPair],
-        inner: &[u32],
-        forces: &mut [Vec3],
-    ) -> NbResult {
-        clusters_x4(ff, g.len(), cell, gi, gj, pairs, inner, SelfOrPair::SelfNb(forces))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn pair_x4(
-        ff: &ForceField,
-        n_a: usize,
-        cell: &Cell,
-        ga: &ClusterGrid,
-        gb: &ClusterGrid,
-        pairs: &[ClusterPair],
-        inner: &[u32],
-        fa: &mut [Vec3],
-        fb: &mut [Vec3],
-    ) -> NbResult {
-        clusters_x4(ff, n_a, cell, ga, gb, pairs, inner, SelfOrPair::PairNb(fa, fb))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1323,23 +1254,5 @@ mod tests {
             }
             assert!(covered.contains(&(i, j)), "candidate ({i},{j}) not covered");
         }
-    }
-
-    #[test]
-    fn simd_width_parses() {
-        assert_eq!("scalar".parse(), Ok(SimdWidth::Scalar));
-        assert_eq!("X4".parse(), Ok(SimdWidth::X4));
-        assert!("x8".parse::<SimdWidth>().unwrap_err().contains("(scalar | x4)"));
-        assert!("f64x4".parse::<SimdWidth>().is_err());
-        assert_eq!(SimdWidth::X4.as_str(), "x4");
-    }
-
-    #[test]
-    fn simd_width_display_fromstr_round_trip() {
-        for w in [SimdWidth::Scalar, SimdWidth::X4] {
-            assert_eq!(w.to_string().parse::<SimdWidth>().unwrap(), w);
-            assert_eq!(w.to_string().to_uppercase().parse::<SimdWidth>().unwrap(), w);
-        }
-        assert!("x16".parse::<SimdWidth>().unwrap_err().contains("x16"));
     }
 }

@@ -36,9 +36,8 @@
 //! assert!(e.total().is_finite());
 //! ```
 
-// Only the `simd` feature's AVX2 dispatch of the cluster lane kernels needs
-// `unsafe`; the default build, listed kernels included, has none.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
+// No kernel in this crate needs it.
+#![forbid(unsafe_code)]
 // Clippy: indexed loops are kept where they mirror the mathematical
 // notation of the kernels and the per-axis geometry code, and chare/builder
 // constructors take positional wiring arguments by design.

@@ -28,10 +28,73 @@ pub use benchmarks::{apoa1_like, bc1_like, br_like, BenchmarkSystem};
 pub use builders::{SystemBuilder, SystemSpec};
 pub use zoo::{ImbalanceBudget, ImbalanceProfile, Scenario};
 
+use mdcore::prelude::{System, Vec3};
+
+/// The deck a run configuration or a job spec names, as its atom count and
+/// the function that builds it — the one place the `water | apoa1 | bc1 |
+/// br | <zoo scenario>` vocabulary is spelled, so the CLI and the service
+/// build bit-identical systems from the same words and a front-end can
+/// refuse a deck by size without building it. `None` for an unknown name.
+///
+/// `water` is `atoms` (rounded down to whole molecules) in a cube of edge
+/// `box_size` at `cutoff` and ignores `scale`; the paper decks carry their
+/// own size, box and cutoff and take `scale` as a size fraction
+/// ([`BenchmarkSystem::scaled`]); a [`zoo`] scenario is generated at `atoms`
+/// and then scaled the same way. `restrained` pins protein atoms to their
+/// generated positions ([`SystemBuilder::build_restrained`]); zoo scenarios
+/// are never restrained.
+pub fn named_deck(
+    name: &str,
+    atoms: usize,
+    box_size: f64,
+    cutoff: f64,
+    seed: u64,
+    scale: f64,
+    restrained: bool,
+) -> Option<(usize, impl FnOnce() -> System)> {
+    enum Plan {
+        Spec(SystemSpec),
+        Zoo(Scenario),
+    }
+    let (n_atoms, plan) = match name {
+        "water" => {
+            let target_atoms = atoms - atoms % 3;
+            let spec = SystemSpec {
+                name: "water",
+                box_lengths: Vec3::splat(box_size),
+                target_atoms,
+                protein_chains: 0,
+                protein_chain_len: 0,
+                lipid_slab: None,
+                cutoff,
+                seed,
+            };
+            (target_atoms, Plan::Spec(spec))
+        }
+        "apoa1" | "bc1" | "br" => {
+            let bench = match name {
+                "apoa1" => apoa1_like(),
+                "bc1" => bc1_like(),
+                _ => br_like(),
+            };
+            let bench = if scale != 1.0 { bench.scaled(scale) } else { bench };
+            (bench.n_atoms, Plan::Spec(bench.spec().clone()))
+        }
+        scenario => {
+            let scenario = zoo::by_name(scenario, atoms, seed)?;
+            (scenario.atoms_at(scale), Plan::Zoo(scenario))
+        }
+    };
+    Some((n_atoms, move || match plan {
+        Plan::Spec(spec) if restrained => SystemBuilder::new(spec).build_restrained(),
+        Plan::Spec(spec) => SystemBuilder::new(spec).build(),
+        Plan::Zoo(scenario) => scenario.build_scaled(scale),
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdcore::prelude::*;
 
     #[test]
     fn small_spec_builds_valid_system() {

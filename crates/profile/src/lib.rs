@@ -453,13 +453,6 @@ pub struct PairlistCounters {
     pub builds: u64,
     /// Steps served from a still-valid cached list.
     pub hits: u64,
-    /// Dual-list prune passes (cluster kernels only; one per cluster step).
-    pub prunes: u64,
-    /// Inner (post-prune) cluster pairs handed to the kernels, summed over
-    /// prune passes.
-    pub inner_pairs: u64,
-    /// Outer (cutoff + margin) cluster pairs swept by those prune passes.
-    pub outer_pairs: u64,
 }
 
 impl PairlistCounters {
@@ -474,15 +467,6 @@ impl PairlistCounters {
             0.0
         } else {
             self.hits as f64 / self.executions() as f64
-        }
-    }
-
-    /// Fraction of outer cluster pairs the prune passes discarded.
-    pub fn prune_rate(&self) -> f64 {
-        if self.outer_pairs == 0 {
-            0.0
-        } else {
-            1.0 - self.inner_pairs as f64 / self.outer_pairs as f64
         }
     }
 }
@@ -784,17 +768,13 @@ impl MetricsRegistry {
         let summary = format!(
             "{{\"phase\":{index},\"backend\":\"{}\",\"steps\":{n_steps},\"span\":{span:.9e},\
              \"critical_path\":{:.9e},\"avg_utilization\":{:.6},\"pairlist_builds\":{},\
-             \"pairlist_hits\":{},\"prunes\":{},\"inner_pairs\":{},\"outer_pairs\":{},\
-             \"msg_residual\":{},\"checkpoints\":{},\
+             \"pairlist_hits\":{},\"msg_residual\":{},\"checkpoints\":{},\
              \"wire_msgs\":{},\"wire_bytes\":{},\"wire_by_entry\":{{{}}}}}",
             json_escape(backend),
             metrics.critical_path,
             utilization.avg_utilization(),
             metrics.pairlist.builds,
             metrics.pairlist.hits,
-            metrics.pairlist.prunes,
-            metrics.pairlist.inner_pairs,
-            metrics.pairlist.outer_pairs,
             metrics.messages.residual(),
             metrics.checkpoints,
             metrics.wire_msgs,
@@ -1028,7 +1008,7 @@ mod tests {
         let mut reg = MetricsRegistry::in_memory();
         assert!(reg.wants_trace());
         let metrics = PhaseMetrics {
-            pairlist: PairlistCounters { builds: 2, hits: 4, ..Default::default() },
+            pairlist: PairlistCounters { builds: 2, hits: 4 },
             critical_path: stats.critical_path,
             ..Default::default()
         };

@@ -1,22 +1,21 @@
 //! Job specifications: the JSON documents clients submit, their validation
-//! (reusing [`SimConfig`] validation and the shared `FromStr` parsers for
-//! `Backend`/`NbKernel`/`SimdWidth`), and the *canonical* physics encoding
-//! whose hash is the content-addressed cache key.
+//! (reusing [`SimConfig`] validation and the shared `FromStr` parser for
+//! `Backend`), and the *canonical* physics encoding whose hash is the
+//! content-addressed cache key.
 //!
 //! Two requests are "the same job" iff every **physics-affecting** field
 //! matches after defaults are filled in: system, size, seed, timestep,
-//! step count, migration cadence, kernel selection, and the ensemble
-//! clause. Key order, number spelling, and explicitly-spelled defaults do
-//! not matter (the canonical encoding normalizes them away). Service
+//! step count, migration cadence, and the ensemble clause. Key order,
+//! number spelling, and explicitly-spelled defaults do not matter (the
+//! canonical encoding normalizes them away). Service
 //! fields — tenant, priority, backend, fault plan, retry policy — are
 //! deliberately *excluded*: the runtime's cross-backend bit-identity and
 //! fault-repair guarantees (PRs 1–6) mean they cannot change the
 //! trajectory, so requests differing only there dedup onto one execution.
 
 use crate::json::Json;
-use mdcore::cluster::SimdWidth;
 use mdcore::prelude::*;
-use namd_core::config::{Backend, ForceMode, NbKernel, SimConfig};
+use namd_core::config::{Backend, ForceMode, SimConfig};
 use std::collections::BTreeMap;
 
 /// 128-bit content address of a canonicalized job spec: CRC-64/ECMA and
@@ -86,6 +85,9 @@ pub struct Ensemble {
     pub base_seed: u64,
 }
 
+/// Largest deck, in atoms, a job may make a worker build.
+const MAX_ATOMS: usize = 100_000;
+
 /// A validated simulation job. Construct with [`JobSpec::parse`]; fields
 /// are normalized (defaults filled) so equality of canonical encodings is
 /// equality of jobs.
@@ -115,11 +117,6 @@ pub struct JobSpec {
     /// Decomposition-rebuild cadence, steps. Part of the trajectory (and
     /// of the key): preemption parks only on multiples of it.
     pub migrate_every: usize,
-    /// Non-bonded kernel family.
-    pub nb_kernel: NbKernel,
-    /// Cluster lane width (`x4` changes bits, so under `cluster` it is in
-    /// the key; the listed kernels never read it).
-    pub simd_width: SimdWidth,
     /// Ensemble fan-out clause (parent jobs only).
     pub ensemble: Option<Ensemble>,
     /// What the job computes. Analysis jobs run the same integration and
@@ -163,8 +160,6 @@ impl Default for JobSpec {
             scale: 1.0,
             pes: 1,
             migrate_every: 10,
-            nb_kernel: NbKernel::Listed,
-            simd_width: SimdWidth::Scalar,
             ensemble: None,
             kind: JobKind::Simulate,
             frame_every: 4,
@@ -236,18 +231,6 @@ impl JobSpec {
                     spec.migrate_every = value
                         .as_usize()
                         .ok_or_else(|| bad("expected a non-negative integer"))?
-                }
-                "nbkernel" | "nbKernel" => {
-                    spec.nb_kernel = value
-                        .as_str()
-                        .ok_or_else(|| bad("expected a string"))?
-                        .parse()?
-                }
-                "simdwidth" | "simdWidth" => {
-                    spec.simd_width = value
-                        .as_str()
-                        .ok_or_else(|| bad("expected a string"))?
-                        .parse()?
                 }
                 "ensemble" => {
                     let e = value.as_obj().ok_or_else(|| bad("expected an object"))?;
@@ -344,19 +327,10 @@ impl JobSpec {
 
     /// Validate every invariant the service relies on, ending with the
     /// engine's own [`SimConfig`] validation (one source of truth for
-    /// kernel/backend consistency).
+    /// backend consistency).
     pub fn validate(&self) -> Result<(), String> {
-        let known = matches!(self.system.as_str(), "water" | "apoa1" | "bc1" | "br")
-            || molgen::zoo::names().iter().any(|n| *n == self.system);
-        if !known {
-            return Err(format!(
-                "unknown system '{}' (water, apoa1, bc1, br, or a zoo scenario: {})",
-                self.system,
-                molgen::zoo::names().join(", ")
-            ));
-        }
-        if !(3..=100_000).contains(&self.atoms) {
-            return Err(format!("atoms must be in [3, 100000], got {}", self.atoms));
+        if !(3..=MAX_ATOMS).contains(&self.atoms) {
+            return Err(format!("atoms must be in [3, {MAX_ATOMS}], got {}", self.atoms));
         }
         if !(1..=1_000_000).contains(&self.steps) {
             return Err(format!("steps must be in [1, 1000000], got {}", self.steps));
@@ -378,6 +352,23 @@ impl JobSpec {
         }
         if !(self.scale > 0.0 && self.scale.is_finite() && self.scale <= 8.0) {
             return Err(format!("scale must be in (0, 8], got {}", self.scale));
+        }
+        // `atoms` is not the size of the deck a worker builds: the paper
+        // decks carry their own count and `scale` multiplies both them and
+        // the zoo scenarios.
+        let (deck_atoms, _) = self.deck().ok_or_else(|| {
+            format!(
+                "unknown system '{}' (water, apoa1, bc1, br, or a zoo scenario: {})",
+                self.system,
+                molgen::zoo::names().join(", ")
+            )
+        })?;
+        if deck_atoms > MAX_ATOMS {
+            return Err(format!(
+                "system '{}' at scale {} is a {deck_atoms}-atom deck; the service builds at \
+                 most {MAX_ATOMS} atoms",
+                self.system, self.scale
+            ));
         }
         if self.system == "water" && self.box_size < 2.0 * self.cutoff {
             return Err(format!(
@@ -439,9 +430,7 @@ impl JobSpec {
         let mut b = SimConfig::builder(self.pes, machine::presets::generic_cluster())
             .force_mode(ForceMode::Real)
             .backend(self.backend)
-            .dt_fs(self.dt)
-            .nb_kernel(self.nb_kernel)
-            .simd_width(self.simd_width);
+            .dt_fs(self.dt);
         if let Some(plan) = &self.fault_plan {
             let plan = charmrt::FaultPlan::parse(plan).map_err(|e| format!("faultPlan: {e}"))?;
             b = b.fault_plan(Some(plan));
@@ -468,17 +457,6 @@ impl JobSpec {
             "migrateEvery".to_string(),
             Json::Num(self.migrate_every as f64),
         );
-        m.insert(
-            "nbKernel".to_string(),
-            Json::Str(self.nb_kernel.to_string()),
-        );
-        // Only the cluster kernels read the width: under `listed` every
-        // width is the same physics, so it canonicalizes to the default.
-        let width = match self.nb_kernel {
-            NbKernel::Listed => SimdWidth::Scalar,
-            NbKernel::Cluster => self.simd_width,
-        };
-        m.insert("simdWidth".to_string(), Json::Str(width.to_string()));
         if let Some(e) = self.ensemble {
             let mut em = BTreeMap::new();
             em.insert("count".to_string(), Json::Num(e.count as f64));
@@ -519,39 +497,25 @@ impl JobSpec {
             .collect()
     }
 
-    /// Deterministically build the molecular system this spec describes
-    /// (same construction path as the CLI runner, so a spec and a config
-    /// file describing the same system produce bit-identical decks).
+    /// The deck this spec names: its atom count and its builder, from the
+    /// one [`molgen::named_deck`] the CLI runner also calls, so a spec and a
+    /// config file describing the same system produce bit-identical decks.
+    fn deck(&self) -> Option<(usize, impl FnOnce() -> System)> {
+        molgen::named_deck(
+            &self.system,
+            self.atoms,
+            self.box_size,
+            self.cutoff,
+            self.seed,
+            self.scale,
+            false,
+        )
+    }
+
+    /// Deterministically build the molecular system this spec describes.
     pub fn build_system(&self) -> System {
-        let mut sys = match self.system.as_str() {
-            "water" => molgen::SystemBuilder::new(molgen::SystemSpec {
-                name: "water",
-                box_lengths: Vec3::splat(self.box_size),
-                target_atoms: self.atoms - self.atoms % 3,
-                protein_chains: 0,
-                protein_chain_len: 0,
-                lipid_slab: None,
-                cutoff: self.cutoff,
-                seed: self.seed,
-            })
-            .build(),
-            "apoa1" | "bc1" | "br" => {
-                let bench = match self.system.as_str() {
-                    "apoa1" => molgen::apoa1_like(),
-                    "bc1" => molgen::bc1_like(),
-                    _ => molgen::br_like(),
-                };
-                let bench = if self.scale != 1.0 {
-                    bench.scaled(self.scale)
-                } else {
-                    bench
-                };
-                molgen::SystemBuilder::new(bench.spec().clone()).build()
-            }
-            zoo => molgen::zoo::by_name(zoo, self.atoms, self.seed)
-                .expect("validated against zoo::names")
-                .build_scaled(self.scale),
-        };
+        let (_, build) = self.deck().expect("validated system name");
+        let mut sys = build();
         sys.thermalize(self.temperature, self.seed);
         sys
     }
@@ -607,10 +571,15 @@ mod tests {
         assert!(JobSpec::parse(r#"{"boxSize": 8, "cutoff": 6}"#)
             .unwrap_err()
             .contains("2×cutoff"));
-        assert!(JobSpec::parse(r#"{"nbKernel": "turbo"}"#).is_err());
-        assert!(JobSpec::parse(r#"{"simdWidth":"x8"}"#)
-            .unwrap_err()
-            .contains("(scalar | x4)"));
+        // The kernel-selection keys went with the cluster path: named in
+        // the error, never silently ignored.
+        for (text, key) in [
+            (r#"{"nbKernel":"listed"}"#, "nbKernel"),
+            (r#"{"simdWidth":"x4"}"#, "simdWidth"),
+        ] {
+            let e = JobSpec::parse(text).unwrap_err();
+            assert!(e.contains("unknown job-spec key") && e.contains(key), "{e}");
+        }
         assert!(JobSpec::parse(r#"{"ensemble": {"count": 0}}"#).is_err());
         assert!(JobSpec::parse(r#"{"ensemble": {"seeds": 3}}"#).is_err());
     }
@@ -684,9 +653,22 @@ mod tests {
     }
 
     #[test]
+    fn the_deck_a_worker_would_build_is_bounded_not_just_atoms() {
+        // The paper decks ignore `atoms`, and `scale` multiplies them and
+        // the zoo scenarios: bc1 × 8 is ~1.65M atoms.
+        let e = JobSpec::parse(r#"{"system": "bc1", "scale": 8}"#).unwrap_err();
+        assert!(e.contains("-atom deck") && e.contains("100000"), "{e}");
+        let e = JobSpec::parse(r#"{"system": "solvated-box", "atoms": 100000, "scale": 2}"#)
+            .unwrap_err();
+        assert!(e.contains("200000-atom deck"), "{e}");
+        // Full-size ApoA-I (92,224) fits; water never reads `scale`.
+        JobSpec::parse(r#"{"system": "apoa1"}"#).unwrap();
+        JobSpec::parse(r#"{"scale": 5}"#).unwrap();
+    }
+
+    #[test]
     fn engine_config_reuses_sim_config_validation() {
-        // cluster-without-cache is impossible through the builder defaults,
-        // but a nonsense timestep is caught by the shared validation.
+        // A nonsense timestep is caught by the shared validation.
         assert!(JobSpec::parse(r#"{"timestep": 0}"#)
             .unwrap_err()
             .contains("dt_fs"));

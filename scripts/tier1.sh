@@ -7,29 +7,22 @@ cd "$(dirname "$0")/.."
 
 status=0
 
-# Optional feature leg: TIER1_FEATURES=simd runs the same gate with the
-# AVX2 cluster-kernel dispatch compiled in (bit-identical arithmetic, so
-# every equivalence test must still pass unchanged).
-FEAT=${TIER1_FEATURES:+--features "$TIER1_FEATURES"}
+echo "==> cargo build --release"
+cargo build --release || status=1
 
-echo "==> cargo build --release $FEAT"
-cargo build --release $FEAT || status=1
-
-echo "==> cargo test -q $FEAT"
-cargo test -q $FEAT || status=1
+echo "==> cargo test -q"
+cargo test -q || status=1
 
 # Root `cargo test` runs the root package only; the crates' own unit tests
-# (engine, recovery, proc, scheduler, ...) run here. Blocking. With
-# `--workspace`, cargo applies the feature flag to the members that define
-# it and unifies it into the rest.
-echo "==> crate unit tests (cargo test --workspace --lib $FEAT)"
-cargo test --workspace --lib --offline -q $FEAT || status=1
+# (engine, recovery, proc, scheduler, ...) run here. Blocking.
+echo "==> crate unit tests (cargo test --workspace --lib)"
+cargo test --workspace --lib --offline -q || status=1
 
 # `--lib` skips every crate's doc tests, and the root `cargo test` runs the
 # root package's only: the examples in the crates' API docs are compiled and
 # run here. Blocking — a doc example that no longer builds is a wrong doc.
-echo "==> crate doc tests (cargo test --workspace --doc $FEAT)"
-cargo test --workspace --doc --offline -q $FEAT || status=1
+echo "==> crate doc tests (cargo test --workspace --doc)"
+cargo test --workspace --doc --offline -q || status=1
 
 # Bounded schedule-fuzz soak: more seeds × policies than the default run,
 # still deterministic (cases are seeded per test name + index). Blocking —
@@ -82,7 +75,7 @@ fi
 # compiles crates/bench/benches/*.rs: a kernel signature change can break
 # the criterion benches unnoticed. Blocking — compile them, run nothing.
 echo "==> criterion benches still compile"
-cargo bench --offline --no-run -p namd-bench $FEAT || status=1
+cargo bench --offline --no-run -p namd-bench || status=1
 
 echo "==> cargo clippy (non-blocking)"
 if ! cargo clippy --workspace --all-targets -- -D warnings; then

@@ -3,8 +3,7 @@
 //! spelling, and explicitly-spelled defaults, sensitive to *every*
 //! physics-affecting field, and blind to every service-level field.
 
-use namd_repro::mdcore::cluster::SimdWidth;
-use namd_repro::namd_core::config::{Backend, NbKernel};
+use namd_repro::namd_core::config::Backend;
 use namd_repro::serve::spec::Ensemble;
 use namd_repro::serve::{JobKind, JobSpec};
 use proptest::prelude::*;
@@ -36,9 +35,8 @@ fn base_fields(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Reordering keys, spelling numbers differently (`20` vs `20.0`),
-    /// writing out defaulted fields explicitly, and naming a cluster lane
-    /// width the listed kernels never read must all hash identically —
+    /// Reordering keys, spelling numbers differently (`20` vs `20.0`) and
+    /// writing out defaulted fields explicitly must all hash identically —
     /// they describe the same job.
     #[test]
     fn key_order_and_spelled_defaults_hash_identically(
@@ -63,8 +61,6 @@ proptest! {
         verbose.push(("cutoff".into(), "6".into()));
         verbose.push(("timestep".into(), "0.5".into()));
         verbose.push(("scale".into(), "1.0".into()));
-        verbose.push(("nbKernel".into(), "\"listed\"".into()));
-        verbose.push(("simdWidth".into(), ["\"scalar\"", "\"x4\""][rot % 2].into()));
         verbose.push(("temperature".into(), format!("{}.0", temp)));
         // (duplicate keys are rejected by the JSON parser, so replace the
         // integer-spelled temperature with the fractional spelling)
@@ -80,10 +76,10 @@ proptest! {
     /// here would silently return the wrong trajectory.
     #[test]
     fn every_physics_field_perturbation_changes_the_key(
-        which in 0usize..15,
+        which in 0usize..13,
         bump in 1u64..50,
     ) {
-        let mut base = JobSpec::parse("{}").unwrap();
+        let base = JobSpec::parse("{}").unwrap();
         let mut cand = base.clone();
         match which {
             0 => cand.steps += bump as usize,
@@ -99,13 +95,6 @@ proptest! {
             10 => cand.system = "apoa1".into(),
             11 => cand.ensemble = Some(Ensemble { count: 2, base_seed: bump }),
             12 => cand.kind = JobKind::Analyze,
-            13 => cand.nb_kernel = NbKernel::Cluster,
-            14 => {
-                // Under `cluster` the lane width changes bits.
-                base.nb_kernel = NbKernel::Cluster;
-                cand.nb_kernel = NbKernel::Cluster;
-                cand.simd_width = SimdWidth::X4;
-            }
             _ => unreachable!(),
         }
         cand.validate().unwrap();
