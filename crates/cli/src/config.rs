@@ -27,7 +27,8 @@
 //! earlier ones. Unknown keys are errors (typos should not silently
 //! de-configure a simulation).
 
-use namd_core::prelude::Backend;
+use mdcore::prelude::System;
+use namd_core::prelude::{Backend, ForceMode, SimConfig};
 use std::collections::BTreeMap;
 
 /// Which molecular system to build.
@@ -89,7 +90,8 @@ pub struct RunConfig {
     /// Pair-list margin beyond the cutoff, Å: non-bonded pair lists are
     /// built at `cutoff + margin` and reused until an atom has moved half
     /// the margin (NAMD's `pairlistdist` reuse); 0 rebuilds every step.
-    /// Applies to the sequential and parallel drivers.
+    /// Applies to the sequential velocity-Verlet and parallel drivers; the
+    /// Langevin and PME drivers rebuild their neighbour list every step.
     pub pairlist_margin: f64,
     /// Basename for outputs (`<name>.xyz`, `<name>.energies`); empty = none.
     pub output_name: String,
@@ -180,12 +182,65 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
+    /// The engine configuration the parallel driver runs under — the twin
+    /// of `serve::JobSpec::engine_config`: every engine key goes through
+    /// [`SimConfig::builder`], so [`SimConfig::validate`] is the one check
+    /// of threads, timestep, backend, procs, pair-list margin, fault plan,
+    /// schedule, checkpointing and the recovery policy.
+    pub fn engine_config(&self) -> Result<SimConfig, String> {
+        let schedule = charmrt::SchedulePolicy::parse(&self.schedule, self.schedule_seed)
+            .map_err(|e| format!("schedule: {e}"))?;
+        let mut b = SimConfig::builder(self.threads, machine::presets::generic_cluster())
+            .force_mode(ForceMode::Real)
+            .backend(self.backend)
+            .dt_fs(self.timestep)
+            .pairlist(self.pairlist_margin)
+            .procs(self.procs)
+            .schedule(schedule)
+            .recovery(self.max_recoveries, self.recovery_backoff_ms);
+        if !self.socket_dir.is_empty() {
+            b = b.socket_dir(&self.socket_dir);
+        }
+        if !self.fault_plan.is_empty() {
+            let plan = charmrt::FaultPlan::parse(&self.fault_plan)
+                .map_err(|e| format!("faultPlan: {e}"))?;
+            b = b.fault_plan(Some(plan));
+        }
+        if !self.checkpoint_dir.is_empty() {
+            b = b.checkpoint(&self.checkpoint_dir, self.checkpoint_interval);
+        }
+        b.build().map_err(|e| e.to_string())
+    }
+
+    /// The deck this config names: its atom count and its builder, from the
+    /// one [`molgen::named_deck`] `serve` also calls.
+    pub fn deck(&self) -> (usize, impl FnOnce() -> System) {
+        let name = match self.system {
+            SystemKind::Water => "water",
+            SystemKind::Apoa1 => "apoa1",
+            SystemKind::Bc1 => "bc1",
+            SystemKind::Br => "br",
+            SystemKind::Zoo(name) => name,
+        };
+        molgen::named_deck(
+            name,
+            self.atoms,
+            self.box_size,
+            self.cutoff,
+            self.seed,
+            self.scale,
+            self.restrain_protein,
+        )
+        .expect("config parsing accepts known system names only")
+    }
+
     /// The key that makes `runner::run` step this configuration on the
-    /// message-driven parallel driver (`ParallelSim`) rather than a
-    /// sequential one, if any. Checkpointing and restart are barriers of its
-    /// message protocol and the `des`/`proc` backends are its runtimes, so
-    /// each selects it even with `threads 1`. `validate` and `run` both ask
-    /// here, so what is validated is what runs.
+    /// message-driven parallel driver ([`RunConfig::engine_config`] on
+    /// `Engine`) rather than a sequential one, if any. Checkpointing and
+    /// restart are barriers of its message protocol and the `des`/`proc`
+    /// backends are its runtimes, so each selects it even with `threads 1`.
+    /// `validate` and `run` both ask here, so what is validated is what
+    /// runs.
     pub fn parallel_driver_key(&self) -> Option<&'static str> {
         if self.threads > 1 {
             Some("threads > 1")
@@ -307,23 +362,33 @@ pub fn parse(text: &str) -> Result<RunConfig, String> {
     Ok(cfg)
 }
 
-/// Check cross-key consistency. `parse` runs this; callers that mutate a
-/// parsed config afterwards (e.g. CLI flag overrides) should re-run it.
+/// Check every value and cross-key consistency. `parse` runs this; callers
+/// that mutate a parsed config afterwards (e.g. CLI flag overrides) should
+/// re-run it. The engine keys are checked once, by [`SimConfig::validate`]
+/// through [`RunConfig::engine_config`], whichever driver runs.
 pub fn validate(cfg: &RunConfig) -> Result<(), String> {
+    let engine = cfg.engine_config()?;
     if !(cfg.scale > 0.0 && cfg.scale <= 1.0) {
         return Err(format!("scale must be in (0, 1], got {}", cfg.scale));
     }
-    if cfg.cutoff <= 0.0 || cfg.timestep <= 0.0 {
-        return Err("cutoff and timestep must be positive".into());
+    for (key, value) in [
+        ("cutoff", cfg.cutoff),
+        ("boxSize", cfg.box_size),
+        ("langevinGamma", cfg.langevin_gamma),
+        ("berendsenTau", cfg.berendsen_tau),
+        ("pmeSpacing", cfg.pme_spacing),
+    ] {
+        if !(value > 0.0 && value.is_finite()) {
+            return Err(format!("{key} must be positive and finite, got {value}"));
+        }
     }
-    if cfg.threads == 0 {
-        return Err("threads must be at least 1".into());
+    for (key, value) in [("temperature", cfg.temperature), ("ewaldBeta", cfg.ewald_beta)] {
+        if !(value >= 0.0 && value.is_finite()) {
+            return Err(format!("{key} must be non-negative and finite, got {value}"));
+        }
     }
-    if !(cfg.pairlist_margin >= 0.0 && cfg.pairlist_margin.is_finite()) {
-        return Err(format!(
-            "pairlistMargin must be non-negative and finite, got {}",
-            cfg.pairlist_margin
-        ));
+    if cfg.thermostat == ThermostatKind::Langevin && cfg.temperature == 0.0 {
+        return Err("temperature must be positive with thermostat langevin".into());
     }
     if matches!(cfg.system, SystemKind::Zoo(_)) && cfg.restrain_protein {
         return Err(
@@ -336,6 +401,12 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
         return Err(format!(
             "boxSize {} too small for cutoff {} (need ≥ 2×cutoff)",
             cfg.box_size, cfg.cutoff
+        ));
+    }
+    let (deck_atoms, _) = cfg.deck();
+    if deck_atoms < 3 {
+        return Err(format!(
+            "atoms: the deck would hold {deck_atoms} atoms; a run needs at least 3"
         ));
     }
     if cfg.mts_frequency == 0 {
@@ -359,43 +430,19 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
              checkpointing/restart)"
         ));
     }
-    if !cfg.checkpoint_dir.is_empty() && cfg.checkpoint_interval == 0 {
-        return Err("checkpointInterval must be at least 1".into());
+    if cfg.backend != Backend::Proc && !cfg.socket_dir.is_empty() {
+        return Err("socketDir applies to backend proc only".into());
     }
-    let proc_backend = cfg.backend == Backend::Proc;
-    if !proc_backend && (cfg.procs != 0 || !cfg.socket_dir.is_empty()) {
-        return Err("procs/socketDir apply to backend proc only".into());
+    if engine.fault_plan.as_ref().is_some_and(|p| p.has_kills()) && engine.checkpoint_dir.is_none()
+    {
+        return Err("faultPlan has kill rules but no checkpointDir to recover from".into());
     }
-    if proc_backend && cfg.procs != 0 && cfg.procs != cfg.threads {
-        return Err(format!(
-            "procs must be 0 (one per PE) or equal threads ({}), got {}",
-            cfg.threads, cfg.procs
-        ));
-    }
-    if !cfg.fault_plan.is_empty() {
-        let plan = charmrt::FaultPlan::parse(&cfg.fault_plan)
-            .map_err(|e| format!("faultPlan: {e}"))?;
-        if plan.has_kills() && cfg.checkpoint_dir.is_empty() {
-            return Err(
-                "faultPlan has kill rules but no checkpointDir to recover from".into(),
-            );
-        }
-        if proc_backend
-            && plan.rules.iter().any(|r| r.action != charmrt::FaultAction::Kill)
-        {
-            return Err(
-                "backend proc supports kill fault rules only (drop/dup/delay/corrupt \
-                 act on the in-process queue, which proc workers do not share)"
-                    .into(),
-            );
-        }
-    }
-    charmrt::SchedulePolicy::parse(&cfg.schedule, cfg.schedule_seed)
-        .map_err(|e| format!("schedule: {e}"))?;
     // Faults and schedule perturbations exercise the message-driven
     // parallel driver; on the sequential drivers they would be silently
     // ignored — reject rather than de-configure.
-    if (!cfg.fault_plan.is_empty() || cfg.schedule != "fifo") && !cfg.uses_parallel_driver() {
+    let perturbed = engine.fault_plan.is_some()
+        || engine.schedule.kind != charmrt::SchedulePolicyKind::Fifo;
+    if perturbed && !cfg.uses_parallel_driver() {
         return Err(
             "faultPlan/schedule apply to the parallel driver only; set threads > 1 \
              or enable checkpointing"
@@ -474,7 +521,8 @@ mod tests {
     #[test]
     fn validation_catches_inconsistencies() {
         assert!(parse("scale 1.5\n").unwrap_err().contains("scale"));
-        assert!(parse("threads 0\n").unwrap_err().contains("threads"));
+        // Engine keys fail with `ConfigError`'s text, the text serve returns.
+        assert!(parse("threads 0\n").unwrap_err().contains("n_pes must be at least 1"));
         assert!(parse("system water\nboxSize 10\ncutoff 9\n")
             .unwrap_err()
             .contains("too small"));
@@ -505,7 +553,7 @@ mod tests {
         assert_eq!(parse("pairlistMargin 0\n").unwrap().pairlist_margin, 0.0);
         let defaults = parse("system water\n").unwrap();
         assert_eq!(defaults.pairlist_margin, 2.5);
-        assert!(parse("pairlistMargin -1\n").unwrap_err().contains("pairlistMargin"));
+        assert!(parse("pairlistMargin -1\n").unwrap_err().contains("pairlist_margin"));
         let e = parse("system water\npairlistCache off\n").unwrap_err();
         assert!(e.contains("line 2") && e.contains("unknown key 'pairlistcache'"), "{e}");
     }
@@ -540,10 +588,13 @@ mod tests {
         // `backend des` needs no extra knobs and forces the parallel driver.
         assert_eq!(parse("backend DES\n").unwrap().backend, Backend::Des);
         assert!(parse("backend qemu\n").unwrap_err().contains("unknown backend"));
-        assert!(parse("threads 2\nprocs 2\n").unwrap_err().contains("backend proc"));
+        assert!(parse("threads 2\nprocs 2\n")
+            .unwrap_err()
+            .contains("only meaningful with backend=proc"));
+        assert!(parse("threads 2\nsocketDir /tmp/mesh\n").unwrap_err().contains("backend proc"));
         assert!(parse("threads 4\nbackend proc\nprocs 3\n")
             .unwrap_err()
-            .contains("equal threads"));
+            .contains("equal n_pes"));
         assert!(parse("backend proc\npme on\n").unwrap_err().contains("pme"));
         assert!(parse("backend proc\nthermostat langevin\n")
             .unwrap_err()
@@ -554,7 +605,7 @@ mod tests {
             "threads 2\nbackend proc\nfaultPlan drop:entry=PatchRecvForces:limit=1\n"
         )
         .unwrap_err()
-        .contains("kill fault rules only"));
+        .contains("only kill fault rules"));
     }
 
     #[test]
@@ -588,5 +639,70 @@ mod tests {
         assert_eq!(defaults.max_recoveries, 3);
         assert_eq!(defaults.recovery_backoff_ms, 10);
         assert!(parse("maxRecoveries lots\n").unwrap_err().contains("integer"));
+    }
+
+    /// Values that panicked (exit 101) or ran garbage to exit 0 at the
+    /// parent commit: each is now a config error naming its key (the
+    /// timestep through `ConfigError`'s `dt_fs`).
+    #[test]
+    fn hostile_numbers_are_config_errors_naming_the_key() {
+        for (text, key) in [
+            ("timestep nan\n", "dt_fs"),
+            ("timestep nan\nthreads 2\n", "dt_fs"),
+            ("timestep inf\n", "dt_fs"),
+            ("cutoff nan\n", "cutoff"),
+            ("boxSize nan\n", "boxSize"),
+            ("thermostat langevin\nlangevinGamma 0\n", "langevinGamma"),
+            ("thermostat langevin\ntemperature 0\n", "temperature"),
+            ("pme on\npmeSpacing 0\n", "pmeSpacing"),
+            ("temperature -5\n", "temperature"),
+            ("temperature nan\n", "temperature"),
+            ("atoms 2\n", "atoms"),
+            ("atoms 0\nthreads 2\n", "atoms"),
+            ("system vacuum-droplet\natoms 0\n", "atoms"),
+            ("berendsenTau 0\n", "berendsenTau"),
+            ("thermostat berendsen\nberendsenTau -10\n", "berendsenTau"),
+            ("ewaldBeta -1\n", "ewaldBeta"),
+        ] {
+            let e = parse(&format!("system water\n{text}")).unwrap_err();
+            assert!(e.contains(key), "{text:?}: {e}");
+        }
+    }
+
+    /// Every engine key reaches its `SimConfig` field: the mirrors that
+    /// used to copy them onto the driver are gone, so a key dropped here
+    /// would silently de-configure a run.
+    #[test]
+    fn engine_config_carries_every_engine_key() {
+        type Check = fn(&SimConfig) -> bool;
+        let rows: [(&str, &str, Check); 11] = [
+            ("threads", "threads 3", |c| c.n_pes == 3),
+            ("timestep", "timestep 0.25", |c| c.dt_fs == 0.25),
+            ("backend", "backend des", |c| c.backend == Backend::Des),
+            ("procs", "threads 2\nbackend proc\nprocs 2", |c| c.procs == 2),
+            ("socketDir", "threads 2\nbackend proc\nsocketDir /tmp/mesh", |c| {
+                c.socket_dir.as_deref() == Some(std::path::Path::new("/tmp/mesh"))
+            }),
+            ("pairlistMargin", "pairlistMargin 1.5", |c| c.pairlist_margin == 1.5),
+            ("faultPlan", "threads 2\nfaultPlan drop:entry=PatchRecvForces:limit=3", |c| {
+                c.fault_plan.as_ref().is_some_and(|p| p.rules.len() == 1)
+            }),
+            ("schedule + scheduleSeed", "threads 2\nschedule shuffle\nscheduleSeed 3", |c| {
+                c.schedule == charmrt::SchedulePolicy::random_shuffle(3)
+            }),
+            ("checkpointDir + checkpointInterval", "checkpointDir ck\ncheckpointInterval 4", |c| {
+                c.checkpoint_dir.as_deref() == Some(std::path::Path::new("ck"))
+                    && c.checkpoint_interval == 4
+            }),
+            ("maxRecoveries", "maxRecoveries 7", |c| c.max_recoveries == 7),
+            ("recoveryBackoffMs", "recoveryBackoffMs 25", |c| c.recovery_backoff_ms == 25),
+        ];
+        let default = parse("").unwrap().engine_config().unwrap();
+        assert_eq!(default.force_mode, ForceMode::Real);
+        for (key, text, carried) in rows {
+            assert!(!carried(&default), "{key}: the row must not hold by default");
+            let cfg = parse(&format!("{text}\n")).unwrap().engine_config().unwrap();
+            assert!(carried(&cfg), "{key} did not reach the engine config: {cfg:?}");
+        }
     }
 }

@@ -69,7 +69,7 @@ berendsenTau  100
 threads       2
 pairlistMargin 2.5       # pair lists are built at cutoff + margin (Å) and
 #                        #  reused until an atom moves margin/2; 0 = rebuild
-#                        #  every step
+#                        #  every step (langevin and pme always rebuild)
 outputName    demo       # writes demo.xyz
 trajectoryEvery 10
 pme           off        # full electrostatics (particle-mesh Ewald)

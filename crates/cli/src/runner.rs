@@ -1,11 +1,10 @@
 //! Turns a parsed [`RunConfig`] into an actual simulation run.
 
-use crate::config::{RunConfig, SystemKind, ThermostatKind};
+use crate::config::{RunConfig, ThermostatKind};
 use mdcore::prelude::*;
 use mdcore::thermostat::{Berendsen, Langevin};
-use namd_core::config::Backend;
-use namd_core::parallel::ParallelSim;
-use namd_core::recovery::Advanced;
+use namd_core::prelude::{Backend, Engine, MetricsRegistry};
+use namd_core::recovery::{advance, Advanced};
 use pme::md::MtsSimulator;
 use std::io::Write;
 use std::path::Path;
@@ -76,23 +75,7 @@ pub struct RunReport {
 
 /// Build the molecular system a config describes.
 pub fn build_system(cfg: &RunConfig) -> System {
-    let name = match cfg.system {
-        SystemKind::Water => "water",
-        SystemKind::Apoa1 => "apoa1",
-        SystemKind::Bc1 => "bc1",
-        SystemKind::Br => "br",
-        SystemKind::Zoo(name) => name,
-    };
-    let (_, build) = molgen::named_deck(
-        name,
-        cfg.atoms,
-        cfg.box_size,
-        cfg.cutoff,
-        cfg.seed,
-        cfg.scale,
-        cfg.restrain_protein,
-    )
-    .expect("config parsing accepts known system names only");
+    let (_, build) = cfg.deck();
     let mut system = build();
     if cfg.pme {
         let beta = if cfg.ewald_beta > 0.0 {
@@ -147,10 +130,14 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
     let mut e_first = f64::NAN;
     let mut frames = 0usize;
     let mut start_step = 0usize;
+    // The parallel driver's atom-migration cadence: with checkpoints, one
+    // that divides their interval; on a restart without, the one recorded.
+    let mut migrate_every =
+        if checkpointing { migrate_cadence(cfg.checkpoint_interval) } else { 20 };
 
     enum Driver {
         Sequential(Simulator),
-        Threads(Box<ParallelSim>),
+        Parallel(Box<Engine>),
         FullElectro(Box<MtsSimulator>),
     }
     // PME runs use the MTS driver (k = 1 reduces to velocity Verlet);
@@ -165,37 +152,18 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
             cfg.mts_frequency,
         )))
     } else if cfg.uses_parallel_driver() {
-        let mut par =
-            ParallelSim::with_backend(system.clone(), cfg.threads, cfg.timestep, cfg.backend)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
+        let config = cfg
+            .engine_config()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        let mut engine = Engine::new(system.clone(), config);
         if cfg.backend == Backend::Proc {
-            let dir = (!cfg.socket_dir.is_empty())
-                .then(|| std::path::PathBuf::from(&cfg.socket_dir));
-            par.set_proc_options(cfg.procs, dir);
             writeln!(log, "backend proc: one worker process per PE ({})", cfg.threads)?;
         } else if cfg.backend == Backend::Des {
             writeln!(log, "backend des: deterministic virtual-time execution")?;
         }
-        par.set_pairlist(cfg.pairlist_margin);
-        if !cfg.fault_plan.is_empty() {
-            let plan = charmrt::FaultPlan::parse(&cfg.fault_plan)
-                .expect("validated by config::parse");
-            par.set_fault_plan(Some(plan));
-        }
-        if cfg.schedule != "fifo" {
-            let policy = charmrt::SchedulePolicy::parse(&cfg.schedule, cfg.schedule_seed)
-                .expect("validated by config::parse");
-            par.set_schedule(policy);
-        }
         if !cfg.profile_dir.is_empty() {
-            let reg = namd_core::prelude::MetricsRegistry::with_dir(
-                cfg.profile_dir.clone(),
-                cfg.profile_interval,
-            )?;
-            par.set_metrics(Some(reg));
-        }
-        if checkpointing {
-            par.migrate_every = migrate_cadence(cfg.checkpoint_interval);
+            let reg = MetricsRegistry::with_dir(cfg.profile_dir.clone(), cfg.profile_interval)?;
+            engine.set_metrics(Some(reg));
         }
         if restarting {
             let (snap, from) = load_snapshot(&cfg.restart_from)?;
@@ -203,28 +171,20 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
                 e_first = ef;
                 frames = fr as usize;
                 if !checkpointing && me > 0 {
-                    par.migrate_every = me as usize;
+                    migrate_every = me as usize;
                 }
             }
-            par.restore(&snap).map_err(ckpt_io_err)?;
+            engine.restore(&snap).map_err(ckpt_io_err)?;
             if snap.step > 0 && cfg.thermostat == ThermostatKind::Berendsen {
                 // The snapshot holds the barrier state, taken before that
                 // step's thermostat rescale; apply it once to land on the
                 // exact state the uninterrupted run continued from.
-                berendsen.apply(&mut par.system_mut(), cfg.timestep);
+                berendsen.apply(&mut engine.system_mut(), cfg.timestep);
             }
             start_step = snap.step as usize;
             writeln!(log, "restarted from {from} at step {start_step}")?;
         }
-        if checkpointing {
-            par.set_checkpointing(
-                &cfg.checkpoint_dir,
-                cfg.checkpoint_interval,
-                cfg.max_recoveries,
-                cfg.recovery_backoff_ms,
-            );
-        }
-        Driver::Threads(Box::new(par))
+        Driver::Parallel(Box::new(engine))
     } else if cfg.pairlist_margin > 0.0 {
         // Sequential analogue of the engine's pair-list cache: a Verlet list
         // at cutoff + margin with displacement-based rebuilds.
@@ -256,16 +216,12 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
     // Baseline snapshot: a crash before the first checkpoint barrier must
     // still have something to roll back to.
     if checkpointing {
-        if let Driver::Threads(par) = &mut driver {
-            if par.steps_done() == 0 {
-                par.set_ckpt_extra(encode_extra(
-                    e_first,
-                    frames as u64,
-                    par.migrate_every as u64,
-                ));
+        if let Driver::Parallel(engine) = &mut driver {
+            if engine.steps_done == 0 {
+                engine.ckpt_extra = encode_extra(e_first, frames as u64, migrate_every as u64);
                 let dir =
                     ckpt::CheckpointDir::create(&cfg.checkpoint_dir).map_err(ckpt_io_err)?;
-                dir.write(&par.snapshot()).map_err(ckpt_io_err)?;
+                dir.write(&engine.snapshot()).map_err(ckpt_io_err)?;
             }
         }
     }
@@ -288,7 +244,7 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
                 };
                 (e.potential(), e.kinetic)
             }
-            Driver::Threads(par) => {
+            Driver::Parallel(engine) => {
                 if checkpointing {
                     // The barrier inside this step snapshots state mid-step;
                     // record the frame high-water mark *including* the frame
@@ -296,16 +252,18 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
                     // after it.
                     let will_write =
                         xyz.is_some() && step % every == 0 && step / every >= frames;
-                    par.set_ckpt_extra(encode_extra(
+                    engine.ckpt_extra = encode_extra(
                         e_first,
                         (frames + will_write as usize) as u64,
-                        par.migrate_every as u64,
-                    ));
+                        migrate_every as u64,
+                    );
                 }
-                match par.try_advance(step + 1).map_err(std::io::Error::other)? {
+                let advanced = advance(engine, step + 1, migrate_every, Some(cfg.steps), false)
+                    .map_err(std::io::Error::other)?;
+                match advanced {
                     Advanced::Phase { phase, .. } => {
                         if cfg.thermostat == ThermostatKind::Berendsen {
-                            berendsen.apply(&mut par.system_mut(), cfg.timestep);
+                            berendsen.apply(&mut engine.system_mut(), cfg.timestep);
                         }
                         let e = phase.energies[1];
                         (e.potential(), e.kinetic)
@@ -316,7 +274,7 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
                         // loop's own step counter.
                         writeln!(log, "{crash}; recovering (attempt {attempt})")?;
                         if resumed > 0 && cfg.thermostat == ThermostatKind::Berendsen {
-                            berendsen.apply(&mut par.system_mut(), cfg.timestep);
+                            berendsen.apply(&mut engine.system_mut(), cfg.timestep);
                         }
                         step = resumed;
                         let from = from.map_or("memory".into(), |p| p.display().to_string());
@@ -339,7 +297,7 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
         }
         e_last = total;
         let temp = match &driver {
-            Driver::Threads(par) => par.system().temperature(),
+            Driver::Parallel(engine) => engine.system().temperature(),
             _ => system.temperature(),
         };
         writeln!(log, "{step:>4} {potential:>14.2} {kinetic:>14.2} {total:>14.2} {temp:>10.1}")?;
@@ -350,7 +308,7 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
             if step % every == 0 && step / every >= frames {
                 let label = format!("step {step}");
                 match &driver {
-                    Driver::Threads(par) => w.write_frame(&par.system().positions, &label)?,
+                    Driver::Parallel(engine) => w.write_frame(&engine.system().positions, &label)?,
                     _ => w.write_frame(&system.positions, &label)?,
                 }
                 frames += 1;
@@ -360,7 +318,7 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
     }
     let wall = start.elapsed().as_secs_f64();
     let final_temperature = match &driver {
-        Driver::Threads(par) => par.system().temperature(),
+        Driver::Parallel(engine) => engine.system().temperature(),
         _ => system.temperature(),
     };
     writeln!(
@@ -370,8 +328,8 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
         wall / cfg.steps.max(1) as f64 * 1e3,
         if frames > 0 { format!(", {frames} trajectory frames") } else { String::new() }
     )?;
-    if let Driver::Threads(par) = &driver {
-        if let Some(reg) = par.metrics() {
+    if let Driver::Parallel(engine) = &driver {
+        if let Some(reg) = &engine.metrics {
             if let Some(dir) = reg.dir() {
                 writeln!(
                     log,

@@ -25,7 +25,49 @@ use crate::state::{Frame, Shared, SimState, StepAcc};
 use charmrt::{ObjId, Pe, Runtime, SummaryStats, Trace, WireCodec, PRIO_NORMAL};
 use mdcore::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
+
+/// Shared read access to the engine's between-phase [`System`].
+///
+/// Dereferences to [`System`]; it borrows the engine, so it cannot be held
+/// across a phase.
+pub struct SystemRef<'a>(RwLockReadGuard<'a, SimState>);
+
+impl Deref for SystemRef<'_> {
+    type Target = System;
+    fn deref(&self) -> &System {
+        &self.0.system
+    }
+}
+
+/// What [`Engine::forces`] hands out: [`SystemRef`]'s guard, seen as the
+/// force array.
+struct ForcesRef<'a>(RwLockReadGuard<'a, SimState>);
+
+impl Deref for ForcesRef<'_> {
+    type Target = [Vec3];
+    fn deref(&self) -> &[Vec3] {
+        &self.0.forces
+    }
+}
+
+/// Exclusive write access to the between-phase [`System`] — thermostats
+/// rescale velocities through this between phases.
+pub struct SystemMut<'a>(RwLockWriteGuard<'a, SimState>);
+
+impl Deref for SystemMut<'_> {
+    type Target = System;
+    fn deref(&self) -> &System {
+        &self.0.system
+    }
+}
+
+impl DerefMut for SystemMut<'_> {
+    fn deref_mut(&mut self) -> &mut System {
+        &mut self.0.system
+    }
+}
 
 /// A phase ended by a kill fault instead of completing: a PE died, the
 /// protocol can never reach quiescence, and — unlike a dropped message —
@@ -196,9 +238,8 @@ pub struct Engine {
     last_loads: Vec<f64>,
     /// Measured per-PE background loads from the last phase harvest.
     last_background: Vec<f64>,
-    /// Opaque caller payload carried in snapshots (the CLI stashes
-    /// thermostat parameters here so a restart refuses a changed
-    /// thermostat).
+    /// Opaque caller payload carried in snapshots (the CLI stores its
+    /// energy baseline, frame high-water mark and migration cadence here).
     pub ckpt_extra: Vec<u8>,
     /// Observability registry (`None` = profiling off, the default). When
     /// attached, every phase records a [`profile::PhaseProfile`] (tracing
@@ -367,20 +408,16 @@ impl Engine {
     /// global step counter, the drift RNG stream, the last measured loads,
     /// and the caller's extra payload.
     pub fn snapshot(&self) -> ckpt::Snapshot {
-        let st = self.shared.state.read().expect("state lock poisoned");
+        let sys = self.system();
         ckpt::Snapshot {
             step: self.steps_done as u64,
-            topo_hash: topology_hash(&st.system),
-            cutoff: st.system.forcefield.cutoff,
+            topo_hash: topology_hash(&sys),
+            cutoff: sys.forcefield.cutoff,
             dt_fs: self.config.dt_fs,
             n_pes: self.config.n_pes as u64,
-            box_lengths: [
-                st.system.cell.lengths.x,
-                st.system.cell.lengths.y,
-                st.system.cell.lengths.z,
-            ],
-            positions: st.system.positions.iter().map(|p| [p.x, p.y, p.z]).collect(),
-            velocities: st.system.velocities.iter().map(|v| [v.x, v.y, v.z]).collect(),
+            box_lengths: [sys.cell.lengths.x, sys.cell.lengths.y, sys.cell.lengths.z],
+            positions: sys.positions.iter().map(|p| [p.x, p.y, p.z]).collect(),
+            velocities: sys.velocities.iter().map(|v| [v.x, v.y, v.z]).collect(),
             drift_rng: self.drift_rng,
             drift: self.drift.clone(),
             loads: self.last_loads.clone(),
@@ -398,26 +435,20 @@ impl Engine {
     /// trajectory bit-identical. Must run between phases (no live runtime).
     pub fn restore(&mut self, snap: &ckpt::Snapshot) -> Result<(), ckpt::CkptError> {
         {
-            let st = self.shared.state.read().expect("state lock poisoned");
+            let sys = self.system();
             snap.check_compatible(
-                topology_hash(&st.system),
-                st.system.forcefield.cutoff,
+                topology_hash(&sys),
+                sys.forcefield.cutoff,
                 self.config.dt_fs,
                 self.config.n_pes,
-                [
-                    st.system.cell.lengths.x,
-                    st.system.cell.lengths.y,
-                    st.system.cell.lengths.z,
-                ],
+                [sys.cell.lengths.x, sys.cell.lengths.y, sys.cell.lengths.z],
             )?;
-            if snap.positions.len() != st.system.n_atoms()
-                || snap.velocities.len() != st.system.n_atoms()
-            {
+            if snap.positions.len() != sys.n_atoms() || snap.velocities.len() != sys.n_atoms() {
                 return Err(ckpt::CkptError::ConfigMismatch(format!(
                     "atom count: snapshot has {} positions / {} velocities, system has {}",
                     snap.positions.len(),
                     snap.velocities.len(),
-                    st.system.n_atoms()
+                    sys.n_atoms()
                 )));
             }
         }
@@ -450,6 +481,24 @@ impl Engine {
     /// The decomposition (read-only).
     pub fn decomp(&self) -> &Decomposition {
         &self.shared.decomp
+    }
+
+    /// Read access to the between-phase system (positions, velocities,
+    /// temperature, …): current after every completed phase and restore.
+    pub fn system(&self) -> SystemRef<'_> {
+        SystemRef(self.shared.state.read().expect("state lock poisoned"))
+    }
+
+    /// Write access to the between-phase system, e.g. for a thermostat
+    /// between phases.
+    pub fn system_mut(&mut self) -> SystemMut<'_> {
+        SystemMut(self.shared.state.write().expect("state lock poisoned"))
+    }
+
+    /// The total force on each atom at the last evaluated step (zero after
+    /// a restore, until the next phase).
+    pub fn forces(&self) -> impl Deref<Target = [Vec3]> + '_ {
+        ForcesRef(self.shared.state.read().expect("state lock poisoned"))
     }
 
     /// Run one phase of `n_steps` timesteps under the current placement, on
@@ -1225,9 +1274,9 @@ mod tests {
 
         // Positions after the phase match the sequential trajectory after
         // 2 updates; verify a sample of atoms.
-        let st = eng.shared.state.read().unwrap();
-        for i in (0..st.system.n_atoms()).step_by(97) {
-            let d = (st.system.positions[i] - seq.positions[i]).norm();
+        let sys = eng.system();
+        for i in (0..sys.n_atoms()).step_by(97) {
+            let d = (sys.positions[i] - seq.positions[i]).norm();
             assert!(d < 1e-6, "atom {i} diverged by {d}");
         }
     }

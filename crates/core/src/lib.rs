@@ -19,8 +19,8 @@
 //!   `charmrt::Runtime` trait, on either the deterministic DES (modeled
 //!   virtual time) or real worker threads (measured wall-clock loads) —
 //!   selected by `SimConfig::backend`;
-//! * a sequential-looking multicore facade over the threads backend
-//!   ([`parallel`]).
+//! * a sequential-looking facade over the engine for the benchmark and
+//!   the tests ([`parallel`]).
 //!
 //! ## Quick example
 //!

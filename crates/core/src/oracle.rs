@@ -316,20 +316,20 @@ fn check_conservation(r: &PhaseResult, report: &mut OracleReport) {
 /// reaction inside the block(s).
 fn check_newton(engine: &Engine, params: OracleParams, report: &mut OracleReport) {
     report.checks_run.push("newton");
-    let decomp = &engine.shared.decomp;
-    let st = engine.shared.state.read().unwrap();
-    let cell = st.system.cell;
+    let decomp = engine.decomp();
+    let sys = engine.system();
+    let cell = sys.cell;
     let (mut self_seen, mut pair_seen) = (0usize, 0usize);
 
     for (j, spec) in decomp.computes.iter().enumerate() {
         let (net, gross) = match &spec.kind {
             ComputeKind::SelfNb { patch } if self_seen < params.max_newton_samples => {
                 self_seen += 1;
-                let g = PatchArrays::gather(&st.system, &decomp.grid.atoms[*patch]);
+                let g = PatchArrays::gather(&sys, &decomp.grid.atoms[*patch]);
                 let mut f = vec![Vec3::ZERO; g.pos.len()];
                 nb_self_ranged(
-                    &st.system.forcefield,
-                    &st.system.exclusions,
+                    &sys.forcefield,
+                    &sys.exclusions,
                     g.group(),
                     &cell,
                     spec.outer.clone(),
@@ -339,13 +339,13 @@ fn check_newton(engine: &Engine, params: OracleParams, report: &mut OracleReport
             }
             ComputeKind::PairNb { a, b } if pair_seen < params.max_newton_samples => {
                 pair_seen += 1;
-                let ga = PatchArrays::gather(&st.system, &decomp.grid.atoms[*a]);
-                let gb = PatchArrays::gather(&st.system, &decomp.grid.atoms[*b]);
+                let ga = PatchArrays::gather(&sys, &decomp.grid.atoms[*a]);
+                let gb = PatchArrays::gather(&sys, &decomp.grid.atoms[*b]);
                 let mut fa = vec![Vec3::ZERO; ga.pos.len()];
                 let mut fb = vec![Vec3::ZERO; gb.pos.len()];
                 nb_pair_ranged(
-                    &st.system.forcefield,
-                    &st.system.exclusions,
+                    &sys.forcefield,
+                    &sys.exclusions,
                     ga.group(),
                     gb.group(),
                     &cell,
@@ -416,12 +416,11 @@ fn check_energy_drift(r: &PhaseResult, params: OracleParams, report: &mut Oracle
 /// cutoff-only system (restraints and mesh electrostatics both exert
 /// external forces, so the check only runs without them).
 fn check_momentum(engine: &Engine, report: &mut OracleReport) {
-    let st = engine.shared.state.read().unwrap();
-    if !st.system.topology.restraints.is_empty() || engine.config.pme.is_some() {
+    if !engine.system().topology.restraints.is_empty() || engine.config.pme.is_some() {
         return;
     }
     report.checks_run.push("momentum");
-    let (net, gross) = sum_net_gross(&[&st.forces]);
+    let (net, gross) = sum_net_gross(&[&*engine.forces()]);
     let tol = 1e-9 * (1.0 + gross);
     if !net.norm().is_finite() || net.norm() > tol {
         report.violations.push(Violation {

@@ -1,45 +1,34 @@
-//! Multicore MD: a thin sequential-looking facade over the engine's
-//! real-threads backend.
+//! A sequential-looking facade over [`Engine`] for the benchmark and the
+//! tests: `run(n)` steps a Real-mode engine on any runtime backend
+//! (`threads`, one OS thread per PE — the default; `proc`, one OS process
+//! per PE; `des`, deterministic virtual time) and hands back per-step
+//! energies.
 //!
-//! Historically this module carried its own fork of the timestep loop (a
-//! thread-pool fold over compute objects plus data-parallel integration).
-//! That duplicate is gone: [`ParallelSim`] now drives [`Engine`] with
-//! `Backend::Threads`, so the message protocol, proxy wiring, grainsize
-//! splitting, and measurement machinery are the single implementation in
-//! [`crate::engine`] — the exact code path the load balancer measures.
-//! Every self/pair/bonded compute object is a chare executed on a worker
-//! thread; coordinates and force contributions travel as messages and the
-//! home patches integrate the atoms they own, just as on the DES backend
-//! but in wall-clock time. What [`ParallelSim::system`] shows is the
-//! engine's between-phase state, gathered from the patches whenever a
-//! phase ends.
-//!
-//! The facade's step/run calls map onto engine *phases*: a phase of
-//! `n + 1` timesteps performs one bootstrap force evaluation (no motion —
-//! the first step of a phase only completes when integration is `started`)
-//! followed by `n` full velocity-Verlet updates. Chaining phases repeats
-//! the boundary force evaluation, so the trajectory is step-for-step
-//! identical to a sequential simulator. The chaining itself — phase
-//! lengths, the migration cadence, crash rollback — is
+//! There is no second timestep loop here: every self/pair/bonded compute
+//! object is a chare of [`crate::engine`]'s message protocol, and the
+//! chaining of phases — lengths, the migration cadence, crash rollback — is
 //! [`crate::recovery::advance`]; this module only collects the per-step
-//! records it hands back.
+//! records it hands back. A phase of `n + 1` timesteps performs one
+//! bootstrap force evaluation followed by `n` velocity-Verlet updates;
+//! chaining phases repeats the boundary evaluation, so the trajectory is
+//! step-for-step identical to a sequential simulator.
+//!
+//! Everything configurable is a [`SimConfig`] field, set through
+//! [`ParallelSim::from_config`]. Front-ends (the CLI, `serve`) drive
+//! [`Engine`] and [`crate::recovery::advance`] directly.
 
-use crate::config::{Backend, ForceMode, SimConfig};
-use crate::decomp::Decomposition;
-use crate::engine::Engine;
-use crate::recovery::{advance, Advanced, RecoveryError};
-use crate::state::{SimState, StepAcc};
+use crate::config::{Backend, ConfigError, ForceMode, SimConfig};
+use crate::engine::{Engine, SystemMut, SystemRef};
+use crate::recovery::{advance, Advanced};
+use crate::state::StepAcc;
 use mdcore::prelude::*;
-use std::ops::{Deref, DerefMut};
-use std::sync::{RwLockReadGuard, RwLockWriteGuard};
+use std::ops::Deref;
 
 /// Why a [`ParallelSim`] could not be constructed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParallelSimError {
-    /// `n_threads` was zero.
-    NoThreads,
-    /// The timestep was not a positive finite number.
-    BadTimestep(f64),
+    /// The configuration failed [`SimConfig::validate`].
+    Config(ConfigError),
     /// The system has no atoms to decompose.
     EmptySystem,
 }
@@ -47,10 +36,7 @@ pub enum ParallelSimError {
 impl std::fmt::Display for ParallelSimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ParallelSimError::NoThreads => write!(f, "n_threads must be at least 1"),
-            ParallelSimError::BadTimestep(dt) => {
-                write!(f, "timestep must be positive and finite, got {dt}")
-            }
+            ParallelSimError::Config(e) => e.fmt(f),
             ParallelSimError::EmptySystem => write!(f, "system has no atoms"),
         }
     }
@@ -58,58 +44,14 @@ impl std::fmt::Display for ParallelSimError {
 
 impl std::error::Error for ParallelSimError {}
 
-/// Shared read access to the simulated [`System`] between steps.
-///
-/// Dereferences to [`System`]; it borrows the simulator, so it cannot be
-/// held across a `step`/`run` call.
-pub struct SystemRef<'a>(RwLockReadGuard<'a, SimState>);
-
-impl Deref for SystemRef<'_> {
-    type Target = System;
-    fn deref(&self) -> &System {
-        &self.0.system
-    }
-}
-
-/// What [`ParallelSim::forces`] hands out: [`SystemRef`]'s guard, seen as
-/// the force array.
-struct ForcesRef<'a>(RwLockReadGuard<'a, SimState>);
-
-impl Deref for ForcesRef<'_> {
-    type Target = [Vec3];
-    fn deref(&self) -> &[Vec3] {
-        &self.0.forces
-    }
-}
-
-/// Exclusive write access to the simulated [`System`] — thermostats rescale
-/// velocities through this between steps.
-pub struct SystemMut<'a>(RwLockWriteGuard<'a, SimState>);
-
-impl Deref for SystemMut<'_> {
-    type Target = System;
-    fn deref(&self) -> &System {
-        &self.0.system
-    }
-}
-
-impl DerefMut for SystemMut<'_> {
-    fn deref_mut(&mut self) -> &mut System {
-        &mut self.0.system
-    }
-}
-
 /// A multicore MD simulator: the paper's decomposition executed by the
-/// engine's real-threads backend, one OS thread per PE.
+/// engine on a runtime backend.
 pub struct ParallelSim {
     engine: Engine,
-    /// Timestep, fs. May be changed between steps.
-    pub dt: f64,
     /// Rebuild the patch assignment every this many steps (atom migration).
     /// Migration fires when the *global* step counter reaches a multiple,
     /// so the cadence is a property of the trajectory, not of how the run
-    /// was sliced into `step`/`run` calls — and it survives checkpoint
-    /// restore (the counter is part of the snapshot).
+    /// was sliced into `step`/`run` calls.
     pub migrate_every: usize,
 }
 
@@ -129,22 +71,23 @@ impl ParallelSim {
         dt: f64,
         backend: Backend,
     ) -> Result<Self, ParallelSimError> {
-        if n_pes == 0 {
-            return Err(ParallelSimError::NoThreads);
-        }
-        if !(dt > 0.0 && dt.is_finite()) {
-            return Err(ParallelSimError::BadTimestep(dt));
-        }
-        if system.n_atoms() == 0 {
-            return Err(ParallelSimError::EmptySystem);
-        }
         let cfg = SimConfig::builder(n_pes, machine::presets::generic_cluster())
             .force_mode(ForceMode::Real)
             .backend(backend)
             .dt_fs(dt)
-            .build()
-            .expect("facade arguments validated above");
-        Ok(ParallelSim { engine: Engine::new(system, cfg), dt, migrate_every: 20 })
+            .build();
+        Self::from_config(system, cfg.map_err(ParallelSimError::Config)?)
+    }
+
+    /// Create a simulator from a Real-mode configuration — every knob
+    /// (pair-list margin, schedule, fault plan, checkpointing) is a
+    /// [`SimConfig`] field.
+    pub fn from_config(system: System, config: SimConfig) -> Result<Self, ParallelSimError> {
+        config.validate().map_err(ParallelSimError::Config)?;
+        if system.n_atoms() == 0 {
+            return Err(ParallelSimError::EmptySystem);
+        }
+        Ok(ParallelSim { engine: Engine::new(system, config), migrate_every: 20 })
     }
 
     /// Proc-backend knobs: worker-process count (0 = one per PE; any other
@@ -160,41 +103,19 @@ impl ParallelSim {
         self.engine.config.socket_dir = socket_dir;
     }
 
-    /// Number of compute objects (parallel tasks per force evaluation).
-    pub fn n_computes(&self) -> usize {
-        self.engine.decomp().computes.len()
-    }
-
     /// Read access to the system (positions, velocities, temperature, …).
     pub fn system(&self) -> SystemRef<'_> {
-        SystemRef(self.engine.shared.state.read().expect("state lock poisoned"))
+        self.engine.system()
     }
 
     /// Write access to the system, e.g. for thermostats between steps.
     pub fn system_mut(&mut self) -> SystemMut<'_> {
-        SystemMut(self.engine.shared.state.write().expect("state lock poisoned"))
-    }
-
-    /// The current spatial decomposition.
-    pub fn decomp(&self) -> &Decomposition {
-        self.engine.decomp()
+        self.engine.system_mut()
     }
 
     /// The underlying engine (placement, measured loads, load balancing).
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// Set the non-bonded pair-list margin, Å (0 = rebuild every
-    /// evaluation). Takes effect from the next step; changing the margin
-    /// mid-run forces the caches to rebuild (the stored build radius no
-    /// longer matches).
-    pub fn set_pairlist(&mut self, margin: f64) {
-        assert!(
-            margin >= 0.0 && margin.is_finite(),
-            "pairlist margin must be non-negative and finite, got {margin}"
-        );
-        self.engine.config.pairlist_margin = margin;
     }
 
     /// Cumulative pair-list cache counters (builds/hits) since construction
@@ -210,17 +131,11 @@ impl ParallelSim {
         self.engine.set_metrics(metrics);
     }
 
-    /// The attached observability registry, if any.
-    pub fn metrics(&self) -> Option<&profile::MetricsRegistry> {
-        self.engine.metrics.as_ref()
-    }
-
     /// Evaluate all forces on the worker threads without moving any atom.
     /// Returns the energy accumulator for the current configuration
     /// (including the kinetic energy of the current velocities);
     /// [`ParallelSim::forces`] holds the per-atom result.
     pub fn compute_forces(&mut self) -> StepAcc {
-        self.engine.config.dt_fs = self.dt;
         self.engine.run_phase(1).energies[0]
     }
 
@@ -229,14 +144,14 @@ impl ParallelSim {
         self.run(1).pop().expect("one step requested")
     }
 
-    /// Run `n` steps; returns per-step energies. Panics if a PE is killed —
-    /// a caller that installs a fault plan drives
-    /// [`ParallelSim::try_advance`] and handles the rollback.
+    /// Run `n` steps through [`advance`]; returns per-step energies. Panics
+    /// if a PE is killed — a caller that recovers drives [`Engine`] and
+    /// [`advance`] itself.
     pub fn run(&mut self, n: usize) -> Vec<StepAcc> {
         let target = self.engine.steps_done + n;
         let mut out = Vec::with_capacity(n);
         while self.engine.steps_done < target {
-            match self.try_advance(target) {
+            match advance(&mut self.engine, target, self.migrate_every, None, false) {
                 Ok(Advanced::Phase { phase, updates }) => {
                     out.extend_from_slice(&phase.energies[1..=updates])
                 }
@@ -247,88 +162,9 @@ impl ParallelSim {
         out
     }
 
-    /// One [`advance`] call toward global step `target` at this simulator's
-    /// `dt` and `migrate_every`: one completed phase (which ends rebuilt
-    /// when it lands on a multiple of `migrate_every`), or one rollback to
-    /// the newest checkpoint of [`ParallelSim::set_checkpointing`].
-    pub fn try_advance(&mut self, target: usize) -> Result<Advanced, RecoveryError> {
-        self.engine.config.dt_fs = self.dt;
-        advance(&mut self.engine, target, self.migrate_every, None, false)
-    }
-
-    /// Re-bin atoms into patches and rebuild the compute set — the analogue
-    /// of NAMD's atom migration at pairlist updates.
-    pub fn migrate_atoms(&mut self) {
-        self.engine.migrate_atoms();
-    }
-
-    /// Completed velocity-Verlet updates since construction (or since the
-    /// state restored by [`ParallelSim::restore`]).
-    pub fn steps_done(&self) -> usize {
-        self.engine.steps_done
-    }
-
-    /// Enable periodic in-phase checkpoints and crash recovery from them: a
-    /// snapshot is written into `dir` every `interval` global steps, and a
-    /// killed PE rolls the run back to the newest one, giving up after
-    /// `max_recoveries` consecutive crashes (`backoff_ms` base sleep,
-    /// doubled per consecutive crash). The interval must be a multiple of
-    /// `migrate_every` — checked when a step runs — so that every
-    /// checkpoint lands on a phase-final step at an atom-migration
-    /// boundary, the alignment that makes a restored run bit-identical to
-    /// an uninterrupted one.
-    pub fn set_checkpointing(
-        &mut self,
-        dir: impl Into<std::path::PathBuf>,
-        interval: usize,
-        max_recoveries: u32,
-        backoff_ms: u64,
-    ) {
-        assert!(interval > 0, "checkpoint interval must be positive");
-        self.engine.config.checkpoint_interval = interval;
-        self.engine.config.checkpoint_dir = Some(dir.into());
-        self.engine.config.max_recoveries = max_recoveries;
-        self.engine.config.recovery_backoff_ms = backoff_ms;
-    }
-
-    /// Take a snapshot of the current state (between steps).
-    pub fn snapshot(&self) -> ckpt::Snapshot {
-        self.engine.snapshot()
-    }
-
-    /// Opaque application payload carried inside every snapshot this
-    /// simulator writes (e.g. thermostat or output-file state).
-    pub fn set_ckpt_extra(&mut self, extra: Vec<u8>) {
-        self.engine.ckpt_extra = extra;
-    }
-
-    /// Restore positions, velocities, the step counter, and the RNG/load
-    /// state from `snap`, rebuilding the decomposition. Refuses snapshots
-    /// from a different topology or configuration.
-    pub fn restore(&mut self, snap: &ckpt::Snapshot) -> Result<(), ckpt::CkptError> {
-        self.engine.restore(snap)
-    }
-
-    /// Opaque payload restored by the last [`ParallelSim::restore`] (or set
-    /// by [`ParallelSim::set_ckpt_extra`]).
-    pub fn ckpt_extra(&self) -> &[u8] {
-        &self.engine.ckpt_extra
-    }
-
-    /// Install a fault plan (exercised fresh each phase).
-    pub fn set_fault_plan(&mut self, plan: Option<charmrt::FaultPlan>) {
-        self.engine.config.fault_plan = plan;
-    }
-
-    /// Install a message dequeue-order policy (exercised fresh each phase).
-    pub fn set_schedule(&mut self, policy: charmrt::SchedulePolicy) {
-        self.engine.config.schedule = policy;
-    }
-
-    /// The most recently evaluated force on each atom (zero after a
-    /// restore, until the next evaluation).
+    /// The most recently evaluated force on each atom.
     pub fn forces(&self) -> impl Deref<Target = [Vec3]> + '_ {
-        ForcesRef(self.engine.shared.state.read().expect("state lock poisoned"))
+        self.engine.forces()
     }
 }
 
@@ -357,16 +193,26 @@ mod tests {
         let sys = small_system(9);
         assert_eq!(
             ParallelSim::new(sys.clone(), 0, 1.0).err(),
-            Some(ParallelSimError::NoThreads)
+            Some(ParallelSimError::Config(ConfigError::NoPes))
         );
         assert_eq!(
             ParallelSim::new(sys.clone(), 2, 0.0).err(),
-            Some(ParallelSimError::BadTimestep(0.0))
+            Some(ParallelSimError::Config(ConfigError::BadTimestep(0.0)))
         );
         assert!(matches!(
             ParallelSim::new(sys, 2, f64::NAN).err(),
-            Some(ParallelSimError::BadTimestep(dt)) if dt.is_nan()
+            Some(ParallelSimError::Config(ConfigError::BadTimestep(dt))) if dt.is_nan()
         ));
+        let mut empty = small_system(9);
+        empty.topology.atoms.clear();
+        let cfg = SimConfig::builder(2, machine::presets::generic_cluster())
+            .force_mode(ForceMode::Real)
+            .build()
+            .unwrap();
+        assert_eq!(
+            ParallelSim::from_config(empty, cfg).err(),
+            Some(ParallelSimError::EmptySystem)
+        );
     }
 
     #[test]
@@ -427,7 +273,7 @@ mod tests {
         let mut p = ParallelSim::new(small_system(5), 2, 0.5).unwrap();
         p.set_metrics(Some(profile::MetricsRegistry::in_memory()));
         p.run(60);
-        let phases = &p.metrics().unwrap().phases;
+        let phases = &p.engine().metrics.as_ref().unwrap().phases;
         assert_eq!(phases.iter().map(|ph| ph.n_steps).collect::<Vec<_>>(), [21, 21, 21]);
         for ph in phases {
             let lists = &ph.metrics.pairlist;
@@ -438,7 +284,7 @@ mod tests {
             );
         }
         assert_eq!(p.pairlist_stats().executions(), 0, "step 60 must end rebuilt (emptied cache)");
-        assert_eq!(p.steps_done(), 60);
+        assert_eq!(p.engine().steps_done, 60);
     }
 
     #[test]
@@ -450,22 +296,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "migrate_every (8) must be at least 1 and divide the checkpoint interval (20)")]
-    fn cadence_changed_after_set_checkpointing_is_refused_by_name() {
-        let mut p = ParallelSim::new(small_system(6), 1, 1.0).unwrap();
-        p.set_checkpointing(std::env::temp_dir().join("namd-par-misaligned"), 20, 3, 10);
-        p.migrate_every = 8;
-        p.step();
-    }
-
-    #[test]
     fn migration_preserves_atom_count_and_energy() {
-        let mut p = ParallelSim::new(small_system(4), 2, 1.0).unwrap();
-        let before = p.compute_forces().potential();
-        p.migrate_atoms();
-        let total_atoms: usize = p.decomp().grid.atoms.iter().map(Vec::len).sum();
-        assert_eq!(total_atoms, p.system().n_atoms());
-        let after = p.compute_forces().potential();
+        let cfg = SimConfig::builder(2, machine::presets::generic_cluster())
+            .force_mode(ForceMode::Real)
+            .backend(Backend::Threads)
+            .build()
+            .unwrap();
+        let mut engine = Engine::new(small_system(4), cfg);
+        let before = engine.run_phase(1).energies[0].potential();
+        engine.migrate_atoms();
+        let total_atoms: usize = engine.decomp().grid.atoms.iter().map(Vec::len).sum();
+        assert_eq!(total_atoms, engine.system().n_atoms());
+        let after = engine.run_phase(1).energies[0].potential();
         assert!(
             (before - after).abs() < 1e-7 * before.abs().max(1.0),
             "migration changed the physics: {before} vs {after}"

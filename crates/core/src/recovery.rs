@@ -1,9 +1,9 @@
 //! The phase-chaining driver: [`advance`] is the one place that turns a
 //! global-step target into engine phases, and therefore the one place that
 //! knows the atom-migration cadence and what a crashed phase triggers.
-//! [`crate::parallel::ParallelSim`], the job scheduler in `crates/serve`
-//! and (through `ParallelSim`) the CLI are `while done < target` loops
-//! around it.
+//! The CLI's run loop, the job scheduler in `crates/serve` and
+//! [`crate::parallel::ParallelSim`] are `while done < target` loops around
+//! it.
 //!
 //! **Cadence.** A phase never crosses a multiple of `migrate_every` on the
 //! *global* step counter, and the decomposition is rebuilt
@@ -271,8 +271,8 @@ mod tests {
     }
 
     fn state_bits(engine: &Engine) -> Vec<u64> {
-        let st = engine.shared.state.read().unwrap();
-        let all = [&st.system.positions, &st.system.velocities];
+        let sys = engine.system();
+        let all = [&sys.positions, &sys.velocities];
         all.iter().flat_map(|v| v.iter()).flat_map(|v| [v.x, v.y, v.z]).map(f64::to_bits).collect()
     }
 
@@ -333,8 +333,9 @@ mod tests {
             charmrt::FaultPlan::parse("kill:entry=PatchRecvForces:dst=1:skip=150").unwrap(),
         );
         let bits = |engine: &Engine| -> Vec<u64> {
-            let st = engine.shared.state.read().unwrap();
-            let all = [&st.system.positions, &st.system.velocities, &st.forces];
+            let forces = engine.forces().to_vec();
+            let sys = engine.system();
+            let all = [&sys.positions, &sys.velocities, &forces];
             all.iter().flat_map(|v| v.iter()).flat_map(|v| [v.x, v.y, v.z]).map(f64::to_bits).collect()
         };
         let before = bits(&engine);
@@ -418,7 +419,7 @@ mod tests {
     }
 
     /// A caller that names the job's last step gets no rebuild after it;
-    /// one that cannot (`ParallelSim`) ends on a multiple rebuilt. The
+    /// one that does not (`ParallelSim`) ends on a multiple rebuilt. The
     /// pair-list cache is emptied by a rebuild and filled by any phase, so
     /// an empty cache after a call means the call ended with a rebuild.
     #[test]

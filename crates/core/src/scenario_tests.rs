@@ -163,7 +163,7 @@ fn atom_migration_between_phases_preserves_physics() {
     engine.migrate_atoms();
     // Partition invariant after migration.
     let total: usize = engine.decomp().grid.atoms.iter().map(Vec::len).sum();
-    assert_eq!(total, engine.shared.state.read().unwrap().system.n_atoms());
+    assert_eq!(total, engine.system().n_atoms());
 
     let r2 = engine.run_phase(10);
     let e_after = r2.energies.first().unwrap().total();

@@ -63,7 +63,7 @@ impl StepAcc {
 
 /// The simulation state between phases: current after every completed
 /// phase, after [`crate::engine::Engine::restore`], and after edits
-/// through `ParallelSim::system_mut`.
+/// through [`crate::engine::Engine::system_mut`].
 #[derive(Debug)]
 pub struct SimState {
     pub system: System,

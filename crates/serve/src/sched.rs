@@ -865,14 +865,9 @@ enum SliceEnd {
 /// CRC-64 over the bit patterns of the final positions and velocities —
 /// the bit-identity witness stored in [`JobOutcome::state_crc`].
 fn state_fingerprint(engine: &Engine) -> u64 {
-    let st = engine.shared.state.read().unwrap();
-    let mut bytes = Vec::with_capacity((st.system.positions.len() * 6 + 1) * 8);
-    for v in st
-        .system
-        .positions
-        .iter()
-        .chain(st.system.velocities.iter())
-    {
+    let sys = engine.system();
+    let mut bytes = Vec::with_capacity((sys.positions.len() * 6 + 1) * 8);
+    for v in sys.positions.iter().chain(sys.velocities.iter()) {
         bytes.extend_from_slice(&v.x.to_le_bytes());
         bytes.extend_from_slice(&v.y.to_le_bytes());
         bytes.extend_from_slice(&v.z.to_le_bytes());
@@ -890,10 +885,7 @@ fn capture_frame(sched: &Scheduler, id: JobId, engine: &Engine, frame_every: usi
         return;
     }
     let idx = engine.steps_done / frame_every;
-    let positions = {
-        let st = engine.shared.state.read().unwrap();
-        st.system.positions.clone()
-    };
+    let positions = engine.system().positions.clone();
     let mut st = sched.inner.state.lock().unwrap();
     let job = st.jobs.get_mut(&id).unwrap();
     if job.frames.len() == idx {
@@ -910,7 +902,7 @@ fn run_analysis(
     engine: &Engine,
     frames: &[Vec<Vec3>],
 ) -> Result<AnalysisSummary, String> {
-    let cell = engine.shared.state.read().unwrap().system.cell;
+    let cell = engine.system().cell;
     let params = AnalyzeParams {
         r_max: spec.cutoff,
         rdf_bins: spec.rdf_bins,

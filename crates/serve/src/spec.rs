@@ -414,11 +414,8 @@ impl JobSpec {
                 ));
             }
         }
-        if let Some(plan) = &self.fault_plan {
-            charmrt::FaultPlan::parse(plan).map_err(|e| format!("faultPlan: {e}"))?;
-        }
-        // The engine's own validation: timestep, margins, backend rules —
-        // identical to a CLI run.
+        // The engine's own validation: fault plan, timestep, margins,
+        // backend rules — identical to a CLI run.
         self.engine_config().map(|_| ())
     }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CLI parent-equality witness: run the same five configurations through two
+# CLI parent-equality witness: run the same eight configurations through two
 # `namd-rs` binaries (a build of the parent commit and a build of this one)
 # and require byte-identical trajectories and energy logs.
 #
@@ -11,6 +11,9 @@
 #   3. backend des
 #   4. threads 2 + berendsen + checkpoints every 4 steps + a PE kill
 #   5. config 4 stopped at step 8, then finished with restartFrom
+#   6. threads 2 + pairlistMargin 1.5 + schedule shuffle (scheduleSeed 3)
+#   7. threads 2 + a fault plan that drops three force messages
+#   8. threads 1: the sequential control
 # Every `.xyz` is `cmp`'d; the logs are compared without the lines that
 # carry wall-clock time or name the crash (`phase crashed`, `resumed from`,
 # `done:`). Exits non-zero on the first difference.
@@ -51,7 +54,12 @@ for side in parent this; do
   deck "$dir" c3 60 "thermostat none" "threads 2" "backend des"
   deck "$dir" c4 60 "${kill_drill[@]}" "checkpointDir ck4"
   deck "$dir" c5 8 "${kill_drill[@]}" "checkpointDir ck5"
-  for c in c1 c2 c3 c4 c5; do
+  deck "$dir" c6 60 "thermostat none" "threads 2" "pairlistMargin 1.5" \
+    "schedule shuffle" "scheduleSeed 3"
+  deck "$dir" c7 60 "thermostat none" "threads 2" \
+    "faultPlan drop:entry=PatchRecvForces:limit=3"
+  deck "$dir" c8 60 "thermostat none" "threads 1"
+  for c in c1 c2 c3 c4 c5 c6 c7 c8; do
     (cd "$dir" && "$bin" run "$c.conf" >"$c.log")
   done
   # Leg two of config 5: same deck, full length, resumed from leg one.
@@ -61,13 +69,13 @@ done
 
 status=0
 stable() { grep -vE '^(phase crashed|resumed from|done:)' "$1"; }
-for c in c1 c2 c3 c4 c5; do
+for c in c1 c2 c3 c4 c5 c6 c7 c8; do
   if ! cmp "$work/parent/$c.xyz" "$work/this/$c.xyz"; then
     echo "cli_witness: $c: trajectories differ" >&2
     status=1
   fi
 done
-for log in c1 c2 c3 c4 c5 c5b; do
+for log in c1 c2 c3 c4 c5 c5b c6 c7 c8; do
   if ! diff <(stable "$work/parent/$log.log") <(stable "$work/this/$log.log"); then
     echo "cli_witness: $log: energy logs differ" >&2
     status=1
@@ -82,6 +90,6 @@ for log in c4 c5b; do
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "cli_witness: 5 configurations, trajectories and energy logs identical"
+  echo "cli_witness: 8 configurations, trajectories and energy logs identical"
 fi
 exit "$status"

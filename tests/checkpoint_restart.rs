@@ -75,11 +75,10 @@ fn make_engine(backend: Backend, policy: SchedulePolicy, dir: &std::path::Path) 
 }
 
 fn final_bits(engine: &Engine) -> Vec<(u64, u64, u64, u64, u64, u64)> {
-    let st = engine.shared.state.read().unwrap();
-    st.system
-        .positions
+    let sys = engine.system();
+    sys.positions
         .iter()
-        .zip(&st.system.velocities)
+        .zip(&sys.velocities)
         .map(|(x, v)| {
             (x.x.to_bits(), x.y.to_bits(), x.z.to_bits(), v.x.to_bits(), v.y.to_bits(), v.z.to_bits())
         })

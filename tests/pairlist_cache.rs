@@ -125,7 +125,7 @@ fn check_cached_phase(policy: SchedulePolicy, n_pes: usize, margin: f64) -> Resu
             .expect("valid test config");
         let mut engine = Engine::new(restrained_apoa1_small(), cfg);
         let r = engine.run_phase(PHASE_STEPS);
-        let pos = engine.shared.state.read().unwrap().system.positions.clone();
+        let pos = engine.system().positions.clone();
         let report = check_phase(&engine, &r);
         (r, pos, report)
     };
@@ -227,7 +227,7 @@ fn mid_phase_invalidation_rebuilds_and_stays_exact() {
         let mut engine = Engine::new(restrained_apoa1_small(), cfg);
         let r = engine.run_phase(steps);
         let n_nb = n_nonbonded_computes(&engine);
-        let pos = engine.shared.state.read().unwrap().system.positions.clone();
+        let pos = engine.system().positions.clone();
         (r, n_nb, pos)
     };
     let (rc, n_nb, pos_c) = run(0.25);
@@ -272,9 +272,15 @@ fn migration_boundary_resets_cache_and_preserves_trajectory() {
     let sys = restrained_apoa1_small();
     let steps = 8;
     let run = |margin: f64| {
-        let mut p = ParallelSim::new(sys.clone(), 2, 1.0).unwrap();
+        let cfg = SimConfig::builder(2, presets::generic_cluster())
+            .force_mode(ForceMode::Real)
+            .backend(Backend::Threads)
+            .dt_fs(1.0)
+            .pairlist(margin)
+            .build()
+            .expect("valid test config");
+        let mut p = ParallelSim::from_config(sys.clone(), cfg).unwrap();
         p.migrate_every = 3; // two migrations inside the run
-        p.set_pairlist(margin);
         let energies = p.run(steps);
         let stats = p.pairlist_stats();
         let pos = p.system().positions.clone();

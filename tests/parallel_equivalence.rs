@@ -88,7 +88,7 @@ fn trajectories_track_for_several_steps() {
         .unwrap();
     let mut engine = Engine::new(sys.clone(), cfg);
     engine.run_phase(5);
-    let des_pos = engine.shared.state.read().unwrap().system.positions.clone();
+    let des_pos = engine.system().positions.clone();
 
     // Threads trajectory.
     let mut par = ParallelSim::new(sys, 2, 0.5).unwrap();

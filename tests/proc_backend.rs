@@ -39,8 +39,9 @@ fn real_mode_config(n_pes: usize, backend: Backend) -> SimConfig {
 }
 
 fn final_state(engine: &Engine) -> (Vec<Vec3>, Vec<Vec3>, Vec<Vec3>) {
-    let st = engine.shared.state.read().unwrap();
-    (st.system.positions.clone(), st.system.velocities.clone(), st.forces.clone())
+    let forces = engine.forces().to_vec();
+    let sys = engine.system();
+    (sys.positions.clone(), sys.velocities.clone(), forces)
 }
 
 #[test]

@@ -116,7 +116,7 @@ fn check_policy_preserves_physics(policy: SchedulePolicy, n_pes: usize) -> Resul
 
     // Final per-atom positions: any per-atom force error would integrate
     // into a visible position error, so this bounds the forces too.
-    let pos = engine.shared.state.read().unwrap().system.positions.clone();
+    let pos = engine.system().positions.clone();
     for (i, (pe, ps)) in pos.iter().zip(&reference.final_positions).enumerate() {
         let d = (*pe - *ps).norm();
         if d >= 1e-6 {
