@@ -240,7 +240,6 @@ impl Des {
         let stamp_crc = self.core.stamp_crc();
         for s in ctx.sends.drain(..) {
             self.core.meter.sent(&s);
-            self.core.meter.ldb.on_message(to, s.to, s.bytes);
             let dest_pe = self.core.obj_pe[s.to.idx()];
             let mut arrive =
                 if dest_pe == pe { end } else { end + self.machine.wire_time(s.bytes) };

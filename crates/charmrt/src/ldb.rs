@@ -9,14 +9,13 @@
 
 use crate::msg::{ObjId, Pe};
 use crate::wire::{Dec, Enc, WireError};
-use std::collections::HashMap;
 
 /// Per-object measured data.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjLoad {
     pub obj: ObjId,
     pub pe: Pe,
-    /// Accumulated handler CPU time since the last reset, seconds.
+    /// Accumulated handler CPU time since registration, seconds.
     pub load: f64,
     pub migratable: bool,
 }
@@ -27,8 +26,6 @@ pub struct LdbSnapshot {
     pub objects: Vec<ObjLoad>,
     /// Non-migratable ("background") load per PE, seconds.
     pub background: Vec<f64>,
-    /// Communication graph: (from, to) → (message count, payload bytes).
-    pub comm: HashMap<(ObjId, ObjId), (u64, u64)>,
 }
 
 impl LdbSnapshot {
@@ -60,9 +57,6 @@ pub struct LdbDatabase {
     obj_load: Vec<f64>,
     migratable: Vec<bool>,
     background: Vec<f64>,
-    comm: HashMap<(ObjId, ObjId), (u64, u64)>,
-    /// Whether comm-graph recording is on (it costs memory on big runs).
-    pub record_comm: bool,
 }
 
 impl LdbDatabase {
@@ -71,8 +65,6 @@ impl LdbDatabase {
             obj_load: Vec::new(),
             migratable: Vec::new(),
             background: vec![0.0; n_pes],
-            comm: HashMap::new(),
-            record_comm: false,
         }
     }
 
@@ -90,15 +82,6 @@ impl LdbDatabase {
         }
     }
 
-    /// Record a message on the communication graph.
-    pub(crate) fn on_message(&mut self, from: ObjId, to: ObjId, bytes: usize) {
-        if self.record_comm {
-            let e = self.comm.entry((from, to)).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += bytes as u64;
-        }
-    }
-
     /// The same objects with the same migratability and no measurements:
     /// one worker's share of the database, to be [`absorb`]ed back.
     ///
@@ -108,14 +91,11 @@ impl LdbDatabase {
             obj_load: vec![0.0; self.obj_load.len()],
             migratable: self.migratable.clone(),
             background: vec![0.0; self.background.len()],
-            comm: HashMap::new(),
-            record_comm: self.record_comm,
         }
     }
 
     /// Add a worker's measured loads (same objects, same PEs) into this
-    /// database. The communication graph is not a worker's to record: only
-    /// the DES fills it, into its runtime's database directly.
+    /// database.
     pub(crate) fn absorb(&mut self, o: &LdbDatabase) {
         assert_eq!(
             (self.obj_load.len(), self.background.len()),
@@ -145,13 +125,6 @@ impl LdbDatabase {
         self.migratable[obj.idx()]
     }
 
-    /// Zero all measurements (start a new measurement window).
-    pub fn reset(&mut self) {
-        self.obj_load.iter_mut().for_each(|l| *l = 0.0);
-        self.background.iter_mut().for_each(|l| *l = 0.0);
-        self.comm.clear();
-    }
-
     /// Snapshot the database for a strategy. `obj_pe` supplies the current
     /// object placement (owned by the engine).
     pub fn snapshot(&self, obj_pe: &[Pe]) -> LdbSnapshot {
@@ -165,7 +138,6 @@ impl LdbDatabase {
                 })
                 .collect(),
             background: self.background.clone(),
-            comm: self.comm.clone(),
         }
     }
 }
@@ -197,31 +169,6 @@ mod tests {
         let loads = snap.pe_loads(2);
         assert_eq!(loads, vec![0.0, 4.0]);
         assert!((snap.imbalance_ratio(2) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn comm_recording_is_optional() {
-        let mut db = LdbDatabase::new(1);
-        db.on_register(true);
-        db.on_register(true);
-        db.on_message(ObjId(0), ObjId(1), 100);
-        assert!(db.snapshot(&[0, 0]).comm.is_empty());
-        db.record_comm = true;
-        db.on_message(ObjId(0), ObjId(1), 100);
-        db.on_message(ObjId(0), ObjId(1), 50);
-        let snap = db.snapshot(&[0, 0]);
-        assert_eq!(snap.comm[&(ObjId(0), ObjId(1))], (2, 150));
-    }
-
-    #[test]
-    fn reset_clears_measurements() {
-        let mut db = LdbDatabase::new(1);
-        db.on_register(true);
-        db.attribute(ObjId(0), 0, 1.0);
-        db.reset();
-        let snap = db.snapshot(&[0]);
-        assert_eq!(snap.objects[0].load, 0.0);
-        assert_eq!(snap.background[0], 0.0);
     }
 
     #[test]

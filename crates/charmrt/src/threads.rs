@@ -50,6 +50,10 @@ struct Sched {
     in_flight: AtomicU64,
     /// Set on quiescence or `Ctx::stop`; remaining queued messages drop.
     done: AtomicBool,
+    /// What the watchdog waits on between its stall checks, so that
+    /// [`Sched::shutdown`] ends its wait instead of the next tick.
+    watch: Mutex<()>,
+    ended: Condvar,
     /// Global message sequence for priority tie-breaks within a queue.
     seq: AtomicU64,
     /// Object → owning worker, frozen for the duration of the run.
@@ -106,6 +110,9 @@ impl Sched {
             let _guard = q.heap.lock().unwrap();
             q.available.notify_all();
         }
+        // The same for the watchdog.
+        let _guard = self.watch.lock().unwrap();
+        self.ended.notify_all();
     }
 }
 
@@ -297,6 +304,8 @@ impl Runtime for ThreadRuntime {
                 .collect(),
             in_flight: AtomicU64::new(0),
             done: AtomicBool::new(false),
+            watch: Mutex::new(()),
+            ended: Condvar::new(),
             seq: AtomicU64::new(0),
             obj_pe: core.obj_pe.clone(),
             clock: WallClock::start(),
@@ -341,14 +350,19 @@ impl Runtime for ThreadRuntime {
             // in-flight counter stays pinned above zero (a lost message).
             // "No progress" = the executed count has not moved for the
             // whole stall window — transient all-idle moments between a
-            // notify and a wakeup don't trip it.
+            // notify and a wakeup don't trip it. The checks tick every 5 ms;
+            // quiescence ends the wait at once.
             let mut last_exec = sched.executed.load(AtOrd::SeqCst);
             let mut last_change = Instant::now();
             loop {
+                let watch = sched.watch.lock().unwrap();
                 if sched.done.load(AtOrd::SeqCst) {
                     break;
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                drop(sched.ended.wait_timeout(watch, Duration::from_millis(5)).unwrap());
+                if sched.done.load(AtOrd::SeqCst) {
+                    break;
+                }
                 let exec = sched.executed.load(AtOrd::SeqCst);
                 if exec != last_exec {
                     last_exec = exec;

@@ -16,13 +16,14 @@
 //!    contributions, in the patch's atom order, and the first one the
 //!    compute's energies — to the patch's local representative (home patch
 //!    or proxy).
-//! 4. A proxy that has collected all local force contributions combines them
-//!    element-wise and sends one force message to the home patch.
+//! 4. A proxy that has collected all local force contributions forwards
+//!    them, unsummed, on one force message to the home patch.
 //! 5. A home patch that has collected everything self-enqueues *integrate*:
-//!    velocity-Verlet update of the atoms it owns from the accumulated
-//!    payload forces, then publish the next step's coordinates (this is the
-//!    entry method the multicast optimization halves), or report completion
-//!    and its per-step energies to the reducer after the final step.
+//!    fold the contributions, velocity-Verlet update of the atoms it owns
+//!    from the folded forces, then publish the next step's coordinates
+//!    (this is the entry method the multicast optimization halves), or
+//!    report completion and its per-step energies to the reducer after the
+//!    final step.
 //!
 //! Thread safety: one owner per datum. A home patch is the only reader and
 //! writer of its atoms' positions, velocities and forces for the length of a
@@ -32,7 +33,9 @@
 use crate::config::ForceMode;
 use crate::costmodel;
 use crate::decomp::ComputeKind;
-use crate::messages::{CkptMsg, CoordMsg, EnergiesMsg, ForceMsg, PatchStateMsg};
+use crate::messages::{
+    CkptMsg, CoordMsg, EnergiesMsg, ForceMsg, ForcePart, PatchStateMsg, RECIPROCAL,
+};
 use crate::patchgrid::PatchId;
 use crate::state::{Shared, StepAcc};
 use charmrt::wire::{Dec, Enc};
@@ -50,15 +53,16 @@ use std::sync::Arc;
 /// destination patch, in `decomp.grid.atoms[patch]` order.
 pub type ForceBlock = Vec<Vec3>;
 
-// Force blocks travel as packed [`ForceMsg`] payloads, tagged with the
-// sending object's id (unique per step). Receivers buffer the tagged
-// messages and fold them in ascending-sender order once the step's set is
-// complete, so the accumulated force — and the energy riding with it — is a
-// pure function of the positions, the decomposition and the placement,
-// independent of message arrival order. That makes every backend's
-// trajectory bitwise reproducible, which is what lets a checkpoint-resumed
-// run (or a multi-process run) reproduce an uninterrupted DES one bit for
-// bit.
+// Force blocks travel as packed [`ForceMsg`] payloads, one part per
+// compute, keyed by the compute's index. A home patch buffers the step's
+// parts and folds them in compute order once the set is complete, so the
+// accumulated force — and the energy riding with it — is a pure function of
+// the positions and the decomposition: not of message arrival order, and
+// not of the placement, since a proxy forwards parts without summing them.
+// That makes every backend's and every PE count's trajectory bitwise
+// reproducible, which is what lets a checkpoint-resumed run (or a
+// multi-process run, or a rebalanced one) reproduce an uninterrupted 1-PE
+// run bit for bit.
 
 /// Modeled size of a header-only message — what `Ctx::signal` charges.
 const SIGNAL_BYTES: usize = 32;
@@ -174,7 +178,7 @@ pub struct HomePatch {
     /// Co-located computes to ready-signal on publish.
     local_computes: Vec<ObjId>,
     /// Force messages expected per step (co-located computes needing this
-    /// patch + one combined message per proxy).
+    /// patch + one gathered message per proxy).
     expected: usize,
     received: usize,
     /// This patch's atoms in `decomp.grid.atoms[patch]` order: positions,
@@ -183,10 +187,9 @@ pub struct HomePatch {
     /// back.
     atoms: PatchStateMsg,
     masses: Vec<f64>,
-    /// Force messages received this step, folded into `atoms.forces` and
-    /// `energies` in ascending-sender order at integration (see
-    /// [`ForceMsg`]).
-    pending: Vec<ForceMsg>,
+    /// Force parts received this step, folded into `atoms.forces` and
+    /// `energies` in compute order at integration (see [`ForceMsg`]).
+    pending: Vec<ForcePart>,
     /// Per-step energies of this patch: what its force messages carried
     /// plus its atoms' kinetic energy (Real mode; all zero otherwise).
     energies: Vec<StepAcc>,
@@ -298,20 +301,20 @@ impl HomePatch {
         }
     }
 
-    /// Fold the step's buffered force messages into `atoms.forces` (from
-    /// zero) and this step's energies, in ascending sender order. Sender ids
-    /// are unique per step, so the fold order — and therefore every
-    /// rounding decision — is deterministic no matter how the messages were
-    /// scheduled.
+    /// Fold the step's buffered force parts into `atoms.forces` (from zero)
+    /// and this step's energies, in compute order. Each compute sends a
+    /// patch one part per step, so the fold order — and therefore every
+    /// rounding decision — is the same however the messages were scheduled
+    /// and wherever the computes ran.
     fn fold_pending(&mut self) {
         self.atoms.forces.fill(Vec3::ZERO);
-        self.pending.sort_by_key(|m| m.from);
-        for msg in self.pending.drain(..) {
-            debug_assert!(msg.block.is_empty() || msg.block.len() == self.atoms.forces.len());
-            for (acc, f) in self.atoms.forces.iter_mut().zip(msg.block.iter()) {
+        self.pending.sort_unstable_by_key(|p| p.compute);
+        for part in self.pending.drain(..) {
+            debug_assert!(part.block.is_empty() || part.block.len() == self.atoms.forces.len());
+            for (acc, f) in self.atoms.forces.iter_mut().zip(part.block.iter()) {
                 *acc += *f;
             }
-            self.energies[self.step].merge(&msg.energy);
+            self.energies[self.step].merge(&part.energy);
         }
     }
 
@@ -413,7 +416,7 @@ impl HomePatch {
         if payload.is_empty() {
             return;
         }
-        self.pending.push(ForceMsg::unpack(&payload).expect("malformed ForceMsg payload"));
+        self.pending.extend(ForceMsg::unpack(&payload).expect("malformed ForceMsg payload").parts);
     }
 
     /// Snapshot this patch's clean post-half-kick state (x_k, v_k) for the
@@ -506,8 +509,8 @@ impl Chare for HomePatch {
 }
 
 /// A proxy patch: stands in for a remote home patch on this processor,
-/// forwarding its coordinates to the local computes and combining their
-/// force contributions into one message.
+/// forwarding its coordinates to the local computes and their force
+/// contributions, gathered into one message, to the home patch.
 pub struct ProxyPatch {
     entries: Entries,
     home: ObjId,
@@ -516,9 +519,8 @@ pub struct ProxyPatch {
     /// Force contributions expected per step (= local_computes needing it).
     expected: usize,
     received: usize,
-    /// Force messages received this step, combined in ascending-sender
-    /// order before forwarding (see [`ForceMsg`]).
-    pending: Vec<ForceMsg>,
+    /// Packed force messages received this step, forwarded as one.
+    pending: Vec<Payload>,
     n_atoms: usize,
     /// Unpacking cost per coordinate message, work units.
     unpack_work: f64,
@@ -552,29 +554,21 @@ impl Chare for ProxyPatch {
             ready_all(ctx, &self.local_computes, self.entries.ready, payload);
         } else if entry == self.entries.proxy_forces {
             if !payload.is_empty() {
-                self.pending.push(ForceMsg::unpack(&payload).expect("malformed ForceMsg payload"));
+                self.pending.push(payload);
             }
             self.received += 1;
             debug_assert!(self.received <= self.expected);
             if self.received == self.expected {
                 self.received = 0;
                 ctx.add_work(self.unpack_work);
+                // Forward the parts as they came: summing them here would
+                // make the home patch's fold depend on the placement.
                 let payload: Payload = if self.pending.is_empty() {
                     Vec::new()
                 } else {
-                    // Combine in ascending-sender order (see ForceMsg), then
-                    // forward one tagged block to the home patch.
-                    self.pending.sort_by_key(|m| m.from);
-                    let mut block = vec![Vec3::ZERO; self.n_atoms];
-                    let mut energy = StepAcc::default();
-                    for msg in self.pending.drain(..) {
-                        debug_assert_eq!(msg.block.len(), block.len());
-                        for (acc, f) in block.iter_mut().zip(msg.block.iter()) {
-                            *acc += *f;
-                        }
-                        energy.merge(&msg.energy);
-                    }
-                    ForceMsg { from: ctx.this().0, block, energy }.pack()
+                    let joined = ForceMsg::concat(&self.pending).expect("malformed ForceMsg payload");
+                    self.pending.clear();
+                    joined
                 };
                 let bytes = self.n_atoms * costmodel::BYTES_PER_ATOM;
                 ctx.send(self.home, self.entries.patch_forces, bytes, PRIO_HIGH, payload);
@@ -825,9 +819,11 @@ impl Chare for ComputeChare {
                 let payload: Payload = match &mut real {
                     // The energies ride the first block, zeros the rest.
                     Some((blocks, energy)) => ForceMsg {
-                        from: ctx.this().0,
-                        block: std::mem::take(&mut blocks[k]),
-                        energy: std::mem::take(energy),
+                        parts: vec![ForcePart {
+                            compute: self.index as u32,
+                            block: std::mem::take(&mut blocks[k]),
+                            energy: std::mem::take(energy),
+                        }],
                     }
                     .pack(),
                     None => Vec::new(),
@@ -993,7 +989,10 @@ impl SlabChare {
         self.rounds += 1;
         for &(patch, bytes) in &self.patches {
             let payload = match energy.take() {
-                Some(energy) => ForceMsg { from: ctx.this().0, block: Vec::new(), energy }.pack(),
+                Some(energy) => {
+                    let part = ForcePart { compute: RECIPROCAL, block: Vec::new(), energy };
+                    ForceMsg { parts: vec![part] }.pack()
+                }
                 None => Vec::new(),
             };
             ctx.send(patch, self.entries.patch_forces, bytes, PRIO_HIGH, payload);

@@ -14,6 +14,7 @@ use crate::config::SimConfig;
 use crate::costmodel;
 use crate::patchgrid::{PatchGrid, PatchId};
 use mdcore::prelude::*;
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// What a compute object computes.
@@ -439,6 +440,30 @@ pub fn build(system: &System, config: &SimConfig) -> Decomposition {
     }
 
     Decomposition { grid, computes }
+}
+
+/// What a compute is called across a migration, which renumbers computes:
+/// its kind, which names its patches, and its ordinal among the computes of
+/// that kind — the piece number of a grainsize-split compute.
+fn identity(computes: &[ComputeSpec]) -> impl Iterator<Item = (ComputeKind, usize)> + '_ {
+    let mut pieces: BTreeMap<ComputeKind, usize> = BTreeMap::new();
+    computes.iter().map(move |c| {
+        let next = pieces.entry(c.kind).or_insert(0);
+        let piece = *next;
+        *next += 1;
+        (c.kind, piece)
+    })
+}
+
+/// For each compute of `new`, the index in `old` of the compute with the
+/// same identity — its kind and its piece number — if there is one: the
+/// compute it succeeds across a migration. A compute after a migration is,
+/// give or take a few atoms, its predecessor, so it inherits what was
+/// learned about that one: its PE, its measured load, its pair-list
+/// buffers.
+pub fn predecessors(old: &[ComputeSpec], new: &[ComputeSpec]) -> Vec<Option<usize>> {
+    let index: BTreeMap<_, usize> = identity(old).enumerate().map(|(i, id)| (id, i)).collect();
+    identity(new).map(|id| index.get(&id).copied()).collect()
 }
 
 impl Decomposition {

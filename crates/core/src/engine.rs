@@ -233,8 +233,13 @@ pub struct Engine {
     /// counter checkpoints capture and the checkpoint/migration cadences
     /// key on.
     pub steps_done: usize,
-    /// Measured per-compute loads from the last phase harvest, stored into
-    /// snapshots so the load balancer does not restart cold after recovery.
+    /// Measured per-compute loads from the last phase harvest, indexed like
+    /// `decomp.computes` (a migration carries them to the successors);
+    /// what [`Engine::migrate_atoms`] balances on. The in-memory rollback
+    /// snapshot stores them, so a restore from it refines on measured loads
+    /// at once; disk checkpoints store none, so a restore from one restarts
+    /// the balancer cold — the next phase measures and the following
+    /// boundary refines.
     last_loads: Vec<f64>,
     /// Measured per-PE background loads from the last phase harvest.
     last_background: Vec<f64>,
@@ -375,38 +380,80 @@ impl Engine {
         (patch_pe, placement)
     }
 
-    /// Atom migration between measurement phases: re-bin every atom into
-    /// its current patch and rebuild the compute objects (NAMD performs the
-    /// same migration at pairlist updates, where the patch margin has been
-    /// consumed by atomic motion). Placements reset to the static rule —
-    /// the next load-balancing cycle re-optimizes them, exactly as the
-    /// periodic refinement of §3.2 "account\[s\] for the slow changes of the
-    /// simulation".
+    /// Atom migration between measurement phases, then a balancing step:
+    /// re-bin every atom into its current patch and rebuild the compute
+    /// objects (NAMD performs the same migration at pairlist updates, where
+    /// the patch margin has been consumed by atomic motion), then refine
+    /// the placement on the measured loads — §3.2's periodic refinement,
+    /// "to account for the slow changes of the simulation".
+    ///
+    /// Patches keep their home PEs. Each compute takes over the PE and the
+    /// last measured load of its predecessor ([`decomp::predecessors`]); a
+    /// compute with none starts on the static rule's PE, unmeasured.
+    /// [`lb::refine`] then moves computes off overloaded PEs, starting from
+    /// that carried placement; `LbStrategy::None` skips it. Force sums do
+    /// not depend on placement, so neither step changes a trajectory bit.
     pub fn migrate_atoms(&mut self) {
+        self.rebuild();
+        self.rebalance();
+    }
+
+    /// Rebuild the decomposition from the current positions, carrying each
+    /// compute's PE, drift multiplier, measured load and pair-list buffers
+    /// to its successor.
+    fn rebuild(&mut self) {
         let shared = Arc::get_mut(&mut self.shared)
             .expect("migrate_atoms must run between phases (no live engine objects)");
         let decomp =
             decomp::build(&shared.state.get_mut().expect("state lock poisoned").system, &self.config);
-        let old_decomp = std::mem::replace(&mut shared.decomp, decomp);
+        debug_assert_eq!(decomp.grid.n_patches(), self.patch_pe.len(), "the grid is the cell's");
+        let old = std::mem::replace(&mut shared.decomp, decomp);
+        let pred = decomp::predecessors(&old.computes, &shared.decomp.computes);
         // Patch membership changed: every cached candidate list and SoA
         // buffer is indexed by stale atom slots, so invalidate every entry.
         // Buffer capacity is recycled — entries re-prime (gather + list
         // build) on the next step without reallocating their Vec storage.
-        let old = std::mem::replace(&mut shared.nb_cache, PairlistCache::new(0));
-        shared.nb_cache =
-            PairlistCache::recycled(old, &old_decomp.computes, &shared.decomp.computes);
-        // The compute count can change with the new binning; keep the drift
-        // multipliers index-aligned (new computes start at nominal load).
-        self.drift.resize(shared.decomp.computes.len(), 1.0);
-        let (patch_pe, placement) = Self::static_placement(&shared.decomp, self.config.n_pes);
-        self.patch_pe = patch_pe;
-        self.placement = placement;
+        let cache = std::mem::replace(&mut shared.nb_cache, PairlistCache::new(0));
+        shared.nb_cache = PairlistCache::recycled(cache, &pred);
+        let computes = &shared.decomp.computes;
+        self.placement = pred
+            .iter()
+            .zip(computes)
+            .map(|(p, c)| p.map_or(self.patch_pe[c.patches[0]], |i| self.placement[i]))
+            .collect();
+        self.drift = pred.iter().map(|p| p.map_or(1.0, |i| self.drift[i])).collect();
+        self.last_loads = if self.last_loads.len() == old.computes.len() {
+            pred.iter().map(|p| p.map_or(0.0, |i| self.last_loads[i])).collect()
+        } else {
+            Vec::new()
+        };
+    }
+
+    /// Refine the placement from where it is on the last measured loads,
+    /// when there are loads for the current computes to refine on and the
+    /// strategy is not `LbStrategy::None`. Returns the number of computes
+    /// that moved.
+    fn rebalance(&mut self) -> usize {
+        let n_computes = self.shared.decomp.computes.len();
+        if self.config.lb == LbStrategy::None
+            || self.last_loads.len() != n_computes
+            || self.last_background.len() != self.config.n_pes
+        {
+            return 0;
+        }
+        let (problem, map) = self.lb_problem_on(&self.last_loads, &self.last_background);
+        let current: Vec<Pe> = map.iter().map(|&j| self.placement[j]).collect();
+        let (refined, _) = lb::refine(&problem, &current, lb::RefineParams::default());
+        self.audit_lb("refine", &problem, &map, &current, &refined);
+        self.apply_assignment(&map, &refined)
     }
 
     /// Capture the engine's complete resumable state as a checkpoint
     /// snapshot: live positions/velocities (read under the state lock), the
     /// global step counter, the drift RNG stream, the last measured loads,
-    /// and the caller's extra payload.
+    /// and the caller's extra payload. The loads index the current computes,
+    /// which are the ones [`Engine::restore`] rebuilds when the snapshot is
+    /// taken at a rebuild boundary.
     pub fn snapshot(&self) -> ckpt::Snapshot {
         let sys = self.system();
         ckpt::Snapshot {
@@ -432,7 +479,9 @@ impl Engine {
     /// positions — checkpoints are taken at atom-migration boundaries, so
     /// this rebuild reproduces exactly the decomposition the uninterrupted
     /// run built at the same global step, which is what makes the resumed
-    /// trajectory bit-identical. Must run between phases (no live runtime).
+    /// trajectory bit-identical — then rebalances on the snapshot's loads,
+    /// as [`Engine::migrate_atoms`] does on measured ones. Must run between
+    /// phases (no live runtime).
     pub fn restore(&mut self, snap: &ckpt::Snapshot) -> Result<(), ckpt::CkptError> {
         {
             let sys = self.system();
@@ -464,7 +513,7 @@ impl Engine {
             st.forces.fill(Vec3::ZERO);
         }
         // The same rebuild the uninterrupted run performed at this step.
-        self.migrate_atoms();
+        self.rebuild();
         self.drift_rng = snap.drift_rng;
         self.drift = snap.drift.clone();
         self.drift.resize(self.shared.decomp.computes.len(), 1.0);
@@ -475,6 +524,7 @@ impl Engine {
         // A kept rollback point belongs to the trajectory this call left;
         // the driver puts its own back after restoring from it.
         self.boundary = None;
+        self.rebalance();
         Ok(())
     }
 
@@ -764,7 +814,9 @@ impl Engine {
                 .filter(|s| (self.steps_done + s) % cfg.checkpoint_interval == 0)
                 .map(|s| (self.steps_done + s) as u64)
                 .collect();
-            let template = self.snapshot();
+            // A barrier ends the phase at a rebuild boundary, so a restore
+            // from it rebuilds computes the phase-start loads do not index.
+            let template = ckpt::Snapshot { loads: Vec::new(), ..self.snapshot() };
             let obj = CkptChare::new(
                 self.shared.clone(),
                 entries,
@@ -910,22 +962,25 @@ impl Engine {
     /// Build the LB problem from a phase's measurements. Returns the problem
     /// and the mapping from problem compute index to engine compute index.
     pub fn lb_problem(&self, measured: &PhaseResult) -> (lb::LbProblem, Vec<usize>) {
+        self.lb_problem_on(&measured.compute_loads, &measured.background)
+    }
+
+    /// [`Engine::lb_problem`] on per-compute `loads` (indexed like
+    /// `decomp.computes`) and per-PE `background` loads.
+    fn lb_problem_on(&self, loads: &[f64], background: &[f64]) -> (lb::LbProblem, Vec<usize>) {
         let decomp = &self.shared.decomp;
         let mut computes = Vec::new();
         let mut map = Vec::new();
         for (j, c) in decomp.computes.iter().enumerate() {
             if c.migratable {
-                computes.push(lb::ComputeSpec {
-                    load: measured.compute_loads[j],
-                    patches: c.patches.clone(),
-                });
+                computes.push(lb::ComputeSpec { load: loads[j], patches: c.patches.clone() });
                 map.push(j);
             }
         }
         (
             lb::LbProblem {
                 n_pes: self.config.n_pes,
-                background: measured.background.clone(),
+                background: background.to_vec(),
                 patch_home: self.patch_pe.clone(),
                 computes,
             },
@@ -1061,11 +1116,7 @@ impl Engine {
 
         // Second cycle: refinement only (GreedyRefine), on re-measured loads.
         if self.config.lb == LbStrategy::GreedyRefine {
-            let (problem, map) = self.lb_problem(phases.last().unwrap());
-            let current: Vec<Pe> = map.iter().map(|&j| self.placement[j]).collect();
-            let (refined, _) = lb::refine(&problem, &current, lb::RefineParams::default());
-            self.audit_lb("refine", &problem, &map, &current, &refined);
-            migrations.push(self.apply_assignment(&map, &refined));
+            migrations.push(self.rebalance());
             phases.push(self.run_phase(steps));
         }
 
@@ -1075,7 +1126,8 @@ impl Engine {
     /// A long-horizon run reproducing §3.2's closing loop: the full initial
     /// pipeline (measure → greedy → re-measure → refine), then `cycles`
     /// further measurement phases under slow load drift, refining after each
-    /// when `refine_periodically` is set. Returns the per-cycle step times.
+    /// when `refine_periodically` is set (and the strategy is not
+    /// `LbStrategy::None`). Returns the per-cycle step times.
     pub fn run_long(&mut self, cycles: usize, refine_periodically: bool) -> Vec<f64> {
         let initial = self.run_benchmark();
         let mut times = vec![initial.final_time_per_step()];
@@ -1083,11 +1135,7 @@ impl Engine {
             self.advance_load_drift();
             let r = self.run_phase(self.config.steps_per_phase);
             if refine_periodically {
-                let (problem, map) = self.lb_problem(&r);
-                let current: Vec<Pe> = map.iter().map(|&j| self.placement[j]).collect();
-                let (refined, _) = lb::refine(&problem, &current, lb::RefineParams::default());
-                self.audit_lb("refine", &problem, &map, &current, &refined);
-                self.apply_assignment(&map, &refined);
+                self.rebalance();
                 // The refined placement's steady-state time.
                 let r2 = self.run_phase(self.config.steps_per_phase);
                 times.push(r2.time_per_step);
@@ -1278,6 +1326,44 @@ mod tests {
         for i in (0..sys.n_atoms()).step_by(97) {
             let d = (sys.positions[i] - seq.positions[i]).norm();
             assert!(d < 1e-6, "atom {i} diverged by {d}");
+        }
+    }
+
+    #[test]
+    fn loads_follow_their_computes_through_a_migration_and_a_restore() {
+        let sys = small_system();
+        let cfg = SimConfig::builder(2, presets::ideal())
+            .force_mode(ForceMode::Real)
+            .build()
+            .unwrap();
+        let mut eng = Engine::new(sys.clone(), cfg.clone());
+        let r = eng.run_phase(2);
+        // Crowd patch 0 so its computes split into more pieces and every
+        // later compute index shifts at the migration.
+        {
+            let centre = eng.decomp().grid.center(0);
+            let mut sys = eng.system_mut();
+            for (k, p) in sys.positions.iter_mut().take(80).enumerate() {
+                *p = centre + Vec3::new(0.05 * k as f64 - 2.0, 0.5, -0.5);
+            }
+        }
+        let before = eng.decomp().computes.clone();
+        eng.migrate_atoms();
+        let pred = decomp::predecessors(&before, &eng.decomp().computes);
+        assert!(pred.iter().enumerate().any(|(j, &p)| p != Some(j)), "no index shifted");
+        let expected: Vec<f64> =
+            pred.iter().map(|p| p.map_or(0.0, |i| r.compute_loads[i])).collect();
+        let snap = eng.snapshot();
+        assert_eq!(snap.loads, expected, "the boundary snapshot's loads are not carried");
+
+        let mut restored = Engine::new(sys, cfg);
+        restored.restore(&snap).unwrap();
+        let computes = &restored.decomp().computes;
+        assert_eq!(computes.len(), expected.len());
+        let (problem, map) = restored.lb_problem_on(&restored.last_loads, &restored.last_background);
+        for (k, &j) in map.iter().enumerate() {
+            assert_eq!(problem.computes[k].patches, computes[j].patches);
+            assert_eq!(problem.computes[k].load, expected[j], "compute {j}");
         }
     }
 

@@ -86,38 +86,81 @@ fn take_acc(d: &mut Dec, label: &'static str) -> Result<StepAcc, WireError> {
     })
 }
 
-/// A block of per-atom forces computed by a compute object (or combined by a
-/// proxy patch) for one home patch, tagged with the sender's object id so
-/// the receiver can fold contributions in a deterministic order.
+/// One compute's contribution to one home patch: a force per atom of the
+/// patch and the energies riding with it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ForcePart {
+    /// The fold key: the contributing compute's index in
+    /// `decomp.computes` ([`RECIPROCAL`] for a PME slab's energy). An
+    /// `ObjId` would not do — object numbering shifts with the proxy count.
+    pub compute: u32,
+    /// One force vector per atom of the destination patch; empty when the
+    /// part carries only energy (a PME slab's reciprocal sum).
+    pub block: Vec<Vec3>,
+    /// The energies the compute evaluated this step: a compute attaches its
+    /// record to its first patch's part and zeros to the rest.
+    pub energy: StepAcc,
+}
+
+/// The fold key of the reciprocal-space energy: it folds after every
+/// compute's part, as it does on one PE.
+pub const RECIPROCAL: u32 = u32::MAX;
+
+/// What travels on a force message to a home patch: the parts of the
+/// computes it carries — one from a compute sent straight home, every local
+/// compute's from a proxy, which forwards them as they came, adding
+/// nothing. The home patch folds all of a step's parts in `compute` order,
+/// which is the order one PE folds them in, so the force sums — and the
+/// trajectory — do not depend on where the computes ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForceMsg {
-    /// Sending object's raw id (`ObjId.0`), used for deterministic folding.
-    pub from: u32,
-    /// One force vector per atom of the destination patch; empty when the
-    /// message carries only energy (a PME slab's reciprocal sum).
-    pub block: Vec<Vec3>,
-    /// The energies the sender evaluated this step, riding to the home
-    /// patch: a compute attaches its record to its first block and zeros to
-    /// the rest, a proxy forwards the sum of what it combined.
-    pub energy: StepAcc,
+    pub parts: Vec<ForcePart>,
 }
 
 impl WireCodec for ForceMsg {
     fn pack(&self) -> Payload {
-        let mut e = Enc::with_capacity(4 + 8 + 24 * self.block.len() + 72);
-        e.u32(self.from);
-        put_vecs(&mut e, &self.block);
-        put_acc(&mut e, &self.energy);
+        let bytes = self.parts.iter().map(|p| 4 + 8 + 24 * p.block.len() + 72).sum::<usize>();
+        let mut e = Enc::with_capacity(8 + bytes);
+        e.u64(self.parts.len() as u64);
+        for p in &self.parts {
+            e.u32(p.compute);
+            put_vecs(&mut e, &p.block);
+            put_acc(&mut e, &p.energy);
+        }
         e.into_bytes()
     }
 
     fn unpack(bytes: &[u8]) -> Result<Self, WireError> {
         let mut d = Dec::new(bytes);
-        let from = d.u32("ForceMsg.from")?;
-        let block = take_vecs(&mut d, "ForceMsg.block")?;
-        let energy = take_acc(&mut d, "ForceMsg.energy")?;
+        let n = d.u64("ForceMsg.len")? as usize;
+        let mut parts = Vec::with_capacity(n.min(1 << 10));
+        for _ in 0..n {
+            parts.push(ForcePart {
+                compute: d.u32("ForceMsg.compute")?,
+                block: take_vecs(&mut d, "ForceMsg.block")?,
+                energy: take_acc(&mut d, "ForceMsg.energy")?,
+            });
+        }
         finish(&d, "ForceMsg")?;
-        Ok(ForceMsg { from, block, energy })
+        Ok(ForceMsg { parts })
+    }
+}
+
+impl ForceMsg {
+    /// One packed message carrying every part of the packed messages
+    /// `msgs`, in order — what unpacking them, concatenating their parts and
+    /// packing again gives, without decoding a block.
+    pub fn concat(msgs: &[Payload]) -> Result<Payload, WireError> {
+        let mut n = 0u64;
+        for m in msgs {
+            n += Dec::new(m).u64("ForceMsg.len")?;
+        }
+        let mut e = Enc::with_capacity(8 + msgs.iter().map(|m| m.len() - 8).sum::<usize>());
+        e.u64(n);
+        for m in msgs {
+            e.0.extend_from_slice(&m[8..]);
+        }
+        Ok(e.into_bytes())
     }
 }
 
@@ -284,10 +327,30 @@ mod tests {
     #[test]
     fn force_msg_round_trips_bit_exactly() {
         let energy = StepAcc { e_lj: -1.5, pairs: 9, ..Default::default() };
-        let m = ForceMsg { from: 17, block: vecs(3, 5), energy };
+        let m = ForceMsg {
+            parts: vec![
+                ForcePart { compute: 17, block: vecs(3, 5), energy },
+                ForcePart { compute: RECIPROCAL, block: Vec::new(), energy: StepAcc::default() },
+            ],
+        };
         let bytes = m.pack();
         assert!(!bytes.is_empty());
         assert_eq!(ForceMsg::unpack(&bytes).unwrap(), m);
+    }
+
+    #[test]
+    fn concat_is_the_concatenation_of_the_parts() {
+        let part = |compute, seed| ForcePart {
+            compute,
+            block: vecs(seed, 3),
+            energy: StepAcc { e_bond: seed as f64, ..Default::default() },
+        };
+        let a = ForceMsg { parts: vec![part(4, 1)] };
+        let b = ForceMsg { parts: vec![part(9, 2), part(2, 3)] };
+        let joined = ForceMsg::concat(&[a.pack(), b.pack()]).unwrap();
+        let all = ForceMsg { parts: vec![part(4, 1), part(9, 2), part(2, 3)] };
+        assert_eq!(joined, all.pack());
+        assert!(ForceMsg::concat(&[vec![1, 2]]).is_err());
     }
 
     #[test]
@@ -335,8 +398,8 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes =
-            ForceMsg { from: 1, block: vecs(0, 2), energy: StepAcc::default() }.pack();
+        let part = ForcePart { compute: 1, block: vecs(0, 2), energy: StepAcc::default() };
+        let mut bytes = ForceMsg { parts: vec![part] }.pack();
         bytes.push(0);
         assert!(ForceMsg::unpack(&bytes).is_err());
         let mut bytes = CkptMsg { patch: 0, positions: vec![], velocities: vec![] }.pack();

@@ -25,8 +25,8 @@
 //!
 //! `Engine::migrate_atoms` changes patch membership, so it resets the cache
 //! via [`PairlistCache::recycled`] — entries are cleared but their heap
-//! buffers (candidate lists, reference positions) follow their patch pair
-//! to its compute in the new decomposition, so steady-state migration does
+//! buffers (candidate lists, reference positions) follow their compute to
+//! its successor in the new decomposition, so steady-state migration does
 //! not re-grow the big allocations from zero.
 //!
 //! Locking: entries live in [`PairlistCache`] inside `Shared`, one mutex per
@@ -44,7 +44,6 @@ use mdcore::nonbonded::{
     nb_pair_listed, nb_self_listed, pair_candidates_into, self_candidates_into, NbResult,
 };
 use mdcore::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Pair-list cache state for one non-bonded compute object.
@@ -218,19 +217,6 @@ impl ComputeCacheEntry {
     }
 }
 
-/// What a compute is called across a migration, which renumbers computes:
-/// its kind, which names its patches, and its ordinal among the computes of
-/// that kind — the piece number of a grainsize-split compute.
-fn identity(computes: &[ComputeSpec]) -> impl Iterator<Item = (ComputeKind, usize)> + '_ {
-    let mut pieces: BTreeMap<ComputeKind, usize> = BTreeMap::new();
-    computes.iter().map(move |c| {
-        let next = pieces.entry(c.kind).or_insert(0);
-        let piece = *next;
-        *next += 1;
-        (c.kind, piece)
-    })
-}
-
 /// One mutex-guarded cache entry per compute object, indexed by the
 /// compute's position in `Decomposition::computes`.
 pub struct PairlistCache {
@@ -247,10 +233,11 @@ impl PairlistCache {
 
     /// Cache for a new compute decomposition, recycling the old cache's
     /// entry buffers: each new compute takes over the allocations (cleared,
-    /// counters reset) of the old compute with the same [`identity`] — the
-    /// same piece of the same patch or patch pair — instead of growing its
-    /// candidate vectors from zero again. Old entries nothing claims
-    /// are dropped; computes with no predecessor start empty.
+    /// counters reset) of its predecessor (`predecessors[j]`, from
+    /// [`crate::decomp::predecessors`]) — the same piece of the same patch
+    /// or patch pair — instead of growing its candidate vectors from zero
+    /// again. Old entries nothing claims are dropped; computes with no
+    /// predecessor start empty.
     ///
     /// A compute after a migration is, give or take a few atoms, the compute
     /// of the same patches before it, with a list of about the same length.
@@ -261,22 +248,20 @@ impl PairlistCache {
     /// by index holds there, but on the large deck a grainsize split comes
     /// or goes at most migrations (1454 → 1460 → 1459 → … computes), every
     /// later index shifts, and the lists crept ~15 MB per migration.
-    pub fn recycled(
-        old: PairlistCache,
-        old_computes: &[ComputeSpec],
-        computes: &[ComputeSpec],
-    ) -> Self {
-        assert_eq!(old.entries.len(), old_computes.len(), "one cache entry per compute");
-        let mut pool: BTreeMap<_, _> = identity(old_computes)
-            .zip(old.entries)
-            .map(|(id, m)| {
+    pub fn recycled(old: PairlistCache, predecessors: &[Option<usize>]) -> Self {
+        let mut pool: Vec<Option<ComputeCacheEntry>> = old
+            .entries
+            .into_iter()
+            .map(|m| {
                 let mut e = m.into_inner().expect("cache entry poisoned");
                 e.reset_for_reuse();
-                (id, e)
+                Some(e)
             })
             .collect();
-        let entries =
-            identity(computes).map(|id| Mutex::new(pool.remove(&id).unwrap_or_default())).collect();
+        let entries = predecessors
+            .iter()
+            .map(|p| Mutex::new(p.and_then(|i| pool[i].take()).unwrap_or_default()))
+            .collect();
         PairlistCache { entries }
     }
 
@@ -379,7 +364,10 @@ mod tests {
         for (j, cap) in [(0, 10), (1, 1000), (2, 100)] {
             old.entry(j).lock().unwrap().list.reserve_exact(cap);
         }
-        let same = PairlistCache::recycled(old, &before, &before);
+        let recycled = |old, from: &[ComputeSpec], to: &[ComputeSpec]| {
+            PairlistCache::recycled(old, &crate::decomp::predecessors(from, to))
+        };
+        let same = recycled(old, &before, &before);
         assert_eq!(caps(&same), [10, 1000, 100, 0]);
 
         // A third piece of self(0) and a new pair compute arrive in the
@@ -392,14 +380,14 @@ mod tests {
             pair01.clone(),
             bonded0.clone(),
         ];
-        let cache = PairlistCache::recycled(same, &before, &grown);
+        let cache = recycled(same, &before, &grown);
         assert_eq!(caps(&cache), [10, 1000, 0, 0, 100, 0]);
         cache.entry(3).lock().unwrap().list.reserve_exact(50);
 
         // The first self piece's twin goes and pair(0,2) moves to the end:
         // piece 1's buffer is dropped with it, the rest follow their pairs.
         let shrunk = [self0.clone(), pair01.clone(), bonded0.clone(), pair02.clone()];
-        let cache = PairlistCache::recycled(cache, &grown, &shrunk);
+        let cache = recycled(cache, &grown, &shrunk);
         assert_eq!(caps(&cache), [10, 100, 0, 50]);
     }
 }

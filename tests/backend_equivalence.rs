@@ -6,8 +6,9 @@
 //! * the DES and threads backends build identical compute-object sets and
 //!   each yields a valid greedy load-balancing assignment from its own
 //!   (modeled vs measured) loads;
-//! * on the threads backend, one measure → greedy cycle repairs a
-//!   deliberately imbalanced placement using *measured wall-clock* loads.
+//! * on the threads backend, the balancer `advance` runs at migration
+//!   boundaries repairs a deliberately imbalanced placement using *measured
+//!   wall-clock* loads, without moving a bit of the trajectory.
 
 use namd_repro::charmrt::WireCodec;
 use namd_repro::lb;
@@ -17,6 +18,7 @@ use namd_repro::molgen;
 use namd_repro::namd_core::messages::EnergiesMsg;
 use namd_repro::namd_core::parallel::ParallelSim;
 use namd_repro::namd_core::prelude::*;
+use namd_repro::namd_core::recovery::{advance, Advanced};
 
 /// A small apoa1-like membrane+protein system with protein restraints,
 /// evolved a few steps so the restraints are strained (at the build
@@ -175,9 +177,9 @@ fn des_and_threads_build_identical_compute_sets_and_valid_assignments() {
 
 #[test]
 fn per_step_energies_are_bit_identical_across_backends() {
-    // Energies ride the force messages and fold in sender order, so at equal
-    // PE count every backend must report the same bits — packed, a record is
-    // its fields' bit patterns.
+    // Energies ride the force messages and fold in compute order, so every
+    // backend must report the same bits — packed, a record is its fields'
+    // bit patterns.
     let sys = restrained_apoa1_small();
     let energies_on = |backend| {
         let r = Engine::new(sys.clone(), real_mode_config(2, backend)).run_phase(4);
@@ -212,30 +214,60 @@ fn bits_crc(vectors: &[&[Vec3]], scalars: &[f64]) -> u64 {
     namd_repro::ckpt::crc64(&bytes)
 }
 
+/// Chain `advance` to global step `target` the way `ParallelSim::run` does,
+/// rebuilding — and so rebalancing — every `migrate_every` steps; returns
+/// the phases.
+fn advance_to(engine: &mut Engine, target: usize, migrate_every: usize) -> Vec<PhaseResult> {
+    let mut phases = Vec::new();
+    while engine.steps_done < target {
+        match advance(engine, target, migrate_every, None, false).expect("no fault plan") {
+            Advanced::Phase { phase, .. } => phases.push(phase),
+            Advanced::RolledBack { crash, .. } => panic!("unexpected crash: {crash}"),
+        }
+    }
+    phases
+}
+
+fn state_crc(engine: &Engine) -> u64 {
+    let sys = engine.system();
+    bits_crc(&[&sys.positions, &sys.velocities], &[])
+}
+
 #[test]
 fn forces_and_trajectory_bits_match_the_divide_and_round_minimum_image() {
     // The minimum-image fast path and the binned candidate builders claim to
     // change no bit of any output. These constants were produced by the
     // commit before them (`c − L·round(c/L)` on every distance test, the
-    // plain double loop behind every list): per PE count, the CRC of one
-    // full force evaluation (force bits, then e_lj and e_elec) and the CRC
-    // of positions ++ velocities after one 20-step run.
-    let witness = |pes: usize| {
-        let mut par = ParallelSim::new(restrained_apoa1_small(), pes, 1.0).unwrap();
-        let acc = par.compute_forces();
-        let eval = bits_crc(&[&par.forces()], &[acc.e_lj, acc.e_elec]);
-        par.run(20);
-        let sys = par.system();
-        (eval, bits_crc(&[&sys.positions, &sys.velocities], &[]))
+    // plain double loop behind every list): the CRC of one full force
+    // evaluation (force bits, then e_lj and e_elec) and the CRC of
+    // positions ++ velocities after one 20-step run. A home patch folds its
+    // computes' force parts in compute order wherever they ran, so every PE
+    // count, backend and placement — here a scrambled one, which a
+    // timing-driven balancer could produce — lands on the 1-PE bits.
+    let witness = |backend, pes: usize, scramble: bool| {
+        let mut engine = Engine::new(restrained_apoa1_small(), real_mode_config(pes, backend));
+        if scramble {
+            for (j, pe) in engine.placement.iter_mut().enumerate() {
+                *pe = (j * 7919 + 3) % pes;
+            }
+        }
+        let acc = engine.run_phase(1).energies[0];
+        let eval = bits_crc(&[&engine.forces()], &[acc.e_lj, acc.e_elec]);
+        advance_to(&mut engine, 20, 20);
+        (eval, state_crc(&engine))
     };
-    assert_eq!(witness(1), (7831861008729912519, 2831989246207168576), "1 PE");
-    assert_eq!(witness(2), (7561040852872466812, 17388239924520338682), "2 PEs");
+    let one_pe = (7831861008729912519, 2831989246207168576);
+    assert_eq!(witness(Backend::Threads, 1, false), one_pe, "1 PE");
+    assert_eq!(witness(Backend::Threads, 2, false), one_pe, "2 PEs");
+    assert_eq!(witness(Backend::Des, 3, true), one_pe, "DES, 3 PEs, scrambled");
+    assert_eq!(witness(Backend::Proc, 2, true), one_pe, "proc, 2 PEs, scrambled");
 }
 
 #[test]
 fn measured_loads_repair_an_imbalanced_placement_on_threads() {
+    const EVERY: usize = 3;
     let sys = restrained_apoa1_small();
-    let mut engine = Engine::new(sys, real_mode_config(2, Backend::Threads));
+    let mut engine = Engine::new(sys.clone(), real_mode_config(2, Backend::Threads));
 
     // Deliberately pile every migratable compute onto PE 0.
     let migratable: Vec<usize> = engine
@@ -248,29 +280,26 @@ fn measured_loads_repair_an_imbalanced_placement_on_threads() {
     for &j in &migratable {
         engine.placement[j] = 0;
     }
-    let placement = engine.placement.clone();
-    let imbalanced = engine.run_phase(3);
+    let piled = engine.placement.clone();
+
+    // Three phases, two migration boundaries: the balancer runs inside
+    // `advance`, on the wall-clock loads each phase measured.
+    let phases = advance_to(&mut engine, 3 * EVERY, EVERY);
+    assert_eq!(phases.len(), 3);
+    assert_ne!(piled, engine.placement, "the balancer should move computes off PE 0");
+    assert!(
+        migratable.iter().any(|&j| engine.placement[j] == 1),
+        "no migratable compute left PE 0"
+    );
 
     let imbalance = |stats: &namd_repro::charmrt::SummaryStats| {
         let max = stats.pe_busy.iter().cloned().fold(0.0f64, f64::max);
         let avg = stats.pe_busy.iter().sum::<f64>() / stats.pe_busy.len() as f64;
         max / avg.max(1e-12)
     };
-    let before = imbalance(&imbalanced.stats);
-
-    // One measure → greedy cycle on the wall-clock loads.
-    let (problem, map) = engine.lb_problem(&imbalanced);
-    let assignment = lb::greedy(&problem, lb::GreedyParams::default());
-    let moved = engine.apply_assignment(&map, &assignment);
-    assert!(moved > 0, "greedy should move computes off the overloaded PE");
-    assert_ne!(placement, engine.placement);
-
-    let balanced = engine.run_phase(3);
-    let after = imbalance(&balanced.stats);
-    assert!(
-        after < before,
-        "measured imbalance should drop: {before:.3} -> {after:.3}"
-    );
+    let before = imbalance(&phases[0].stats);
+    let after = imbalance(&phases[2].stats);
+    assert!(after < before, "measured imbalance should drop: {before:.3} -> {after:.3}");
 
     // With real parallel hardware the balanced placement is also faster in
     // wall-clock terms; on a single-core runner the two placements tie, so
@@ -278,10 +307,15 @@ fn measured_loads_repair_an_imbalanced_placement_on_threads() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     if cores >= 2 {
         assert!(
-            balanced.time_per_step < imbalanced.time_per_step,
+            phases[2].time_per_step < phases[0].time_per_step,
             "balanced step time {:.6}s should beat imbalanced {:.6}s",
-            balanced.time_per_step,
-            imbalanced.time_per_step
+            phases[2].time_per_step,
+            phases[0].time_per_step
         );
     }
+
+    // Moving computes moved no bit.
+    let mut one_pe = Engine::new(sys, real_mode_config(1, Backend::Threads));
+    advance_to(&mut one_pe, 3 * EVERY, EVERY);
+    assert_eq!(state_crc(&engine), state_crc(&one_pe), "rebalanced state differs from 1 PE");
 }

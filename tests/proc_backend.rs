@@ -5,7 +5,7 @@
 //! * apoa1-small runs to completion on real processes, with forces,
 //!   velocities, and energies harvested back into the parent;
 //! * the DES, threads, and proc backends produce bit-identical
-//!   trajectories from the same seed — the deterministic ascending-sender
+//!   trajectories from the same seed — the deterministic compute-order
 //!   force fold makes the trajectory independent of which substrate
 //!   scheduled the messages;
 //! * a SIGKILLed worker process surfaces as a phase crash, and

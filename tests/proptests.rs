@@ -392,7 +392,7 @@ mod wire_roundtrips {
     use namd_repro::charmrt::wire::{encode_frame, read_frame};
     use namd_repro::charmrt::{EntryId, ObjId, WireCodec, WireMsg};
     use namd_repro::namd_core::messages::{
-        CkptMsg, CoordMsg, EnergiesMsg, ForceMsg, PatchStateMsg,
+        CkptMsg, CoordMsg, EnergiesMsg, ForceMsg, ForcePart, PatchStateMsg,
     };
     use namd_repro::namd_core::state::StepAcc;
 
@@ -434,11 +434,16 @@ mod wire_roundtrips {
 
         #[test]
         fn force_msg_roundtrip(
-            from in 0u32..=u32::MAX,
-            block in arb_vecs(24),
-            energy in arb_step_acc(),
+            parts in proptest::collection::vec(
+                (0u32..=u32::MAX, arb_vecs(24), arb_step_acc()),
+                0..4,
+            ),
         ) {
-            let m = ForceMsg { from, block, energy };
+            let parts = parts
+                .into_iter()
+                .map(|(compute, block, energy)| ForcePart { compute, block, energy })
+                .collect();
+            let m = ForceMsg { parts };
             let bytes = m.pack();
             prop_assert!(!bytes.is_empty(), "packed messages are never empty");
             prop_assert_eq!(ForceMsg::unpack(&bytes).unwrap(), m);

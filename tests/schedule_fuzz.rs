@@ -205,7 +205,7 @@ fn different_seeds_change_the_interleaving() {
 
 #[test]
 fn energies_are_bit_identical_across_schedule_seeds_on_threads() {
-    // Energies ride the force messages and fold in sender order, so — like
+    // Energies ride the force messages and fold in compute order, so — like
     // the trajectory — they must not notice how the worker threads and a
     // shuffled dequeue order interleave the computes.
     // Packed, a record is its fields' bit patterns: equal bytes, equal bits.
