@@ -53,8 +53,8 @@ pub struct Snapshot {
     pub cutoff: f64,
     /// Timestep, fs.
     pub dt_fs: f64,
-    /// PE count the run was using (informational; restores onto a different
-    /// PE count are refused since placement would differ).
+    /// PE count the run was using (informational: a snapshot restores onto
+    /// any PE count, since placement changes no bit of the trajectory).
     pub n_pes: u64,
     /// Box edge lengths, Å.
     pub box_lengths: [f64; 3],
@@ -70,8 +70,8 @@ pub struct Snapshot {
     pub loads: Vec<f64>,
     /// Measured per-PE background loads from the last LB harvest.
     pub background: Vec<f64>,
-    /// Opaque caller payload (the CLI stashes thermostat kind/params/seed
-    /// here so a restart refuses a changed thermostat).
+    /// Opaque caller payload (the CLI stores its energy baseline, frame
+    /// high-water mark and migration cadence here).
     pub extra: Vec<u8>,
 }
 
@@ -384,7 +384,6 @@ impl Snapshot {
         topo_hash: u64,
         cutoff: f64,
         dt_fs: f64,
-        n_pes: usize,
         box_lengths: [f64; 3],
     ) -> Result<(), CkptError> {
         if self.topo_hash != topo_hash {
@@ -403,12 +402,6 @@ impl Snapshot {
         };
         field("cutoff", self.cutoff, cutoff)?;
         field("timestep (fs)", self.dt_fs, dt_fs)?;
-        if self.n_pes != n_pes as u64 {
-            return Err(CkptError::ConfigMismatch(format!(
-                "PE count: snapshot has {}, run has {n_pes} (placement would differ)",
-                self.n_pes
-            )));
-        }
         for (axis, (s, c)) in ["x", "y", "z"]
             .iter()
             .zip(self.box_lengths.iter().zip(box_lengths.iter()))
@@ -437,7 +430,7 @@ mod tests {
             drift: vec![1.0, 1.01, 0.99],
             loads: vec![0.5, 0.25],
             background: vec![0.0, 0.125],
-            extra: b"thermostat=berendsen".to_vec(),
+            extra: b"caller payload".to_vec(),
         }
     }
 
@@ -494,19 +487,12 @@ mod tests {
     #[test]
     fn compatibility_mismatches_are_descriptive() {
         let s = sample();
-        let err = s
-            .check_compatible(1, s.cutoff, s.dt_fs, s.n_pes as usize, s.box_lengths)
-            .unwrap_err();
+        let err = s.check_compatible(1, s.cutoff, s.dt_fs, s.box_lengths).unwrap_err();
         assert!(matches!(err, CkptError::TopologyMismatch { .. }));
-        let err = s
-            .check_compatible(s.topo_hash, 12.0, s.dt_fs, s.n_pes as usize, s.box_lengths)
-            .unwrap_err();
+        let err = s.check_compatible(s.topo_hash, 12.0, s.dt_fs, s.box_lengths).unwrap_err();
         assert!(err.to_string().contains("cutoff"), "{err}");
-        let err = s
-            .check_compatible(s.topo_hash, s.cutoff, s.dt_fs, 8, s.box_lengths)
-            .unwrap_err();
-        assert!(err.to_string().contains("PE count"), "{err}");
-        s.check_compatible(s.topo_hash, s.cutoff, s.dt_fs, s.n_pes as usize, s.box_lengths)
-            .unwrap();
+        let err = s.check_compatible(s.topo_hash, s.cutoff, 0.5, s.box_lengths).unwrap_err();
+        assert!(err.to_string().contains("timestep"), "{err}");
+        s.check_compatible(s.topo_hash, s.cutoff, s.dt_fs, s.box_lengths).unwrap();
     }
 }

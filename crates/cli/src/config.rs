@@ -17,9 +17,6 @@
 //! threads       4
 //! outputName    run1
 //! trajectoryEvery 10
-//! pme           on
-//! pmeSpacing    1.2
-//! mtsFrequency  4
 //! seed          42
 //! ```
 //!
@@ -28,7 +25,7 @@
 //! de-configure a simulation).
 
 use mdcore::prelude::System;
-use namd_core::prelude::{Backend, ForceMode, SimConfig};
+use namd_core::prelude::{Backend, ForceMode, SimConfig, Thermostat};
 use std::collections::BTreeMap;
 
 /// Which molecular system to build.
@@ -74,24 +71,22 @@ pub struct RunConfig {
     pub thermostat: ThermostatKind,
     pub langevin_gamma: f64,
     pub berendsen_tau: f64,
-    /// Worker threads (1 = sequential path).
+    /// PEs the engine runs on; every count gives the same trajectory
+    /// (`pme on` runs the sequential MTS driver and needs 1).
     pub threads: usize,
-    /// Runtime backend for the parallel driver: `threads` (one OS thread
-    /// per PE, the default), `proc` (one OS *process* per PE, exchanging
-    /// packed wire messages over Unix sockets), or `des` (deterministic
-    /// virtual-time execution). Any value other than `threads` forces the
-    /// parallel driver even with `threads 1`.
+    /// Runtime backend the engine runs on: `threads` (one OS thread per
+    /// PE, the default), `proc` (one OS *process* per PE, exchanging packed
+    /// wire messages over Unix sockets), or `des` (deterministic
+    /// virtual-time execution). All three give the same bits.
     pub backend: Backend,
-    /// Worker-process count for `backend proc` (0 = one per PE).
-    pub procs: usize,
     /// Directory for the proc backend's Unix socket mesh (empty = a fresh
     /// directory under the system temp dir).
     pub socket_dir: String,
     /// Pair-list margin beyond the cutoff, Å: non-bonded pair lists are
     /// built at `cutoff + margin` and reused until an atom has moved half
     /// the margin (NAMD's `pairlistdist` reuse); 0 rebuilds every step.
-    /// Applies to the sequential velocity-Verlet and parallel drivers; the
-    /// Langevin and PME drivers rebuild their neighbour list every step.
+    /// Every margin gives the same bits. The PME driver rebuilds its
+    /// neighbour list every step.
     pub pairlist_margin: f64,
     /// Basename for outputs (`<name>.xyz`, `<name>.energies`); empty = none.
     pub output_name: String,
@@ -109,8 +104,6 @@ pub struct RunConfig {
     pub minimize: usize,
     pub seed: u64,
     /// Directory for periodic checkpoints (empty = checkpointing off).
-    /// Checkpointing (and restart) runs on the parallel threads driver,
-    /// even with `threads 1`.
     pub checkpoint_dir: String,
     /// Steps between checkpoints (active only with `checkpointDir`).
     pub checkpoint_interval: usize,
@@ -130,12 +123,13 @@ pub struct RunConfig {
     /// Message dequeue-order policy: fifo | shuffle | lifo | jitter.
     pub schedule: String,
     pub schedule_seed: u64,
-    /// Directory for profiling output (empty = profiling off). Runs on the
-    /// parallel threads driver; writes Chrome-trace JSON files loadable in
-    /// Perfetto plus `phases.jsonl` / `lb_audit.jsonl` summaries.
+    /// Directory for profiling output (empty = profiling off): Chrome-trace
+    /// JSON files loadable in Perfetto plus `phases.jsonl` /
+    /// `lb_audit.jsonl` summaries.
     pub profile_dir: String,
-    /// Phases (steps) between full trace captures; summary lines are
-    /// written every phase regardless.
+    /// Engine phases between full trace captures; summary lines are
+    /// written every phase regardless. A phase runs up to the next
+    /// trajectory frame, migration boundary or the run's end.
     pub profile_interval: usize,
 }
 
@@ -155,7 +149,6 @@ impl Default for RunConfig {
             berendsen_tau: 100.0,
             threads: 1,
             backend: Backend::Threads,
-            procs: 0,
             socket_dir: String::new(),
             pairlist_margin: 2.5,
             output_name: String::new(),
@@ -182,20 +175,31 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// The engine configuration the parallel driver runs under — the twin
-    /// of `serve::JobSpec::engine_config`: every engine key goes through
+    /// The engine configuration a cutoff run runs under — the twin of
+    /// `serve::JobSpec::engine_config`: every engine key goes through
     /// [`SimConfig::builder`], so [`SimConfig::validate`] is the one check
-    /// of threads, timestep, backend, procs, pair-list margin, fault plan,
-    /// schedule, checkpointing and the recovery policy.
+    /// of threads, timestep, backend, pair-list margin, thermostat, fault
+    /// plan, schedule, checkpointing and the recovery policy.
     pub fn engine_config(&self) -> Result<SimConfig, String> {
         let schedule = charmrt::SchedulePolicy::parse(&self.schedule, self.schedule_seed)
             .map_err(|e| format!("schedule: {e}"))?;
+        let thermostat = match self.thermostat {
+            ThermostatKind::None => Thermostat::None,
+            ThermostatKind::Berendsen => {
+                Thermostat::Berendsen { target_k: self.temperature, tau_fs: self.berendsen_tau }
+            }
+            ThermostatKind::Langevin => Thermostat::Langevin {
+                target_k: self.temperature,
+                gamma: self.langevin_gamma,
+                seed: self.seed,
+            },
+        };
         let mut b = SimConfig::builder(self.threads, machine::presets::generic_cluster())
             .force_mode(ForceMode::Real)
             .backend(self.backend)
             .dt_fs(self.timestep)
             .pairlist(self.pairlist_margin)
-            .procs(self.procs)
+            .thermostat(thermostat)
             .schedule(schedule)
             .recovery(self.max_recoveries, self.recovery_backoff_ms);
         if !self.socket_dir.is_empty() {
@@ -232,32 +236,6 @@ impl RunConfig {
             self.restrain_protein,
         )
         .expect("config parsing accepts known system names only")
-    }
-
-    /// The key that makes `runner::run` step this configuration on the
-    /// message-driven parallel driver ([`RunConfig::engine_config`] on
-    /// `Engine`) rather than a sequential one, if any. Checkpointing and
-    /// restart are barriers of its message protocol and the `des`/`proc`
-    /// backends are its runtimes, so each selects it even with `threads 1`.
-    /// `validate` and `run` both ask here, so what is validated is what
-    /// runs.
-    pub fn parallel_driver_key(&self) -> Option<&'static str> {
-        if self.threads > 1 {
-            Some("threads > 1")
-        } else if !self.checkpoint_dir.is_empty() {
-            Some("checkpointDir")
-        } else if !self.restart_from.is_empty() {
-            Some("restartFrom")
-        } else if self.backend != Backend::Threads {
-            Some("backend des/proc")
-        } else {
-            None
-        }
-    }
-
-    /// Whether `runner::run` steps this configuration on the parallel driver.
-    pub fn uses_parallel_driver(&self) -> bool {
-        self.parallel_driver_key().is_some()
     }
 }
 
@@ -333,7 +311,6 @@ pub fn parse(text: &str) -> Result<RunConfig, String> {
             "berendsentau" => cfg.berendsen_tau = parse_f64(&value)?,
             "threads" => cfg.threads = parse_usize(&value)?,
             "backend" => cfg.backend = value.parse().map_err(|e: String| err(&e))?,
-            "procs" => cfg.procs = parse_usize(&value)?,
             "socketdir" => cfg.socket_dir = value,
             "pairlistmargin" => cfg.pairlist_margin = parse_f64(&value)?,
             "outputname" => cfg.output_name = value,
@@ -367,7 +344,6 @@ pub fn parse(text: &str) -> Result<RunConfig, String> {
 /// re-run it. The engine keys are checked once, by [`SimConfig::validate`]
 /// through [`RunConfig::engine_config`], whichever driver runs.
 pub fn validate(cfg: &RunConfig) -> Result<(), String> {
-    let engine = cfg.engine_config()?;
     if !(cfg.scale > 0.0 && cfg.scale <= 1.0) {
         return Err(format!("scale must be in (0, 1], got {}", cfg.scale));
     }
@@ -387,9 +363,7 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
             return Err(format!("{key} must be non-negative and finite, got {value}"));
         }
     }
-    if cfg.thermostat == ThermostatKind::Langevin && cfg.temperature == 0.0 {
-        return Err("temperature must be positive with thermostat langevin".into());
-    }
+    let engine = cfg.engine_config()?;
     if matches!(cfg.system, SystemKind::Zoo(_)) && cfg.restrain_protein {
         return Err(
             "restrainProtein applies to the benchmark decks (apoa1/bc1/br), \
@@ -415,19 +389,21 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
     if cfg.pme && cfg.mts_frequency > 8 {
         return Err("mtsFrequency above 8 is unstable; choose 1-8".into());
     }
-    if cfg.thermostat == ThermostatKind::Langevin && (cfg.uses_parallel_driver() || cfg.pme) {
-        return Err(
-            "thermostat langevin runs on the sequential cutoff driver only; threads > 1, \
-             backend des/proc and checkpointing/restart select the parallel driver and pme \
-             the full-electrostatics one (use berendsen or none)"
-                .into(),
-        );
-    }
-    if let (true, Some(key)) = (cfg.pme, cfg.parallel_driver_key()) {
+    let mts_refuses = [
+        (cfg.threads > 1, "threads > 1"),
+        (cfg.backend != Backend::Threads, "backend des/proc"),
+        (!cfg.checkpoint_dir.is_empty(), "checkpointDir"),
+        (!cfg.restart_from.is_empty(), "restartFrom"),
+        (engine.fault_plan.is_some(), "faultPlan"),
+        (engine.schedule.kind != charmrt::SchedulePolicyKind::Fifo, "schedule"),
+        (!cfg.profile_dir.is_empty(), "profileDir"),
+        (cfg.thermostat == ThermostatKind::Langevin, "thermostat langevin"),
+    ];
+    if let (true, Some((_, key))) = (cfg.pme, mts_refuses.iter().find(|(set, _)| *set)) {
         return Err(format!(
-            "pme runs on the sequential full-electrostatics driver, but {key} selects the \
-             parallel cutoff driver (pme needs threads 1, backend threads and no \
-             checkpointing/restart)"
+            "{key} cannot run with pme on: pme runs the MTS driver, which takes none of \
+             threads > 1, backend des/proc, checkpointDir, restartFrom, faultPlan, schedule, \
+             profileDir, thermostat langevin"
         ));
     }
     if cfg.backend != Backend::Proc && !cfg.socket_dir.is_empty() {
@@ -437,29 +413,8 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
     {
         return Err("faultPlan has kill rules but no checkpointDir to recover from".into());
     }
-    // Faults and schedule perturbations exercise the message-driven
-    // parallel driver; on the sequential drivers they would be silently
-    // ignored — reject rather than de-configure.
-    let perturbed = engine.fault_plan.is_some()
-        || engine.schedule.kind != charmrt::SchedulePolicyKind::Fifo;
-    if perturbed && !cfg.uses_parallel_driver() {
-        return Err(
-            "faultPlan/schedule apply to the parallel driver only; set threads > 1 \
-             or enable checkpointing"
-                .into(),
-        );
-    }
-    if !cfg.profile_dir.is_empty() {
-        if cfg.profile_interval == 0 {
-            return Err("profileInterval must be at least 1".into());
-        }
-        if !cfg.uses_parallel_driver() {
-            return Err(
-                "profileDir applies to the parallel driver only; set threads > 1 \
-                 or enable checkpointing"
-                    .into(),
-            );
-        }
+    if !cfg.profile_dir.is_empty() && cfg.profile_interval == 0 {
+        return Err("profileInterval must be at least 1".into());
     }
     Ok(())
 }
@@ -499,12 +454,14 @@ mod tests {
 
     #[test]
     fn unknown_key_is_an_error_with_line_number() {
-        // A typo, and the two kernel-selection keys that were removed with
-        // the cluster path: named in the error, never silently ignored.
+        // A typo, the two kernel-selection keys that were removed with the
+        // cluster path, and `procs`, which only ever restated the PE count:
+        // named in the error, never silently ignored.
         for (line, key) in [
             ("cutoof 12", "cutoof"),
             ("nbKernel listed", "nbkernel"),
             ("simdWidth x4", "simdwidth"),
+            ("procs 2", "procs"),
         ] {
             let e = parse(&format!("system water\n{line}\n")).unwrap_err();
             assert!(e.contains("line 2") && e.contains(&format!("unknown key '{key}'")), "{e}");
@@ -526,23 +483,35 @@ mod tests {
         assert!(parse("system water\nboxSize 10\ncutoff 9\n")
             .unwrap_err()
             .contains("too small"));
-        // Driver/thermostat combinations that would silently misbehave are
-        // rejected up front.
-        assert!(parse("thermostat langevin\nthreads 2\n")
-            .unwrap_err()
-            .contains("sequential"));
-        assert!(parse("thermostat langevin\ncheckpointDir ck\n").unwrap_err().contains("langevin"));
-        assert!(parse("pme on\nthreads 4\n").unwrap_err().contains("threads 1"));
-        // pme selects the full-electrostatics driver, so every key that
-        // selects the parallel one is refused with it, by name.
+        // Every cutoff run is the engine's, so Langevin, faults, schedules
+        // and profiling run at any thread count.
+        for keys in [
+            "thermostat langevin\nthreads 2\n",
+            "thermostat langevin\ncheckpointDir ck\nbackend proc\nthreads 2\n",
+            "faultPlan drop:entry=PatchRecvForces:limit=1\n",
+            "schedule shuffle\n",
+            "profileDir prof\n",
+        ] {
+            parse(keys).unwrap_or_else(|e| panic!("{keys:?}: {e}"));
+        }
+        // pme runs the MTS driver, which takes none of the engine's keys:
+        // the first one set is named.
         for (keys, named) in [
+            ("threads 4\n", "threads > 1"),
+            ("backend des\n", "backend des/proc"),
+            ("backend proc\n", "backend des/proc"),
             ("checkpointDir ck\n", "checkpointDir"),
             ("restartFrom ck\n", "restartFrom"),
-            ("backend des\n", "backend des/proc"),
+            ("faultPlan drop:entry=PatchRecvForces:limit=1\n", "faultPlan"),
+            ("schedule lifo\n", "schedule"),
+            ("profileDir prof\n", "profileDir"),
+            ("thermostat langevin\n", "thermostat langevin"),
+            ("profileDir prof\nthreads 2\n", "threads > 1"),
         ] {
             let e = parse(&format!("pme on\n{keys}")).unwrap_err();
-            assert!(e.contains("pme") && e.contains(named), "{keys:?}: {e}");
+            assert!(e.starts_with(&format!("{named} cannot run with pme on")), "{keys:?}: {e}");
         }
+        parse("pme on\nthermostat berendsen\n").unwrap();
     }
 
     #[test]
@@ -570,35 +539,21 @@ mod tests {
         let cfg = parse("threads 2\nprofileDir prof\nprofileInterval 5\n").unwrap();
         assert_eq!(cfg.profile_dir, "prof");
         assert_eq!(cfg.profile_interval, 5);
-        // Profiling instruments the parallel driver; sequential-only
-        // combinations are rejected rather than silently de-configured.
-        assert!(parse("profileDir prof\n").unwrap_err().contains("parallel"));
         assert!(parse("threads 2\nprofileDir prof\nprofileInterval 0\n")
             .unwrap_err()
             .contains("profileInterval"));
-        assert!(parse("pme on\nprofileDir prof\n").unwrap_err().contains("parallel"));
     }
 
     #[test]
     fn backend_keys_parse_and_validate() {
-        let cfg = parse("threads 3\nbackend proc\nprocs 3\nsocketDir /tmp/mesh\n").unwrap();
+        let cfg = parse("threads 3\nbackend proc\nsocketDir /tmp/mesh\n").unwrap();
         assert_eq!(cfg.backend, Backend::Proc);
-        assert_eq!(cfg.procs, 3);
         assert_eq!(cfg.socket_dir, "/tmp/mesh");
-        // `backend des` needs no extra knobs and forces the parallel driver.
+        // `backend des` needs no extra knobs.
         assert_eq!(parse("backend DES\n").unwrap().backend, Backend::Des);
         assert!(parse("backend qemu\n").unwrap_err().contains("unknown backend"));
-        assert!(parse("threads 2\nprocs 2\n")
-            .unwrap_err()
-            .contains("only meaningful with backend=proc"));
         assert!(parse("threads 2\nsocketDir /tmp/mesh\n").unwrap_err().contains("backend proc"));
-        assert!(parse("threads 4\nbackend proc\nprocs 3\n")
-            .unwrap_err()
-            .contains("equal n_pes"));
         assert!(parse("backend proc\npme on\n").unwrap_err().contains("pme"));
-        assert!(parse("backend proc\nthermostat langevin\n")
-            .unwrap_err()
-            .contains("langevin"));
         // Proc workers exchange packed messages; queue-level faults other
         // than kills cannot reach them.
         assert!(parse(
@@ -653,7 +608,8 @@ mod tests {
             ("cutoff nan\n", "cutoff"),
             ("boxSize nan\n", "boxSize"),
             ("thermostat langevin\nlangevinGamma 0\n", "langevinGamma"),
-            ("thermostat langevin\ntemperature 0\n", "temperature"),
+            ("thermostat langevin\ntemperature 0\n", "target_k"),
+            ("thermostat berendsen\ntemperature 0\n", "target_k"),
             ("pme on\npmeSpacing 0\n", "pmeSpacing"),
             ("temperature -5\n", "temperature"),
             ("temperature nan\n", "temperature"),
@@ -675,11 +631,20 @@ mod tests {
     #[test]
     fn engine_config_carries_every_engine_key() {
         type Check = fn(&SimConfig) -> bool;
-        let rows: [(&str, &str, Check); 11] = [
+        let rows: [(&str, &str, Check); 12] = [
             ("threads", "threads 3", |c| c.n_pes == 3),
             ("timestep", "timestep 0.25", |c| c.dt_fs == 0.25),
             ("backend", "backend des", |c| c.backend == Backend::Des),
-            ("procs", "threads 2\nbackend proc\nprocs 2", |c| c.procs == 2),
+            (
+                "thermostat berendsen + temperature + berendsenTau",
+                "thermostat berendsen\ntemperature 250\nberendsenTau 50",
+                |c| c.thermostat == Thermostat::Berendsen { target_k: 250.0, tau_fs: 50.0 },
+            ),
+            (
+                "thermostat langevin + temperature + langevinGamma + seed",
+                "thermostat langevin\ntemperature 250\nlangevinGamma 0.02\nseed 9",
+                |c| c.thermostat == Thermostat::Langevin { target_k: 250.0, gamma: 0.02, seed: 9 },
+            ),
             ("socketDir", "threads 2\nbackend proc\nsocketDir /tmp/mesh", |c| {
                 c.socket_dir.as_deref() == Some(std::path::Path::new("/tmp/mesh"))
             }),

@@ -2,9 +2,10 @@
 //!
 //! NAMD is driven by plain-text configuration files; this crate provides
 //! the same experience for the reproduction: [`config`] parses a NAMD-style
-//! `key value` config, [`runner`] executes it on the sequential, multicore,
-//! or full-electrostatics (PME + r-RESPA) driver, with optional thermostats
-//! and XYZ trajectory output. The `namd-rs` binary adds `run`, `info`,
+//! `key value` config, [`runner`] executes it — a cutoff run on the parallel
+//! engine at any PE count, with the thermostat inside the engine, a `pme on`
+//! run on the sequential full-electrostatics (PME + r-RESPA) driver — with
+//! XYZ trajectory output. The `namd-rs` binary adds `run`, `info`,
 //! `bench` (DES scaling sweeps), and `sample-config` subcommands, plus
 //! `serve` (the many-tenant simulation service; see the `serve` crate)
 //! and `analyze` (parallel trajectory analysis over the `analyze` crate).

@@ -5,7 +5,7 @@
 //!     --checkpoint-dir DIR         periodic checkpoints (overrides config)
 //!     --restart-from PATH          resume from a checkpoint file/directory
 //!     --profile-dir DIR            Perfetto traces + phase/LB summaries
-//!     --profile-interval N         steps between full trace captures
+//!     --profile-interval N         phases between full trace captures
 //! namd-rs info <config-file>       parse + describe a config without running
 //! namd-rs bench <system> [opts]    DES scaling benchmark (virtual PEs)
 //!     --machine asci_red|t3e|origin|cluster
@@ -64,12 +64,12 @@ timestep      1.0        # fs
 steps         100
 temperature   300
 minimize      0          # steepest-descent steps before dynamics
-thermostat    berendsen  # none | berendsen | langevin (langevin: threads 1)
+thermostat    berendsen  # none | berendsen | langevin
 berendsenTau  100
 threads       2
 pairlistMargin 2.5       # pair lists are built at cutoff + margin (Å) and
 #                        #  reused until an atom moves margin/2; 0 = rebuild
-#                        #  every step (langevin and pme always rebuild)
+#                        #  every step (pme always rebuilds)
 outputName    demo       # writes demo.xyz
 trajectoryEvery 10
 pme           off        # full electrostatics (particle-mesh Ewald)
@@ -83,10 +83,10 @@ seed          42
 #faultPlan    kill:entry=PatchRecvForces:dst=1:skip=40  # crash drill
 #maxRecoveries 3         # crash-recovery attempts before giving up
 #recoveryBackoffMs 10    # base retry backoff, doubled per attempt
-#schedule     shuffle    # fifo | shuffle | lifo | jitter (parallel driver)
+#schedule     shuffle    # fifo | shuffle | lifo | jitter (not with pme)
 #scheduleSeed 1
 #profileDir   prof       # Perfetto-loadable traces + phase/LB summaries
-#profileInterval 10      # steps between full trace captures
+#profileInterval 10      # phases between full trace captures
 ";
 
 fn load(path: &str) -> Result<namd_cli::config::RunConfig, String> {
@@ -136,7 +136,7 @@ fn cmd_run(args: &[String]) -> i32 {
             "--profile-interval" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => cfg.profile_interval = n,
                 None => {
-                    eprintln!("--profile-interval needs a step count");
+                    eprintln!("--profile-interval needs a phase count");
                     return 2;
                 }
             },

@@ -2,7 +2,6 @@
 
 use crate::config::{RunConfig, ThermostatKind};
 use mdcore::prelude::*;
-use mdcore::thermostat::{Berendsen, Langevin};
 use namd_core::prelude::{Backend, Engine, MetricsRegistry};
 use namd_core::recovery::{advance, Advanced};
 use pme::md::MtsSimulator;
@@ -90,10 +89,17 @@ pub fn build_system(cfg: &RunConfig) -> System {
     system
 }
 
+/// The Berendsen coupling a config asks for, if any.
+fn berendsen(cfg: &RunConfig) -> Option<Berendsen> {
+    (cfg.thermostat == ThermostatKind::Berendsen)
+        .then_some(Berendsen { target_k: cfg.temperature, tau_fs: cfg.berendsen_tau })
+}
+
 /// Execute the run, streaming a one-line-per-step energy log to `log`.
+/// `pme on` runs on the sequential multiple-timestep driver; every other
+/// run on `Engine` + `recovery::advance`, whatever the thread count.
 pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
     let mut system = build_system(cfg);
-    let n_atoms = system.n_atoms();
     if cfg.minimize > 0 {
         let r = mdcore::minimize::minimize(&mut system, cfg.minimize, 5.0);
         writeln!(
@@ -105,251 +111,246 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
     writeln!(
         log,
         "namd-rs: {} atoms, cutoff {} Å, dt {} fs, {} steps, {} threads{}",
-        n_atoms,
+        system.n_atoms(),
         cfg.cutoff,
         cfg.timestep,
         cfg.steps,
         cfg.threads,
         if cfg.pme { ", PME on" } else { "" }
     )?;
+    if cfg.pme {
+        run_mts(cfg, system, log)
+    } else {
+        run_engine(cfg, system, log)
+    }
+}
 
-    let berendsen = Berendsen { target_k: cfg.temperature, tau_fs: cfg.berendsen_tau };
-    let mut langevin = match cfg.thermostat {
-        ThermostatKind::Langevin => Some(Langevin::new(
-            &system,
-            cfg.temperature,
-            cfg.langevin_gamma,
-            cfg.timestep,
-            cfg.seed,
-        )),
-        _ => None,
-    };
+/// Full electrostatics on the MTS driver (k = 1 reduces to velocity
+/// Verlet), with the Berendsen rescale after each outer step.
+fn run_mts(cfg: &RunConfig, mut system: System, log: &mut dyn Write) -> std::io::Result<RunReport>
+{
+    let mut out = Output::new(cfg, &system, None, log)?;
+    let berendsen = berendsen(cfg);
+    let mut mts = MtsSimulator::new(&system, cfg.pme_spacing, cfg.timestep, cfg.mts_frequency);
+    for step in 0..cfg.steps {
+        let e = mts.outer_step(&mut system);
+        if let Some(b) = &berendsen {
+            b.apply(&mut system, cfg.timestep);
+        }
+        out.step(step, e.potential(), e.kinetic, system.temperature())?;
+        out.frame(step, &system.positions)?;
+    }
+    out.finish(cfg, system.n_atoms(), system.temperature())
+}
+
+/// A cutoff run on the engine: `advance` is asked for whole phases,
+/// stopping only where this loop needs the state — a trajectory frame and
+/// the run's end — besides the migration and checkpoint boundaries it
+/// stops at itself. The thermostat runs inside the engine.
+fn run_engine(cfg: &RunConfig, system: System, log: &mut dyn Write) -> std::io::Result<RunReport> {
+    let config = cfg
+        .engine_config()
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+    let n_atoms = system.n_atoms();
+    let mut engine = Engine::new(system, config);
+    if cfg.backend == Backend::Proc {
+        writeln!(log, "backend proc: one worker process per PE ({})", cfg.threads)?;
+    } else if cfg.backend == Backend::Des {
+        writeln!(log, "backend des: deterministic virtual-time execution")?;
+    }
+    if !cfg.profile_dir.is_empty() {
+        let reg = MetricsRegistry::with_dir(cfg.profile_dir.clone(), cfg.profile_interval)?;
+        engine.set_metrics(Some(reg));
+    }
 
     let checkpointing = !cfg.checkpoint_dir.is_empty();
-    let restarting = !cfg.restart_from.is_empty();
-    let mut e_first = f64::NAN;
-    let mut frames = 0usize;
-    let mut start_step = 0usize;
-    // The parallel driver's atom-migration cadence: with checkpoints, one
-    // that divides their interval; on a restart without, the one recorded.
+    // With checkpoints, a migration cadence that divides their interval; on
+    // a restart without, the one recorded.
     let mut migrate_every =
         if checkpointing { migrate_cadence(cfg.checkpoint_interval) } else { 20 };
-
-    enum Driver {
-        Sequential(Simulator),
-        Parallel(Box<Engine>),
-        FullElectro(Box<MtsSimulator>),
+    let mut resumed = None;
+    if !cfg.restart_from.is_empty() {
+        let (snap, from) = load_snapshot(&cfg.restart_from)?;
+        let extra = decode_extra(&snap.extra);
+        if let Some((_, _, me)) = extra.filter(|&(_, _, me)| !checkpointing && me > 0) {
+            migrate_every = me as usize;
+        }
+        engine.restore(&snap).map_err(ckpt_io_err)?;
+        writeln!(log, "restarted from {from} at step {}", snap.step)?;
+        resumed = Some(extra.map_or((f64::NAN, 0), |(ef, fr, _)| (ef, fr as usize)));
     }
-    // PME runs use the MTS driver (k = 1 reduces to velocity Verlet);
-    // Langevin runs use the thermostat's own integrator. Checkpoint and
-    // restart runs always use the parallel driver (even with threads 1):
-    // checkpoints are in-phase barriers of its message protocol.
-    let mut driver = if cfg.pme {
-        Driver::FullElectro(Box::new(MtsSimulator::new(
-            &system,
-            cfg.pme_spacing,
-            cfg.timestep,
-            cfg.mts_frequency,
-        )))
-    } else if cfg.uses_parallel_driver() {
-        let config = cfg
-            .engine_config()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let mut engine = Engine::new(system.clone(), config);
-        if cfg.backend == Backend::Proc {
-            writeln!(log, "backend proc: one worker process per PE ({})", cfg.threads)?;
-        } else if cfg.backend == Backend::Des {
-            writeln!(log, "backend des: deterministic virtual-time execution")?;
-        }
-        if !cfg.profile_dir.is_empty() {
-            let reg = MetricsRegistry::with_dir(cfg.profile_dir.clone(), cfg.profile_interval)?;
-            engine.set_metrics(Some(reg));
-        }
-        if restarting {
-            let (snap, from) = load_snapshot(&cfg.restart_from)?;
-            if let Some((ef, fr, me)) = decode_extra(&snap.extra) {
-                e_first = ef;
-                frames = fr as usize;
-                if !checkpointing && me > 0 {
-                    migrate_every = me as usize;
-                }
-            }
-            engine.restore(&snap).map_err(ckpt_io_err)?;
-            if snap.step > 0 && cfg.thermostat == ThermostatKind::Berendsen {
-                // The snapshot holds the barrier state, taken before that
-                // step's thermostat rescale; apply it once to land on the
-                // exact state the uninterrupted run continued from.
-                berendsen.apply(&mut engine.system_mut(), cfg.timestep);
-            }
-            start_step = snap.step as usize;
-            writeln!(log, "restarted from {from} at step {start_step}")?;
-        }
-        Driver::Parallel(Box::new(engine))
-    } else if cfg.pairlist_margin > 0.0 {
-        // Sequential analogue of the engine's pair-list cache: a Verlet list
-        // at cutoff + margin with displacement-based rebuilds.
-        Driver::Sequential(Simulator::with_pairlist(&system, cfg.timestep, cfg.pairlist_margin))
-    } else {
-        Driver::Sequential(Simulator::new(&system, cfg.timestep))
-    };
-
-    let every = cfg.trajectory_every.max(1);
-    let mut xyz = if cfg.output_name.is_empty() {
-        None
-    } else {
-        let path = format!("{}.xyz", cfg.output_name);
-        let w = if restarting && Path::new(&path).exists() {
-            // A restart must not re-truncate or duplicate what the
-            // interrupted run already wrote; anything past the checkpoint's
-            // frame high-water mark (including a torn trailing frame) is
-            // dropped and re-produced bit-identically by the resumed run.
-            let (w, kept) = TrajectoryWriter::resume_for_system(&path, &system, frames)?;
-            frames = kept;
-            w
-        } else {
-            frames = 0;
-            TrajectoryWriter::create_for_system(&path, &system)?
-        };
-        Some(w)
-    };
+    let mut out = Output::new(cfg, &engine.system(), resumed, log)?;
 
     // Baseline snapshot: a crash before the first checkpoint barrier must
     // still have something to roll back to.
-    if checkpointing {
-        if let Driver::Parallel(engine) = &mut driver {
-            if engine.steps_done == 0 {
-                engine.ckpt_extra = encode_extra(e_first, frames as u64, migrate_every as u64);
-                let dir =
-                    ckpt::CheckpointDir::create(&cfg.checkpoint_dir).map_err(ckpt_io_err)?;
-                dir.write(&engine.snapshot()).map_err(ckpt_io_err)?;
+    if checkpointing && engine.steps_done == 0 {
+        engine.ckpt_extra = encode_extra(out.e_first, out.frames as u64, migrate_every as u64);
+        let dir = ckpt::CheckpointDir::create(&cfg.checkpoint_dir).map_err(ckpt_io_err)?;
+        dir.write(&engine.snapshot()).map_err(ckpt_io_err)?;
+    }
+
+    let berendsen = berendsen(cfg);
+    // The logged kinetic energy predates the step's Berendsen rescale; the
+    // temperature column is after it: λ²·T.
+    let temperature = |kinetic: f64| {
+        let t = mdcore::system::temperature(kinetic, n_atoms);
+        berendsen.map_or(t, |b| t * b.lambda(t, cfg.timestep).powi(2))
+    };
+    while engine.steps_done < cfg.steps {
+        let done = engine.steps_done;
+        // Log step `s` reports the state after `s + 1` updates.
+        let mut target = out.next_frame(done).map_or(cfg.steps, |s| cfg.steps.min(s + 1));
+        if checkpointing {
+            // Snapshots carry the first step's energy: learn it first.
+            if done == 0 && out.e_first.is_nan() {
+                target = 1;
             }
+            // A barrier lands only on the phase's final step, so a restart
+            // from it resumes after every frame the phase writes.
+            let end = target.min((done / migrate_every + 1) * migrate_every);
+            let mark = out.frames_through(end - 1);
+            engine.ckpt_extra = encode_extra(out.e_first, mark as u64, migrate_every as u64);
+        }
+        match advance(&mut engine, target, migrate_every, Some(cfg.steps), false)
+            .map_err(std::io::Error::other)?
+        {
+            Advanced::Phase { phase, updates } => {
+                for (k, e) in phase.energies[1..=updates].iter().enumerate() {
+                    out.step(done + k, e.potential(), e.kinetic, temperature(e.kinetic))?;
+                }
+                out.frame(engine.steps_done - 1, &engine.system().positions)?;
+            }
+            Advanced::RolledBack { crash, attempt, step, from } => {
+                writeln!(out.log, "{crash}; recovering (attempt {attempt})")?;
+                let from = from.map_or("memory".into(), |p| p.display().to_string());
+                writeln!(out.log, "resumed from {from} at step {step}")?;
+            }
+        }
+    }
+    let report = out.finish(cfg, n_atoms, engine.system().temperature())?;
+    if let Some(reg) = &engine.metrics {
+        if let Some(dir) = reg.dir() {
+            writeln!(
+                out.log,
+                "profiles: {} phase record(s) under {} (open trace_*.json in ui.perfetto.dev)",
+                reg.phases.len(),
+                dir.display()
+            )?;
+        }
+    }
+    Ok(report)
+}
+
+/// What both drivers write: the per-step energy table and the trajectory.
+struct Output<'a> {
+    log: &'a mut dyn Write,
+    xyz: Option<TrajectoryWriter>,
+    every: usize,
+    /// Trajectory frames on disk.
+    frames: usize,
+    /// Total energy at the first and at the latest logged step.
+    e_first: f64,
+    e_last: f64,
+    start: std::time::Instant,
+}
+
+impl<'a> Output<'a> {
+    /// Open the trajectory and print the table header. A restart passes
+    /// the snapshot's energy baseline and frame high-water mark: it must
+    /// not re-truncate or duplicate what the interrupted run already wrote;
+    /// anything past the mark (including a torn trailing frame) is dropped
+    /// and re-produced bit-identically by the resumed run.
+    fn new(
+        cfg: &RunConfig,
+        system: &System,
+        resumed: Option<(f64, usize)>,
+        log: &'a mut dyn Write,
+    ) -> std::io::Result<Self> {
+        let (e_first, mut frames) = resumed.unwrap_or((f64::NAN, 0));
+        let path = format!("{}.xyz", cfg.output_name);
+        let xyz = if cfg.output_name.is_empty() {
+            None
+        } else if resumed.is_some() && Path::new(&path).exists() {
+            let (w, kept) = TrajectoryWriter::resume_for_system(&path, system, frames)?;
+            frames = kept;
+            Some(w)
+        } else {
+            frames = 0;
+            Some(TrajectoryWriter::create_for_system(&path, system)?)
+        };
+        writeln!(log, "step      potential        kinetic          total     temp(K)")?;
+        Ok(Output {
+            log,
+            xyz,
+            every: cfg.trajectory_every.max(1),
+            frames,
+            e_first,
+            e_last: f64::NAN,
+            start: std::time::Instant::now(),
+        })
+    }
+
+    fn step(&mut self, step: usize, potential: f64, kinetic: f64, temp: f64) -> std::io::Result<()>
+    {
+        let total = potential + kinetic;
+        if step == 0 {
+            self.e_first = total;
+        }
+        self.e_last = total;
+        writeln!(self.log, "{step:>4} {potential:>14.2} {kinetic:>14.2} {total:>14.2} {temp:>10.1}")
+    }
+
+    /// The first log step at or after `step` whose frame is not on disk.
+    fn next_frame(&self, step: usize) -> Option<usize> {
+        self.xyz.as_ref().map(|_| step.div_ceil(self.every).max(self.frames) * self.every)
+    }
+
+    /// Frames on disk once log step `step` is recorded.
+    fn frames_through(&self, step: usize) -> usize {
+        match self.xyz {
+            Some(_) => self.frames.max(step / self.every + 1),
+            None => self.frames,
         }
     }
 
-    writeln!(log, "step      potential        kinetic          total     temp(K)")?;
-    let start = std::time::Instant::now();
-    let mut e_last = f64::NAN;
-    let mut step = start_step;
-    while step < cfg.steps {
-        let (potential, kinetic) = match &mut driver {
-            Driver::Sequential(sim) => {
-                let e = if let Some(l) = &mut langevin {
-                    l.step(&mut system)
-                } else {
-                    let e = sim.step(&mut system);
-                    if cfg.thermostat == ThermostatKind::Berendsen {
-                        berendsen.apply(&mut system, cfg.timestep);
-                    }
-                    e
-                };
-                (e.potential(), e.kinetic)
-            }
-            Driver::Parallel(engine) => {
-                if checkpointing {
-                    // The barrier inside this step snapshots state mid-step;
-                    // record the frame high-water mark *including* the frame
-                    // this iteration will write, since a restart resumes
-                    // after it.
-                    let will_write =
-                        xyz.is_some() && step % every == 0 && step / every >= frames;
-                    engine.ckpt_extra = encode_extra(
-                        e_first,
-                        (frames + will_write as usize) as u64,
-                        migrate_every as u64,
-                    );
-                }
-                let advanced = advance(engine, step + 1, migrate_every, Some(cfg.steps), false)
-                    .map_err(std::io::Error::other)?;
-                match advanced {
-                    Advanced::Phase { phase, .. } => {
-                        if cfg.thermostat == ThermostatKind::Berendsen {
-                            berendsen.apply(&mut engine.system_mut(), cfg.timestep);
-                        }
-                        let e = phase.energies[1];
-                        (e.potential(), e.kinetic)
-                    }
-                    Advanced::RolledBack { crash, attempt, step: resumed, from } => {
-                        // The driver restored the newest valid checkpoint;
-                        // what it cannot know is the thermostat and this
-                        // loop's own step counter.
-                        writeln!(log, "{crash}; recovering (attempt {attempt})")?;
-                        if resumed > 0 && cfg.thermostat == ThermostatKind::Berendsen {
-                            berendsen.apply(&mut engine.system_mut(), cfg.timestep);
-                        }
-                        step = resumed;
-                        let from = from.map_or("memory".into(), |p| p.display().to_string());
-                        writeln!(log, "resumed from {from} at step {step}")?;
-                        continue;
-                    }
-                }
-            }
-            Driver::FullElectro(mts) => {
-                let e = mts.outer_step(&mut system);
-                if cfg.thermostat == ThermostatKind::Berendsen {
-                    berendsen.apply(&mut system, cfg.timestep);
-                }
-                (e.potential(), e.kinetic)
-            }
-        };
-        let total = potential + kinetic;
-        if step == 0 {
-            e_first = total;
-        }
-        e_last = total;
-        let temp = match &driver {
-            Driver::Parallel(engine) => engine.system().temperature(),
-            _ => system.temperature(),
-        };
-        writeln!(log, "{step:>4} {potential:>14.2} {kinetic:>14.2} {total:>14.2} {temp:>10.1}")?;
-        if let Some(w) = &mut xyz {
-            // The index guard makes frame writing idempotent across
-            // crash-recovery rewinds and restarts: a frame already on disk
-            // (it is bit-identical) is never written twice.
-            if step % every == 0 && step / every >= frames {
-                let label = format!("step {step}");
-                match &driver {
-                    Driver::Parallel(engine) => w.write_frame(&engine.system().positions, &label)?,
-                    _ => w.write_frame(&system.positions, &label)?,
-                }
-                frames += 1;
+    /// Write log step `step`'s frame if it is a frame step. The index guard
+    /// makes this idempotent across crash-recovery rewinds and restarts: a
+    /// frame already on disk (it is bit-identical) is never written twice.
+    fn frame(&mut self, step: usize, positions: &[Vec3]) -> std::io::Result<()> {
+        if let Some(w) = &mut self.xyz {
+            if step.is_multiple_of(self.every) && step / self.every >= self.frames {
+                w.write_frame(positions, &format!("step {step}"))?;
+                self.frames += 1;
             }
         }
-        step += 1;
+        Ok(())
     }
-    let wall = start.elapsed().as_secs_f64();
-    let final_temperature = match &driver {
-        Driver::Parallel(engine) => engine.system().temperature(),
-        _ => system.temperature(),
-    };
-    writeln!(
-        log,
-        "done: {:.2} s wall ({:.1} ms/step){}",
-        wall,
-        wall / cfg.steps.max(1) as f64 * 1e3,
-        if frames > 0 { format!(", {frames} trajectory frames") } else { String::new() }
-    )?;
-    if let Driver::Parallel(engine) = &driver {
-        if let Some(reg) = &engine.metrics {
-            if let Some(dir) = reg.dir() {
-                writeln!(
-                    log,
-                    "profiles: {} phase record(s) under {} (open trace_*.json in \
-                     ui.perfetto.dev)",
-                    reg.phases.len(),
-                    dir.display()
-                )?;
-            }
-        }
+
+    fn finish(
+        &mut self,
+        cfg: &RunConfig,
+        n_atoms: usize,
+        final_temperature: f64,
+    ) -> std::io::Result<RunReport> {
+        let wall = self.start.elapsed().as_secs_f64();
+        let frames = self.frames;
+        writeln!(
+            self.log,
+            "done: {:.2} s wall ({:.1} ms/step){}",
+            wall,
+            wall / cfg.steps.max(1) as f64 * 1e3,
+            if frames > 0 { format!(", {frames} trajectory frames") } else { String::new() }
+        )?;
+        Ok(RunReport {
+            n_atoms,
+            steps: cfg.steps,
+            e_first: self.e_first,
+            e_last: self.e_last,
+            final_temperature,
+            wall_seconds: wall,
+            trajectory_frames: frames,
+        })
     }
-    Ok(RunReport {
-        n_atoms,
-        steps: cfg.steps,
-        e_first,
-        e_last,
-        final_temperature,
-        wall_seconds: wall,
-        trajectory_frames: frames,
-    })
 }
 
 #[cfg(test)]
@@ -624,8 +625,10 @@ mod tests {
         let prof = dir.join("prof");
         let cfg = parse(&format!(
             "system water\natoms 300\nboxSize 20\ncutoff 6\ntimestep 0.5\nsteps 6\n\
-             threads 2\nprofileDir {}\nprofileInterval 3\n",
-            prof.display()
+             threads 2\nprofileDir {}\nprofileInterval 3\noutputName {}\n\
+             trajectoryEvery 2\n",
+            prof.display(),
+            dir.join("t").display()
         ))
         .unwrap();
         let mut log = Vec::new();
@@ -633,9 +636,10 @@ mod tests {
         let text = String::from_utf8(log).unwrap();
         assert!(text.contains("profiles:"), "{text}");
 
+        // Phases end at the frames of log steps 0, 2 and 4 and at step 6.
         let summaries = std::fs::read_to_string(prof.join("phases.jsonl")).unwrap();
-        assert_eq!(summaries.lines().count(), 6, "one summary line per step");
-        // Interval 3 over 6 phases captures phases 0 and 3.
+        assert_eq!(summaries.lines().count(), 4, "one summary line per phase");
+        // Interval 3 over 4 phases captures phases 0 and 3.
         let traces: Vec<_> = std::fs::read_dir(&prof)
             .unwrap()
             .filter_map(|e| e.ok())

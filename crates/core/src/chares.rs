@@ -20,17 +20,19 @@
 //!    them, unsummed, on one force message to the home patch.
 //! 5. A home patch that has collected everything self-enqueues *integrate*:
 //!    fold the contributions, velocity-Verlet update of the atoms it owns
-//!    from the folded forces, then publish the next step's coordinates
-//!    (this is the entry method the multicast optimization halves), or
-//!    report completion and its per-step energies to the reducer after the
-//!    final step.
+//!    from the folded forces (BAOAB under the Langevin thermostat), then
+//!    publish the next step's coordinates (this is the entry method the
+//!    multicast optimization halves), or report completion and its per-step
+//!    energies to the reducer after the final step. On checkpoint steps, and
+//!    on every step under the Berendsen thermostat, the update pauses
+//!    halfway at the barrier ([`BarrierChare`]).
 //!
 //! Thread safety: one owner per datum. A home patch is the only reader and
 //! writer of its atoms' positions, velocities and forces for the length of a
 //! phase; everything else sees copies that arrived in messages, so handlers
 //! never race and none takes the between-phase `Shared::state` lock.
 
-use crate::config::ForceMode;
+use crate::config::{ForceMode, Thermostat};
 use crate::costmodel;
 use crate::decomp::ComputeKind;
 use crate::messages::{
@@ -45,6 +47,7 @@ use charmrt::{
 };
 use mdcore::bonded::{angle_force, bond_force, dihedral_force, improper_force, restraint_force};
 use mdcore::forcefield::units;
+use mdcore::thermostat::{Berendsen, OuRefresh};
 use mdcore::vec3::Vec3;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -103,9 +106,10 @@ pub struct Entries {
     pub slab_charge: EntryId,
     /// PME slab: a transpose block arrived from another slab.
     pub slab_transpose: EntryId,
-    /// Checkpoint chare: a patch reached the checkpoint barrier.
+    /// Barrier chare: a patch reached the barrier.
     pub ckpt_ready: EntryId,
-    /// Home patch: the checkpoint was written, finish the step.
+    /// Home patch: the barrier completed (carrying the Berendsen rescale
+    /// factor, if any), finish the step.
     pub ckpt_resume: EntryId,
 }
 
@@ -163,8 +167,11 @@ pub struct RunParams {
     /// `(step_offset + step) % checkpoint_every == 0`.
     pub checkpoint_every: usize,
     /// Global position updates completed before this phase started, so the
-    /// checkpoint cadence survives phase chaining and resume.
+    /// checkpoint cadence and the Langevin noise keys survive phase
+    /// chaining and resume.
     pub step_offset: usize,
+    /// Temperature control (Real mode).
+    pub thermostat: Thermostat,
 }
 
 /// A home patch: owns a cube of space and its atoms; integrates them.
@@ -199,8 +206,11 @@ pub struct HomePatch {
     started: bool,
     /// PME: the slab object this patch contributes charges to.
     slab: Option<ObjId>,
-    /// Checkpointing: the checkpoint chare to report to at barriers.
-    ckpt: Option<ObjId>,
+    /// The barrier chare, when checkpointing or the Berendsen thermostat
+    /// registered one.
+    barrier: Option<ObjId>,
+    /// Langevin: BAOAB's velocity refresh.
+    refresh: Option<OuRefresh>,
 }
 
 impl HomePatch {
@@ -217,7 +227,7 @@ impl HomePatch {
         expected: usize,
         reducer: ObjId,
         slab: Option<ObjId>,
-        ckpt: Option<ObjId>,
+        barrier: Option<ObjId>,
     ) -> Self {
         let ids = &shared.decomp.grid.atoms[patch];
         let of = |all: &[Vec3]| ids.iter().map(|&a| all[a as usize]).collect();
@@ -228,6 +238,12 @@ impl HomePatch {
             forces: vec![Vec3::ZERO; ids.len()],
         };
         let masses = ids.iter().map(|&a| shared.frame.topology.atoms[a as usize].mass).collect();
+        let refresh = match params.thermostat {
+            Thermostat::Langevin { target_k, gamma, seed } => {
+                Some(OuRefresh::new(target_k, gamma, params.dt_fs, seed))
+            }
+            _ => None,
+        };
         HomePatch {
             patch,
             shared,
@@ -245,7 +261,8 @@ impl HomePatch {
             reducer,
             started: false,
             slab,
-            ckpt,
+            barrier,
+            refresh,
         }
     }
 
@@ -354,34 +371,53 @@ impl HomePatch {
     }
 
     /// Second half of the step (Real mode): first half-kick and drift into
-    /// the next configuration. The acceleration is recomputed from the
-    /// force saved by the first half — an exact f64 round trip, so the
-    /// split step is bitwise identical to the unsplit one. The phase's
-    /// final step evaluates forces but does not move, exactly as before.
+    /// the next configuration — under Langevin, BAOAB's half drift, velocity
+    /// refresh and half drift, keyed by the global step of the update. The
+    /// acceleration is recomputed from the force saved by the first half —
+    /// an exact f64 round trip, so the split step is bitwise identical to
+    /// the unsplit one. The phase's final step evaluates forces but does not
+    /// move, exactly as before.
     fn integrate_second_half(&mut self) {
         if self.step + 1 == self.params.n_steps {
             return;
         }
         let cell = &self.shared.frame.cell;
+        let ids = &self.shared.decomp.grid.atoms[self.patch];
         let dt = self.params.dt_fs;
+        let step = (self.params.step_offset + self.step) as u64;
         for slot in 0..self.masses.len() {
-            let acc = self.atoms.forces[slot] * (units::ACCEL / self.masses[slot]);
+            let m = self.masses[slot];
+            let acc = self.atoms.forces[slot] * (units::ACCEL / m);
             self.atoms.velocities[slot] += acc * (0.5 * dt);
-            let vnew = self.atoms.velocities[slot];
-            self.atoms.positions[slot] = cell.wrap(self.atoms.positions[slot] + vnew * dt);
+            let x = self.atoms.positions[slot];
+            let v = self.atoms.velocities[slot];
+            self.atoms.positions[slot] = match &self.refresh {
+                Some(ou) => {
+                    let half = cell.wrap(x + v * (0.5 * dt));
+                    let v = ou.apply(v, m, ids[slot] as u64, step);
+                    self.atoms.velocities[slot] = v;
+                    cell.wrap(half + v * (0.5 * dt))
+                }
+                None => cell.wrap(x + v * dt),
+            };
         }
     }
 
-    /// Does the *current* step pause at the checkpoint barrier after its
-    /// first integration half? Gated on the global step so the cadence
-    /// survives phase chaining; step 0 is excluded because chained phases
-    /// repeat the boundary force evaluation (the previous phase's final
-    /// step already checkpointed this state).
-    fn checkpoint_now(&self) -> bool {
-        self.ckpt.is_some()
-            && self.params.checkpoint_every > 0
-            && self.step > 0
-            && (self.params.step_offset + self.step) % self.params.checkpoint_every == 0
+    /// Is the *current* step a checkpoint step? Gated on the global step so
+    /// the cadence survives phase chaining.
+    fn checkpoint_step(&self) -> bool {
+        self.params.checkpoint_every > 0
+            && (self.params.step_offset + self.step).is_multiple_of(self.params.checkpoint_every)
+    }
+
+    /// Does the *current* step pause at the barrier after its first
+    /// integration half: a checkpoint step, or any step under Berendsen?
+    /// Step 0 is excluded because chained phases repeat the boundary force
+    /// evaluation (the previous phase's final step already paused on this
+    /// state).
+    fn barrier_now(&self) -> bool {
+        let rescales = matches!(self.params.thermostat, Thermostat::Berendsen { .. });
+        self.barrier.is_some() && self.step > 0 && (rescales || self.checkpoint_step())
     }
 
     /// Complete the current step after the (possible) checkpoint barrier:
@@ -419,15 +455,14 @@ impl HomePatch {
         self.pending.extend(ForceMsg::unpack(&payload).expect("malformed ForceMsg payload").parts);
     }
 
-    /// Snapshot this patch's clean post-half-kick state (x_k, v_k) for the
-    /// checkpoint chare, which may live in a different OS process.
-    fn pack_ckpt(&self) -> Payload {
-        CkptMsg {
-            patch: self.atoms.patch,
-            positions: self.atoms.positions.clone(),
-            velocities: self.atoms.velocities.clone(),
-        }
-        .pack()
+    /// This patch's clean post-half-kick state (x_k, v_k) for the barrier
+    /// chare, which may live in a different OS process: the velocities, and
+    /// on checkpoint steps the positions too.
+    fn pack_barrier(&self) -> Payload {
+        let positions =
+            if self.checkpoint_step() { self.atoms.positions.clone() } else { Vec::new() };
+        CkptMsg { patch: self.atoms.patch, positions, velocities: self.atoms.velocities.clone() }
+            .pack()
     }
 }
 
@@ -454,18 +489,26 @@ impl Chare for HomePatch {
             }
             if self.params.force_mode == ForceMode::Real {
                 self.integrate_first_half();
-                if self.checkpoint_now() {
-                    // In-phase checkpoint barrier: pause at the clean
-                    // post-half-kick state (x_k, v_k) and ship it to the
-                    // checkpoint chare, which resumes every patch once the
-                    // snapshot is on disk.
-                    let ckpt = self.ckpt.expect("checkpoint_now implies a ckpt chare");
-                    ctx.send(ckpt, self.entries.ckpt_ready, SIGNAL_BYTES, PRIO_HIGH, self.pack_ckpt());
+                if self.barrier_now() {
+                    // In-phase barrier: pause at the clean post-half-kick
+                    // state (x_k, v_k) and ship it to the barrier chare,
+                    // which resumes every patch once the snapshot is on
+                    // disk and the rescale factor known.
+                    let barrier = self.barrier.expect("barrier_now implies a barrier chare");
+                    let state = self.pack_barrier();
+                    ctx.send(barrier, self.entries.ckpt_ready, SIGNAL_BYTES, PRIO_HIGH, state);
                     return;
                 }
             }
             self.finish_step(ctx);
         } else if entry == self.entries.ckpt_resume {
+            if !payload.is_empty() {
+                let lambda = <[u8; 8]>::try_from(&payload[..]).expect("an 8-byte rescale factor");
+                let lambda = f64::from_le_bytes(lambda);
+                for v in &mut self.atoms.velocities {
+                    *v *= lambda;
+                }
+            }
             self.finish_step(ctx);
         } else {
             unreachable!("HomePatch got unexpected entry {entry:?}");
@@ -1052,68 +1095,71 @@ impl Chare for Reducer {
     }
 }
 
-/// Coordinates the in-phase checkpoint barrier. On a checkpoint step every
-/// home patch pauses after its first integration half and sends `ckpt_ready`
-/// carrying its (x_k, v_k) atom state; once all patches are paused this
-/// chare assembles the full-system snapshot *from those payloads alone* —
-/// never from shared memory, so the same code path produces byte-identical
-/// checkpoints on the DES, the threads backend, and separate OS processes —
-/// writes it atomically via [`ckpt::CheckpointDir`], and resumes every
-/// patch. A write failure is reported and counted but does not kill the
-/// run: the simulation stays correct, it just has one fewer recovery point.
-pub struct CkptChare {
+/// Coordinates the in-phase barrier, registered when the run checkpoints or
+/// runs the Berendsen thermostat. At each barrier every home patch pauses
+/// after its first integration half and sends `ckpt_ready` carrying its
+/// velocities (and, on checkpoint steps, positions); once all patches are
+/// paused this chare gathers them into atom order *from those payloads
+/// alone* — never from shared memory, so the same code path gives the same
+/// bits on the DES, the threads backend, and separate OS processes. Under
+/// Berendsen it takes the temperature in atom order, as
+/// `System::temperature` does, and computes the rescale factor λ with
+/// `Berendsen::lambda`. On checkpoint steps it writes the snapshot — holding
+/// the rescaled velocities, so a restore re-applies nothing — atomically via
+/// [`ckpt::CheckpointDir`]. Then it resumes every patch, handing each λ. A
+/// write failure is reported and counted but does not kill the run: the
+/// simulation stays correct, it just has one fewer recovery point.
+pub struct BarrierChare {
     shared: Arc<Shared>,
     entries: Entries,
     /// All home patch objects — the barrier membership and the resume
     /// multicast.
     patches: Vec<ObjId>,
     received: usize,
-    /// Patch states received for the current barrier, scattered into the
-    /// snapshot once the barrier completes.
+    /// Patch states received for the current barrier.
     pending: Vec<CkptMsg>,
-    /// Total atoms in the system (sizes the assembled snapshot).
-    n_atoms: usize,
-    /// Global step of each barrier this phase will reach, in firing order.
-    steps: Vec<u64>,
+    /// Global step of each barrier this phase will reach, in firing order,
+    /// and whether it writes a checkpoint.
+    rounds: Vec<(u64, bool)>,
     round: usize,
-    dir: ckpt::CheckpointDir,
-    /// Everything in the snapshot that is not live per-atom state (step and
-    /// positions/velocities are overwritten per barrier).
-    template: ckpt::Snapshot,
+    /// The checkpoint directory and everything in a snapshot that is not
+    /// live per-atom state (step and positions/velocities are overwritten
+    /// per barrier); `None` when not checkpointing.
+    ckpt: Option<(ckpt::CheckpointDir, ckpt::Snapshot)>,
+    /// The Berendsen coupling and the timestep, when the barrier rescales.
+    berendsen: Option<(Berendsen, f64)>,
     /// Snapshot write failures so far (non-fatal).
     pub write_errors: u64,
 }
 
-impl CkptChare {
+impl BarrierChare {
     pub fn new(
         shared: Arc<Shared>,
         entries: Entries,
         patches: Vec<ObjId>,
-        steps: Vec<u64>,
-        dir: ckpt::CheckpointDir,
-        template: ckpt::Snapshot,
+        rounds: Vec<(u64, bool)>,
+        ckpt: Option<(ckpt::CheckpointDir, ckpt::Snapshot)>,
+        berendsen: Option<(Berendsen, f64)>,
     ) -> Self {
-        let n_atoms = shared.decomp.grid.atoms.iter().map(|a| a.len()).sum();
-        CkptChare {
+        BarrierChare {
             shared,
             entries,
             patches,
             received: 0,
             pending: Vec::new(),
-            n_atoms,
-            steps,
+            rounds,
             round: 0,
-            dir,
-            template,
+            ckpt,
+            berendsen,
             write_errors: 0,
         }
     }
 }
 
-impl Chare for CkptChare {
+impl Chare for BarrierChare {
     fn receive(&mut self, entry: EntryId, payload: Payload, ctx: &mut Ctx) {
         if entry != self.entries.ckpt_ready {
-            unreachable!("CkptChare got unexpected entry {entry:?}");
+            unreachable!("BarrierChare got unexpected entry {entry:?}");
         }
         if !payload.is_empty() {
             self.pending.push(CkptMsg::unpack(&payload).expect("malformed CkptMsg payload"));
@@ -1124,32 +1170,50 @@ impl Chare for CkptChare {
             return;
         }
         self.received = 0;
-        let mut snap = self.template.clone();
-        snap.step = self.steps[self.round];
+        let (step, write) = self.rounds[self.round];
         self.round += 1;
-        // Assemble the snapshot purely from the patches' payloads: scatter
-        // each patch's block through the grid's atom lists.
-        snap.positions = vec![[0.0; 3]; self.n_atoms];
-        snap.velocities = vec![[0.0; 3]; self.n_atoms];
+        // Scatter each patch's block through the grid's atom lists.
+        let atoms = &self.shared.frame.topology.atoms;
+        let mut velocities = vec![Vec3::ZERO; atoms.len()];
+        let mut positions = vec![Vec3::ZERO; if write { atoms.len() } else { 0 }];
         for msg in self.pending.drain(..) {
-            let atoms = &self.shared.decomp.grid.atoms[msg.patch as usize];
-            debug_assert_eq!(msg.positions.len(), atoms.len());
-            for (slot, &a) in atoms.iter().enumerate() {
-                let p = msg.positions[slot];
-                let v = msg.velocities[slot];
-                snap.positions[a as usize] = [p.x, p.y, p.z];
-                snap.velocities[a as usize] = [v.x, v.y, v.z];
+            let ids = &self.shared.decomp.grid.atoms[msg.patch as usize];
+            debug_assert_eq!(msg.velocities.len(), ids.len());
+            for (slot, &a) in ids.iter().enumerate() {
+                velocities[a as usize] = msg.velocities[slot];
+                if write {
+                    positions[a as usize] = msg.positions[slot];
+                }
             }
         }
-        // Serialization touches every atom once — model it like an
+        let lambda = self.berendsen.map(|(b, dt)| {
+            let kinetic = mdcore::system::kinetic_energy(atoms, &velocities);
+            b.lambda(mdcore::system::temperature(kinetic, atoms.len()), dt)
+        });
+        // The gather touches every atom once — model it like an
         // integration pass so the DES timeline charges the barrier.
-        ctx.add_work(snap.positions.len() as f64 * costmodel::WORK_PER_ATOM_INTEGRATION);
-        if let Err(e) = self.dir.write(&snap) {
-            self.write_errors += 1;
-            eprintln!("checkpoint write failed at step {}: {e}", snap.step);
+        ctx.add_work(atoms.len() as f64 * costmodel::WORK_PER_ATOM_INTEGRATION);
+        if write {
+            let (dir, template) = self.ckpt.as_ref().expect("a checkpoint round has a directory");
+            let triple = |v: Vec3| [v.x, v.y, v.z];
+            let rescaled = |v: Vec3| triple(lambda.map_or(v, |l| v * l));
+            let snap = ckpt::Snapshot {
+                step,
+                positions: positions.into_iter().map(triple).collect(),
+                velocities: velocities.into_iter().map(rescaled).collect(),
+                ..template.clone()
+            };
+            if let Err(e) = dir.write(&snap) {
+                self.write_errors += 1;
+                eprintln!("checkpoint write failed at step {step}: {e}");
+            }
         }
+        let resume = self.entries.ckpt_resume;
         for &p in &self.patches {
-            ctx.signal(p, self.entries.ckpt_resume, PRIO_HIGH);
+            match lambda {
+                Some(l) => ctx.send(p, resume, SIGNAL_BYTES, PRIO_HIGH, l.to_le_bytes().to_vec()),
+                None => ctx.signal(p, resume, PRIO_HIGH),
+            }
         }
     }
 }

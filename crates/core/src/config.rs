@@ -70,6 +70,35 @@ impl Default for PmeSimConfig {
     }
 }
 
+/// Temperature control the home patches apply to the atoms they own
+/// (Real mode). Either way the trajectory is the same bits on every
+/// backend, PE count and placement, across checkpoints and rollbacks.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum Thermostat {
+    /// Plain velocity Verlet (NVE).
+    #[default]
+    None,
+    /// Berendsen weak coupling: after every update the velocities are
+    /// rescaled by `mdcore::thermostat::Berendsen::lambda` of the system's
+    /// temperature, taken in atom order at an in-phase barrier.
+    Berendsen {
+        /// Target temperature, K.
+        target_k: f64,
+        /// Coupling time constant, fs.
+        tau_fs: f64,
+    },
+    /// Langevin dynamics by BAOAB, with noise keyed by (seed, atom, step)
+    /// (`mdcore::thermostat::normal`), so no generator state exists.
+    Langevin {
+        /// Target temperature, K.
+        target_k: f64,
+        /// Friction coefficient γ, fs⁻¹.
+        gamma: f64,
+        /// Noise seed.
+        seed: u64,
+    },
+}
+
 /// Tunables for one parallel simulation.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -145,7 +174,7 @@ pub struct SimConfig {
     /// mode only; 0 = off). The interval is counted on the *global* step
     /// counter (`Engine::steps_done`), so it survives phase boundaries.
     /// Checkpoints are in-phase barriers: every home patch pauses at the
-    /// step, a checkpoint chare snapshots state, and the protocol resumes.
+    /// step, a barrier chare snapshots state, and the protocol resumes.
     pub checkpoint_interval: usize,
     /// Directory checkpoints are written into (atomic write-then-rename).
     /// `None` disables checkpointing even when the interval is set.
@@ -157,13 +186,11 @@ pub struct SimConfig {
     /// Base sleep before resuming after a crash, milliseconds; doubles per
     /// consecutive crash (file key `recoveryBackoffMs`).
     pub recovery_backoff_ms: u64,
-    /// `proc` backend: number of worker processes. 0 (the default) means
-    /// one per PE; any non-zero value must equal `n_pes` (PEs *are*
-    /// processes on this backend — there is no multiplexing).
-    pub procs: usize,
     /// `proc` backend: directory for the per-run Unix domain sockets.
     /// `None` uses a fresh directory under the system temp dir.
     pub socket_dir: Option<std::path::PathBuf>,
+    /// Temperature control (Real mode; `Thermostat::None` = NVE).
+    pub thermostat: Thermostat,
 }
 
 impl SimConfig {
@@ -197,8 +224,8 @@ impl SimConfig {
             checkpoint_dir: None,
             max_recoveries: 3,
             recovery_backoff_ms: 10,
-            procs: 0,
             socket_dir: None,
+            thermostat: Thermostat::None,
         }
     }
 
@@ -272,6 +299,35 @@ impl SimConfig {
             if p.slabs == 0 {
                 return Err(ConfigError::BadPme("slabs must be at least 1".into()));
             }
+            if self.force_mode == ForceMode::Real && p.every != 1 {
+                return Err(ConfigError::BadPme(format!(
+                    "every = {} in Real mode: the home patches would add the reciprocal force \
+                     unweighted on every {}th step and drop its energy on the others, which \
+                     is not r-RESPA; Real mode evaluates PME every step (every = 1)",
+                    p.every, p.every
+                )));
+            }
+        }
+        match self.thermostat {
+            Thermostat::None => {}
+            _ if self.force_mode != ForceMode::Real => {
+                return Err(ConfigError::BadThermostat(
+                    "Counted mode moves no atom to thermostat; use force_mode Real".into(),
+                ));
+            }
+            _ if self.pme.is_some() => {
+                return Err(ConfigError::BadThermostat(
+                    "not supported with modeled PME".into(),
+                ));
+            }
+            Thermostat::Berendsen { target_k, tau_fs } => {
+                positive("target_k", target_k)?;
+                positive("tau_fs", tau_fs)?;
+            }
+            Thermostat::Langevin { target_k, gamma, .. } => {
+                positive("target_k", target_k)?;
+                positive("gamma", gamma)?;
+            }
         }
         if self.backend == Backend::Proc {
             if self.pme.is_some() {
@@ -280,12 +336,6 @@ impl SimConfig {
                      with PEs in separate processes"
                         .into(),
                 ));
-            }
-            if self.procs != 0 && self.procs != self.n_pes {
-                return Err(ConfigError::BadProc(format!(
-                    "procs ({}) must be 0 (one per PE) or equal n_pes ({})",
-                    self.procs, self.n_pes
-                )));
             }
             if let Some(plan) = &self.fault_plan {
                 if plan.rules.iter().any(|r| r.action != charmrt::FaultAction::Kill) {
@@ -296,11 +346,6 @@ impl SimConfig {
                     ));
                 }
             }
-        } else if self.procs != 0 {
-            return Err(ConfigError::BadProc(format!(
-                "procs ({}) is only meaningful with backend=proc",
-                self.procs
-            )));
         }
         if self.checkpoint_dir.is_some() {
             if self.checkpoint_interval == 0 {
@@ -317,6 +362,17 @@ impl SimConfig {
             }
         }
         Ok(())
+    }
+}
+
+/// A thermostat parameter must be positive and finite.
+fn positive(which: &str, value: f64) -> Result<(), ConfigError> {
+    if value > 0.0 && value.is_finite() {
+        Ok(())
+    } else {
+        Err(ConfigError::BadThermostat(format!(
+            "{which} must be positive and finite, got {value}"
+        )))
     }
 }
 
@@ -347,6 +403,8 @@ pub enum ConfigError {
     BadCheckpoint(String),
     /// An inconsistent multi-process (`backend=proc`) configuration.
     BadProc(String),
+    /// A thermostat the engine cannot run, or a bad thermostat parameter.
+    BadThermostat(String),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -373,6 +431,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadPme(msg) => write!(f, "pme: {msg}"),
             ConfigError::BadCheckpoint(msg) => write!(f, "checkpointing: {msg}"),
             ConfigError::BadProc(msg) => write!(f, "proc backend: {msg}"),
+            ConfigError::BadThermostat(msg) => write!(f, "thermostat: {msg}"),
         }
     }
 }
@@ -516,10 +575,9 @@ impl SimConfigBuilder {
         self
     }
 
-    /// `proc` backend: worker-process count (0 = one per PE; otherwise must
-    /// equal `n_pes`).
-    pub fn procs(mut self, procs: usize) -> Self {
-        self.cfg.procs = procs;
+    /// Temperature control the home patches apply (Real mode).
+    pub fn thermostat(mut self, thermostat: Thermostat) -> Self {
+        self.cfg.thermostat = thermostat;
         self
     }
 
@@ -598,14 +656,24 @@ mod tests {
             SimConfig::builder(4, m).checkpoint("/tmp/x", 0).build(),
             Err(ConfigError::BadCheckpoint(_))
         ));
+        let real_pme = Some(PmeSimConfig { every: 1, ..PmeSimConfig::default() });
         assert!(matches!(
             SimConfig::builder(4, m)
                 .force_mode(ForceMode::Real)
-                .pme(Some(PmeSimConfig::default()))
+                .pme(real_pme)
                 .checkpoint("/tmp/x", 10)
                 .build(),
             Err(ConfigError::BadCheckpoint(_))
         ));
+        // Real mode adds the reciprocal force at every evaluation it makes,
+        // so a cadence above 1 would be an unweighted impulse, not r-RESPA.
+        let e = SimConfig::builder(4, m)
+            .force_mode(ForceMode::Real)
+            .pme(Some(PmeSimConfig::default()))
+            .build()
+            .unwrap_err();
+        assert!(matches!(&e, ConfigError::BadPme(msg) if msg.contains("r-RESPA")), "{e}");
+        SimConfig::builder(4, m).force_mode(ForceMode::Real).pme(real_pme).build().unwrap();
         // Errors render a actionable message.
         let e = SimConfig::builder(0, m).build().unwrap_err();
         assert!(e.to_string().contains("n_pes"));
@@ -622,15 +690,6 @@ mod tests {
                 .build(),
             Err(ConfigError::BadProc(_))
         ));
-        // procs must be 0 or n_pes, and is proc-only.
-        assert!(matches!(
-            SimConfig::builder(4, m).backend(Backend::Proc).procs(2).build(),
-            Err(ConfigError::BadProc(_))
-        ));
-        assert!(matches!(
-            SimConfig::builder(4, m).procs(4).build(),
-            Err(ConfigError::BadProc(_))
-        ));
         // Only kill rules map to real process termination.
         assert!(matches!(
             SimConfig::builder(4, m)
@@ -641,10 +700,36 @@ mod tests {
         ));
         SimConfig::builder(4, m)
             .backend(Backend::Proc)
-            .procs(4)
             .fault_plan(Some(charmrt::FaultPlan::parse("kill:entry=Done:dst=1").unwrap()))
             .build()
             .unwrap();
+    }
+
+    #[test]
+    fn thermostat_validations() {
+        let m = presets::asci_red();
+        let real = || SimConfig::builder(4, m).force_mode(ForceMode::Real);
+        let berendsen = Thermostat::Berendsen { target_k: 300.0, tau_fs: 100.0 };
+        let langevin = Thermostat::Langevin { target_k: 300.0, gamma: 0.01, seed: 7 };
+        for t in [berendsen, langevin] {
+            assert_eq!(real().thermostat(t).build().unwrap().thermostat, t);
+            // Counted mode has no atoms to thermostat; modeled PME is refused.
+            let counted = SimConfig::builder(4, m).thermostat(t).build().unwrap_err();
+            assert!(counted.to_string().contains("Counted"), "{counted}");
+            let pme = Some(PmeSimConfig { every: 1, ..PmeSimConfig::default() });
+            let with_pme = real().pme(pme).thermostat(t).build().unwrap_err();
+            assert!(with_pme.to_string().contains("PME"), "{with_pme}");
+        }
+        for (t, which) in [
+            (Thermostat::Berendsen { target_k: 0.0, tau_fs: 100.0 }, "target_k"),
+            (Thermostat::Berendsen { target_k: 300.0, tau_fs: -1.0 }, "tau_fs"),
+            (Thermostat::Langevin { target_k: f64::NAN, gamma: 0.01, seed: 0 }, "target_k"),
+            (Thermostat::Langevin { target_k: 300.0, gamma: 0.0, seed: 0 }, "gamma"),
+            (Thermostat::Langevin { target_k: 300.0, gamma: f64::INFINITY, seed: 0 }, "gamma"),
+        ] {
+            let e = real().thermostat(t).build().unwrap_err();
+            assert!(matches!(&e, ConfigError::BadThermostat(msg) if msg.contains(which)), "{e}");
+        }
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! deterministic DES (modeled loads) or on real worker threads (measured
 //! wall-clock loads).
 
-use crate::chares::{CkptChare, ComputeChare, Entries, HomePatch, ProxyPatch, Reducer, RunParams};
-use crate::config::{ForceMode, LbStrategy, SimConfig};
+use crate::chares::{
+    BarrierChare, ComputeChare, Entries, HomePatch, ProxyPatch, Reducer, RunParams,
+};
+use crate::config::{ForceMode, LbStrategy, SimConfig, Thermostat};
 use crate::costmodel;
 use crate::decomp::{self, Decomposition};
 use crate::messages::{EnergiesMsg, PatchStateMsg};
@@ -52,8 +54,8 @@ impl Deref for ForcesRef<'_> {
     }
 }
 
-/// Exclusive write access to the between-phase [`System`] — thermostats
-/// rescale velocities through this between phases.
+/// Exclusive write access to the between-phase [`System`], e.g. to edit
+/// positions or velocities between phases.
 pub struct SystemMut<'a>(RwLockWriteGuard<'a, SimState>);
 
 impl Deref for SystemMut<'_> {
@@ -474,7 +476,8 @@ impl Engine {
     }
 
     /// Restore the engine to a snapshot's state. Refuses (with a named
-    /// error) a snapshot taken of a different system or run configuration.
+    /// error) a snapshot taken of a different system or run configuration;
+    /// the PE count may differ, since placement changes no bit.
     /// Rebuilds the decomposition and pair-list caches from the restored
     /// positions — checkpoints are taken at atom-migration boundaries, so
     /// this rebuild reproduces exactly the decomposition the uninterrupted
@@ -489,7 +492,6 @@ impl Engine {
                 topology_hash(&sys),
                 sys.forcefield.cutoff,
                 self.config.dt_fs,
-                self.config.n_pes,
                 [sys.cell.lengths.x, sys.cell.lengths.y, sys.cell.lengths.z],
             )?;
             if snap.positions.len() != sys.n_atoms() || snap.velocities.len() != sys.n_atoms() {
@@ -539,8 +541,7 @@ impl Engine {
         SystemRef(self.shared.state.read().expect("state lock poisoned"))
     }
 
-    /// Write access to the between-phase system, e.g. for a thermostat
-    /// between phases.
+    /// Write access to the between-phase system (positions, velocities).
     pub fn system_mut(&mut self) -> SystemMut<'_> {
         SystemMut(self.shared.state.write().expect("state lock poisoned"))
     }
@@ -612,6 +613,22 @@ impl Engine {
         } else {
             None
         };
+        // The in-phase barriers, at global steps `steps_done + s` of the
+        // phase: every s ≥ 1 under Berendsen, and the checkpoint steps.
+        // s = 0 is excluded (chained phases repeat the boundary force
+        // evaluation; the previous phase's final step already paused there).
+        let berendsen = match cfg.thermostat {
+            Thermostat::Berendsen { target_k, tau_fs } => {
+                Some((mdcore::thermostat::Berendsen { target_k, tau_fs }, cfg.dt_fs))
+            }
+            _ => None,
+        };
+        let rounds: Vec<(u64, bool)> = (1..n_steps)
+            .map(|s| self.steps_done + s)
+            .map(|g| (g as u64, ckpt_dir.is_some() && g % cfg.checkpoint_interval == 0))
+            .filter(|&(_, write)| write || berendsen.is_some())
+            .collect();
+        let barrier = ckpt_dir.is_some() || berendsen.is_some();
         let params = RunParams {
             n_steps,
             dt_fs: cfg.dt_fs,
@@ -621,6 +638,7 @@ impl Engine {
             pairlist_margin: cfg.pairlist_margin,
             checkpoint_every: if ckpt_dir.is_some() { cfg.checkpoint_interval } else { 0 },
             step_offset: self.steps_done,
+            thermostat: cfg.thermostat,
         };
         let pairlist_before = self.shared.nb_cache.totals();
 
@@ -689,11 +707,10 @@ impl Engine {
                 .as_ref()
                 .map(|sp| ObjId((sp.id_base + p % sp.n_slabs) as u32))
         };
-        // The checkpoint chare takes the next dense id after the slabs.
+        // The barrier chare takes the next dense id after the slabs.
         let n_slabs = slab_plan.as_ref().map_or(0, |sp| sp.n_slabs);
-        let ckpt_id = ckpt_dir
-            .as_ref()
-            .map(|_| ObjId((1 + n_patches + n_proxies + n_computes + n_slabs) as u32));
+        let barrier_id =
+            barrier.then(|| ObjId((1 + n_patches + n_proxies + n_computes + n_slabs) as u32));
 
         // ---- Register objects in id order ---------------------------------
         let reg = rt.register(Box::new(Reducer::new(n_patches)), 0, false);
@@ -716,7 +733,7 @@ impl Engine {
                 expected,
                 reducer_id,
                 slab_of_patch(p),
-                ckpt_id,
+                barrier_id,
             );
             let id = rt.register(Box::new(obj), home_pe, false);
             assert_eq!(id, patch_id(p));
@@ -803,30 +820,27 @@ impl Engine {
             }
         }
 
-        // ---- Checkpoint chare (after the slabs) ---------------------------
-        if let Some(dir_path) = &ckpt_dir {
-            let dir = ckpt::CheckpointDir::create(dir_path)
-                .unwrap_or_else(|e| panic!("checkpoint directory: {e}"));
-            // Global steps at which this phase's barriers fire, in order.
-            // s = 0 is excluded (chained phases repeat the boundary force
-            // evaluation; the previous phase already snapshotted it).
-            let steps: Vec<u64> = (1..n_steps)
-                .filter(|s| (self.steps_done + s) % cfg.checkpoint_interval == 0)
-                .map(|s| (self.steps_done + s) as u64)
-                .collect();
-            // A barrier ends the phase at a rebuild boundary, so a restore
-            // from it rebuilds computes the phase-start loads do not index.
-            let template = ckpt::Snapshot { loads: Vec::new(), ..self.snapshot() };
-            let obj = CkptChare::new(
+        // ---- Barrier chare (after the slabs) ------------------------------
+        let checkpoints = rounds.iter().filter(|&&(_, write)| write).count() as u64;
+        if barrier {
+            let ckpt = ckpt_dir.as_ref().map(|dir_path| {
+                let dir = ckpt::CheckpointDir::create(dir_path)
+                    .unwrap_or_else(|e| panic!("checkpoint directory: {e}"));
+                // A barrier ends the phase at a rebuild boundary, so a
+                // restore from it rebuilds computes the phase-start loads do
+                // not index.
+                (dir, ckpt::Snapshot { loads: Vec::new(), ..self.snapshot() })
+            });
+            let obj = BarrierChare::new(
                 self.shared.clone(),
                 entries,
                 (0..n_patches).map(patch_id).collect(),
-                steps,
-                dir,
-                template,
+                rounds,
+                ckpt,
+                berendsen,
             );
             let id = rt.register(Box::new(obj), 0, false);
-            assert_eq!(Some(id), ckpt_id);
+            assert_eq!(Some(id), barrier_id);
         }
 
         // ---- Bootstrap and run --------------------------------------------
@@ -920,8 +934,7 @@ impl Engine {
                 hits: pairlist.hits,
             },
             messages: profile::MessageCounters::from(&stats),
-            // Each barrier collects one CkptReady per patch.
-            checkpoints: stats.entry_count[entries.ckpt_ready.idx()] / n_patches.max(1) as u64,
+            checkpoints,
             critical_path: stats.critical_path,
             wire_msgs: stats.entry_wire_msgs.iter().sum(),
             wire_bytes: stats.entry_wire_bytes.iter().sum(),

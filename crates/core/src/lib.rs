@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::audit::{audit, Audit, AuditRow};
     pub use crate::config::{
         Backend, ConfigError, ForceMode, LbStrategy, PmeSimConfig, SimConfig,
-        SimConfigBuilder,
+        SimConfigBuilder, Thermostat,
     };
     pub use crate::decomp::{build as build_decomposition, ComputeKind, Decomposition};
     pub use crate::engine::{topology_hash, BenchmarkRun, Engine, PhaseCrash, PhaseResult};

@@ -207,11 +207,11 @@ impl CoordMsg {
     }
 }
 
-/// One patch's contribution to a checkpoint: positions and velocities of its
-/// atoms at the checkpoint boundary. Sent from each [`crate::chares::HomePatch`]
-/// to the checkpoint chare, which assembles the full-system snapshot from
-/// these messages alone — no shared-memory reads, so the same path works on
-/// every backend.
+/// One patch's contribution to an in-phase barrier: the velocities of its
+/// atoms, and on checkpoint steps their positions (empty otherwise). Sent
+/// from each [`crate::chares::HomePatch`] to the barrier chare, which
+/// assembles the full-system state from these messages alone — no
+/// shared-memory reads, so the same path works on every backend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CkptMsg {
     /// Patch index.

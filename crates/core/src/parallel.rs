@@ -90,16 +90,16 @@ impl ParallelSim {
         Ok(ParallelSim { engine: Engine::new(system, config), migrate_every: 20 })
     }
 
-    /// Proc-backend knobs: worker-process count (0 = one per PE; any other
-    /// value must equal the PE count) and the directory for the Unix socket
-    /// mesh (`None` = a fresh directory under the system temp dir).
+    /// The directory for the proc backend's Unix socket mesh (`None` = a
+    /// fresh directory under the system temp dir). The proc backend runs one
+    /// worker process per PE, so `procs` can only be 0 or the PE count; it
+    /// configures nothing.
     pub fn set_proc_options(&mut self, procs: usize, socket_dir: Option<std::path::PathBuf>) {
         assert!(
             procs == 0 || procs == self.engine.config.n_pes,
             "procs must be 0 or equal the PE count ({}), got {procs}",
             self.engine.config.n_pes
         );
-        self.engine.config.procs = procs;
         self.engine.config.socket_dir = socket_dir;
     }
 
@@ -108,7 +108,7 @@ impl ParallelSim {
         self.engine.system()
     }
 
-    /// Write access to the system, e.g. for thermostats between steps.
+    /// Write access to the system between steps.
     pub fn system_mut(&mut self) -> SystemMut<'_> {
         self.engine.system_mut()
     }

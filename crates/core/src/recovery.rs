@@ -1,9 +1,9 @@
 //! The phase-chaining driver: [`advance`] is the one place that turns a
 //! global-step target into engine phases, and therefore the one place that
 //! knows the atom-migration cadence and what a crashed phase triggers.
-//! The CLI's run loop, the job scheduler in `crates/serve` and
-//! [`crate::parallel::ParallelSim`] are `while done < target` loops around
-//! it.
+//! The CLI's run loop (at every thread count), the job scheduler in
+//! `crates/serve` and [`crate::parallel::ParallelSim`] are
+//! `while done < target` loops around it.
 //!
 //! **Cadence.** A phase never crosses a multiple of `migrate_every` on the
 //! *global* step counter, and the decomposition is rebuilt
@@ -25,11 +25,12 @@
 //! exponentially, and restores the newest rollback point: the newest valid
 //! file in `config.checkpoint_dir` when one is set, else the rebuild-
 //! boundary snapshot it keeps in memory for a caller that asked for one,
-//! else nothing — the crash is surfaced. It then *returns* before
-//! replaying, because only the caller knows what else the rollback undid
-//! (the CLI re-applies a thermostat rescale and rewinds its frame mark,
-//! the scheduler counts the recovery). `config.max_recoveries` bounds
-//! *consecutive* crashes: a completed phase resets the count.
+//! else nothing — the crash is surfaced. Snapshots hold the post-rescale
+//! state of a thermostatted run, so nothing is re-applied. It then
+//! *returns* before replaying, because only the caller knows what else the
+//! rollback undid (the CLI rewinds its step counter, the scheduler counts
+//! the recovery). `config.max_recoveries` bounds *consecutive* crashes: a
+//! completed phase resets the count.
 
 use crate::config::ForceMode;
 use crate::engine::{Engine, PhaseCrash, PhaseResult};

@@ -3,7 +3,7 @@
 
 use crate::forcefield::{units, ForceField};
 use crate::pbc::Cell;
-use crate::topology::{Exclusions, Topology};
+use crate::topology::{Atom, Exclusions, Topology};
 use crate::vec3::Vec3;
 use rand::Rng;
 use rand::SeedableRng;
@@ -102,17 +102,12 @@ impl System {
 
     /// Kinetic energy, kcal/mol.
     pub fn kinetic_energy(&self) -> f64 {
-        self.velocities
-            .iter()
-            .zip(&self.topology.atoms)
-            .map(|(v, a)| 0.5 * a.mass * v.norm2() * units::KE)
-            .sum()
+        kinetic_energy(&self.topology.atoms, &self.velocities)
     }
 
     /// Instantaneous temperature, K.
     pub fn temperature(&self) -> f64 {
-        let dof = (3 * self.n_atoms()) as f64 - 3.0;
-        2.0 * self.kinetic_energy() / (dof * units::K_B)
+        temperature(self.kinetic_energy(), self.n_atoms())
     }
 
     /// Total momentum (amu·Å/fs) — should stay ~0 during NVE dynamics.
@@ -123,6 +118,19 @@ impl System {
             .map(|(v, a)| *v * a.mass)
             .sum()
     }
+}
+
+/// Kinetic energy, kcal/mol, of `velocities` for `atoms`, summed in atom
+/// order — the order every temperature a thermostat acts on is taken in.
+pub fn kinetic_energy(atoms: &[Atom], velocities: &[Vec3]) -> f64 {
+    velocities.iter().zip(atoms).map(|(v, a)| 0.5 * a.mass * v.norm2() * units::KE).sum()
+}
+
+/// Instantaneous temperature, K, of `n_atoms` atoms carrying `kinetic`
+/// kcal/mol, over 3N − 3 degrees of freedom (net momentum removed).
+pub fn temperature(kinetic: f64, n_atoms: usize) -> f64 {
+    let dof = (3 * n_atoms) as f64 - 3.0;
+    2.0 * kinetic / (dof * units::K_B)
 }
 
 /// Standard normal variate via Box-Muller (avoids needing rand_distr).

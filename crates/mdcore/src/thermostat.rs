@@ -8,14 +8,15 @@
 //!   temperature; fast and robust for equilibration (not canonical).
 //! * [`Langevin`] — stochastic dynamics via the BAOAB splitting; samples
 //!   the canonical (NVT) ensemble and is what NAMD uses by default.
+//!
+//! Both are also what the parallel engine's home patches apply; the pieces
+//! they share with it — [`Berendsen::lambda`] and [`OuRefresh`] with its
+//! counter-based [`normal`] noise — are written here once.
 
 use crate::forcefield::units;
 use crate::sim::{compute_forces, StepEnergy};
 use crate::system::System;
 use crate::vec3::Vec3;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// Berendsen weak-coupling thermostat: velocities are rescaled each step by
 /// `λ = √(1 + dt/τ·(T₀/T − 1))`.
@@ -28,55 +29,100 @@ pub struct Berendsen {
 }
 
 impl Berendsen {
-    /// Apply one rescaling for timestep `dt_fs`.
-    pub fn apply(&self, system: &mut System, dt_fs: f64) {
-        let t = system.temperature();
+    /// The rescale factor λ for instantaneous temperature `t` (K) and
+    /// timestep `dt_fs`; 1 when `t` is not positive.
+    pub fn lambda(&self, t: f64, dt_fs: f64) -> f64 {
         if t <= 0.0 {
-            return;
+            return 1.0;
         }
         let lambda2 = 1.0 + dt_fs / self.tau_fs * (self.target_k / t - 1.0);
-        let lambda = lambda2.clamp(0.64, 1.56).sqrt(); // clamp like CHARMM
+        lambda2.clamp(0.64, 1.56).sqrt() // clamp like CHARMM
+    }
+
+    /// Apply one rescaling for timestep `dt_fs`.
+    pub fn apply(&self, system: &mut System, dt_fs: f64) {
+        let lambda = self.lambda(system.temperature(), dt_fs);
         for v in &mut system.velocities {
             *v *= lambda;
         }
     }
 }
 
+/// SplitMix64's output mix: a bijection on `u64` with full avalanche.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A standard normal variate that is a pure function of its key: `seed`,
+/// the global `atom` index, the global `step` of the update, and the
+/// `axis`. Counter-based — there is no generator state — so whoever draws
+/// an atom's noise, in whatever order, after whatever checkpoint or
+/// rollback, draws the same bits. Box-Muller over two 53-bit uniforms
+/// hashed from the key.
+pub fn normal(seed: u64, atom: u64, step: u64, axis: u64) -> f64 {
+    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = seed;
+    for word in [atom, step, axis] {
+        h = mix(h.wrapping_add(GOLDEN) ^ word);
+    }
+    let unit = 1.0 / (1u64 << 53) as f64;
+    let u1 = ((mix(h.wrapping_add(GOLDEN)) >> 11) + 1) as f64 * unit; // (0, 1]
+    let u2 = (mix(h.wrapping_add(GOLDEN.wrapping_mul(2))) >> 11) as f64 * unit; // [0, 1)
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// BAOAB's O step: the Ornstein-Uhlenbeck velocity refresh
+/// `v ← c₁·v + √(kT/m·(1 − c₁²))·ξ`, `c₁ = e^(−γ·dt)`, with ξ from
+/// [`normal`].
+#[derive(Debug, Clone, Copy)]
+pub struct OuRefresh {
+    c1: f64,
+    kt: f64,
+    seed: u64,
+}
+
+impl OuRefresh {
+    /// The refresh toward `target_k` (K) at friction `gamma` (fs⁻¹) over a
+    /// timestep of `dt` fs, drawing its noise under `seed`.
+    pub fn new(target_k: f64, gamma: f64, dt: f64, seed: u64) -> Self {
+        OuRefresh { c1: (-gamma * dt).exp(), kt: units::K_B * target_k, seed }
+    }
+
+    /// The refreshed velocity of global atom `atom` (mass `m`) in the
+    /// update out of global step `step`.
+    pub fn apply(&self, v: Vec3, m: f64, atom: u64, step: u64) -> Vec3 {
+        // OU noise amplitude per unit mass in velocity units; kT/m converts
+        // via ACCEL like thermalize().
+        let sigma = (self.kt / m * units::ACCEL * (1.0 - self.c1 * self.c1)).sqrt();
+        let xi = |axis| normal(self.seed, atom, step, axis);
+        v * self.c1 + Vec3::new(xi(0), xi(1), xi(2)) * sigma
+    }
+}
+
 /// Langevin (BAOAB) integrator: velocity-Verlet kicks and drifts with an
 /// Ornstein-Uhlenbeck velocity refresh in the middle.
 pub struct Langevin {
-    /// Target temperature, K.
-    pub target_k: f64,
-    /// Friction coefficient γ, fs⁻¹ (NAMD-typical: 0.001-0.01).
-    pub gamma: f64,
     /// Timestep, fs.
     pub dt: f64,
-    rng: ChaCha8Rng,
+    refresh: OuRefresh,
+    /// Updates taken so far: the step key of the next refresh's noise.
+    step: u64,
     forces: Vec<Vec3>,
     primed: bool,
 }
 
 impl Langevin {
-    /// Create a Langevin integrator with a deterministic RNG seed.
+    /// Create a Langevin integrator drawing its noise under `seed`.
     pub fn new(system: &System, target_k: f64, gamma: f64, dt: f64, seed: u64) -> Self {
         assert!(target_k > 0.0 && gamma > 0.0 && dt > 0.0);
         Langevin {
-            target_k,
-            gamma,
             dt,
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            refresh: OuRefresh::new(target_k, gamma, dt, seed),
+            step: 0,
             forces: vec![Vec3::ZERO; system.n_atoms()],
             primed: false,
-        }
-    }
-
-    fn gaussian(&mut self) -> f64 {
-        loop {
-            let u1: f64 = self.rng.gen();
-            let u2: f64 = self.rng.gen();
-            if u1 > 1e-300 {
-                return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            }
         }
     }
 
@@ -89,10 +135,6 @@ impl Langevin {
         }
         let dt = self.dt;
         let n = system.n_atoms();
-        let c1 = (-self.gamma * dt).exp();
-        // OU noise amplitude per unit mass: √(kT/m·(1−c1²)) in velocity
-        // units; kT/m converts via ACCEL like thermalize().
-        let kt = units::K_B * self.target_k;
 
         // B + A.
         for i in 0..n {
@@ -104,10 +146,9 @@ impl Langevin {
         // O.
         for i in 0..n {
             let m = system.topology.atoms[i].mass;
-            let sigma = (kt / m * units::ACCEL * (1.0 - c1 * c1)).sqrt();
-            let noise = Vec3::new(self.gaussian(), self.gaussian(), self.gaussian()) * sigma;
-            system.velocities[i] = system.velocities[i] * c1 + noise;
+            system.velocities[i] = self.refresh.apply(system.velocities[i], m, i as u64, self.step);
         }
+        self.step += 1;
         // A.
         for i in 0..n {
             system.positions[i] =
@@ -208,6 +249,22 @@ mod tests {
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4));
+    }
+
+    #[test]
+    fn counter_noise_is_standard_normal_and_keyed() {
+        let draws: Vec<f64> = (0..20_000u64).map(|i| normal(5, i / 3, 7, i % 3)).collect();
+        let n = draws.len() as f64;
+        let mean = draws.iter().sum::<f64>() / n;
+        let var = draws.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+        assert!(mean.abs() < 0.03 && (var - 1.0).abs() < 0.05, "mean {mean}, variance {var}");
+        // Every key component matters; equal keys draw equal bits.
+        let base = normal(5, 10, 7, 1);
+        assert_eq!(base.to_bits(), normal(5, 10, 7, 1).to_bits());
+        let others = [(6, 10, 7, 1), (5, 11, 7, 1), (5, 10, 8, 1), (5, 10, 7, 2)];
+        for other in others.map(|(s, a, t, x)| normal(s, a, t, x)) {
+            assert_ne!(base.to_bits(), other.to_bits());
+        }
     }
 
     #[test]

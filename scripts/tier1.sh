@@ -60,6 +60,13 @@ SCENARIO_STRESS_CASES=3 cargo test -q --test scenario_stress || status=1
 echo "==> trajectory-analysis correctness (closed forms + bit-identity)"
 cargo test -q --test analyze_correctness || status=1
 
+# Every cutoff run of `namd-rs run` is the engine's, so threads 1, threads 2
+# and the DES backend must write one trajectory under each thermostat.
+# Blocking — a difference means the PE count moved a bit of the CLI's output.
+echo "==> CLI PE-count witness (scripts/cli_pe_count.sh)"
+{ cargo build --release -q -p namd-cli &&
+  bash scripts/cli_pe_count.sh target/release/namd-rs; } || status=1
+
 # benchmark/ is a workspace of its own, so nothing above compiles it: a
 # crate API change can break the harness without any test noticing.
 # Blocking — the benchmark is the only way this repo is measured.

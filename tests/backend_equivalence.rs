@@ -2,7 +2,9 @@
 //!
 //! * the real-threads backend reproduces the sequential reference on an
 //!   apoa1-like system with positional restraints and under both
-//!   thermostats;
+//!   thermostats, which the engine's home patches run themselves: Berendsen
+//!   to the bit of rescaling between one-step phases, Langevin within the
+//!   force tolerance of the sequential integrator drawing the same noise;
 //! * the DES and threads backends build identical compute-object sets and
 //!   each yields a valid greedy load-balancing assignment from its own
 //!   (modeled vs measured) loads;
@@ -96,41 +98,87 @@ fn threads_trajectory_matches_sequential_under_berendsen() {
 }
 
 #[test]
-fn threads_forces_match_along_a_langevin_trajectory() {
-    // Langevin's integrator owns the RNG, so the two backends cannot be
-    // co-stepped; instead sample configurations along a sequential Langevin
-    // trajectory and check the threads backend reproduces the forces (and
-    // the restraint energy) at each.
-    let mut sys = restrained_apoa1_small();
-    let mut langevin = Langevin::new(&sys, 300.0, 0.05, 1.0, 7);
-
-    for sample in 0..3 {
-        for _ in 0..4 {
-            langevin.step(&mut sys);
+fn engine_berendsen_is_the_rescale_between_one_step_phases_bit_for_bit() {
+    // The barrier takes the temperature in atom order, as
+    // `System::temperature` does, and the patches rescale before the second
+    // half-kick: the same bits as rescaling the between-phase system after
+    // every one-step phase, at the same migration cadence.
+    const STEPS: usize = 8;
+    const EVERY: usize = 4;
+    let sys = restrained_apoa1_small();
+    let berendsen = Berendsen { target_k: 300.0, tau_fs: 100.0 };
+    let thermostat = Thermostat::Berendsen { target_k: 300.0, tau_fs: 100.0 };
+    for pes in [1, 2] {
+        let mut par = ParallelSim::new(sys.clone(), pes, 0.5).unwrap();
+        par.migrate_every = EVERY;
+        let mut by_hand = Vec::new();
+        for _ in 0..STEPS {
+            by_hand.push(par.step());
+            berendsen.apply(&mut par.system_mut(), 0.5);
         }
-        let mut f_seq = vec![Vec3::ZERO; sys.n_atoms()];
-        let e_seq = namd_repro::mdcore::sim::compute_forces(&sys, &mut f_seq);
+        let config = thermostat_config(pes, Backend::Threads, thermostat);
+        let mut engine = Engine::new(sys.clone(), SimConfig { dt_fs: 0.5, ..config });
+        let phases = advance_to(&mut engine, STEPS, EVERY);
+        let records: Vec<StepAcc> = phases.iter().flat_map(|p| p.energies[1..].to_vec()).collect();
+        assert_eq!(records, by_hand, "{pes} PEs: step records differ");
+        assert_eq!(state_crc(&engine), state_crc(par.engine()), "{pes} PEs: state differs");
+    }
+}
 
-        let mut par = ParallelSim::new(sys.clone(), 2, 1.0).unwrap();
-        let acc = par.compute_forces();
-        let tol = 1e-8 * e_seq.potential().abs().max(1.0);
+#[test]
+fn threads_forces_match_along_a_langevin_trajectory() {
+    // The home patches run BAOAB with the noise the sequential integrator
+    // draws, keyed by (seed, atom, step), so the two co-step: every 4 steps
+    // the engine's trajectory matches the sequential one, and the forces it
+    // evaluated match the sequential kernels' at its own configuration.
+    let sys = restrained_apoa1_small();
+    let mut seq = sys.clone();
+    let mut langevin = Langevin::new(&seq, 300.0, 0.05, 1.0, 7);
+    let thermostat = Thermostat::Langevin { target_k: 300.0, gamma: 0.05, seed: 7 };
+    let mut engine = Engine::new(sys.clone(), thermostat_config(2, Backend::Threads, thermostat));
+
+    for sample in 1..=3 {
+        let e_seq = *langevin.run(&mut seq, 4).last().unwrap();
+        let phases = advance_to(&mut engine, 4 * sample, 20);
+        let e_par = *phases.last().unwrap().energies.last().unwrap();
+        let tol = 1e-7 * e_seq.total().abs().max(1.0);
         assert!(
-            (acc.potential() - e_seq.potential()).abs() < tol,
+            (e_par.total() - e_seq.total()).abs() < tol,
             "sample {sample}: threads {} vs sequential {}",
-            acc.potential(),
-            e_seq.potential()
+            e_par.total(),
+            e_seq.total()
         );
-        for (i, (fp, fs)) in par.forces().iter().zip(&f_seq).enumerate() {
+        let par = engine.system().clone();
+        for i in (0..seq.positions.len()).step_by(23) {
+            let d = (par.positions[i] - seq.positions[i]).norm();
+            assert!(d < 1e-6, "sample {sample}: atom {i} diverged by {d} under Langevin");
+        }
+        let mut f_seq = vec![Vec3::ZERO; par.n_atoms()];
+        namd_repro::mdcore::sim::compute_forces(&par, &mut f_seq);
+        for (i, (fp, fs)) in engine.forces().iter().zip(&f_seq).enumerate() {
             let d = (*fp - *fs).norm();
             assert!(d < 1e-9 * (1.0 + fs.norm()), "sample {sample} atom {i} differs by {d}");
         }
     }
+
+    // From rest, the noise heats the deck toward the target.
+    let mut cold = sys;
+    cold.velocities.fill(Vec3::ZERO);
+    let mut engine = Engine::new(cold, thermostat_config(2, Backend::Threads, thermostat));
+    advance_to(&mut engine, 10, 20);
+    let t = engine.system().temperature();
+    assert!(t > 100.0, "Langevin failed to heat a cold deck: {t} K");
 }
 
 fn real_mode_config(n_pes: usize, backend: Backend) -> SimConfig {
+    thermostat_config(n_pes, backend, Thermostat::None)
+}
+
+fn thermostat_config(n_pes: usize, backend: Backend, thermostat: Thermostat) -> SimConfig {
     SimConfig::builder(n_pes, namd_repro::machine::presets::generic_cluster())
         .force_mode(ForceMode::Real)
         .backend(backend)
+        .thermostat(thermostat)
         .build()
         .expect("valid test config")
 }

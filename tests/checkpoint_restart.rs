@@ -1,12 +1,14 @@
 //! Checkpoint/restart acceptance tests (ISSUE 4):
 //!
 //! * crash-recovery round trip: a PE-kill fault at a fuzzed message
-//!   occurrence, under each `SchedulePolicy`, on both backends — the
-//!   recovered run's positions *and* velocities must be bit-identical to
-//!   an uninterrupted run at the same seed and schedule policy;
+//!   occurrence, under each `SchedulePolicy`, on both backends, and under
+//!   each thermostat — the recovered run's positions *and* velocities must
+//!   be bit-identical to an uninterrupted run at the same seed and schedule
+//!   policy;
 //! * the same trajectory is bit-identical across the DES and threads
 //!   backends (the sorted force fold makes per-step forces pure functions
 //!   of positions + decomposition, independent of delivery order);
+//! * a checkpoint resumes at any PE count;
 //! * mismatched-topology and mismatched-config snapshots are refused with
 //!   descriptive errors, as are corrupted snapshot files.
 //!
@@ -63,16 +65,30 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
 }
 
 fn make_engine(backend: Backend, policy: SchedulePolicy, dir: &std::path::Path) -> Engine {
-    let cfg = SimConfig::builder(2, namd_repro::machine::presets::generic_cluster())
+    thermostatted_engine(2, backend, policy, Thermostat::None, Some(dir))
+}
+
+fn thermostatted_engine(
+    n_pes: usize,
+    backend: Backend,
+    policy: SchedulePolicy,
+    thermostat: Thermostat,
+    dir: Option<&std::path::Path>,
+) -> Engine {
+    let mut cfg = SimConfig::builder(n_pes, namd_repro::machine::presets::generic_cluster())
         .force_mode(ForceMode::Real)
         .backend(backend)
         .dt_fs(1.0)
         .schedule(policy)
-        .checkpoint(dir, INTERVAL)
-        .build()
-        .expect("valid test config");
-    Engine::new(small_system(), cfg)
+        .thermostat(thermostat);
+    if let Some(dir) = dir {
+        cfg = cfg.checkpoint(dir, INTERVAL);
+    }
+    Engine::new(small_system(), cfg.build().expect("valid test config"))
 }
+
+const BERENDSEN: Thermostat = Thermostat::Berendsen { target_k: 300.0, tau_fs: 50.0 };
+const LANGEVIN: Thermostat = Thermostat::Langevin { target_k: 300.0, gamma: 0.05, seed: 3 };
 
 fn final_bits(engine: &Engine) -> Vec<(u64, u64, u64, u64, u64, u64)> {
     let sys = engine.system();
@@ -102,11 +118,12 @@ fn drive(engine: &mut Engine, total: usize) -> u32 {
 fn run_to_end(
     backend: Backend,
     policy: SchedulePolicy,
+    thermostat: Thermostat,
     kill: Option<FaultPlan>,
     tag: &str,
 ) -> (Vec<(u64, u64, u64, u64, u64, u64)>, u32) {
     let dir = tempdir(tag);
-    let mut engine = make_engine(backend, policy, &dir);
+    let mut engine = thermostatted_engine(2, backend, policy, thermostat, Some(&dir));
     engine.config.fault_plan = kill;
     let recoveries = drive(&mut engine, TOTAL_UPDATES);
     assert_eq!(engine.steps_done, TOTAL_UPDATES);
@@ -118,10 +135,16 @@ fn run_to_end(
 fn check_killed_run_matches_reference(
     backend: Backend,
     policy: SchedulePolicy,
+    thermostat: Thermostat,
     kill_skip: u64,
 ) -> Result<(), String> {
-    let label = format!("{backend:?}-{:?}-{}-{kill_skip}", policy.kind, policy.seed);
-    let (reference, r0) = run_to_end(backend, policy, None, &format!("ref-{label}"));
+    let kind = match thermostat {
+        Thermostat::None => "nve",
+        Thermostat::Berendsen { .. } => "berendsen",
+        Thermostat::Langevin { .. } => "langevin",
+    };
+    let label = format!("{backend:?}-{:?}-{}-{kind}-{kill_skip}", policy.kind, policy.seed);
+    let (reference, r0) = run_to_end(backend, policy, thermostat, None, &format!("ref-{label}"));
     if r0 != 0 {
         return Err(format!("[{label}] clean run reported {r0} recoveries"));
     }
@@ -130,7 +153,7 @@ fn check_killed_run_matches_reference(
     ))
     .expect("valid plan");
     let (killed, recoveries) =
-        run_to_end(backend, policy, Some(plan), &format!("kill-{label}"));
+        run_to_end(backend, policy, thermostat, Some(plan), &format!("kill-{label}"));
     if recoveries == 0 {
         return Err(format!(
             "[{label}] the kill never fired — widen the skip range"
@@ -168,8 +191,24 @@ proptest! {
     fn killed_runs_recover_bit_identically(case in arb_case()) {
         let (policy, skip, threads) = case;
         let backend = if threads { Backend::Threads } else { Backend::Des };
-        if let Err(msg) = check_killed_run_matches_reference(backend, policy, skip) {
+        let checked = check_killed_run_matches_reference(backend, policy, Thermostat::None, skip);
+        if let Err(msg) = checked {
             prop_assert!(false, "{}", msg);
+        }
+    }
+}
+
+/// The barrier snapshots hold Berendsen's post-rescale velocities and
+/// Langevin's noise is keyed by the global step, so a rollback replays a
+/// thermostatted run onto its clean twin's bits with nothing re-applied.
+#[test]
+fn thermostatted_killed_runs_recover_bit_identically() {
+    for thermostat in [BERENDSEN, LANGEVIN] {
+        for backend in [Backend::Des, Backend::Threads] {
+            let fifo = SchedulePolicy::default();
+            if let Err(msg) = check_killed_run_matches_reference(backend, fifo, thermostat, 20) {
+                panic!("{msg}");
+            }
         }
     }
 }
@@ -177,9 +216,31 @@ proptest! {
 #[test]
 fn backends_agree_bit_for_bit() {
     let fifo = SchedulePolicy::default();
-    let (des, _) = run_to_end(Backend::Des, fifo, None, "xbackend-des");
-    let (thr, _) = run_to_end(Backend::Threads, fifo, None, "xbackend-thr");
+    let (des, _) = run_to_end(Backend::Des, fifo, Thermostat::None, None, "xbackend-des");
+    let (thr, _) = run_to_end(Backend::Threads, fifo, Thermostat::None, None, "xbackend-thr");
     assert_eq!(des, thr, "DES and threads trajectories differ at the bit level");
+}
+
+/// Placement changes no bit, so a snapshot taken on 2 PEs resumes on 1 —
+/// under Berendsen too, whose snapshots hold post-rescale velocities.
+#[test]
+fn checkpoints_restore_at_any_pe_count() {
+    let fifo = SchedulePolicy::default();
+    for thermostat in [Thermostat::None, BERENDSEN] {
+        let dir = tempdir("pe-count");
+        let mut two = thermostatted_engine(2, Backend::Threads, fifo, thermostat, Some(&dir));
+        drive(&mut two, TOTAL_UPDATES);
+        let file = ckpt::CheckpointDir::create(&dir).unwrap().file_for_step(INTERVAL as u64);
+        let snap = ckpt::Snapshot::decode(&std::fs::read(file).unwrap()).unwrap();
+        assert_eq!(snap.n_pes, 2);
+
+        let mut one = thermostatted_engine(1, Backend::Threads, fifo, thermostat, None);
+        one.restore(&snap).expect("a snapshot restores at any PE count");
+        assert_eq!(one.steps_done, INTERVAL);
+        drive(&mut one, TOTAL_UPDATES);
+        assert!(final_bits(&one) == final_bits(&two), "{thermostat:?}: 1-PE resume differs");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -216,19 +277,7 @@ fn mismatched_snapshots_are_refused() {
     );
     assert!(err.to_string().contains("topology hash"), "{err}");
 
-    // Same topology, different run configuration (PE count, timestep).
-    let cfg = SimConfig::builder(3, namd_repro::machine::presets::generic_cluster())
-        .force_mode(ForceMode::Real)
-        .dt_fs(1.0)
-        .build()
-        .unwrap();
-    let mut wrong_pes = Engine::new(small_system(), cfg);
-    let err = wrong_pes.restore(&snap).unwrap_err();
-    assert!(
-        matches!(err, ckpt::CkptError::ConfigMismatch(_)),
-        "expected ConfigMismatch for n_pes, got {err}"
-    );
-
+    // Same topology, different run configuration (timestep).
     let cfg = SimConfig::builder(2, namd_repro::machine::presets::generic_cluster())
         .force_mode(ForceMode::Real)
         .dt_fs(0.5)

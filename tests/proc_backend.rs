@@ -10,7 +10,9 @@
 //!   scheduled the messages;
 //! * a SIGKILLed worker process surfaces as a phase crash, and
 //!   checkpoint-based recovery reproduces the uninterrupted trajectory
-//!   bit for bit.
+//!   bit for bit;
+//! * under either thermostat, every backend and PE count gives one
+//!   trajectory.
 
 use namd_repro::mdcore::prelude::*;
 use namd_repro::molgen;
@@ -110,6 +112,16 @@ fn des_threads_and_proc_trajectories_are_bit_identical() {
 }
 
 fn recovery_engine(dir: &std::path::Path, backend: Backend) -> Engine {
+    let cfg = SimConfig::builder(2, namd_repro::machine::presets::generic_cluster())
+        .force_mode(ForceMode::Real)
+        .backend(backend)
+        .checkpoint(dir, 4)
+        .build()
+        .expect("valid test config");
+    Engine::new(recovery_deck(), cfg)
+}
+
+fn recovery_deck() -> System {
     let mut sys = molgen::SystemBuilder::new(molgen::SystemSpec {
         name: "proc-recovery-test",
         box_lengths: Vec3::new(28.0, 28.0, 28.0),
@@ -122,13 +134,7 @@ fn recovery_engine(dir: &std::path::Path, backend: Backend) -> Engine {
     })
     .build();
     sys.thermalize(150.0, 7);
-    let cfg = SimConfig::builder(2, namd_repro::machine::presets::generic_cluster())
-        .force_mode(ForceMode::Real)
-        .backend(backend)
-        .checkpoint(dir, 4)
-        .build()
-        .expect("valid test config");
-    Engine::new(sys, cfg)
+    sys
 }
 
 /// Chain the production driver to `total` updates at the checkpoint
@@ -172,6 +178,43 @@ fn sigkilled_worker_process_recovers_bit_identically() {
     }
     std::fs::remove_dir_all(&tmp_a).ok();
     std::fs::remove_dir_all(&tmp_b).ok();
+}
+
+/// The home patches thermostat their own atoms: Berendsen's λ comes from
+/// the temperature the barrier takes in atom order, Langevin's noise from a
+/// counter keyed by (seed, atom, step). Neither depends on where an atom's
+/// patch runs, so every backend and PE count lands on one state, across
+/// two migration boundaries.
+#[test]
+fn thermostatted_trajectories_match_across_backends_and_pe_counts() {
+    for thermostat in [
+        Thermostat::Berendsen { target_k: 300.0, tau_fs: 50.0 },
+        Thermostat::Langevin { target_k: 300.0, gamma: 0.05, seed: 11 },
+    ] {
+        let mut states = Vec::new();
+        for backend in [Backend::Des, Backend::Threads, Backend::Proc] {
+            for n_pes in 1..=3 {
+                let cfg = SimConfig::builder(n_pes, namd_repro::machine::presets::generic_cluster())
+                    .force_mode(ForceMode::Real)
+                    .backend(backend)
+                    .thermostat(thermostat)
+                    .build()
+                    .expect("valid test config");
+                let mut engine = Engine::new(recovery_deck(), cfg);
+                while engine.steps_done < 6 {
+                    advance(&mut engine, 6, 2, Some(6), false).expect("no fault plan");
+                }
+                let (x, v, _) = final_state(&engine);
+                let bits: Vec<u64> =
+                    x.iter().chain(&v).flat_map(|p| [p.x, p.y, p.z]).map(f64::to_bits).collect();
+                states.push((format!("{backend:?}, {n_pes} PEs"), bits));
+            }
+        }
+        let (first, reference) = &states[0];
+        for (run, bits) in &states[1..] {
+            assert!(bits == reference, "{thermostat:?}: {run} differs from {first}");
+        }
+    }
 }
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
