@@ -178,7 +178,6 @@ pub fn analyze_frames(
         let pm = profile::PhaseMetrics {
             pairlist: profile::PairlistCounters::default(),
             messages: profile::MessageCounters::from(&stats),
-            checkpoints: 0,
             critical_path: stats.critical_path,
             wire_msgs: stats.entry_wire_msgs.iter().sum(),
             wire_bytes: stats.entry_wire_bytes.iter().sum(),

@@ -62,7 +62,7 @@
 //! * [`sched::SchedulePolicy`] — seeded dequeue-order perturbations.
 //! * [`fault`] — fault plans (drop / duplicate / delay / corrupt / kill) and
 //!   their occurrence windows.
-//! * [`collectives`] — spanning-tree broadcast and reduction helpers.
+//! * [`collectives`] — spanning-tree index helpers for broadcast and reduction trees.
 //! * [`stats::SummaryStats`] — per-entry-method summary profiles (§4.1).
 //! * [`trace::Trace`] — Projections-style full traces: grainsize histograms
 //!   (Figs 1-2) and text timelines (Figs 3-4).
@@ -91,7 +91,7 @@ pub mod wire;
 
 pub use backend::Backend;
 pub use chare::{Chare, Ctx, MulticastMode};
-pub use collectives::{tree_children, tree_depth, tree_parent, TreeNode};
+pub use collectives::{tree_children, tree_parent};
 pub use des::Des;
 pub use fault::{FaultAction, FaultPlan, FaultRule};
 pub use ldb::{LdbDatabase, LdbSnapshot, ObjLoad};

@@ -3,7 +3,7 @@
 //! domain sockets.
 //!
 //! This is the closest shape in the repo to the paper's real deployments:
-//! PEs share *nothing* but the wire (and the filesystem), so every byte a
+//! PEs share *nothing* but the wire, so every byte a
 //! handler consumes arrived as a packed [`WireMsg`] and every result the
 //! parent reads back crossed the process boundary explicitly, via
 //! [`crate::Chare::harvest_state`] per object.
@@ -62,8 +62,9 @@
 //! applies the bytes in PE order ([`crate::Chare::merge_state`]) — so
 //! `Runtime::object` reads
 //! the post-run state just as on the shared-memory backends, provided the
-//! chare implements the pair. Filesystem effects (checkpoints) need no
-//! harvesting: children write them durably in place.
+//! chare implements the pair. Children write no files: what outlives a
+//! run, checkpoints included, is written by the parent from the harvested
+//! state.
 
 use crate::fault::{FaultAction, FaultPlan, FaultState};
 use crate::msg::{EntryId, ObjId, Payload, Pe, Priority};

@@ -96,7 +96,10 @@ pub struct RunConfig {
     pub pme_spacing: f64,
     /// Ewald screening parameter β (0 = auto from cutoff).
     pub ewald_beta: f64,
-    /// r-RESPA outer/inner ratio when PME is on (1 = off).
+    /// r-RESPA outer/inner ratio k when PME is on (1 = off): the MTS driver
+    /// evaluates every non-bonded force — LJ, erfc real space and the
+    /// reciprocal sum — once per k timesteps and the bonded forces every
+    /// timestep; one logged step is one outer step, k timesteps long.
     pub mts_frequency: usize,
     /// Restrain protein atoms to their initial positions.
     pub restrain_protein: bool,

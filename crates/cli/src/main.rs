@@ -74,7 +74,9 @@ outputName    demo       # writes demo.xyz
 trajectoryEvery 10
 pme           off        # full electrostatics (particle-mesh Ewald)
 #pmeSpacing   1.2
-#mtsFrequency 4          # r-RESPA: PME every 4th step
+#mtsFrequency 4          # r-RESPA: every non-bonded force (LJ, real and
+#                        #  reciprocal Ewald) once per 4 timesteps, bonded
+#                        #  every timestep; a logged step spans all 4
 seed          42
 #checkpointDir  ckpts    # periodic checkpoints (atomic write-rename)
 #checkpointInterval 10   # steps between checkpoints

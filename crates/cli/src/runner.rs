@@ -34,7 +34,7 @@ fn decode_extra(bytes: &[u8]) -> Option<(f64, u64, u64)> {
 }
 
 /// Largest atom-migration cadence ≤ 20 steps that divides the checkpoint
-/// interval, so every checkpoint barrier lands on a migration boundary
+/// interval, so every checkpoint lands on a migration boundary
 /// (the alignment bit-identical restarts need).
 fn migrate_cadence(interval: usize) -> usize {
     (1..=20.min(interval)).rev().find(|d| interval % d == 0).unwrap_or(1)
@@ -181,7 +181,7 @@ fn run_engine(cfg: &RunConfig, system: System, log: &mut dyn Write) -> std::io::
     }
     let mut out = Output::new(cfg, &engine.system(), resumed, log)?;
 
-    // Baseline snapshot: a crash before the first checkpoint barrier must
+    // Baseline snapshot: a crash before the first periodic checkpoint must
     // still have something to roll back to.
     if checkpointing && engine.steps_done == 0 {
         engine.ckpt_extra = encode_extra(out.e_first, out.frames as u64, migrate_every as u64);
@@ -205,7 +205,7 @@ fn run_engine(cfg: &RunConfig, system: System, log: &mut dyn Write) -> std::io::
             if done == 0 && out.e_first.is_nan() {
                 target = 1;
             }
-            // A barrier lands only on the phase's final step, so a restart
+            // A checkpoint is written only after a whole phase, so a restart
             // from it resumes after every frame the phase writes.
             let end = target.min((done / migrate_every + 1) * migrate_every);
             let mark = out.frames_through(end - 1);

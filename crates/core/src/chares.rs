@@ -23,9 +23,11 @@
 //!    from the folded forces (BAOAB under the Langevin thermostat), then
 //!    publish the next step's coordinates (this is the entry method the
 //!    multicast optimization halves), or report completion and its per-step
-//!    energies to the reducer after the final step. On checkpoint steps, and
-//!    on every step under the Berendsen thermostat, the update pauses
-//!    halfway at the barrier ([`BarrierChare`]).
+//!    energies to the reducer after the final step. Under the Berendsen
+//!    thermostat the update pauses halfway at every step s ≥ 1 at the
+//!    barrier ([`BarrierChare`]), the one per-step global sum. Nothing in a
+//!    phase touches the filesystem: checkpoints are written between phases
+//!    by `recovery::advance`.
 //!
 //! Thread safety: one owner per datum. A home patch is the only reader and
 //! writer of its atoms' positions, velocities and forces for the length of a
@@ -36,7 +38,7 @@ use crate::config::{ForceMode, Thermostat};
 use crate::costmodel;
 use crate::decomp::ComputeKind;
 use crate::messages::{
-    CkptMsg, CoordMsg, EnergiesMsg, ForceMsg, ForcePart, PatchStateMsg, RECIPROCAL,
+    BarrierMsg, CoordMsg, EnergiesMsg, ForceMsg, ForcePart, PatchStateMsg, RECIPROCAL,
 };
 use crate::patchgrid::PatchId;
 use crate::state::{Shared, StepAcc};
@@ -106,11 +108,11 @@ pub struct Entries {
     pub slab_charge: EntryId,
     /// PME slab: a transpose block arrived from another slab.
     pub slab_transpose: EntryId,
-    /// Barrier chare: a patch reached the barrier.
-    pub ckpt_ready: EntryId,
-    /// Home patch: the barrier completed (carrying the Berendsen rescale
-    /// factor, if any), finish the step.
-    pub ckpt_resume: EntryId,
+    /// Barrier chare: a patch reached the Berendsen barrier.
+    pub barrier_ready: EntryId,
+    /// Home patch: the barrier completed, carrying the Berendsen rescale
+    /// factor; finish the step.
+    pub barrier_resume: EntryId,
 }
 
 impl Entries {
@@ -132,8 +134,8 @@ impl Entries {
             slab_transpose: rt.register_entry("PmeSlabFft"),
             // Appended after the pre-existing entries so their ids (and any
             // fault-plan/trace references to them) stay stable.
-            ckpt_ready: rt.register_entry("CkptReady"),
-            ckpt_resume: rt.register_entry("CkptResume"),
+            barrier_ready: rt.register_entry("BarrierReady"),
+            barrier_resume: rt.register_entry("BarrierResume"),
         }
     }
 
@@ -162,13 +164,8 @@ pub struct RunParams {
     /// the cutoff); each non-bonded compute reuses its list until an atom
     /// has moved half of it.
     pub pairlist_margin: f64,
-    /// In-phase checkpoint cadence in *global* steps (0 = off): patches
-    /// pause at the barrier on steps where
-    /// `(step_offset + step) % checkpoint_every == 0`.
-    pub checkpoint_every: usize,
     /// Global position updates completed before this phase started, so the
-    /// checkpoint cadence and the Langevin noise keys survive phase
-    /// chaining and resume.
+    /// Langevin noise keys survive phase chaining and resume.
     pub step_offset: usize,
     /// Temperature control (Real mode).
     pub thermostat: Thermostat,
@@ -206,8 +203,7 @@ pub struct HomePatch {
     started: bool,
     /// PME: the slab object this patch contributes charges to.
     slab: Option<ObjId>,
-    /// The barrier chare, when checkpointing or the Berendsen thermostat
-    /// registered one.
+    /// The barrier chare, registered under the Berendsen thermostat.
     barrier: Option<ObjId>,
     /// Langevin: BAOAB's velocity refresh.
     refresh: Option<OuRefresh>,
@@ -339,7 +335,7 @@ impl HomePatch {
     /// the pending force payloads, complete the previous step's second
     /// half-kick, and record kinetic energy. Leaves the step's total force
     /// in `atoms.forces` so [`HomePatch::integrate_second_half`] re-derives
-    /// the bitwise-identical acceleration — which is what lets a checkpoint
+    /// the bitwise-identical acceleration — which is what lets the Berendsen
     /// barrier split the step without changing any bits.
     fn integrate_first_half(&mut self) {
         self.fold_pending();
@@ -403,24 +399,15 @@ impl HomePatch {
         }
     }
 
-    /// Is the *current* step a checkpoint step? Gated on the global step so
-    /// the cadence survives phase chaining.
-    fn checkpoint_step(&self) -> bool {
-        self.params.checkpoint_every > 0
-            && (self.params.step_offset + self.step).is_multiple_of(self.params.checkpoint_every)
-    }
-
     /// Does the *current* step pause at the barrier after its first
-    /// integration half: a checkpoint step, or any step under Berendsen?
-    /// Step 0 is excluded because chained phases repeat the boundary force
-    /// evaluation (the previous phase's final step already paused on this
-    /// state).
+    /// integration half? Every step under Berendsen but step 0: chained
+    /// phases repeat the boundary force evaluation, and the previous
+    /// phase's final step already paused on this state.
     fn barrier_now(&self) -> bool {
-        let rescales = matches!(self.params.thermostat, Thermostat::Berendsen { .. });
-        self.barrier.is_some() && self.step > 0 && (rescales || self.checkpoint_step())
+        self.barrier.is_some() && self.step > 0
     }
 
-    /// Complete the current step after the (possible) checkpoint barrier:
+    /// Complete the current step after the (possible) Berendsen barrier:
     /// drift into the next configuration, advance the step counter, and
     /// publish the next coordinates or report completion to the reducer.
     fn finish_step(&mut self, ctx: &mut Ctx) {
@@ -455,14 +442,10 @@ impl HomePatch {
         self.pending.extend(ForceMsg::unpack(&payload).expect("malformed ForceMsg payload").parts);
     }
 
-    /// This patch's clean post-half-kick state (x_k, v_k) for the barrier
-    /// chare, which may live in a different OS process: the velocities, and
-    /// on checkpoint steps the positions too.
+    /// This patch's post-half-kick velocities v_k for the barrier chare,
+    /// which may live in a different OS process.
     fn pack_barrier(&self) -> Payload {
-        let positions =
-            if self.checkpoint_step() { self.atoms.positions.clone() } else { Vec::new() };
-        CkptMsg { patch: self.atoms.patch, positions, velocities: self.atoms.velocities.clone() }
-            .pack()
+        BarrierMsg { patch: self.atoms.patch, velocities: self.atoms.velocities.clone() }.pack()
     }
 }
 
@@ -490,24 +473,21 @@ impl Chare for HomePatch {
             if self.params.force_mode == ForceMode::Real {
                 self.integrate_first_half();
                 if self.barrier_now() {
-                    // In-phase barrier: pause at the clean post-half-kick
-                    // state (x_k, v_k) and ship it to the barrier chare,
-                    // which resumes every patch once the snapshot is on
-                    // disk and the rescale factor known.
+                    // Berendsen barrier: pause at the post-half-kick
+                    // velocities and ship them to the barrier chare, which
+                    // resumes every patch with the rescale factor.
                     let barrier = self.barrier.expect("barrier_now implies a barrier chare");
                     let state = self.pack_barrier();
-                    ctx.send(barrier, self.entries.ckpt_ready, SIGNAL_BYTES, PRIO_HIGH, state);
+                    ctx.send(barrier, self.entries.barrier_ready, SIGNAL_BYTES, PRIO_HIGH, state);
                     return;
                 }
             }
             self.finish_step(ctx);
-        } else if entry == self.entries.ckpt_resume {
-            if !payload.is_empty() {
-                let lambda = <[u8; 8]>::try_from(&payload[..]).expect("an 8-byte rescale factor");
-                let lambda = f64::from_le_bytes(lambda);
-                for v in &mut self.atoms.velocities {
-                    *v *= lambda;
-                }
+        } else if entry == self.entries.barrier_resume {
+            let lambda = <[u8; 8]>::try_from(&payload[..]).expect("an 8-byte rescale factor");
+            let lambda = f64::from_le_bytes(lambda);
+            for v in &mut self.atoms.velocities {
+                *v *= lambda;
             }
             self.finish_step(ctx);
         } else {
@@ -908,8 +888,14 @@ pub struct SlabChare {
     /// Real mode: every atom's position this round, by global atom id.
     positions: Vec<Vec3>,
     /// Real mode: this round's packed [`CoordMsg`]s from this slab's own
-    /// patches, length-framed back to back — the transpose payload.
+    /// patches, length-framed back to back — the transpose payload, after
+    /// the round number.
     collected: Enc,
+    /// Transposes from peers already a round ahead, absorbed when this
+    /// slab finishes its round. A peer gets at most one round ahead (its
+    /// next transpose needs this slab's), but a perturbed schedule may
+    /// deliver that transpose before the one it follows.
+    early: Vec<Payload>,
 }
 
 impl SlabChare {
@@ -934,6 +920,7 @@ impl SlabChare {
             rounds: 0,
             positions: vec![Vec3::ZERO; n_atoms],
             collected: Enc::new(),
+            early: Vec::new(),
         }
     }
 
@@ -957,35 +944,30 @@ impl Chare for SlabChare {
             self.charges_received += 1;
             debug_assert!(self.charges_received <= self.patches.len());
             if self.charges_received == self.patches.len() {
-                self.charges_received = 0;
                 // First FFT stage over the slab's planes, then the
                 // transpose all-to-all.
                 ctx.add_work(self.fft_work * 0.5);
-                let collected = std::mem::take(&mut self.collected).into_bytes();
+                let mut transpose = (self.rounds as u64).to_le_bytes().to_vec();
+                transpose.extend(std::mem::take(&mut self.collected).into_bytes());
                 for &p in &self.peers {
                     ctx.send(
                         p,
                         self.entries.slab_transpose,
                         self.transpose_bytes,
                         PRIO_NORMAL,
-                        collected.clone(),
+                        transpose.clone(),
                     );
                 }
-                // A lone slab (n_slabs == 1) has no peers: complete locally.
-                if self.peers.is_empty() {
-                    self.finish(ctx);
-                }
+                self.try_finish(ctx);
             }
         } else if entry == self.entries.slab_transpose {
-            let mut d = Dec::new(&payload);
-            while d.remaining() > 0 {
-                self.collect(&d.bytes("transposed CoordMsg").expect("malformed transpose payload"));
-            }
-            self.transposes_received += 1;
-            debug_assert!(self.transposes_received <= self.peers.len());
-            if self.transposes_received == self.peers.len() {
-                self.transposes_received = 0;
-                self.finish(ctx);
+            let round = Dec::new(&payload).u64("transpose round").expect("malformed transpose");
+            if round == self.rounds as u64 {
+                self.absorb_transpose(&payload);
+                self.try_finish(ctx);
+            } else {
+                debug_assert_eq!(round, self.rounds as u64 + 1, "a peer two rounds ahead");
+                self.early.push(payload);
             }
         } else {
             unreachable!("SlabChare got unexpected entry {entry:?}");
@@ -994,6 +976,33 @@ impl Chare for SlabChare {
 }
 
 impl SlabChare {
+    /// Collect a peer's transpose for the current round.
+    fn absorb_transpose(&mut self, payload: &[u8]) {
+        let mut d = Dec::new(payload);
+        d.u64("transpose round").expect("malformed transpose");
+        while d.remaining() > 0 {
+            self.collect(&d.bytes("transposed CoordMsg").expect("malformed transpose payload"));
+        }
+        self.transposes_received += 1;
+        debug_assert!(self.transposes_received <= self.peers.len());
+    }
+
+    /// Finish the round once both halves of it are in: this slab's own
+    /// patches' charges and every peer's transpose. Either may complete
+    /// last — a peer whose patches run ahead sends its transpose before
+    /// this slab's patches have all published — and finishing on the
+    /// transposes alone would hand this slab's patches a potential for a
+    /// step some of them have not reached.
+    fn try_finish(&mut self, ctx: &mut Ctx) {
+        if self.charges_received == self.patches.len()
+            && self.transposes_received == self.peers.len()
+        {
+            self.charges_received = 0;
+            self.transposes_received = 0;
+            self.finish(ctx);
+        }
+    }
+
     /// Remaining FFT stages + influence multiply, then return the potential
     /// blocks to this slab's patches. In Real force mode, the *first* slab
     /// to finish a PME round evaluates the actual reciprocal-space physics
@@ -1030,6 +1039,9 @@ impl SlabChare {
             }
         }
         self.rounds += 1;
+        for early in std::mem::take(&mut self.early) {
+            self.absorb_transpose(&early);
+        }
         for &(patch, bytes) in &self.patches {
             let payload = match energy.take() {
                 Some(energy) => {
@@ -1095,20 +1107,15 @@ impl Chare for Reducer {
     }
 }
 
-/// Coordinates the in-phase barrier, registered when the run checkpoints or
-/// runs the Berendsen thermostat. At each barrier every home patch pauses
-/// after its first integration half and sends `ckpt_ready` carrying its
-/// velocities (and, on checkpoint steps, positions); once all patches are
-/// paused this chare gathers them into atom order *from those payloads
-/// alone* — never from shared memory, so the same code path gives the same
-/// bits on the DES, the threads backend, and separate OS processes. Under
-/// Berendsen it takes the temperature in atom order, as
-/// `System::temperature` does, and computes the rescale factor λ with
-/// `Berendsen::lambda`. On checkpoint steps it writes the snapshot — holding
-/// the rescaled velocities, so a restore re-applies nothing — atomically via
-/// [`ckpt::CheckpointDir`]. Then it resumes every patch, handing each λ. A
-/// write failure is reported and counted but does not kill the run: the
-/// simulation stays correct, it just has one fewer recovery point.
+/// Coordinates the Berendsen barrier, registered only under that
+/// thermostat. At every step s ≥ 1 each home patch pauses after its first
+/// integration half and sends `barrier_ready` carrying its velocities; once
+/// all patches are paused this chare gathers them into atom order *from
+/// those payloads alone* — never from shared memory, so the same code path
+/// gives the same bits on the DES, the threads backend, and separate OS
+/// processes. It takes the temperature in atom order, as
+/// `System::temperature` does, computes the rescale factor λ with
+/// `Berendsen::lambda`, and resumes every patch, handing each λ.
 pub struct BarrierChare {
     shared: Arc<Shared>,
     entries: Entries,
@@ -1116,20 +1123,10 @@ pub struct BarrierChare {
     /// multicast.
     patches: Vec<ObjId>,
     received: usize,
-    /// Patch states received for the current barrier.
-    pending: Vec<CkptMsg>,
-    /// Global step of each barrier this phase will reach, in firing order,
-    /// and whether it writes a checkpoint.
-    rounds: Vec<(u64, bool)>,
-    round: usize,
-    /// The checkpoint directory and everything in a snapshot that is not
-    /// live per-atom state (step and positions/velocities are overwritten
-    /// per barrier); `None` when not checkpointing.
-    ckpt: Option<(ckpt::CheckpointDir, ckpt::Snapshot)>,
-    /// The Berendsen coupling and the timestep, when the barrier rescales.
-    berendsen: Option<(Berendsen, f64)>,
-    /// Snapshot write failures so far (non-fatal).
-    pub write_errors: u64,
+    /// Patch velocities received for the current barrier.
+    pending: Vec<BarrierMsg>,
+    /// The Berendsen coupling and the timestep.
+    berendsen: (Berendsen, f64),
 }
 
 impl BarrierChare {
@@ -1137,83 +1134,43 @@ impl BarrierChare {
         shared: Arc<Shared>,
         entries: Entries,
         patches: Vec<ObjId>,
-        rounds: Vec<(u64, bool)>,
-        ckpt: Option<(ckpt::CheckpointDir, ckpt::Snapshot)>,
-        berendsen: Option<(Berendsen, f64)>,
+        berendsen: (Berendsen, f64),
     ) -> Self {
-        BarrierChare {
-            shared,
-            entries,
-            patches,
-            received: 0,
-            pending: Vec::new(),
-            rounds,
-            round: 0,
-            ckpt,
-            berendsen,
-            write_errors: 0,
-        }
+        BarrierChare { shared, entries, patches, received: 0, pending: Vec::new(), berendsen }
     }
 }
 
 impl Chare for BarrierChare {
     fn receive(&mut self, entry: EntryId, payload: Payload, ctx: &mut Ctx) {
-        if entry != self.entries.ckpt_ready {
+        if entry != self.entries.barrier_ready {
             unreachable!("BarrierChare got unexpected entry {entry:?}");
         }
-        if !payload.is_empty() {
-            self.pending.push(CkptMsg::unpack(&payload).expect("malformed CkptMsg payload"));
-        }
+        self.pending.push(BarrierMsg::unpack(&payload).expect("malformed BarrierMsg payload"));
         self.received += 1;
         debug_assert!(self.received <= self.patches.len());
         if self.received < self.patches.len() {
             return;
         }
         self.received = 0;
-        let (step, write) = self.rounds[self.round];
-        self.round += 1;
         // Scatter each patch's block through the grid's atom lists.
         let atoms = &self.shared.frame.topology.atoms;
         let mut velocities = vec![Vec3::ZERO; atoms.len()];
-        let mut positions = vec![Vec3::ZERO; if write { atoms.len() } else { 0 }];
         for msg in self.pending.drain(..) {
             let ids = &self.shared.decomp.grid.atoms[msg.patch as usize];
             debug_assert_eq!(msg.velocities.len(), ids.len());
             for (slot, &a) in ids.iter().enumerate() {
                 velocities[a as usize] = msg.velocities[slot];
-                if write {
-                    positions[a as usize] = msg.positions[slot];
-                }
             }
         }
-        let lambda = self.berendsen.map(|(b, dt)| {
-            let kinetic = mdcore::system::kinetic_energy(atoms, &velocities);
-            b.lambda(mdcore::system::temperature(kinetic, atoms.len()), dt)
-        });
+        let (berendsen, dt) = self.berendsen;
+        let kinetic = mdcore::system::kinetic_energy(atoms, &velocities);
+        let lambda = berendsen.lambda(mdcore::system::temperature(kinetic, atoms.len()), dt);
         // The gather touches every atom once — model it like an
         // integration pass so the DES timeline charges the barrier.
         ctx.add_work(atoms.len() as f64 * costmodel::WORK_PER_ATOM_INTEGRATION);
-        if write {
-            let (dir, template) = self.ckpt.as_ref().expect("a checkpoint round has a directory");
-            let triple = |v: Vec3| [v.x, v.y, v.z];
-            let rescaled = |v: Vec3| triple(lambda.map_or(v, |l| v * l));
-            let snap = ckpt::Snapshot {
-                step,
-                positions: positions.into_iter().map(triple).collect(),
-                velocities: velocities.into_iter().map(rescaled).collect(),
-                ..template.clone()
-            };
-            if let Err(e) = dir.write(&snap) {
-                self.write_errors += 1;
-                eprintln!("checkpoint write failed at step {step}: {e}");
-            }
-        }
-        let resume = self.entries.ckpt_resume;
+        let resume = self.entries.barrier_resume;
         for &p in &self.patches {
-            match lambda {
-                Some(l) => ctx.send(p, resume, SIGNAL_BYTES, PRIO_HIGH, l.to_le_bytes().to_vec()),
-                None => ctx.signal(p, resume, PRIO_HIGH),
-            }
+            ctx.send(p, resume, SIGNAL_BYTES, PRIO_HIGH, lambda.to_le_bytes().to_vec());
         }
     }
 }

@@ -173,8 +173,9 @@ pub struct SimConfig {
     /// Write a checkpoint every this many velocity-Verlet updates (Real
     /// mode only; 0 = off). The interval is counted on the *global* step
     /// counter (`Engine::steps_done`), so it survives phase boundaries.
-    /// Checkpoints are in-phase barriers: every home patch pauses at the
-    /// step, a barrier chare snapshots state, and the protocol resumes.
+    /// Checkpoints are `recovery::advance`'s: it writes `Engine::snapshot`
+    /// between phases, at the rebuild boundaries the interval falls on.
+    /// `Engine::try_run_phase` writes none.
     pub checkpoint_interval: usize,
     /// Directory checkpoints are written into (atomic write-then-rename).
     /// `None` disables checkpointing even when the interval is set.
@@ -347,19 +348,10 @@ impl SimConfig {
                 }
             }
         }
-        if self.checkpoint_dir.is_some() {
-            if self.checkpoint_interval == 0 {
-                return Err(ConfigError::BadCheckpoint(
-                    "checkpoint_dir set but checkpoint_interval is 0".into(),
-                ));
-            }
-            if self.force_mode == ForceMode::Real && self.pme.is_some() {
-                return Err(ConfigError::BadCheckpoint(
-                    "in-phase checkpointing is incompatible with modeled PME \
-                     (slab round state is not captured in snapshots)"
-                        .into(),
-                ));
-            }
+        if self.checkpoint_dir.is_some() && self.checkpoint_interval == 0 {
+            return Err(ConfigError::BadCheckpoint(
+                "checkpoint_dir set but checkpoint_interval is 0".into(),
+            ));
         }
         Ok(())
     }
@@ -559,8 +551,8 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Periodic in-phase checkpoints into `dir` every `interval` global
-    /// steps (Real mode).
+    /// Periodic checkpoints into `dir` every `interval` global steps, written
+    /// by `recovery::advance` between phases (Real mode).
     pub fn checkpoint(mut self, dir: impl Into<std::path::PathBuf>, interval: usize) -> Self {
         self.cfg.checkpoint_dir = Some(dir.into());
         self.cfg.checkpoint_interval = interval;
@@ -657,14 +649,6 @@ mod tests {
             Err(ConfigError::BadCheckpoint(_))
         ));
         let real_pme = Some(PmeSimConfig { every: 1, ..PmeSimConfig::default() });
-        assert!(matches!(
-            SimConfig::builder(4, m)
-                .force_mode(ForceMode::Real)
-                .pme(real_pme)
-                .checkpoint("/tmp/x", 10)
-                .build(),
-            Err(ConfigError::BadCheckpoint(_))
-        ));
         // Real mode adds the reciprocal force at every evaluation it makes,
         // so a cadence above 1 would be an unweighted impulse, not r-RESPA.
         let e = SimConfig::builder(4, m)

@@ -189,9 +189,9 @@ pub struct PhaseResult {
     /// Per-step energies (Real mode only; empty in Counted mode).
     pub energies: Vec<StepAcc>,
     /// Every per-phase counter in one place: pair-list cache activity,
-    /// the message-conservation ledger, checkpoint barriers, and the
-    /// critical path. The one consolidated surface — the deprecated
-    /// per-field shims it replaced are gone.
+    /// the message-conservation ledger, the critical path and wire
+    /// traffic. The one consolidated surface — the deprecated per-field
+    /// shims it replaced are gone.
     pub metrics: profile::PhaseMetrics,
     /// Entry ids for interpreting `stats`/`trace`.
     pub entries: Entries,
@@ -237,11 +237,9 @@ pub struct Engine {
     pub steps_done: usize,
     /// Measured per-compute loads from the last phase harvest, indexed like
     /// `decomp.computes` (a migration carries them to the successors);
-    /// what [`Engine::migrate_atoms`] balances on. The in-memory rollback
-    /// snapshot stores them, so a restore from it refines on measured loads
-    /// at once; disk checkpoints store none, so a restore from one restarts
-    /// the balancer cold — the next phase measures and the following
-    /// boundary refines.
+    /// what [`Engine::migrate_atoms`] balances on. Every rollback snapshot
+    /// `recovery::advance` takes at a rebuild boundary stores them, on disk
+    /// or in memory, so a restore refines on measured loads at once.
     last_loads: Vec<f64>,
     /// Measured per-PE background loads from the last phase harvest.
     last_background: Vec<f64>,
@@ -563,7 +561,9 @@ impl Engine {
     /// Like [`Engine::run_phase`], but a kill fault surfaces as
     /// [`PhaseCrash`] instead of panicking. The crashed runtime is
     /// abandoned with everything its patches integrated, so the state is
-    /// still the phase-start one — recover with [`Engine::restore`].
+    /// still the phase-start one — recover with [`Engine::restore`]. A
+    /// phase writes no checkpoint: `recovery::advance` writes them between
+    /// phases.
     pub fn try_run_phase(&mut self, n_steps: usize) -> Result<PhaseResult, PhaseCrash> {
         let cfg = &self.config;
         let mut rt = cfg.backend.runtime(cfg.n_pes, cfg.machine, cfg.socket_dir.as_deref());
@@ -605,30 +605,14 @@ impl Engine {
             rt.set_fault_plan(plan.clone());
         }
 
-        // In-phase checkpointing: Real mode with an interval and a target
-        // directory (`validate` above refuses it alongside modeled PME —
-        // the slab round counters are not captured by snapshots).
-        let ckpt_dir = if cfg.force_mode == ForceMode::Real && cfg.checkpoint_interval > 0 {
-            cfg.checkpoint_dir.clone()
-        } else {
-            None
-        };
-        // The in-phase barriers, at global steps `steps_done + s` of the
-        // phase: every s ≥ 1 under Berendsen, and the checkpoint steps.
-        // s = 0 is excluded (chained phases repeat the boundary force
-        // evaluation; the previous phase's final step already paused there).
+        // The Berendsen barrier, at every step s ≥ 1 of the phase (s = 0 is
+        // the previous phase's final step, which already paused there).
         let berendsen = match cfg.thermostat {
             Thermostat::Berendsen { target_k, tau_fs } => {
                 Some((mdcore::thermostat::Berendsen { target_k, tau_fs }, cfg.dt_fs))
             }
             _ => None,
         };
-        let rounds: Vec<(u64, bool)> = (1..n_steps)
-            .map(|s| self.steps_done + s)
-            .map(|g| (g as u64, ckpt_dir.is_some() && g % cfg.checkpoint_interval == 0))
-            .filter(|&(_, write)| write || berendsen.is_some())
-            .collect();
-        let barrier = ckpt_dir.is_some() || berendsen.is_some();
         let params = RunParams {
             n_steps,
             dt_fs: cfg.dt_fs,
@@ -636,7 +620,6 @@ impl Engine {
             multicast: cfg.multicast,
             pme_every: cfg.pme.map_or(0, |p| p.every.max(1)),
             pairlist_margin: cfg.pairlist_margin,
-            checkpoint_every: if ckpt_dir.is_some() { cfg.checkpoint_interval } else { 0 },
             step_offset: self.steps_done,
             thermostat: cfg.thermostat,
         };
@@ -709,8 +692,8 @@ impl Engine {
         };
         // The barrier chare takes the next dense id after the slabs.
         let n_slabs = slab_plan.as_ref().map_or(0, |sp| sp.n_slabs);
-        let barrier_id =
-            barrier.then(|| ObjId((1 + n_patches + n_proxies + n_computes + n_slabs) as u32));
+        let barrier_id = berendsen
+            .map(|_| ObjId((1 + n_patches + n_proxies + n_computes + n_slabs) as u32));
 
         // ---- Register objects in id order ---------------------------------
         let reg = rt.register(Box::new(Reducer::new(n_patches)), 0, false);
@@ -821,22 +804,11 @@ impl Engine {
         }
 
         // ---- Barrier chare (after the slabs) ------------------------------
-        let checkpoints = rounds.iter().filter(|&&(_, write)| write).count() as u64;
-        if barrier {
-            let ckpt = ckpt_dir.as_ref().map(|dir_path| {
-                let dir = ckpt::CheckpointDir::create(dir_path)
-                    .unwrap_or_else(|e| panic!("checkpoint directory: {e}"));
-                // A barrier ends the phase at a rebuild boundary, so a
-                // restore from it rebuilds computes the phase-start loads do
-                // not index.
-                (dir, ckpt::Snapshot { loads: Vec::new(), ..self.snapshot() })
-            });
+        if let Some(berendsen) = berendsen {
             let obj = BarrierChare::new(
                 self.shared.clone(),
                 entries,
                 (0..n_patches).map(patch_id).collect(),
-                rounds,
-                ckpt,
                 berendsen,
             );
             let id = rt.register(Box::new(obj), 0, false);
@@ -934,7 +906,6 @@ impl Engine {
                 hits: pairlist.hits,
             },
             messages: profile::MessageCounters::from(&stats),
-            checkpoints,
             critical_path: stats.critical_path,
             wire_msgs: stats.entry_wire_msgs.iter().sum(),
             wire_bytes: stats.entry_wire_bytes.iter().sum(),

@@ -207,38 +207,32 @@ impl CoordMsg {
     }
 }
 
-/// One patch's contribution to an in-phase barrier: the velocities of its
-/// atoms, and on checkpoint steps their positions (empty otherwise). Sent
-/// from each [`crate::chares::HomePatch`] to the barrier chare, which
-/// assembles the full-system state from these messages alone — no
-/// shared-memory reads, so the same path works on every backend.
+/// One patch's contribution to the Berendsen barrier: the velocities of
+/// its atoms. Sent from each [`crate::chares::HomePatch`] to the barrier
+/// chare, which assembles the full-system temperature from these messages
+/// alone — no shared-memory reads, so the same path works on every backend.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CkptMsg {
+pub struct BarrierMsg {
     /// Patch index.
     pub patch: u32,
-    /// Positions of the patch's atoms, in patch-local order.
-    pub positions: Vec<Vec3>,
     /// Velocities of the patch's atoms, in patch-local order.
     pub velocities: Vec<Vec3>,
 }
 
-impl WireCodec for CkptMsg {
+impl WireCodec for BarrierMsg {
     fn pack(&self) -> Payload {
-        let mut e =
-            Enc::with_capacity(4 + 16 + 24 * (self.positions.len() + self.velocities.len()));
+        let mut e = Enc::with_capacity(4 + 8 + 24 * self.velocities.len());
         e.u32(self.patch);
-        put_vecs(&mut e, &self.positions);
         put_vecs(&mut e, &self.velocities);
         e.into_bytes()
     }
 
     fn unpack(bytes: &[u8]) -> Result<Self, WireError> {
         let mut d = Dec::new(bytes);
-        let patch = d.u32("CkptMsg.patch")?;
-        let positions = take_vecs(&mut d, "CkptMsg.positions")?;
-        let velocities = take_vecs(&mut d, "CkptMsg.velocities")?;
-        finish(&d, "CkptMsg")?;
-        Ok(CkptMsg { patch, positions, velocities })
+        let patch = d.u32("BarrierMsg.patch")?;
+        let velocities = take_vecs(&mut d, "BarrierMsg.velocities")?;
+        finish(&d, "BarrierMsg")?;
+        Ok(BarrierMsg { patch, velocities })
     }
 }
 
@@ -360,9 +354,9 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_msg_round_trips_bit_exactly() {
-        let m = CkptMsg { patch: 4, positions: vecs(1, 3), velocities: vecs(2, 3) };
-        assert_eq!(CkptMsg::unpack(&m.pack()).unwrap(), m);
+    fn barrier_msg_round_trips_bit_exactly() {
+        let m = BarrierMsg { patch: 4, velocities: vecs(2, 3) };
+        assert_eq!(BarrierMsg::unpack(&m.pack()).unwrap(), m);
     }
 
     #[test]
@@ -402,9 +396,9 @@ mod tests {
         let mut bytes = ForceMsg { parts: vec![part] }.pack();
         bytes.push(0);
         assert!(ForceMsg::unpack(&bytes).is_err());
-        let mut bytes = CkptMsg { patch: 0, positions: vec![], velocities: vec![] }.pack();
+        let mut bytes = BarrierMsg { patch: 0, velocities: vec![] }.pack();
         bytes.push(0);
-        assert!(CkptMsg::unpack(&bytes).is_err());
+        assert!(BarrierMsg::unpack(&bytes).is_err());
     }
 
     #[test]

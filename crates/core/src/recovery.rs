@@ -9,16 +9,19 @@
 //! *global* step counter, and the decomposition is rebuilt
 //! ([`Engine::migrate_atoms`]) whenever the counter lands on one — so the
 //! rebuild pattern is a property of the trajectory, not of how a caller
-//! sliced it into targets. Every in-phase checkpoint barrier
-//! (`checkpoint_interval` is a multiple of `migrate_every`) therefore lands
-//! on a phase-final step at a rebuild boundary. That alignment is what
-//! makes recovery *bit-identical*: [`Engine::restore`] rebuilds the
-//! decomposition from the snapshot positions, producing exactly the
-//! pair-term partition (and therefore exactly the floating-point summation
-//! grouping) the uninterrupted run builds at the same step. A snapshot
-//! taken away from a rebuild point is still a *valid* restart state, but
-//! resuming from it changes how force terms are grouped and the
-//! trajectories diverge in the last bits.
+//! sliced it into targets. That alignment is what makes recovery
+//! *bit-identical*: [`Engine::restore`] rebuilds the decomposition from the
+//! snapshot positions, producing exactly the pair-term partition (and
+//! therefore exactly the floating-point summation grouping) the
+//! uninterrupted run builds at the same step.
+//!
+//! **Checkpoints.** Every rollback point is one [`Engine::snapshot`] taken
+//! here, between phases, after the rebuild at a boundary — so it carries
+//! the successors' measured loads and a restore refines on them at once.
+//! It is written to `config.checkpoint_dir` when the boundary is a
+//! multiple of `checkpoint_interval` (itself a multiple of
+//! `migrate_every`), or kept in memory for a caller that asked for it.
+//! Nothing inside a phase touches the filesystem.
 //!
 //! **Recovery.** A [`PhaseCrash`] leaves the engine at the phase-start
 //! state. The driver strips the (one-shot) kill rules, backs off
@@ -120,7 +123,11 @@ pub enum Advanced {
 /// [`Engine::snapshot`] on entry and per rebuild), which a configured
 /// `checkpoint_dir` makes unnecessary. With a `checkpoint_dir`, a step-0
 /// file is written on entry if the directory holds none, so a crash before
-/// the first barrier is recoverable too.
+/// the first checkpoint is recoverable too; failing to write it is an
+/// error, while a failed periodic write is reported on stderr and the run
+/// goes on with one fewer recovery point. A snapshot taken where
+/// `last_step` skips the rebuild carries no loads: they would index the
+/// computes a restore replaces.
 ///
 /// Panics unless `migrate_every >= 1` divides `config.checkpoint_interval`
 /// (checked on every call: both are public fields of their owners).
@@ -164,10 +171,29 @@ pub fn advance(
         Ok(phase) => {
             engine.crashes = 0;
             let done = engine.steps_done;
-            if done % migrate_every == 0 && last_step.is_none_or(|last| done < last) {
+            let rebuild =
+                done.is_multiple_of(migrate_every) && last_step.is_none_or(|last| done < last);
+            if rebuild {
                 engine.migrate_atoms();
+            }
+            // One snapshot per boundary, taken after the rebuild so its
+            // loads index the computes a restore rebuilds.
+            let dir =
+                engine.config.checkpoint_dir.as_ref().filter(|_| done.is_multiple_of(interval));
+            if dir.is_some() || keep_snapshot && rebuild {
+                let mut snap = engine.snapshot();
+                if !rebuild {
+                    // They index the computes a restore replaces.
+                    snap.loads.clear();
+                }
+                if let Some(path) = dir {
+                    // A failed write costs one recovery point, not the run.
+                    if let Err(e) = ckpt::CheckpointDir::create(path).and_then(|d| d.write(&snap)) {
+                        eprintln!("checkpoint write failed at step {done}: {e}");
+                    }
+                }
                 if keep_snapshot {
-                    engine.boundary = Some(engine.snapshot());
+                    engine.boundary = Some(snap);
                 }
             }
             Ok(Advanced::Phase { phase, updates })
@@ -299,6 +325,36 @@ mod tests {
                 "ckpt_000000000008.ckpt"
             ]
         );
+        std::fs::remove_dir_all(&tmp).ok();
+    }
+
+    /// A checkpoint file is the boundary snapshot: it carries the measured
+    /// loads of the computes a restore rebuilds, so a restore from disk
+    /// refines the placement on them at once instead of running a phase at
+    /// the carried placement first.
+    #[test]
+    fn disk_checkpoints_carry_the_loads_a_restore_refines_on() {
+        let tmp = tempdir("recovery-loads");
+        let mut engine = small_engine(Some(&tmp), Backend::Des);
+        while engine.steps_done < 4 {
+            advance(&mut engine, 4, 4, Some(8), false).unwrap();
+        }
+        let (snap, file) = ckpt::CheckpointDir::create(&tmp).unwrap().latest_valid().unwrap();
+        assert!(file.ends_with("ckpt_000000000004.ckpt"), "{}", file.display());
+        assert_eq!(snap.loads.len(), engine.decomp().computes.len());
+        assert!(snap.loads.iter().any(|&l| l > 0.0), "no measured load");
+        assert_eq!(snap.loads, engine.snapshot().loads);
+
+        let mut restored = small_engine(None, Backend::Des);
+        restored.set_metrics(Some(profile::MetricsRegistry::in_memory()));
+        restored.restore(&snap).unwrap();
+        assert_eq!(restored.snapshot().loads, snap.loads);
+        let audits = &restored.metrics.as_ref().unwrap().lb_audits;
+        assert_eq!(audits.len(), 1, "the restore did not refine");
+        assert_eq!(audits[0].strategy, "refine");
+        let on_pes: f64 = audits[0].before.iter().sum();
+        let measured: f64 = snap.loads.iter().chain(&snap.background).sum();
+        assert!((on_pes - measured).abs() <= 1e-12 * measured, "{on_pes} vs {measured}");
         std::fs::remove_dir_all(&tmp).ok();
     }
 

@@ -293,3 +293,55 @@ fn real_mode_pme_matches_sequential_full_electrostatics() {
         "one-step energy jump: {e1} -> {e2}"
     );
 }
+
+/// A PME slab finishes a round only with its own patches' charges and
+/// every peer's transpose for that round in hand. Under a perturbed
+/// schedule a peer's transpose can arrive before this slab's charges, or a
+/// peer's next-round transpose before the one it follows; a slab that
+/// finished on either would hand its patches a potential for a step they
+/// have not reached, or sum the wrong positions. Every slab sees every
+/// atom's position, so any slab count and message order give the one-slab
+/// trajectory.
+#[test]
+fn real_mode_pme_slab_count_and_schedule_change_no_bit() {
+    use crate::config::ForceMode;
+    let mut sys = molgen::SystemBuilder::new(molgen::SystemSpec {
+        name: "pme-slabs",
+        box_lengths: Vec3::new(24.0, 24.0, 24.0),
+        target_atoms: 900,
+        protein_chains: 0,
+        protein_chain_len: 0,
+        lipid_slab: None,
+        cutoff: 8.0,
+        seed: 8,
+    })
+    .build();
+    sys.forcefield = sys.forcefield.clone().with_ewald(0.45);
+    sys.thermalize(200.0, 8);
+    let run = |slabs: usize, schedule: charmrt::SchedulePolicy| {
+        let cfg = SimConfig::builder(4, presets::ideal())
+            .force_mode(ForceMode::Real)
+            .pme(Some(PmeSimConfig { every: 1, slabs, mesh_spacing: 1.0 }))
+            .schedule(schedule)
+            .build()
+            .unwrap();
+        let mut engine = Engine::new(sys.clone(), cfg);
+        let energies: Vec<u64> =
+            engine.run_phase(9).energies.iter().map(|e| e.total().to_bits()).collect();
+        let sys = engine.system();
+        let state: Vec<u64> = sys
+            .positions
+            .iter()
+            .chain(&sys.velocities)
+            .flat_map(|v| [v.x, v.y, v.z])
+            .map(f64::to_bits)
+            .collect();
+        (energies, state)
+    };
+    let reference = run(1, charmrt::SchedulePolicy::default());
+    for (name, seed) in [("fifo", 0), ("shuffle", 0), ("shuffle", 2), ("lifo", 0), ("jitter", 1)] {
+        let got = run(4, charmrt::SchedulePolicy::parse(name, seed).unwrap());
+        assert_eq!(got.0, reference.0, "energies, 4 slabs, schedule {name}/{seed}");
+        assert!(got.1 == reference.1, "state, 4 slabs, schedule {name}/{seed}");
+    }
+}

@@ -11,7 +11,7 @@
 //!   Chrome trace-event JSON that loads directly into Perfetto or
 //!   `chrome://tracing`, one track per PE, one category per chare family,
 //!   with instant markers for phase boundaries, load-balancing decisions
-//!   and checkpoint barriers.
+//!   and Berendsen barriers.
 //! * **[`UtilizationReport`]** — per-PE busy time split into application
 //!   work, messaging overhead and idle time. On the DES the three parts
 //!   must tile the phase span exactly; the engine's oracle checks it.
@@ -43,8 +43,8 @@ pub fn entry_category(name: &str) -> &'static str {
         "bonded"
     } else if name.starts_with("Pme") {
         "pme"
-    } else if name.starts_with("Ckpt") {
-        "checkpoint"
+    } else if name.starts_with("Barrier") {
+        "barrier"
     } else if name.starts_with("Proxy") {
         "proxy"
     } else if name.starts_with("Patch") || name == "Integrate" {
@@ -77,7 +77,7 @@ pub trait TraceSink {
         dur: f64,
     ) -> io::Result<()>;
 
-    /// A zero-duration marker (phase boundary, LB decision, checkpoint).
+    /// A zero-duration marker (phase boundary, LB decision, barrier).
     fn instant(&mut self, name: &str, t: f64) -> io::Result<()>;
 
     /// Flush any buffered output.
@@ -232,27 +232,27 @@ impl<W: Write> TraceSink for ChromeTraceWriter<W> {
 }
 
 /// Stream a recorded [`Trace`] into a sink: every event becomes a span
-/// (named and categorized via `entry_names`), and checkpoint-barrier
-/// releases (`CkptResume` broadcasts) become deduplicated instant markers.
+/// (named and categorized via `entry_names`), and Berendsen-barrier
+/// releases (`BarrierResume` broadcasts) become deduplicated instant markers.
 pub fn write_trace(
     sink: &mut dyn TraceSink,
     trace: &Trace,
     entry_names: &[String],
 ) -> io::Result<()> {
-    let mut ckpt_marks: Vec<f64> = Vec::new();
+    let mut barrier_marks: Vec<f64> = Vec::new();
     for ev in &trace.events {
         let name = entry_names.get(ev.entry.idx()).map(String::as_str).unwrap_or("?");
         sink.span(ev.pe, ev.obj.0, name, entry_category(name), ev.start, ev.duration())?;
-        if name == "CkptResume" {
-            ckpt_marks.push(ev.start);
+        if name == "BarrierResume" {
+            barrier_marks.push(ev.start);
         }
     }
     // One marker per barrier, not per resumed patch: the broadcast fans
     // out to every patch, so collapse starts that round to the same tick.
-    ckpt_marks.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    ckpt_marks.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-    for t in ckpt_marks {
-        sink.instant("checkpoint barrier", t)?;
+    barrier_marks.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    barrier_marks.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+    for t in barrier_marks {
+        sink.instant("Berendsen barrier", t)?;
     }
     Ok(())
 }
@@ -514,15 +514,13 @@ impl From<&SummaryStats> for MessageCounters {
 }
 
 /// Every per-phase counter in one place: pair-list cache activity, the
-/// message ledger, checkpoint barriers, and the critical path. Returned
-/// from the engine's `PhaseResult::metrics`, the one per-phase counter
-/// surface (the scattered per-field shims it replaced are gone).
+/// message ledger, the critical path and wire traffic. Returned from the
+/// engine's `PhaseResult::metrics`, the one per-phase counter surface (the
+/// scattered per-field shims it replaced are gone).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseMetrics {
     pub pairlist: PairlistCounters,
     pub messages: MessageCounters,
-    /// Checkpoint barriers completed during the phase.
-    pub checkpoints: u64,
     /// Longest dependency chain through the phase's message graph, seconds.
     pub critical_path: f64,
     /// Messages that carried a non-empty packed payload (all backends share
@@ -768,7 +766,7 @@ impl MetricsRegistry {
         let summary = format!(
             "{{\"phase\":{index},\"backend\":\"{}\",\"steps\":{n_steps},\"span\":{span:.9e},\
              \"critical_path\":{:.9e},\"avg_utilization\":{:.6},\"pairlist_builds\":{},\
-             \"pairlist_hits\":{},\"msg_residual\":{},\"checkpoints\":{},\
+             \"pairlist_hits\":{},\"msg_residual\":{},\
              \"wire_msgs\":{},\"wire_bytes\":{},\"wire_by_entry\":{{{}}}}}",
             json_escape(backend),
             metrics.critical_path,
@@ -776,7 +774,6 @@ impl MetricsRegistry {
             metrics.pairlist.builds,
             metrics.pairlist.hits,
             metrics.messages.residual(),
-            metrics.checkpoints,
             metrics.wire_msgs,
             metrics.wire_bytes,
             wire_by_entry.join(","),
@@ -859,7 +856,7 @@ mod tests {
         assert_eq!(entry_category("NonbondedPair"), "nonbonded");
         assert_eq!(entry_category("BondedIntra"), "bonded");
         assert_eq!(entry_category("PmeSlabFft"), "pme");
-        assert_eq!(entry_category("CkptReady"), "checkpoint");
+        assert_eq!(entry_category("BarrierReady"), "barrier");
         assert_eq!(entry_category("ProxyRecvCoords"), "proxy");
         assert_eq!(entry_category("PatchStart"), "patch");
         assert_eq!(entry_category("Integrate"), "patch");
@@ -877,7 +874,7 @@ mod tests {
         assert_eq!(sink.spans[0].cat, "nonbonded");
         assert_eq!(sink.spans[1].pe, 1);
         assert!((sink.spans[2].dur - 0.000025).abs() < 1e-15);
-        assert!(sink.instants.is_empty()); // no checkpoint entries in trace
+        assert!(sink.instants.is_empty()); // no barrier entries in trace
     }
 
     #[test]

@@ -8,7 +8,16 @@
 #
 # The deck is `sample-config`'s water box, 60 steps, a frame every 5; for
 # `thermostat none | berendsen | langevin` the three `.xyz` files are
-# `cmp`'d. Exits non-zero on any difference.
+# `cmp`'d.
+#
+# Checkpoints are written by the parent process between phases, so they
+# restore the same trajectory on every backend: at `threads 2` and at
+# `backend proc`, a Berendsen run with `checkpointInterval 4` is run clean,
+# again with a PE kill (`faultPlan kill:entry=PatchRecvForces:dst=1:skip=40`),
+# and again stopped at step 8 and finished with `--restart-from`; both
+# drills must write the clean run's `.xyz`. Exits non-zero on any
+# difference, or if the kill did not roll back to a checkpoint file or the
+# restart did not begin at step 8.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -19,6 +28,18 @@ bin=$(realpath "$1")
 work=$(mktemp -d "${TMPDIR:-/tmp}/cli_pe_count.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
+# deck <name> <steps> <extra config lines...>: sample-config with the
+# run-specific keys replaced.
+deck() {
+  local name=$1 steps=$2
+  shift 2
+  "$bin" sample-config |
+    grep -vE '^(steps|thermostat|threads|outputName|trajectoryEvery)[[:space:]]' \
+      >"$work/$name.conf"
+  printf '%s\n' "steps $steps" "outputName $name" "trajectoryEvery 5" "$@" \
+    >>"$work/$name.conf"
+}
+
 status=0
 for thermostat in none berendsen langevin; do
   for leg in t1 t2 des; do
@@ -28,11 +49,7 @@ for thermostat in none berendsen langevin; do
       des) keys=("threads 3" "backend des") ;;
     esac
     name=$thermostat-$leg
-    "$bin" sample-config |
-      grep -vE '^(steps|thermostat|threads|outputName|trajectoryEvery)[[:space:]]' \
-        >"$work/$name.conf"
-    printf '%s\n' "steps 60" "outputName $name" "trajectoryEvery 5" \
-      "thermostat $thermostat" "${keys[@]}" >>"$work/$name.conf"
+    deck "$name" 60 "thermostat $thermostat" "${keys[@]}"
     (cd "$work" && "$bin" run "$name.conf" >"$name.log")
   done
   for leg in t2 des; do
@@ -43,7 +60,39 @@ for thermostat in none berendsen langevin; do
   done
 done
 
+for leg in t2 proc; do
+  case $leg in
+    t2) keys=("threads 2") ;;
+    proc) keys=("threads 2" "backend proc") ;;
+  esac
+  keys+=("thermostat berendsen" "checkpointInterval 4")
+  kill="faultPlan kill:entry=PatchRecvForces:dst=1:skip=40"
+  deck "ck-$leg-clean" 60 "${keys[@]}" "checkpointDir ck-$leg-clean"
+  deck "ck-$leg-kill" 60 "${keys[@]}" "checkpointDir ck-$leg-kill" "$kill"
+  deck "ck-$leg-restart" 8 "${keys[@]}" "checkpointDir ck-$leg-restart"
+  for name in clean kill restart; do
+    (cd "$work" && "$bin" run "ck-$leg-$name.conf" >"ck-$leg-$name.log")
+  done
+  sed -i 's/^steps 8$/steps 60/' "$work/ck-$leg-restart.conf"
+  (cd "$work" &&
+    "$bin" run "ck-$leg-restart.conf" --restart-from "ck-$leg-restart" >"ck-$leg-resume.log")
+  for name in kill restart; do
+    if ! cmp "$work/ck-$leg-clean.xyz" "$work/ck-$leg-$name.xyz"; then
+      echo "cli_pe_count: checkpoints $leg: $name trajectory differs from the clean run" >&2
+      status=1
+    fi
+  done
+  # A drill is only a witness if it happened: the kill rolled back to a
+  # checkpoint file, and the restart began from the one written at step 8.
+  if ! grep -q '^resumed from .*ckpt_[0-9]*\.ckpt at step' "$work/ck-$leg-kill.log" ||
+    ! grep -q '^restarted from .* at step 8$' "$work/ck-$leg-resume.log"; then
+    echo "cli_pe_count: checkpoints $leg: no rollback or no step-8 restart in the logs" >&2
+    status=1
+  fi
+done
+
 if [ "$status" -eq 0 ]; then
-  echo "cli_pe_count: 3 thermostats, threads 1 / threads 2 / backend des trajectories identical"
+  echo "cli_pe_count: 3 thermostats, threads 1 / threads 2 / backend des trajectories identical;" \
+    "checkpoint kill and restart drills at threads 2 and backend proc match their clean runs"
 fi
 exit "$status"

@@ -9,6 +9,7 @@
 //!   backends (the sorted force fold makes per-step forces pure functions
 //!   of positions + decomposition, independent of delivery order);
 //! * a checkpoint resumes at any PE count;
+//! * Real-mode PME runs checkpoint and recover like cutoff runs;
 //! * mismatched-topology and mismatched-config snapshots are refused with
 //!   descriptive errors, as are corrupted snapshot files.
 //!
@@ -102,7 +103,7 @@ fn final_bits(engine: &Engine) -> Vec<(u64, u64, u64, u64, u64, u64)> {
 }
 
 /// Chain the production driver to `total` updates, rebuilding the
-/// decomposition at every checkpoint barrier; returns the recoveries.
+/// decomposition at every checkpoint; returns the recoveries.
 fn drive(engine: &mut Engine, total: usize) -> u32 {
     let mut recoveries = 0;
     while engine.steps_done < total {
@@ -198,7 +199,7 @@ proptest! {
     }
 }
 
-/// The barrier snapshots hold Berendsen's post-rescale velocities and
+/// Snapshots hold Berendsen's post-rescale velocities and
 /// Langevin's noise is keyed by the global step, so a rollback replays a
 /// thermostatted run onto its clean twin's bits with nothing re-applied.
 #[test]
@@ -210,6 +211,51 @@ fn thermostatted_killed_runs_recover_bit_identically() {
                 panic!("{msg}");
             }
         }
+    }
+}
+
+/// Real-mode PME at `every: 1` recomputes the reciprocal sum at every
+/// evaluation and keeps nothing across a phase boundary, so its checkpoints
+/// restore like any other: a killed run recovers onto its clean twin's bits.
+#[test]
+fn real_mode_pme_killed_runs_recover_bit_identically() {
+    let mut sys = molgen::SystemBuilder::new(molgen::SystemSpec {
+        name: "ckpt-pme",
+        box_lengths: Vec3::new(24.0, 24.0, 24.0),
+        target_atoms: 900,
+        protein_chains: 0,
+        protein_chain_len: 0,
+        lipid_slab: None,
+        cutoff: 8.0,
+        seed: 8,
+    })
+    .build();
+    sys.forcefield = sys.forcefield.clone().with_ewald(0.45);
+    sys.thermalize(200.0, 8);
+    let pme = PmeSimConfig { every: 1, slabs: 2, mesh_spacing: 1.0 };
+    for backend in [Backend::Des, Backend::Threads] {
+        let run = |kill: Option<FaultPlan>, tag: &str| {
+            let dir = tempdir(&format!("pme-{tag}-{backend:?}"));
+            let cfg = SimConfig::builder(2, namd_repro::machine::presets::generic_cluster())
+                .force_mode(ForceMode::Real)
+                .backend(backend)
+                .dt_fs(1.0)
+                .pme(Some(pme))
+                .checkpoint(&dir, INTERVAL)
+                .fault_plan(kill)
+                .build()
+                .expect("Real-mode PME checkpoints");
+            let mut engine = Engine::new(sys.clone(), cfg);
+            let recoveries = drive(&mut engine, TOTAL_UPDATES);
+            let _ = std::fs::remove_dir_all(&dir);
+            (final_bits(&engine), recoveries)
+        };
+        let (clean, r0) = run(None, "ref");
+        assert_eq!(r0, 0, "{backend:?}: the clean run recovered");
+        let plan = FaultPlan::parse("kill:entry=PatchRecvForces:dst=1:skip=20").unwrap();
+        let (killed, recoveries) = run(Some(plan), "kill");
+        assert!(recoveries >= 1, "{backend:?}: the kill never fired");
+        assert!(killed == clean, "{backend:?}: the recovered PME run diverged");
     }
 }
 

@@ -392,7 +392,7 @@ mod wire_roundtrips {
     use namd_repro::charmrt::wire::{encode_frame, read_frame};
     use namd_repro::charmrt::{EntryId, ObjId, WireCodec, WireMsg};
     use namd_repro::namd_core::messages::{
-        CkptMsg, CoordMsg, EnergiesMsg, ForceMsg, ForcePart, PatchStateMsg,
+        BarrierMsg, CoordMsg, EnergiesMsg, ForceMsg, ForcePart, PatchStateMsg,
     };
     use namd_repro::namd_core::state::StepAcc;
 
@@ -456,13 +456,12 @@ mod wire_roundtrips {
         }
 
         #[test]
-        fn ckpt_msg_roundtrip(
+        fn barrier_msg_roundtrip(
             patch in 0u32..=u32::MAX,
-            positions in arb_vecs(16),
             velocities in arb_vecs(16),
         ) {
-            let m = CkptMsg { patch, positions, velocities };
-            prop_assert_eq!(CkptMsg::unpack(&m.pack()).unwrap(), m);
+            let m = BarrierMsg { patch, velocities };
+            prop_assert_eq!(BarrierMsg::unpack(&m.pack()).unwrap(), m);
         }
 
         #[test]
@@ -525,10 +524,9 @@ mod wire_roundtrips {
             velocities in arb_vecs(8),
             extra in proptest::collection::vec(0u8..=u8::MAX, 1..16),
         ) {
-            let mut bytes =
-                CkptMsg { patch: 0, positions: vec![], velocities }.pack();
+            let mut bytes = BarrierMsg { patch: 0, velocities }.pack();
             bytes.extend_from_slice(&extra);
-            prop_assert!(CkptMsg::unpack(&bytes).is_err());
+            prop_assert!(BarrierMsg::unpack(&bytes).is_err());
         }
 
         /// The socket framing (`u32 len · u64 crc64 · body`) round-trips any
