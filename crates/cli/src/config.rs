@@ -25,7 +25,7 @@
 //! de-configure a simulation).
 
 use mdcore::prelude::System;
-use namd_core::prelude::{Backend, ForceMode, SimConfig, Thermostat};
+use namd_core::prelude::{Backend, ForceMode, PmeSimConfig, SimConfig, Thermostat};
 use std::collections::BTreeMap;
 
 /// Which molecular system to build.
@@ -71,8 +71,7 @@ pub struct RunConfig {
     pub thermostat: ThermostatKind,
     pub langevin_gamma: f64,
     pub berendsen_tau: f64,
-    /// PEs the engine runs on; every count gives the same trajectory
-    /// (`pme on` runs the sequential MTS driver and needs 1).
+    /// PEs the engine runs on; every count gives the same trajectory.
     pub threads: usize,
     /// Runtime backend the engine runs on: `threads` (one OS thread per
     /// PE, the default), `proc` (one OS *process* per PE, exchanging packed
@@ -85,8 +84,7 @@ pub struct RunConfig {
     /// Pair-list margin beyond the cutoff, Å: non-bonded pair lists are
     /// built at `cutoff + margin` and reused until an atom has moved half
     /// the margin (NAMD's `pairlistdist` reuse); 0 rebuilds every step.
-    /// Every margin gives the same bits. The PME driver rebuilds its
-    /// neighbour list every step.
+    /// Every margin gives the same bits.
     pub pairlist_margin: f64,
     /// Basename for outputs (`<name>.xyz`, `<name>.energies`); empty = none.
     pub output_name: String,
@@ -96,10 +94,12 @@ pub struct RunConfig {
     pub pme_spacing: f64,
     /// Ewald screening parameter β (0 = auto from cutoff).
     pub ewald_beta: f64,
-    /// r-RESPA outer/inner ratio k when PME is on (1 = off): the MTS driver
-    /// evaluates every non-bonded force — LJ, erfc real space and the
-    /// reciprocal sum — once per k timesteps and the bonded forces every
-    /// timestep; one logged step is one outer step, k timesteps long.
+    /// r-RESPA outer/inner ratio k when PME is on (1 = off): the
+    /// reciprocal sum runs on the global timesteps that are multiples of k
+    /// and its force is applied k-fold as an impulse; bonded, LJ and
+    /// real-space forces run every timestep. One logged step is one outer
+    /// step, k timesteps long: `steps`, `trajectoryEvery` and
+    /// `checkpointInterval` count outer steps.
     pub mts_frequency: usize,
     /// Restrain protein atoms to their initial positions.
     pub restrain_protein: bool,
@@ -178,11 +178,22 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// The engine configuration a cutoff run runs under — the twin of
+    /// Engine timesteps per logged step: `mtsFrequency` with `pme on`, else 1.
+    pub fn mts_k(&self) -> usize {
+        if self.pme {
+            self.mts_frequency
+        } else {
+            1
+        }
+    }
+
+    /// The engine configuration a run runs under — the twin of
     /// `serve::JobSpec::engine_config`: every engine key goes through
     /// [`SimConfig::builder`], so [`SimConfig::validate`] is the one check
     /// of threads, timestep, backend, pair-list margin, thermostat, fault
-    /// plan, schedule, checkpointing and the recovery policy.
+    /// plan, schedule, checkpointing, PME and the recovery policy. The
+    /// checkpoint interval is in engine timesteps: `checkpointInterval`
+    /// outer steps.
     pub fn engine_config(&self) -> Result<SimConfig, String> {
         let schedule = charmrt::SchedulePolicy::parse(&self.schedule, self.schedule_seed)
             .map_err(|e| format!("schedule: {e}"))?;
@@ -214,7 +225,15 @@ impl RunConfig {
             b = b.fault_plan(Some(plan));
         }
         if !self.checkpoint_dir.is_empty() {
-            b = b.checkpoint(&self.checkpoint_dir, self.checkpoint_interval);
+            let interval = self.checkpoint_interval.saturating_mul(self.mts_k());
+            b = b.checkpoint(&self.checkpoint_dir, interval);
+        }
+        if self.pme {
+            b = b.pme(Some(PmeSimConfig {
+                mesh_spacing: self.pme_spacing,
+                every: self.mts_frequency,
+                ..PmeSimConfig::default()
+            }));
         }
         b.build().map_err(|e| e.to_string())
     }
@@ -345,7 +364,7 @@ pub fn parse(text: &str) -> Result<RunConfig, String> {
 /// Check every value and cross-key consistency. `parse` runs this; callers
 /// that mutate a parsed config afterwards (e.g. CLI flag overrides) should
 /// re-run it. The engine keys are checked once, by [`SimConfig::validate`]
-/// through [`RunConfig::engine_config`], whichever driver runs.
+/// through [`RunConfig::engine_config`].
 pub fn validate(cfg: &RunConfig) -> Result<(), String> {
     if !(cfg.scale > 0.0 && cfg.scale <= 1.0) {
         return Err(format!("scale must be in (0, 1], got {}", cfg.scale));
@@ -391,23 +410,6 @@ pub fn validate(cfg: &RunConfig) -> Result<(), String> {
     }
     if cfg.pme && cfg.mts_frequency > 8 {
         return Err("mtsFrequency above 8 is unstable; choose 1-8".into());
-    }
-    let mts_refuses = [
-        (cfg.threads > 1, "threads > 1"),
-        (cfg.backend != Backend::Threads, "backend des/proc"),
-        (!cfg.checkpoint_dir.is_empty(), "checkpointDir"),
-        (!cfg.restart_from.is_empty(), "restartFrom"),
-        (engine.fault_plan.is_some(), "faultPlan"),
-        (engine.schedule.kind != charmrt::SchedulePolicyKind::Fifo, "schedule"),
-        (!cfg.profile_dir.is_empty(), "profileDir"),
-        (cfg.thermostat == ThermostatKind::Langevin, "thermostat langevin"),
-    ];
-    if let (true, Some((_, key))) = (cfg.pme, mts_refuses.iter().find(|(set, _)| *set)) {
-        return Err(format!(
-            "{key} cannot run with pme on: pme runs the MTS driver, which takes none of \
-             threads > 1, backend des/proc, checkpointDir, restartFrom, faultPlan, schedule, \
-             profileDir, thermostat langevin"
-        ));
     }
     if cfg.backend != Backend::Proc && !cfg.socket_dir.is_empty() {
         return Err("socketDir applies to backend proc only".into());
@@ -486,35 +488,24 @@ mod tests {
         assert!(parse("system water\nboxSize 10\ncutoff 9\n")
             .unwrap_err()
             .contains("too small"));
-        // Every cutoff run is the engine's, so Langevin, faults, schedules
-        // and profiling run at any thread count.
-        for keys in [
-            "thermostat langevin\nthreads 2\n",
-            "thermostat langevin\ncheckpointDir ck\nbackend proc\nthreads 2\n",
-            "faultPlan drop:entry=PatchRecvForces:limit=1\n",
-            "schedule shuffle\n",
-            "profileDir prof\n",
-        ] {
-            parse(keys).unwrap_or_else(|e| panic!("{keys:?}: {e}"));
+        // Every run is the engine's, so Langevin, faults, schedules,
+        // profiling and checkpoints run at any thread count, with or
+        // without pme.
+        for pme in ["", "pme on\nmtsFrequency 2\n"] {
+            for keys in [
+                "thermostat langevin\nthreads 2\n",
+                "thermostat berendsen\nbackend des\nthreads 3\n",
+                "faultPlan drop:entry=PatchRecvForces:limit=1\n",
+                "schedule shuffle\n",
+                "profileDir prof\n",
+                "checkpointDir ck\nrestartFrom ck\n",
+            ] {
+                parse(&format!("{pme}{keys}")).unwrap_or_else(|e| panic!("{pme}{keys:?}: {e}"));
+            }
         }
-        // pme runs the MTS driver, which takes none of the engine's keys:
-        // the first one set is named.
-        for (keys, named) in [
-            ("threads 4\n", "threads > 1"),
-            ("backend des\n", "backend des/proc"),
-            ("backend proc\n", "backend des/proc"),
-            ("checkpointDir ck\n", "checkpointDir"),
-            ("restartFrom ck\n", "restartFrom"),
-            ("faultPlan drop:entry=PatchRecvForces:limit=1\n", "faultPlan"),
-            ("schedule lifo\n", "schedule"),
-            ("profileDir prof\n", "profileDir"),
-            ("thermostat langevin\n", "thermostat langevin"),
-            ("profileDir prof\nthreads 2\n", "threads > 1"),
-        ] {
-            let e = parse(&format!("pme on\n{keys}")).unwrap_err();
-            assert!(e.starts_with(&format!("{named} cannot run with pme on")), "{keys:?}: {e}");
-        }
-        parse("pme on\nthermostat berendsen\n").unwrap();
+        parse("thermostat langevin\ncheckpointDir ck\nbackend proc\nthreads 2\n").unwrap();
+        assert!(parse("pme on\nmtsFrequency 9\n").unwrap_err().contains("mtsFrequency"));
+        assert!(parse("mtsFrequency 0\n").unwrap_err().contains("mtsFrequency"));
     }
 
     #[test]
@@ -556,7 +547,8 @@ mod tests {
         assert_eq!(parse("backend DES\n").unwrap().backend, Backend::Des);
         assert!(parse("backend qemu\n").unwrap_err().contains("unknown backend"));
         assert!(parse("threads 2\nsocketDir /tmp/mesh\n").unwrap_err().contains("backend proc"));
-        assert!(parse("backend proc\npme on\n").unwrap_err().contains("pme"));
+        // PME's reciprocal-space state is shared memory.
+        assert!(parse("backend proc\npme on\n").unwrap_err().contains("PME"));
         // Proc workers exchange packed messages; queue-level faults other
         // than kills cannot reach them.
         assert!(parse(
@@ -634,7 +626,7 @@ mod tests {
     #[test]
     fn engine_config_carries_every_engine_key() {
         type Check = fn(&SimConfig) -> bool;
-        let rows: [(&str, &str, Check); 12] = [
+        let rows: [(&str, &str, Check); 13] = [
             ("threads", "threads 3", |c| c.n_pes == 3),
             ("timestep", "timestep 0.25", |c| c.dt_fs == 0.25),
             ("backend", "backend des", |c| c.backend == Backend::Des),
@@ -664,6 +656,14 @@ mod tests {
             }),
             ("maxRecoveries", "maxRecoveries 7", |c| c.max_recoveries == 7),
             ("recoveryBackoffMs", "recoveryBackoffMs 25", |c| c.recovery_backoff_ms == 25),
+            (
+                "pme + pmeSpacing + mtsFrequency + checkpointInterval",
+                "pme on\npmeSpacing 0.9\nmtsFrequency 3\ncheckpointDir ck\ncheckpointInterval 4",
+                |c| {
+                    c.pme.is_some_and(|p| p.mesh_spacing == 0.9 && p.every == 3)
+                        && c.checkpoint_interval == 12
+                },
+            ),
         ];
         let default = parse("").unwrap().engine_config().unwrap();
         assert_eq!(default.force_mode, ForceMode::Real);

@@ -69,14 +69,14 @@ berendsenTau  100
 threads       2
 pairlistMargin 2.5       # pair lists are built at cutoff + margin (Å) and
 #                        #  reused until an atom moves margin/2; 0 = rebuild
-#                        #  every step (pme always rebuilds)
+#                        #  every step
 outputName    demo       # writes demo.xyz
 trajectoryEvery 10
 pme           off        # full electrostatics (particle-mesh Ewald)
 #pmeSpacing   1.2
-#mtsFrequency 4          # r-RESPA: every non-bonded force (LJ, real and
-#                        #  reciprocal Ewald) once per 4 timesteps, bonded
-#                        #  every timestep; a logged step spans all 4
+#mtsFrequency 4          # r-RESPA: the reciprocal sum every 4 timesteps,
+#                        #  applied 4-fold; bonded, LJ and real space every
+#                        #  timestep; a logged step spans all 4
 seed          42
 #checkpointDir  ckpts    # periodic checkpoints (atomic write-rename)
 #checkpointInterval 10   # steps between checkpoints
@@ -85,7 +85,7 @@ seed          42
 #faultPlan    kill:entry=PatchRecvForces:dst=1:skip=40  # crash drill
 #maxRecoveries 3         # crash-recovery attempts before giving up
 #recoveryBackoffMs 10    # base retry backoff, doubled per attempt
-#schedule     shuffle    # fifo | shuffle | lifo | jitter (not with pme)
+#schedule     shuffle    # fifo | shuffle | lifo | jitter
 #scheduleSeed 1
 #profileDir   prof       # Perfetto-loadable traces + phase/LB summaries
 #profileInterval 10      # phases between full trace captures
@@ -154,6 +154,12 @@ fn cmd_run(args: &[String]) -> i32 {
     }
     match runner::run(&cfg, &mut std::io::stdout()) {
         Ok(_) => 0,
+        // A config error only the run can see: a restart from a checkpoint
+        // another integrator wrote.
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+            eprintln!("config error: {e}");
+            1
+        }
         Err(e) => {
             eprintln!("run failed: {e}");
             1

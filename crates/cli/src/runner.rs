@@ -1,35 +1,72 @@
-//! Turns a parsed [`RunConfig`] into an actual simulation run.
+//! Turns a parsed [`RunConfig`] into an actual simulation run: every run,
+//! cutoff or `pme on`, is `Engine` + `recovery::advance` at any thread
+//! count, with the thermostat inside the engine.
 
 use crate::config::{RunConfig, ThermostatKind};
 use mdcore::prelude::*;
 use namd_core::prelude::{Backend, Engine, MetricsRegistry};
 use namd_core::recovery::{advance, Advanced};
-use pme::md::MtsSimulator;
-use std::io::Write;
+use std::io::{Error, ErrorKind, Write};
 use std::path::Path;
 
-/// Opaque per-snapshot payload the runner stores in `Snapshot::extra`:
-/// the first recorded total energy (for the final report), the number of
-/// trajectory frames already on disk (so a restart neither duplicates nor
-/// re-truncates them), and the migration cadence (so a restarted run
-/// reproduces the original run's decomposition-rebuild pattern).
-fn encode_extra(e_first: f64, frames: u64, migrate_every: u64) -> Vec<u8> {
-    let mut v = Vec::with_capacity(24);
-    v.extend_from_slice(&e_first.to_le_bytes());
-    v.extend_from_slice(&frames.to_le_bytes());
-    v.extend_from_slice(&migrate_every.to_le_bytes());
-    v
+/// Opaque per-snapshot payload the runner stores in `Snapshot::extra`.
+#[derive(Debug, Clone, Copy)]
+struct Extra {
+    /// The first recorded total energy (for the final report).
+    e_first: f64,
+    /// Trajectory frames already on disk, so a restart neither duplicates
+    /// nor re-truncates them.
+    frames: u64,
+    /// The migration cadence, so a restarted run reproduces the original
+    /// run's decomposition-rebuild pattern.
+    migrate_every: u64,
+    /// `mtsFrequency` of a `pme on` run, 0 for a cutoff run: a restart into
+    /// another integrator is refused. A 24-byte payload, written before
+    /// this field existed, is a cutoff run's.
+    mts: u64,
 }
 
-fn decode_extra(bytes: &[u8]) -> Option<(f64, u64, u64)> {
-    if bytes.len() != 24 {
-        return None;
+impl Extra {
+    fn encode(&self) -> Vec<u8> {
+        [self.e_first.to_bits(), self.frames, self.migrate_every, self.mts]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect()
     }
-    let f = |r: std::ops::Range<usize>| <[u8; 8]>::try_from(&bytes[r]).unwrap();
-    Some((
-        f64::from_le_bytes(f(0..8)),
-        u64::from_le_bytes(f(8..16)),
-        u64::from_le_bytes(f(16..24)),
+
+    fn decode(bytes: &[u8]) -> Option<Extra> {
+        if bytes.len() != 24 && bytes.len() != 32 {
+            return None;
+        }
+        let w = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
+        Some(Extra {
+            e_first: f64::from_bits(w(0)),
+            frames: w(1),
+            migrate_every: w(2),
+            mts: if bytes.len() == 32 { w(3) } else { 0 },
+        })
+    }
+}
+
+/// Refuse a restart from a checkpoint another integrator wrote (`written`
+/// and `this` as in [`Extra::mts`]): the topology hash covers neither
+/// Ewald β nor PME, so nothing else would.
+fn check_integrator(written: u64, this: u64, from: &str) -> std::io::Result<()> {
+    if written == this {
+        return Ok(());
+    }
+    let describe = |k| match k {
+        0 => "pme off".to_string(),
+        k => format!("pme on and mtsFrequency {k}"),
+    };
+    let key = if written > 0 && this > 0 { "mtsFrequency" } else { "pme" };
+    Err(Error::new(
+        ErrorKind::InvalidInput,
+        format!(
+            "{key}: {from} was written with {}; this config has {}",
+            describe(written),
+            describe(this)
+        ),
     ))
 }
 
@@ -89,15 +126,7 @@ pub fn build_system(cfg: &RunConfig) -> System {
     system
 }
 
-/// The Berendsen coupling a config asks for, if any.
-fn berendsen(cfg: &RunConfig) -> Option<Berendsen> {
-    (cfg.thermostat == ThermostatKind::Berendsen)
-        .then_some(Berendsen { target_k: cfg.temperature, tau_fs: cfg.berendsen_tau })
-}
-
 /// Execute the run, streaming a one-line-per-step energy log to `log`.
-/// `pme on` runs on the sequential multiple-timestep driver; every other
-/// run on `Engine` + `recovery::advance`, whatever the thread count.
 pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
     let mut system = build_system(cfg);
     if cfg.minimize > 0 {
@@ -118,39 +147,15 @@ pub fn run(cfg: &RunConfig, log: &mut dyn Write) -> std::io::Result<RunReport> {
         cfg.threads,
         if cfg.pme { ", PME on" } else { "" }
     )?;
-    if cfg.pme {
-        run_mts(cfg, system, log)
-    } else {
-        run_engine(cfg, system, log)
-    }
-}
 
-/// Full electrostatics on the MTS driver (k = 1 reduces to velocity
-/// Verlet), with the Berendsen rescale after each outer step.
-fn run_mts(cfg: &RunConfig, mut system: System, log: &mut dyn Write) -> std::io::Result<RunReport>
-{
-    let mut out = Output::new(cfg, &system, None, log)?;
-    let berendsen = berendsen(cfg);
-    let mut mts = MtsSimulator::new(&system, cfg.pme_spacing, cfg.timestep, cfg.mts_frequency);
-    for step in 0..cfg.steps {
-        let e = mts.outer_step(&mut system);
-        if let Some(b) = &berendsen {
-            b.apply(&mut system, cfg.timestep);
-        }
-        out.step(step, e.potential(), e.kinetic, system.temperature())?;
-        out.frame(step, &system.positions)?;
-    }
-    out.finish(cfg, system.n_atoms(), system.temperature())
-}
-
-/// A cutoff run on the engine: `advance` is asked for whole phases,
-/// stopping only where this loop needs the state — a trajectory frame and
-/// the run's end — besides the migration and checkpoint boundaries it
-/// stops at itself. The thermostat runs inside the engine.
-fn run_engine(cfg: &RunConfig, system: System, log: &mut dyn Write) -> std::io::Result<RunReport> {
-    let config = cfg
-        .engine_config()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+    // `advance` is asked for whole phases, stopping only where this loop
+    // needs the state — a trajectory frame and the run's end — besides the
+    // migration and checkpoint boundaries it stops at itself. Every step
+    // number this loop prints or reads counts logged steps, each `k` engine
+    // timesteps long (`k` = 1 without pme).
+    let k = cfg.mts_k();
+    let mts = if cfg.pme { k as u64 } else { 0 };
+    let config = cfg.engine_config().map_err(|e| Error::new(ErrorKind::InvalidInput, e))?;
     let n_atoms = system.n_atoms();
     let mut engine = Engine::new(system, config);
     if cfg.backend == Backend::Proc {
@@ -167,63 +172,75 @@ fn run_engine(cfg: &RunConfig, system: System, log: &mut dyn Write) -> std::io::
     // With checkpoints, a migration cadence that divides their interval; on
     // a restart without, the one recorded.
     let mut migrate_every =
-        if checkpointing { migrate_cadence(cfg.checkpoint_interval) } else { 20 };
+        if checkpointing { migrate_cadence(engine.config.checkpoint_interval) } else { 20 };
     let mut resumed = None;
     if !cfg.restart_from.is_empty() {
         let (snap, from) = load_snapshot(&cfg.restart_from)?;
-        let extra = decode_extra(&snap.extra);
-        if let Some((_, _, me)) = extra.filter(|&(_, _, me)| !checkpointing && me > 0) {
-            migrate_every = me as usize;
+        let extra = Extra::decode(&snap.extra);
+        check_integrator(extra.map_or(0, |x| x.mts), mts, &from)?;
+        if let Some(x) = extra.filter(|x| !checkpointing && x.migrate_every > 0) {
+            migrate_every = x.migrate_every as usize;
         }
         engine.restore(&snap).map_err(ckpt_io_err)?;
-        writeln!(log, "restarted from {from} at step {}", snap.step)?;
-        resumed = Some(extra.map_or((f64::NAN, 0), |(ef, fr, _)| (ef, fr as usize)));
+        writeln!(log, "restarted from {from} at step {}", snap.step as usize / k)?;
+        resumed = Some(extra.map_or((f64::NAN, 0), |x| (x.e_first, x.frames as usize)));
     }
     let mut out = Output::new(cfg, &engine.system(), resumed, log)?;
+    let extra = |e_first: f64, frames: usize| {
+        let (frames, migrate_every) = (frames as u64, migrate_every as u64);
+        Extra { e_first, frames, migrate_every, mts }.encode()
+    };
 
     // Baseline snapshot: a crash before the first periodic checkpoint must
     // still have something to roll back to.
     if checkpointing && engine.steps_done == 0 {
-        engine.ckpt_extra = encode_extra(out.e_first, out.frames as u64, migrate_every as u64);
+        engine.ckpt_extra = extra(out.e_first, out.frames);
         let dir = ckpt::CheckpointDir::create(&cfg.checkpoint_dir).map_err(ckpt_io_err)?;
         dir.write(&engine.snapshot()).map_err(ckpt_io_err)?;
     }
 
-    let berendsen = berendsen(cfg);
+    let berendsen = (cfg.thermostat == ThermostatKind::Berendsen)
+        .then_some(Berendsen { target_k: cfg.temperature, tau_fs: cfg.berendsen_tau });
     // The logged kinetic energy predates the step's Berendsen rescale; the
     // temperature column is after it: λ²·T.
     let temperature = |kinetic: f64| {
         let t = mdcore::system::temperature(kinetic, n_atoms);
         berendsen.map_or(t, |b| t * b.lambda(t, cfg.timestep).powi(2))
     };
-    while engine.steps_done < cfg.steps {
+    let last = cfg.steps.saturating_mul(k);
+    while engine.steps_done < last {
         let done = engine.steps_done;
-        // Log step `s` reports the state after `s + 1` updates.
-        let mut target = out.next_frame(done).map_or(cfg.steps, |s| cfg.steps.min(s + 1));
+        // Log step `s` reports the state after `(s + 1)·k` updates.
+        let next = out.next_frame(done / k).map_or(cfg.steps, |s| cfg.steps.min(s + 1));
+        let mut target = next.saturating_mul(k);
         if checkpointing {
             // Snapshots carry the first step's energy: learn it first.
             if done == 0 && out.e_first.is_nan() {
-                target = 1;
+                target = k;
             }
             // A checkpoint is written only after a whole phase, so a restart
             // from it resumes after every frame the phase writes.
             let end = target.min((done / migrate_every + 1) * migrate_every);
-            let mark = out.frames_through(end - 1);
-            engine.ckpt_extra = encode_extra(out.e_first, mark as u64, migrate_every as u64);
+            engine.ckpt_extra = extra(out.e_first, out.frames_after(end / k));
         }
-        match advance(&mut engine, target, migrate_every, Some(cfg.steps), false)
-            .map_err(std::io::Error::other)?
+        match advance(&mut engine, target, migrate_every, Some(last), false)
+            .map_err(Error::other)?
         {
             Advanced::Phase { phase, updates } => {
-                for (k, e) in phase.energies[1..=updates].iter().enumerate() {
-                    out.step(done + k, e.potential(), e.kinetic, temperature(e.kinetic))?;
+                for (j, e) in phase.energies[1..=updates].iter().enumerate() {
+                    let n = done + j + 1;
+                    if n.is_multiple_of(k) {
+                        out.step(n / k - 1, e.potential(), e.kinetic, temperature(e.kinetic))?;
+                    }
                 }
-                out.frame(engine.steps_done - 1, &engine.system().positions)?;
+                if engine.steps_done.is_multiple_of(k) {
+                    out.frame(engine.steps_done / k - 1, &engine.system().positions)?;
+                }
             }
             Advanced::RolledBack { crash, attempt, step, from } => {
                 writeln!(out.log, "{crash}; recovering (attempt {attempt})")?;
                 let from = from.map_or("memory".into(), |p| p.display().to_string());
-                writeln!(out.log, "resumed from {from} at step {step}")?;
+                writeln!(out.log, "resumed from {from} at step {}", step / k)?;
             }
         }
     }
@@ -241,7 +258,7 @@ fn run_engine(cfg: &RunConfig, system: System, log: &mut dyn Write) -> std::io::
     Ok(report)
 }
 
-/// What both drivers write: the per-step energy table and the trajectory.
+/// What a run writes: the per-step energy table and the trajectory.
 struct Output<'a> {
     log: &'a mut dyn Write,
     xyz: Option<TrajectoryWriter>,
@@ -305,10 +322,10 @@ impl<'a> Output<'a> {
         self.xyz.as_ref().map(|_| step.div_ceil(self.every).max(self.frames) * self.every)
     }
 
-    /// Frames on disk once log step `step` is recorded.
-    fn frames_through(&self, step: usize) -> usize {
+    /// Frames on disk once the first `logged` log steps are recorded.
+    fn frames_after(&self, logged: usize) -> usize {
         match self.xyz {
-            Some(_) => self.frames.max(step / self.every + 1),
+            Some(_) => self.frames.max(logged.div_ceil(self.every)),
             None => self.frames,
         }
     }
@@ -499,79 +516,126 @@ mod tests {
     const CKPT_BASE: &str = "system water\natoms 300\nboxSize 20\ncutoff 6\ntimestep 0.5\n\
                              steps 12\nthreads 2\nthermostat berendsen\ntrajectoryEvery 2\n";
 
+    /// The checkpoint drills run cutoff and `pme on` at `mtsFrequency 2`,
+    /// whose logged steps, frames and checkpoint interval count outer steps.
+    const PME_K2: &str = "pme on\nmtsFrequency 2\n";
+
     #[test]
     fn killed_checkpointed_run_recovers_bit_identically() {
-        let dir = tmp("kill");
-        let ref_cfg = parse(&format!(
-            "{CKPT_BASE}checkpointDir {}\ncheckpointInterval 4\noutputName {}\n",
-            dir.join("ck_ref").display(),
-            dir.join("ref").display()
-        ))
-        .unwrap();
-        let mut log = Vec::new();
-        run(&ref_cfg, &mut log).unwrap();
+        for (tag, extra) in [("cutoff", ""), ("pme", PME_K2)] {
+            let dir = tmp(&format!("kill_{tag}"));
+            let ref_cfg = parse(&format!(
+                "{CKPT_BASE}{extra}checkpointDir {}\ncheckpointInterval 4\noutputName {}\n",
+                dir.join("ck_ref").display(),
+                dir.join("ref").display()
+            ))
+            .unwrap();
+            let mut log = Vec::new();
+            run(&ref_cfg, &mut log).unwrap();
 
-        let kill_cfg = parse(&format!(
-            "{CKPT_BASE}checkpointDir {}\ncheckpointInterval 4\noutputName {}\n\
-             faultPlan kill:entry=PatchRecvForces:dst=1:skip=30\n",
-            dir.join("ck_kill").display(),
-            dir.join("kill").display()
-        ))
-        .unwrap();
-        let mut log = Vec::new();
-        run(&kill_cfg, &mut log).unwrap();
-        let text = String::from_utf8(log).unwrap();
-        assert!(text.contains("recovering"), "kill never fired:\n{text}");
-        assert!(text.contains("resumed from"), "{text}");
+            let kill_cfg = parse(&format!(
+                "{CKPT_BASE}{extra}checkpointDir {}\ncheckpointInterval 4\noutputName {}\n\
+                 faultPlan kill:entry=PatchRecvForces:dst=1:skip=30\n",
+                dir.join("ck_kill").display(),
+                dir.join("kill").display()
+            ))
+            .unwrap();
+            let mut log = Vec::new();
+            run(&kill_cfg, &mut log).unwrap();
+            let text = String::from_utf8(log).unwrap();
+            assert!(text.contains("recovering"), "{tag}: kill never fired:\n{text}");
+            assert!(text.contains("resumed from"), "{tag}: {text}");
 
-        let a = std::fs::read(dir.join("ref.xyz")).unwrap();
-        let b = std::fs::read(dir.join("kill.xyz")).unwrap();
-        assert!(!a.is_empty());
-        assert_eq!(a, b, "recovered trajectory differs from uninterrupted one");
-        let _ = std::fs::remove_dir_all(&dir);
+            let a = std::fs::read(dir.join("ref.xyz")).unwrap();
+            let b = std::fs::read(dir.join("kill.xyz")).unwrap();
+            assert!(!a.is_empty());
+            assert_eq!(a, b, "{tag}: recovered trajectory differs from uninterrupted one");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
     fn restart_resumes_bit_identically() {
-        let dir = tmp("restart");
-        let ref_cfg = parse(&format!(
-            "{CKPT_BASE}checkpointDir {}\ncheckpointInterval 4\noutputName {}\n",
-            dir.join("ck_ref").display(),
-            dir.join("ref").display()
-        ))
-        .unwrap();
-        let mut log = Vec::new();
-        run(&ref_cfg, &mut log).unwrap();
+        for (tag, extra) in [("cutoff", ""), ("pme", PME_K2)] {
+            let dir = tmp(&format!("restart_{tag}"));
+            let ref_cfg = parse(&format!(
+                "{CKPT_BASE}{extra}checkpointDir {}\ncheckpointInterval 4\noutputName {}\n",
+                dir.join("ck_ref").display(),
+                dir.join("ref").display()
+            ))
+            .unwrap();
+            let mut log = Vec::new();
+            run(&ref_cfg, &mut log).unwrap();
 
-        // "Interrupted" run: stop exactly at a checkpoint step, then resume
-        // from the directory's newest snapshot and finish.
-        let ck = dir.join("ck_part");
-        let part_cfg = parse(&format!(
-            "{CKPT_BASE}checkpointDir {}\ncheckpointInterval 4\noutputName {}\nsteps 8\n",
-            ck.display(),
-            dir.join("part").display()
-        ))
-        .unwrap();
-        let mut log = Vec::new();
-        run(&part_cfg, &mut log).unwrap();
+            // "Interrupted" run: stop exactly at a checkpoint step, then
+            // resume from the directory's newest snapshot and finish.
+            let ck = dir.join("ck_part");
+            let part_cfg = parse(&format!(
+                "{CKPT_BASE}{extra}checkpointDir {}\ncheckpointInterval 4\noutputName {}\n\
+                 steps 8\n",
+                ck.display(),
+                dir.join("part").display()
+            ))
+            .unwrap();
+            let mut log = Vec::new();
+            run(&part_cfg, &mut log).unwrap();
 
-        let resume_cfg = parse(&format!(
-            "{CKPT_BASE}checkpointDir {}\ncheckpointInterval 4\noutputName {}\n\
-             restartFrom {}\n",
-            ck.display(),
-            dir.join("part").display(),
-            ck.display()
-        ))
-        .unwrap();
-        let mut log = Vec::new();
-        run(&resume_cfg, &mut log).unwrap();
-        let text = String::from_utf8(log).unwrap();
-        assert!(text.contains("restarted from"), "{text}");
-        assert!(text.contains(" 8 "), "resume should log step 8 first:\n{text}");
+            let resume_cfg = parse(&format!(
+                "{CKPT_BASE}{extra}checkpointDir {}\ncheckpointInterval 4\noutputName {}\n\
+                 restartFrom {}\n",
+                ck.display(),
+                dir.join("part").display(),
+                ck.display()
+            ))
+            .unwrap();
+            let mut log = Vec::new();
+            run(&resume_cfg, &mut log).unwrap();
+            let text = String::from_utf8(log).unwrap();
+            assert!(text.contains("restarted from") && text.contains("at step 8\n"), "{text}");
+            assert!(text.contains("\n   8 "), "{tag}: resume should log step 8 first:\n{text}");
 
-        let a = std::fs::read(dir.join("ref.xyz")).unwrap();
-        let b = std::fs::read(dir.join("part.xyz")).unwrap();
-        assert_eq!(a, b, "restarted trajectory differs from uninterrupted one");
+            let a = std::fs::read(dir.join("ref.xyz")).unwrap();
+            let b = std::fs::read(dir.join("part.xyz")).unwrap();
+            assert_eq!(a, b, "{tag}: restarted trajectory differs from uninterrupted one");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The topology hash covers neither Ewald β nor PME: a restart into
+    /// another integrator is refused by the runner, naming the key. A
+    /// 24-byte payload, written before the field existed, is a cutoff run's.
+    #[test]
+    fn restart_refuses_another_integrator() {
+        let dir = tmp("integrator");
+        for (name, extra) in [("cutoff", ""), ("pme", PME_K2)] {
+            let cfg = parse(&format!(
+                "{CKPT_BASE}{extra}steps 4\ncheckpointDir {}\ncheckpointInterval 4\n",
+                dir.join(name).display()
+            ))
+            .unwrap();
+            run(&cfg, &mut Vec::new()).unwrap();
+        }
+        for (from, extra, key) in [
+            ("cutoff", PME_K2, "pme: "),
+            ("pme", "", "pme: "),
+            ("pme", "pme on\n", "mtsFrequency: "),
+            ("pme", "pme on\nmtsFrequency 3\n", "mtsFrequency: "),
+        ] {
+            let cfg = parse(&format!(
+                "{CKPT_BASE}{extra}restartFrom {}\n",
+                dir.join(from).display()
+            ))
+            .unwrap();
+            let err = run(&cfg, &mut Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{from} -> {extra:?}");
+            assert!(err.to_string().starts_with(key), "{from} -> {extra:?}: {err}");
+        }
+        let old = Extra { e_first: -1.5, frames: 3, migrate_every: 4, mts: 0 }.encode();
+        let x = Extra::decode(&old[..24]).unwrap();
+        assert_eq!((x.e_first, x.frames, x.migrate_every, x.mts), (-1.5, 3, 4, 0));
+        let x = Extra::decode(&Extra { mts: 2, ..x }.encode()).unwrap();
+        assert_eq!(x.mts, 2);
+        assert!(Extra::decode(&old[..16]).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -157,15 +157,18 @@ pub struct RunParams {
     pub dt_fs: f64,
     pub force_mode: ForceMode,
     pub multicast: MulticastMode,
-    /// PME cadence: reciprocal space evaluated on steps where
-    /// `step % pme_every == 0`; 0 disables PME.
+    /// PME cadence: reciprocal space evaluated on the global steps
+    /// (`step_offset + step`) that are multiples of `pme_every`, and its
+    /// force applied `pme_every`-fold as an impulse (r-RESPA); 0 disables
+    /// PME.
     pub pme_every: usize,
     /// Pair-list margin beyond the cutoff, Å (NAMD's `pairlistdist` minus
     /// the cutoff); each non-bonded compute reuses its list until an atom
     /// has moved half of it.
     pub pairlist_margin: f64,
     /// Global position updates completed before this phase started, so the
-    /// Langevin noise keys survive phase chaining and resume.
+    /// Langevin noise keys and the PME cadence survive phase chaining and
+    /// resume.
     pub step_offset: usize,
     /// Temperature control (Real mode).
     pub thermostat: Thermostat,
@@ -262,11 +265,13 @@ impl HomePatch {
         }
     }
 
-    /// Is PME evaluated on the *current* step?
+    /// Is PME evaluated on the *current* step? Keyed on the global step, so
+    /// a phase's bootstrap evaluation repeats its predecessor's final one
+    /// and the cadence does not depend on how a run is sliced into phases.
     fn pme_step(&self) -> bool {
         self.slab.is_some()
             && self.params.pme_every > 0
-            && self.step.is_multiple_of(self.params.pme_every)
+            && (self.params.step_offset + self.step).is_multiple_of(self.params.pme_every)
     }
 
     /// Force/potential messages expected for the current step.
@@ -339,20 +344,21 @@ impl HomePatch {
     /// barrier split the step without changing any bits.
     fn integrate_first_half(&mut self) {
         self.fold_pending();
-        // Reciprocal-space forces are folded in only on PME steps (impulse
-        // multiple-timestepping).
+        // Reciprocal-space forces are folded in only on PME steps, weighted
+        // by the cadence (r-RESPA's impulse; ×1.0 at every step is exact).
         let pme = if self.pme_step() {
             self.shared.pme_real.as_ref().map(|m| m.lock().unwrap())
         } else {
             None
         };
+        let weight = self.params.pme_every as f64;
         let ids = &self.shared.decomp.grid.atoms[self.patch];
         let dt = self.params.dt_fs;
 
         let mut kinetic = 0.0;
         for slot in 0..self.masses.len() {
             if let Some(pr) = &pme {
-                self.atoms.forces[slot] += pr.forces[ids[slot] as usize];
+                self.atoms.forces[slot] += pr.forces[ids[slot] as usize] * weight;
             }
             let m = self.masses[slot];
             let acc = self.atoms.forces[slot] * (units::ACCEL / m);

@@ -57,8 +57,10 @@ pub struct PmeSimConfig {
     /// Maximum mesh spacing, Å (the mesh per axis is the next power of two
     /// of box/spacing — matching `pme::mesh::PmeParams::for_cell`).
     pub mesh_spacing: f64,
-    /// Evaluate the reciprocal sum every this many steps (multiple
-    /// timestepping; 1 = every step).
+    /// Evaluate the reciprocal sum on the global steps that are multiples
+    /// of this (multiple timestepping; 1 = every step). In Real mode its
+    /// force is applied `every`-fold on those steps (r-RESPA's impulse);
+    /// bonded, LJ and real-space forces run every step.
     pub every: usize,
     /// Number of slab objects the mesh is decomposed into.
     pub slabs: usize,
@@ -300,25 +302,12 @@ impl SimConfig {
             if p.slabs == 0 {
                 return Err(ConfigError::BadPme("slabs must be at least 1".into()));
             }
-            if self.force_mode == ForceMode::Real && p.every != 1 {
-                return Err(ConfigError::BadPme(format!(
-                    "every = {} in Real mode: the home patches would add the reciprocal force \
-                     unweighted on every {}th step and drop its energy on the others, which \
-                     is not r-RESPA; Real mode evaluates PME every step (every = 1)",
-                    p.every, p.every
-                )));
-            }
         }
         match self.thermostat {
             Thermostat::None => {}
             _ if self.force_mode != ForceMode::Real => {
                 return Err(ConfigError::BadThermostat(
                     "Counted mode moves no atom to thermostat; use force_mode Real".into(),
-                ));
-            }
-            _ if self.pme.is_some() => {
-                return Err(ConfigError::BadThermostat(
-                    "not supported with modeled PME".into(),
                 ));
             }
             Thermostat::Berendsen { target_k, tau_fs } => {
@@ -333,8 +322,8 @@ impl SimConfig {
         if self.backend == Backend::Proc {
             if self.pme.is_some() {
                 return Err(ConfigError::BadProc(
-                    "modeled PME shares reciprocal-space state across PEs and cannot run \
-                     with PEs in separate processes"
+                    "PME, modeled or real, shares reciprocal-space state across PEs and \
+                     cannot run with PEs in separate processes"
                         .into(),
                 ));
             }
@@ -648,16 +637,11 @@ mod tests {
             SimConfig::builder(4, m).checkpoint("/tmp/x", 0).build(),
             Err(ConfigError::BadCheckpoint(_))
         ));
-        let real_pme = Some(PmeSimConfig { every: 1, ..PmeSimConfig::default() });
-        // Real mode adds the reciprocal force at every evaluation it makes,
-        // so a cadence above 1 would be an unweighted impulse, not r-RESPA.
-        let e = SimConfig::builder(4, m)
-            .force_mode(ForceMode::Real)
-            .pme(Some(PmeSimConfig::default()))
-            .build()
-            .unwrap_err();
-        assert!(matches!(&e, ConfigError::BadPme(msg) if msg.contains("r-RESPA")), "{e}");
-        SimConfig::builder(4, m).force_mode(ForceMode::Real).pme(real_pme).build().unwrap();
+        // Real mode runs PME at any cadence (r-RESPA).
+        for every in [1, 4] {
+            let pme = Some(PmeSimConfig { every, ..PmeSimConfig::default() });
+            SimConfig::builder(4, m).force_mode(ForceMode::Real).pme(pme).build().unwrap();
+        }
         // Errors render a actionable message.
         let e = SimConfig::builder(0, m).build().unwrap_err();
         assert!(e.to_string().contains("n_pes"));
@@ -697,12 +681,12 @@ mod tests {
         let langevin = Thermostat::Langevin { target_k: 300.0, gamma: 0.01, seed: 7 };
         for t in [berendsen, langevin] {
             assert_eq!(real().thermostat(t).build().unwrap().thermostat, t);
-            // Counted mode has no atoms to thermostat; modeled PME is refused.
+            // Counted mode has no atoms to thermostat; Real-mode PME takes
+            // either thermostat.
             let counted = SimConfig::builder(4, m).thermostat(t).build().unwrap_err();
             assert!(counted.to_string().contains("Counted"), "{counted}");
-            let pme = Some(PmeSimConfig { every: 1, ..PmeSimConfig::default() });
-            let with_pme = real().pme(pme).thermostat(t).build().unwrap_err();
-            assert!(with_pme.to_string().contains("PME"), "{with_pme}");
+            let pme = Some(PmeSimConfig { every: 2, ..PmeSimConfig::default() });
+            assert_eq!(real().pme(pme).thermostat(t).build().unwrap().thermostat, t);
         }
         for (t, which) in [
             (Thermostat::Berendsen { target_k: 0.0, tau_fs: 100.0 }, "target_k"),

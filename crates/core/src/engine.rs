@@ -186,7 +186,9 @@ pub struct PhaseResult {
     pub compute_loads: Vec<f64>,
     /// Per-PE background load over the phase.
     pub background: Vec<f64>,
-    /// Per-step energies (Real mode only; empty in Counted mode).
+    /// Per-step energies (Real mode only; empty in Counted mode). With PME
+    /// at a cadence above 1, a record on a step without a PME round
+    /// carries no reciprocal energy.
     pub energies: Vec<StepAcc>,
     /// Every per-phase counter in one place: pair-list cache activity,
     /// the message-conservation ledger, the critical path and wire

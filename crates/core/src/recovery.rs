@@ -148,7 +148,7 @@ pub fn advance(
     );
     let interval = engine.config.checkpoint_interval;
     assert!(
-        migrate_every >= 1 && interval % migrate_every == 0,
+        migrate_every >= 1 && interval.is_multiple_of(migrate_every),
         "migrate_every ({migrate_every}) must be at least 1 and divide the checkpoint \
          interval ({interval}): restores are bit-identical only at rebuild boundaries"
     );

@@ -14,14 +14,15 @@
 //! * [`mesh`] — smooth particle-mesh Ewald (Essmann et al. 1995): B-spline
 //!   charge spreading, influence-function convolution via FFT, analytic
 //!   force gathering. Validated against the direct k-space sum.
-//! * [`md`] — a full-electrostatics force provider combining mdcore's
-//!   Ewald-mode real-space kernels with PME, and an r-RESPA multiple-
-//!   timestep integrator (bonded every step, non-bonded every k steps).
+//! * [`md`] — a sequential full-electrostatics force provider combining
+//!   mdcore's Ewald-mode real-space kernels with PME: the reference the
+//!   engine's PME is tested against.
 //!
-//! The DES engine in `namd-core` models the *parallel cost* of this
-//! pipeline (slab-decomposed FFTs, transpose all-to-all) via
-//! `SimConfig::pme`; the physics here backs that model and runs for real in
-//! the sequential and multicore paths.
+//! The engine in `namd-core` runs this pipeline on its slab objects via
+//! `SimConfig::pme`: in Counted mode it models the parallel cost
+//! (slab-decomposed FFTs, transpose all-to-all); in Real mode the slabs
+//! evaluate the reciprocal sum here, every `PmeSimConfig::every` steps
+//! (r-RESPA), on every backend but `proc`.
 
 // Clippy: indexed loops are kept where they mirror the mathematical
 // notation of the kernels and the per-axis geometry code, and chare/builder

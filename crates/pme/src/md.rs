@@ -1,17 +1,16 @@
-//! Full-electrostatics molecular dynamics: cutoff LJ + Ewald real space
-//! (via mdcore's kernels in Ewald mode) + PME reciprocal space, with an
-//! optional r-RESPA multiple-timestep integrator.
+//! Full-electrostatics forces: cutoff LJ + Ewald real space (via mdcore's
+//! kernels in Ewald mode) + PME reciprocal space, sequentially.
 //!
 //! The paper notes that "even when full, long-range electrostatic
 //! interactions are included in a simulation, these forces may be calculated
 //! via an efficient combination of global grid-based and cutoff atom-based
 //! components", and that the grid part's cost shrinks further "when combined
-//! with multiple timestepping methods". This module is that combination.
+//! with multiple timestepping methods". This module is that combination as
+//! a force provider: the reference the parallel engine's Real-mode PME (and
+//! its r-RESPA, `namd_core::PmeSimConfig::every`) is tested against.
 
 use crate::ewald::{exclusion_correction, self_energy, EwaldParams};
 use crate::mesh::{Pme, PmeParams};
-use mdcore::bonded::compute_bonded;
-use mdcore::forcefield::units;
 use mdcore::prelude::*;
 
 /// Energy breakdown of a full-electrostatics evaluation, kcal/mol.
@@ -74,8 +73,8 @@ impl FullElectrostatics {
         self.pme.params.mesh
     }
 
-    /// Short-range forces only (bonded + LJ + Ewald real space): the cheap
-    /// part evaluated every step under multiple timestepping. Overwrites
+    /// Short-range forces only (bonded + LJ + Ewald real space): the part
+    /// evaluated every step under multiple timestepping. Overwrites
     /// `forces`.
     pub fn short_range(&self, system: &System, forces: &mut [Vec3]) -> FullEnergy {
         let e = mdcore::sim::compute_forces(system, forces);
@@ -117,130 +116,6 @@ impl FullElectrostatics {
         e.elec_recip = l.elec_recip;
         e.elec_corr = l.elec_corr;
         e
-    }
-}
-
-/// An r-RESPA (impulse) multiple-timestep integrator: bonded forces every
-/// inner step, non-bonded (real + reciprocal) every `k_nonbonded` steps.
-pub struct MtsSimulator {
-    pub full: FullElectrostatics,
-    /// Inner timestep, fs.
-    pub dt: f64,
-    /// Non-bonded (slow) forces evaluated every this many inner steps.
-    pub k_nonbonded: usize,
-    slow_forces: Vec<Vec3>,
-    fast_forces: Vec<Vec3>,
-    slow_energy: FullEnergy,
-    primed: bool,
-}
-
-impl MtsSimulator {
-    /// Create an MTS integrator. `k_nonbonded = 1` reduces to plain velocity
-    /// Verlet with full electrostatics.
-    pub fn new(system: &System, mesh_spacing: f64, dt: f64, k_nonbonded: usize) -> Self {
-        assert!(dt > 0.0 && k_nonbonded >= 1);
-        let n = system.n_atoms();
-        MtsSimulator {
-            full: FullElectrostatics::new(system, mesh_spacing),
-            dt,
-            k_nonbonded,
-            slow_forces: vec![Vec3::ZERO; n],
-            fast_forces: vec![Vec3::ZERO; n],
-            slow_energy: FullEnergy::default(),
-            primed: false,
-        }
-    }
-
-    /// Fast (bonded-only) forces into `fast_forces`.
-    fn eval_fast(&mut self, system: &System) -> f64 {
-        self.fast_forces.fill(Vec3::ZERO);
-        let e = compute_bonded(
-            &system.topology,
-            &system.cell,
-            &system.positions,
-            &mut self.fast_forces,
-        );
-        e.total()
-    }
-
-    /// Slow (all non-bonded) forces into `slow_forces`.
-    fn eval_slow(&mut self, system: &System) {
-        // Short-range evaluates bonded too; subtract it by evaluating into a
-        // scratch and removing the bonded part — cheaper: evaluate the full
-        // non-bonded via the pairlist kernel directly.
-        let lj = system.lj_types();
-        let q = system.charges();
-        let cl = CellList::build(&system.cell, &system.positions, system.forcefield.cutoff);
-        let pairs = cl.neighbor_pairs(&system.positions, system.forcefield.cutoff);
-        self.slow_forces.fill(Vec3::ZERO);
-        let nb = mdcore::nonbonded::nb_pairlist(
-            &system.forcefield,
-            &system.exclusions,
-            &system.positions,
-            &lj,
-            &q,
-            &pairs,
-            &system.cell,
-            &mut self.slow_forces,
-        );
-        let l = self.full.long_range(system, &mut self.slow_forces);
-        self.slow_energy = FullEnergy {
-            lj: nb.e_lj,
-            elec_real: nb.e_elec,
-            elec_recip: l.elec_recip,
-            elec_corr: l.elec_corr,
-            ..Default::default()
-        };
-    }
-
-    /// Advance one *outer* step (`k_nonbonded` inner steps). Returns the
-    /// energy at the end of the outer step.
-    pub fn outer_step(&mut self, system: &mut System) -> FullEnergy {
-        let dt = self.dt;
-        let k = self.k_nonbonded;
-        let masses = system.masses();
-        if !self.primed {
-            self.eval_slow(system);
-            self.primed = true;
-        }
-
-        // Outer half-kick with slow forces.
-        for i in 0..system.n_atoms() {
-            system.velocities[i] +=
-                self.slow_forces[i] * (units::ACCEL / masses[i]) * (0.5 * k as f64 * dt);
-        }
-        // Inner velocity-Verlet loop with fast forces.
-        let mut e_bonded = self.eval_fast(system);
-        for _ in 0..k {
-            for i in 0..system.n_atoms() {
-                system.velocities[i] +=
-                    self.fast_forces[i] * (units::ACCEL / masses[i]) * (0.5 * dt);
-                system.positions[i] =
-                    system.cell.wrap(system.positions[i] + system.velocities[i] * dt);
-            }
-            e_bonded = self.eval_fast(system);
-            for i in 0..system.n_atoms() {
-                system.velocities[i] +=
-                    self.fast_forces[i] * (units::ACCEL / masses[i]) * (0.5 * dt);
-            }
-        }
-        // New slow forces and the closing outer half-kick.
-        self.eval_slow(system);
-        for i in 0..system.n_atoms() {
-            system.velocities[i] +=
-                self.slow_forces[i] * (units::ACCEL / masses[i]) * (0.5 * k as f64 * dt);
-        }
-
-        FullEnergy {
-            bonded: e_bonded,
-            kinetic: system.kinetic_energy(),
-            ..self.slow_energy
-        }
-    }
-
-    /// Run `n` outer steps.
-    pub fn run(&mut self, system: &mut System, n: usize) -> Vec<FullEnergy> {
-        (0..n).map(|_| self.outer_step(system)).collect()
     }
 }
 
@@ -322,49 +197,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mts_with_k1_conserves_energy() {
-        let mut sys = ewald_water(3, 0.6);
-        sys.thermalize(100.0, 3);
-        let mut sim = MtsSimulator::new(&sys, 0.7, 0.5, 1);
-        let energies = sim.run(&mut sys, 30);
-        let e0 = energies[1].total();
-        let e1 = energies.last().unwrap().total();
-        let drift = (e1 - e0).abs() / e0.abs().max(1.0);
-        assert!(drift < 1e-2, "k=1 drift {drift}: {e0} -> {e1}");
-    }
-
-    #[test]
-    fn mts_with_k4_conserves_energy() {
-        let mut sys = ewald_water(3, 0.6);
-        sys.thermalize(100.0, 7);
-        let mut sim = MtsSimulator::new(&sys, 0.7, 0.25, 4);
-        let energies = sim.run(&mut sys, 30);
-        let e0 = energies[1].total();
-        let e1 = energies.last().unwrap().total();
-        let drift = (e1 - e0).abs() / e0.abs().max(1.0);
-        assert!(drift < 2e-2, "k=4 drift {drift}: {e0} -> {e1}");
-    }
-
-    #[test]
-    fn mts_trajectories_agree_with_small_timestep_reference() {
-        // k=2 at dt=0.25 should stay close to k=1 at dt=0.25 over a few fs.
-        let mut sys_a = ewald_water(2, 0.7);
-        sys_a.thermalize(50.0, 9);
-        let mut sys_b = sys_a.clone();
-
-        let mut sim_a = MtsSimulator::new(&sys_a, 0.5, 0.25, 1);
-        let mut sim_b = MtsSimulator::new(&sys_b, 0.5, 0.25, 2);
-        sim_a.run(&mut sys_a, 8); // 8 inner steps
-        sim_b.run(&mut sys_b, 4); // 4 outer × 2 inner
-
-        let mut max_d = 0.0f64;
-        for i in 0..sys_a.n_atoms() {
-            max_d = max_d.max((sys_a.positions[i] - sys_b.positions[i]).norm());
-        }
-        assert!(max_d < 5e-3, "MTS trajectory deviation {max_d} Å");
     }
 
     #[test]

@@ -682,7 +682,7 @@ impl MetricsRegistry {
     /// Whether the engine should enable tracing for the upcoming phase:
     /// reports need the trace on every captured phase.
     pub fn wants_trace(&self) -> bool {
-        self.phases.len() % self.interval.max(1) == 0
+        self.phases.len().is_multiple_of(self.interval.max(1))
     }
 
     fn append_line(&self, file: &str, line: &str) -> io::Result<()> {

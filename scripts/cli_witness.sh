@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CLI parent-equality witness: run the same eight configurations through two
+# CLI parent-equality witness: run the same nine configurations through two
 # `namd-rs` binaries (a build of the parent commit and a build of this one)
 # and require byte-identical trajectories and energy logs.
 #
@@ -16,7 +16,9 @@
 #   8. threads 1, which runs the same engine on one PE: compared with this
 #      side's config 1, not with the parent's (whose threads 1 was a
 #      separate sequential driver)
-# Configs 1-7 are compared across the two binaries. Every `.xyz` is `cmp`'d;
+#   9. threads 1 + berendsen + pme on (mtsFrequency 1): the engine's PME
+#      against a parent whose `pme on` ran the sequential MTS driver
+# Configs 1-7 and 9 are compared across the two binaries. Every `.xyz` is `cmp`'d;
 # the logs are compared without the lines that carry wall-clock time or name
 # the crash (`phase crashed`, `resumed from`, `done:`), and with each step's
 # first line only: a rollback replays steps bit-identically, but where the
@@ -64,7 +66,8 @@ for side in parent this; do
   deck "$dir" c7 60 "thermostat none" "threads 2" \
     "faultPlan drop:entry=PatchRecvForces:limit=3"
   deck "$dir" c8 60 "thermostat none" "threads 1"
-  for c in c1 c2 c3 c4 c5 c6 c7 c8; do
+  deck "$dir" c9 60 "thermostat berendsen" "threads 1" "pme on"
+  for c in c1 c2 c3 c4 c5 c6 c7 c8 c9; do
     (cd "$dir" && "$bin" run "$c.conf" >"$c.log")
   done
   # Leg two of config 5: same deck, full length, resumed from leg one.
@@ -77,13 +80,13 @@ stable() {
   grep -vE '^(phase crashed|resumed from|done:)' "$1" |
     awk '/^ *[0-9]+ / && seen[$1]++ { next } { print }'
 }
-for c in c1 c2 c3 c4 c5 c6 c7; do
+for c in c1 c2 c3 c4 c5 c6 c7 c9; do
   if ! cmp "$work/parent/$c.xyz" "$work/this/$c.xyz"; then
     echo "cli_witness: $c: trajectories differ" >&2
     status=1
   fi
 done
-for log in c1 c2 c3 c4 c5 c5b c6 c7; do
+for log in c1 c2 c3 c4 c5 c5b c6 c7 c9; do
   if ! diff <(stable "$work/parent/$log.log") <(stable "$work/this/$log.log"); then
     echo "cli_witness: $log: energy logs differ" >&2
     status=1
@@ -108,6 +111,6 @@ for log in c4 c5b; do
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "cli_witness: 8 configurations, trajectories and energy logs identical"
+  echo "cli_witness: 9 configurations, trajectories and energy logs identical"
 fi
 exit "$status"

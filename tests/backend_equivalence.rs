@@ -10,7 +10,8 @@
 //!   (modeled vs measured) loads;
 //! * on the threads backend, the balancer `advance` runs at migration
 //!   boundaries repairs a deliberately imbalanced placement using *measured
-//!   wall-clock* loads, without moving a bit of the trajectory.
+//!   wall-clock* loads, without moving a bit of the trajectory (the
+//!   wall-clock speedup it buys is `tests/lb_wall_clock.rs`).
 
 use namd_repro::charmrt::WireCodec;
 use namd_repro::lb;
@@ -348,19 +349,9 @@ fn measured_loads_repair_an_imbalanced_placement_on_threads() {
     let before = imbalance(&phases[0].stats);
     let after = imbalance(&phases[2].stats);
     assert!(after < before, "measured imbalance should drop: {before:.3} -> {after:.3}");
-
-    // With real parallel hardware the balanced placement is also faster in
-    // wall-clock terms; on a single-core runner the two placements tie, so
-    // only assert the speedup when a second core exists.
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if cores >= 2 {
-        assert!(
-            phases[2].time_per_step < phases[0].time_per_step,
-            "balanced step time {:.6}s should beat imbalanced {:.6}s",
-            phases[2].time_per_step,
-            phases[0].time_per_step
-        );
-    }
+    // That the balanced placement is also faster in wall-clock terms is
+    // `tests/lb_wall_clock.rs`'s claim: a step time is only a measurement
+    // in a binary whose one test has the cores to itself.
 
     // Moving computes moved no bit.
     let mut one_pe = Engine::new(sys, real_mode_config(1, Backend::Threads));

@@ -214,9 +214,10 @@ fn thermostatted_killed_runs_recover_bit_identically() {
     }
 }
 
-/// Real-mode PME at `every: 1` recomputes the reciprocal sum at every
-/// evaluation and keeps nothing across a phase boundary, so its checkpoints
-/// restore like any other: a killed run recovers onto its clean twin's bits.
+/// Real-mode PME keeps nothing across a phase boundary — its cadence is
+/// keyed on the global step — so its checkpoints restore like any other: a
+/// killed run recovers onto its clean twin's bits, at `every: 1` and at
+/// `every: 3`, whose PME steps straddle the checkpoint interval.
 #[test]
 fn real_mode_pme_killed_runs_recover_bit_identically() {
     let mut sys = molgen::SystemBuilder::new(molgen::SystemSpec {
@@ -232,10 +233,11 @@ fn real_mode_pme_killed_runs_recover_bit_identically() {
     .build();
     sys.forcefield = sys.forcefield.clone().with_ewald(0.45);
     sys.thermalize(200.0, 8);
-    let pme = PmeSimConfig { every: 1, slabs: 2, mesh_spacing: 1.0 };
-    for backend in [Backend::Des, Backend::Threads] {
+    let legs = [1, 3].into_iter().flat_map(|e| [(e, Backend::Des), (e, Backend::Threads)]);
+    for (every, backend) in legs {
+        let pme = PmeSimConfig { every, slabs: 2, mesh_spacing: 1.0 };
         let run = |kill: Option<FaultPlan>, tag: &str| {
-            let dir = tempdir(&format!("pme-{tag}-{backend:?}"));
+            let dir = tempdir(&format!("pme-{tag}-{every}-{backend:?}"));
             let cfg = SimConfig::builder(2, namd_repro::machine::presets::generic_cluster())
                 .force_mode(ForceMode::Real)
                 .backend(backend)
@@ -251,11 +253,11 @@ fn real_mode_pme_killed_runs_recover_bit_identically() {
             (final_bits(&engine), recoveries)
         };
         let (clean, r0) = run(None, "ref");
-        assert_eq!(r0, 0, "{backend:?}: the clean run recovered");
+        assert_eq!(r0, 0, "every {every}, {backend:?}: the clean run recovered");
         let plan = FaultPlan::parse("kill:entry=PatchRecvForces:dst=1:skip=20").unwrap();
         let (killed, recoveries) = run(Some(plan), "kill");
-        assert!(recoveries >= 1, "{backend:?}: the kill never fired");
-        assert!(killed == clean, "{backend:?}: the recovered PME run diverged");
+        assert!(recoveries >= 1, "every {every}, {backend:?}: the kill never fired");
+        assert!(killed == clean, "every {every}, {backend:?}: the recovered PME run diverged");
     }
 }
 
