@@ -79,7 +79,7 @@ pub fn analyze_frames(
     frames: &[Vec<Vec3>],
     cell: &Cell,
     cfg: &AnalyzeConfig,
-    mut metrics: Option<&mut MetricsRegistry>,
+    metrics: Option<&mut MetricsRegistry>,
 ) -> Result<AnalysisRun, String> {
     let n_frames = frames.len();
     if n_frames == 0 {
@@ -174,7 +174,7 @@ pub fn analyze_frames(
         entries.reduce,
         n_tasks,
     );
-    if let Some(reg) = metrics.as_deref_mut() {
+    if let Some(reg) = metrics {
         let pm = profile::PhaseMetrics {
             pairlist: profile::PairlistCounters::default(),
             messages: profile::MessageCounters::from(&stats),

@@ -261,8 +261,8 @@ pub fn kabsch_rmsd(a: &[Vec3], b: &[Vec3]) -> f64 {
         ca += a[i];
         cb += b[i];
     }
-    ca = ca * inv;
-    cb = cb * inv;
+    ca *= inv;
+    cb *= inv;
     // Cross-covariance R and the two Gram traces.
     let mut r = [[0.0f64; 3]; 3];
     let (mut ga, mut gb) = (0.0, 0.0);
@@ -317,9 +317,9 @@ pub fn kabsch_rmsd(a: &[Vec3], b: &[Vec3]) -> f64 {
 fn largest_eigenvalue_sym4(mut m: [[f64; 4]; 4]) -> f64 {
     for _sweep in 0..30 {
         let mut off = 0.0;
-        for p in 0..4 {
-            for q in (p + 1)..4 {
-                off += m[p][q] * m[p][q];
+        for (p, row) in m.iter().enumerate() {
+            for x in &row[p + 1..] {
+                off += x * x;
             }
         }
         if off < 1e-24 {
@@ -334,22 +334,23 @@ fn largest_eigenvalue_sym4(mut m: [[f64; 4]; 4]) -> f64 {
                 let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
                 let c = 1.0 / (t * t + 1.0).sqrt();
                 let s = t * c;
-                for i in 0..4 {
-                    let (mip, miq) = (m[i][p], m[i][q]);
-                    m[i][p] = c * mip - s * miq;
-                    m[i][q] = s * mip + c * miq;
+                for row in m.iter_mut() {
+                    let (mip, miq) = (row[p], row[q]);
+                    row[p] = c * mip - s * miq;
+                    row[q] = s * mip + c * miq;
                 }
-                for i in 0..4 {
-                    let (mpi, mqi) = (m[p][i], m[q][i]);
-                    m[p][i] = c * mpi - s * mqi;
-                    m[q][i] = s * mpi + c * mqi;
+                let (upper, lower) = m.split_at_mut(q);
+                for (mp, mq) in upper[p].iter_mut().zip(lower[0].iter_mut()) {
+                    let (mpi, mqi) = (*mp, *mq);
+                    *mp = c * mpi - s * mqi;
+                    *mq = s * mpi + c * mqi;
                 }
             }
         }
     }
     let mut best = m[0][0];
-    for i in 1..4 {
-        best = best.max(m[i][i]);
+    for (i, row) in m.iter().enumerate().skip(1) {
+        best = best.max(row[i]);
     }
     best
 }

@@ -52,7 +52,7 @@ fn bench_des_phase(c: &mut Criterion) {
     let decomp = build_decomposition(&sys, &SimConfig::new(1, machine));
     c.bench_function("des/phase_2steps_64pe", |b| {
         b.iter(|| {
-            let cfg = SimConfig::builder(64, machine).steps_per_phase(2).build().unwrap();
+            let cfg = SimConfig::builder(64, machine).build().unwrap();
             let mut engine =
                 Engine::with_decomposition(sys.clone(), decomp.clone(), cfg);
             black_box(engine.run_phase(2).time_per_step)

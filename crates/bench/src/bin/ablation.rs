@@ -8,6 +8,7 @@
 //!
 //! All on ApoA-I / ASCI-Red at 256 and 1024 PEs.
 use charmrt::MulticastMode;
+use namd_bench::steady_phase;
 use namd_core::prelude::*;
 
 fn bench_with(
@@ -16,7 +17,7 @@ fn bench_with(
     decomp: &Decomposition,
 ) -> (f64, usize) {
     let mut engine = Engine::with_decomposition(sys.clone(), decomp.clone(), cfg);
-    let t = engine.run_benchmark().final_time_per_step();
+    let t = steady_phase(&mut engine, 3).time_per_step;
     (t, engine.proxy_count())
 }
 
@@ -36,11 +37,7 @@ fn main() {
             ("greedy (paper)", LbStrategy::Greedy),
             ("greedy + refine (paper)", LbStrategy::GreedyRefine),
         ] {
-            let cfg = SimConfig::builder(pes, machine)
-                .lb(lb)
-                .steps_per_phase(3)
-                .build()
-                .unwrap();
+            let cfg = SimConfig::builder(pes, machine).lb(lb).build().unwrap();
             let (t, proxies) = bench_with(cfg, &sys, &base_decomp);
             println!("{name:<26} {:>9.2} ms/step   {proxies:>6} proxies", t * 1e3);
         }
@@ -56,7 +53,7 @@ fn main() {
         for (name, tweak) in features {
             // Tweaks mutate the built config directly: the struct-literal
             // path stays supported, and the engine re-validates per phase.
-            let mut cfg = SimConfig::builder(pes, machine).steps_per_phase(3).build().unwrap();
+            let mut cfg = SimConfig::builder(pes, machine).build().unwrap();
             tweak(&mut cfg);
             // Splitting and bonded migratability change the decomposition.
             let decomp = build_decomposition(&sys, &cfg);

@@ -4,6 +4,7 @@
 //! Each bar counts the task instances of that grainsize during an average
 //! timestep on 1024 PEs of the ASCI-Red model, exactly like the figures.
 use namd_bench::paper::{FIG1_MAX_GRAINSIZE_S, FIG2_MAX_GRAINSIZE_S};
+use namd_bench::steady_phase;
 use namd_core::prelude::*;
 
 fn histogram(split: bool, sys: &mdcore::system::System) {
@@ -11,12 +12,10 @@ fn histogram(split: bool, sys: &mdcore::system::System) {
     let cfg = SimConfig::builder(1024, machine)
         .grainsize(160, split, 112)
         .tracing(true)
-        .steps_per_phase(3)
         .build()
         .unwrap();
     let mut engine = Engine::new(sys.clone(), cfg);
-    let run = engine.run_benchmark();
-    let last = run.phases.last().unwrap();
+    let last = steady_phase(&mut engine, 3);
     let trace = last.trace.as_ref().expect("tracing enabled");
     let h = trace.grainsize_histogram(
         &last.entries.nonbonded(),

@@ -3,6 +3,7 @@
 //! of §4.2.3. Integration appears as 'I'; shortening it shrinks the idle
 //! gaps on the processors that own no patches.
 use charmrt::MulticastMode;
+use namd_bench::steady_phase;
 use namd_core::prelude::*;
 
 fn timeline(mode: MulticastMode, sys: &mdcore::system::System) {
@@ -10,12 +11,10 @@ fn timeline(mode: MulticastMode, sys: &mdcore::system::System) {
     let cfg = SimConfig::builder(1024, machine)
         .multicast(mode)
         .tracing(true)
-        .steps_per_phase(4)
         .build()
         .unwrap();
     let mut engine = Engine::new(sys.clone(), cfg);
-    let run = engine.run_benchmark();
-    let last = run.phases.last().unwrap();
+    let last = steady_phase(&mut engine, 4);
     let trace = last.trace.as_ref().expect("tracing enabled");
     let e = last.entries;
 

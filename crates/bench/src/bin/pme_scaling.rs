@@ -6,6 +6,7 @@
 //! ApoA-I on the ASCI-Red model: cutoff-only vs PME every step vs PME with
 //! 4-step multiple timestepping, across processor counts. The FFT
 //! all-to-all transpose is what erodes scalability at high PE counts.
+use namd_bench::steady_phase;
 use namd_core::prelude::*;
 
 fn main() {
@@ -24,13 +25,9 @@ fn main() {
     for pes in [1usize, 64, 256, 1024, 2048] {
         let mut row = format!("{pes:>4}");
         for pme in variants {
-            let cfg = SimConfig::builder(pes, machine)
-                .pme(pme)
-                .steps_per_phase(4)
-                .build()
-                .unwrap();
+            let cfg = SimConfig::builder(pes, machine).pme(pme).build().unwrap();
             let mut engine = Engine::with_decomposition(sys.clone(), decomp.clone(), cfg);
-            let t = engine.run_benchmark().final_time_per_step();
+            let t = steady_phase(&mut engine, 4).time_per_step;
             row.push_str(&format!("  {t:>14.4}"));
         }
         println!("{row}");
@@ -41,13 +38,9 @@ fn main() {
     for pes in [1usize, 64, 256, 1024, 2048] {
         let mut row = format!("{pes:>4}");
         for (v, pme) in variants.iter().enumerate() {
-            let cfg = SimConfig::builder(pes, machine)
-                .pme(pme.clone())
-                .steps_per_phase(4)
-                .build()
-                .unwrap();
+            let cfg = SimConfig::builder(pes, machine).pme(*pme).build().unwrap();
             let mut engine = Engine::with_decomposition(sys.clone(), decomp.clone(), cfg);
-            let t = engine.run_benchmark().final_time_per_step();
+            let t = steady_phase(&mut engine, 4).time_per_step;
             if pes == 1 {
                 t1[v] = t;
             }

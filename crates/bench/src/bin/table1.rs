@@ -6,19 +6,15 @@
 //! that configuration, then print the fully-optimized audit for contrast.
 use charmrt::MulticastMode;
 use namd_bench::paper::{TABLE1_ACTUAL_MS, TABLE1_IDEAL_MS};
+use namd_bench::steady_phase;
 use namd_core::prelude::*;
 
 fn run(multicast: MulticastMode, label: &str, sys: &mdcore::system::System) {
     let machine = machine::presets::asci_red();
-    let cfg = SimConfig::builder(1024, machine)
-        .multicast(multicast)
-        .steps_per_phase(3)
-        .build()
-        .unwrap();
+    let cfg = SimConfig::builder(1024, machine).multicast(multicast).build().unwrap();
     let mut engine = Engine::new(sys.clone(), cfg);
-    let bench = engine.run_benchmark();
-    let last = bench.phases.last().unwrap();
-    let a = audit(engine.decomp(), &machine, last, 1024);
+    let last = steady_phase(&mut engine, 3);
+    let a = audit(engine.decomp(), &machine, &last, 1024);
     println!("--- {label} (measured after greedy+refine load balancing) ---");
     print!("{}", a.render());
     println!();

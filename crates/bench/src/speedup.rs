@@ -1,6 +1,7 @@
 //! Shared speedup-sweep harness used by the `table2`..`table6` binaries.
 
 use crate::paper::{lookup, PaperRow};
+use crate::steady_phase;
 use machine::MachineModel;
 use molgen::BenchmarkSystem;
 use namd_core::prelude::*;
@@ -23,7 +24,7 @@ pub fn run_speedup_table(
     machine: MachineModel,
     pe_counts: &[usize],
     baseline: (usize, f64),
-    steps_per_phase: usize,
+    steps: usize,
 ) -> Vec<SpeedupRow> {
     let system = bench.build();
     let cfg0 = SimConfig::new(1, machine);
@@ -31,13 +32,9 @@ pub fn run_speedup_table(
 
     let mut rows = Vec::new();
     for &pes in pe_counts {
-        let cfg = SimConfig::builder(pes, machine)
-            .steps_per_phase(steps_per_phase)
-            .build()
-            .expect("valid sweep config");
+        let cfg = SimConfig::builder(pes, machine).build().expect("valid sweep config");
         let mut engine = Engine::with_decomposition(system.clone(), decomp.clone(), cfg);
-        let run = engine.run_benchmark();
-        let t = run.final_time_per_step();
+        let t = steady_phase(&mut engine, steps).time_per_step;
         rows.push(SpeedupRow {
             pes,
             sec_per_step: t,

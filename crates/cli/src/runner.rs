@@ -74,7 +74,7 @@ fn check_integrator(written: u64, this: u64, from: &str) -> std::io::Result<()> 
 /// interval, so every checkpoint lands on a migration boundary
 /// (the alignment bit-identical restarts need).
 fn migrate_cadence(interval: usize) -> usize {
-    (1..=20.min(interval)).rev().find(|d| interval % d == 0).unwrap_or(1)
+    (1..=20.min(interval)).rev().find(|&d| interval.is_multiple_of(d)).unwrap_or(1)
 }
 
 fn ckpt_io_err(e: ckpt::CkptError) -> std::io::Error {

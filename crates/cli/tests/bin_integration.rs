@@ -77,6 +77,21 @@ fn bench_prints_a_speedup_table() {
 }
 
 #[test]
+fn bench_reports_a_killed_pe_as_an_error_line() {
+    let out = namd_rs()
+        .args(["bench", "bc1", "--pes", "4", "--steps", "3", "--scale", "0.2"])
+        .args(["--fault-plan", "kill:entry=PatchRecvForces:dst=1:skip=0"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let lines: Vec<&str> = err.lines().collect();
+    assert_eq!(lines.len(), 1, "{err}");
+    assert!(lines[0].starts_with("error: ") && lines[0].contains("PE 1 was killed"), "{err}");
+}
+
+#[test]
 fn retired_bench_suites_get_the_usage_text() {
     // The name is resolved before the options: an unknown system must not
     // surface as "unknown option" for the first flag that follows it.

@@ -155,7 +155,6 @@ mod tests {
         })
         .build();
         let cfg = SimConfig::builder(n_pes, presets::asci_red())
-            .steps_per_phase(2)
             .build()
             .unwrap();
         let mut eng = Engine::new(sys, cfg);

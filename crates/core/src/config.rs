@@ -148,8 +148,6 @@ pub struct SimConfig {
     pub migratable_bonded: bool,
     /// Load-balancing pipeline.
     pub lb: LbStrategy,
-    /// Steps per measurement/benchmark phase.
-    pub steps_per_phase: usize,
     /// Record full Projections-style traces.
     pub tracing: bool,
     /// Model full electrostatics (PME) on top of the cutoff computation.
@@ -216,7 +214,6 @@ impl SimConfig {
             prioritize_remote: true,
             migratable_bonded: true,
             lb: LbStrategy::GreedyRefine,
-            steps_per_phase: 3,
             tracing: false,
             pme: None,
             pe_speeds: Vec::new(),
@@ -276,9 +273,6 @@ impl SimConfig {
         }
         if !(self.target_grain_work > 0.0 && self.target_grain_work.is_finite()) {
             return Err(ConfigError::BadGrainTarget(self.target_grain_work));
-        }
-        if self.steps_per_phase == 0 {
-            return Err(ConfigError::NoSteps);
         }
         if !(self.load_drift >= 0.0 && self.load_drift.is_finite()) {
             return Err(ConfigError::BadLoadDrift(self.load_drift));
@@ -363,8 +357,6 @@ fn positive(which: &str, value: f64) -> Result<(), ConfigError> {
 pub enum ConfigError {
     /// `n_pes` was zero.
     NoPes,
-    /// `steps_per_phase` was zero.
-    NoSteps,
     /// `dt_fs` was not a positive finite number.
     BadTimestep(f64),
     /// A margin (`patch_margin`/`pairlist_margin`) was negative or non-finite.
@@ -392,7 +384,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::NoPes => write!(f, "n_pes must be at least 1"),
-            ConfigError::NoSteps => write!(f, "steps_per_phase must be at least 1"),
             ConfigError::BadTimestep(dt) => {
                 write!(f, "dt_fs must be positive and finite, got {dt}")
             }
@@ -502,11 +493,6 @@ impl SimConfigBuilder {
         self
     }
 
-    pub fn steps_per_phase(mut self, steps: usize) -> Self {
-        self.cfg.steps_per_phase = steps;
-        self
-    }
-
     /// Record full Projections-style traces.
     pub fn tracing(mut self, on: bool) -> Self {
         self.cfg.tracing = on;
@@ -600,12 +586,10 @@ mod tests {
     #[test]
     fn builder_matches_struct_construction() {
         let b = SimConfig::builder(16, presets::asci_red())
-            .steps_per_phase(2)
             .tracing(true)
             .build()
             .unwrap();
         let mut s = SimConfig::new(16, presets::asci_red());
-        s.steps_per_phase = 2;
         s.tracing = true;
         assert_eq!(format!("{b:?}"), format!("{s:?}"));
         let u = SimConfig::builder(8, presets::asci_red()).unoptimized().build().unwrap();
@@ -624,10 +608,6 @@ mod tests {
         assert_eq!(
             SimConfig::builder(4, m).pairlist(-1.0).build().unwrap_err(),
             ConfigError::BadMargin { which: "pairlist_margin", value: -1.0 }
-        );
-        assert_eq!(
-            SimConfig::builder(4, m).steps_per_phase(0).build().unwrap_err(),
-            ConfigError::NoSteps
         );
         assert!(matches!(
             SimConfig::builder(4, m).pe_speeds(vec![1.0, 1.0]).build(),

@@ -1,6 +1,7 @@
 //! The parallel simulation engine: builds the decomposition, places objects,
-//! runs measurement phases on a `charmrt::Runtime` backend, and drives the
-//! three-stage load-balancing pipeline of §3.2.
+//! runs measurement phases on a `charmrt::Runtime` backend, and holds the
+//! load-balancing policy of §3.2 that `recovery::advance` applies at every
+//! phase boundary.
 //!
 //! A *phase* is a fresh runtime instantiation (reducer + home patches +
 //! proxies + computes for the current placement) run for a fixed number of
@@ -10,7 +11,7 @@
 //! necessary, and resumes the simulation".
 //!
 //! The timestep protocol, proxy/multicast wiring, grainsize control, and the
-//! measure → greedy → refine cycle are written once against the [`Runtime`]
+//! measure → strategy → refine policy are written once against the [`Runtime`]
 //! trait: `SimConfig::backend` selects whether a phase executes on the
 //! deterministic DES (modeled loads) or on real worker threads (measured
 //! wall-clock loads).
@@ -199,26 +200,6 @@ pub struct PhaseResult {
     pub entries: Entries,
 }
 
-/// A full benchmark run: one phase per LB stage.
-#[derive(Debug, Clone)]
-pub struct BenchmarkRun {
-    pub phases: Vec<PhaseResult>,
-    /// Objects migrated at each LB stage.
-    pub migrations: Vec<usize>,
-}
-
-impl BenchmarkRun {
-    /// The post-load-balancing steady-state step time.
-    pub fn final_time_per_step(&self) -> f64 {
-        self.phases.last().expect("at least one phase").time_per_step
-    }
-
-    /// The step time before any load balancing.
-    pub fn initial_time_per_step(&self) -> f64 {
-        self.phases.first().expect("at least one phase").time_per_step
-    }
-}
-
 /// The parallel MD engine.
 pub struct Engine {
     pub config: SimConfig,
@@ -232,10 +213,10 @@ pub struct Engine {
     pub drift: Vec<f64>,
     /// Deterministic RNG state for the drift random walk.
     drift_rng: u64,
-    /// Global completed position updates across all Real-mode phases (a
-    /// phase of `n` timesteps completes `n - 1` updates). This is the step
-    /// counter checkpoints capture and the checkpoint/migration cadences
-    /// key on.
+    /// The global step counter: completed position updates in Real mode
+    /// (a phase of `n` timesteps completes `n - 1`), counted steps in
+    /// Counted mode (a phase of `n` timesteps counts `n`). Checkpoints
+    /// capture it; the checkpoint, migration and PME cadences key on it.
     pub steps_done: usize,
     /// Measured per-compute loads from the last phase harvest, indexed like
     /// `decomp.computes` (a migration carries them to the successors);
@@ -345,7 +326,9 @@ impl Engine {
     /// Advance the slow load drift by one phase: every compute's work
     /// multiplier takes a step of a multiplicative random walk with relative
     /// standard deviation `config.load_drift`, clamped to [0.25, 4].
-    pub fn advance_load_drift(&mut self) {
+    /// `recovery::advance` calls it at every boundary; the multipliers
+    /// scale counted work only.
+    pub(crate) fn advance_load_drift(&mut self) {
         let sigma = self.config.load_drift;
         if sigma <= 0.0 {
             return;
@@ -385,25 +368,23 @@ impl Engine {
     /// Atom migration between measurement phases, then a balancing step:
     /// re-bin every atom into its current patch and rebuild the compute
     /// objects (NAMD performs the same migration at pairlist updates, where
-    /// the patch margin has been consumed by atomic motion), then refine
-    /// the placement on the measured loads — §3.2's periodic refinement,
-    /// "to account for the slow changes of the simulation".
+    /// the patch margin has been consumed by atomic motion), then the
+    /// periodic refinement of `Engine::balance`.
     ///
     /// Patches keep their home PEs. Each compute takes over the PE and the
     /// last measured load of its predecessor ([`decomp::predecessors`]); a
-    /// compute with none starts on the static rule's PE, unmeasured.
-    /// [`lb::refine`] then moves computes off overloaded PEs, starting from
-    /// that carried placement; `LbStrategy::None` skips it. Force sums do
-    /// not depend on placement, so neither step changes a trajectory bit.
+    /// compute with none starts on the static rule's PE, unmeasured. Force
+    /// sums do not depend on placement, so neither step changes a
+    /// trajectory bit.
     pub fn migrate_atoms(&mut self) {
         self.rebuild();
-        self.rebalance();
+        self.balance(false);
     }
 
     /// Rebuild the decomposition from the current positions, carrying each
     /// compute's PE, drift multiplier, measured load and pair-list buffers
     /// to its successor.
-    fn rebuild(&mut self) {
+    pub(crate) fn rebuild(&mut self) {
         let shared = Arc::get_mut(&mut self.shared)
             .expect("migrate_atoms must run between phases (no live engine objects)");
         let decomp =
@@ -431,13 +412,18 @@ impl Engine {
         };
     }
 
-    /// Refine the placement from where it is on the last measured loads,
-    /// when there are loads for the current computes to refine on and the
-    /// strategy is not `LbStrategy::None`. Returns the number of computes
-    /// that moved.
-    fn rebalance(&mut self) -> usize {
+    /// The load-balancing policy of §3.2, on the last measured loads: at
+    /// the `first` boundary, whose loads are the static placement's, audit
+    /// that placement as `rcb-static` and apply the configured
+    /// [`LbStrategy`]'s assignment; at every later boundary, and on a
+    /// restore, refine from the carried placement — "to account for the
+    /// slow changes of the simulation" — under `LbStrategy::GreedyRefine`
+    /// only. The other strategies are single-pass, and `None` never moves
+    /// anything. Does nothing without loads for the current computes.
+    /// Returns the number of computes that moved.
+    pub(crate) fn balance(&mut self, first: bool) -> usize {
         let n_computes = self.shared.decomp.computes.len();
-        if self.config.lb == LbStrategy::None
+        if (!first && self.config.lb != LbStrategy::GreedyRefine)
             || self.last_loads.len() != n_computes
             || self.last_background.len() != self.config.n_pes
         {
@@ -445,9 +431,17 @@ impl Engine {
         }
         let (problem, map) = self.lb_problem_on(&self.last_loads, &self.last_background);
         let current: Vec<Pe> = map.iter().map(|&j| self.placement[j]).collect();
-        let (refined, _) = lb::refine(&problem, &current, lb::RefineParams::default());
-        self.audit_lb("refine", &problem, &map, &current, &refined);
-        self.apply_assignment(&map, &refined)
+        let (strategy, assignment) = if first {
+            self.audit_lb("rcb-static", &problem, &map, &current, &current);
+            match self.strategy_assignment(&problem, &current) {
+                Some(decision) => decision,
+                None => return 0,
+            }
+        } else {
+            ("refine", lb::refine(&problem, &current, lb::RefineParams::default()).0)
+        };
+        self.audit_lb(strategy, &problem, &map, &current, &assignment);
+        self.apply_assignment(&map, &assignment)
     }
 
     /// Capture the engine's complete resumable state as a checkpoint
@@ -482,9 +476,10 @@ impl Engine {
     /// positions — checkpoints are taken at atom-migration boundaries, so
     /// this rebuild reproduces exactly the decomposition the uninterrupted
     /// run built at the same global step, which is what makes the resumed
-    /// trajectory bit-identical — then rebalances on the snapshot's loads,
-    /// as [`Engine::migrate_atoms`] does on measured ones. Must run between
-    /// phases (no live runtime).
+    /// trajectory bit-identical — then balances on the snapshot's loads as
+    /// at a later boundary (a snapshot with loads is never taken before the
+    /// first one), which refines under `LbStrategy::GreedyRefine`. Must run
+    /// between phases (no live runtime).
     pub fn restore(&mut self, snap: &ckpt::Snapshot) -> Result<(), ckpt::CkptError> {
         {
             let sys = self.system();
@@ -526,7 +521,7 @@ impl Engine {
         // A kept rollback point belongs to the trajectory this call left;
         // the driver puts its own back after restoring from it.
         self.boundary = None;
-        self.rebalance();
+        self.balance(false);
         Ok(())
     }
 
@@ -893,12 +888,14 @@ impl Engine {
         // taken after this phase must carry the measured loads the LB would
         // have seen, and the global step counter advances by the number of
         // velocity-Verlet updates completed (n_steps evaluations chain with
-        // the next phase's boundary evaluation, hence n_steps - 1 updates).
+        // the next phase's boundary evaluation, hence n_steps - 1 updates);
+        // a Counted phase has no bootstrap evaluation to chain.
         self.last_loads = compute_loads.clone();
         self.last_background = snapshot.background.clone();
-        if cfg.force_mode == ForceMode::Real {
-            self.steps_done += n_steps - 1;
-        }
+        self.steps_done += match cfg.force_mode {
+            ForceMode::Real => n_steps - 1,
+            ForceMode::Counted => n_steps,
+        };
 
         let stats = rt.stats().clone();
         let pairlist = self.shared.nb_cache.totals().delta_since(&pairlist_before);
@@ -1026,110 +1023,26 @@ impl Engine {
         }
     }
 
-    /// Audit-log name of the configured strategy's first decision.
-    fn lb_strategy_name(&self) -> &'static str {
-        match self.config.lb {
-            LbStrategy::None => "none",
-            LbStrategy::Random => "random",
-            LbStrategy::RoundRobin => "round-robin",
-            LbStrategy::GreedyNoProxy => "greedy-no-proxy",
-            LbStrategy::Greedy | LbStrategy::GreedyRefine => "greedy",
-            LbStrategy::Diffusion => "diffusion",
-        }
-    }
-
-    /// The greedy strategy's assignment for the measured loads, per the
-    /// configured [`LbStrategy`]. Returns `None` for `LbStrategy::None`.
+    /// The configured [`LbStrategy`]'s assignment for the measured loads,
+    /// with its audit-log name; `None` for `LbStrategy::None`.
     fn strategy_assignment(
         &self,
         problem: &lb::LbProblem,
         current: &[Pe],
-    ) -> Option<Vec<Pe>> {
-        match self.config.lb {
-            LbStrategy::None => None,
-            LbStrategy::Random => Some(lb::random_assign(problem, 0xC0FFEE)),
-            LbStrategy::RoundRobin => Some(lb::round_robin(problem)),
-            LbStrategy::GreedyNoProxy => Some(lb::greedy_no_proxy(problem)),
-            LbStrategy::Greedy => Some(lb::greedy(problem, lb::GreedyParams::default())),
-            LbStrategy::Diffusion => {
-                Some(lb::diffusion(problem, &current.to_vec(), lb::DiffusionParams::default()))
+    ) -> Option<(&'static str, Vec<Pe>)> {
+        Some(match self.config.lb {
+            LbStrategy::None => return None,
+            LbStrategy::Random => ("random", lb::random_assign(problem, 0xC0FFEE)),
+            LbStrategy::RoundRobin => ("round-robin", lb::round_robin(problem)),
+            LbStrategy::GreedyNoProxy => ("greedy-no-proxy", lb::greedy_no_proxy(problem)),
+            LbStrategy::Greedy | LbStrategy::GreedyRefine => {
+                ("greedy", lb::greedy(problem, lb::GreedyParams::default()))
             }
-            LbStrategy::GreedyRefine => {
-                let g = lb::greedy(problem, lb::GreedyParams::default());
-                let _ = current;
-                Some(g)
-            }
-        }
-    }
-
-    /// Run the full measurement → balance → refine pipeline (§3.2):
-    ///
-    /// 1. a phase under the initial static placement (measurement window);
-    /// 2. the configured strategy remaps migratable computes; another phase
-    ///    measures the new communication-perturbed loads;
-    /// 3. for [`LbStrategy::GreedyRefine`], a refinement pass fixes the
-    ///    residual imbalance and a final phase measures steady state.
-    pub fn run_benchmark(&mut self) -> BenchmarkRun {
-        let steps = self.config.steps_per_phase;
-        let mut phases = Vec::new();
-        let mut migrations = Vec::new();
-
-        let r0 = self.run_phase(steps);
-        // Audit the initial static (RCB-derived) placement under the
-        // measured loads, with zero migrations: imbalance budgets and
-        // dashboards read the pre-LB state from the same `LbAudit` stream
-        // as the strategies' decisions, for every strategy including
-        // `LbStrategy::None`.
-        if self.metrics.is_some() {
-            let (problem, map) = self.lb_problem(&r0);
-            let current: Vec<Pe> = map.iter().map(|&j| self.placement[j]).collect();
-            self.audit_lb("rcb-static", &problem, &map, &current, &current);
-        }
-        phases.push(r0);
-
-        if self.config.lb == LbStrategy::None {
-            return BenchmarkRun { phases, migrations };
-        }
-
-        // First LB cycle on measured loads.
-        let (problem, map) = self.lb_problem(phases.last().unwrap());
-        let current: Vec<Pe> = map.iter().map(|&j| self.placement[j]).collect();
-        if let Some(assignment) = self.strategy_assignment(&problem, &current) {
-            self.audit_lb(self.lb_strategy_name(), &problem, &map, &current, &assignment);
-            migrations.push(self.apply_assignment(&map, &assignment));
-            phases.push(self.run_phase(steps));
-        }
-
-        // Second cycle: refinement only (GreedyRefine), on re-measured loads.
-        if self.config.lb == LbStrategy::GreedyRefine {
-            migrations.push(self.rebalance());
-            phases.push(self.run_phase(steps));
-        }
-
-        BenchmarkRun { phases, migrations }
-    }
-
-    /// A long-horizon run reproducing §3.2's closing loop: the full initial
-    /// pipeline (measure → greedy → re-measure → refine), then `cycles`
-    /// further measurement phases under slow load drift, refining after each
-    /// when `refine_periodically` is set (and the strategy is not
-    /// `LbStrategy::None`). Returns the per-cycle step times.
-    pub fn run_long(&mut self, cycles: usize, refine_periodically: bool) -> Vec<f64> {
-        let initial = self.run_benchmark();
-        let mut times = vec![initial.final_time_per_step()];
-        for _ in 0..cycles {
-            self.advance_load_drift();
-            let r = self.run_phase(self.config.steps_per_phase);
-            if refine_periodically {
-                self.rebalance();
-                // The refined placement's steady-state time.
-                let r2 = self.run_phase(self.config.steps_per_phase);
-                times.push(r2.time_per_step);
-            } else {
-                times.push(r.time_per_step);
-            }
-        }
-        times
+            LbStrategy::Diffusion => (
+                "diffusion",
+                lb::diffusion(problem, &current.to_vec(), lb::DiffusionParams::default()),
+            ),
+        })
     }
 
     /// Number of proxy patches the current placement requires — one per
@@ -1161,6 +1074,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::recovery::tests::phases;
     use machine::presets;
 
     fn small_system() -> System {
@@ -1179,7 +1093,7 @@ mod tests {
 
     #[test]
     fn phase_runs_and_measures() {
-        let cfg = SimConfig::builder(8, presets::asci_red()).steps_per_phase(2).build().unwrap();
+        let cfg = SimConfig::builder(8, presets::asci_red()).build().unwrap();
         let mut eng = Engine::new(small_system(), cfg);
         let r = eng.run_phase(2);
         assert!(r.time_per_step > 0.0 && r.time_per_step.is_finite());
@@ -1199,7 +1113,7 @@ mod tests {
 
     #[test]
     fn single_pe_time_matches_ideal_plus_overhead() {
-        let cfg = SimConfig::builder(1, presets::asci_red()).steps_per_phase(1).build().unwrap();
+        let cfg = SimConfig::builder(1, presets::asci_red()).build().unwrap();
         let mut eng = Engine::new(small_system(), cfg);
         let ideal = eng.decomp().ideal_step_time(&presets::asci_red());
         let r = eng.run_phase(1);
@@ -1219,10 +1133,9 @@ mod tests {
         let sys = small_system();
         let mut times = Vec::new();
         for n_pes in [1usize, 4, 16] {
-            let cfg = SimConfig::builder(n_pes, presets::asci_red()).steps_per_phase(2).build().unwrap();
+            let cfg = SimConfig::builder(n_pes, presets::asci_red()).build().unwrap();
             let mut eng = Engine::new(sys.clone(), cfg);
-            let run = eng.run_benchmark();
-            times.push(run.final_time_per_step());
+            times.push(phases(&mut eng, 2, 3)[2].time_per_step);
         }
         assert!(times[1] < times[0], "4 PEs not faster than 1: {times:?}");
         assert!(times[2] < times[1], "16 PEs not faster than 4: {times:?}");
@@ -1230,23 +1143,19 @@ mod tests {
 
     #[test]
     fn load_balancing_improves_step_time() {
-        let cfg = SimConfig::builder(12, presets::asci_red()).steps_per_phase(2).build().unwrap();
+        let cfg = SimConfig::builder(12, presets::asci_red()).build().unwrap();
         let mut eng = Engine::new(small_system(), cfg);
-        let run = eng.run_benchmark();
-        assert_eq!(run.phases.len(), 3); // initial, greedy, refine
-        assert!(
-            run.final_time_per_step() <= run.initial_time_per_step() * 1.02,
-            "LB should not hurt: {} -> {}",
-            run.initial_time_per_step(),
-            run.final_time_per_step()
-        );
+        // Static placement, greedy, refined.
+        let run = phases(&mut eng, 2, 3);
+        let (initial, last) = (run[0].time_per_step, run[2].time_per_step);
+        assert!(last <= initial * 1.02, "LB should not hurt: {initial} -> {last}");
     }
 
     #[test]
     fn deterministic_benchmark() {
         let run = |seed_sys: System| {
-            let cfg = SimConfig::builder(6, presets::asci_red()).steps_per_phase(2).build().unwrap();
-            Engine::new(seed_sys, cfg).run_benchmark().final_time_per_step()
+            let cfg = SimConfig::builder(6, presets::asci_red()).build().unwrap();
+            phases(&mut Engine::new(seed_sys, cfg), 2, 3)[2].time_per_step
         };
         let a = run(small_system());
         let b = run(small_system());
@@ -1355,7 +1264,7 @@ mod tests {
 
     #[test]
     fn gflops_is_sane() {
-        let cfg = SimConfig::builder(4, presets::asci_red()).steps_per_phase(1).build().unwrap();
+        let cfg = SimConfig::builder(4, presets::asci_red()).build().unwrap();
         let mut eng = Engine::new(small_system(), cfg);
         let r = eng.run_phase(1);
         let g = eng.gflops(r.time_per_step);

@@ -1,15 +1,19 @@
 //! The phase-chaining driver: [`advance`] is the one place that turns a
 //! global-step target into engine phases, and therefore the one place that
-//! knows the atom-migration cadence and what a crashed phase triggers.
-//! The CLI's run loop (at every thread count), the job scheduler in
-//! `crates/serve` and [`crate::parallel::ParallelSim`] are
-//! `while done < target` loops around it.
+//! knows the atom-migration cadence, when the load balancer runs and what
+//! a crashed phase triggers. The CLI's run loop (at every thread count),
+//! the job scheduler in `crates/serve`, [`crate::parallel::ParallelSim`],
+//! `namd-rs bench` and the paper-table bins of `crates/bench` are
+//! `while done < target` loops around it, in both force modes.
 //!
 //! **Cadence.** A phase never crosses a multiple of `migrate_every` on the
-//! *global* step counter, and the decomposition is rebuilt
-//! ([`Engine::migrate_atoms`]) whenever the counter lands on one — so the
-//! rebuild pattern is a property of the trajectory, not of how a caller
-//! sliced it into targets. That alignment is what makes recovery
+//! *global* step counter. Whenever the counter lands on one, a Real-mode
+//! run rebuilds the decomposition from the moved atoms, and both modes
+//! then apply §3.2's balancing policy (`Engine::balance`): the
+//! configured strategy at the first boundary, refinement after that. So
+//! the rebuild and balancing pattern is a property of the trajectory, not
+//! of how a caller sliced it into targets. That alignment is what makes
+//! recovery
 //! *bit-identical*: [`Engine::restore`] rebuilds the decomposition from the
 //! snapshot positions, producing exactly the pair-term partition (and
 //! therefore exactly the floating-point summation grouping) the
@@ -96,9 +100,11 @@ impl From<ckpt::CkptError> for RecoveryError {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Advanced {
-    /// A phase completed `updates` velocity-Verlet updates;
-    /// `phase.energies[1..=updates]` are their per-step records
-    /// (`energies[0]` is the phase's bootstrap force evaluation).
+    /// A phase completed `updates` steps. In Real mode they are
+    /// velocity-Verlet updates, `phase.energies[1..=updates]` are their
+    /// per-step records and `energies[0]` is the phase's bootstrap force
+    /// evaluation; a Counted phase runs exactly `updates` counted steps
+    /// and carries no energies.
     Phase { phase: PhaseResult, updates: usize },
     /// A PE was killed mid-phase and the engine was rolled back to global
     /// step `step`; nothing has been replayed yet.
@@ -115,19 +121,20 @@ pub enum Advanced {
 
 /// Run one phase of `engine` toward global step `target` (which must lie
 /// ahead of `engine.steps_done`): at most up to the next multiple of
-/// `migrate_every`, followed by the decomposition rebuild when the counter
-/// lands on one. `last_step` is the job's final step when the caller knows
-/// it — the rebuild after it is skipped; with `None` a run that ends on a
-/// multiple ends rebuilt. A crashed phase is rolled back as the module docs
-/// describe; `keep_snapshot` asks for the in-memory rollback point (one
-/// [`Engine::snapshot`] on entry and per rebuild), which a configured
-/// `checkpoint_dir` makes unnecessary. With a `checkpoint_dir`, a step-0
-/// file is written on entry if the directory holds none, so a crash before
-/// the first checkpoint is recoverable too; failing to write it is an
-/// error, while a failed periodic write is reported on stderr and the run
-/// goes on with one fewer recovery point. A snapshot taken where
-/// `last_step` skips the rebuild carries no loads: they would index the
-/// computes a restore replaces.
+/// `migrate_every`, followed by the boundary — a Real-mode decomposition
+/// rebuild, then `Engine::balance` and one step of the load drift — when
+/// the counter lands on one. `last_step` is the job's final step when the
+/// caller knows it — the boundary after it is skipped; with `None` a run
+/// that ends on a multiple ends on a boundary. A crashed phase is rolled
+/// back as the module docs describe; `keep_snapshot` asks for the
+/// in-memory rollback point (one [`Engine::snapshot`] on entry and per
+/// boundary), which a configured `checkpoint_dir` makes unnecessary. With
+/// a `checkpoint_dir`, a step-0 file is written on entry if the directory
+/// holds none, so a crash before the first checkpoint is recoverable too;
+/// failing to write it is an error, while a failed periodic write is
+/// reported on stderr and the run goes on with one fewer recovery point. A
+/// snapshot taken where `last_step` skips the boundary carries no loads:
+/// they would index the computes a restore replaces.
 ///
 /// Panics unless `migrate_every >= 1` divides `config.checkpoint_interval`
 /// (checked on every call: both are public fields of their owners).
@@ -141,11 +148,6 @@ pub fn advance(
     last_step: Option<usize>,
     keep_snapshot: bool,
 ) -> Result<Advanced, RecoveryError> {
-    assert_eq!(
-        engine.config.force_mode,
-        ForceMode::Real,
-        "the phase driver counts real velocity-Verlet updates"
-    );
     let interval = engine.config.checkpoint_interval;
     assert!(
         migrate_every >= 1 && interval.is_multiple_of(migrate_every),
@@ -167,22 +169,29 @@ pub fn advance(
     }
 
     let updates = (target - done).min(migrate_every - done % migrate_every);
-    match engine.try_run_phase(updates + 1) {
+    // A Real phase's extra step 0 is its bootstrap force evaluation; a
+    // Counted phase has none and runs exactly `updates` steps.
+    let real = engine.config.force_mode == ForceMode::Real;
+    match engine.try_run_phase(updates + usize::from(real)) {
         Ok(phase) => {
             engine.crashes = 0;
             let done = engine.steps_done;
-            let rebuild =
+            let boundary =
                 done.is_multiple_of(migrate_every) && last_step.is_none_or(|last| done < last);
-            if rebuild {
-                engine.migrate_atoms();
+            if boundary {
+                if real {
+                    engine.rebuild();
+                }
+                engine.balance(done == migrate_every);
+                engine.advance_load_drift();
             }
             // One snapshot per boundary, taken after the rebuild so its
             // loads index the computes a restore rebuilds.
             let dir =
                 engine.config.checkpoint_dir.as_ref().filter(|_| done.is_multiple_of(interval));
-            if dir.is_some() || keep_snapshot && rebuild {
+            if dir.is_some() || keep_snapshot && boundary {
                 let mut snap = engine.snapshot();
-                if !rebuild {
+                if !boundary {
                     // They index the computes a restore replaces.
                     snap.loads.clear();
                 }
@@ -235,16 +244,26 @@ pub fn advance(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::config::{Backend, SimConfig};
+    use crate::config::{Backend, LbStrategy, PmeSimConfig, SimConfig};
+    use crate::engine::PhaseResult;
     use crate::state::StepAcc;
-    use mdcore::prelude::Vec3;
+    use mdcore::prelude::{System, Vec3};
 
     const KILL: &str = "kill:entry=PatchRecvForces:dst=1:skip=6";
 
-    /// A 2-PE engine; with `dir`, checkpointing into it every 4 steps.
-    fn small_engine(dir: Option<&std::path::Path>, backend: Backend) -> Engine {
+    const STRATEGIES: [LbStrategy; 7] = [
+        LbStrategy::None,
+        LbStrategy::Random,
+        LbStrategy::RoundRobin,
+        LbStrategy::GreedyNoProxy,
+        LbStrategy::Greedy,
+        LbStrategy::Diffusion,
+        LbStrategy::GreedyRefine,
+    ];
+
+    fn small_system() -> System {
         let mut sys = molgen::SystemBuilder::new(molgen::SystemSpec {
             name: "recovery-test",
             box_lengths: Vec3::new(28.0, 28.0, 28.0),
@@ -257,13 +276,90 @@ mod tests {
         })
         .build();
         sys.thermalize(150.0, 7);
+        sys
+    }
+
+    /// A 2-PE engine; with `dir`, checkpointing into it every 4 steps.
+    fn small_engine(dir: Option<&std::path::Path>, backend: Backend) -> Engine {
         let mut cfg = SimConfig::builder(2, machine::presets::generic_cluster())
             .force_mode(ForceMode::Real)
             .backend(backend);
         if let Some(dir) = dir {
             cfg = cfg.checkpoint(dir, 4);
         }
-        Engine::new(sys, cfg.build().expect("valid test config"))
+        Engine::new(small_system(), cfg.build().expect("valid test config"))
+    }
+
+    /// Chain `n` phases of `len` steps through [`advance`] from step 0, the
+    /// last one named as the job's final step; returns every phase.
+    pub(crate) fn phases(engine: &mut Engine, len: usize, n: usize) -> Vec<PhaseResult> {
+        (1..=n)
+            .map(|k| match advance(engine, k * len, len, Some(n * len), false).unwrap() {
+                Advanced::Phase { phase, .. } => phase,
+                Advanced::RolledBack { .. } => unreachable!("no kill in the fault plan"),
+            })
+            .collect()
+    }
+
+    fn audit_names(engine: &Engine) -> Vec<&str> {
+        let audits = &engine.metrics.as_ref().expect("registry attached").lb_audits;
+        audits.iter().map(|a| a.strategy.as_str()).collect()
+    }
+
+    /// §3.2's one policy in both force modes: the first boundary audits the
+    /// static placement and applies the configured strategy (`GreedyRefine`
+    /// means greedy there); every later boundary refines under
+    /// `GreedyRefine` only. Counted DES phases run exactly their length.
+    #[test]
+    fn boundary_policy_is_strategy_first_then_refine_in_both_modes() {
+        let sys = small_system();
+        for mode in [ForceMode::Counted, ForceMode::Real] {
+            for lb in STRATEGIES {
+                let cfg = SimConfig::builder(2, machine::presets::generic_cluster())
+                    .force_mode(mode)
+                    .lb(lb)
+                    .build()
+                    .unwrap();
+                let mut engine = Engine::new(sys.clone(), cfg);
+                engine.set_metrics(Some(profile::MetricsRegistry::in_memory()));
+                let run = phases(&mut engine, 3, 4);
+                assert_eq!(engine.steps_done, 12, "{mode:?} {lb:?}");
+                let evaluations = 3 + usize::from(mode == ForceMode::Real);
+                assert!(run.iter().all(|p| p.n_steps == evaluations), "{mode:?} {lb:?}");
+                let first = match lb {
+                    LbStrategy::None => None,
+                    LbStrategy::Random => Some("random"),
+                    LbStrategy::RoundRobin => Some("round-robin"),
+                    LbStrategy::GreedyNoProxy => Some("greedy-no-proxy"),
+                    LbStrategy::Greedy | LbStrategy::GreedyRefine => Some("greedy"),
+                    LbStrategy::Diffusion => Some("diffusion"),
+                };
+                let mut expected: Vec<&str> = ["rcb-static"].into_iter().chain(first).collect();
+                if lb == LbStrategy::GreedyRefine {
+                    expected.extend(["refine", "refine"]);
+                }
+                assert_eq!(audit_names(&engine), expected, "{mode:?} {lb:?}");
+            }
+        }
+    }
+
+    /// The global step counter keys the PME cadence in Counted mode too:
+    /// with `every 4`, 2-step phases carry the reciprocal round on
+    /// alternate phases.
+    #[test]
+    fn counted_phases_advance_the_step_counter_that_keys_pme() {
+        let cfg = SimConfig::builder(2, machine::presets::generic_cluster())
+            .pme(Some(PmeSimConfig { every: 4, slabs: 2, ..Default::default() }))
+            .build()
+            .unwrap();
+        let mut engine = Engine::new(small_system(), cfg);
+        let n_patches = engine.decomp().grid.n_patches() as u64;
+        let charges: Vec<u64> = phases(&mut engine, 2, 4)
+            .iter()
+            .map(|p| p.stats.entry_count[p.entries.slab_charge.idx()])
+            .collect();
+        assert_eq!(engine.steps_done, 8);
+        assert_eq!(charges, [n_patches, 0, n_patches, 0]);
     }
 
     fn kill_plan() -> Option<charmrt::FaultPlan> {
@@ -331,14 +427,18 @@ mod tests {
     /// A checkpoint file is the boundary snapshot: it carries the measured
     /// loads of the computes a restore rebuilds, so a restore from disk
     /// refines the placement on them at once instead of running a phase at
-    /// the carried placement first.
+    /// the carried placement first. A restore is never a first boundary:
+    /// from the step-4 checkpoint, written after the greedy pass, it
+    /// refines, and under a single-pass strategy it moves nothing.
     #[test]
     fn disk_checkpoints_carry_the_loads_a_restore_refines_on() {
         let tmp = tempdir("recovery-loads");
         let mut engine = small_engine(Some(&tmp), Backend::Des);
+        engine.set_metrics(Some(profile::MetricsRegistry::in_memory()));
         while engine.steps_done < 4 {
             advance(&mut engine, 4, 4, Some(8), false).unwrap();
         }
+        assert_eq!(audit_names(&engine), ["rcb-static", "greedy"]);
         let (snap, file) = ckpt::CheckpointDir::create(&tmp).unwrap().latest_valid().unwrap();
         assert!(file.ends_with("ckpt_000000000004.ckpt"), "{}", file.display());
         assert_eq!(snap.loads.len(), engine.decomp().computes.len());
@@ -355,6 +455,12 @@ mod tests {
         let on_pes: f64 = audits[0].before.iter().sum();
         let measured: f64 = snap.loads.iter().chain(&snap.background).sum();
         assert!((on_pes - measured).abs() <= 1e-12 * measured, "{on_pes} vs {measured}");
+
+        let mut single_pass = small_engine(None, Backend::Des);
+        single_pass.config.lb = LbStrategy::Greedy;
+        single_pass.set_metrics(Some(profile::MetricsRegistry::in_memory()));
+        single_pass.restore(&snap).unwrap();
+        assert!(audit_names(&single_pass).is_empty());
         std::fs::remove_dir_all(&tmp).ok();
     }
 

@@ -4,6 +4,7 @@
 
 use crate::config::{PmeSimConfig, SimConfig};
 use crate::engine::Engine;
+use crate::recovery::tests::phases;
 use machine::presets;
 use mdcore::prelude::*;
 
@@ -26,7 +27,7 @@ fn pme_protocol_completes_and_costs_time() {
     let sys = system();
     let machine = presets::asci_red();
     let time_with = |pme: Option<PmeSimConfig>| {
-        let cfg = SimConfig::builder(16, machine).pme(pme).steps_per_phase(4).build().unwrap();
+        let cfg = SimConfig::builder(16, machine).pme(pme).build().unwrap();
         let mut e = Engine::new(sys.clone(), cfg);
         e.run_phase(4).time_per_step
     };
@@ -50,7 +51,6 @@ fn pme_entries_show_up_in_the_profile() {
     let sys = system();
     let cfg = SimConfig::builder(8, presets::asci_red())
         .pme(Some(PmeSimConfig { every: 2, slabs: 8, ..Default::default() }))
-        .steps_per_phase(4)
         .build()
         .unwrap();
     let mut e = Engine::new(sys, cfg);
@@ -69,11 +69,9 @@ fn pme_run_is_deterministic_and_lb_compatible() {
     let run = || {
         let cfg = SimConfig::builder(12, presets::t3e_900())
             .pme(Some(PmeSimConfig::default()))
-            .steps_per_phase(4)
             .build()
             .unwrap();
-        let mut e = Engine::new(system(), cfg);
-        e.run_benchmark().final_time_per_step().to_bits()
+        phases(&mut Engine::new(system(), cfg), 4, 3)[2].time_per_step.to_bits()
     };
     assert_eq!(run(), run());
 }
@@ -82,7 +80,6 @@ fn pme_run_is_deterministic_and_lb_compatible() {
 fn single_slab_degenerate_case_works() {
     let cfg = SimConfig::builder(4, presets::ideal())
         .pme(Some(PmeSimConfig { slabs: 1, every: 1, ..Default::default() }))
-        .steps_per_phase(2)
         .build()
         .unwrap();
     let mut e = Engine::new(system(), cfg);
@@ -107,11 +104,9 @@ fn lb_adapts_to_straggler_pes() {
         let cfg = SimConfig::builder(n_pes, machine)
             .pe_speeds(speeds.clone())
             .lb(lb)
-            .steps_per_phase(3)
             .build()
             .unwrap();
-        let mut e = Engine::new(sys.clone(), cfg);
-        e.run_benchmark().final_time_per_step()
+        phases(&mut Engine::new(sys.clone(), cfg), 3, 3)[2].time_per_step
     };
     let static_t = run_with(LbStrategy::None);
     let greedy_t = run_with(LbStrategy::GreedyRefine);
@@ -128,11 +123,9 @@ fn diffusion_strategy_runs_and_helps() {
     let run_with = |lb: LbStrategy| {
         let cfg = SimConfig::builder(16, presets::asci_red())
             .lb(lb)
-            .steps_per_phase(3)
             .build()
             .unwrap();
-        let mut e = Engine::new(sys.clone(), cfg);
-        e.run_benchmark().final_time_per_step()
+        phases(&mut Engine::new(sys.clone(), cfg), 3, 3)[2].time_per_step
     };
     let none = run_with(LbStrategy::None);
     let diff = run_with(LbStrategy::Diffusion);
@@ -175,29 +168,31 @@ fn atom_migration_between_phases_preserves_physics() {
 fn periodic_refinement_tracks_slow_load_drift() {
     // §3.2's last paragraph: "Periodically thereafter, the refinement
     // procedure is repeated to account for the slow changes of the
-    // simulation." Under a drifting load, periodic refinement must hold the
-    // step time near its post-LB level while a frozen placement degrades.
+    // simulation." Under a drifting load, `GreedyRefine` refines at every
+    // boundary after the greedy pass and must hold the step time near its
+    // post-LB level, while `Greedy` freezes its one placement and degrades.
+    use crate::config::LbStrategy;
     let sys = system();
-    let run_with = |refine: bool| {
+    let run_with = |lb: LbStrategy| {
         let cfg = SimConfig::builder(16, presets::asci_red())
-            .steps_per_phase(2)
+            .lb(lb)
             .load_drift(0.25)
             .build()
             .unwrap();
-        let mut e = Engine::new(sys.clone(), cfg);
-        e.run_long(6, refine)
+        let run = phases(&mut Engine::new(sys.clone(), cfg), 2, 9);
+        run.iter().map(|p| p.time_per_step).collect::<Vec<f64>>()
     };
-    let with_refine = run_with(true);
-    let frozen = run_with(false);
+    let refined = run_with(LbStrategy::GreedyRefine);
+    let frozen = run_with(LbStrategy::Greedy);
     // Same drift sequence (deterministic RNG), so the comparison is paired.
-    let last_refined = *with_refine.last().unwrap();
-    let last_frozen = *frozen.last().unwrap();
+    let (last_refined, last_frozen) = (refined[8], frozen[8]);
     assert!(
         last_refined < last_frozen,
         "periodic refinement should track drift: {last_refined} vs frozen {last_frozen}"
     );
-    // And the refined trajectory stays within a modest band of its start.
-    let start = with_refine[0];
+    // And the refined trajectory stays within a modest band of its first
+    // refined phase.
+    let start = refined[2];
     assert!(
         last_refined < 1.6 * start,
         "refined run degraded too much: {start} -> {last_refined}"
@@ -229,11 +224,9 @@ fn remote_priority_helps_at_scale() {
     let time_with = |on: bool| {
         let cfg = SimConfig::builder(48, presets::asci_red())
             .prioritize_remote(on)
-            .steps_per_phase(3)
             .build()
             .unwrap();
-        let mut e = Engine::new(sys.clone(), cfg);
-        e.run_benchmark().final_time_per_step()
+        phases(&mut Engine::new(sys.clone(), cfg), 3, 3)[2].time_per_step
     };
     let with = time_with(true);
     let without = time_with(false);

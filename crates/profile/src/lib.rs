@@ -919,10 +919,12 @@ mod tests {
 
     #[test]
     fn utilization_tiles_the_span() {
-        let mut s = SummaryStats::default();
-        s.pe_busy = vec![0.6, 0.9];
-        s.pe_overhead = vec![0.1, 0.2];
-        s.window_start = 0.0;
+        let s = SummaryStats {
+            pe_busy: vec![0.6, 0.9],
+            pe_overhead: vec![0.1, 0.2],
+            window_start: 0.0,
+            ..Default::default()
+        };
         let u = UtilizationReport::from_stats(&s, 1.0);
         assert_eq!(u.pes.len(), 2);
         for p in &u.pes {
@@ -961,14 +963,16 @@ mod tests {
 
     #[test]
     fn message_counters_residual_matches_summary_stats() {
-        let mut s = SummaryStats::default();
-        s.msgs_sent = 10;
-        s.msgs_injected = 2;
-        s.msgs_duplicated = 1;
-        s.msgs_redelivered = 1;
-        s.msgs_dropped = 2;
-        s.msgs_received = 11;
-        s.msgs_discarded = 0;
+        let s = SummaryStats {
+            msgs_sent: 10,
+            msgs_injected: 2,
+            msgs_duplicated: 1,
+            msgs_redelivered: 1,
+            msgs_dropped: 2,
+            msgs_received: 11,
+            msgs_discarded: 0,
+            ..Default::default()
+        };
         let m = MessageCounters::from(&s);
         assert_eq!(m.residual(), s.conservation_residual());
         assert_eq!(m.residual(), 1);

@@ -881,7 +881,7 @@ fn state_fingerprint(engine: &Engine) -> u64 {
 /// only when it is the next one missing (replays after a rollback are
 /// bit-identical, so an already-captured frame needs no refresh).
 fn capture_frame(sched: &Scheduler, id: JobId, engine: &Engine, frame_every: usize) {
-    if engine.steps_done % frame_every != 0 {
+    if !engine.steps_done.is_multiple_of(frame_every) {
         return;
     }
     let idx = engine.steps_done / frame_every;
@@ -971,7 +971,7 @@ fn run_slices(sched: &Scheduler, id: JobId) -> SliceEnd {
                 total
             } else {
                 // Round up to a multiple of migrate_every ≥ end.
-                ((end + migrate - 1) / migrate * migrate).min(total)
+                end.next_multiple_of(migrate).min(total)
             }
         };
 

@@ -5,8 +5,8 @@
 //!    measurement-based balancer observes the inflated object times and
 //!    sheds load from the slow machines.
 //! 2. **Slow load drift** (§3.2's closing loop): object loads drift over
-//!    time, and the periodic refinement pass keeps the step time pinned
-//!    while a frozen placement degrades.
+//!    time, and the periodic refinement of `GreedyRefine` keeps the step
+//!    time pinned while `Greedy`'s one placement degrades.
 //!
 //! ```sh
 //! cargo run --release --example cluster_adaptation
@@ -14,6 +14,21 @@
 
 use namd_repro::mdcore::prelude::Vec3;
 use namd_repro::namd_core::prelude::*;
+use namd_repro::namd_core::recovery::{advance, Advanced};
+
+/// Step times of `n` 3-step phases through the phase driver, which
+/// balances at every boundary.
+fn step_times(engine: &mut Engine, n: usize) -> Vec<f64> {
+    let mut times = Vec::new();
+    for k in 1..=n {
+        if let Advanced::Phase { phase, .. } =
+            advance(engine, 3 * k, 3, Some(3 * n), false).expect("no fault plan")
+        {
+            times.push(phase.time_per_step);
+        }
+    }
+    times
+}
 
 fn test_system() -> namd_repro::mdcore::system::System {
     namd_repro::molgen::SystemBuilder::new(namd_repro::molgen::SystemSpec {
@@ -41,36 +56,25 @@ fn main() {
         *s = 0.5;
     }
     for (label, lb) in [("static placement", LbStrategy::None), ("greedy + refine", LbStrategy::GreedyRefine)] {
-        let cfg = SimConfig::builder(n_pes, machine)
-            .pe_speeds(speeds.clone())
-            .lb(lb)
-            .steps_per_phase(3)
-            .build()
-            .unwrap();
+        let cfg = SimConfig::builder(n_pes, machine).pe_speeds(speeds.clone()).lb(lb).build().unwrap();
         let mut engine = Engine::new(sys.clone(), cfg);
-        let run = engine.run_benchmark();
-        println!("{label:<22} {:.2} ms/step", run.final_time_per_step() * 1e3);
+        println!("{label:<22} {:.2} ms/step", step_times(&mut engine, 3)[2] * 1e3);
     }
 
     // --- Scenario 2: slow load drift ------------------------------------
-    println!("\n=== slow load drift (σ = 20% per cycle, 8 cycles) ===");
-    let run_with = |refine: bool| {
-        let cfg = SimConfig::builder(n_pes, machine)
-            .steps_per_phase(3)
-            .load_drift(0.20)
-            .build()
-            .unwrap();
-        let mut engine = Engine::new(sys.clone(), cfg);
-        engine.run_long(8, refine)
+    println!("\n=== slow load drift (σ = 20% per phase, 10 phases) ===");
+    let run_with = |lb: LbStrategy| {
+        let cfg = SimConfig::builder(n_pes, machine).lb(lb).load_drift(0.20).build().unwrap();
+        step_times(&mut Engine::new(sys.clone(), cfg), 10)
     };
-    let refined = run_with(true);
-    let frozen = run_with(false);
-    println!("cycle   frozen(ms)   periodic-refine(ms)");
+    let refined = run_with(LbStrategy::GreedyRefine);
+    let frozen = run_with(LbStrategy::Greedy);
+    println!("phase   greedy once(ms)   greedy + refine(ms)");
     for (i, (f, r)) in frozen.iter().zip(&refined).enumerate() {
-        println!("{i:>5} {:>12.2} {:>18.2}", f * 1e3, r * 1e3);
+        println!("{i:>5} {:>17.2} {:>20.2}", f * 1e3, r * 1e3);
     }
     println!(
-        "\nafter 8 cycles: frozen {:.2} ms vs refined {:.2} ms",
+        "\nafter 10 phases: greedy once {:.2} ms vs refined {:.2} ms",
         frozen.last().unwrap() * 1e3,
         refined.last().unwrap() * 1e3
     );

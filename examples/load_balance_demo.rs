@@ -11,9 +11,18 @@
 //! cargo run --release --example load_balance_demo
 //! ```
 
-use namd_repro::lb;
 use namd_repro::mdcore::prelude::Vec3;
 use namd_repro::namd_core::prelude::*;
+use namd_repro::namd_core::recovery::{advance, Advanced};
+
+/// Phase `k` of three 3-step phases through the phase driver; its
+/// boundary applies the next stage's placement.
+fn phase(engine: &mut Engine, k: usize) -> PhaseResult {
+    match advance(engine, 3 * k, 3, Some(9), false).expect("no fault plan") {
+        Advanced::Phase { phase, .. } => phase,
+        Advanced::RolledBack { .. } => unreachable!("no rollback point is kept"),
+    }
+}
 
 fn main() {
     // A slab system: the middle third of the box is ~30% denser than the
@@ -32,8 +41,10 @@ fn main() {
     let machine = namd_repro::machine::presets::asci_red();
     let n_pes = 64;
 
-    let cfg = SimConfig::builder(n_pes, machine).steps_per_phase(3).build().unwrap();
+    let cfg = SimConfig::builder(n_pes, machine).build().unwrap();
     let mut engine = Engine::new(system.clone(), cfg);
+    // The audit log records every balancing decision with its migrations.
+    engine.set_metrics(Some(MetricsRegistry::in_memory()));
     println!(
         "{} atoms in {} patches, {} compute objects, {n_pes} PEs\n",
         system.n_atoms(),
@@ -42,37 +53,29 @@ fn main() {
     );
 
     println!("stage                       ms/step   max/avg   proxies  migrated");
-    let stage = |name: &str, r: &PhaseResult, eng: &Engine, moved: usize| {
+    let stage = |name: &str, r: &PhaseResult, proxies: usize, moved: usize| {
         let loads = &r.stats.pe_busy;
         let avg: f64 = loads.iter().sum::<f64>() / loads.len() as f64;
         let max = loads.iter().copied().fold(0.0, f64::max);
         println!(
-            "{name:<27} {:>7.2} {:>9.2} {:>9} {:>9}",
+            "{name:<27} {:>7.2} {:>9.2} {proxies:>9} {moved:>9}",
             r.time_per_step * 1e3,
             if avg > 0.0 { max / avg } else { 1.0 },
-            eng.proxy_count(),
-            moved
         );
     };
 
-    // Stage 1: initial static placement.
-    let r0 = engine.run_phase(3);
-    stage("initial static (RCB)", &r0, &engine, 0);
-
-    // Stage 2: greedy on measured loads.
-    let (problem, map) = engine.lb_problem(&r0);
-    let assignment = lb::greedy(&problem, lb::GreedyParams::default());
-    let moved = engine.apply_assignment(&map, &assignment);
-    let r1 = engine.run_phase(3);
-    stage("greedy (measured loads)", &r1, &engine, moved);
-
-    // Stage 3: refinement on re-measured loads.
-    let (problem, map) = engine.lb_problem(&r1);
-    let current: Vec<usize> = map.iter().map(|&j| engine.placement[j]).collect();
-    let (refined, _) = lb::refine(&problem, &current, lb::RefineParams::default());
-    let moved = engine.apply_assignment(&map, &refined);
-    let r2 = engine.run_phase(3);
-    stage("refine (re-measured)", &r2, &engine, moved);
+    // The initial static placement is measured; the first boundary applies
+    // greedy on those loads, the second refines on re-measured ones.
+    let mut moved = 0;
+    for (k, name) in
+        [(1, "initial static (RCB)"), (2, "greedy (measured loads)"), (3, "refine (re-measured)")]
+    {
+        let proxies = engine.proxy_count();
+        let r = phase(&mut engine, k);
+        stage(name, &r, proxies, moved);
+        let audits = &engine.metrics.as_ref().expect("registry attached").lb_audits;
+        moved = audits.last().map_or(0, |a| a.migrations.len());
+    }
 
     println!("\nfor contrast, the ablation strategies:");
     for (name, strat) in [
@@ -80,10 +83,9 @@ fn main() {
         ("round-robin", LbStrategy::RoundRobin),
         ("greedy, proxy-unaware", LbStrategy::GreedyNoProxy),
     ] {
-        let cfg = SimConfig::builder(n_pes, machine).lb(strat).steps_per_phase(3).build().unwrap();
+        let cfg = SimConfig::builder(n_pes, machine).lb(strat).build().unwrap();
         let mut e = Engine::new(system.clone(), cfg);
-        let run = e.run_benchmark();
-        let r = run.phases.last().unwrap();
-        stage(name, r, &e, 0);
+        let r = (1..=3).map(|k| phase(&mut e, k)).last().unwrap();
+        stage(name, &r, e.proxy_count(), 0);
     }
 }

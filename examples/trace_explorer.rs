@@ -10,6 +10,7 @@
 //! ```
 
 use namd_repro::namd_core::prelude::*;
+use namd_repro::namd_core::recovery::{advance, Advanced};
 
 fn main() {
     let bench = namd_repro::molgen::apoa1_like().scaled(0.05);
@@ -17,14 +18,19 @@ fn main() {
     let machine = namd_repro::machine::presets::asci_red();
     let n_pes = 64;
 
-    let cfg = SimConfig::builder(n_pes, machine)
-        .tracing(true)
-        .steps_per_phase(4)
-        .build()
-        .unwrap();
+    let cfg = SimConfig::builder(n_pes, machine).tracing(true).build().unwrap();
     let mut engine = Engine::new(system, cfg);
-    let run = engine.run_benchmark();
-    let phase = run.phases.last().unwrap();
+    // Three 4-step phases (static placement, greedy, refined); the last one
+    // is explored.
+    let mut last = None;
+    for k in 1..=3 {
+        if let Advanced::Phase { phase, .. } =
+            advance(&mut engine, 4 * k, 4, Some(12), false).expect("no fault plan")
+        {
+            last = Some(phase);
+        }
+    }
+    let phase = last.expect("three phases ran");
 
     // Level 1: step times.
     println!("level 1 — step time: {:.2} ms/step on {n_pes} PEs\n", phase.time_per_step * 1e3);

@@ -80,7 +80,7 @@ fn ideal_gas_rdf_is_flat_through_the_parallel_driver() {
     // (400 atoms × 8 frames) that each bin's counting noise is small.
     let edge = 20.0;
     let cell = Cell::periodic(Vec3::splat(0.0), Vec3::splat(edge));
-    let mut state = 0x1dea1_9a5u64;
+    let mut state = 0x1dea_19a5u64;
     let frames: Vec<Vec<Vec3>> =
         (0..8).map(|_| uniform_frame(&mut state, 400, edge)).collect();
     let params = AnalyzeParams { r_max: 8.0, rdf_bins: 16, ..AnalyzeParams::default() };

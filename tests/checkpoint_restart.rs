@@ -91,7 +91,10 @@ fn thermostatted_engine(
 const BERENDSEN: Thermostat = Thermostat::Berendsen { target_k: 300.0, tau_fs: 50.0 };
 const LANGEVIN: Thermostat = Thermostat::Langevin { target_k: 300.0, gamma: 0.05, seed: 3 };
 
-fn final_bits(engine: &Engine) -> Vec<(u64, u64, u64, u64, u64, u64)> {
+/// Per atom, the bits of its position and velocity components.
+type StateBits = Vec<(u64, u64, u64, u64, u64, u64)>;
+
+fn final_bits(engine: &Engine) -> StateBits {
     let sys = engine.system();
     sys.positions
         .iter()
@@ -122,7 +125,7 @@ fn run_to_end(
     thermostat: Thermostat,
     kill: Option<FaultPlan>,
     tag: &str,
-) -> (Vec<(u64, u64, u64, u64, u64, u64)>, u32) {
+) -> (StateBits, u32) {
     let dir = tempdir(tag);
     let mut engine = thermostatted_engine(2, backend, policy, thermostat, Some(&dir));
     engine.config.fault_plan = kill;

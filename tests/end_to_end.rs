@@ -5,6 +5,7 @@ use namd_repro::machine::presets;
 use namd_repro::mdcore::prelude::*;
 use namd_repro::molgen::{SystemBuilder, SystemSpec};
 use namd_repro::namd_core::prelude::*;
+use namd_repro::namd_core::recovery::{advance, Advanced};
 
 fn test_system(seed: u64) -> System {
     SystemBuilder::new(SystemSpec {
@@ -20,6 +21,17 @@ fn test_system(seed: u64) -> System {
     .build()
 }
 
+/// §3.2's protocol through the phase driver: three 2-step phases (the
+/// static placement, the strategy's, the refined one).
+fn three_phases(engine: &mut Engine) -> Vec<PhaseResult> {
+    (1..=3)
+        .map(|k| match advance(engine, 2 * k, 2, Some(6), false).unwrap() {
+            Advanced::Phase { phase, .. } => phase,
+            Advanced::RolledBack { .. } => unreachable!("no rollback point is kept"),
+        })
+        .collect()
+}
+
 #[test]
 fn full_pipeline_improves_with_lb_and_scale() {
     let sys = test_system(1);
@@ -28,18 +40,13 @@ fn full_pipeline_improves_with_lb_and_scale() {
 
     let mut last = f64::INFINITY;
     for pes in [1usize, 8, 32] {
-        let cfg = SimConfig::builder(pes, machine).steps_per_phase(2).build().unwrap();
+        let cfg = SimConfig::builder(pes, machine).build().unwrap();
         let mut engine = Engine::with_decomposition(sys.clone(), decomp.clone(), cfg);
-        let run = engine.run_benchmark();
-        let t = run.final_time_per_step();
+        let run = three_phases(&mut engine);
+        let (initial, t) = (run[0].time_per_step, run[2].time_per_step);
         assert!(t < last, "{pes} PEs not faster: {t} vs {last}");
         // LB never hurts the slab-imbalanced system.
-        assert!(
-            run.final_time_per_step() <= run.initial_time_per_step() * 1.02,
-            "{pes} PEs: LB regressed {} -> {}",
-            run.initial_time_per_step(),
-            run.final_time_per_step()
-        );
+        assert!(t <= initial * 1.02, "{pes} PEs: LB regressed {initial} -> {t}");
         last = t;
     }
 }
@@ -48,14 +55,13 @@ fn full_pipeline_improves_with_lb_and_scale() {
 fn whole_pipeline_is_deterministic() {
     let run_once = || {
         let sys = test_system(7);
-        let cfg = SimConfig::builder(16, presets::t3e_900()).steps_per_phase(2).build().unwrap();
+        let cfg = SimConfig::builder(16, presets::t3e_900()).build().unwrap();
         let mut engine = Engine::new(sys, cfg);
-        let run = engine.run_benchmark();
-        (
-            run.final_time_per_step().to_bits(),
-            run.migrations.clone(),
-            engine.proxy_count(),
-        )
+        engine.set_metrics(Some(MetricsRegistry::in_memory()));
+        let t = three_phases(&mut engine)[2].time_per_step;
+        let audits = &engine.metrics.as_ref().unwrap().lb_audits;
+        let migrations: Vec<usize> = audits.iter().map(|a| a.migrations.len()).collect();
+        (t.to_bits(), migrations, engine.proxy_count())
     };
     assert_eq!(run_once(), run_once());
 }
@@ -65,7 +71,7 @@ fn machine_models_order_single_pe_times() {
     // Origin (112 MFLOPS) < T3E (64) < ASCI-Red (48) in step time.
     let sys = test_system(3);
     let time_on = |m: machine::MachineModel| {
-        let cfg = SimConfig::builder(1, m).steps_per_phase(1).build().unwrap();
+        let cfg = SimConfig::builder(1, m).build().unwrap();
         let mut e = Engine::new(sys.clone(), cfg);
         e.run_phase(1).time_per_step
     };
@@ -84,13 +90,12 @@ fn counted_and_real_modes_agree_on_structure() {
     let sys = test_system(5);
     let machine = presets::ideal();
 
-    let cfg_counted = SimConfig::builder(4, machine).steps_per_phase(2).build().unwrap();
+    let cfg_counted = SimConfig::builder(4, machine).build().unwrap();
     let mut eng_counted = Engine::new(sys.clone(), cfg_counted);
     let rc = eng_counted.run_phase(2);
 
     let cfg_real = SimConfig::builder(4, machine)
         .force_mode(ForceMode::Real)
-        .steps_per_phase(2)
         .build()
         .unwrap();
     let mut eng_real = Engine::new(sys, cfg_real);
@@ -114,7 +119,7 @@ fn audit_identity_holds_across_machines_and_scales() {
         (presets::t3e_900(), 8),
         (presets::origin2000(), 32),
     ] {
-        let cfg = SimConfig::builder(pes, machine).steps_per_phase(2).build().unwrap();
+        let cfg = SimConfig::builder(pes, machine).build().unwrap();
         let mut engine = Engine::new(sys.clone(), cfg);
         let r = engine.run_phase(2);
         let a = audit(engine.decomp(), &machine, &r, pes);

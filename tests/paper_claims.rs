@@ -7,6 +7,20 @@ use namd_repro::machine::presets;
 use namd_repro::mdcore::prelude::*;
 use namd_repro::molgen::{SystemBuilder, SystemSpec};
 use namd_repro::namd_core::prelude::*;
+use namd_repro::namd_core::recovery::{advance, Advanced};
+
+/// §3.2's protocol through the phase driver: three 2-step phases (the
+/// static placement measured, the strategy's placement, the refined one);
+/// returns the last.
+fn steady_phase(engine: &mut Engine) -> PhaseResult {
+    let mut last = None;
+    for k in 1..=3 {
+        if let Advanced::Phase { phase, .. } = advance(engine, 2 * k, 2, Some(6), false).unwrap() {
+            last = Some(phase);
+        }
+    }
+    last.unwrap()
+}
 
 fn slab_system() -> System {
     SystemBuilder::new(SystemSpec {
@@ -90,12 +104,10 @@ fn optimized_multicast_shortens_integration() {
     let integrate_time = |mode: MulticastMode| {
         let cfg = SimConfig::builder(16, machine)
             .multicast(mode)
-            .steps_per_phase(2)
             .build()
             .unwrap();
         let mut engine = Engine::new(sys.clone(), cfg);
-        let run = engine.run_benchmark();
-        let last = run.phases.last().unwrap();
+        let last = steady_phase(&mut engine);
         let e = last.entries.integrate;
         last.stats.entry_time[e.idx()] / last.stats.entry_count[e.idx()] as f64
     };
@@ -115,27 +127,27 @@ fn measurement_based_lb_beats_static() {
     let machine = presets::asci_red();
 
     let with_lb = |lb: LbStrategy| {
-        let cfg = SimConfig::builder(24, machine).lb(lb).steps_per_phase(2).build().unwrap();
+        let cfg = SimConfig::builder(24, machine).lb(lb).build().unwrap();
         let mut engine = Engine::new(sys.clone(), cfg);
-        engine.run_benchmark()
+        engine.set_metrics(Some(MetricsRegistry::in_memory()));
+        let t = steady_phase(&mut engine).time_per_step;
+        let audits = engine.metrics.take().unwrap().lb_audits;
+        let moves: Vec<(String, usize)> =
+            audits.into_iter().map(|a| (a.strategy, a.migrations.len())).collect();
+        (t, moves)
     };
-    let static_run = with_lb(LbStrategy::None);
-    let greedy_run = with_lb(LbStrategy::GreedyRefine);
+    let (static_t, _) = with_lb(LbStrategy::None);
+    let (greedy_t, moves) = with_lb(LbStrategy::GreedyRefine);
     assert!(
-        greedy_run.final_time_per_step() < 0.8 * static_run.final_time_per_step(),
-        "LB should clearly beat static: {} vs {}",
-        greedy_run.final_time_per_step(),
-        static_run.final_time_per_step()
+        greedy_t < 0.8 * static_t,
+        "LB should clearly beat static: {greedy_t} vs {static_t}"
     );
     // "This time, only the refinement procedure is used, resulting in only a
     // few additional object migrations."
-    assert_eq!(greedy_run.migrations.len(), 2);
-    assert!(
-        greedy_run.migrations[1] <= greedy_run.migrations[0] / 2,
-        "refinement moved {} vs greedy's {}",
-        greedy_run.migrations[1],
-        greedy_run.migrations[0]
-    );
+    let names: Vec<&str> = moves.iter().map(|(s, _)| s.as_str()).collect();
+    assert_eq!(names, ["rcb-static", "greedy", "refine"]);
+    let (greedy, refine) = (moves[1].1, moves[2].1);
+    assert!(refine <= greedy / 2, "refinement moved {refine} vs greedy's {greedy}");
 }
 
 /// §3.2: proxy-aware placement needs fewer proxies than proxy-blind
@@ -145,9 +157,9 @@ fn proxy_awareness_reduces_communication() {
     let sys = slab_system();
     let machine = presets::asci_red();
     let proxies_with = |lb: LbStrategy| {
-        let cfg = SimConfig::builder(24, machine).lb(lb).steps_per_phase(2).build().unwrap();
+        let cfg = SimConfig::builder(24, machine).lb(lb).build().unwrap();
         let mut engine = Engine::new(sys.clone(), cfg);
-        engine.run_benchmark();
+        steady_phase(&mut engine);
         engine.proxy_count()
     };
     let aware = proxies_with(LbStrategy::Greedy);
@@ -176,9 +188,9 @@ fn small_systems_saturate() {
     let machine = presets::asci_red();
     let decomp = build_decomposition(&sys, &SimConfig::new(1, machine));
     let time_at = |pes: usize| {
-        let cfg = SimConfig::builder(pes, machine).steps_per_phase(2).build().unwrap();
+        let cfg = SimConfig::builder(pes, machine).build().unwrap();
         let mut e = Engine::with_decomposition(sys.clone(), decomp.clone(), cfg);
-        e.run_benchmark().final_time_per_step()
+        steady_phase(&mut e).time_per_step
     };
     let t8 = time_at(8);
     let t64 = time_at(64);
@@ -196,7 +208,7 @@ fn small_systems_saturate() {
 #[test]
 fn object_loads_persist_across_phases() {
     let sys = slab_system();
-    let cfg = SimConfig::builder(12, presets::asci_red()).steps_per_phase(2).build().unwrap();
+    let cfg = SimConfig::builder(12, presets::asci_red()).build().unwrap();
     let mut engine = Engine::new(sys, cfg);
     let r1 = engine.run_phase(2);
     let r2 = engine.run_phase(2);

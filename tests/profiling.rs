@@ -14,6 +14,7 @@ use namd_repro::machine::presets;
 use namd_repro::mdcore::prelude::*;
 use namd_repro::molgen::{SystemBuilder, SystemSpec};
 use namd_repro::namd_core::prelude::*;
+use namd_repro::namd_core::recovery::advance;
 
 fn test_system(seed: u64) -> System {
     SystemBuilder::new(SystemSpec {
@@ -84,13 +85,11 @@ fn threads_trace_satisfies_utilization_sum_invariant() {
         assert!(e.duration() >= 0.0, "negative event duration");
         traced[e.pe] += e.duration();
     }
-    for pe in 0..n_pes {
-        let busy = r.stats.pe_busy[pe];
+    for (pe, (&busy, &sum)) in r.stats.pe_busy.iter().zip(&traced).enumerate() {
         let tol = 1e-9 * busy.max(1e-12) * (1.0 + trace.events.len() as f64);
         assert!(
-            (traced[pe] - busy).abs() <= tol,
-            "PE {pe}: trace sums to {} but measured busy is {busy}",
-            traced[pe]
+            (sum - busy).abs() <= tol,
+            "PE {pe}: trace sums to {sum} but measured busy is {busy}"
         );
     }
 
@@ -117,7 +116,6 @@ fn critical_path_is_bounded_and_monotone_under_straggler() {
     let run_with = |speeds: Vec<f64>| {
         let cfg = SimConfig::builder(4, presets::asci_red())
             .pe_speeds(speeds)
-            .steps_per_phase(3)
             .build()
             .unwrap();
         let mut engine = Engine::new(sys.clone(), cfg);
@@ -197,22 +195,21 @@ fn metrics_registry_writes_perfetto_traces_on_both_backends() {
     }
 }
 
-/// LB decisions are audited: the benchmark pipeline's greedy pass must
-/// record before/after loads and a migration list that matches the load
-/// delta it claims.
+/// LB decisions are audited: the greedy pass at the first phase boundary
+/// must record before/after loads and a migration list that matches the
+/// load delta it claims.
 #[test]
 fn lb_audit_records_migrations_and_load_deltas() {
-    let cfg = SimConfig::builder(8, presets::asci_red())
-        .steps_per_phase(2)
-        .build()
-        .unwrap();
+    let cfg = SimConfig::builder(8, presets::asci_red()).build().unwrap();
     let mut engine = Engine::new(test_system(7), cfg);
     engine.set_metrics(Some(MetricsRegistry::in_memory()));
-    engine.run_benchmark();
+    for k in 1..=3 {
+        advance(&mut engine, 2 * k, 2, Some(6), false).unwrap();
+    }
     let reg = engine.metrics.as_ref().unwrap();
     assert!(
         !reg.lb_audits.is_empty(),
-        "greedy+refine benchmark produced no LB audits"
+        "greedy+refine phases produced no LB audits"
     );
     for audit in &reg.lb_audits {
         assert_eq!(audit.before.len(), 8);
@@ -255,8 +252,9 @@ fn phase_metrics_is_the_one_counter_surface() {
 #[test]
 fn struct_literal_config_path_still_works() {
     let mut cfg = SimConfig::new(2, presets::generic_cluster());
-    cfg.steps_per_phase = 2;
+    cfg.tracing = true;
     let mut engine = Engine::new(test_system(9), cfg);
     let r = engine.run_phase(2);
     assert!(r.time_per_step > 0.0 && r.time_per_step.is_finite());
+    assert!(r.trace.is_some(), "the struct-literal field did not reach the phase");
 }

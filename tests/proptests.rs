@@ -345,7 +345,6 @@ proptest! {
         .build();
         let n_pes = 7;
         let cfg = SimConfig::builder(n_pes, presets::asci_red())
-            .steps_per_phase(2)
             .build()
             .unwrap();
         let mut engine = Engine::new(sys, cfg);

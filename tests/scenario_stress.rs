@@ -19,6 +19,7 @@
 use mdcore::prelude::System;
 use molgen::zoo::{self, Scenario};
 use namd_core::prelude::*;
+use namd_core::recovery::{advance, Advanced};
 
 /// Stress operating point: big enough for 27 patches (3×3×3 at the zoo
 /// cutoff), small enough that the full matrix stays in test-suite time.
@@ -54,19 +55,19 @@ fn stress_scenarios() -> Vec<Scenario> {
     all.into_iter().take(cases).collect()
 }
 
-/// Run one (system, strategy, backend) through the benchmark loop with an
+/// Run one (system, strategy, backend) through three phases of the phase
+/// driver — static placement, strategy, refinement — with an
 /// in-memory registry; returns the engine (for oracle re-checks) and the
-/// run.
+/// phases.
 fn run_stress(
     sys: &System,
     strategy: LbStrategy,
     (backend, force_mode, _): (Backend, ForceMode, &str),
-) -> (Engine, BenchmarkRun) {
+) -> (Engine, Vec<PhaseResult>) {
     let mut builder = SimConfig::builder(N_PES, machine::presets::generic_cluster())
         .backend(backend)
         .force_mode(force_mode)
-        .lb(strategy)
-        .steps_per_phase(3);
+        .lb(strategy);
     if force_mode == ForceMode::Real {
         // Zoo decks are dense, unminimized lattices: step them gently.
         builder = builder.dt_fs(0.25);
@@ -74,8 +75,16 @@ fn run_stress(
     let cfg = builder.build().expect("valid stress config");
     let mut engine = Engine::new(sys.clone(), cfg);
     engine.set_metrics(Some(MetricsRegistry::in_memory()));
-    let run = engine.run_benchmark();
-    (engine, run)
+    // A Real phase of 2 updates evaluates forces 3 times, as a Counted
+    // phase of 3 steps does.
+    let len = if force_mode == ForceMode::Real { 2 } else { 3 };
+    let phases = (1..=3)
+        .map(|k| match advance(&mut engine, len * k, len, Some(3 * len), false).unwrap() {
+            Advanced::Phase { phase, .. } => phase,
+            Advanced::RolledBack { .. } => unreachable!("no rollback point is kept"),
+        })
+        .collect();
+    (engine, phases)
 }
 
 /// Context string every assertion leads with, so a failure names what the
@@ -118,7 +127,7 @@ fn every_scenario_passes_oracle_and_imbalance_budget_under_every_strategy() {
                 } else {
                     OracleParams::default()
                 };
-                for (k, phase) in run.phases.iter().enumerate() {
+                for (k, phase) in run.iter().enumerate() {
                     let report = check_phase_with(&engine, phase, params);
                     assert!(
                         report.ok(),
@@ -232,7 +241,7 @@ fn diffusion_repair_rounds_improve_hotspot_monotonically() {
     let sc = zoo::density_hotspot(STRESS_ATOMS, SEED);
     let sys = sc.build();
     let (engine, run) = run_stress(&sys, LbStrategy::None, DES);
-    let (problem, _map) = engine.lb_problem(&run.phases[0]);
+    let (problem, _map) = engine.lb_problem(&run[0]);
     // Home placement: every compute on its first patch's home PE.
     let home: Vec<usize> =
         problem.computes.iter().map(|c| problem.patch_home[c.patches[0]]).collect();
