@@ -239,9 +239,7 @@ fn cmd_bench(args: &[String]) -> i32 {
     let mut profile_dir: Option<String> = None;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
-        let value = |it: &mut std::slice::Iter<String>| -> Option<String> {
-            it.next().cloned()
-        };
+        let value = |it: &mut std::slice::Iter<String>| -> Option<String> { it.next().cloned() };
         match a.as_str() {
             "--machine" => match value(&mut it).as_deref() {
                 Some("asci_red") => machine = machine::presets::asci_red(),
@@ -266,7 +264,10 @@ fn cmd_bench(args: &[String]) -> i32 {
                     }
                 }
             }
-            "--steps" => match value(&mut it).and_then(|v| v.parse().ok()).filter(|&n| n > 0) {
+            "--steps" => match value(&mut it)
+                .and_then(|v| v.parse().ok())
+                .filter(|&n| n > 0)
+            {
                 Some(n) => steps = n,
                 None => {
                     eprintln!("bad --steps");
@@ -327,13 +328,23 @@ fn cmd_bench(args: &[String]) -> i32 {
     };
     // `scaled` preserves density in both directions, so --scale can also
     // grow a deck (e.g. --scale 4 for a weak-scaling point).
-    let bench = if scale != 1.0 { bench.scaled(scale) } else { bench };
-    println!("benchmark {} ({} atoms) on {}", bench.name, bench.n_atoms, machine.name);
+    let bench = if scale != 1.0 {
+        bench.scaled(scale)
+    } else {
+        bench
+    };
+    println!(
+        "benchmark {} ({} atoms) on {}",
+        bench.name, bench.n_atoms, machine.name
+    );
     if schedule.kind != charmrt::SchedulePolicyKind::Fifo {
-        println!("schedule policy {:?}, seed {}", schedule.kind, schedule.seed);
+        println!(
+            "schedule policy {:?}, seed {}",
+            schedule.kind, schedule.seed
+        );
     }
     if let Some(plan) = &fault_plan {
-        println!("fault plan: {} rule(s), engine retries repair dropped deliveries", plan.rules.len());
+        println!("{}", namd_cli::fault_plan_line(plan));
     }
     let sys = bench.build();
     let decomp = build_decomposition(&sys, &SimConfig::new(1, machine));

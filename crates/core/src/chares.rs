@@ -13,14 +13,16 @@
 //!    an execute message; the execution runs the force kernels on the
 //!    coordinates it was sent (or replays counted work), then sends one force
 //!    message per involved patch — the payload carries that patch's force
-//!    contributions, in the patch's atom order, and the first one the
-//!    compute's energies — to the patch's local representative (home patch
-//!    or proxy).
-//! 4. A proxy that has collected all local force contributions forwards
-//!    them, unsummed, on one force message to the home patch.
-//! 5. A home patch that has collected everything self-enqueues *integrate*:
-//!    fold the contributions, velocity-Verlet update of the atoms it owns
-//!    from the folded forces (BAOAB under the Langevin thermostat), then
+//!    contributions in fixed point, in the patch's atom order, and the first
+//!    one the compute's energies — to the patch's local representative (home
+//!    patch or proxy).
+//! 4. A proxy adds its local force contributions into one block as they
+//!    arrive and, once it has them all, sends that on one force message to
+//!    the home patch.
+//! 5. A home patch adds each force message into its integer sum as it
+//!    arrives; once it has them all it self-enqueues *integrate*: convert
+//!    the sum to f64 once, velocity-Verlet update of the atoms it owns from
+//!    those forces (BAOAB under the Langevin thermostat), then
 //!    publish the next step's coordinates (this is the entry method the
 //!    multicast optimization halves), or report completion and its per-step
 //!    energies to the reducer after the final step. Under the Berendsen
@@ -38,7 +40,7 @@ use crate::config::{ForceMode, Thermostat};
 use crate::costmodel;
 use crate::decomp::ComputeKind;
 use crate::messages::{
-    BarrierMsg, CoordMsg, EnergiesMsg, ForceMsg, ForcePart, PatchStateMsg, RECIPROCAL,
+    force_f64, BarrierMsg, CoordMsg, EnergiesMsg, FixedAcc, ForceMsg, PatchStateMsg,
 };
 use crate::patchgrid::PatchId;
 use crate::state::{Shared, StepAcc};
@@ -54,18 +56,15 @@ use mdcore::vec3::Vec3;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The payload of a force message in Real mode: one force per atom of the
-/// destination patch, in `decomp.grid.atoms[patch]` order.
-pub type ForceBlock = Vec<Vec3>;
-
-// Force blocks travel as packed [`ForceMsg`] payloads, one part per
-// compute, keyed by the compute's index. A home patch buffers the step's
-// parts and folds them in compute order once the set is complete, so the
-// accumulated force — and the energy riding with it — is a pure function of
-// the positions and the decomposition: not of message arrival order, and
-// not of the placement, since a proxy forwards parts without summing them.
-// That makes every backend's and every PE count's trajectory bitwise
-// reproducible, which is what lets a checkpoint-resumed run (or a
+// Forces and energies travel as packed [`ForceMsg`] payloads in fixed
+// point: a compute converts its f64 totals once, and every sum after
+// that — a proxy's over its PE's computes, a home patch's over what
+// arrives, the reducer's over the patches — is an integer sum, exact and
+// associative. The force a home patch integrates, and the energies, are
+// therefore a pure function of the positions and the decomposition: not of
+// message arrival order, not of the placement, and not of which computes a
+// proxy summed. That makes every backend's and every PE count's trajectory
+// bitwise reproducible, which is what lets a checkpoint-resumed run (or a
 // multi-process run, or a rebalanced one) reproduce an uninterrupted 1-PE
 // run bit for bit.
 
@@ -76,7 +75,14 @@ const SIGNAL_BYTES: usize = 32;
 /// Costed as separate header-only sends (`Naive` packs per destination);
 /// the last compute takes the buffer itself, the others copies.
 fn ready_all(ctx: &mut Ctx, computes: &[ObjId], ready: EntryId, coords: Payload) {
-    ctx.multicast(computes, ready, SIGNAL_BYTES, PRIO_NORMAL, MulticastMode::Naive, coords);
+    ctx.multicast(
+        computes,
+        ready,
+        SIGNAL_BYTES,
+        PRIO_NORMAL,
+        MulticastMode::Naive,
+        coords,
+    );
 }
 
 /// Entry-method ids shared by all chares, registered once per engine run.
@@ -139,11 +145,6 @@ impl Entries {
         }
     }
 
-    /// Entry ids attributable to the modeled PME pipeline.
-    pub fn pme_entries(&self) -> [EntryId; 2] {
-        [self.slab_charge, self.slab_transpose]
-    }
-
     /// The entry ids that represent non-bonded work (for Figures 1-2).
     pub fn nonbonded(&self) -> [EntryId; 2] {
         [self.exec_self, self.exec_pair]
@@ -194,12 +195,12 @@ pub struct HomePatch {
     /// back.
     atoms: PatchStateMsg,
     masses: Vec<f64>,
-    /// Force parts received this step, folded into `atoms.forces` and
-    /// `energies` in compute order at integration (see [`ForceMsg`]).
-    pending: Vec<ForcePart>,
+    /// This step's force messages, added up as they arrive (see
+    /// [`ForceMsg`]); converted into `atoms.forces` at integration.
+    sum: ForceMsg,
     /// Per-step energies of this patch: what its force messages carried
     /// plus its atoms' kinetic energy (Real mode; all zero otherwise).
-    energies: Vec<StepAcc>,
+    energies: Vec<FixedAcc>,
     step: usize,
     reducer: ObjId,
     /// Whether the velocity half-kick from the previous step is pending.
@@ -236,11 +237,20 @@ impl HomePatch {
             velocities: of(&system.velocities),
             forces: vec![Vec3::ZERO; ids.len()],
         };
-        let masses = ids.iter().map(|&a| shared.frame.topology.atoms[a as usize].mass).collect();
+        let masses = ids
+            .iter()
+            .map(|&a| shared.frame.topology.atoms[a as usize].mass)
+            .collect();
+        let sum = ForceMsg {
+            block: vec![Default::default(); ids.len()],
+            ..Default::default()
+        };
         let refresh = match params.thermostat {
-            Thermostat::Langevin { target_k, gamma, seed } => {
-                Some(OuRefresh::new(target_k, gamma, params.dt_fs, seed))
-            }
+            Thermostat::Langevin {
+                target_k,
+                gamma,
+                seed,
+            } => Some(OuRefresh::new(target_k, gamma, params.dt_fs, seed)),
             _ => None,
         };
         HomePatch {
@@ -254,8 +264,8 @@ impl HomePatch {
             received: 0,
             atoms,
             masses,
-            pending: Vec::new(),
-            energies: vec![StepAcc::default(); params.n_steps],
+            sum,
+            energies: vec![FixedAcc::default(); params.n_steps],
             step: 0,
             reducer,
             started: false,
@@ -289,9 +299,11 @@ impl HomePatch {
     fn publish(&self, ctx: &mut Ctx) {
         let bytes = self.n_atoms() * costmodel::BYTES_PER_ATOM;
         let coords = match self.params.force_mode {
-            ForceMode::Real => {
-                CoordMsg { patch: self.atoms.patch, positions: self.atoms.positions.clone() }.pack()
+            ForceMode::Real => CoordMsg {
+                patch: self.atoms.patch,
+                positions: self.atoms.positions.clone(),
             }
+            .pack(),
             // Counted mode has no live state to ship.
             ForceMode::Counted => Vec::new(),
         };
@@ -319,32 +331,19 @@ impl HomePatch {
         }
     }
 
-    /// Fold the step's buffered force parts into `atoms.forces` (from zero)
-    /// and this step's energies, in compute order. Each compute sends a
-    /// patch one part per step, so the fold order — and therefore every
-    /// rounding decision — is the same however the messages were scheduled
-    /// and wherever the computes ran.
-    fn fold_pending(&mut self) {
-        self.atoms.forces.fill(Vec3::ZERO);
-        self.pending.sort_unstable_by_key(|p| p.compute);
-        for part in self.pending.drain(..) {
-            debug_assert!(part.block.is_empty() || part.block.len() == self.atoms.forces.len());
-            for (acc, f) in self.atoms.forces.iter_mut().zip(part.block.iter()) {
-                *acc += *f;
-            }
-            self.energies[self.step].merge(&part.energy);
-        }
-    }
-
-    /// First half of the step's velocity-Verlet update (Real mode): fold
-    /// the pending force payloads, complete the previous step's second
-    /// half-kick, and record kinetic energy. Leaves the step's total force
-    /// in `atoms.forces` so [`HomePatch::integrate_second_half`] re-derives
-    /// the bitwise-identical acceleration — which is what lets the Berendsen
-    /// barrier split the step without changing any bits.
+    /// First half of the step's velocity-Verlet update (Real mode): convert
+    /// the step's force sum to f64 once (and reset it), complete the
+    /// previous step's second half-kick, and record kinetic energy. Leaves
+    /// the step's total force in `atoms.forces` so
+    /// [`HomePatch::integrate_second_half`] re-derives the bitwise-identical
+    /// acceleration — which is what lets the Berendsen barrier split the
+    /// step without changing any bits.
     fn integrate_first_half(&mut self) {
-        self.fold_pending();
-        // Reciprocal-space forces are folded in only on PME steps, weighted
+        for (f, q) in self.atoms.forces.iter_mut().zip(&mut self.sum.block) {
+            *f = force_f64(std::mem::take(q));
+        }
+        let mut energy = std::mem::take(&mut self.sum.energy);
+        // Reciprocal-space forces are added only on PME steps, weighted
         // by the cadence (r-RESPA's impulse; ×1.0 at every step is exact).
         let pme = if self.pme_step() {
             self.shared.pme_real.as_ref().map(|m| m.lock().unwrap())
@@ -369,7 +368,11 @@ impl HomePatch {
             let v = self.atoms.velocities[slot];
             kinetic += 0.5 * m * v.norm2() * units::KE;
         }
-        self.energies[self.step].kinetic += kinetic;
+        energy += FixedAcc::from_f64(&StepAcc {
+            kinetic,
+            ..Default::default()
+        });
+        self.energies[self.step] = energy;
     }
 
     /// Second half of the step (Real mode): first half-kick and drift into
@@ -427,31 +430,29 @@ impl HomePatch {
         } else {
             let energies = match self.params.force_mode {
                 ForceMode::Real => EnergiesMsg {
-                    from: ctx.this().0,
                     steps: std::mem::take(&mut self.energies),
                 }
                 .pack(),
                 ForceMode::Counted => Vec::new(),
             };
-            ctx.send(self.reducer, self.entries.done, SIGNAL_BYTES, PRIO_NORMAL, energies);
+            ctx.send(
+                self.reducer,
+                self.entries.done,
+                SIGNAL_BYTES,
+                PRIO_NORMAL,
+                energies,
+            );
         }
-    }
-
-    /// Buffer a force payload (if any) for the step's ordered fold.
-    /// Signal-only messages (Counted mode, most PME potential blocks) carry
-    /// nothing — an empty payload means "no data" and every packed
-    /// [`ForceMsg`] is non-empty, so the two cannot collide.
-    fn absorb(&mut self, payload: Payload) {
-        if payload.is_empty() {
-            return;
-        }
-        self.pending.extend(ForceMsg::unpack(&payload).expect("malformed ForceMsg payload").parts);
     }
 
     /// This patch's post-half-kick velocities v_k for the barrier chare,
     /// which may live in a different OS process.
     fn pack_barrier(&self) -> Payload {
-        BarrierMsg { patch: self.atoms.patch, velocities: self.atoms.velocities.clone() }.pack()
+        BarrierMsg {
+            patch: self.atoms.patch,
+            velocities: self.atoms.velocities.clone(),
+        }
+        .pack()
     }
 }
 
@@ -461,7 +462,13 @@ impl Chare for HomePatch {
             // Bootstrap: publish step-0 coordinates.
             self.publish(ctx);
         } else if entry == self.entries.patch_forces {
-            self.absorb(payload);
+            // Signal-only messages (Counted mode, most PME potential blocks)
+            // are empty, and every packed `ForceMsg` is not.
+            if !payload.is_empty() {
+                self.sum
+                    .add_packed(&payload)
+                    .expect("malformed ForceMsg payload");
+            }
             self.received += 1;
             debug_assert!(self.received <= self.expected_now());
             if self.received == self.expected_now() {
@@ -484,7 +491,13 @@ impl Chare for HomePatch {
                     // resumes every patch with the rescale factor.
                     let barrier = self.barrier.expect("barrier_now implies a barrier chare");
                     let state = self.pack_barrier();
-                    ctx.send(barrier, self.entries.barrier_ready, SIGNAL_BYTES, PRIO_HIGH, state);
+                    ctx.send(
+                        barrier,
+                        self.entries.barrier_ready,
+                        SIGNAL_BYTES,
+                        PRIO_HIGH,
+                        state,
+                    );
                     return;
                 }
             }
@@ -538,8 +551,8 @@ impl Chare for HomePatch {
 }
 
 /// A proxy patch: stands in for a remote home patch on this processor,
-/// forwarding its coordinates to the local computes and their force
-/// contributions, gathered into one message, to the home patch.
+/// forwarding its coordinates to the local computes and the sum of their
+/// force contributions, on one message, to the home patch.
 pub struct ProxyPatch {
     entries: Entries,
     home: ObjId,
@@ -548,8 +561,9 @@ pub struct ProxyPatch {
     /// Force contributions expected per step (= local_computes needing it).
     expected: usize,
     received: usize,
-    /// Packed force messages received this step, forwarded as one.
-    pending: Vec<Payload>,
+    /// This step's force messages added into one; `None` until the first
+    /// arrives (Counted mode sends none).
+    sum: Option<ForceMsg>,
     n_atoms: usize,
     /// Unpacking cost per coordinate message, work units.
     unpack_work: f64,
@@ -569,7 +583,7 @@ impl ProxyPatch {
             local_computes,
             expected,
             received: 0,
-            pending: Vec::new(),
+            sum: None,
             n_atoms,
             unpack_work: n_atoms as f64 * 0.3,
         }
@@ -583,24 +597,24 @@ impl Chare for ProxyPatch {
             ready_all(ctx, &self.local_computes, self.entries.ready, payload);
         } else if entry == self.entries.proxy_forces {
             if !payload.is_empty() {
-                self.pending.push(payload);
+                let sum = self.sum.get_or_insert_with(ForceMsg::default);
+                sum.add_packed(&payload)
+                    .expect("malformed ForceMsg payload");
             }
             self.received += 1;
             debug_assert!(self.received <= self.expected);
             if self.received == self.expected {
                 self.received = 0;
                 ctx.add_work(self.unpack_work);
-                // Forward the parts as they came: summing them here would
-                // make the home patch's fold depend on the placement.
-                let payload: Payload = if self.pending.is_empty() {
-                    Vec::new()
-                } else {
-                    let joined = ForceMsg::concat(&self.pending).expect("malformed ForceMsg payload");
-                    self.pending.clear();
-                    joined
-                };
+                let payload = self.sum.take().map(|sum| sum.pack()).unwrap_or_default();
                 let bytes = self.n_atoms * costmodel::BYTES_PER_ATOM;
-                ctx.send(self.home, self.entries.patch_forces, bytes, PRIO_HIGH, payload);
+                ctx.send(
+                    self.home,
+                    self.entries.patch_forces,
+                    bytes,
+                    PRIO_HIGH,
+                    payload,
+                );
             }
         } else {
             unreachable!("ProxyPatch got unexpected entry {entry:?}");
@@ -706,14 +720,15 @@ impl ComputeChare {
     }
 
     /// Run the real force kernels on the coordinates this compute was sent.
-    /// Returns one force block per patch in `spec.patches` order and the
-    /// energies evaluated.
-    fn execute_real(&mut self, ctx: &mut Ctx) -> (Vec<ForceBlock>, StepAcc) {
+    /// Returns one f64 force block per patch in `spec.patches` order, one
+    /// force per atom of the patch in `decomp.grid.atoms[patch]` order, and
+    /// the energies evaluated.
+    fn execute_real(&mut self, ctx: &mut Ctx) -> (Vec<Vec<Vec3>>, StepAcc) {
         let shared = &self.shared;
         let spec = &shared.decomp.computes[self.index];
         let cell = &shared.frame.cell;
         let mut acc = StepAcc::default();
-        let mut blocks: Vec<ForceBlock> = spec
+        let mut blocks: Vec<Vec<Vec3>> = spec
             .patches
             .iter()
             .map(|&p| vec![Vec3::ZERO; shared.decomp.grid.atoms[p].len()])
@@ -838,23 +853,16 @@ impl Chare for ComputeChare {
             let mut real = match self.params.force_mode {
                 ForceMode::Real => Some(self.execute_real(ctx)),
                 ForceMode::Counted => {
-                    ctx.add_work(
-                        self.shared.decomp.computes[self.index].work * self.work_scale,
-                    );
+                    ctx.add_work(self.shared.decomp.computes[self.index].work * self.work_scale);
                     None
                 }
             };
             for (k, &(target, entry, bytes)) in self.targets.iter().enumerate() {
                 let payload: Payload = match &mut real {
                     // The energies ride the first block, zeros the rest.
-                    Some((blocks, energy)) => ForceMsg {
-                        parts: vec![ForcePart {
-                            compute: self.index as u32,
-                            block: std::mem::take(&mut blocks[k]),
-                            energy: std::mem::take(energy),
-                        }],
+                    Some((blocks, energy)) => {
+                        ForceMsg::pack_f64(&blocks[k], &std::mem::take(energy))
                     }
-                    .pack(),
                     None => Vec::new(),
                 };
                 ctx.send(target, entry, bytes, PRIO_HIGH, payload);
@@ -913,7 +921,11 @@ impl SlabChare {
         fft_work: f64,
         transpose_bytes: usize,
     ) -> Self {
-        let n_atoms = if shared.pme_real.is_some() { shared.frame.topology.n_atoms() } else { 0 };
+        let n_atoms = if shared.pme_real.is_some() {
+            shared.frame.topology.n_atoms()
+        } else {
+            0
+        };
         SlabChare {
             shared,
             entries,
@@ -967,7 +979,9 @@ impl Chare for SlabChare {
                 self.try_finish(ctx);
             }
         } else if entry == self.entries.slab_transpose {
-            let round = Dec::new(&payload).u64("transpose round").expect("malformed transpose");
+            let round = Dec::new(&payload)
+                .u64("transpose round")
+                .expect("malformed transpose");
             if round == self.rounds as u64 {
                 self.absorb_transpose(&payload);
                 self.try_finish(ctx);
@@ -987,7 +1001,10 @@ impl SlabChare {
         let mut d = Dec::new(payload);
         d.u64("transpose round").expect("malformed transpose");
         while d.remaining() > 0 {
-            self.collect(&d.bytes("transposed CoordMsg").expect("malformed transpose payload"));
+            self.collect(
+                &d.bytes("transposed CoordMsg")
+                    .expect("malformed transpose payload"),
+            );
         }
         self.transposes_received += 1;
         debug_assert!(self.transposes_received <= self.peers.len());
@@ -1015,9 +1032,8 @@ impl SlabChare {
     /// into the PME force buffer — safe, because the transposes it waited
     /// for carried every patch's coordinates for this step, and no patch
     /// can integrate before this slab's potential message arrives. The
-    /// round's energy leaves on the lowest-numbered slab's first potential
-    /// message, whichever slab evaluated it, so where it is folded in does
-    /// not depend on arrival order.
+    /// round's energy leaves once, on the lowest-numbered slab's first
+    /// potential message, whichever slab evaluated it.
     fn finish(&mut self, ctx: &mut Ctx) {
         ctx.add_work(self.fft_work * 0.5);
         let mut energy = None;
@@ -1026,7 +1042,13 @@ impl SlabChare {
             if pr.rounds_done == self.rounds {
                 pr.rounds_done += 1;
                 let frame = &self.shared.frame;
-                let crate::state::PmeReal { solver, ewald, charges, forces, .. } = &mut *pr;
+                let crate::state::PmeReal {
+                    solver,
+                    ewald,
+                    charges,
+                    forces,
+                    ..
+                } = &mut *pr;
                 forces.fill(Vec3::ZERO);
                 let recip = solver.reciprocal(&self.positions, charges, forces);
                 let corr_ex = pme::ewald::exclusion_correction(
@@ -1041,7 +1063,10 @@ impl SlabChare {
                 pr.energy = recip.reciprocal + corr_ex + corr_self;
             }
             if self.peers.iter().all(|p| ctx.this() < *p) {
-                energy = Some(StepAcc { e_elec: pr.energy, ..Default::default() });
+                energy = Some(StepAcc {
+                    e_elec: pr.energy,
+                    ..Default::default()
+                });
             }
         }
         self.rounds += 1;
@@ -1050,10 +1075,7 @@ impl SlabChare {
         }
         for &(patch, bytes) in &self.patches {
             let payload = match energy.take() {
-                Some(energy) => {
-                    let part = ForcePart { compute: RECIPROCAL, block: Vec::new(), energy };
-                    ForceMsg { parts: vec![part] }.pack()
-                }
+                Some(energy) => ForceMsg::pack_f64(&[], &energy),
                 None => Vec::new(),
             };
             ctx.send(patch, self.entries.patch_forces, bytes, PRIO_HIGH, payload);
@@ -1061,39 +1083,38 @@ impl SlabChare {
     }
 }
 
-/// Counts patch completions and folds the patches' per-step energies in
-/// ascending patch order; stops the engine when all patches finish. The
-/// engine reads the folded energies back through `harvest_state`.
+/// Counts patch completions and adds the patches' per-step energies, as
+/// integers, in arrival order; stops the engine when all patches finish.
+/// The engine reads the sums back through `harvest_state`.
 pub struct Reducer {
     expected: usize,
     received: usize,
-    pending: Vec<EnergiesMsg>,
     total: EnergiesMsg,
 }
 
 impl Reducer {
     pub fn new(expected: usize) -> Self {
-        let total = EnergiesMsg { from: 0, steps: Vec::new() };
-        Reducer { expected, received: 0, pending: Vec::new(), total }
+        Reducer {
+            expected,
+            received: 0,
+            total: EnergiesMsg::default(),
+        }
     }
 }
 
 impl Chare for Reducer {
     fn receive(&mut self, _entry: EntryId, payload: Payload, ctx: &mut Ctx) {
         if !payload.is_empty() {
-            self.pending.push(EnergiesMsg::unpack(&payload).expect("malformed EnergiesMsg payload"));
+            let msg = EnergiesMsg::unpack(&payload).expect("malformed EnergiesMsg payload");
+            self.total
+                .steps
+                .resize(msg.steps.len(), FixedAcc::default());
+            for (acc, s) in self.total.steps.iter_mut().zip(msg.steps) {
+                *acc += s;
+            }
         }
         self.received += 1;
         if self.received == self.expected {
-            // Home patch object ids ascend with the patch index.
-            self.pending.sort_by_key(|m| m.from);
-            self.total.from = ctx.this().0;
-            for msg in self.pending.drain(..) {
-                self.total.steps.resize(msg.steps.len(), StepAcc::default());
-                for (dst, src) in self.total.steps.iter_mut().zip(&msg.steps) {
-                    dst.merge(src);
-                }
-            }
             ctx.stop();
         }
     }
@@ -1142,7 +1163,14 @@ impl BarrierChare {
         patches: Vec<ObjId>,
         berendsen: (Berendsen, f64),
     ) -> Self {
-        BarrierChare { shared, entries, patches, received: 0, pending: Vec::new(), berendsen }
+        BarrierChare {
+            shared,
+            entries,
+            patches,
+            received: 0,
+            pending: Vec::new(),
+            berendsen,
+        }
     }
 }
 
@@ -1151,7 +1179,8 @@ impl Chare for BarrierChare {
         if entry != self.entries.barrier_ready {
             unreachable!("BarrierChare got unexpected entry {entry:?}");
         }
-        self.pending.push(BarrierMsg::unpack(&payload).expect("malformed BarrierMsg payload"));
+        self.pending
+            .push(BarrierMsg::unpack(&payload).expect("malformed BarrierMsg payload"));
         self.received += 1;
         debug_assert!(self.received <= self.patches.len());
         if self.received < self.patches.len() {
@@ -1176,7 +1205,13 @@ impl Chare for BarrierChare {
         ctx.add_work(atoms.len() as f64 * costmodel::WORK_PER_ATOM_INTEGRATION);
         let resume = self.entries.barrier_resume;
         for &p in &self.patches {
-            ctx.send(p, resume, SIGNAL_BYTES, PRIO_HIGH, lambda.to_le_bytes().to_vec());
+            ctx.send(
+                p,
+                resume,
+                SIGNAL_BYTES,
+                PRIO_HIGH,
+                lambda.to_le_bytes().to_vec(),
+            );
         }
     }
 }

@@ -22,7 +22,7 @@ use crate::chares::{
 use crate::config::{ForceMode, LbStrategy, SimConfig, Thermostat};
 use crate::costmodel;
 use crate::decomp::{self, Decomposition};
-use crate::messages::{EnergiesMsg, PatchStateMsg};
+use crate::messages::{EnergiesMsg, FixedAcc, PatchStateMsg};
 use crate::nbcache::PairlistCache;
 use crate::state::{Frame, Shared, SimState, StepAcc};
 use charmrt::{ObjId, Pe, Runtime, SummaryStats, Trace, WireCodec, PRIO_NORMAL};
@@ -256,15 +256,16 @@ impl Engine {
     /// Like [`Engine::new`] but reusing a prebuilt decomposition — the
     /// decomposition (and its pair counting) is independent of the PE count,
     /// so scaling sweeps build it once and share it across configurations.
-    pub fn with_decomposition(
-        system: System,
-        decomp: Decomposition,
-        config: SimConfig,
-    ) -> Engine {
-        assert!(decomp.grid.n_patches() > 0, "decomposition must cover the system");
+    pub fn with_decomposition(system: System, decomp: Decomposition, config: SimConfig) -> Engine {
+        assert!(
+            decomp.grid.n_patches() > 0,
+            "decomposition must cover the system"
+        );
         // Struct-literal configurations get the same typed diagnostics as
         // the builder, just as a panic instead of a Result.
-        config.validate().unwrap_or_else(|e| panic!("invalid SimConfig: {e}"));
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid SimConfig: {e}"));
         let (patch_pe, placement) = Self::static_placement(&decomp, config.n_pes);
         let n = system.n_atoms();
         // Real force mode + full electrostatics: the slab chares evaluate
@@ -272,11 +273,11 @@ impl Engine {
         // so the real-space kernels use erfc screening).
         let pme_real = match (&config.force_mode, config.pme) {
             (ForceMode::Real, Some(p)) => {
-                let beta = system.forcefield.ewald_beta.expect(
-                    "Real-mode PME needs ForceField::with_ewald (erfc real space)",
-                );
-                let params =
-                    pme::mesh::PmeParams::for_cell(&system.cell, beta, p.mesh_spacing);
+                let beta = system
+                    .forcefield
+                    .ewald_beta
+                    .expect("Real-mode PME needs ForceField::with_ewald (erfc real space)");
+                let params = pme::mesh::PmeParams::for_cell(&system.cell, beta, p.mesh_spacing);
                 Some(std::sync::Mutex::new(crate::state::PmeReal {
                     solver: pme::mesh::Pme::new(&system.cell, params),
                     ewald: pme::ewald::EwaldParams {
@@ -295,7 +296,10 @@ impl Engine {
         let n_computes = decomp.computes.len();
         let shared = Arc::new(Shared {
             frame: Frame::of(&system),
-            state: std::sync::RwLock::new(SimState { system, forces: vec![Vec3::ZERO; n] }),
+            state: std::sync::RwLock::new(SimState {
+                system,
+                forces: vec![Vec3::ZERO; n],
+            }),
             decomp,
             pme_real,
             nb_cache: PairlistCache::new(n_computes),
@@ -360,8 +364,11 @@ impl Engine {
             .collect();
         let weights = decomp.grid.patch_weights();
         let patch_pe = lb::rcb(&centers, &weights, n_pes);
-        let placement: Vec<Pe> =
-            decomp.computes.iter().map(|c| patch_pe[c.patches[0]]).collect();
+        let placement: Vec<Pe> = decomp
+            .computes
+            .iter()
+            .map(|c| patch_pe[c.patches[0]])
+            .collect();
         (patch_pe, placement)
     }
 
@@ -387,9 +394,15 @@ impl Engine {
     pub(crate) fn rebuild(&mut self) {
         let shared = Arc::get_mut(&mut self.shared)
             .expect("migrate_atoms must run between phases (no live engine objects)");
-        let decomp =
-            decomp::build(&shared.state.get_mut().expect("state lock poisoned").system, &self.config);
-        debug_assert_eq!(decomp.grid.n_patches(), self.patch_pe.len(), "the grid is the cell's");
+        let decomp = decomp::build(
+            &shared.state.get_mut().expect("state lock poisoned").system,
+            &self.config,
+        );
+        debug_assert_eq!(
+            decomp.grid.n_patches(),
+            self.patch_pe.len(),
+            "the grid is the cell's"
+        );
         let old = std::mem::replace(&mut shared.decomp, decomp);
         let pred = decomp::predecessors(&old.computes, &shared.decomp.computes);
         // Patch membership changed: every cached candidate list and SoA
@@ -404,9 +417,14 @@ impl Engine {
             .zip(computes)
             .map(|(p, c)| p.map_or(self.patch_pe[c.patches[0]], |i| self.placement[i]))
             .collect();
-        self.drift = pred.iter().map(|p| p.map_or(1.0, |i| self.drift[i])).collect();
+        self.drift = pred
+            .iter()
+            .map(|p| p.map_or(1.0, |i| self.drift[i]))
+            .collect();
         self.last_loads = if self.last_loads.len() == old.computes.len() {
-            pred.iter().map(|p| p.map_or(0.0, |i| self.last_loads[i])).collect()
+            pred.iter()
+                .map(|p| p.map_or(0.0, |i| self.last_loads[i]))
+                .collect()
         } else {
             Vec::new()
         };
@@ -438,7 +456,10 @@ impl Engine {
                 None => return 0,
             }
         } else {
-            ("refine", lb::refine(&problem, &current, lb::RefineParams::default()).0)
+            (
+                "refine",
+                lb::refine(&problem, &current, lb::RefineParams::default()).0,
+            )
         };
         self.audit_lb(strategy, &problem, &map, &current, &assignment);
         self.apply_assignment(&map, &assignment)
@@ -563,7 +584,9 @@ impl Engine {
     /// phases.
     pub fn try_run_phase(&mut self, n_steps: usize) -> Result<PhaseResult, PhaseCrash> {
         let cfg = &self.config;
-        let mut rt = cfg.backend.runtime(cfg.n_pes, cfg.machine, cfg.socket_dir.as_deref());
+        let mut rt = cfg
+            .backend
+            .runtime(cfg.n_pes, cfg.machine, cfg.socket_dir.as_deref());
         self.try_run_phase_on(rt.as_mut(), n_steps)
     }
 
@@ -579,7 +602,9 @@ impl Engine {
         assert!(n_steps > 0);
         // Re-validate each phase: the config is a public field, so a
         // caller may have mutated it since construction.
-        self.config.validate().unwrap_or_else(|e| panic!("invalid SimConfig: {e}"));
+        self.config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid SimConfig: {e}"));
         // Profiled phases need the trace even when `cfg.tracing` is off.
         let profiling = self.metrics.as_ref().is_some_and(|m| m.wants_trace());
         let cfg = &self.config;
@@ -605,9 +630,10 @@ impl Engine {
         // The Berendsen barrier, at every step s ≥ 1 of the phase (s = 0 is
         // the previous phase's final step, which already paused there).
         let berendsen = match cfg.thermostat {
-            Thermostat::Berendsen { target_k, tau_fs } => {
-                Some((mdcore::thermostat::Berendsen { target_k, tau_fs }, cfg.dt_fs))
-            }
+            Thermostat::Berendsen { target_k, tau_fs } => Some((
+                mdcore::thermostat::Berendsen { target_k, tau_fs },
+                cfg.dt_fs,
+            )),
             _ => None,
         };
         let params = RunParams {
@@ -634,8 +660,11 @@ impl Engine {
             }
         }
         // Number proxies in sorted key order so ids match registration order.
-        let proxy_index: BTreeMap<(usize, Pe), usize> =
-            proxy_keys.into_iter().enumerate().map(|(k, key)| (key, k)).collect();
+        let proxy_index: BTreeMap<(usize, Pe), usize> = proxy_keys
+            .into_iter()
+            .enumerate()
+            .map(|(k, key)| (key, k))
+            .collect();
         let n_proxies = proxy_index.len();
         let reducer_id = ObjId(0);
         let patch_id = |p: usize| ObjId(1 + p as u32);
@@ -669,7 +698,9 @@ impl Engine {
         let slab_plan = cfg.pme.map(|pme| {
             let n_slabs = pme.slabs.clamp(1, n_patches);
             let mesh_dim = |l: f64| {
-                ((l / pme.mesh_spacing).ceil() as usize).next_power_of_two().max(4)
+                ((l / pme.mesh_spacing).ceil() as usize)
+                    .next_power_of_two()
+                    .max(4)
             };
             let cell = decomp.grid.cell;
             let mesh_points =
@@ -689,8 +720,8 @@ impl Engine {
         };
         // The barrier chare takes the next dense id after the slabs.
         let n_slabs = slab_plan.as_ref().map_or(0, |sp| sp.n_slabs);
-        let barrier_id = berendsen
-            .map(|_| ObjId((1 + n_patches + n_proxies + n_computes + n_slabs) as u32));
+        let barrier_id =
+            berendsen.map(|_| ObjId((1 + n_patches + n_proxies + n_computes + n_slabs) as u32));
 
         // ---- Register objects in id order ---------------------------------
         let reg = rt.register(Box::new(Reducer::new(n_patches)), 0, false);
@@ -753,9 +784,8 @@ impl Engine {
             // A compute "feeds remote patches" when any force target is a
             // proxy (its results must cross the network before some patch
             // can integrate).
-            let feeds_remote =
-                targets.iter().any(|&(_, e, _)| e == entries.proxy_forces)
-                    || c.patches.iter().any(|&p| self.patch_pe[p] != pe);
+            let feeds_remote = targets.iter().any(|&(_, e, _)| e == entries.proxy_forces)
+                || c.patches.iter().any(|&p| self.patch_pe[p] != pe);
             let exec_priority = if cfg.prioritize_remote && feeds_remote {
                 charmrt::PRIO_HIGH
             } else {
@@ -778,12 +808,14 @@ impl Engine {
         if let Some(sp) = &slab_plan {
             let slab_id = |k: usize| ObjId((sp.id_base + k) as u32);
             for k in 0..sp.n_slabs {
-                let peers: Vec<ObjId> =
-                    (0..sp.n_slabs).filter(|&j| j != k).map(slab_id).collect();
+                let peers: Vec<ObjId> = (0..sp.n_slabs).filter(|&j| j != k).map(slab_id).collect();
                 let patches: Vec<(ObjId, usize)> = (0..n_patches)
                     .filter(|p| p % sp.n_slabs == k)
                     .map(|p| {
-                        (patch_id(p), decomp.grid.atoms[p].len() * costmodel::BYTES_PER_ATOM)
+                        (
+                            patch_id(p),
+                            decomp.grid.atoms[p].len() * costmodel::BYTES_PER_ATOM,
+                        )
                     })
                     .collect();
                 debug_assert!(!patches.is_empty());
@@ -863,7 +895,7 @@ impl Engine {
             .map(|j| snapshot.objects[compute_id(j).idx()].load)
             .collect();
         // Real mode: the patches hand their atoms back and the reducer the
-        // energies it folded — on every backend through the objects' own
+        // energies it summed — on every backend through the objects' own
         // `harvest_state`, the path that also crosses `proc`'s process
         // boundary.
         let mut energies = Vec::new();
@@ -881,7 +913,10 @@ impl Engine {
             }
             energies = EnergiesMsg::unpack(&rt.object(reducer_id).harvest_state())
                 .expect("the reducer harvests its EnergiesMsg")
-                .steps;
+                .steps
+                .iter()
+                .map(FixedAcc::to_f64)
+                .collect();
         }
 
         // Remember harvest + progress for checkpoint snapshots: a snapshot
@@ -956,7 +991,10 @@ impl Engine {
         let mut map = Vec::new();
         for (j, c) in decomp.computes.iter().enumerate() {
             if c.migratable {
-                computes.push(lb::ComputeSpec { load: loads[j], patches: c.patches.clone() });
+                computes.push(lb::ComputeSpec {
+                    load: loads[j],
+                    patches: c.patches.clone(),
+                });
                 map.push(j);
             }
         }
@@ -996,7 +1034,9 @@ impl Engine {
         current: &[Pe],
         assignment: &[Pe],
     ) {
-        let Some(reg) = self.metrics.as_mut() else { return };
+        let Some(reg) = self.metrics.as_mut() else {
+            return;
+        };
         let predicted = |asg: &[Pe]| {
             let mut loads = problem.background.clone();
             for (k, c) in problem.computes.iter().enumerate() {
@@ -1009,7 +1049,11 @@ impl Engine {
             .zip(assignment)
             .enumerate()
             .filter(|(_, (from, to))| from != to)
-            .map(|(k, (&from, &to))| profile::Migration { compute: map[k], from, to })
+            .map(|(k, (&from, &to))| profile::Migration {
+                compute: map[k],
+                from,
+                to,
+            })
             .collect();
         let audit = profile::LbAudit {
             phase: reg.phases.len().saturating_sub(1),
@@ -1064,8 +1108,7 @@ impl Engine {
     /// Modeled GFLOPS at a given per-step time, rated the paper's way:
     /// single-processor FLOP count per step divided by parallel step time.
     pub fn gflops(&self, time_per_step: f64) -> f64 {
-        let work =
-            self.decomp().total_compute_work() + self.decomp().total_integration_work();
+        let work = self.decomp().total_compute_work() + self.decomp().total_integration_work();
         costmodel::flops(work) / time_per_step / 1e9
     }
 }
@@ -1133,7 +1176,9 @@ mod tests {
         let sys = small_system();
         let mut times = Vec::new();
         for n_pes in [1usize, 4, 16] {
-            let cfg = SimConfig::builder(n_pes, presets::asci_red()).build().unwrap();
+            let cfg = SimConfig::builder(n_pes, presets::asci_red())
+                .build()
+                .unwrap();
             let mut eng = Engine::new(sys.clone(), cfg);
             times.push(phases(&mut eng, 2, 3)[2].time_per_step);
         }
@@ -1148,7 +1193,10 @@ mod tests {
         // Static placement, greedy, refined.
         let run = phases(&mut eng, 2, 3);
         let (initial, last) = (run[0].time_per_step, run[2].time_per_step);
-        assert!(last <= initial * 1.02, "LB should not hurt: {initial} -> {last}");
+        assert!(
+            last <= initial * 1.02,
+            "LB should not hurt: {initial} -> {last}"
+        );
     }
 
     #[test]
@@ -1245,17 +1293,26 @@ mod tests {
         let before = eng.decomp().computes.clone();
         eng.migrate_atoms();
         let pred = decomp::predecessors(&before, &eng.decomp().computes);
-        assert!(pred.iter().enumerate().any(|(j, &p)| p != Some(j)), "no index shifted");
-        let expected: Vec<f64> =
-            pred.iter().map(|p| p.map_or(0.0, |i| r.compute_loads[i])).collect();
+        assert!(
+            pred.iter().enumerate().any(|(j, &p)| p != Some(j)),
+            "no index shifted"
+        );
+        let expected: Vec<f64> = pred
+            .iter()
+            .map(|p| p.map_or(0.0, |i| r.compute_loads[i]))
+            .collect();
         let snap = eng.snapshot();
-        assert_eq!(snap.loads, expected, "the boundary snapshot's loads are not carried");
+        assert_eq!(
+            snap.loads, expected,
+            "the boundary snapshot's loads are not carried"
+        );
 
         let mut restored = Engine::new(sys, cfg);
         restored.restore(&snap).unwrap();
         let computes = &restored.decomp().computes;
         assert_eq!(computes.len(), expected.len());
-        let (problem, map) = restored.lb_problem_on(&restored.last_loads, &restored.last_background);
+        let (problem, map) =
+            restored.lb_problem_on(&restored.last_loads, &restored.last_background);
         for (k, &j) in map.iter().enumerate() {
             assert_eq!(problem.computes[k].patches, computes[j].patches);
             assert_eq!(problem.computes[k].load, expected[j], "compute {j}");

@@ -46,19 +46,6 @@ impl StepAcc {
     pub fn total(&self) -> f64 {
         self.potential() + self.kinetic
     }
-
-    /// Accumulate another record into this one.
-    pub fn merge(&mut self, other: &StepAcc) {
-        self.e_lj += other.e_lj;
-        self.e_elec += other.e_elec;
-        self.e_bond += other.e_bond;
-        self.e_angle += other.e_angle;
-        self.e_dihedral += other.e_dihedral;
-        self.e_improper += other.e_improper;
-        self.e_restraint += other.e_restraint;
-        self.kinetic += other.kinetic;
-        self.pairs += other.pairs;
-    }
 }
 
 /// The simulation state between phases: current after every completed
@@ -142,16 +129,5 @@ mod tests {
         };
         assert_eq!(acc.potential(), 22.5);
         assert_eq!(acc.total(), 29.5);
-    }
-
-    #[test]
-    fn step_acc_merge_adds_componentwise() {
-        let mut a = StepAcc { e_lj: 1.0, kinetic: 2.0, pairs: 3, ..Default::default() };
-        let b = StepAcc { e_lj: 0.5, e_bond: 4.0, pairs: 7, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.e_lj, 1.5);
-        assert_eq!(a.e_bond, 4.0);
-        assert_eq!(a.kinetic, 2.0);
-        assert_eq!(a.pairs, 10);
     }
 }

@@ -38,6 +38,13 @@ pub const ZOO_CUTOFF: f64 = 8.0;
 /// Bulk water atom density the generators target, atoms/Å³.
 const WATER_DENSITY: f64 = 0.10;
 
+/// Largest per-atom force a built scenario starts with, kcal/mol/Å. The
+/// builders can lay atoms on top of one another (`polymer-melt` and the
+/// growing/shrinking ramps start at up to 10^10), which blows a deck up in
+/// its first steps; a short steepest descent brings such a deck under this
+/// bound and leaves every other deck as built.
+const MAX_START_FORCE: f64 = 1e5;
+
 /// Qualitative shape of a scenario's spatial load distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImbalanceProfile {
@@ -127,7 +134,11 @@ impl Scenario {
 
     /// Atom count at an arbitrary size fraction.
     pub fn atoms_at(&self, frac: f64) -> usize {
-        if frac == 1.0 { self.inner.n_atoms } else { self.inner.scaled(frac).n_atoms }
+        if frac == 1.0 {
+            self.inner.n_atoms
+        } else {
+            self.inner.scaled(frac).n_atoms
+        }
     }
 
     /// Build the full-size system (stage fraction 1.0).
@@ -143,13 +154,17 @@ impl Scenario {
     /// Build the system at an arbitrary size fraction — the weak-scaling
     /// knob: fraction `p` holds atoms-per-PE fixed across `p` PEs.
     pub fn build_scaled(&self, frac: f64) -> System {
-        let bench = if frac == 1.0 { self.inner.clone() } else { self.inner.scaled(frac) };
-        let sys = bench.build();
-        if self.vacuum_expand > 1.0 {
-            embed_in_vacuum(sys, self.vacuum_expand)
+        let bench = if frac == 1.0 {
+            self.inner.clone()
         } else {
-            sys
+            self.inner.scaled(frac)
+        };
+        let mut sys = bench.build();
+        if self.vacuum_expand > 1.0 {
+            sys = embed_in_vacuum(sys, self.vacuum_expand);
         }
+        mdcore::minimize::minimize(&mut sys, 50, MAX_START_FORCE);
+        sys
     }
 }
 
@@ -182,7 +197,11 @@ pub fn solvated_box(atoms: usize, seed: u64) -> Scenario {
     Scenario {
         name: "solvated-box",
         profile: ImbalanceProfile::Uniform,
-        budget: ImbalanceBudget { static_max: 2.4, lb_max: 1.30, expected_static_min: 1.0 },
+        budget: ImbalanceBudget {
+            static_max: 2.4,
+            lb_max: 1.30,
+            expected_static_min: 1.0,
+        },
         stages: vec![1.0],
         vacuum_expand: 1.0,
         inner: BenchmarkSystem::from_spec(
@@ -212,7 +231,11 @@ pub fn membrane_slab(atoms: usize, seed: u64) -> Scenario {
     Scenario {
         name: "membrane-slab",
         profile: ImbalanceProfile::Slab,
-        budget: ImbalanceBudget { static_max: 2.4, lb_max: 1.30, expected_static_min: 1.0 },
+        budget: ImbalanceBudget {
+            static_max: 2.4,
+            lb_max: 1.30,
+            expected_static_min: 1.0,
+        },
         stages: vec![1.0],
         vacuum_expand: 1.0,
         inner: BenchmarkSystem::from_spec(
@@ -243,7 +266,11 @@ pub fn polymer_melt(atoms: usize, seed: u64) -> Scenario {
     Scenario {
         name: "polymer-melt",
         profile: ImbalanceProfile::BondedMelt,
-        budget: ImbalanceBudget { static_max: 2.75, lb_max: 1.30, expected_static_min: 1.0 },
+        budget: ImbalanceBudget {
+            static_max: 2.75,
+            lb_max: 1.30,
+            expected_static_min: 1.0,
+        },
         stages: vec![1.0],
         vacuum_expand: 1.0,
         inner: BenchmarkSystem::from_spec(
@@ -271,7 +298,11 @@ pub fn vacuum_droplet(atoms: usize, seed: u64) -> Scenario {
     Scenario {
         name: "vacuum-droplet",
         profile: ImbalanceProfile::Sparse,
-        budget: ImbalanceBudget { static_max: 2.7, lb_max: 1.35, expected_static_min: 1.3 },
+        budget: ImbalanceBudget {
+            static_max: 2.7,
+            lb_max: 1.35,
+            expected_static_min: 1.3,
+        },
         stages: vec![1.0],
         vacuum_expand: 1.8,
         inner: BenchmarkSystem::from_spec(
@@ -305,7 +336,11 @@ pub fn density_hotspot(atoms: usize, seed: u64) -> Scenario {
     Scenario {
         name: "density-hotspot",
         profile: ImbalanceProfile::ClusteredCore,
-        budget: ImbalanceBudget { static_max: 2.5, lb_max: 1.35, expected_static_min: 1.25 },
+        budget: ImbalanceBudget {
+            static_max: 2.5,
+            lb_max: 1.35,
+            expected_static_min: 1.25,
+        },
         stages: vec![1.0],
         vacuum_expand: 1.0,
         inner: BenchmarkSystem::from_spec(
@@ -340,17 +375,16 @@ pub fn shrinking_system(atoms: usize, seed: u64) -> Scenario {
     s
 }
 
-fn dynamic_base(
-    atoms: usize,
-    seed: u64,
-    name: &'static str,
-    spec_name: &'static str,
-) -> Scenario {
+fn dynamic_base(atoms: usize, seed: u64, name: &'static str, spec_name: &'static str) -> Scenario {
     let l = cube_side(atoms, WATER_DENSITY);
     Scenario {
         name,
         profile: ImbalanceProfile::Dynamic,
-        budget: ImbalanceBudget { static_max: 2.35, lb_max: 1.45, expected_static_min: 1.0 },
+        budget: ImbalanceBudget {
+            static_max: 2.35,
+            lb_max: 1.45,
+            expected_static_min: 1.0,
+        },
         stages: vec![1.0],
         vacuum_expand: 1.0,
         inner: BenchmarkSystem::from_spec(
@@ -415,7 +449,11 @@ mod tests {
         for sc in all(TEST_ATOMS, 11) {
             let x = sc.build();
             let y = by_name(sc.name, TEST_ATOMS, 11).unwrap().build();
-            assert!(same_system(&x, &y), "{}: same seed must be bit-identical", sc.name);
+            assert!(
+                same_system(&x, &y),
+                "{}: same seed must be bit-identical",
+                sc.name
+            );
         }
     }
 
@@ -426,7 +464,11 @@ mod tests {
             let x = sc.build();
             let y = other.build();
             assert_eq!(x.n_atoms(), y.n_atoms(), "{}", sc.name);
-            assert_ne!(x.positions, y.positions, "{}: seeds 11/12 identical", sc.name);
+            assert_ne!(
+                x.positions, y.positions,
+                "{}: seeds 11/12 identical",
+                sc.name
+            );
         }
     }
 
@@ -436,7 +478,12 @@ mod tests {
             for k in 0..sc.n_stages() {
                 let sys = sc.build_stage(k);
                 assert!(sys.topology.validate().is_ok(), "{} stage {k}", sc.name);
-                assert_eq!(sys.n_atoms(), sc.atoms_at(sc.stages[k]), "{} stage {k}", sc.name);
+                assert_eq!(
+                    sys.n_atoms(),
+                    sc.atoms_at(sc.stages[k]),
+                    "{} stage {k}",
+                    sc.name
+                );
             }
         }
     }
@@ -451,7 +498,10 @@ mod tests {
         // All atoms sit in the central core, none near the cell faces.
         let l = sys.cell.lengths;
         for &p in &sys.positions {
-            assert!(p.x > 0.15 * l.x && p.x < 0.85 * l.x, "atom at {p:?} outside core");
+            assert!(
+                p.x > 0.15 * l.x && p.x < 0.85 * l.x,
+                "atom at {p:?} outside core"
+            );
         }
     }
 
@@ -460,8 +510,11 @@ mod tests {
         let sc = density_hotspot(4000, 9);
         let sys = sc.build();
         let l = sys.cell.lengths.z;
-        let band =
-            sys.positions.iter().filter(|p| p.z >= 0.4 * l && p.z < 0.6 * l).count();
+        let band = sys
+            .positions
+            .iter()
+            .filter(|p| p.z >= 0.4 * l && p.z < 0.6 * l)
+            .count();
         let bulk = sys.positions.iter().filter(|p| p.z < 0.2 * l).count();
         assert!(
             band as f64 > 1.15 * bulk as f64,

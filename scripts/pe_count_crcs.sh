@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Fail when the PE count changed a trajectory bit in the benchmark's small
-# MD deck. Force sums fold in compute order whatever the placement, so at
-# equal seed every md-small-2pe result document must carry md-small-1pe's
-# state CRCs — crcs.after_warmup and crcs.common_step — although the two
-# runs balance their computes differently, or not at all.
+# MD deck. Force sums are fixed-point integer sums, the same in any order
+# and wherever the computes ran, so at equal seed every md-small-2pe result
+# document must carry md-small-1pe's state CRCs — crcs.after_warmup and
+# crcs.common_step — although the two runs balance their computes
+# differently, or not at all.
 #
 #   scripts/pe_count_crcs.sh [DIR]
 #

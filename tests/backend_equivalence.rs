@@ -13,12 +13,10 @@
 //!   wall-clock* loads, without moving a bit of the trajectory (the
 //!   wall-clock speedup it buys is `tests/lb_wall_clock.rs`).
 
-use namd_repro::charmrt::WireCodec;
 use namd_repro::lb;
 use namd_repro::mdcore::prelude::*;
 use namd_repro::mdcore::thermostat::{Berendsen, Langevin};
 use namd_repro::molgen;
-use namd_repro::namd_core::messages::EnergiesMsg;
 use namd_repro::namd_core::parallel::ParallelSim;
 use namd_repro::namd_core::prelude::*;
 use namd_repro::namd_core::recovery::{advance, Advanced};
@@ -40,7 +38,10 @@ fn restrained_apoa1_small() -> System {
 #[test]
 fn threads_forces_match_sequential_with_restraints() {
     let sys = restrained_apoa1_small();
-    assert!(!sys.topology.restraints.is_empty(), "system must carry restraints");
+    assert!(
+        !sys.topology.restraints.is_empty(),
+        "system must carry restraints"
+    );
 
     let mut f_seq = vec![Vec3::ZERO; sys.n_atoms()];
     let e_seq = namd_repro::mdcore::sim::compute_forces(&sys, &mut f_seq);
@@ -56,22 +57,32 @@ fn threads_forces_match_sequential_with_restraints() {
         e_seq.potential()
     );
     assert!(
-        (acc.e_restraint - e_seq.bonded.restraint).abs() < 1e-8 * e_seq.bonded.restraint.abs().max(1.0),
+        (acc.e_restraint - e_seq.bonded.restraint).abs()
+            < 1e-8 * e_seq.bonded.restraint.abs().max(1.0),
         "restraint energy: threads {} vs sequential {}",
         acc.e_restraint,
         e_seq.bonded.restraint
     );
-    assert!(acc.e_restraint > 0.0, "thermalized system should strain its restraints");
+    assert!(
+        acc.e_restraint > 0.0,
+        "thermalized system should strain its restraints"
+    );
     for (i, (fp, fs)) in par.forces().iter().zip(&f_seq).enumerate() {
         let d = (*fp - *fs).norm();
-        assert!(d < 1e-9 * (1.0 + fs.norm()), "atom {i} force differs by {d}");
+        assert!(
+            d < 1e-9 * (1.0 + fs.norm()),
+            "atom {i} force differs by {d}"
+        );
     }
 }
 
 #[test]
 fn threads_trajectory_matches_sequential_under_berendsen() {
     let sys = restrained_apoa1_small();
-    let berendsen = Berendsen { target_k: 300.0, tau_fs: 100.0 };
+    let berendsen = Berendsen {
+        target_k: 300.0,
+        tau_fs: 100.0,
+    };
 
     let mut seq = sys.clone();
     let mut sim = Simulator::new(&seq, 0.5);
@@ -107,8 +118,14 @@ fn engine_berendsen_is_the_rescale_between_one_step_phases_bit_for_bit() {
     const STEPS: usize = 8;
     const EVERY: usize = 4;
     let sys = restrained_apoa1_small();
-    let berendsen = Berendsen { target_k: 300.0, tau_fs: 100.0 };
-    let thermostat = Thermostat::Berendsen { target_k: 300.0, tau_fs: 100.0 };
+    let berendsen = Berendsen {
+        target_k: 300.0,
+        tau_fs: 100.0,
+    };
+    let thermostat = Thermostat::Berendsen {
+        target_k: 300.0,
+        tau_fs: 100.0,
+    };
     for pes in [1, 2] {
         let mut par = ParallelSim::new(sys.clone(), pes, 0.5).unwrap();
         par.migrate_every = EVERY;
@@ -118,11 +135,24 @@ fn engine_berendsen_is_the_rescale_between_one_step_phases_bit_for_bit() {
             berendsen.apply(&mut par.system_mut(), 0.5);
         }
         let config = thermostat_config(pes, Backend::Threads, thermostat);
-        let mut engine = Engine::new(sys.clone(), SimConfig { dt_fs: 0.5, ..config });
+        let mut engine = Engine::new(
+            sys.clone(),
+            SimConfig {
+                dt_fs: 0.5,
+                ..config
+            },
+        );
         let phases = advance_to(&mut engine, STEPS, EVERY);
-        let records: Vec<StepAcc> = phases.iter().flat_map(|p| p.energies[1..].to_vec()).collect();
+        let records: Vec<StepAcc> = phases
+            .iter()
+            .flat_map(|p| p.energies[1..].to_vec())
+            .collect();
         assert_eq!(records, by_hand, "{pes} PEs: step records differ");
-        assert_eq!(state_crc(&engine), state_crc(par.engine()), "{pes} PEs: state differs");
+        assert_eq!(
+            state_crc(&engine),
+            state_crc(par.engine()),
+            "{pes} PEs: state differs"
+        );
     }
 }
 
@@ -135,8 +165,15 @@ fn threads_forces_match_along_a_langevin_trajectory() {
     let sys = restrained_apoa1_small();
     let mut seq = sys.clone();
     let mut langevin = Langevin::new(&seq, 300.0, 0.05, 1.0, 7);
-    let thermostat = Thermostat::Langevin { target_k: 300.0, gamma: 0.05, seed: 7 };
-    let mut engine = Engine::new(sys.clone(), thermostat_config(2, Backend::Threads, thermostat));
+    let thermostat = Thermostat::Langevin {
+        target_k: 300.0,
+        gamma: 0.05,
+        seed: 7,
+    };
+    let mut engine = Engine::new(
+        sys.clone(),
+        thermostat_config(2, Backend::Threads, thermostat),
+    );
 
     for sample in 1..=3 {
         let e_seq = *langevin.run(&mut seq, 4).last().unwrap();
@@ -152,13 +189,19 @@ fn threads_forces_match_along_a_langevin_trajectory() {
         let par = engine.system().clone();
         for i in (0..seq.positions.len()).step_by(23) {
             let d = (par.positions[i] - seq.positions[i]).norm();
-            assert!(d < 1e-6, "sample {sample}: atom {i} diverged by {d} under Langevin");
+            assert!(
+                d < 1e-6,
+                "sample {sample}: atom {i} diverged by {d} under Langevin"
+            );
         }
         let mut f_seq = vec![Vec3::ZERO; par.n_atoms()];
         namd_repro::mdcore::sim::compute_forces(&par, &mut f_seq);
         for (i, (fp, fs)) in engine.forces().iter().zip(&f_seq).enumerate() {
             let d = (*fp - *fs).norm();
-            assert!(d < 1e-9 * (1.0 + fs.norm()), "sample {sample} atom {i} differs by {d}");
+            assert!(
+                d < 1e-9 * (1.0 + fs.norm()),
+                "sample {sample} atom {i} differs by {d}"
+            );
         }
     }
 
@@ -199,7 +242,10 @@ fn des_and_threads_build_identical_compute_sets_and_valid_assignments() {
         assert_eq!(a.kind, b.kind, "compute {j} kind differs");
         assert_eq!(a.patches, b.patches, "compute {j} patches differ");
         assert_eq!(a.outer, b.outer, "compute {j} split range differs");
-        assert_eq!(a.migratable, b.migratable, "compute {j} migratability differs");
+        assert_eq!(
+            a.migratable, b.migratable,
+            "compute {j} migratability differs"
+        );
     }
     assert_eq!(des.placement, thr.placement, "static placements differ");
 
@@ -226,18 +272,24 @@ fn des_and_threads_build_identical_compute_sets_and_valid_assignments() {
 
 #[test]
 fn per_step_energies_are_bit_identical_across_backends() {
-    // Energies ride the force messages and fold in compute order, so every
-    // backend must report the same bits — packed, a record is its fields'
-    // bit patterns.
+    // Energies ride the force messages and are summed as integers, so every
+    // backend must report the same bits — `Debug` prints each f64 in its
+    // shortest round-trip form: equal strings, equal bits.
     let sys = restrained_apoa1_small();
     let energies_on = |backend| {
         let r = Engine::new(sys.clone(), real_mode_config(2, backend)).run_phase(4);
         assert_eq!(r.energies.len(), 4);
-        EnergiesMsg { from: 0, steps: r.energies }.pack()
+        format!("{:?}", r.energies)
     };
     let des = energies_on(Backend::Des);
-    assert!(energies_on(Backend::Threads) == des, "threads energies differ from des");
-    assert!(energies_on(Backend::Proc) == des, "proc energies differ from des");
+    assert!(
+        energies_on(Backend::Threads) == des,
+        "threads energies differ from des"
+    );
+    assert!(
+        energies_on(Backend::Proc) == des,
+        "proc energies differ from des"
+    );
 }
 
 #[test]
@@ -246,7 +298,10 @@ fn des_makespan_and_message_count_ignore_payloads() {
     // from what a payload carries: these are the values this deck produced
     // when co-located ready messages and done signals were still empty.
     let r = Engine::new(restrained_apoa1_small(), real_mode_config(2, Backend::Des)).run_phase(4);
-    assert_eq!((r.total_time.to_bits(), r.stats.msgs_sent), (4595382563603875143, 1264));
+    assert_eq!(
+        (r.total_time.to_bits(), r.stats.msgs_sent),
+        (4595382563603875143, 1264)
+    );
 }
 
 /// CRC-64 over the bit patterns of a run of vectors and scalars.
@@ -285,14 +340,15 @@ fn state_crc(engine: &Engine) -> u64 {
 #[test]
 fn forces_and_trajectory_bits_match_the_divide_and_round_minimum_image() {
     // The minimum-image fast path and the binned candidate builders claim to
-    // change no bit of any output. These constants were produced by the
-    // commit before them (`c − L·round(c/L)` on every distance test, the
-    // plain double loop behind every list): the CRC of one full force
-    // evaluation (force bits, then e_lj and e_elec) and the CRC of
-    // positions ++ velocities after one 20-step run. A home patch folds its
-    // computes' force parts in compute order wherever they ran, so every PE
-    // count, backend and placement — here a scrambled one, which a
-    // timing-driven balancer could produce — lands on the 1-PE bits.
+    // change no bit of any output: the CRC of one full force evaluation
+    // (force bits, then e_lj and e_elec) and the CRC of positions ++
+    // velocities after one 20-step run. The constants were produced at one
+    // PE when forces and energies became fixed-point integer sums, the one
+    // change meant to move these bits (the `c − L·round(c/L)` distance test
+    // and the plain double-loop lists gave the previous pair). The sums are
+    // exact whatever the order or grouping, so every PE count, backend and
+    // placement — here a scrambled one, which a timing-driven balancer could
+    // produce — lands on the 1-PE bits.
     let witness = |backend, pes: usize, scramble: bool| {
         let mut engine = Engine::new(restrained_apoa1_small(), real_mode_config(pes, backend));
         if scramble {
@@ -305,11 +361,19 @@ fn forces_and_trajectory_bits_match_the_divide_and_round_minimum_image() {
         advance_to(&mut engine, 20, 20);
         (eval, state_crc(&engine))
     };
-    let one_pe = (7831861008729912519, 2831989246207168576);
+    let one_pe = (2680125768025256344, 1329983407366604354);
     assert_eq!(witness(Backend::Threads, 1, false), one_pe, "1 PE");
     assert_eq!(witness(Backend::Threads, 2, false), one_pe, "2 PEs");
-    assert_eq!(witness(Backend::Des, 3, true), one_pe, "DES, 3 PEs, scrambled");
-    assert_eq!(witness(Backend::Proc, 2, true), one_pe, "proc, 2 PEs, scrambled");
+    assert_eq!(
+        witness(Backend::Des, 3, true),
+        one_pe,
+        "DES, 3 PEs, scrambled"
+    );
+    assert_eq!(
+        witness(Backend::Proc, 2, true),
+        one_pe,
+        "proc, 2 PEs, scrambled"
+    );
 }
 
 #[test]
@@ -335,7 +399,10 @@ fn measured_loads_repair_an_imbalanced_placement_on_threads() {
     // `advance`, on the wall-clock loads each phase measured.
     let phases = advance_to(&mut engine, 3 * EVERY, EVERY);
     assert_eq!(phases.len(), 3);
-    assert_ne!(piled, engine.placement, "the balancer should move computes off PE 0");
+    assert_ne!(
+        piled, engine.placement,
+        "the balancer should move computes off PE 0"
+    );
     assert!(
         migratable.iter().any(|&j| engine.placement[j] == 1),
         "no migratable compute left PE 0"
@@ -348,7 +415,10 @@ fn measured_loads_repair_an_imbalanced_placement_on_threads() {
     };
     let before = imbalance(&phases[0].stats);
     let after = imbalance(&phases[2].stats);
-    assert!(after < before, "measured imbalance should drop: {before:.3} -> {after:.3}");
+    assert!(
+        after < before,
+        "measured imbalance should drop: {before:.3} -> {after:.3}"
+    );
     // That the balanced placement is also faster in wall-clock terms is
     // `tests/lb_wall_clock.rs`'s claim: a step time is only a measurement
     // in a binary whose one test has the cores to itself.
@@ -356,5 +426,9 @@ fn measured_loads_repair_an_imbalanced_placement_on_threads() {
     // Moving computes moved no bit.
     let mut one_pe = Engine::new(sys, real_mode_config(1, Backend::Threads));
     advance_to(&mut one_pe, 3 * EVERY, EVERY);
-    assert_eq!(state_crc(&engine), state_crc(&one_pe), "rebalanced state differs from 1 PE");
+    assert_eq!(
+        state_crc(&engine),
+        state_crc(&one_pe),
+        "rebalanced state differs from 1 PE"
+    );
 }

@@ -6,8 +6,8 @@
 //!   be bit-identical to an uninterrupted run at the same seed and schedule
 //!   policy;
 //! * the same trajectory is bit-identical across the DES and threads
-//!   backends (the sorted force fold makes per-step forces pure functions
-//!   of positions + decomposition, independent of delivery order);
+//!   backends (fixed-point integer force sums make per-step forces pure
+//!   functions of positions + decomposition, independent of delivery order);
 //! * a checkpoint resumes at any PE count;
 //! * Real-mode PME runs checkpoint and recover like cutoff runs;
 //! * mismatched-topology and mismatched-config snapshots are refused with
@@ -88,8 +88,15 @@ fn thermostatted_engine(
     Engine::new(small_system(), cfg.build().expect("valid test config"))
 }
 
-const BERENDSEN: Thermostat = Thermostat::Berendsen { target_k: 300.0, tau_fs: 50.0 };
-const LANGEVIN: Thermostat = Thermostat::Langevin { target_k: 300.0, gamma: 0.05, seed: 3 };
+const BERENDSEN: Thermostat = Thermostat::Berendsen {
+    target_k: 300.0,
+    tau_fs: 50.0,
+};
+const LANGEVIN: Thermostat = Thermostat::Langevin {
+    target_k: 300.0,
+    gamma: 0.05,
+    seed: 3,
+};
 
 /// Per atom, the bits of its position and velocity components.
 type StateBits = Vec<(u64, u64, u64, u64, u64, u64)>;
@@ -100,7 +107,14 @@ fn final_bits(engine: &Engine) -> StateBits {
         .iter()
         .zip(&sys.velocities)
         .map(|(x, v)| {
-            (x.x.to_bits(), x.y.to_bits(), x.z.to_bits(), v.x.to_bits(), v.y.to_bits(), v.z.to_bits())
+            (
+                x.x.to_bits(),
+                x.y.to_bits(),
+                x.z.to_bits(),
+                v.x.to_bits(),
+                v.y.to_bits(),
+                v.z.to_bits(),
+            )
         })
         .collect()
 }
@@ -147,7 +161,10 @@ fn check_killed_run_matches_reference(
         Thermostat::Berendsen { .. } => "berendsen",
         Thermostat::Langevin { .. } => "langevin",
     };
-    let label = format!("{backend:?}-{:?}-{}-{kind}-{kill_skip}", policy.kind, policy.seed);
+    let label = format!(
+        "{backend:?}-{:?}-{}-{kind}-{kill_skip}",
+        policy.kind, policy.seed
+    );
     let (reference, r0) = run_to_end(backend, policy, thermostat, None, &format!("ref-{label}"));
     if r0 != 0 {
         return Err(format!("[{label}] clean run reported {r0} recoveries"));
@@ -156,8 +173,13 @@ fn check_killed_run_matches_reference(
         "kill:entry=PatchRecvForces:dst=1:skip={kill_skip}"
     ))
     .expect("valid plan");
-    let (killed, recoveries) =
-        run_to_end(backend, policy, thermostat, Some(plan), &format!("kill-{label}"));
+    let (killed, recoveries) = run_to_end(
+        backend,
+        policy,
+        thermostat,
+        Some(plan),
+        &format!("kill-{label}"),
+    );
     if recoveries == 0 {
         return Err(format!(
             "[{label}] the kill never fired — widen the skip range"
@@ -180,12 +202,14 @@ fn check_killed_run_matches_reference(
 fn arb_case() -> impl Strategy<Value = (SchedulePolicy, u64, bool)> {
     // (schedule policy, kill occurrence, backend) — the vendored proptest
     // has no prop_oneof, so the policy is picked by index.
-    (0usize..4, 0u64..u64::MAX, 0u64..60, 0u8..2).prop_map(
-        |(which, seed, skip, threads)| {
-            let name = ["fifo", "shuffle", "lifo", "jitter"][which];
-            (SchedulePolicy::parse(name, seed).expect("known policy"), skip, threads == 1)
-        },
-    )
+    (0usize..4, 0u64..u64::MAX, 0u64..60, 0u8..2).prop_map(|(which, seed, skip, threads)| {
+        let name = ["fifo", "shuffle", "lifo", "jitter"][which];
+        (
+            SchedulePolicy::parse(name, seed).expect("known policy"),
+            skip,
+            threads == 1,
+        )
+    })
 }
 
 proptest! {
@@ -236,9 +260,15 @@ fn real_mode_pme_killed_runs_recover_bit_identically() {
     .build();
     sys.forcefield = sys.forcefield.clone().with_ewald(0.45);
     sys.thermalize(200.0, 8);
-    let legs = [1, 3].into_iter().flat_map(|e| [(e, Backend::Des), (e, Backend::Threads)]);
+    let legs = [1, 3]
+        .into_iter()
+        .flat_map(|e| [(e, Backend::Des), (e, Backend::Threads)]);
     for (every, backend) in legs {
-        let pme = PmeSimConfig { every, slabs: 2, mesh_spacing: 1.0 };
+        let pme = PmeSimConfig {
+            every,
+            slabs: 2,
+            mesh_spacing: 1.0,
+        };
         let run = |kill: Option<FaultPlan>, tag: &str| {
             let dir = tempdir(&format!("pme-{tag}-{every}-{backend:?}"));
             let cfg = SimConfig::builder(2, namd_repro::machine::presets::generic_cluster())
@@ -259,8 +289,14 @@ fn real_mode_pme_killed_runs_recover_bit_identically() {
         assert_eq!(r0, 0, "every {every}, {backend:?}: the clean run recovered");
         let plan = FaultPlan::parse("kill:entry=PatchRecvForces:dst=1:skip=20").unwrap();
         let (killed, recoveries) = run(Some(plan), "kill");
-        assert!(recoveries >= 1, "every {every}, {backend:?}: the kill never fired");
-        assert!(killed == clean, "every {every}, {backend:?}: the recovered PME run diverged");
+        assert!(
+            recoveries >= 1,
+            "every {every}, {backend:?}: the kill never fired"
+        );
+        assert!(
+            killed == clean,
+            "every {every}, {backend:?}: the recovered PME run diverged"
+        );
     }
 }
 
@@ -268,8 +304,17 @@ fn real_mode_pme_killed_runs_recover_bit_identically() {
 fn backends_agree_bit_for_bit() {
     let fifo = SchedulePolicy::default();
     let (des, _) = run_to_end(Backend::Des, fifo, Thermostat::None, None, "xbackend-des");
-    let (thr, _) = run_to_end(Backend::Threads, fifo, Thermostat::None, None, "xbackend-thr");
-    assert_eq!(des, thr, "DES and threads trajectories differ at the bit level");
+    let (thr, _) = run_to_end(
+        Backend::Threads,
+        fifo,
+        Thermostat::None,
+        None,
+        "xbackend-thr",
+    );
+    assert_eq!(
+        des, thr,
+        "DES and threads trajectories differ at the bit level"
+    );
 }
 
 /// Placement changes no bit, so a snapshot taken on 2 PEs resumes on 1 —
@@ -281,15 +326,21 @@ fn checkpoints_restore_at_any_pe_count() {
         let dir = tempdir("pe-count");
         let mut two = thermostatted_engine(2, Backend::Threads, fifo, thermostat, Some(&dir));
         drive(&mut two, TOTAL_UPDATES);
-        let file = ckpt::CheckpointDir::create(&dir).unwrap().file_for_step(INTERVAL as u64);
+        let file = ckpt::CheckpointDir::create(&dir)
+            .unwrap()
+            .file_for_step(INTERVAL as u64);
         let snap = ckpt::Snapshot::decode(&std::fs::read(file).unwrap()).unwrap();
         assert_eq!(snap.n_pes, 2);
 
         let mut one = thermostatted_engine(1, Backend::Threads, fifo, thermostat, None);
-        one.restore(&snap).expect("a snapshot restores at any PE count");
+        one.restore(&snap)
+            .expect("a snapshot restores at any PE count");
         assert_eq!(one.steps_done, INTERVAL);
         drive(&mut one, TOTAL_UPDATES);
-        assert!(final_bits(&one) == final_bits(&two), "{thermostat:?}: 1-PE resume differs");
+        assert!(
+            final_bits(&one) == final_bits(&two),
+            "{thermostat:?}: 1-PE resume differs"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

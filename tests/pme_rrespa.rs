@@ -56,7 +56,11 @@ fn rrespa_engine(
         .backend(backend)
         .dt_fs(dt_fs)
         .thermostat(thermostat)
-        .pme(Some(PmeSimConfig { every, slabs: 2, mesh_spacing }))
+        .pme(Some(PmeSimConfig {
+            every,
+            slabs: 2,
+            mesh_spacing,
+        }))
         .build()
         .unwrap();
     Engine::new(sys.clone(), cfg)
@@ -85,14 +89,21 @@ fn drive(engine: &mut Engine, targets: &[usize], migrate_every: usize) -> Vec<St
 fn state_bits(engine: &Engine) -> Vec<u64> {
     let sys = engine.system();
     let vectors = sys.positions.iter().chain(&sys.velocities);
-    vectors.flat_map(|v| [v.x, v.y, v.z]).map(f64::to_bits).collect()
+    vectors
+        .flat_map(|v| [v.x, v.y, v.z])
+        .map(f64::to_bits)
+        .collect()
 }
 
 /// Relative total-energy drift between the second and the last outer step:
 /// the records at multiples of `every` updates, the ones with a PME round.
 fn outer_drift(records: &[StepAcc], every: usize) -> (f64, f64, f64) {
-    let outer: Vec<f64> =
-        records.iter().skip(every - 1).step_by(every).map(|e| e.total()).collect();
+    let outer: Vec<f64> = records
+        .iter()
+        .skip(every - 1)
+        .step_by(every)
+        .map(|e| e.total())
+        .collect();
     let (e0, e1) = (outer[1], *outer.last().unwrap());
     ((e1 - e0).abs() / e0.abs().max(1.0), e0, e1)
 }
@@ -131,14 +142,19 @@ fn rrespa_every_2_tracks_every_1_at_a_small_timestep() {
         positions
     };
     let (a, b) = (run(1), run(2));
-    let max_d = a.iter().zip(&b).map(|(a, b)| (*a - *b).norm()).fold(0.0, f64::max);
+    let max_d = a
+        .iter()
+        .zip(&b)
+        .map(|(a, b)| (*a - *b).norm())
+        .fold(0.0, f64::max);
     assert!(max_d < 5e-3, "every=2 deviates {max_d} Å from every=1");
 }
 
 /// The engine's r-RESPA against a co-stepped sequential impulse integrator
 /// built from `pme::md::FullElectrostatics`: velocity Verlet on the
 /// short-range force plus, on steps that are multiples of k, k times the
-/// long-range one. Equal to rounding (the engine folds per-compute parts).
+/// long-range one. Equal to rounding (the engine sums per-compute forces in
+/// fixed point).
 #[test]
 fn rrespa_matches_a_sequential_impulse_reference() {
     const K: usize = 2;
@@ -179,7 +195,10 @@ fn rrespa_matches_a_sequential_impulse_reference() {
 
     let got = engine.system();
     for i in 0..n {
-        let dx = sys.cell.min_image(got.positions[i], sys.positions[i]).norm();
+        let dx = sys
+            .cell
+            .min_image(got.positions[i], sys.positions[i])
+            .norm();
         let dv = (got.velocities[i] - sys.velocities[i]).norm();
         assert!(dx < 1e-8 && dv < 1e-8, "atom {i}: |dx| {dx} Å, |dv| {dv}");
     }
@@ -196,8 +215,10 @@ fn rrespa_cadence_ignores_slicing_backend_and_pe_count() {
     let none = Thermostat::None;
     let run = |n_pes, backend, targets: &[usize]| {
         let mut engine = rrespa_engine(&sys, n_pes, backend, 0.5, 0.7, 3, none);
-        let records: Vec<u64> =
-            drive(&mut engine, targets, 4).iter().map(|e| e.total().to_bits()).collect();
+        let records: Vec<u64> = drive(&mut engine, targets, 4)
+            .iter()
+            .map(|e| e.total().to_bits())
+            .collect();
         (records, state_bits(&engine))
     };
     let per_step: Vec<usize> = (1..=13).collect();
@@ -211,8 +232,14 @@ fn rrespa_cadence_ignores_slicing_backend_and_pe_count() {
         (1, Backend::Threads, &[5, 7, 13][..]),
     ] {
         let got = run(n_pes, backend, targets);
-        assert!(got.0 == reference.0, "energies: {n_pes} PE(s), {backend:?}, targets {targets:?}");
-        assert!(got.1 == reference.1, "state: {n_pes} PE(s), {backend:?}, targets {targets:?}");
+        assert!(
+            got.0 == reference.0,
+            "energies: {n_pes} PE(s), {backend:?}, targets {targets:?}"
+        );
+        assert!(
+            got.1 == reference.1,
+            "state: {n_pes} PE(s), {backend:?}, targets {targets:?}"
+        );
     }
 }
 
@@ -223,8 +250,15 @@ fn rrespa_thermostats_are_bit_identical_across_backends_and_pe_counts() {
     let mut sys = ewald_water(3, 0.6);
     sys.thermalize(150.0, 13);
     for thermostat in [
-        Thermostat::Berendsen { target_k: 300.0, tau_fs: 50.0 },
-        Thermostat::Langevin { target_k: 300.0, gamma: 0.05, seed: 3 },
+        Thermostat::Berendsen {
+            target_k: 300.0,
+            tau_fs: 50.0,
+        },
+        Thermostat::Langevin {
+            target_k: 300.0,
+            gamma: 0.05,
+            seed: 3,
+        },
     ] {
         let run = |n_pes, backend| {
             let mut engine = rrespa_engine(&sys, n_pes, backend, 0.5, 0.7, 2, thermostat);
@@ -232,8 +266,15 @@ fn rrespa_thermostats_are_bit_identical_across_backends_and_pe_counts() {
             state_bits(&engine)
         };
         let reference = run(1, Backend::Des);
-        for (n_pes, backend) in [(3, Backend::Des), (2, Backend::Threads), (1, Backend::Threads)] {
-            assert!(run(n_pes, backend) == reference, "{thermostat:?}: {n_pes} PE(s), {backend:?}");
+        for (n_pes, backend) in [
+            (3, Backend::Des),
+            (2, Backend::Threads),
+            (1, Backend::Threads),
+        ] {
+            assert!(
+                run(n_pes, backend) == reference,
+                "{thermostat:?}: {n_pes} PE(s), {backend:?}"
+            );
         }
     }
 }

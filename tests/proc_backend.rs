@@ -5,9 +5,8 @@
 //! * apoa1-small runs to completion on real processes, with forces,
 //!   velocities, and energies harvested back into the parent;
 //! * the DES, threads, and proc backends produce bit-identical
-//!   trajectories from the same seed — the deterministic compute-order
-//!   force fold makes the trajectory independent of which substrate
-//!   scheduled the messages;
+//!   trajectories from the same seed — fixed-point integer force sums make
+//!   the trajectory independent of which substrate scheduled the messages;
 //! * a SIGKILLed worker process surfaces as a phase crash, and
 //!   checkpoint-based recovery reproduces the uninterrupted trajectory
 //!   bit for bit;
@@ -55,8 +54,14 @@ fn proc_backend_runs_apoa1_small_on_real_processes() {
 
     // Energies were harvested from the worker processes.
     assert_eq!(r.energies.len(), 3);
-    assert!(r.energies[0].potential() != 0.0, "workers must report energies");
-    assert!(r.energies[0].kinetic > 0.0, "thermalized system has kinetic energy");
+    assert!(
+        r.energies[0].potential() != 0.0,
+        "workers must report energies"
+    );
+    assert!(
+        r.energies[0].kinetic > 0.0,
+        "thermalized system has kinetic energy"
+    );
 
     // Real wire traffic crossed the socket mesh, attributed per entry.
     assert!(r.stats.msgs_sent > 0, "cross-process messages must flow");
@@ -162,8 +167,7 @@ fn sigkilled_worker_process_recovers_bit_identically() {
     let tmp_b = tempdir("proc-recovery-killed");
     let mut killed = recovery_engine(&tmp_b, Backend::Proc);
     killed.config.fault_plan = Some(
-        namd_repro::charmrt::FaultPlan::parse("kill:entry=PatchRecvForces:dst=1:skip=6")
-            .unwrap(),
+        namd_repro::charmrt::FaultPlan::parse("kill:entry=PatchRecvForces:dst=1:skip=6").unwrap(),
     );
     let recoveries = drive(&mut killed, 8);
     assert!(recoveries >= 1, "the kill must have fired");
@@ -188,31 +192,46 @@ fn sigkilled_worker_process_recovers_bit_identically() {
 #[test]
 fn thermostatted_trajectories_match_across_backends_and_pe_counts() {
     for thermostat in [
-        Thermostat::Berendsen { target_k: 300.0, tau_fs: 50.0 },
-        Thermostat::Langevin { target_k: 300.0, gamma: 0.05, seed: 11 },
+        Thermostat::Berendsen {
+            target_k: 300.0,
+            tau_fs: 50.0,
+        },
+        Thermostat::Langevin {
+            target_k: 300.0,
+            gamma: 0.05,
+            seed: 11,
+        },
     ] {
         let mut states = Vec::new();
         for backend in [Backend::Des, Backend::Threads, Backend::Proc] {
             for n_pes in 1..=3 {
-                let cfg = SimConfig::builder(n_pes, namd_repro::machine::presets::generic_cluster())
-                    .force_mode(ForceMode::Real)
-                    .backend(backend)
-                    .thermostat(thermostat)
-                    .build()
-                    .expect("valid test config");
+                let cfg =
+                    SimConfig::builder(n_pes, namd_repro::machine::presets::generic_cluster())
+                        .force_mode(ForceMode::Real)
+                        .backend(backend)
+                        .thermostat(thermostat)
+                        .build()
+                        .expect("valid test config");
                 let mut engine = Engine::new(recovery_deck(), cfg);
                 while engine.steps_done < 6 {
                     advance(&mut engine, 6, 2, Some(6), false).expect("no fault plan");
                 }
                 let (x, v, _) = final_state(&engine);
-                let bits: Vec<u64> =
-                    x.iter().chain(&v).flat_map(|p| [p.x, p.y, p.z]).map(f64::to_bits).collect();
+                let bits: Vec<u64> = x
+                    .iter()
+                    .chain(&v)
+                    .flat_map(|p| [p.x, p.y, p.z])
+                    .map(f64::to_bits)
+                    .collect();
                 states.push((format!("{backend:?}, {n_pes} PEs"), bits));
             }
         }
         let (first, reference) = &states[0];
         for (run, bits) in &states[1..] {
-            assert!(bits == reference, "{thermostat:?}: {run} differs from {first}");
+            assert!(
+                bits == reference,
+                "{thermostat:?}: {run} differs from {first}"
+            );
         }
     }
 }

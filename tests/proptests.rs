@@ -391,9 +391,8 @@ mod wire_roundtrips {
     use namd_repro::charmrt::wire::{encode_frame, read_frame};
     use namd_repro::charmrt::{EntryId, ObjId, WireCodec, WireMsg};
     use namd_repro::namd_core::messages::{
-        BarrierMsg, CoordMsg, EnergiesMsg, ForceMsg, ForcePart, PatchStateMsg,
+        BarrierMsg, CoordMsg, EnergiesMsg, Fixed, FixedAcc, ForceMsg, PatchStateMsg,
     };
-    use namd_repro::namd_core::state::StepAcc;
 
     /// Finite but otherwise arbitrary coordinates, including negatives,
     /// zeros, and subnormal-adjacent magnitudes.
@@ -406,45 +405,39 @@ mod wire_roundtrips {
         proptest::collection::vec(arb_any_vec3(), 0..max)
     }
 
-    fn arb_step_acc() -> impl Strategy<Value = StepAcc> {
-        let e = -1e9f64..1e9;
+    /// Any fixed-point value, an eighth of them the non-finite sentinel.
+    fn arb_fixed() -> impl Strategy<Value = Fixed> {
+        (i64::MIN..=i64::MAX, 0u8..8).prop_map(|(v, k)| match k {
+            0 => Fixed::NON_FINITE,
+            _ => Fixed(v),
+        })
+    }
+
+    fn arb_fixed_acc() -> impl Strategy<Value = FixedAcc> {
         (
-            (e.clone(), e.clone(), e.clone(), e.clone()),
-            (e.clone(), e.clone(), e.clone(), e),
+            proptest::collection::vec(arb_fixed(), 8..9),
             0u64..=u64::MAX,
         )
-            .prop_map(|((e_lj, e_elec, e_bond, e_angle), (e_dihedral, e_improper, e_restraint, kinetic), pairs)| {
-                StepAcc {
-                    e_lj,
-                    e_elec,
-                    e_bond,
-                    e_angle,
-                    e_dihedral,
-                    e_improper,
-                    e_restraint,
-                    kinetic,
-                    pairs,
-                }
+            .prop_map(|(e, pairs)| FixedAcc {
+                energies: e.try_into().expect("eight energies"),
+                pairs,
             })
+    }
+
+    fn arb_force_msg() -> impl Strategy<Value = ForceMsg> {
+        let force = (arb_fixed(), arb_fixed(), arb_fixed()).prop_map(|(x, y, z)| [x, y, z]);
+        (proptest::collection::vec(force, 0..24), arb_fixed_acc())
+            .prop_map(|(block, energy)| ForceMsg { block, energy })
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn force_msg_roundtrip(
-            parts in proptest::collection::vec(
-                (0u32..=u32::MAX, arb_vecs(24), arb_step_acc()),
-                0..4,
-            ),
-        ) {
-            let parts = parts
-                .into_iter()
-                .map(|(compute, block, energy)| ForcePart { compute, block, energy })
-                .collect();
-            let m = ForceMsg { parts };
+        fn force_msg_roundtrip(m in arb_force_msg()) {
             let bytes = m.pack();
             prop_assert!(!bytes.is_empty(), "packed messages are never empty");
+            prop_assert_eq!(bytes.len(), 8 + 24 * m.block.len() + 72);
             prop_assert_eq!(ForceMsg::unpack(&bytes).unwrap(), m);
         }
 
@@ -475,11 +468,8 @@ mod wire_roundtrips {
         }
 
         #[test]
-        fn energies_msg_roundtrip(
-            from in 0u32..=u32::MAX,
-            steps in proptest::collection::vec(arb_step_acc(), 0..12),
-        ) {
-            let m = EnergiesMsg { from, steps };
+        fn energies_msg_roundtrip(steps in proptest::collection::vec(arb_fixed_acc(), 0..12)) {
+            let m = EnergiesMsg { steps };
             prop_assert_eq!(EnergiesMsg::unpack(&m.pack()).unwrap(), m);
         }
 
@@ -515,6 +505,27 @@ mod wire_roundtrips {
             let bytes = CoordMsg { patch: 3, positions }.pack();
             let cut = cut % bytes.len(); // strictly shorter than the message
             prop_assert!(CoordMsg::unpack(&bytes[..cut]).is_err());
+        }
+
+        /// A force or energies message cut at every byte boundary is an
+        /// error, never a panic — and adding it into a sum changes nothing.
+        #[test]
+        fn force_and_energies_truncations_are_errors_at_every_byte(
+            m in arb_force_msg(),
+            steps in proptest::collection::vec(arb_fixed_acc(), 0..4),
+        ) {
+            let bytes = m.pack();
+            for cut in 0..bytes.len() {
+                prop_assert!(ForceMsg::unpack(&bytes[..cut]).is_err(), "ForceMsg cut at {}", cut);
+                let mut sum = m.clone();
+                prop_assert!(sum.add_packed(&bytes[..cut]).is_err());
+                prop_assert_eq!(&sum, &m);
+            }
+            let e = EnergiesMsg { steps };
+            let bytes = e.pack();
+            for cut in 0..bytes.len() {
+                prop_assert!(EnergiesMsg::unpack(&bytes[..cut]).is_err(), "EnergiesMsg cut at {}", cut);
+            }
         }
 
         /// Appending garbage after a packed message must error too.

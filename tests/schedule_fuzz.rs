@@ -17,12 +17,11 @@
 //! Case count for the fuzz groups comes from `SCHEDULE_FUZZ_CASES`
 //! (default 6; CI's soak job runs 25).
 
-use namd_repro::charmrt::{FaultPlan, SchedulePolicy, WireCodec};
+use namd_repro::charmrt::{FaultPlan, SchedulePolicy};
 use namd_repro::lb;
 use namd_repro::machine::presets;
 use namd_repro::mdcore::prelude::*;
 use namd_repro::molgen;
-use namd_repro::namd_core::messages::EnergiesMsg;
 use namd_repro::namd_core::prelude::*;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -92,7 +91,10 @@ fn real_des_cfg(n_pes: usize) -> SimConfigBuilder {
 /// for any extra assertions the caller wants.
 fn check_policy_preserves_physics(policy: SchedulePolicy, n_pes: usize) -> Result<(), String> {
     let reference = seq_ref();
-    let cfg = real_des_cfg(n_pes).schedule(policy).build().expect("valid test config");
+    let cfg = real_des_cfg(n_pes)
+        .schedule(policy)
+        .build()
+        .expect("valid test config");
     let mut engine = Engine::new(restrained_apoa1_small(), cfg);
     let r = engine.run_phase(PHASE_STEPS);
 
@@ -104,7 +106,10 @@ fn check_policy_preserves_physics(policy: SchedulePolicy, n_pes: usize) -> Resul
     if diff >= tol {
         return Err(format!(
             "step-0 potential under {:?} seed {}: {} vs sequential {} (|diff| {diff} >= {tol})",
-            policy.kind, policy.seed, r.energies[0].potential(), reference.potential0
+            policy.kind,
+            policy.seed,
+            r.energies[0].potential(),
+            reference.potential0
         ));
     }
     if r.energies[0].pairs != reference.pairs0 {
@@ -178,11 +183,22 @@ fn same_seed_replays_bit_identical_traces() {
         engine.run_phase(PHASE_STEPS)
     };
     let (a, b) = (run(), run());
-    assert_eq!(a.total_time.to_bits(), b.total_time.to_bits(), "makespan not replayed");
+    assert_eq!(
+        a.total_time.to_bits(),
+        b.total_time.to_bits(),
+        "makespan not replayed"
+    );
     let bits = |r: &PhaseResult| -> Vec<(u64, u64)> {
-        r.energies.iter().map(|e| (e.potential().to_bits(), e.total().to_bits())).collect()
+        r.energies
+            .iter()
+            .map(|e| (e.potential().to_bits(), e.total().to_bits()))
+            .collect()
     };
-    assert_eq!(bits(&a), bits(&b), "energies not bit-identical across replays");
+    assert_eq!(
+        bits(&a),
+        bits(&b),
+        "energies not bit-identical across replays"
+    );
     let (ta, tb) = (a.trace.expect("tracing on"), b.trace.expect("tracing on"));
     assert_eq!(ta, tb, "trace streams differ for the same schedule seed");
 }
@@ -200,16 +216,20 @@ fn different_seeds_change_the_interleaving() {
         let mut engine = Engine::new(restrained_apoa1_small(), cfg);
         engine.run_phase(PHASE_STEPS).trace.expect("tracing on")
     };
-    assert_ne!(trace_for(1), trace_for(2), "seeds 1 and 2 gave the same interleaving");
+    assert_ne!(
+        trace_for(1),
+        trace_for(2),
+        "seeds 1 and 2 gave the same interleaving"
+    );
 }
 
 #[test]
 fn energies_are_bit_identical_across_schedule_seeds_on_threads() {
-    // Energies ride the force messages and fold in compute order, so — like
+    // Energies ride the force messages and are summed as integers, so — like
     // the trajectory — they must not notice how the worker threads and a
-    // shuffled dequeue order interleave the computes.
-    // Packed, a record is its fields' bit patterns: equal bytes, equal bits.
-    let energies_for = |seed: u64| -> Vec<u8> {
+    // shuffled dequeue order interleave the computes. `Debug` prints each
+    // f64 in its shortest round-trip form: equal strings, equal bits.
+    let energies_for = |seed: u64| -> String {
         let cfg = real_des_cfg(2)
             .backend(Backend::Threads)
             .schedule(SchedulePolicy::random_shuffle(seed))
@@ -217,11 +237,15 @@ fn energies_are_bit_identical_across_schedule_seeds_on_threads() {
             .expect("valid test config");
         let r = Engine::new(restrained_apoa1_small(), cfg).run_phase(PHASE_STEPS);
         assert_eq!(r.energies.len(), PHASE_STEPS);
-        EnergiesMsg { from: 0, steps: r.energies }.pack()
+        format!("{:?}", r.energies)
     };
     let first = energies_for(1);
     for seed in [2, 3] {
-        assert_eq!(energies_for(seed), first, "seed {seed} changed the energies' bits");
+        assert_eq!(
+            energies_for(seed),
+            first,
+            "seed {seed} changed the energies' bits"
+        );
     }
 }
 
@@ -233,20 +257,33 @@ fn check_drop_repair(backend: Backend) {
     let cfg = real_des_cfg(2)
         .backend(backend)
         .schedule(SchedulePolicy::random_shuffle(7))
-        .fault_plan(Some(FaultPlan::parse("drop:entry=PatchRecvForces:limit=1").expect("valid plan")))
+        .fault_plan(Some(
+            FaultPlan::parse("drop:entry=PatchRecvForces:limit=1").expect("valid plan"),
+        ))
         .build()
         .expect("valid test config");
     let mut engine = Engine::new(restrained_apoa1_small(), cfg);
     let r = engine.run_phase(2);
 
-    assert_eq!(r.stats.msgs_dropped, 1, "exactly one drop should have fired");
+    assert_eq!(
+        r.stats.msgs_dropped, 1,
+        "exactly one drop should have fired"
+    );
     assert!(
         r.stats.msgs_redelivered >= 1,
         "the dropped message must come back via the repair loop"
     );
     let report = check_phase(&engine, &r);
-    assert!(report.ok(), "oracle violations after fault repair:\n{}", report.render());
-    assert_eq!(r.stats.conservation_residual(), 0, "repair must balance the ledger");
+    assert!(
+        report.ok(),
+        "oracle violations after fault repair:\n{}",
+        report.render()
+    );
+    assert_eq!(
+        r.stats.conservation_residual(),
+        0,
+        "repair must balance the ledger"
+    );
 }
 
 #[test]
@@ -282,8 +319,11 @@ fn arb_lb_problem() -> impl Strategy<Value = lb::LbProblem> {
                 .map(|(sel, u, ra, rb)| {
                     // Adversarial loads: mostly tiny objects, with ~1 in 5
                     // two to three orders of magnitude heavier.
-                    let load =
-                        if sel == 4 { 1.0 + 49.0 * u } else { 0.001 + 0.049 * u };
+                    let load = if sel == 4 {
+                        1.0 + 49.0 * u
+                    } else {
+                        0.001 + 0.049 * u
+                    };
                     let (a, b) = (ra % n_patches, rb % n_patches);
                     let patches = if a == b { vec![a] } else { vec![a, b] };
                     lb::ComputeSpec { load, patches }
