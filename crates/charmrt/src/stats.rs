@@ -230,18 +230,6 @@ impl SummaryStats {
         let elapsed = (now - self.window_start).max(1e-30);
         self.pe_busy.iter().map(|b| (b / elapsed).min(1.0)).collect()
     }
-
-    /// Render a per-entry summary table as text (for examples and debug).
-    pub fn entry_table(&self) -> String {
-        let mut s = String::from("entry-method                        calls     total(s)    avg(ms)\n");
-        for (i, name) in self.entry_names.iter().enumerate() {
-            let c = self.entry_count[i];
-            let t = self.entry_time[i];
-            let avg_ms = if c > 0 { t / c as f64 * 1e3 } else { 0.0 };
-            s.push_str(&format!("{name:<34} {c:>8} {t:>12.4} {avg_ms:>10.4}\n"));
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -306,14 +294,5 @@ mod tests {
         let u = s.utilization(1.0);
         assert!((u[0] - 0.5).abs() < 1e-12);
         assert_eq!(u[1], 1.0); // clamped
-    }
-
-    #[test]
-    fn table_renders_all_entries() {
-        let mut s = SummaryStats::new(1);
-        s.register_entry("a");
-        s.register_entry("b");
-        let t = s.entry_table();
-        assert!(t.contains('a') && t.contains('b'));
     }
 }

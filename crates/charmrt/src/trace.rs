@@ -130,7 +130,7 @@ impl Trace {
     }
 
     /// Events on one PE within a window, ordered by start time.
-    pub fn pe_events(&self, pe: Pe, t0: f64, t1: f64) -> Vec<TraceEvent> {
+    fn pe_events(&self, pe: Pe, t0: f64, t1: f64) -> Vec<TraceEvent> {
         let mut evs: Vec<TraceEvent> = self
             .events
             .iter()
@@ -139,41 +139,6 @@ impl Trace {
             .collect();
         evs.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
         evs
-    }
-
-    /// Busy fraction of a PE within a window.
-    pub fn pe_utilization(&self, pe: Pe, t0: f64, t1: f64) -> f64 {
-        let span = (t1 - t0).max(1e-30);
-        let busy: f64 = self
-            .pe_events(pe, t0, t1)
-            .iter()
-            .map(|e| e.end.min(t1) - e.start.max(t0))
-            .sum();
-        (busy / span).min(1.0)
-    }
-
-    /// Export the trace as JSON-lines (one event per line) for external
-    /// tooling — the moral equivalent of writing Projections log files.
-    /// `entry_names` maps entry ids to names (see
-    /// [`crate::stats::SummaryStats::entry_names`]).
-    pub fn export_jsonl(
-        &self,
-        entry_names: &[String],
-        sink: &mut dyn std::io::Write,
-    ) -> std::io::Result<()> {
-        for ev in &self.events {
-            let name = entry_names
-                .get(ev.entry.idx())
-                .map(String::as_str)
-                .unwrap_or("?");
-            writeln!(
-                sink,
-                "{{\"pe\":{},\"obj\":{},\"entry\":\"{}\",\"start\":{:.9},\"end\":{:.9},\
-                 \"wall\":{:.6}}}",
-                ev.pe, ev.obj.0, name, ev.start, ev.end, ev.wall
-            )?;
-        }
-        Ok(())
     }
 
     /// Render an Upshot-style text timeline for PEs `pes` over `[t0, t1)`,
@@ -245,14 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_counts_overlap_only() {
-        let t = sample_trace();
-        let u = t.pe_utilization(0, 0.0, 0.020);
-        assert!((u - 0.9).abs() < 1e-9, "utilization {u}");
-        assert_eq!(t.pe_utilization(3, 0.0, 1.0), 0.0);
-    }
-
-    #[test]
     fn timeline_renders_glyphs_and_idle() {
         let t = sample_trace();
         let s = t.render_timeline(&[0, 1], 0.0, 0.06, 30, |e| if e.0 == 0 { 'N' } else { 'I' });
@@ -270,23 +227,6 @@ mod tests {
         assert_eq!(h.total(), 0);
         assert_eq!(h.max_duration(), 0.0);
         assert_eq!(h.render(40), "");
-    }
-
-    #[test]
-    fn export_jsonl_is_line_per_event_and_parseable() {
-        let t = sample_trace();
-        let names = vec!["nonbonded".to_string(), "integrate".to_string()];
-        let mut buf = Vec::new();
-        t.export_jsonl(&names, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), t.events.len());
-        for line in &lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-            assert!(line.contains("\"entry\":"));
-            assert!(line.contains("\"wall\":"));
-        }
-        assert!(lines[3].contains("integrate"));
     }
 
     #[test]

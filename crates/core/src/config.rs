@@ -41,9 +41,6 @@ pub enum LbStrategy {
     GreedyNoProxy,
     /// The paper's measurement-based greedy strategy.
     Greedy,
-    /// Distributed neighbour-diffusion strategy (§2.2's distributed
-    /// alternative).
-    Diffusion,
     /// Greedy followed by a refinement pass — the full §3.2 pipeline.
     GreedyRefine,
 }

@@ -451,7 +451,7 @@ impl Engine {
         let current: Vec<Pe> = map.iter().map(|&j| self.placement[j]).collect();
         let (strategy, assignment) = if first {
             self.audit_lb("rcb-static", &problem, &map, &current, &current);
-            match self.strategy_assignment(&problem, &current) {
+            match self.strategy_assignment(&problem) {
                 Some(decision) => decision,
                 None => return 0,
             }
@@ -1072,7 +1072,6 @@ impl Engine {
     fn strategy_assignment(
         &self,
         problem: &lb::LbProblem,
-        current: &[Pe],
     ) -> Option<(&'static str, Vec<Pe>)> {
         Some(match self.config.lb {
             LbStrategy::None => return None,
@@ -1082,10 +1081,6 @@ impl Engine {
             LbStrategy::Greedy | LbStrategy::GreedyRefine => {
                 ("greedy", lb::greedy(problem, lb::GreedyParams::default()))
             }
-            LbStrategy::Diffusion => (
-                "diffusion",
-                lb::diffusion(problem, &current.to_vec(), lb::DiffusionParams::default()),
-            ),
         })
     }
 

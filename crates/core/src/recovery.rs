@@ -253,13 +253,12 @@ pub(crate) mod tests {
 
     const KILL: &str = "kill:entry=PatchRecvForces:dst=1:skip=6";
 
-    const STRATEGIES: [LbStrategy; 7] = [
+    const STRATEGIES: [LbStrategy; 6] = [
         LbStrategy::None,
         LbStrategy::Random,
         LbStrategy::RoundRobin,
         LbStrategy::GreedyNoProxy,
         LbStrategy::Greedy,
-        LbStrategy::Diffusion,
         LbStrategy::GreedyRefine,
     ];
 
@@ -332,7 +331,6 @@ pub(crate) mod tests {
                     LbStrategy::RoundRobin => Some("round-robin"),
                     LbStrategy::GreedyNoProxy => Some("greedy-no-proxy"),
                     LbStrategy::Greedy | LbStrategy::GreedyRefine => Some("greedy"),
-                    LbStrategy::Diffusion => Some("diffusion"),
                 };
                 let mut expected: Vec<&str> = ["rcb-static"].into_iter().chain(first).collect();
                 if lb == LbStrategy::GreedyRefine {

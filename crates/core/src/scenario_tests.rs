@@ -1,6 +1,5 @@
-//! Engine scenario tests: the modeled full-electrostatics (PME) pipeline,
-//! heterogeneous processors (workstation-cluster adaptation, paper ref [3]),
-//! and the distributed diffusion strategy.
+//! Engine scenario tests: the modeled full-electrostatics (PME) pipeline
+//! and heterogeneous processors (workstation-cluster adaptation, paper ref [3]).
 
 use crate::config::{PmeSimConfig, SimConfig};
 use crate::engine::Engine;
@@ -114,25 +113,6 @@ fn lb_adapts_to_straggler_pes() {
         greedy_t < 0.9 * static_t,
         "LB should adapt to stragglers: static {static_t} vs greedy {greedy_t}"
     );
-}
-
-#[test]
-fn diffusion_strategy_runs_and_helps() {
-    use crate::config::LbStrategy;
-    let sys = system();
-    let run_with = |lb: LbStrategy| {
-        let cfg = SimConfig::builder(16, presets::asci_red())
-            .lb(lb)
-            .build()
-            .unwrap();
-        phases(&mut Engine::new(sys.clone(), cfg), 3, 3)[2].time_per_step
-    };
-    let none = run_with(LbStrategy::None);
-    let diff = run_with(LbStrategy::Diffusion);
-    let greedy = run_with(LbStrategy::GreedyRefine);
-    assert!(diff < none, "diffusion should beat static: {diff} vs {none}");
-    // Centralized greedy with refinement is at least as good.
-    assert!(greedy <= diff * 1.05, "greedy {greedy} vs diffusion {diff}");
 }
 
 #[test]

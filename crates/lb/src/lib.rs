@@ -28,14 +28,12 @@
 #![allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 #![allow(clippy::field_reassign_with_default)]
 pub mod alt;
-pub mod diffusion;
 pub mod greedy;
 pub mod metrics;
 pub mod rcb;
 pub mod refine;
 
 pub use alt::{greedy_no_proxy, random_assign, round_robin};
-pub use diffusion::{diffusion, DiffusionParams};
 pub use greedy::{greedy, GreedyParams};
 pub use metrics::{comm_cost, imbalance_ratio, pe_loads, proxy_count};
 pub use rcb::rcb;
@@ -134,30 +132,6 @@ pub(crate) mod testutil {
         }
     }
 
-    /// A density hot-spot problem: patches on a line, with the first
-    /// `n_patches / 4` ("the hot cluster") carrying `skew`× the compute
-    /// load of the rest — the zoo's density-hotspot scenario reduced to
-    /// its LB essentials. Patch homes follow a naive block placement, so
-    /// the hot cluster starts concentrated on the low PEs.
-    pub fn hotspot(n_pes: usize, n_patches: usize, skew: f64) -> LbProblem {
-        assert!(skew >= 1.0);
-        let per = n_patches.div_ceil(n_pes);
-        let patch_home: Vec<usize> = (0..n_patches).map(|p| (p / per).min(n_pes - 1)).collect();
-        let hot = n_patches / 4;
-        let mut computes = Vec::new();
-        for p in 0..n_patches {
-            let w = if p < hot { skew } else { 1.0 };
-            computes.push(ComputeSpec { load: w * (1.0 + (p % 3) as f64 * 0.2), patches: vec![p] });
-            if p + 1 < n_patches {
-                let wp = if p + 1 < hot { skew } else { 1.0 };
-                computes.push(ComputeSpec {
-                    load: 0.5 * (w + wp) * 0.8,
-                    patches: vec![p, p + 1],
-                });
-            }
-        }
-        LbProblem { n_pes, background: vec![0.0; n_pes], patch_home, computes }
-    }
 }
 
 #[cfg(test)]

@@ -143,7 +143,7 @@ pub mod presets {
         }
     }
 
-    /// A generic commodity cluster (for examples and ablations, not a paper
+    /// A generic commodity cluster (for tests and ablations, not a paper
     /// table): modern-ish CPU, Ethernet-class latency.
     pub fn generic_cluster() -> MachineModel {
         MachineModel {

@@ -47,15 +47,12 @@ pub mod bonded;
 pub mod cluster;
 pub mod erf;
 pub mod celllist;
-pub mod constraints;
 pub mod forcefield;
 pub mod minimize;
 pub mod nonbonded;
-pub mod observables;
 pub mod pairlist;
 pub mod pbc;
 pub mod sim;
-pub mod smd;
 pub mod system;
 pub mod thermostat;
 pub mod topology;
@@ -70,21 +67,18 @@ pub mod prelude {
         nb_pair_clusters, nb_self_clusters, pair_cluster_pairs_into, prune_into,
         self_cluster_pairs_into, ClusterGrid, ClusterPair, SimdWidth, CLUSTER,
     };
-    pub use crate::constraints::{ConstrainedSimulator, Constraints, DistanceConstraint};
     pub use crate::forcefield::{units, ForceField, LjType};
     pub use crate::nonbonded::{
         count_pairs, count_self_pairs, nb_pair_listed, nb_self_listed, pair_candidates_into,
         self_candidates_into, AtomGroup, NbResult, FLOPS_PER_PAIR,
     };
     pub use crate::minimize::{minimize, MinimizeResult};
-    pub use crate::observables::instantaneous_pressure;
     pub use crate::pairlist::PairList;
-    pub use crate::smd::{SmdSimulator, SmdSpring};
     pub use crate::pbc::Cell;
     pub use crate::thermostat::{Berendsen, Langevin};
     pub use crate::trajectory::{
         diffusion_coefficient, mass_labels, mean_squared_displacement, radial_distribution,
-        velocity_autocorrelation, Trajectory, TrajectoryWriter, XyzWriter,
+        Trajectory, TrajectoryWriter, XyzWriter,
     };
     pub use crate::sim::{compute_forces, Simulator, StepEnergy};
     pub use crate::system::System;

@@ -407,33 +407,6 @@ pub fn mean_squared_displacement(cell: &Cell, frames: &[Vec<Vec3>]) -> Vec<f64> 
     out
 }
 
-/// Normalized velocity autocorrelation function `C(τ) = ⟨v(0)·v(τ)⟩ /
-/// ⟨v(0)·v(0)⟩`, averaged over atoms and time origins, for lags
-/// `0..max_lag` (in frames).
-pub fn velocity_autocorrelation(vel_frames: &[Vec<Vec3>], max_lag: usize) -> Vec<f64> {
-    assert!(!vel_frames.is_empty());
-    let n_frames = vel_frames.len();
-    let max_lag = max_lag.min(n_frames - 1);
-    let n = vel_frames[0].len();
-    let mut out = Vec::with_capacity(max_lag + 1);
-    for lag in 0..=max_lag {
-        let mut acc = 0.0;
-        let mut count = 0usize;
-        for t0 in 0..n_frames - lag {
-            for i in 0..n {
-                acc += vel_frames[t0][i].dot(vel_frames[t0 + lag][i]);
-            }
-            count += n;
-        }
-        out.push(acc / count as f64);
-    }
-    let c0 = out[0].max(1e-300);
-    for c in &mut out {
-        *c /= c0;
-    }
-    out
-}
-
 /// Self-diffusion coefficient from the MSD slope (Einstein relation,
 /// `D = MSD/(6t)`), fit over the last half of the window. `frame_dt` is the
 /// time between stored frames (fs); the result is in Å²/fs.
@@ -637,27 +610,6 @@ mod tests {
             let expect = (0.3 * t as f64).powi(2);
             assert!((m - expect).abs() < 1e-9, "t={t}: {m} vs {expect}");
         }
-    }
-
-    #[test]
-    fn vacf_of_constant_velocities_is_flat_one() {
-        let v = vec![vec![Vec3::new(0.1, -0.2, 0.3); 5]; 10];
-        let c = velocity_autocorrelation(&v, 6);
-        for (lag, x) in c.iter().enumerate() {
-            assert!((x - 1.0).abs() < 1e-12, "lag {lag}: {x}");
-        }
-    }
-
-    #[test]
-    fn vacf_of_alternating_velocities_oscillates() {
-        // v flips sign every frame: C(odd) = −1, C(even) = +1.
-        let frames: Vec<Vec<Vec3>> = (0..12)
-            .map(|t| vec![Vec3::new(if t % 2 == 0 { 1.0 } else { -1.0 }, 0.0, 0.0); 3])
-            .collect();
-        let c = velocity_autocorrelation(&frames, 4);
-        assert!((c[0] - 1.0).abs() < 1e-12);
-        assert!((c[1] + 1.0).abs() < 1e-12);
-        assert!((c[2] - 1.0).abs() < 1e-12);
     }
 
     #[test]

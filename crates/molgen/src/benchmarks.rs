@@ -74,7 +74,7 @@ impl BenchmarkSystem {
 
     /// A scaled version of this benchmark: `frac` of the atoms in a box
     /// scaled to preserve the original atom density. `frac < 1` shrinks
-    /// (cheap tests and examples); `frac > 1` grows (weak-scaling sweeps
+    /// (cheap tests); `frac > 1` grows (weak-scaling sweeps
     /// that hold atoms-per-PE fixed while the PE count rises). Two
     /// invariants hold at any fraction:
     ///

@@ -83,7 +83,7 @@ impl ImbalanceProfile {
 pub struct ImbalanceBudget {
     /// The initial RCB/static placement may not exceed this.
     pub static_max: f64,
-    /// Any measurement-based strategy (greedy, greedy+refine, diffusion)
+    /// Any measurement-based strategy (greedy, greedy+refine)
     /// may not leave more than this behind after its final decision.
     pub lb_max: f64,
     /// The static placement is *expected* to show at least this much

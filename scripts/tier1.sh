@@ -13,12 +13,14 @@ cargo build --release || status=1
 echo "==> cargo test -q"
 cargo test -q || status=1
 
-# Root `cargo test` runs the root package only; the crates' own unit tests
-# (engine, recovery, proc, scheduler, ...) run here. Blocking.
-echo "==> crate unit tests (cargo test --workspace --lib)"
-cargo test --workspace --lib --offline -q || status=1
+# Root `cargo test` runs the root package only; every other package's
+# tests run here: unit tests (engine, recovery, proc, scheduler, ...), the
+# binaries' unit tests and each crate's own tests/*.rs (the CLI's binary
+# tests, the checkpoint codec's property tests). Blocking.
+echo "==> crate tests (cargo test --workspace --exclude namd-repro --tests)"
+cargo test --workspace --exclude namd-repro --tests --offline -q || status=1
 
-# `--lib` skips every crate's doc tests, and the root `cargo test` runs the
+# `--tests` skips every crate's doc tests, and the root `cargo test` runs the
 # root package's only: the examples in the crates' API docs are compiled and
 # run here. Blocking — a doc example that no longer builds is a wrong doc.
 echo "==> crate doc tests (cargo test --workspace --doc)"

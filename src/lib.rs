@@ -1,7 +1,9 @@
 //! Umbrella crate for the NAMD SC2000 reproduction workspace.
 //!
-//! Re-exports the member crates so examples and integration tests can use a
-//! single dependency root.
+//! Re-exports the member crates so integration tests can use a single
+//! dependency root. The README follows; its library snippet is compiled as
+//! this crate's doc test.
+#![doc = include_str!("../README.md")]
 // Clippy: indexed loops are kept where they mirror the mathematical
 // notation of the kernels and the per-axis geometry code, and chare/builder
 // constructors take positional wiring arguments by design.

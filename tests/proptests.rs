@@ -295,30 +295,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn diffusion_strategy_invariants(
-        loads in proptest::collection::vec(0.05f64..3.0, 4..40),
-        n_pes in 2usize..10,
-    ) {
-        let problem = lb::LbProblem {
-            n_pes,
-            background: vec![0.0; n_pes],
-            patch_home: (0..loads.len()).map(|p| p % n_pes).collect(),
-            computes: loads
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| lb::ComputeSpec { load: l, patches: vec![i] })
-                .collect(),
-        };
-        let start = vec![0usize; loads.len()];
-        let out = lb::diffusion(&problem, &start, lb::DiffusionParams::default());
-        prop_assert_eq!(out.len(), loads.len());
-        prop_assert!(out.iter().all(|&pe| pe < n_pes));
-        let before = lb::imbalance_ratio(&problem, &start);
-        let after = lb::imbalance_ratio(&problem, &out);
-        prop_assert!(after <= before + 1e-9);
-    }
 }
 
 proptest! {
