@@ -35,9 +35,6 @@ pub struct AnalyzeConfig {
     pub params: AnalyzeParams,
     /// Socket directory for the proc backend (default: system temp).
     pub socket_dir: Option<PathBuf>,
-    /// Capture a full trace (also forced on when a metrics registry wants
-    /// one for this phase).
-    pub tracing: bool,
 }
 
 impl Default for AnalyzeConfig {
@@ -48,7 +45,6 @@ impl Default for AnalyzeConfig {
             machine: machine::presets::generic_cluster(),
             params: AnalyzeParams::default(),
             socket_dir: None,
-            tracing: false,
         }
     }
 }
@@ -113,7 +109,7 @@ pub fn analyze_frames(
     let n_tasks = n_frames + blocks.len();
 
     let mut rt = cfg.backend.runtime(cfg.n_pes, cfg.machine, cfg.socket_dir.as_deref());
-    let want_trace = cfg.tracing || metrics.as_ref().map(|r| r.wants_trace()).unwrap_or(false);
+    let want_trace = metrics.as_ref().is_some_and(|r| r.wants_trace());
     rt.set_tracing(want_trace);
 
     let entries = AnalyzeEntries::register(rt.as_mut());
@@ -175,13 +171,7 @@ pub fn analyze_frames(
         n_tasks,
     );
     if let Some(reg) = metrics {
-        let pm = profile::PhaseMetrics {
-            pairlist: profile::PairlistCounters::default(),
-            messages: profile::MessageCounters::from(&stats),
-            critical_path: stats.critical_path,
-            wire_msgs: stats.entry_wire_msgs.iter().sum(),
-            wire_bytes: stats.entry_wire_bytes.iter().sum(),
-        };
+        let pm = profile::PhaseMetrics::of(&stats, profile::PairlistCounters::default());
         let trace = if want_trace { Some(rt.trace()) } else { None };
         if let Err(e) = reg.record_phase(cfg.backend.as_str(), &stats, trace, makespan, 1, pm) {
             eprintln!("profile: failed to stream analysis phase: {e}");

@@ -11,12 +11,12 @@ fn histogram(split: bool, sys: &mdcore::system::System) {
     let machine = machine::presets::asci_red();
     let cfg = SimConfig::builder(1024, machine)
         .grainsize(160, split, 112)
-        .tracing(true)
         .build()
         .unwrap();
     let mut engine = Engine::new(sys.clone(), cfg);
+    engine.set_metrics(Some(MetricsRegistry::in_memory()));
     let last = steady_phase(&mut engine, 3);
-    let trace = last.trace.as_ref().expect("tracing enabled");
+    let trace = last.trace.as_ref().expect("registry traces");
     let h = trace.grainsize_histogram(
         &last.entries.nonbonded(),
         0.0,

@@ -10,12 +10,12 @@ fn timeline(mode: MulticastMode, sys: &mdcore::system::System) {
     let machine = machine::presets::asci_red();
     let cfg = SimConfig::builder(1024, machine)
         .multicast(mode)
-        .tracing(true)
         .build()
         .unwrap();
     let mut engine = Engine::new(sys.clone(), cfg);
+    engine.set_metrics(Some(MetricsRegistry::in_memory()));
     let last = steady_phase(&mut engine, 4);
-    let trace = last.trace.as_ref().expect("tracing enabled");
+    let trace = last.trace.as_ref().expect("registry traces");
     let e = last.entries;
 
     let label = match mode {

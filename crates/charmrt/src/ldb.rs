@@ -120,11 +120,6 @@ impl LdbDatabase {
         Ok(())
     }
 
-    /// Is the object migratable?
-    pub fn is_migratable(&self, obj: ObjId) -> bool {
-        self.migratable[obj.idx()]
-    }
-
     /// Snapshot the database for a strategy. `obj_pe` supplies the current
     /// object placement (owned by the engine).
     pub fn snapshot(&self, obj_pe: &[Pe]) -> LdbSnapshot {

@@ -192,43 +192,9 @@ impl SummaryStats {
         entered as i64 - (self.msgs_received + self.msgs_discarded) as i64
     }
 
-    /// Name of an entry method.
-    pub fn entry_name(&self, e: EntryId) -> &str {
-        &self.entry_names[e.idx()]
-    }
-
-    /// Entry id by name, if registered.
-    pub fn entry_by_name(&self, name: &str) -> Option<EntryId> {
-        self.entry_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| EntryId(i as u16))
-    }
-
-    /// Average busy time across PEs over the window.
-    pub fn avg_busy(&self) -> f64 {
-        if self.pe_busy.is_empty() {
-            0.0
-        } else {
-            self.pe_busy.iter().sum::<f64>() / self.pe_busy.len() as f64
-        }
-    }
-
     /// Maximum busy time across PEs over the window.
     pub fn max_busy(&self) -> f64 {
         self.pe_busy.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Load imbalance as the paper's audit measures it: the difference
-    /// between maximum and average per-PE load.
-    pub fn imbalance(&self) -> f64 {
-        self.max_busy() - self.avg_busy()
-    }
-
-    /// Per-PE utilization over a window ending at `now`: busy / elapsed.
-    pub fn utilization(&self, now: f64) -> Vec<f64> {
-        let elapsed = (now - self.window_start).max(1e-30);
-        self.pe_busy.iter().map(|b| (b / elapsed).min(1.0)).collect()
     }
 }
 
@@ -237,22 +203,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn register_and_lookup() {
-        let mut s = SummaryStats::new(4);
-        let a = s.register_entry("integrate");
-        let b = s.register_entry("nonbonded");
-        assert_eq!(s.entry_name(a), "integrate");
-        assert_eq!(s.entry_by_name("nonbonded"), Some(b));
-        assert_eq!(s.entry_by_name("missing"), None);
-    }
-
-    #[test]
-    fn imbalance_is_max_minus_avg() {
+    fn max_busy_is_the_busiest_pe() {
         let mut s = SummaryStats::new(4);
         s.pe_busy = vec![1.0, 2.0, 3.0, 6.0];
-        assert!((s.avg_busy() - 3.0).abs() < 1e-12);
         assert!((s.max_busy() - 6.0).abs() < 1e-12);
-        assert!((s.imbalance() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -264,7 +218,7 @@ mod tests {
         s.pe_busy[0] = 1.0;
         s.send_overhead = 0.5;
         s.reset(10.0);
-        assert_eq!(s.entry_name(a), "x");
+        assert_eq!(s.entry_names.name(a), "x");
         assert_eq!(s.entry_time[a.idx()], 0.0);
         assert_eq!(s.entry_count[a.idx()], 0);
         assert_eq!(s.pe_busy[0], 0.0);
@@ -284,15 +238,5 @@ mod tests {
         assert_eq!((s.wire_msgs(), s.wire_bytes()), (2, 128));
         s.reset(0.0);
         assert_eq!((s.wire_msgs(), s.wire_bytes()), (0, 0));
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let mut s = SummaryStats::new(2);
-        s.window_start = 0.0;
-        s.pe_busy = vec![0.5, 2.0];
-        let u = s.utilization(1.0);
-        assert!((u[0] - 0.5).abs() < 1e-12);
-        assert_eq!(u[1], 1.0); // clamped
     }
 }

@@ -1,7 +1,7 @@
 //! The wire layer: owned byte payloads, one pack/unpack boundary, framing.
 //!
 //! Every message payload in the runtime is an owned byte vector
-//! ([`Payload`](crate::msg::Payload) = `Vec<u8>`). Application message
+//! ([`Payload`] = `Vec<u8>`). Application message
 //! types implement [`WireCodec`] — explicit `pack`/`unpack` built on the
 //! `ckpt` crate's little-endian [`Enc`]/[`Dec`] codec — so the *same*
 //! bytes flow through the DES backend, the threads backend, and (framed

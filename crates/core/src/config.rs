@@ -145,8 +145,6 @@ pub struct SimConfig {
     pub migratable_bonded: bool,
     /// Load-balancing pipeline.
     pub lb: LbStrategy,
-    /// Record full Projections-style traces.
-    pub tracing: bool,
     /// Model full electrostatics (PME) on top of the cutoff computation.
     pub pme: Option<PmeSimConfig>,
     /// Per-PE speed factors (1.0 = nominal) — heterogeneous or externally
@@ -211,7 +209,6 @@ impl SimConfig {
             prioritize_remote: true,
             migratable_bonded: true,
             lb: LbStrategy::GreedyRefine,
-            tracing: false,
             pme: None,
             pe_speeds: Vec::new(),
             load_drift: 0.0,
@@ -490,12 +487,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Record full Projections-style traces.
-    pub fn tracing(mut self, on: bool) -> Self {
-        self.cfg.tracing = on;
-        self
-    }
-
     pub fn pme(mut self, pme: Option<PmeSimConfig>) -> Self {
         self.cfg.pme = pme;
         self
@@ -583,11 +574,11 @@ mod tests {
     #[test]
     fn builder_matches_struct_construction() {
         let b = SimConfig::builder(16, presets::asci_red())
-            .tracing(true)
+            .lb(LbStrategy::Greedy)
             .build()
             .unwrap();
         let mut s = SimConfig::new(16, presets::asci_red());
-        s.tracing = true;
+        s.lb = LbStrategy::Greedy;
         assert_eq!(format!("{b:?}"), format!("{s:?}"));
         let u = SimConfig::builder(8, presets::asci_red()).unoptimized().build().unwrap();
         let v = SimConfig::unoptimized(8, presets::asci_red());

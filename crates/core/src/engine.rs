@@ -179,7 +179,7 @@ pub struct PhaseResult {
     pub n_steps: usize,
     /// Summary profile for the phase.
     pub stats: SummaryStats,
-    /// Full trace if tracing was enabled.
+    /// Full trace, when the attached registry wanted one for this phase.
     pub trace: Option<Trace>,
     /// Measured load per compute (seconds over the phase), indexed like
     /// `decomp.computes`. Non-migratable computes report 0 here (their time
@@ -230,8 +230,8 @@ pub struct Engine {
     /// energy baseline, frame high-water mark and migration cadence here).
     pub ckpt_extra: Vec<u8>,
     /// Observability registry (`None` = profiling off, the default). When
-    /// attached, every phase records a [`profile::PhaseProfile`] (tracing
-    /// is force-enabled for captured phases) and every load-balancer
+    /// attached, every phase records a [`profile::PhaseProfile`] (and a
+    /// trace on the phases it wants one) and every load-balancer
     /// decision an [`profile::LbAudit`]; with a directory attached the
     /// registry streams Perfetto-loadable trace files and JSONL reports.
     pub metrics: Option<profile::MetricsRegistry>,
@@ -605,8 +605,8 @@ impl Engine {
         self.config
             .validate()
             .unwrap_or_else(|e| panic!("invalid SimConfig: {e}"));
-        // Profiled phases need the trace even when `cfg.tracing` is off.
-        let profiling = self.metrics.as_ref().is_some_and(|m| m.wants_trace());
+        // A phase records a trace exactly when the registry wants one.
+        let tracing = self.metrics.as_ref().is_some_and(|m| m.wants_trace());
         let cfg = &self.config;
         let decomp = &self.shared.decomp;
         let n_patches = decomp.grid.n_patches();
@@ -618,7 +618,7 @@ impl Engine {
         }
 
         let entries = Entries::register(rt);
-        rt.set_tracing(cfg.tracing || profiling);
+        rt.set_tracing(tracing);
         if !cfg.pe_speeds.is_empty() {
             rt.set_pe_speeds(cfg.pe_speeds.clone());
         }
@@ -933,26 +933,19 @@ impl Engine {
         };
 
         let stats = rt.stats().clone();
-        let pairlist = self.shared.nb_cache.totals().delta_since(&pairlist_before);
-        let metrics = profile::PhaseMetrics {
-            pairlist: profile::PairlistCounters {
-                builds: pairlist.builds,
-                hits: pairlist.hits,
+        let pairlist_after = self.shared.nb_cache.totals();
+        let metrics = profile::PhaseMetrics::of(
+            &stats,
+            profile::PairlistCounters {
+                builds: pairlist_after.builds - pairlist_before.builds,
+                hits: pairlist_after.hits - pairlist_before.hits,
             },
-            messages: profile::MessageCounters::from(&stats),
-            critical_path: stats.critical_path,
-            wire_msgs: stats.entry_wire_msgs.iter().sum(),
-            wire_bytes: stats.entry_wire_bytes.iter().sum(),
-        };
+        );
         let result = PhaseResult {
             time_per_step: total_time / n_steps as f64,
             total_time,
             n_steps,
-            trace: if cfg.tracing || profiling {
-                Some(rt.trace().clone())
-            } else {
-                None
-            },
+            trace: tracing.then(|| rt.trace().clone()),
             stats,
             compute_loads,
             background: snapshot.background,

@@ -94,13 +94,12 @@ pub mod prelude {
     };
     pub use crate::decomp::{build as build_decomposition, ComputeKind, Decomposition};
     pub use crate::engine::{topology_hash, Engine, PhaseCrash, PhaseResult};
-    pub use crate::nbcache::{PairlistCache, PairlistStats};
+    pub use crate::nbcache::PairlistCache;
     pub use crate::oracle::{check_phase, check_phase_with, OracleParams, OracleReport};
     pub use crate::parallel::{ParallelSim, ParallelSimError};
     pub use crate::patchgrid::{PatchGrid, PatchId};
     pub use crate::state::StepAcc;
     pub use profile::{
-        ChromeTraceWriter, CriticalPathReport, GrainsizeReport, LbAudit, MemorySink,
-        MetricsRegistry, PhaseMetrics, PhaseProfile, TraceSink, UtilizationReport,
+        ChromeTraceWriter, LbAudit, MetricsRegistry, PairlistCounters, PhaseMetrics, PhaseProfile,
     };
 }

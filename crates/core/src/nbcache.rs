@@ -7,7 +7,7 @@
 //! sequential simulator. Each `SelfNb`/`PairNb` compute object owns one
 //! [`ComputeCacheEntry`] holding:
 //!
-//! - **Persistent SoA buffers** (one [`PatchArrays`] per patch the compute
+//! - **Persistent SoA buffers** (one `PatchArrays` per patch the compute
 //!   reads): gathered once, then only the *positions* are replaced each
 //!   step, by the ones the compute was sent.
 //! - A **candidate list** at `cutoff + margin`, in the exact order the ranged
@@ -19,7 +19,7 @@
 //!   ranged kernels' candidate sweep, and the tests hold every other
 //!   margin to that run's state bit for bit.
 //!
-//! [`ComputeCacheEntry::evaluate`] is the one entry point: the list format
+//! `ComputeCacheEntry::evaluate` is the one entry point: the list format
 //! and the kernel that reads it (`mdcore::nonbonded`'s listed kernels) are
 //! known here only, so the compute chare knows neither.
 //!
@@ -44,6 +44,7 @@ use mdcore::nonbonded::{
     nb_pair_listed, nb_self_listed, pair_candidates_into, self_candidates_into, NbResult,
 };
 use mdcore::prelude::*;
+use profile::PairlistCounters;
 use std::sync::Mutex;
 
 /// Pair-list cache state for one non-bonded compute object.
@@ -272,56 +273,14 @@ impl PairlistCache {
 
     /// Cumulative counters summed over all computes since the cache was
     /// created (or last reset by migration).
-    pub fn totals(&self) -> PairlistStats {
-        let mut s = PairlistStats::default();
+    pub fn totals(&self) -> PairlistCounters {
+        let mut s = PairlistCounters::default();
         for e in &self.entries {
             let g = e.lock().unwrap();
             s.builds += g.builds;
             s.hits += g.hits;
         }
         s
-    }
-}
-
-/// Aggregate pair-list cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PairlistStats {
-    /// Candidate-list (re)builds.
-    pub builds: u64,
-    /// Steps served from a still-valid cached list.
-    pub hits: u64,
-}
-
-impl PairlistStats {
-    /// Total cached-kernel executions (builds + hits).
-    pub fn executions(&self) -> u64 {
-        self.builds + self.hits
-    }
-
-    /// Fraction of executions served from a valid cached list.
-    pub fn hit_rate(&self) -> f64 {
-        if self.executions() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.executions() as f64
-        }
-    }
-
-    /// Fraction of executions that had to (re)build their list.
-    pub fn rebuild_rate(&self) -> f64 {
-        if self.executions() == 0 {
-            0.0
-        } else {
-            self.builds as f64 / self.executions() as f64
-        }
-    }
-
-    /// Counter delta relative to an earlier snapshot.
-    pub fn delta_since(&self, earlier: &PairlistStats) -> PairlistStats {
-        PairlistStats {
-            builds: self.builds - earlier.builds,
-            hits: self.hits - earlier.hits,
-        }
     }
 }
 

@@ -120,7 +120,7 @@ impl ParallelSim {
 
     /// Cumulative pair-list cache counters (builds/hits) since construction
     /// or the last atom migration (migration resets the cache).
-    pub fn pairlist_stats(&self) -> crate::nbcache::PairlistStats {
+    pub fn pairlist_stats(&self) -> profile::PairlistCounters {
         self.engine.shared.nb_cache.totals()
     }
 

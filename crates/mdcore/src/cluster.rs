@@ -27,7 +27,7 @@
 //! within-cutoff, non-excluded pairs in the same order as
 //! [`crate::nonbonded::nb_self_listed`]/[`crate::nonbonded::nb_pair_listed`]
 //! (outer index ascending, inner ascending, per-atom `fi` accumulator flushed
-//! once), using the same [`eval_pair`] arithmetic — so energies and forces
+//! once), using the same `eval_pair` arithmetic — so energies and forces
 //! are bit-identical to the listed kernels whenever the cluster list covers
 //! every within-cutoff pair (the margin guarantee). The only theoretical
 //! exception is the `-0.0 + 0.0` normalisation edge for an atom whose force

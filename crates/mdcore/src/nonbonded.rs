@@ -886,8 +886,8 @@ pub fn nb_pair_listed(
 /// by global atom id. Used by the sequential reference simulator.
 ///
 /// The list is in no particular order, so there are no rows: pairs are
-/// tested and classified one by one, [`BATCH`] at a time go through
-/// [`Batch::evaluate`] — the listed kernels' arithmetic — and each pair's
+/// tested and classified one by one, `BATCH` at a time go through
+/// `Batch::evaluate` — the listed kernels' arithmetic — and each pair's
 /// force is added to both atoms in list order.
 pub fn nb_pairlist(
     ff: &ForceField,

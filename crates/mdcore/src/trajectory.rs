@@ -388,10 +388,9 @@ pub fn mean_squared_displacement(cell: &Cell, frames: &[Vec<Vec3>]) -> Vec<f64> 
         return Vec::new();
     }
     let n = frames[0].len();
-    let mut unwrapped: Vec<Vec3> = frames[0].clone();
-    let mut reference = frames[0].clone();
+    let origin = &frames[0];
+    let mut unwrapped: Vec<Vec3> = origin.clone();
     let mut out = vec![0.0];
-    let origin = frames[0].clone();
     for w in frames.windows(2) {
         let (prev, next) = (&w[0], &w[1]);
         let mut acc = 0.0;
@@ -401,7 +400,6 @@ pub fn mean_squared_displacement(cell: &Cell, frames: &[Vec<Vec3>]) -> Vec<f64> 
             let d = unwrapped[i] - origin[i];
             acc += d.norm2();
         }
-        reference.clone_from(next);
         out.push(acc / n as f64);
     }
     out

@@ -27,11 +27,6 @@ impl Complex {
     }
 
     #[inline]
-    pub fn conj(self) -> Self {
-        Complex { re: self.re, im: -self.im }
-    }
-
-    #[inline]
     pub fn norm2(self) -> f64 {
         self.re * self.re + self.im * self.im
     }

@@ -1,31 +1,26 @@
-//! Projections-grade observability for the runtime layer (§4.1).
+//! What a profiled run writes out (§4.1).
 //!
-//! NAMD's authors diagnosed grainsize problems and load imbalance with
-//! Projections: per-entry summary profiles, grainsize histograms
-//! (Figures 1–2) and per-PE timelines (Figures 3–4). This crate is that
-//! toolbox for the reproduction, built on the raw measurements
-//! [`charmrt`] already collects:
+//! The runtime measures: `charmrt::SummaryStats` holds the per-entry and
+//! per-PE summary profile of a phase and `charmrt::Trace` its full event
+//! log, both filled by the one meter every backend shares. This crate
+//! keeps only what a run writes out from them:
 //!
-//! * **[`TraceSink`]** — a streaming consumer of entry-method executions.
-//!   [`MemorySink`] retains them for tests; [`ChromeTraceWriter`] emits
-//!   Chrome trace-event JSON that loads directly into Perfetto or
-//!   `chrome://tracing`, one track per PE, one category per chare family,
-//!   with instant markers for phase boundaries, load-balancing decisions
-//!   and Berendsen barriers.
-//! * **[`UtilizationReport`]** — per-PE busy time split into application
-//!   work, messaging overhead and idle time. On the DES the three parts
-//!   must tile the phase span exactly; the engine's oracle checks it.
-//! * **[`GrainsizeReport`]** — the paper's per-entry grainsize histograms
-//!   as a first-class report rather than an example-only diagnostic.
-//! * **[`CriticalPathReport`]** — the longest dependency chain through the
-//!   message graph, the lower bound no schedule can beat.
+//! * **[`ChromeTraceWriter`]** — Chrome trace-event JSON that loads
+//!   directly into Perfetto or `chrome://tracing`, one track per PE, one
+//!   category per chare family, with instant markers for phase boundaries,
+//!   load-balancing decisions and Berendsen barriers.
+//! * **[`PhaseMetrics`]** — a phase's counters as one value: pair-list
+//!   cache activity, the message ledger, the critical path and wire
+//!   traffic.
 //! * **[`LbAudit`]** — one record per load-balancer decision: predicted
 //!   per-PE loads before and after, and the exact migration list.
 //! * **[`MetricsRegistry`]** — the single object the engine threads
-//!   through a run. It accumulates the above per phase and, when given a
-//!   directory, streams trace files and JSONL reports to disk.
+//!   through a run. It keeps a [`PhaseProfile`] per phase and the LB
+//!   audits and, when given a directory, streams trace files,
+//!   `phases.jsonl` and `lb_audit.jsonl` to disk. Whether a phase records
+//!   a trace is the registry's call ([`MetricsRegistry::wants_trace`]).
 
-use charmrt::{Histogram, Pe, SummaryStats, Trace};
+use charmrt::{Pe, SummaryStats, Trace};
 use std::collections::BTreeSet;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -56,81 +51,6 @@ pub fn entry_category(name: &str) -> &'static str {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Streaming trace sinks
-// ---------------------------------------------------------------------------
-
-/// A streaming consumer of trace events. The engine (or
-/// [`write_trace`]) pushes one call per entry-method execution plus
-/// instant markers; sinks never see the whole trace at once, so a writer
-/// can stream arbitrarily long runs without holding them in memory.
-pub trait TraceSink {
-    /// One entry-method execution: `dur` seconds starting at `start`
-    /// (virtual seconds on the DES, wall seconds on threads).
-    fn span(
-        &mut self,
-        pe: Pe,
-        obj: u32,
-        name: &str,
-        cat: &str,
-        start: f64,
-        dur: f64,
-    ) -> io::Result<()>;
-
-    /// A zero-duration marker (phase boundary, LB decision, barrier).
-    fn instant(&mut self, name: &str, t: f64) -> io::Result<()>;
-
-    /// Flush any buffered output.
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// A span retained by [`MemorySink`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanRecord {
-    pub pe: Pe,
-    pub obj: u32,
-    pub name: String,
-    pub cat: String,
-    pub start: f64,
-    pub dur: f64,
-}
-
-/// An in-memory [`TraceSink`] for tests and programmatic inspection.
-#[derive(Debug, Clone, Default)]
-pub struct MemorySink {
-    pub spans: Vec<SpanRecord>,
-    pub instants: Vec<(String, f64)>,
-}
-
-impl TraceSink for MemorySink {
-    fn span(
-        &mut self,
-        pe: Pe,
-        obj: u32,
-        name: &str,
-        cat: &str,
-        start: f64,
-        dur: f64,
-    ) -> io::Result<()> {
-        self.spans.push(SpanRecord {
-            pe,
-            obj,
-            name: name.to_string(),
-            cat: cat.to_string(),
-            start,
-            dur,
-        });
-        Ok(())
-    }
-
-    fn instant(&mut self, name: &str, t: f64) -> io::Result<()> {
-        self.instants.push((name.to_string(), t));
-        Ok(())
-    }
-}
-
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -144,8 +64,8 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// A [`TraceSink`] that writes the Chrome trace-event format (JSON array
-/// of one-line event objects), loadable in Perfetto and `chrome://tracing`.
+/// A writer of the Chrome trace-event format (JSON array of one-line event
+/// objects), loadable in Perfetto and `chrome://tracing`.
 ///
 /// * each PE becomes a named track (`tid` = PE, `thread_name` metadata);
 /// * spans are `ph:"X"` complete events with `ts`/`dur` in microseconds;
@@ -193,10 +113,10 @@ impl<W: Write> ChromeTraceWriter<W> {
         self.out.flush()?;
         Ok(self.out)
     }
-}
 
-impl<W: Write> TraceSink for ChromeTraceWriter<W> {
-    fn span(
+    /// One entry-method execution: `dur` seconds starting at `start`
+    /// (virtual seconds on the DES, wall seconds on threads).
+    pub fn span(
         &mut self,
         pe: Pe,
         obj: u32,
@@ -217,7 +137,8 @@ impl<W: Write> TraceSink for ChromeTraceWriter<W> {
         )
     }
 
-    fn instant(&mut self, name: &str, t: f64) -> io::Result<()> {
+    /// A zero-duration marker (phase boundary, LB decision, barrier).
+    pub fn instant(&mut self, name: &str, t: f64) -> io::Result<()> {
         writeln!(
             self.out,
             "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,\"tid\":0,\"ts\":{:.3}}},",
@@ -225,24 +146,20 @@ impl<W: Write> TraceSink for ChromeTraceWriter<W> {
             t * 1e6,
         )
     }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
 }
 
-/// Stream a recorded [`Trace`] into a sink: every event becomes a span
+/// Stream a recorded [`Trace`] into a writer: every event becomes a span
 /// (named and categorized via `entry_names`), and Berendsen-barrier
 /// releases (`BarrierResume` broadcasts) become deduplicated instant markers.
-pub fn write_trace(
-    sink: &mut dyn TraceSink,
+pub fn write_trace<W: Write>(
+    w: &mut ChromeTraceWriter<W>,
     trace: &Trace,
     entry_names: &[String],
 ) -> io::Result<()> {
     let mut barrier_marks: Vec<f64> = Vec::new();
     for ev in &trace.events {
         let name = entry_names.get(ev.entry.idx()).map(String::as_str).unwrap_or("?");
-        sink.span(ev.pe, ev.obj.0, name, entry_category(name), ev.start, ev.duration())?;
+        w.span(ev.pe, ev.obj.0, name, entry_category(name), ev.start, ev.duration())?;
         if name == "BarrierResume" {
             barrier_marks.push(ev.start);
         }
@@ -252,194 +169,9 @@ pub fn write_trace(
     barrier_marks.sort_by(|a, b| a.partial_cmp(b).unwrap());
     barrier_marks.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
     for t in barrier_marks {
-        sink.instant("Berendsen barrier", t)?;
+        w.instant("Berendsen barrier", t)?;
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Utilization breakdown
-// ---------------------------------------------------------------------------
-
-/// One PE's share of a phase: application work + messaging overhead +
-/// idle = span.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeUtilization {
-    pub pe: Pe,
-    /// Pure application work, seconds (busy minus overhead).
-    pub work: f64,
-    /// Messaging overhead (receive + send + packing), seconds. Zero on
-    /// the threads backend, which measures handlers whole.
-    pub overhead: f64,
-    /// Idle time, seconds (span minus busy).
-    pub idle: f64,
-    /// Phase span this PE was accounted over, seconds.
-    pub span: f64,
-}
-
-impl PeUtilization {
-    /// Total handler-executing time (work + overhead).
-    pub fn busy(&self) -> f64 {
-        self.work + self.overhead
-    }
-
-    /// `work + overhead + idle - span` — exactly zero on the DES up to
-    /// floating-point roundoff; the oracle's utilization check enforces it.
-    pub fn residual(&self) -> f64 {
-        self.work + self.overhead + self.idle - self.span
-    }
-}
-
-/// Per-phase per-PE utilization breakdown.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct UtilizationReport {
-    pub span: f64,
-    pub pes: Vec<PeUtilization>,
-}
-
-impl UtilizationReport {
-    /// Decompose a phase's [`SummaryStats`] over a span of `span` seconds
-    /// (measured from `stats.window_start`).
-    pub fn from_stats(stats: &SummaryStats, span: f64) -> Self {
-        let pes = stats
-            .pe_busy
-            .iter()
-            .enumerate()
-            .map(|(pe, &busy)| {
-                let overhead = stats.pe_overhead.get(pe).copied().unwrap_or(0.0);
-                PeUtilization {
-                    pe,
-                    work: busy - overhead,
-                    overhead,
-                    idle: span - busy,
-                    span,
-                }
-            })
-            .collect();
-        UtilizationReport { span, pes }
-    }
-
-    /// Mean busy fraction across PEs.
-    pub fn avg_utilization(&self) -> f64 {
-        if self.pes.is_empty() || self.span <= 0.0 {
-            return 0.0;
-        }
-        self.pes.iter().map(|p| p.busy() / self.span).sum::<f64>() / self.pes.len() as f64
-    }
-
-    /// Render as a table (percent of span).
-    pub fn render(&self) -> String {
-        let mut s = String::from("PE      work%  overhead%      idle%\n");
-        let span = self.span.max(1e-30);
-        for p in &self.pes {
-            s.push_str(&format!(
-                "{:<4} {:>8.2} {:>10.2} {:>10.2}\n",
-                p.pe,
-                100.0 * p.work / span,
-                100.0 * p.overhead / span,
-                100.0 * p.idle / span,
-            ));
-        }
-        s
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Grainsize report
-// ---------------------------------------------------------------------------
-
-/// Per-entry grainsize histograms over one phase — the paper's Figures 1–2
-/// as a report instead of an example-only diagnostic.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GrainsizeReport {
-    /// `(entry name, histogram)` for every entry that executed.
-    pub entries: Vec<(String, Histogram)>,
-}
-
-impl GrainsizeReport {
-    /// Build from a phase trace. `bin_width` is in seconds; `per` divides
-    /// counts (e.g. the number of timesteps, for per-step instance counts).
-    pub fn from_trace(
-        trace: &Trace,
-        entry_names: &[String],
-        t0: f64,
-        t1: f64,
-        bin_width: f64,
-        per: f64,
-    ) -> Self {
-        let mut entries = Vec::new();
-        for (idx, name) in entry_names.iter().enumerate() {
-            let h = trace.grainsize_histogram(
-                &[charmrt::EntryId(idx as u16)],
-                t0,
-                t1,
-                bin_width,
-                per,
-            );
-            if h.total() > 0 {
-                entries.push((name.clone(), h));
-            }
-        }
-        GrainsizeReport { entries }
-    }
-
-    /// Render every entry's histogram.
-    pub fn render(&self, max_width: usize) -> String {
-        let mut s = String::new();
-        for (name, h) in &self.entries {
-            s.push_str(&format!("{name} ({} tasks):\n{}", h.total(), h.render(max_width)));
-        }
-        s
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Critical path
-// ---------------------------------------------------------------------------
-
-/// The longest dependency chain through a phase's message graph, against
-/// the phase's actual makespan. `critical_path <= makespan` always; their
-/// ratio is the residual parallelism no schedule or PE count can recover.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CriticalPathReport {
-    /// Longest chain of handler costs linked by messages, seconds.
-    pub critical_path: f64,
-    /// The phase's measured makespan, seconds.
-    pub makespan: f64,
-    pub n_steps: usize,
-}
-
-impl CriticalPathReport {
-    /// Critical path per timestep — the per-step floor.
-    pub fn per_step(&self) -> f64 {
-        if self.n_steps == 0 {
-            0.0
-        } else {
-            self.critical_path / self.n_steps as f64
-        }
-    }
-
-    /// `makespan / critical_path`: how much faster an unbounded machine
-    /// could have run this phase. 1.0 means the run was chain-limited.
-    pub fn headroom(&self) -> f64 {
-        if self.critical_path <= 0.0 {
-            1.0
-        } else {
-            self.makespan / self.critical_path
-        }
-    }
-
-    pub fn render(&self) -> String {
-        format!(
-            "critical path {:.6e}s over {} step(s) ({:.6e}s/step), makespan {:.6e}s, \
-             headroom {:.2}x",
-            self.critical_path,
-            self.n_steps,
-            self.per_step(),
-            self.makespan,
-            self.headroom(),
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -460,15 +192,6 @@ impl PairlistCounters {
     pub fn executions(&self) -> u64 {
         self.builds + self.hits
     }
-
-    /// Fraction of executions served from a valid cached list.
-    pub fn hit_rate(&self) -> f64 {
-        if self.executions() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.executions() as f64
-        }
-    }
 }
 
 /// The message-conservation ledger for one phase, copied out of
@@ -484,17 +207,6 @@ pub struct MessageCounters {
     pub redelivered: u64,
     pub discarded: u64,
     pub pes_killed: u64,
-}
-
-impl MessageCounters {
-    /// Messages that entered the system but were neither received nor
-    /// discarded — zero for any completed, fully-repaired phase
-    /// (the invariant the conservation oracle checks).
-    pub fn residual(&self) -> i64 {
-        let entered =
-            self.sent + self.injected + self.duplicated + self.redelivered - self.dropped;
-        entered as i64 - (self.received + self.discarded) as i64
-    }
 }
 
 impl From<&SummaryStats> for MessageCounters {
@@ -529,6 +241,20 @@ pub struct PhaseMetrics {
     pub wire_msgs: u64,
     /// Total packed payload bytes across those messages.
     pub wire_bytes: u64,
+}
+
+impl PhaseMetrics {
+    /// A phase's metrics from its runtime summary and the pair-list cache
+    /// activity over the phase.
+    pub fn of(stats: &SummaryStats, pairlist: PairlistCounters) -> Self {
+        PhaseMetrics {
+            pairlist,
+            messages: MessageCounters::from(stats),
+            critical_path: stats.critical_path,
+            wire_msgs: stats.wire_msgs(),
+            wire_bytes: stats.wire_bytes(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -621,7 +347,7 @@ impl LbAudit {
 // The registry
 // ---------------------------------------------------------------------------
 
-/// A fully analyzed phase as retained by the [`MetricsRegistry`].
+/// A phase as retained by the [`MetricsRegistry`].
 #[derive(Debug, Clone)]
 pub struct PhaseProfile {
     pub index: usize,
@@ -631,9 +357,6 @@ pub struct PhaseProfile {
     /// Phase span (makespan), seconds.
     pub span: f64,
     pub metrics: PhaseMetrics,
-    pub utilization: UtilizationReport,
-    pub grainsize: GrainsizeReport,
-    pub critical_path: CriticalPathReport,
 }
 
 /// The one observability object a run carries. Hand it to the engine
@@ -679,8 +402,9 @@ impl MetricsRegistry {
         self.dir.as_deref()
     }
 
-    /// Whether the engine should enable tracing for the upcoming phase:
-    /// reports need the trace on every captured phase.
+    /// Whether the upcoming phase records a trace: every `interval`-th
+    /// phase, counting from the first. A run records a trace exactly when
+    /// its registry wants one.
     pub fn wants_trace(&self) -> bool {
         self.phases.len().is_multiple_of(self.interval.max(1))
     }
@@ -713,35 +437,6 @@ impl MetricsRegistry {
     ) -> io::Result<()> {
         let index = self.phases.len();
         let captured = trace.is_some() && self.wants_trace();
-        let t0 = stats.window_start;
-        let utilization = UtilizationReport::from_stats(stats, span);
-        let grainsize = match trace {
-            // Bin width follows the span so small test phases still get
-            // resolved histograms: 200 bins across the longest task.
-            Some(tr) => {
-                let max_dur = tr
-                    .events
-                    .iter()
-                    .map(|e| e.duration())
-                    .fold(0.0, f64::max)
-                    .max(1e-9);
-                GrainsizeReport::from_trace(
-                    tr,
-                    &stats.entry_names,
-                    t0,
-                    t0 + span,
-                    max_dur / 200.0,
-                    n_steps.max(1) as f64,
-                )
-            }
-            None => GrainsizeReport::default(),
-        };
-        let critical_path = CriticalPathReport {
-            critical_path: stats.critical_path,
-            makespan: span,
-            n_steps,
-        };
-
         let mut io_result = Ok(());
         if captured && self.dir.is_some() {
             io_result = self.write_trace_file(index, backend, stats, trace.unwrap(), span);
@@ -763,6 +458,11 @@ impl MetricsRegistry {
                 )
             })
             .collect();
+        let avg_utilization = if stats.pe_busy.is_empty() || span <= 0.0 {
+            0.0
+        } else {
+            stats.pe_busy.iter().map(|b| b / span).sum::<f64>() / stats.pe_busy.len() as f64
+        };
         let summary = format!(
             "{{\"phase\":{index},\"backend\":\"{}\",\"steps\":{n_steps},\"span\":{span:.9e},\
              \"critical_path\":{:.9e},\"avg_utilization\":{:.6},\"pairlist_builds\":{},\
@@ -770,10 +470,10 @@ impl MetricsRegistry {
              \"wire_msgs\":{},\"wire_bytes\":{},\"wire_by_entry\":{{{}}}}}",
             json_escape(backend),
             metrics.critical_path,
-            utilization.avg_utilization(),
+            avg_utilization,
             metrics.pairlist.builds,
             metrics.pairlist.hits,
-            metrics.messages.residual(),
+            stats.conservation_residual(),
             metrics.wire_msgs,
             metrics.wire_bytes,
             wire_by_entry.join(","),
@@ -787,9 +487,6 @@ impl MetricsRegistry {
             n_steps,
             span,
             metrics,
-            utilization,
-            grainsize,
-            critical_path,
         });
         io_result
     }
@@ -865,19 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_sink_collects_spans_and_instants() {
-        let (t, names) = sample_trace();
-        let mut sink = MemorySink::default();
-        write_trace(&mut sink, &t, &names).unwrap();
-        assert_eq!(sink.spans.len(), 3);
-        assert_eq!(sink.spans[0].name, "NonbondedPair");
-        assert_eq!(sink.spans[0].cat, "nonbonded");
-        assert_eq!(sink.spans[1].pe, 1);
-        assert!((sink.spans[2].dur - 0.000025).abs() < 1e-15);
-        assert!(sink.instants.is_empty()); // no barrier entries in trace
-    }
-
-    #[test]
     fn chrome_writer_matches_golden_output() {
         let (t, names) = sample_trace();
         let mut w = ChromeTraceWriter::new(Vec::new(), "des").unwrap();
@@ -918,67 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_tiles_the_span() {
-        let s = SummaryStats {
-            pe_busy: vec![0.6, 0.9],
-            pe_overhead: vec![0.1, 0.2],
-            window_start: 0.0,
-            ..Default::default()
-        };
-        let u = UtilizationReport::from_stats(&s, 1.0);
-        assert_eq!(u.pes.len(), 2);
-        for p in &u.pes {
-            assert!(p.residual().abs() < 1e-12, "residual {}", p.residual());
-        }
-        assert!((u.pes[0].work - 0.5).abs() < 1e-12);
-        assert!((u.pes[1].idle - 0.1).abs() < 1e-12);
-        assert!((u.avg_utilization() - 0.75).abs() < 1e-12);
-        let txt = u.render();
-        assert!(txt.lines().count() == 3 && txt.contains("overhead"));
-    }
-
-    #[test]
-    fn grainsize_report_names_entries_and_skips_silent_ones() {
-        let (t, names) = sample_trace();
-        let names3 =
-            vec![names[0].clone(), names[1].clone(), "NeverRan".to_string()];
-        let g = GrainsizeReport::from_trace(&t, &names3, 0.0, 1.0, 1e-5, 1.0);
-        assert_eq!(g.entries.len(), 2);
-        assert_eq!(g.entries[0].0, "NonbondedPair");
-        assert_eq!(g.entries[0].1.total(), 1);
-        assert_eq!(g.entries[1].1.total(), 2);
-        assert!(g.render(20).contains("Integrate"));
-    }
-
-    #[test]
-    fn critical_path_report_bounds_and_renders() {
-        let r = CriticalPathReport { critical_path: 0.25, makespan: 1.0, n_steps: 5 };
-        assert!((r.per_step() - 0.05).abs() < 1e-15);
-        assert!((r.headroom() - 4.0).abs() < 1e-12);
-        assert!(r.render().contains("headroom 4.00x"));
-        let empty = CriticalPathReport::default();
-        assert_eq!(empty.per_step(), 0.0);
-        assert_eq!(empty.headroom(), 1.0);
-    }
-
-    #[test]
-    fn message_counters_residual_matches_summary_stats() {
-        let s = SummaryStats {
-            msgs_sent: 10,
-            msgs_injected: 2,
-            msgs_duplicated: 1,
-            msgs_redelivered: 1,
-            msgs_dropped: 2,
-            msgs_received: 11,
-            msgs_discarded: 0,
-            ..Default::default()
-        };
-        let m = MessageCounters::from(&s);
-        assert_eq!(m.residual(), s.conservation_residual());
-        assert_eq!(m.residual(), 1);
-    }
-
-    #[test]
     fn lb_audit_renders_and_serializes() {
         let a = LbAudit {
             phase: 0,
@@ -1004,7 +627,6 @@ mod tests {
             stats.entry_names.register(n);
         }
         stats.pe_busy = vec![4.5e-5, 2.5e-5];
-        stats.pe_overhead = vec![0.5e-5, 0.2e-5];
         stats.critical_path = 4.0e-5;
         let mut reg = MetricsRegistry::in_memory();
         assert!(reg.wants_trace());
@@ -1027,9 +649,6 @@ mod tests {
         let p = &reg.phases[0];
         assert_eq!(p.backend, "des");
         assert_eq!(p.metrics.pairlist.executions(), 6);
-        assert!(p.utilization.avg_utilization() > 0.0);
-        assert_eq!(p.grainsize.entries.len(), 2);
-        assert!((p.critical_path.critical_path - 4.0e-5).abs() < 1e-18);
     }
 
     #[test]
@@ -1042,7 +661,6 @@ mod tests {
             stats.entry_names.register(n);
         }
         stats.pe_busy = vec![1e-5, 1e-5];
-        stats.pe_overhead = vec![0.0, 0.0];
         stats.entry_wire_msgs = vec![4, 0];
         stats.entry_wire_bytes = vec![4096, 0];
         let mut reg = MetricsRegistry::with_dir(&dir, 2).unwrap();

@@ -1,7 +1,7 @@
 //! The service wire protocol: tagged request/response messages packed
 //! with the same little-endian [`charmrt::wire`] codec the proc backend
 //! uses, framed as `u32 len · u64 crc64 · body` by
-//! [`charmrt::wire::write_frame`]/[`read_frame`]. One request frame in,
+//! [`charmrt::wire::write_frame`]/[`charmrt::wire::read_frame`]. One request frame in,
 //! one or more response frames out (`Watch` streams `Metrics` frames and
 //! ends with `Done`); decoding rejects truncation *and* trailing bytes.
 

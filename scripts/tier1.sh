@@ -26,6 +26,11 @@ cargo test --workspace --exclude namd-repro --tests --offline -q || status=1
 echo "==> crate doc tests (cargo test --workspace --doc)"
 cargo test --workspace --doc --offline -q || status=1
 
+# Rustdoc warnings fail the gate: a doc link to a deleted, renamed or
+# private item is a wrong doc. Blocking.
+echo "==> rustdoc warnings (cargo doc --workspace --no-deps, -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q || status=1
+
 # Bounded schedule-fuzz soak: more seeds × policies than the default run,
 # still deterministic (cases are seeded per test name + index). Blocking —
 # an invariant-oracle violation here is a real runtime bug.

@@ -3,6 +3,8 @@
 //! * cross-backend trace discipline: a DES phase replays an identical
 //!   trace across schedule seeds at a fixed policy, and a threads phase
 //!   satisfies the per-PE utilization-sum invariant;
+//! * the trace rule: a phase records a trace exactly when the attached
+//!   registry wants one;
 //! * critical-path analysis: the modeled critical path never exceeds the
 //!   makespan and is monotone under an injected straggler PE;
 //! * the `MetricsRegistry` end to end on both backends: Perfetto-loadable
@@ -48,10 +50,10 @@ fn des_trace_is_identical_across_schedule_seeds_at_fixed_policy() {
     let trace_for = |seed: u64| {
         let cfg = SimConfig::builder(6, presets::asci_red())
             .schedule(SchedulePolicy::parse("fifo", seed).unwrap())
-            .tracing(true)
             .build()
             .unwrap();
         let mut engine = Engine::new(sys.clone(), cfg);
+        engine.set_metrics(Some(MetricsRegistry::in_memory()));
         let r = engine.run_phase(3);
         (r.trace.expect("tracing on"), r.total_time.to_bits())
     };
@@ -62,18 +64,18 @@ fn des_trace_is_identical_across_schedule_seeds_at_fixed_policy() {
 }
 
 /// Threads-backend utilization sums: per PE, the trace's summed event
-/// durations must reproduce the measured busy time, and the utilization
-/// report must tile each PE's span as work + overhead + idle.
+/// durations must reproduce the measured busy time, and the mean busy
+/// fraction (`phases.jsonl`'s `avg_utilization`) lies in [0, 1].
 #[test]
 fn threads_trace_satisfies_utilization_sum_invariant() {
     let cfg = SimConfig::builder(3, presets::generic_cluster())
         .force_mode(ForceMode::Real)
         .backend(Backend::Threads)
         .dt_fs(1.0)
-        .tracing(true)
         .build()
         .unwrap();
     let mut engine = Engine::new(test_system(4), cfg);
+    engine.set_metrics(Some(MetricsRegistry::in_memory()));
     let r = engine.run_phase(3);
     let trace = r.trace.as_ref().expect("tracing on");
     let span = r.total_time;
@@ -93,18 +95,7 @@ fn threads_trace_satisfies_utilization_sum_invariant() {
         );
     }
 
-    let report = UtilizationReport::from_stats(&r.stats, span);
-    for pe in &report.pes {
-        assert!(
-            pe.residual().abs() <= 1e-9 * span * (1.0 + r.stats.msgs_received as f64),
-            "PE {}: work {} + overhead {} + idle {} does not tile span {span}",
-            pe.pe,
-            pe.work,
-            pe.overhead,
-            pe.idle
-        );
-    }
-    let u = report.avg_utilization();
+    let u = r.stats.pe_busy.iter().map(|b| b / span).sum::<f64>() / n_pes as f64;
     assert!((0.0..=1.0 + 1e-9).contains(&u), "average utilization {u} out of range");
 }
 
@@ -131,12 +122,6 @@ fn critical_path_is_bounded_and_monotone_under_straggler() {
             r.metrics.critical_path,
             r.total_time
         );
-        let report = CriticalPathReport {
-            critical_path: r.metrics.critical_path,
-            makespan: r.total_time,
-            n_steps: 3,
-        };
-        assert!(report.headroom() >= 1.0 - 1e-9);
         r.metrics.critical_path
     };
     let uniform = run_with(vec![1.0; 4]);
@@ -179,7 +164,6 @@ fn metrics_registry_writes_perfetto_traces_on_both_backends() {
         assert_eq!(reg.phases.len(), 1);
         let profile = &reg.phases[0];
         assert_eq!(profile.backend, name);
-        assert!(!profile.grainsize.entries.is_empty(), "no grainsize histograms");
 
         let trace_path = dir.join(format!("trace_phase000_{name}.json"));
         let body = std::fs::read_to_string(&trace_path).unwrap();
@@ -191,6 +175,18 @@ fn metrics_registry_writes_perfetto_traces_on_both_backends() {
         let summaries = std::fs::read_to_string(dir.join("phases.jsonl")).unwrap();
         assert_eq!(summaries.lines().count(), 1);
         assert!(summaries.contains(&format!("\"backend\":\"{name}\"")), "{summaries}");
+
+        // The registry decides which phases trace: at interval 2, phases 0
+        // and 2 record one and phase 1 does not; with no registry none does.
+        let every2 = MetricsRegistry::with_dir(dir.join("every2"), 2).unwrap();
+        engine.set_metrics(Some(every2));
+        let traced: Vec<bool> = (0..3)
+            .map(|_| engine.run_phase(2).trace.is_some())
+            .collect();
+        assert_eq!(traced, [true, false, true], "{name}: traces at interval 2");
+        engine.set_metrics(None);
+        let untraced = engine.run_phase(2);
+        assert!(untraced.trace.is_none(), "{name}: traced with no registry");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -239,9 +235,9 @@ fn phase_metrics_is_the_one_counter_surface() {
     let r = engine.run_phase(3);
     assert!(r.metrics.pairlist.builds > 0, "cached phase must build lists");
     assert_eq!(
-        r.metrics.messages.residual(),
-        r.stats.conservation_residual(),
-        "PhaseMetrics message ledger diverges from SummaryStats"
+        (r.metrics.wire_msgs, r.metrics.wire_bytes),
+        (r.stats.wire_msgs(), r.stats.wire_bytes()),
+        "PhaseMetrics wire totals diverge from SummaryStats"
     );
     assert_eq!(r.metrics.messages.sent, r.stats.msgs_sent);
     assert_eq!(r.metrics.messages.received, r.stats.msgs_received);
@@ -251,10 +247,16 @@ fn phase_metrics_is_the_one_counter_surface() {
 /// has not migrated to the builder: the engine re-validates per phase.
 #[test]
 fn struct_literal_config_path_still_works() {
-    let mut cfg = SimConfig::new(2, presets::generic_cluster());
-    cfg.tracing = true;
-    let mut engine = Engine::new(test_system(9), cfg);
-    let r = engine.run_phase(2);
+    let run = |speeds: Vec<f64>| {
+        let mut cfg = SimConfig::new(2, presets::generic_cluster());
+        cfg.pe_speeds = speeds;
+        Engine::new(test_system(9), cfg).run_phase(2)
+    };
+    let r = run(Vec::new());
     assert!(r.time_per_step > 0.0 && r.time_per_step.is_finite());
-    assert!(r.trace.is_some(), "the struct-literal field did not reach the phase");
+    let slowed = run(vec![1.0, 0.25]);
+    assert!(
+        slowed.total_time > r.total_time,
+        "the struct-literal field did not reach the phase"
+    );
 }

@@ -176,10 +176,10 @@ fn same_seed_replays_bit_identical_traces() {
     let run = || {
         let cfg = real_des_cfg(3)
             .schedule(SchedulePolicy::random_shuffle(0xDEAD_BEEF))
-            .tracing(true)
             .build()
             .expect("valid test config");
         let mut engine = Engine::new(restrained_apoa1_small(), cfg);
+        engine.set_metrics(Some(MetricsRegistry::in_memory()));
         engine.run_phase(PHASE_STEPS)
     };
     let (a, b) = (run(), run());
@@ -210,10 +210,10 @@ fn different_seeds_change_the_interleaving() {
     let trace_for = |seed: u64| {
         let cfg = real_des_cfg(3)
             .schedule(SchedulePolicy::random_shuffle(seed))
-            .tracing(true)
             .build()
             .expect("valid test config");
         let mut engine = Engine::new(restrained_apoa1_small(), cfg);
+        engine.set_metrics(Some(MetricsRegistry::in_memory()));
         engine.run_phase(PHASE_STEPS).trace.expect("tracing on")
     };
     assert_ne!(
