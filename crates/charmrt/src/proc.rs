@@ -126,6 +126,9 @@ const TAG_HELLO: u8 = 10;
 struct ChildShared {
     heap: Mutex<BinaryHeap<Queued>>,
     available: Condvar,
+    /// The scheduler waits on `available`. Changed and read only under the
+    /// heap lock, so an enqueue that sees it clear needs no notify.
+    asleep: AtomicBool,
     seq: AtomicU64,
     /// Scheduler is between a dequeue and finishing that handler's sends.
     /// Set while the heap lock is held at dequeue, so `idle` can never
@@ -148,7 +151,9 @@ impl ChildShared {
         let seq = self.seq.fetch_add(1, AtOrd::SeqCst);
         let mut heap = self.heap.lock().unwrap();
         heap.push(Queued::new(&self.policy, seq, msg, None));
-        self.available.notify_all();
+        if self.asleep.load(AtOrd::Relaxed) {
+            self.available.notify_all();
+        }
     }
 
     fn idle(&self) -> bool {
@@ -476,6 +481,7 @@ impl ProcRuntime {
         let shared = ChildShared {
             heap: Mutex::new(BinaryHeap::new()),
             available: Condvar::new(),
+            asleep: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             busy: AtomicBool::new(false),
             drain: AtomicBool::new(false),
@@ -597,9 +603,11 @@ impl ProcRuntime {
                             break Some(m);
                         }
                     }
+                    shared.asleep.store(true, AtOrd::Relaxed);
                     let (guard, _) =
                         shared.available.wait_timeout(heap, Duration::from_millis(50)).unwrap();
                     heap = guard;
+                    shared.asleep.store(false, AtOrd::Relaxed);
                 }
             };
             let Some(msg) = msg else { break };

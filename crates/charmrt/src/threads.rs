@@ -3,12 +3,27 @@
 //!
 //! One worker thread per PE, each with a prioritized message queue
 //! (mirroring the per-PE scheduler of §2.2). A handler runs on the worker
-//! that owns its object; its sends are enqueued on the destination
-//! owners' queues when it returns, exactly like the DES dispatch order.
-//! Quiescence is detected by a global in-flight message counter:
-//! the count is incremented *before* a message is enqueued and
-//! decremented only after its handler has run *and* enqueued its own
-//! sends, so the counter can only reach zero when no work remains.
+//! that owns its object; its sends are queued at their destination owners
+//! when it returns, exactly like the DES dispatch order.
+//!
+//! A PE's queue has two halves. The *heap* is a `BinaryHeap` only the
+//! worker's own thread touches: a handler's sends to its own PE go there
+//! with no lock. The *inbox* is a locked `Vec` that every other thread
+//! appends to — sends from another PE, bootstrap and requeued letters,
+//! one batch per handler and destination. Before each pop the worker moves
+//! a non-empty inbox into its heap in one lock acquisition, numbering the
+//! messages from its own per-PE sequence as it goes, so priorities and
+//! every [`SchedulePolicy`] still decide the pop order. A send wakes the worker
+//! only if it is asleep: the worker raises its `asleep` flag under the
+//! inbox lock before it waits, and a sender reads it under the same lock,
+//! so no wakeup can be lost. The wait has no timeout; a wakeup that never
+//! came would leave the run idle and the watchdog would end it as a
+//! [`RunStall`].
+//!
+//! Quiescence is detected by a global in-flight message counter: it
+//! counts a message before it can be popped and releases it only after
+//! its handler has run *and* its sends have been queued, so it can only
+//! reach zero when no work remains.
 //!
 //! Measurement: every handler execution is timed with a monotonic clock
 //! from a common epoch and recorded by the worker's own `pe::Meter` — the
@@ -32,21 +47,70 @@ use crate::pe::{apply_fault, Fate, Letter, Meter, Queued, WallClock};
 use crate::runtime::{RunStall, Runtime, RuntimeCore};
 use crate::sched::SchedulePolicy;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtOrd};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtOrd};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// One worker's scheduler queue.
-struct WorkerQueue {
-    heap: Mutex<BinaryHeap<Queued>>,
+/// A message on its way into a PE's heap, before the PE numbers it.
+struct Arrival {
+    msg: Letter,
+    crc: Option<u64>,
+    /// Queue it behind all normal work: what a *delayed* message becomes
+    /// here, there being no virtual clock to postpone its delivery on.
+    demoted: bool,
+}
+
+/// What other threads hand one PE's worker.
+struct Inbox {
+    letters: Vec<Arrival>,
+    /// The worker is waiting on `available` (or about to, the lock being
+    /// held): a sender must notify it.
+    asleep: bool,
+}
+
+/// The shared half of one PE's scheduler. Aligned so that one PE's senders
+/// and another PE's worker never write the same cache line.
+#[repr(align(128))]
+struct Mailbox {
+    inbox: Mutex<Inbox>,
+    /// `inbox.letters.len()`, readable without the lock: a worker with work
+    /// in its heap takes the lock only when this is non-zero. A hint only
+    /// (`Relaxed`): the letters themselves are read under the lock, and a
+    /// worker whose heap runs dry takes the lock whatever this says.
+    waiting: AtomicUsize,
     available: Condvar,
+    /// Handlers this worker has run, published each time it parks or exits
+    /// — the watchdog's progress signal.
+    executed: AtomicU64,
+}
+
+/// The private half of one PE's scheduler: only its worker touches it.
+#[derive(Default)]
+struct Local {
+    heap: BinaryHeap<Queued>,
+    /// Per-PE arrival sequence: the tie-break, and the policies' input.
+    seq: u64,
+    /// One handler's sends to each other PE, posted together when it ends.
+    outbox: Vec<Vec<Arrival>>,
+    executed: u64,
+}
+
+impl Local {
+    fn push(&mut self, policy: &SchedulePolicy, a: Arrival) {
+        let mut queued = Queued::new(policy, self.seq, a.msg, a.crc);
+        if a.demoted {
+            queued.key = (i64::MAX, self.seq);
+        }
+        self.seq += 1;
+        self.heap.push(queued);
+    }
 }
 
 /// State shared by all workers during a run.
 struct Sched {
-    queues: Vec<WorkerQueue>,
-    /// Messages enqueued but whose handler (plus its sends' enqueueing)
-    /// has not completed. Zero ⇒ quiescence.
+    mailboxes: Vec<Mailbox>,
+    /// Messages queued but whose handler (plus its sends' queueing) has
+    /// not completed. Zero ⇒ quiescence.
     in_flight: AtomicU64,
     /// Set on quiescence or `Ctx::stop`; remaining queued messages drop.
     done: AtomicBool,
@@ -54,8 +118,6 @@ struct Sched {
     /// [`Sched::shutdown`] ends its wait instead of the next tick.
     watch: Mutex<()>,
     ended: Condvar,
-    /// Global message sequence for priority tie-breaks within a queue.
-    seq: AtomicU64,
     /// Object → owning worker, frozen for the duration of the run.
     obj_pe: Vec<Pe>,
     clock: WallClock,
@@ -66,9 +128,7 @@ struct Sched {
     /// True when the fault plan holds a corrupt rule: every send gets a
     /// payload CRC stamped so flipped bytes are caught at delivery.
     stamp_crc: bool,
-    /// Handler executions completed — the watchdog's progress signal.
-    executed: AtomicU64,
-    /// Workers currently blocked waiting for a message.
+    /// Workers currently parked waiting for a message.
     idle: AtomicU64,
     /// Set by the watchdog when quiescence can never be reached.
     stalled: AtomicBool,
@@ -79,40 +139,93 @@ struct Sched {
     crashed: Mutex<Option<Pe>>,
 }
 
+const POISONED: &str = "a thread panicked holding an inbox lock";
+
+/// What a worker hands back at the join: its measurements, the messages
+/// the fault plan made it lose, and what was left in its heap.
+type WorkerEnd = (Meter, Vec<Letter>, Vec<Letter>);
+
 impl Sched {
-    /// Queue `msg` on the worker that owns its destination. `demoted` puts
-    /// it behind all normal work: what a *delayed* message becomes here,
-    /// there being no virtual clock to postpone its delivery on.
-    fn enqueue(&self, msg: Letter, crc: Option<u64>, demoted: bool) {
-        self.in_flight.fetch_add(1, AtOrd::SeqCst);
-        let seq = self.seq.fetch_add(1, AtOrd::SeqCst);
-        let mut queued = Queued::new(&self.policy, seq, msg, crc);
-        if demoted {
-            queued.key = (i64::MAX, seq);
+    /// Move `batch` into PE `dest`'s inbox, waking its worker if it sleeps.
+    fn post(&self, dest: Pe, batch: &mut Vec<Arrival>) {
+        self.in_flight.fetch_add(batch.len() as u64, AtOrd::SeqCst);
+        let mailbox = &self.mailboxes[dest];
+        let mut inbox = mailbox.inbox.lock().expect(POISONED);
+        inbox.letters.append(batch);
+        mailbox.waiting.store(inbox.letters.len(), AtOrd::Relaxed);
+        let asleep = inbox.asleep;
+        drop(inbox);
+        if asleep {
+            mailbox.available.notify_one();
         }
-        let q = &self.queues[self.obj_pe[queued.msg.to.idx()]];
-        let mut heap = q.heap.lock().unwrap();
-        heap.push(queued);
-        q.available.notify_one();
     }
 
-    fn finish_message(&self) {
-        if self.in_flight.fetch_sub(1, AtOrd::SeqCst) == 1 {
+    /// Retire the message a handler just ran: its `local` sends to its own
+    /// PE (not yet counted) take its place in the in-flight count.
+    fn settle(&self, local: u64, stop: bool) {
+        let quiescent = match local {
+            0 => self.in_flight.fetch_sub(1, AtOrd::SeqCst) == 1,
+            1 => false,
+            n => {
+                self.in_flight.fetch_add(n - 1, AtOrd::SeqCst);
+                false
+            }
+        };
+        if quiescent || stop {
             self.shutdown();
         }
     }
 
     fn shutdown(&self) {
         self.done.store(true, AtOrd::SeqCst);
-        for q in &self.queues {
+        for mailbox in &self.mailboxes {
             // Take the lock so a worker between its `done` check and its
             // wait cannot miss the wakeup.
-            let _guard = q.heap.lock().unwrap();
-            q.available.notify_all();
+            let _guard = mailbox.inbox.lock().expect(POISONED);
+            mailbox.available.notify_all();
         }
         // The same for the watchdog.
         let _guard = self.watch.lock().unwrap();
         self.ended.notify_all();
+    }
+
+    /// Move PE `pe`'s inbox into its heap, parking first while both are
+    /// empty. False when the worker must exit: the run is over or its PE
+    /// was killed.
+    fn refill(&self, pe: Pe, own: &mut Local) -> bool {
+        let mailbox = &self.mailboxes[pe];
+        let mut inbox = mailbox.inbox.lock().expect(POISONED);
+        loop {
+            if self.done.load(AtOrd::SeqCst) || self.dead[pe].load(AtOrd::SeqCst) {
+                return false;
+            }
+            if !inbox.letters.is_empty() {
+                let arrivals = std::mem::take(&mut inbox.letters);
+                mailbox.waiting.store(0, AtOrd::Relaxed);
+                drop(inbox);
+                for a in arrivals {
+                    own.push(&self.policy, a);
+                }
+                return true;
+            }
+            if !own.heap.is_empty() {
+                return true;
+            }
+            // Publish progress before counting idle: the watchdog reads
+            // `idle` first, so it cannot see this worker idle with a stale
+            // count.
+            mailbox.executed.store(own.executed, AtOrd::SeqCst);
+            inbox.asleep = true;
+            self.idle.fetch_add(1, AtOrd::SeqCst);
+            inbox = mailbox.available.wait(inbox).expect(POISONED);
+            self.idle.fetch_sub(1, AtOrd::SeqCst);
+            inbox.asleep = false;
+        }
+    }
+
+    /// Handlers run so far, as far as the workers have published.
+    fn progress(&self) -> u64 {
+        self.mailboxes.iter().map(|m| m.executed.load(AtOrd::SeqCst)).sum()
     }
 }
 
@@ -143,7 +256,7 @@ pub struct ThreadRuntime {
     /// them does not bump `msgs_injected`.
     requeued: Vec<Letter>,
     /// No-progress window after which a non-quiescent run is declared
-    /// stalled. Generous relative to the 50 ms worker wait.
+    /// stalled.
     stall_timeout: Duration,
 }
 
@@ -164,47 +277,27 @@ impl ThreadRuntime {
     }
 
     /// One PE's scheduler: pop, execute, route the sends. Returns what it
-    /// measured and the messages the fault plan made it lose.
+    /// measured, the messages the fault plan made it lose and what was
+    /// still queued when it exited.
     fn worker_loop(
         sched: &Sched,
         pe: Pe,
         objects: &mut [Option<Box<dyn Chare>>],
         mut meter: Meter,
-    ) -> (Meter, Vec<Letter>) {
+    ) -> WorkerEnd {
         let mut dead_letters = Vec::new();
-        let q = &sched.queues[pe];
+        let mut own = Local::default();
+        own.outbox.resize_with(sched.mailboxes.len(), Vec::new);
+        let mailbox = &sched.mailboxes[pe];
         loop {
-            let queued = {
-                let mut heap = q.heap.lock().unwrap();
-                loop {
-                    if sched.done.load(AtOrd::SeqCst) {
-                        return (meter, dead_letters);
-                    }
-                    if sched.dead[pe].load(AtOrd::SeqCst) {
-                        // Killed by the fault plan: exit for good, counting
-                        // this worker permanently idle so the survivors'
-                        // no-progress watchdog can still see "everyone
-                        // idle" and end the run.
-                        sched.idle.fetch_add(1, AtOrd::SeqCst);
-                        return (meter, dead_letters);
-                    }
-                    if let Some(m) = heap.pop() {
-                        break m;
-                    }
-                    // Timed wait purely as a belt-and-braces guard: every
-                    // state change notifies under this lock, so the
-                    // timeout should never be what wakes us. The idle
-                    // count lets the no-progress watchdog distinguish
-                    // "everyone waiting, messages lost" from live work.
-                    sched.idle.fetch_add(1, AtOrd::SeqCst);
-                    let (guard, _) =
-                        q.available.wait_timeout(heap, Duration::from_millis(50)).unwrap();
-                    sched.idle.fetch_sub(1, AtOrd::SeqCst);
-                    heap = guard;
-                }
-            };
+            let ready = !sched.done.load(AtOrd::SeqCst) && !sched.dead[pe].load(AtOrd::SeqCst);
+            let must_drain = own.heap.is_empty() || mailbox.waiting.load(AtOrd::Relaxed) > 0;
+            if !ready || (must_drain && !sched.refill(pe, &mut own)) {
+                break;
+            }
+            let queued = own.heap.pop().expect("refill leaves the heap non-empty");
             if meter.rejects(&queued) {
-                sched.finish_message();
+                sched.settle(0, false);
                 continue;
             }
 
@@ -212,9 +305,18 @@ impl ThreadRuntime {
                 .as_deref_mut()
                 .expect("message routed to a worker that does not own the object");
             let (mut ctx, end_path) =
-                meter.run_handler(&sched.clock, pe, sched.queues.len(), obj, queued.msg);
-            sched.executed.fetch_add(1, AtOrd::SeqCst);
+                meter.run_handler(&sched.clock, pe, sched.mailboxes.len(), obj, queued.msg);
+            own.executed += 1;
 
+            let mut local = 0u64;
+            let mut route = |dest: Pe, a: Arrival| {
+                if dest == pe {
+                    own.push(&sched.policy, a);
+                    local += 1;
+                } else {
+                    own.outbox[dest].push(a);
+                }
+            };
             for s in ctx.sends.drain(..) {
                 meter.sent(&s);
                 let dest = sched.obj_pe[s.to.idx()];
@@ -240,25 +342,33 @@ impl ThreadRuntime {
                             meter.stats.pes_killed += 1;
                             sched.crashed.lock().unwrap().get_or_insert(dest);
                             // Wake the victim so it notices it is dead.
-                            let _guard = sched.queues[dest].heap.lock().unwrap();
-                            sched.queues[dest].available.notify_all();
+                            let _guard = sched.mailboxes[dest].inbox.lock().expect(POISONED);
+                            sched.mailboxes[dest].available.notify_all();
                         }
                     }
                     Fate::Deliver { msg, crc, duplicate, delay } => {
                         if let Some(dup) = duplicate {
-                            sched.enqueue(dup, None, false);
+                            route(dest, Arrival { msg: dup, crc: None, demoted: false });
                         }
-                        sched.enqueue(msg, crc, delay.is_some());
+                        route(dest, Arrival { msg, crc, demoted: delay.is_some() });
                     }
                 }
             }
-            if ctx.stop {
-                sched.shutdown();
-                sched.in_flight.fetch_sub(1, AtOrd::SeqCst);
-            } else {
-                sched.finish_message();
+            for (dest, batch) in own.outbox.iter_mut().enumerate() {
+                if !batch.is_empty() {
+                    sched.post(dest, batch);
+                }
             }
+            sched.settle(local, ctx.stop);
         }
+        // A killed worker counts itself permanently idle, so the
+        // survivors' no-progress watchdog can still see "everyone idle"
+        // and end the run.
+        mailbox.executed.store(own.executed, AtOrd::SeqCst);
+        if sched.dead[pe].load(AtOrd::SeqCst) {
+            sched.idle.fetch_add(1, AtOrd::SeqCst);
+        }
+        (meter, dead_letters, own.heap.into_iter().map(|q| q.msg).collect())
     }
 }
 
@@ -296,31 +406,35 @@ impl Runtime for ThreadRuntime {
         let core = &mut self.core;
         let n_pes = core.n_pes;
         let sched = Sched {
-            queues: (0..n_pes)
-                .map(|_| WorkerQueue {
-                    heap: Mutex::new(BinaryHeap::new()),
+            mailboxes: (0..n_pes)
+                .map(|_| Mailbox {
+                    inbox: Mutex::new(Inbox { letters: Vec::new(), asleep: false }),
+                    waiting: AtomicUsize::new(0),
                     available: Condvar::new(),
+                    executed: AtomicU64::new(0),
                 })
                 .collect(),
             in_flight: AtomicU64::new(0),
             done: AtomicBool::new(false),
             watch: Mutex::new(()),
             ended: Condvar::new(),
-            seq: AtomicU64::new(0),
             obj_pe: core.obj_pe.clone(),
             clock: WallClock::start(),
             policy: core.policy,
             stamp_crc: core.stamp_crc(),
             fault: core.fault.take().map(Mutex::new),
-            executed: AtomicU64::new(0),
             idle: AtomicU64::new(0),
             stalled: AtomicBool::new(false),
             dead: (0..n_pes).map(|_| AtomicBool::new(false)).collect(),
             crashed: Mutex::new(None),
         };
         core.meter.stats.msgs_injected += self.injected.len() as u64;
+        let mut bootstrap: Vec<Vec<Arrival>> = (0..n_pes).map(|_| Vec::new()).collect();
         for msg in self.injected.drain(..).chain(self.requeued.drain(..)) {
-            sched.enqueue(msg, None, false);
+            bootstrap[sched.obj_pe[msg.to.idx()]].push(Arrival { msg, crc: None, demoted: false });
+        }
+        for (pe, batch) in bootstrap.iter_mut().enumerate() {
+            sched.post(pe, batch);
         }
 
         // Partition object ownership: each worker gets a dense table with
@@ -335,7 +449,7 @@ impl Runtime for ThreadRuntime {
         }
 
         let stall_timeout = self.stall_timeout;
-        let results: Vec<(Meter, Vec<Letter>)> = std::thread::scope(|scope| {
+        let results: Vec<WorkerEnd> = std::thread::scope(|scope| {
             let handles: Vec<_> = owned
                 .iter_mut()
                 .enumerate()
@@ -347,12 +461,13 @@ impl Runtime for ThreadRuntime {
 
             // No-progress watchdog, run on the calling thread: quiescence
             // can never be reached if every worker sits idle while the
-            // in-flight counter stays pinned above zero (a lost message).
-            // "No progress" = the executed count has not moved for the
-            // whole stall window — transient all-idle moments between a
-            // notify and a wakeup don't trip it. The checks tick every 5 ms;
-            // quiescence ends the wait at once.
-            let mut last_exec = sched.executed.load(AtOrd::SeqCst);
+            // in-flight counter stays pinned above zero (a lost message, a
+            // killed PE, or a wakeup that never came). "No progress" = the
+            // executed count has not moved for the whole stall window —
+            // transient all-idle moments between a notify and a wakeup
+            // don't trip it. The checks tick every 5 ms; quiescence ends
+            // the wait at once.
+            let mut last_exec = sched.progress();
             let mut last_change = Instant::now();
             loop {
                 let watch = sched.watch.lock().unwrap();
@@ -363,7 +478,10 @@ impl Runtime for ThreadRuntime {
                 if sched.done.load(AtOrd::SeqCst) {
                     break;
                 }
-                let exec = sched.executed.load(AtOrd::SeqCst);
+                // `idle` before the count: a worker publishes its count
+                // before it counts itself idle.
+                let all_idle = sched.idle.load(AtOrd::SeqCst) as usize == n_pes;
+                let exec = sched.progress();
                 if exec != last_exec {
                     last_exec = exec;
                     last_change = Instant::now();
@@ -376,8 +494,8 @@ impl Runtime for ThreadRuntime {
                 } else {
                     stall_timeout
                 };
-                if sched.in_flight.load(AtOrd::SeqCst) > 0
-                    && sched.idle.load(AtOrd::SeqCst) as usize == n_pes
+                if all_idle
+                    && sched.in_flight.load(AtOrd::SeqCst) > 0
                     && last_change.elapsed() >= window
                 {
                     sched.stalled.store(true, AtOrd::SeqCst);
@@ -402,36 +520,31 @@ impl Runtime for ThreadRuntime {
         core.fault = sched.fault.map(|f| f.into_inner().unwrap());
         core.crashed = core.crashed.or(sched.crashed.into_inner().unwrap());
         let mut makespan = 0.0f64;
-        for (meter, dead_letters) in results {
+        let mut leftovers = Vec::new();
+        for (meter, dead_letters, left) in results {
             makespan = makespan.max(meter.last_end);
             core.meter.absorb(meter);
             core.dead_letters.extend(dead_letters);
+            leftovers.extend(left);
         }
-        let stalled = sched.stalled.load(AtOrd::SeqCst);
-        let mut undelivered = 0usize;
-        for q in &sched.queues {
-            for m in q.heap.lock().unwrap().drain() {
-                if stalled {
-                    // Preserve for the repair re-run (no counter: the send
-                    // was already counted; the receive is still to come).
-                    undelivered += 1;
-                    self.requeued.push(m.msg);
-                } else {
-                    // `Ctx::stop` discards whatever was still queued.
-                    core.meter.stats.msgs_discarded += 1;
-                }
-            }
+        for mailbox in sched.mailboxes {
+            let inbox = mailbox.inbox.into_inner().expect(POISONED);
+            leftovers.extend(inbox.letters.into_iter().map(|a| a.msg));
         }
-
-        if stalled {
-            Err(RunStall {
-                makespan,
-                in_flight: sched.in_flight.load(AtOrd::SeqCst),
-                undelivered: undelivered + core.dead_letters.len(),
-            })
-        } else {
-            Ok(makespan)
+        let undelivered = leftovers.len();
+        if !sched.stalled.load(AtOrd::SeqCst) {
+            // `Ctx::stop` discards whatever was still queued.
+            core.meter.stats.msgs_discarded += undelivered as u64;
+            return Ok(makespan);
         }
+        // Preserve for the repair re-run (no counter: the send was already
+        // counted; the receive is still to come).
+        self.requeued.extend(leftovers);
+        Err(RunStall {
+            makespan,
+            in_flight: sched.in_flight.load(AtOrd::SeqCst),
+            undelivered: undelivered + core.dead_letters.len(),
+        })
     }
 
     /// Redeliveries take the bootstrap path of the next run, so they bypass
@@ -705,17 +818,23 @@ mod tests {
 
     #[test]
     fn stop_halts_remaining_work() {
-        struct Stopper;
+        /// Sends one message to `next` on its own PE, then stops the run.
+        struct Stopper {
+            next: ObjId,
+            entry: EntryId,
+        }
         impl Chare for Stopper {
             fn receive(&mut self, _e: EntryId, _p: Payload, ctx: &mut Ctx) {
+                ctx.signal(self.next, self.entry, PRIO_NORMAL);
                 ctx.stop();
             }
         }
         let mut rt = ThreadRuntime::new(1);
         let e = rt.register_entry("s");
-        let o = rt.register(Box::new(Stopper), 0, true);
+        let o = rt.register(Box::new(Stopper { next: ObjId(1), entry: e }), 0, true);
         // Single worker: the high-priority stopper runs first; the lower
-        // priority message is dropped at shutdown.
+        // priority message and the stopper's own send, both left in the
+        // worker's heap, are discarded at shutdown.
         let hits = Arc::new(AtomicU32::new(0));
         let n = rt.register(
             Box::new(Hopper { next: None, entry: e, hops: 0, hits: hits.clone() }),
@@ -727,5 +846,120 @@ mod tests {
         rt.run();
         assert_eq!(rt.stats().entry_count[e.idx()], 1);
         assert_eq!(hits.load(AtOrd::SeqCst), 0);
+        assert_eq!(rt.stats().msgs_discarded, 2);
+        assert_eq!(rt.stats().conservation_residual(), 0);
+    }
+
+    /// Bounces a ball to `peer` until its hop budget drains, and every 64th
+    /// hop also throws a burst of grains at it.
+    struct Volley {
+        peer: ObjId,
+        ball: EntryId,
+        grain: EntryId,
+        hops: u32,
+        balls: Arc<AtomicU32>,
+        grains: Arc<AtomicU32>,
+    }
+
+    const BURST: u32 = 32;
+
+    impl Chare for Volley {
+        fn receive(&mut self, entry: EntryId, _p: Payload, ctx: &mut Ctx) {
+            if entry == self.grain {
+                self.grains.fetch_add(1, AtOrd::SeqCst);
+                return;
+            }
+            self.balls.fetch_add(1, AtOrd::SeqCst);
+            if self.hops > 0 {
+                self.hops -= 1;
+                if self.hops.is_multiple_of(64) {
+                    for _ in 0..BURST {
+                        ctx.send(self.peer, self.grain, 8, PRIO_NORMAL, vec![0; 8]);
+                    }
+                }
+                ctx.signal(self.peer, self.ball, PRIO_NORMAL);
+            }
+        }
+    }
+
+    #[test]
+    fn cross_pe_volleys_with_parked_workers_lose_nothing() {
+        // One ball between two PEs: after every hop the sender's heap is
+        // empty, so it parks and the next hop must wake it. The bursts
+        // land while the receiver is awake and busy.
+        let hops = 1500u32;
+        let bursts_per_side = (0..hops).filter(|h| h.is_multiple_of(64)).count() as u32;
+        let mut rt = ThreadRuntime::new(2);
+        rt.set_stall_timeout(Duration::from_secs(5));
+        let ball = rt.register_entry("ball");
+        let grain = rt.register_entry("grain");
+        for round in 1..=3u32 {
+            let (balls, grains) = (Arc::new(AtomicU32::new(0)), Arc::new(AtomicU32::new(0)));
+            let first = ObjId(2 * (round - 1));
+            for side in 0..2u32 {
+                rt.register(
+                    Box::new(Volley {
+                        peer: ObjId(first.0 + 1 - side),
+                        ball,
+                        grain,
+                        hops,
+                        balls: balls.clone(),
+                        grains: grains.clone(),
+                    }),
+                    side as Pe,
+                    true,
+                );
+            }
+            rt.inject(first, ball, 0, PRIO_NORMAL, Vec::new());
+            rt.try_run().expect("a volley must reach quiescence");
+            assert_eq!(balls.load(AtOrd::SeqCst), 1 + 2 * hops);
+            assert_eq!(grains.load(AtOrd::SeqCst), 2 * bursts_per_side * BURST);
+            let s = rt.stats();
+            assert_eq!(s.entry_count[ball.idx()], (round * (1 + 2 * hops)) as u64);
+            assert_eq!(s.entry_count[grain.idx()], (round * 2 * bursts_per_side * BURST) as u64);
+            assert_eq!(s.msgs_discarded, 0);
+            assert_eq!(s.conservation_residual(), 0);
+        }
+    }
+
+    #[test]
+    fn a_killed_pe_returns_the_self_sends_its_last_handler_queued() {
+        /// Queues `n` messages for `sib` on its own PE, then sends the
+        /// message that kills that PE.
+        struct Doomed {
+            sib: ObjId,
+            own: EntryId,
+            doom: EntryId,
+            n: usize,
+        }
+        impl Chare for Doomed {
+            fn receive(&mut self, _e: EntryId, _p: Payload, ctx: &mut Ctx) {
+                for _ in 0..self.n {
+                    ctx.signal(self.sib, self.own, PRIO_NORMAL);
+                }
+                ctx.signal(self.sib, self.doom, PRIO_NORMAL);
+            }
+        }
+        let mut rt = ThreadRuntime::new(2);
+        rt.set_stall_timeout(Duration::from_millis(200));
+        let own = rt.register_entry("own");
+        let doom = rt.register_entry("doom");
+        let hits = Arc::new(AtomicU32::new(0));
+        let victim = rt.register(Box::new(Doomed { sib: ObjId(1), own, doom, n: 3 }), 1, true);
+        rt.register(
+            Box::new(Hopper { next: None, entry: own, hops: 0, hits: hits.clone() }),
+            1,
+            true,
+        );
+        rt.set_fault_plan(FaultPlan::parse("kill:entry=doom:dst=1").unwrap());
+        rt.inject(victim, own, 0, PRIO_NORMAL, Vec::new());
+        let stall = rt.try_run().expect_err("a killed PE must stall the run, not hang");
+        assert_eq!(rt.crashed(), Some(1));
+        assert_eq!(hits.load(AtOrd::SeqCst), 0, "the victim never ran its self-sends");
+        // The three self-sends were left in the victim's heap; the killing
+        // message died with the PE.
+        assert_eq!(stall.undelivered, 3);
+        assert_eq!(stall.in_flight, 4);
+        assert_eq!(rt.stats().msgs_discarded, 0);
     }
 }

@@ -441,44 +441,48 @@ impl MetricsRegistry {
         if captured && self.dir.is_some() {
             io_result = self.write_trace_file(index, backend, stats, trace.unwrap(), span);
         }
-        // Per-entry packed-bytes breakdown: only entries that moved payload
-        // bytes, in registration order.
-        let wire_by_entry: Vec<String> = stats
-            .entry_names
-            .names()
-            .iter()
-            .enumerate()
-            .filter(|&(e, _)| stats.entry_wire_bytes.get(e).is_some_and(|&b| b > 0))
-            .map(|(e, name)| {
-                format!(
-                    "\"{}\":{{\"msgs\":{},\"bytes\":{}}}",
-                    json_escape(name),
-                    stats.entry_wire_msgs[e],
-                    stats.entry_wire_bytes[e]
-                )
-            })
-            .collect();
-        let avg_utilization = if stats.pe_busy.is_empty() || span <= 0.0 {
-            0.0
-        } else {
-            stats.pe_busy.iter().map(|b| b / span).sum::<f64>() / stats.pe_busy.len() as f64
-        };
-        let summary = format!(
-            "{{\"phase\":{index},\"backend\":\"{}\",\"steps\":{n_steps},\"span\":{span:.9e},\
-             \"critical_path\":{:.9e},\"avg_utilization\":{:.6},\"pairlist_builds\":{},\
-             \"pairlist_hits\":{},\"msg_residual\":{},\
-             \"wire_msgs\":{},\"wire_bytes\":{},\"wire_by_entry\":{{{}}}}}",
-            json_escape(backend),
-            metrics.critical_path,
-            avg_utilization,
-            metrics.pairlist.builds,
-            metrics.pairlist.hits,
-            stats.conservation_residual(),
-            metrics.wire_msgs,
-            metrics.wire_bytes,
-            wire_by_entry.join(","),
-        );
-        io_result = io_result.and(self.append_line("phases.jsonl", &summary));
+        // The `phases.jsonl` line, built only when there is a file to write
+        // it to.
+        if self.dir.is_some() {
+            // Per-entry packed-bytes breakdown: only entries that moved payload
+            // bytes, in registration order.
+            let wire_by_entry: Vec<String> = stats
+                .entry_names
+                .names()
+                .iter()
+                .enumerate()
+                .filter(|&(e, _)| stats.entry_wire_bytes.get(e).is_some_and(|&b| b > 0))
+                .map(|(e, name)| {
+                    format!(
+                        "\"{}\":{{\"msgs\":{},\"bytes\":{}}}",
+                        json_escape(name),
+                        stats.entry_wire_msgs[e],
+                        stats.entry_wire_bytes[e]
+                    )
+                })
+                .collect();
+            let avg_utilization = if stats.pe_busy.is_empty() || span <= 0.0 {
+                0.0
+            } else {
+                stats.pe_busy.iter().map(|b| b / span).sum::<f64>() / stats.pe_busy.len() as f64
+            };
+            let summary = format!(
+                "{{\"phase\":{index},\"backend\":\"{}\",\"steps\":{n_steps},\"span\":{span:.9e},\
+                 \"critical_path\":{:.9e},\"avg_utilization\":{:.6},\"pairlist_builds\":{},\
+                 \"pairlist_hits\":{},\"msg_residual\":{},\
+                 \"wire_msgs\":{},\"wire_bytes\":{},\"wire_by_entry\":{{{}}}}}",
+                json_escape(backend),
+                metrics.critical_path,
+                avg_utilization,
+                metrics.pairlist.builds,
+                metrics.pairlist.hits,
+                stats.conservation_residual(),
+                metrics.wire_msgs,
+                metrics.wire_bytes,
+                wire_by_entry.join(","),
+            );
+            io_result = io_result.and(self.append_line("phases.jsonl", &summary));
+        }
 
         self.pending_lb.clear();
         self.phases.push(PhaseProfile {
