@@ -8,8 +8,8 @@
 //!
 //! All on ApoA-I / ASCI-Red at 256 and 1024 PEs.
 use charmrt::MulticastMode;
-use namd_bench::steady_phase;
 use namd_core::prelude::*;
+use namd_core::recovery::steady_phase;
 
 fn bench_with(
     cfg: SimConfig,
@@ -17,7 +17,7 @@ fn bench_with(
     decomp: &Decomposition,
 ) -> (f64, usize) {
     let mut engine = Engine::with_decomposition(sys.clone(), decomp.clone(), cfg);
-    let t = steady_phase(&mut engine, 3).time_per_step;
+    let t = steady_phase(&mut engine, 3).expect("no PE is killed").time_per_step;
     (t, engine.proxy_count())
 }
 

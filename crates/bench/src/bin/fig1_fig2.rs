@@ -4,8 +4,8 @@
 //! Each bar counts the task instances of that grainsize during an average
 //! timestep on 1024 PEs of the ASCI-Red model, exactly like the figures.
 use namd_bench::paper::{FIG1_MAX_GRAINSIZE_S, FIG2_MAX_GRAINSIZE_S};
-use namd_bench::steady_phase;
 use namd_core::prelude::*;
+use namd_core::recovery::steady_phase;
 
 fn histogram(split: bool, sys: &mdcore::system::System) {
     let machine = machine::presets::asci_red();
@@ -15,7 +15,7 @@ fn histogram(split: bool, sys: &mdcore::system::System) {
         .unwrap();
     let mut engine = Engine::new(sys.clone(), cfg);
     engine.set_metrics(Some(MetricsRegistry::in_memory()));
-    let last = steady_phase(&mut engine, 3);
+    let last = steady_phase(&mut engine, 3).expect("no PE is killed");
     let trace = last.trace.as_ref().expect("registry traces");
     let h = trace.grainsize_histogram(
         &last.entries.nonbonded(),

@@ -3,8 +3,8 @@
 //! of §4.2.3. Integration appears as 'I'; shortening it shrinks the idle
 //! gaps on the processors that own no patches.
 use charmrt::MulticastMode;
-use namd_bench::steady_phase;
 use namd_core::prelude::*;
+use namd_core::recovery::steady_phase;
 
 fn timeline(mode: MulticastMode, sys: &mdcore::system::System) {
     let machine = machine::presets::asci_red();
@@ -14,7 +14,7 @@ fn timeline(mode: MulticastMode, sys: &mdcore::system::System) {
         .unwrap();
     let mut engine = Engine::new(sys.clone(), cfg);
     engine.set_metrics(Some(MetricsRegistry::in_memory()));
-    let last = steady_phase(&mut engine, 4);
+    let last = steady_phase(&mut engine, 4).expect("no PE is killed");
     let trace = last.trace.as_ref().expect("registry traces");
     let e = last.entries;
 

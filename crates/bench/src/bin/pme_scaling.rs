@@ -6,8 +6,8 @@
 //! ApoA-I on the ASCI-Red model: cutoff-only vs PME every step vs PME with
 //! 4-step multiple timestepping, across processor counts. The FFT
 //! all-to-all transpose is what erodes scalability at high PE counts.
-use namd_bench::steady_phase;
 use namd_core::prelude::*;
+use namd_core::recovery::steady_phase;
 
 fn main() {
     let bench = molgen::apoa1_like();
@@ -27,7 +27,7 @@ fn main() {
         for pme in variants {
             let cfg = SimConfig::builder(pes, machine).pme(pme).build().unwrap();
             let mut engine = Engine::with_decomposition(sys.clone(), decomp.clone(), cfg);
-            let t = steady_phase(&mut engine, 4).time_per_step;
+            let t = steady_phase(&mut engine, 4).expect("no PE is killed").time_per_step;
             row.push_str(&format!("  {t:>14.4}"));
         }
         println!("{row}");
@@ -40,7 +40,7 @@ fn main() {
         for (v, pme) in variants.iter().enumerate() {
             let cfg = SimConfig::builder(pes, machine).pme(*pme).build().unwrap();
             let mut engine = Engine::with_decomposition(sys.clone(), decomp.clone(), cfg);
-            let t = steady_phase(&mut engine, 4).time_per_step;
+            let t = steady_phase(&mut engine, 4).expect("no PE is killed").time_per_step;
             if pes == 1 {
                 t1[v] = t;
             }

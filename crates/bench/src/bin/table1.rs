@@ -6,14 +6,14 @@
 //! that configuration, then print the fully-optimized audit for contrast.
 use charmrt::MulticastMode;
 use namd_bench::paper::{TABLE1_ACTUAL_MS, TABLE1_IDEAL_MS};
-use namd_bench::steady_phase;
 use namd_core::prelude::*;
+use namd_core::recovery::steady_phase;
 
 fn run(multicast: MulticastMode, label: &str, sys: &mdcore::system::System) {
     let machine = machine::presets::asci_red();
     let cfg = SimConfig::builder(1024, machine).multicast(multicast).build().unwrap();
     let mut engine = Engine::new(sys.clone(), cfg);
-    let last = steady_phase(&mut engine, 3);
+    let last = steady_phase(&mut engine, 3).expect("no PE is killed");
     let a = audit(engine.decomp(), &machine, &last, 1024);
     println!("--- {label} (measured after greedy+refine load balancing) ---");
     print!("{}", a.render());

@@ -26,24 +26,4 @@
 pub mod paper;
 pub mod speedup;
 
-use namd_core::prelude::{Engine, PhaseResult};
-use namd_core::recovery::{advance, Advanced};
-
-/// §3.2's protocol through the one phase driver: three `steps`-step phases
-/// — the static placement measured, the configured strategy applied at the
-/// first boundary, refinement at the second — returning the third, the
-/// steady state every paper artifact reports.
-pub fn steady_phase(engine: &mut Engine, steps: usize) -> PhaseResult {
-    let mut last = None;
-    for k in 1..=3 {
-        // No rollback point is kept, so a killed PE is an error, never a
-        // rollback; the paper runs set no fault plan.
-        let done = advance(engine, k * steps, steps, Some(3 * steps), false);
-        if let Advanced::Phase { phase, .. } = done.expect("no PE is killed") {
-            last = Some(phase);
-        }
-    }
-    last.expect("three phases ran")
-}
-
 pub use speedup::{run_speedup_table, SpeedupRow};

@@ -1,10 +1,10 @@
 //! Shared speedup-sweep harness used by the `table2`..`table6` binaries.
 
 use crate::paper::{lookup, PaperRow};
-use crate::steady_phase;
 use machine::MachineModel;
 use molgen::BenchmarkSystem;
 use namd_core::prelude::*;
+use namd_core::recovery::steady_phase;
 
 /// One measured row of a speedup table.
 #[derive(Debug, Clone, Copy)]
@@ -34,7 +34,7 @@ pub fn run_speedup_table(
     for &pes in pe_counts {
         let cfg = SimConfig::builder(pes, machine).build().expect("valid sweep config");
         let mut engine = Engine::with_decomposition(system.clone(), decomp.clone(), cfg);
-        let t = steady_phase(&mut engine, steps).time_per_step;
+        let t = steady_phase(&mut engine, steps).expect("no PE is killed").time_per_step;
         rows.push(SpeedupRow {
             pes,
             sec_per_step: t,

@@ -11,8 +11,10 @@ use crate::wire::WireError;
 ///
 /// `Send` because the real-threads backend owns each chare on one worker
 /// thread at a time (and migration moves it between workers); there is no
-/// concurrent sharing of a chare, only transfer of ownership.
-pub trait Chare: Send {
+/// concurrent sharing of a chare, only transfer of ownership. `Any` so a
+/// driver can take back, between runs, what it lent a chare of a known
+/// type (`&mut dyn Chare` upcasts to `&mut dyn Any`).
+pub trait Chare: Send + std::any::Any {
     /// Handle one message. `entry` selects the method, `payload` carries the
     /// packed wire bytes (unpack with the message type's
     /// [`WireCodec`](crate::wire::WireCodec)); use `ctx` to send messages,

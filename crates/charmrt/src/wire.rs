@@ -235,8 +235,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds MAX_FRAME"),
         ));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    // The body grows with the bytes that arrive, not with the length the
+    // header claims.
+    let mut body = Vec::new();
+    if r.take(len as u64).read_to_end(&mut body)? < len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "EOF inside frame body"));
+    }
     let computed = crc64(&body);
     if computed != stored_crc {
         return Err(io::Error::new(
@@ -331,5 +335,30 @@ mod tests {
         assert!(read_frame(&mut &cut[..]).is_err());
         let cut = &buf[..7]; // inside the header
         assert!(read_frame(&mut &cut[..]).is_err());
+    }
+
+    /// A header claiming `MAX_FRAME` bytes followed by EOF: the reader is
+    /// never asked to fill a buffer near the claimed size.
+    #[test]
+    fn a_huge_claimed_length_allocates_only_what_arrives() {
+        struct Probe {
+            bytes: Vec<u8>,
+            largest_buf: usize,
+        }
+        impl Read for Probe {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest_buf = self.largest_buf.max(buf.len());
+                let n = buf.len().min(self.bytes.len());
+                buf[..n].copy_from_slice(&self.bytes[..n]);
+                self.bytes.drain(..n);
+                Ok(n)
+            }
+        }
+        let mut header = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        header.extend_from_slice(&0u64.to_le_bytes());
+        let mut r = Probe { bytes: header, largest_buf: 0 };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(r.largest_buf <= 64 << 10, "reader handed {} bytes", r.largest_buf);
     }
 }

@@ -27,7 +27,7 @@
 use namd_cli::config::parse;
 use namd_cli::runner;
 use namd_core::prelude::*;
-use namd_core::recovery::{advance, Advanced};
+use namd_core::recovery::steady_phase;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -382,19 +382,13 @@ fn cmd_bench(args: &[String]) -> i32 {
                 }
             }
         }
-        // §3.2's protocol: the static placement measured, greedy at the
-        // first boundary, refinement at the second; the third phase is timed.
-        let mut t = 0.0;
-        for k in 1..=3 {
-            match advance(&mut e, k * steps, steps, Some(3 * steps), false) {
-                Ok(Advanced::Phase { phase, .. }) => t = phase.time_per_step,
-                Ok(Advanced::RolledBack { .. }) => unreachable!("no rollback point is kept"),
-                Err(err) => {
-                    eprintln!("error: {p} PEs: {err}");
-                    return 1;
-                }
+        let t = match steady_phase(&mut e, steps) {
+            Ok(phase) => phase.time_per_step,
+            Err(err) => {
+                eprintln!("error: {p} PEs: {err}");
+                return 1;
             }
-        }
+        };
         let b = *base.get_or_insert(t * pes[0] as f64);
         println!("{p:>4} {t:>11.4} {:>9.1}", b / t);
     }

@@ -33,8 +33,9 @@
 //!
 //! Thread safety: one owner per datum. A home patch is the only reader and
 //! writer of its atoms' positions, velocities and forces for the length of a
-//! phase; everything else sees copies that arrived in messages, so handlers
-//! never race and none takes the between-phase `Shared::state` lock.
+//! phase, and a non-bonded compute of its pair list; everything else sees
+//! copies that arrived in messages, so handlers never race and none takes
+//! the between-phase `Shared::state` lock.
 
 use crate::config::{ForceMode, Thermostat};
 use crate::costmodel;
@@ -42,6 +43,7 @@ use crate::decomp::ComputeKind;
 use crate::messages::{
     force_f64, BarrierMsg, CoordMsg, EnergiesMsg, FixedAcc, ForceMsg, PatchStateMsg,
 };
+use crate::nbcache::ComputeCacheEntry;
 use crate::patchgrid::PatchId;
 use crate::state::{Shared, StepAcc};
 use charmrt::wire::{Dec, Enc};
@@ -53,6 +55,7 @@ use mdcore::bonded::{angle_force, bond_force, dihedral_force, improper_force, re
 use mdcore::forcefield::units;
 use mdcore::thermostat::{Berendsen, OuRefresh};
 use mdcore::vec3::Vec3;
+use profile::PairlistCounters;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -649,6 +652,10 @@ pub struct ComputeChare {
     /// Scheduler priority of this compute's execution (remote-feeding
     /// computes run first when `SimConfig::prioritize_remote` is on).
     exec_priority: charmrt::Priority,
+    /// Non-bonded computes: the pair list, SoA buffers and this phase's
+    /// list counters, lent by the engine for the phase and taken back at
+    /// harvest (empty and unused on a bonded compute).
+    pub(crate) pairlist: ComputeCacheEntry,
 }
 
 impl ComputeChare {
@@ -660,6 +667,7 @@ impl ComputeChare {
         targets: Vec<(ObjId, EntryId, usize)>,
         work_scale: f64,
         exec_priority: charmrt::Priority,
+        pairlist: ComputeCacheEntry,
     ) -> Self {
         let spec = &shared.decomp.computes[index];
         let expected = spec.patches.len();
@@ -706,6 +714,7 @@ impl ComputeChare {
             received: 0,
             work_scale,
             exec_priority,
+            pairlist,
         }
     }
 
@@ -739,8 +748,7 @@ impl ComputeChare {
             // entry's business; self and pair computes differ only in how
             // many force blocks they fill.
             ComputeKind::SelfNb { .. } | ComputeKind::PairNb { .. } => {
-                let mut cache = shared.nb_cache.entry(self.index).lock().unwrap();
-                let (res, work) = cache.evaluate(
+                let (res, work) = self.pairlist.evaluate(
                     spec,
                     &shared.frame,
                     &shared.decomp.grid,
@@ -869,6 +877,32 @@ impl Chare for ComputeChare {
             }
         } else {
             unreachable!("ComputeChare got unexpected entry {entry:?}");
+        }
+    }
+
+    /// The phase's list builds and hits; nothing when the compute used no
+    /// list (a bonded compute, Counted mode).
+    fn harvest_state(&self) -> Payload {
+        let counts = self.pairlist.counts;
+        let mut e = Enc::new();
+        if counts.executions() > 0 {
+            e.u64(counts.builds);
+            e.u64(counts.hits);
+        }
+        e.into_bytes()
+    }
+
+    /// `proc` backend: take over the counters a worker process's copy of
+    /// this compute harvested.
+    fn merge_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        let mut d = Dec::new(bytes);
+        if !bytes.is_empty() {
+            let (builds, hits) = (d.u64("builds")?, d.u64("hits")?);
+            self.pairlist.counts = PairlistCounters { builds, hits };
+        }
+        match d.remaining() {
+            0 => Ok(()),
+            n => Err(WireError(format!("{n} trailing bytes after list counters"))),
         }
     }
 }

@@ -23,10 +23,12 @@ use crate::config::{ForceMode, LbStrategy, SimConfig, Thermostat};
 use crate::costmodel;
 use crate::decomp::{self, Decomposition};
 use crate::messages::{EnergiesMsg, FixedAcc, PatchStateMsg};
-use crate::nbcache::PairlistCache;
+use crate::nbcache::{self, ComputeCacheEntry};
 use crate::state::{Frame, Shared, SimState, StepAcc};
 use charmrt::{ObjId, Pe, Runtime, SummaryStats, Trace, WireCodec, PRIO_NORMAL};
 use mdcore::prelude::*;
+use profile::PairlistCounters;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
@@ -241,6 +243,12 @@ pub struct Engine {
     /// The rebuild-boundary snapshot [`crate::recovery::advance`] keeps for
     /// a caller that asked for memory-source recovery.
     pub(crate) boundary: Option<ckpt::Snapshot>,
+    /// One pair list per compute, indexed like `decomp.computes`: lent to
+    /// compute `j` for a phase and taken back at harvest (a crashed phase
+    /// drops them; empty entries stand in).
+    pairlists: Vec<ComputeCacheEntry>,
+    /// List builds and hits since construction or the last rebuild.
+    pairlist_counts: PairlistCounters,
 }
 
 impl Engine {
@@ -302,7 +310,6 @@ impl Engine {
             }),
             decomp,
             pme_real,
-            nb_cache: PairlistCache::new(n_computes),
         });
         Engine {
             config,
@@ -318,6 +325,8 @@ impl Engine {
             metrics: None,
             crashes: 0,
             boundary: None,
+            pairlists: Vec::new(),
+            pairlist_counts: PairlistCounters::default(),
         }
     }
 
@@ -409,8 +418,8 @@ impl Engine {
         // buffer is indexed by stale atom slots, so invalidate every entry.
         // Buffer capacity is recycled — entries re-prime (gather + list
         // build) on the next step without reallocating their Vec storage.
-        let cache = std::mem::replace(&mut shared.nb_cache, PairlistCache::new(0));
-        shared.nb_cache = PairlistCache::recycled(cache, &pred);
+        self.pairlists = nbcache::recycled(std::mem::take(&mut self.pairlists), &pred);
+        self.pairlist_counts = PairlistCounters::default();
         let computes = &shared.decomp.computes;
         self.placement = pred
             .iter()
@@ -551,6 +560,12 @@ impl Engine {
         &self.shared.decomp
     }
 
+    /// Pair-list builds and hits summed over the phases since construction
+    /// or the last decomposition rebuild (which empties every list).
+    pub fn pairlist_counts(&self) -> PairlistCounters {
+        self.pairlist_counts
+    }
+
     /// Read access to the between-phase system (positions, velocities,
     /// temperature, …): current after every completed phase and restore.
     pub fn system(&self) -> SystemRef<'_> {
@@ -646,7 +661,6 @@ impl Engine {
             step_offset: self.steps_done,
             thermostat: cfg.thermostat,
         };
-        let pairlist_before = self.shared.nb_cache.totals();
 
         // ---- Deterministic object-id layout -------------------------------
         // reducer = 0; patch p = 1+p; proxy k = 1+P+k; compute j = 1+P+NP+j.
@@ -766,6 +780,7 @@ impl Engine {
             assert_eq!(id, proxy_id(k));
         }
 
+        let mut pairlists = std::mem::take(&mut self.pairlists).into_iter();
         for (j, c) in decomp.computes.iter().enumerate() {
             let pe = self.placement[j];
             let targets: Vec<(ObjId, charmrt::EntryId, usize)> = c
@@ -799,6 +814,7 @@ impl Engine {
                 targets,
                 self.drift[j],
                 exec_priority,
+                pairlists.next().unwrap_or_default(),
             );
             let id = rt.register(Box::new(obj), pe, c.migratable);
             assert_eq!(id, compute_id(j));
@@ -932,15 +948,23 @@ impl Engine {
             ForceMode::Counted => n_steps,
         };
 
+        // Every compute hands back its list and the phase's counters — on
+        // `proc` the parent's never-run copy: the list it was lent and the
+        // counters its worker harvested.
+        let mut lists = PairlistCounters::default();
+        for j in 0..n_computes {
+            let obj: &mut dyn Any = rt.object_mut(compute_id(j));
+            let compute: &mut ComputeChare = obj.downcast_mut().expect("compute ids hold computes");
+            let mut list = std::mem::take(&mut compute.pairlist);
+            lists.builds += list.counts.builds;
+            lists.hits += list.counts.hits;
+            list.counts = PairlistCounters::default();
+            self.pairlists.push(list);
+        }
+        self.pairlist_counts.builds += lists.builds;
+        self.pairlist_counts.hits += lists.hits;
         let stats = rt.stats().clone();
-        let pairlist_after = self.shared.nb_cache.totals();
-        let metrics = profile::PhaseMetrics::of(
-            &stats,
-            profile::PairlistCounters {
-                builds: pairlist_after.builds - pairlist_before.builds,
-                hits: pairlist_after.hits - pairlist_before.hits,
-            },
-        );
+        let metrics = profile::PhaseMetrics::of(&stats, lists);
         let result = PhaseResult {
             time_per_step: total_time / n_steps as f64,
             total_time,

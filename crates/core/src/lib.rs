@@ -94,7 +94,6 @@ pub mod prelude {
     };
     pub use crate::decomp::{build as build_decomposition, ComputeKind, Decomposition};
     pub use crate::engine::{topology_hash, Engine, PhaseCrash, PhaseResult};
-    pub use crate::nbcache::PairlistCache;
     pub use crate::oracle::{check_phase, check_phase_with, OracleParams, OracleReport};
     pub use crate::parallel::{ParallelSim, ParallelSimError};
     pub use crate::patchgrid::{PatchGrid, PatchId};

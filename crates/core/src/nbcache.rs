@@ -23,16 +23,17 @@
 //! and the kernel that reads it (`mdcore::nonbonded`'s listed kernels) are
 //! known here only, so the compute chare knows neither.
 //!
-//! `Engine::migrate_atoms` changes patch membership, so it resets the cache
-//! via [`PairlistCache::recycled`] — entries are cleared but their heap
-//! buffers (candidate lists, reference positions) follow their compute to
-//! its successor in the new decomposition, so steady-state migration does
-//! not re-grow the big allocations from zero.
+//! `Engine::migrate_atoms` changes patch membership, so it resets the
+//! entries via [`recycled`] — entries are cleared but their heap buffers
+//! (candidate lists, reference positions) follow their compute to its
+//! successor in the new decomposition, so steady-state migration does not
+//! re-grow the big allocations from zero.
 //!
-//! Locking: entries live in [`PairlistCache`] inside `Shared`, one mutex per
-//! compute. Only the owning compute chare ever locks its entry (runtimes
-//! never run the same chare concurrently with itself), so the mutexes are
-//! uncontended; they exist to keep `Shared: Sync` on the threads backend.
+//! Ownership: the engine keeps one entry per compute between phases and
+//! moves entry `j` into compute `j` when it registers the phase's chares;
+//! the compute evaluates on it without a lock and hands it back at
+//! harvest. On `proc` the children build on copies of the entry that die
+//! with them, so every proc phase starts from empty lists.
 
 use crate::costmodel;
 use crate::decomp::{ComputeKind, ComputeSpec, PatchArrays};
@@ -45,7 +46,6 @@ use mdcore::nonbonded::{
 };
 use mdcore::prelude::*;
 use profile::PairlistCounters;
-use std::sync::Mutex;
 
 /// Pair-list cache state for one non-bonded compute object.
 #[derive(Debug, Default)]
@@ -65,10 +65,8 @@ pub struct ComputeCacheEntry {
     /// `margin / 2` at build time — the displacement bound under which the
     /// list is guaranteed complete.
     half_margin: f64,
-    /// List (re)builds performed by this compute.
-    builds: u64,
-    /// Steps served from a still-valid list.
-    hits: u64,
+    /// List builds and hits since the engine last took them (every harvest).
+    pub(crate) counts: PairlistCounters,
 }
 
 impl ComputeCacheEntry {
@@ -153,7 +151,7 @@ impl ComputeCacheEntry {
         margin: f64,
     ) -> bool {
         if self.built_radius == radius && self.displacements_ok(cell) {
-            self.hits += 1;
+            self.counts.hits += 1;
             return false;
         }
         match spec.kind {
@@ -177,7 +175,7 @@ impl ComputeCacheEntry {
         self.snapshot_ref_pos();
         self.built_radius = radius;
         self.half_margin = margin / 2.0;
-        self.builds += 1;
+        self.counts.builds += 1;
         true
     }
 
@@ -203,8 +201,7 @@ impl ComputeCacheEntry {
 
     /// Clear the entry for reuse by a different compute (after migration),
     /// keeping every heap buffer's capacity: candidate list and
-    /// reference-position vectors. Counters reset — migration starts a fresh
-    /// cache epoch.
+    /// reference-position vectors.
     fn reset_for_reuse(&mut self) {
         self.arrays.clear();
         self.list.clear();
@@ -213,75 +210,41 @@ impl ComputeCacheEntry {
         }
         self.built_radius = 0.0;
         self.half_margin = 0.0;
-        self.builds = 0;
-        self.hits = 0;
     }
 }
 
-/// One mutex-guarded cache entry per compute object, indexed by the
-/// compute's position in `Decomposition::computes`.
-pub struct PairlistCache {
-    entries: Vec<Mutex<ComputeCacheEntry>>,
-}
-
-impl PairlistCache {
-    /// Empty cache for `n_computes` compute objects.
-    pub fn new(n_computes: usize) -> Self {
-        PairlistCache {
-            entries: (0..n_computes).map(|_| Mutex::new(ComputeCacheEntry::default())).collect(),
-        }
-    }
-
-    /// Cache for a new compute decomposition, recycling the old cache's
-    /// entry buffers: each new compute takes over the allocations (cleared,
-    /// counters reset) of its predecessor (`predecessors[j]`, from
-    /// [`crate::decomp::predecessors`]) — the same piece of the same patch
-    /// or patch pair — instead of growing its candidate vectors from zero
-    /// again. Old entries nothing claims are dropped; computes with no
-    /// predecessor start empty.
-    ///
-    /// A compute after a migration is, give or take a few atoms, the compute
-    /// of the same patches before it, with a list of about the same length.
-    /// Any other pairing hands computes a buffer some other compute filled;
-    /// each buffer is then written up to the longest list it ever held and
-    /// the resident set climbs with every migration. Largest-buffer-first
-    /// cost the small benchmark deck 41 → 61 MB over 30 migrations; pairing
-    /// by index holds there, but on the large deck a grainsize split comes
-    /// or goes at most migrations (1454 → 1460 → 1459 → … computes), every
-    /// later index shifts, and the lists crept ~15 MB per migration.
-    pub fn recycled(old: PairlistCache, predecessors: &[Option<usize>]) -> Self {
-        let mut pool: Vec<Option<ComputeCacheEntry>> = old
-            .entries
-            .into_iter()
-            .map(|m| {
-                let mut e = m.into_inner().expect("cache entry poisoned");
-                e.reset_for_reuse();
-                Some(e)
-            })
-            .collect();
-        let entries = predecessors
-            .iter()
-            .map(|p| Mutex::new(p.and_then(|i| pool[i].take()).unwrap_or_default()))
-            .collect();
-        PairlistCache { entries }
-    }
-
-    /// The cache entry for compute `j`.
-    pub(crate) fn entry(&self, j: usize) -> &Mutex<ComputeCacheEntry> {
-        &self.entries[j]
-    }
-
-    /// Cumulative counters summed over all computes since the cache was
-    /// created (or last reset by migration).
-    pub fn totals(&self) -> PairlistCounters {
-        let mut s = PairlistCounters::default();
-        for e in &self.entries {
-            let g = e.lock().unwrap();
-            s.builds += g.builds;
-            s.hits += g.hits;
-        }
-        s
-    }
+/// Entries for a new compute decomposition, recycling the old entries'
+/// buffers: each new compute takes over the allocations (cleared) of its
+/// predecessor (`predecessors[j]`, from [`crate::decomp::predecessors`]) —
+/// the same piece of the same patch or patch pair — instead of growing its
+/// candidate vectors from zero again. Old entries nothing claims are
+/// dropped; computes with no predecessor (or whose predecessor's entry a
+/// crashed phase took with it) start empty.
+///
+/// A compute after a migration is, give or take a few atoms, the compute
+/// of the same patches before it, with a list of about the same length.
+/// Any other pairing hands computes a buffer some other compute filled;
+/// each buffer is then written up to the longest list it ever held and
+/// the resident set climbs with every migration. Largest-buffer-first
+/// cost the small benchmark deck 41 → 61 MB over 30 migrations; pairing
+/// by index holds there, but on the large deck a grainsize split comes
+/// or goes at most migrations (1454 → 1460 → 1459 → … computes), every
+/// later index shifts, and the lists crept ~15 MB per migration.
+pub fn recycled(
+    old: Vec<ComputeCacheEntry>,
+    predecessors: &[Option<usize>],
+) -> Vec<ComputeCacheEntry> {
+    let mut pool: Vec<Option<ComputeCacheEntry>> = old
+        .into_iter()
+        .map(|mut e| {
+            e.reset_for_reuse();
+            Some(e)
+        })
+        .collect();
+    predecessors
+        .iter()
+        .map(|p| p.and_then(|i| pool.get_mut(i)?.take()).unwrap_or_default())
+        .collect()
 }
 
 #[cfg(test)]
@@ -313,18 +276,18 @@ mod tests {
         let pair01 = spec(ComputeKind::PairNb { a: 0, b: 1 });
         let pair02 = spec(ComputeKind::PairNb { a: 0, b: 2 });
         let bonded0 = spec(ComputeKind::BondedIntra { patch: 0 });
-        let caps = |c: &PairlistCache| -> Vec<usize> {
-            c.entries.iter().map(|e| e.lock().unwrap().list.capacity()).collect()
+        let caps = |c: &[ComputeCacheEntry]| -> Vec<usize> {
+            c.iter().map(|e| e.list.capacity()).collect()
         };
 
         // self(0) in two pieces, one pair compute, a bonded compute.
         let before = [self0.clone(), self0.clone(), pair01.clone(), bonded0.clone()];
-        let old = PairlistCache::new(before.len());
+        let mut old: Vec<ComputeCacheEntry> = before.iter().map(|_| Default::default()).collect();
         for (j, cap) in [(0, 10), (1, 1000), (2, 100)] {
-            old.entry(j).lock().unwrap().list.reserve_exact(cap);
+            old[j].list.reserve_exact(cap);
         }
         let recycled = |old, from: &[ComputeSpec], to: &[ComputeSpec]| {
-            PairlistCache::recycled(old, &crate::decomp::predecessors(from, to))
+            recycled(old, &crate::decomp::predecessors(from, to))
         };
         let same = recycled(old, &before, &before);
         assert_eq!(caps(&same), [10, 1000, 100, 0]);
@@ -339,9 +302,9 @@ mod tests {
             pair01.clone(),
             bonded0.clone(),
         ];
-        let cache = recycled(same, &before, &grown);
+        let mut cache = recycled(same, &before, &grown);
         assert_eq!(caps(&cache), [10, 1000, 0, 0, 100, 0]);
-        cache.entry(3).lock().unwrap().list.reserve_exact(50);
+        cache[3].list.reserve_exact(50);
 
         // The first self piece's twin goes and pair(0,2) moves to the end:
         // piece 1's buffer is dropped with it, the rest follow their pairs.

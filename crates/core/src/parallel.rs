@@ -121,7 +121,7 @@ impl ParallelSim {
     /// Cumulative pair-list cache counters (builds/hits) since construction
     /// or the last atom migration (migration resets the cache).
     pub fn pairlist_stats(&self) -> profile::PairlistCounters {
-        self.engine.shared.nb_cache.totals()
+        self.engine.pairlist_counts()
     }
 
     /// Attach an observability registry: every engine phase driven by this

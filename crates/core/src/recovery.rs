@@ -3,8 +3,9 @@
 //! knows the atom-migration cadence, when the load balancer runs and what
 //! a crashed phase triggers. The CLI's run loop (at every thread count),
 //! the job scheduler in `crates/serve`, [`crate::parallel::ParallelSim`],
-//! `namd-rs bench` and the paper-table bins of `crates/bench` are
-//! `while done < target` loops around it, in both force modes.
+//! and [`steady_phase`] (`namd-rs bench` and the paper-table bins of
+//! `crates/bench`) are `while done < target` loops around it, in both force
+//! modes.
 //!
 //! **Cadence.** A phase never crosses a multiple of `migrate_every` on the
 //! *global* step counter. Whenever the counter lands on one, a Real-mode
@@ -241,6 +242,22 @@ pub fn advance(
             Ok(Advanced::RolledBack { crash, attempt, step: engine.steps_done, from })
         }
     }
+}
+
+/// §3.2's protocol from step 0 through [`advance`]: three `steps`-step
+/// phases — the static placement measured, the configured strategy applied
+/// at the first boundary, refinement at the second — returning the third,
+/// the steady state `namd-rs bench` and every paper artifact report. A
+/// rolled-back phase is replayed.
+pub fn steady_phase(engine: &mut Engine, steps: usize) -> Result<PhaseResult, RecoveryError> {
+    let end = 3 * steps;
+    let mut last = None;
+    while engine.steps_done < end {
+        if let Advanced::Phase { phase, .. } = advance(engine, end, steps, Some(end), false)? {
+            last = Some(phase);
+        }
+    }
+    Ok(last.expect("steady_phase starts at step 0"))
 }
 
 #[cfg(test)]
@@ -591,7 +608,7 @@ pub(crate) mod tests {
             while engine.steps_done < 40 {
                 advance(&mut engine, 40, 10, last_step, false).unwrap();
                 assert_eq!(engine.steps_done % 10, 0, "phases are cut at multiples");
-                rebuilds += (engine.shared.nb_cache.totals().executions() == 0) as u32;
+                rebuilds += (engine.pairlist_counts().executions() == 0) as u32;
             }
             assert_eq!(rebuilds, expected, "last_step {last_step:?}");
         }

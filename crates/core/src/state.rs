@@ -3,16 +3,14 @@
 //! During a phase every datum has one owner: a home patch holds its atoms'
 //! positions, velocities and forces, computes see only the coordinate
 //! payloads they are sent, and forces and energy records travel back in
-//! messages. [`Shared`] is what is left to share: the immutable [`Frame`]
-//! and decomposition, the per-compute pair-list cache (each entry locked
-//! only by its own compute) and the PME force buffer. [`Shared::state`]
-//! is the store *between* phases: the engine hands each home patch its
-//! atoms from it before the phase and scatters what the patches hand back
-//! into it after — no handler touches it, so a crashed phase leaves it at
-//! the phase-start state.
+//! messages; a non-bonded compute owns its pair list. [`Shared`] is what
+//! is left to share: the immutable [`Frame`] and decomposition and the PME
+//! force buffer. [`Shared::state`] is the store *between* phases: the
+//! engine hands each home patch its atoms from it before the phase and
+//! scatters what the patches hand back into it after — no handler touches
+//! it, so a crashed phase leaves it at the phase-start state.
 
 use crate::decomp::Decomposition;
-use crate::nbcache::PairlistCache;
 use mdcore::prelude::*;
 use std::sync::{Mutex, RwLock};
 
@@ -105,9 +103,6 @@ pub struct Shared {
     pub decomp: Decomposition,
     /// Present only in Real mode with full electrostatics.
     pub pme_real: Option<Mutex<PmeReal>>,
-    /// Per-compute pair-list cache + persistent SoA buffers for the
-    /// non-bonded hot path (Real mode). Reset wholesale on atom migration.
-    pub nb_cache: PairlistCache,
 }
 
 #[cfg(test)]

@@ -37,22 +37,25 @@ impl StepEnergy {
 /// Compute all forces for the current positions. Returns the energies and
 /// fills `forces` (overwritten, not accumulated).
 pub fn compute_forces(system: &System, forces: &mut [Vec3]) -> StepEnergy {
-    let n = system.n_atoms();
-    assert_eq!(forces.len(), n);
-    forces.fill(Vec3::ZERO);
+    let cutoff = system.forcefield.cutoff;
+    let cl = CellList::build(&system.cell, &system.positions, cutoff);
+    forces_on_pairs(system, &cl.neighbor_pairs(&system.positions, cutoff), forces)
+}
 
+/// The non-bonded forces over `pairs` plus every bonded term, into `forces`
+/// (overwritten).
+fn forces_on_pairs(system: &System, pairs: &[(u32, u32)], forces: &mut [Vec3]) -> StepEnergy {
+    assert_eq!(forces.len(), system.n_atoms());
+    forces.fill(Vec3::ZERO);
     let lj = system.lj_types();
     let q = system.charges();
-
-    let cl = CellList::build(&system.cell, &system.positions, system.forcefield.cutoff);
-    let pairs = cl.neighbor_pairs(&system.positions, system.forcefield.cutoff);
     let nonbonded = nb_pairlist(
         &system.forcefield,
         &system.exclusions,
         &system.positions,
         &lj,
         &q,
-        &pairs,
+        pairs,
         &system.cell,
         forces,
     );
@@ -60,7 +63,8 @@ pub fn compute_forces(system: &System, forces: &mut [Vec3]) -> StepEnergy {
     StepEnergy { bonded, nonbonded, kinetic: 0.0 }
 }
 
-/// A velocity-Verlet integrator with persistent force buffers.
+/// A velocity-Verlet integrator with persistent force buffers and a Verlet
+/// pair list.
 pub struct Simulator {
     /// Timestep, fs.
     pub dt: f64,
@@ -69,21 +73,17 @@ pub struct Simulator {
     forces_valid: bool,
     /// Energies from the most recent force evaluation.
     pub last_energy: StepEnergy,
-    /// Reusable Verlet pair list (see [`Simulator::with_pairlist`]).
-    pairlist: Option<PairList>,
+    /// The pair list every force evaluation reads (margin 0 for
+    /// [`Simulator::new`]: rebuilt whenever any atom moved).
+    pairlist: PairList,
 }
 
 impl Simulator {
-    /// Create a simulator with timestep `dt` femtoseconds.
+    /// Create a simulator with timestep `dt` femtoseconds. Its pair list has
+    /// no margin, so every step reads a fresh cutoff-radius list — the
+    /// pairs and order of [`compute_forces`], hence its bits.
     pub fn new(system: &System, dt: f64) -> Self {
-        assert!(dt > 0.0, "timestep must be positive");
-        Simulator {
-            dt,
-            forces: vec![Vec3::ZERO; system.n_atoms()],
-            forces_valid: false,
-            last_energy: StepEnergy::default(),
-            pairlist: None,
-        }
+        Simulator::with_pairlist(system, dt, 0.0)
     }
 
     /// Create a simulator that reuses a Verlet pair list with the given
@@ -91,50 +91,31 @@ impl Simulator {
     /// the sequential analogue of NAMD's `pairlistdist`. Results are
     /// identical to [`Simulator::new`]; only the rebuild frequency changes.
     pub fn with_pairlist(system: &System, dt: f64, margin: f64) -> Self {
-        assert!(margin > 0.0, "margin must be positive");
-        let mut sim = Simulator::new(system, dt);
-        sim.pairlist = Some(PairList::build(
-            &system.cell,
-            &system.positions,
-            system.forcefield.cutoff,
-            margin,
-        ));
-        sim
-    }
-
-    /// Pair-list rebuilds so far (diagnostics; 0 without a pair list).
-    pub fn pairlist_rebuilds(&self) -> usize {
-        self.pairlist.as_ref().map_or(0, |pl| pl.rebuilds)
-    }
-
-    /// Force evaluation, using the cached pair list when present.
-    fn eval_forces(&mut self, system: &System) -> StepEnergy {
-        match &mut self.pairlist {
-            None => compute_forces(system, &mut self.forces),
-            Some(pl) => {
-                pl.refresh(&system.cell, &system.positions);
-                self.forces.fill(Vec3::ZERO);
-                let lj = system.lj_types();
-                let q = system.charges();
-                let nonbonded = nb_pairlist(
-                    &system.forcefield,
-                    &system.exclusions,
-                    &system.positions,
-                    &lj,
-                    &q,
-                    pl.pairs(),
-                    &system.cell,
-                    &mut self.forces,
-                );
-                let bonded = compute_bonded(
-                    &system.topology,
-                    &system.cell,
-                    &system.positions,
-                    &mut self.forces,
-                );
-                StepEnergy { bonded, nonbonded, kinetic: 0.0 }
-            }
+        assert!(dt > 0.0, "timestep must be positive");
+        assert!(margin >= 0.0, "margin must be non-negative");
+        Simulator {
+            dt,
+            forces: vec![Vec3::ZERO; system.n_atoms()],
+            forces_valid: false,
+            last_energy: StepEnergy::default(),
+            pairlist: PairList::build(
+                &system.cell,
+                &system.positions,
+                system.forcefield.cutoff,
+                margin,
+            ),
         }
+    }
+
+    /// Pair-list builds so far (diagnostics).
+    pub fn pairlist_rebuilds(&self) -> usize {
+        self.pairlist.rebuilds
+    }
+
+    /// Force evaluation on the pair list, refreshed first if stale.
+    fn eval_forces(&mut self, system: &System) -> StepEnergy {
+        self.pairlist.refresh(&system.cell, &system.positions);
+        forces_on_pairs(system, self.pairlist.pairs(), &mut self.forces)
     }
 
     /// Current force buffer (valid after the first step or `prime`).

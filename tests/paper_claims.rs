@@ -7,19 +7,12 @@ use namd_repro::machine::presets;
 use namd_repro::mdcore::prelude::*;
 use namd_repro::molgen::{SystemBuilder, SystemSpec};
 use namd_repro::namd_core::prelude::*;
-use namd_repro::namd_core::recovery::{advance, Advanced};
+use namd_repro::namd_core::recovery;
 
-/// §3.2's protocol through the phase driver: three 2-step phases (the
-/// static placement measured, the strategy's placement, the refined one);
-/// returns the last.
+/// §3.2's protocol: three 2-step phases (the static placement measured, the
+/// strategy's placement, the refined one); returns the last.
 fn steady_phase(engine: &mut Engine) -> PhaseResult {
-    let mut last = None;
-    for k in 1..=3 {
-        if let Advanced::Phase { phase, .. } = advance(engine, 2 * k, 2, Some(6), false).unwrap() {
-            last = Some(phase);
-        }
-    }
-    last.unwrap()
+    recovery::steady_phase(engine, 2).unwrap()
 }
 
 fn slab_system() -> System {

@@ -11,7 +11,9 @@
 //!   checkpoint-based recovery reproduces the uninterrupted trajectory
 //!   bit for bit;
 //! * under either thermostat, every backend and PE count gives one
-//!   trajectory.
+//!   trajectory;
+//! * proc's phase metrics count the pair lists its workers built and
+//!   reused, as threads' do.
 
 use namd_repro::mdcore::prelude::*;
 use namd_repro::molgen;
@@ -113,6 +115,34 @@ fn des_threads_and_proc_trajectories_are_bit_identical() {
                 b.total()
             );
         }
+    }
+}
+
+/// Every backend evaluates each non-bonded compute once per step, so proc
+/// and threads agree on builds + hits phase by phase; a proc worker builds
+/// on a copy of the list that dies with it, so every proc phase starts by
+/// building each compute's list.
+#[test]
+fn proc_reports_the_pair_lists_its_workers_built() {
+    let sys = restrained_apoa1_small();
+    let counts = |backend| {
+        let mut engine = Engine::new(sys.clone(), real_mode_config(2, backend));
+        let n_nb = engine
+            .decomp()
+            .computes
+            .iter()
+            .filter(|c| matches!(c.kind, ComputeKind::SelfNb { .. } | ComputeKind::PairNb { .. }))
+            .count() as u64;
+        let phases: Vec<PairlistCounters> =
+            (0..3).map(|_| engine.run_phase(4).metrics.pairlist).collect();
+        (n_nb, phases)
+    };
+    let (n_nb, threads) = counts(Backend::Threads);
+    let (_, proc) = counts(Backend::Proc);
+    for (k, (t, p)) in threads.iter().zip(&proc).enumerate() {
+        assert_eq!(t.executions(), 4 * n_nb, "phase {k}: threads {t:?}");
+        assert_eq!(p.executions(), t.executions(), "phase {k}: proc {p:?}, threads {t:?}");
+        assert!(p.builds >= n_nb, "phase {k}: proc built {} lists for {n_nb} computes", p.builds);
     }
 }
 
