@@ -1,22 +1,22 @@
 //! Per-frame observables and their mergeable partial sums.
 //!
-//! Analysis follows the same map/reduce discipline as a force phase: each
-//! *task* (one frame, or one MSD atom block) produces a [`Partial`];
-//! partials fold together with [`Partial::merge`] in a fixed pairwise-tree
-//! order, and [`finalize`] turns the fully merged partial into physical
-//! observables. Determinism discipline:
+//! Each analysis *task* (one frame, or one MSD atom block) produces a
+//! [`Partial`]; the driver folds the partials together with
+//! [`Partial::merge`] in a fixed tree order, and [`finalize`] turns the
+//! fully merged partial into physical observables. Determinism discipline:
 //!
 //! * task decomposition depends only on the trajectory shape (frame count,
-//!   atom count), never on the PE count or backend;
+//!   atom count), never on the thread count;
 //! * every accumulation inside a task iterates atoms/pairs in index order;
-//! * merges happen in ascending child-task order at every tree node;
+//! * the fold order depends only on the task count;
 //!
-//! so the reduced observable bytes are bit-identical on des/threads/proc
-//! and for any PE count — the `obs_crc` over the packed partial is the
-//! witness tests compare.
+//! so the reduced observable bytes are bit-identical for any thread count
+//! and schedule — the `obs_crc` over the packed partial is the witness
+//! tests compare.
 
-use charmrt::wire::{get_u64s, put_u64s, Dec, Enc, WireCodec, WireError};
-use charmrt::Payload;
+use std::ops::Range;
+
+use ckpt::Enc;
 use mdcore::prelude::*;
 
 /// Analysis knobs. All fields shape the *physics* of the result, so every
@@ -111,9 +111,9 @@ impl Partial {
         }
     }
 
-    /// Fold `other` into `self`. Callers fix the call order (ascending
-    /// child-task index at every tree node) so the f64 additions happen in
-    /// one global order regardless of backend or PE count.
+    /// Fold `other` into `self`. The driver fixes the call order (a node's
+    /// own partial, then its children in ascending task index) so the f64
+    /// additions happen in one global order whatever the thread count.
     pub fn merge(&mut self, other: &Partial) {
         assert_eq!(self.n_frames, other.n_frames, "partial shape mismatch");
         assert_eq!(self.n_atoms, other.n_atoms, "partial shape mismatch");
@@ -138,42 +138,24 @@ impl Partial {
         self.frames_seen += other.frames_seen;
     }
 
-    /// Total f64/u64 slots — the reduce cost model's size measure.
-    pub fn slots(&self) -> usize {
-        self.rdf_hist.len() + self.contact_hist.len() + self.rmsd.len() + self.msd_sum.len() + 2
-    }
-}
-
-impl WireCodec for Partial {
-    fn pack(&self) -> Payload {
-        let mut e = Enc::with_capacity(32 + self.slots() * 8);
+    /// The little-endian bytes `obs_crc` is taken over: shape, counters,
+    /// then each vector behind its length (`u32` for the histograms, `u64`
+    /// for the f64 vectors).
+    pub fn pack(&self) -> Vec<u8> {
+        let mut e = Enc::new();
         e.u32(self.n_frames);
         e.u32(self.n_atoms);
         e.u64(self.msd_atoms);
         e.u64(self.frames_seen);
-        put_u64s(&mut e, &self.rdf_hist);
-        put_u64s(&mut e, &self.contact_hist);
+        for hist in [&self.rdf_hist, &self.contact_hist] {
+            e.u32(hist.len() as u32);
+            for &x in hist {
+                e.u64(x);
+            }
+        }
         e.f64s(&self.rmsd);
         e.f64s(&self.msd_sum);
         e.into_bytes()
-    }
-
-    fn unpack(bytes: &[u8]) -> Result<Partial, WireError> {
-        let mut d = Dec::new(bytes);
-        let p = Partial {
-            n_frames: d.u32("n_frames")?,
-            n_atoms: d.u32("n_atoms")?,
-            msd_atoms: d.u64("msd_atoms")?,
-            frames_seen: d.u64("frames_seen")?,
-            rdf_hist: get_u64s(&mut d, "rdf_hist")?,
-            contact_hist: get_u64s(&mut d, "contact_hist")?,
-            rmsd: d.f64s("rmsd")?,
-            msd_sum: d.f64s("msd_sum")?,
-        };
-        if d.remaining() != 0 {
-            return Err(WireError(format!("{} trailing bytes after Partial", d.remaining())));
-        }
-        Ok(p)
     }
 }
 
@@ -210,37 +192,32 @@ pub fn frame_partial(
     p
 }
 
-/// Analyze one MSD atom block: unwrap the block's atoms through every
-/// frame (consecutive-frame minimum images, as
+/// Analyze one MSD atom block: unwrap atoms `atoms` through every frame
+/// (consecutive-frame minimum images, as
 /// `mdcore::mean_squared_displacement` does) and accumulate per-frame sums
-/// of squared displacement.
-///
-/// `coords` is frame-major: `coords[t * block_len + a]` is block-atom `a`
-/// at frame `t`.
+/// of squared displacement, atoms in index order within each frame.
 pub fn msd_partial(
-    coords: &[Vec3],
-    block_len: usize,
+    frames: &[Vec<Vec3>],
+    atoms: Range<usize>,
     cell: &Cell,
-    n_frames: usize,
-    n_atoms: usize,
     params: &AnalyzeParams,
 ) -> Partial {
-    assert_eq!(coords.len(), block_len * n_frames, "MSD block shape mismatch");
-    let mut p = Partial::empty(n_frames, n_atoms, params);
-    let mut unwrapped: Vec<Vec3> = coords[..block_len].to_vec();
-    let origin = unwrapped.clone();
+    let n_frames = frames.len();
+    let mut p = Partial::empty(n_frames, frames[0].len(), params);
+    let origin = &frames[0][atoms.clone()];
+    let mut unwrapped = origin.to_vec();
     for t in 1..n_frames {
-        let prev = &coords[(t - 1) * block_len..t * block_len];
-        let next = &coords[t * block_len..(t + 1) * block_len];
+        let prev = &frames[t - 1][atoms.clone()];
+        let next = &frames[t][atoms.clone()];
         let mut acc = 0.0;
-        for a in 0..block_len {
+        for a in 0..unwrapped.len() {
             let step = cell.min_image(next[a], prev[a]);
             unwrapped[a] += step;
             acc += (unwrapped[a] - origin[a]).norm2();
         }
         p.msd_sum[t] = acc;
     }
-    p.msd_atoms = block_len as u64;
+    p.msd_atoms = atoms.len() as u64;
     p
 }
 
@@ -375,7 +352,7 @@ pub struct Observables {
     /// trajectory is too short to fit.
     pub diffusion: f64,
     /// CRC-64 over the packed fully-merged [`Partial`] — the bit-identity
-    /// witness compared across backends and PE counts.
+    /// witness compared across thread counts.
     pub obs_crc: u64,
 }
 
@@ -402,12 +379,12 @@ impl Observables {
 }
 
 /// Turn the fully merged partial into physical observables. Pure
-/// deterministic post-processing of the reduced bytes.
+/// deterministic post-processing of the reduced bytes; the driver's
+/// coverage check is what says every task was folded in.
 pub fn finalize(partial: &Partial, cell: &Cell, params: &AnalyzeParams) -> Observables {
     let n_frames = partial.n_frames as usize;
     let n_atoms = partial.n_atoms as usize;
-    assert_eq!(partial.frames_seen as usize, n_frames, "missing frame partials");
-    let obs_crc = charmrt::wire::crc64(&partial.pack());
+    let obs_crc = ckpt::crc64(&partial.pack());
     let dr = params.r_max / params.rdf_bins.max(1) as f64;
     let rho_pairs = n_atoms as f64 * n_atoms as f64 / cell.volume();
     let mut rdf_r = Vec::with_capacity(params.rdf_bins);
@@ -449,25 +426,6 @@ pub fn finalize(partial: &Partial, cell: &Cell, params: &AnalyzeParams) -> Obser
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partial_roundtrips_bit_exactly() {
-        let params = AnalyzeParams::default();
-        let mut p = Partial::empty(3, 5, &params);
-        p.rdf_hist[0] = 7;
-        p.rmsd[1] = 0.25;
-        p.msd_sum[2] = 1.5e-3;
-        p.msd_atoms = 5;
-        p.frames_seen = 1;
-        let bytes = p.pack();
-        let q = Partial::unpack(&bytes).unwrap();
-        // NaN slots break PartialEq; compare the packed bytes instead.
-        assert_eq!(bytes, q.pack());
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(Partial::unpack(&long).is_err());
-        assert!(Partial::unpack(&bytes[..bytes.len() - 2]).is_err());
-    }
 
     #[test]
     fn rmsd_is_zero_under_rigid_translation() {
@@ -552,17 +510,8 @@ mod tests {
         let params = AnalyzeParams::default();
         let mut merged = Partial::empty(frames.len(), n, &params);
         // Two uneven blocks: atoms [0,4) and [4,7).
-        for (a0, a1) in [(0usize, 4usize), (4, 7)] {
-            let block = a1 - a0;
-            let coords: Vec<Vec3> = frames
-                .iter()
-                .flat_map(|f| f[a0..a1].iter().copied())
-                .collect();
-            merged.merge(&msd_partial(&coords, block, &cell, frames.len(), n, &params));
-        }
-        // Frame partials must also be present for finalize's sanity check.
-        for (k, f) in frames.iter().enumerate() {
-            merged.merge(&frame_partial(k, f, &frames[0], &cell, frames.len(), &params));
+        for atoms in [0..4, 4..7] {
+            merged.merge(&msd_partial(&frames, atoms, &cell, &params));
         }
         let obs = finalize(&merged, &cell, &params);
         let msd_ref = mean_squared_displacement(&cell, &frames);

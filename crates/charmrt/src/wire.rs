@@ -165,9 +165,9 @@ impl WireCodec for WireMsg {
 }
 
 /// Encode a `u64` slice with a `u32` length prefix. The `ckpt` codec
-/// carries `f64` slices and coordinate triples natively; histogram-style
-/// payloads (RDF bins, contact occupancy counts) are `u64` vectors, so the
-/// length-prefixed form lives here next to the codecs that consume it.
+/// carries `f64` slices and coordinate triples natively; the per-entry
+/// counters a proc worker returns are `u64` vectors, so the length-prefixed
+/// form lives here next to the codec that consumes it.
 pub fn put_u64s(e: &mut Enc, v: &[u64]) {
     assert!(v.len() <= u32::MAX as usize, "u64 slice too long for wire");
     e.u32(v.len() as u32);

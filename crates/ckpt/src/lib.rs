@@ -27,9 +27,11 @@
 
 mod crc64;
 mod dir;
+mod fnv;
 
 pub use crc64::crc64;
 pub use dir::CheckpointDir;
+pub use fnv::{fnv1a64, Fnv1a64};
 
 use std::fmt;
 

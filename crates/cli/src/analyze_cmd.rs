@@ -3,26 +3,25 @@
 //!
 //! `analyze` reads an XYZ trajectory through the typed
 //! [`mdcore::trajectory::Trajectory`] reader (frame-indexed, torn tails
-//! ignored), fans the frames out over the chosen backend via
+//! ignored), maps the frames over up to `--pes` threads with
 //! [`analyze::analyze_frames`], and prints the reduced observables: RDF
 //! peak, per-frame RMSD envelope, contact occupancy, and the MSD-slope
 //! diffusion coefficient. The box must be given on the command line —
 //! XYZ files carry no cell.
 
-use analyze::{analyze_frames, AnalysisRun, AnalyzeConfig};
+use std::time::Instant;
+
+use analyze::{analyze_frames, AnalyzeConfig, Observables};
 use mdcore::prelude::{Cell, Trajectory, Vec3};
-use namd_core::prelude::*;
 
 const ANALYZE_USAGE: &str = "usage: namd-rs analyze <trajectory.xyz> --box L[,LY,LZ] [opts]\n\
     --box L | LX,LY,LZ  periodic cell edges, Å (required; XYZ has no cell)\n\
-    --pes N             PEs to fan frames over (default 4)\n\
-    --backend B         des|threads|proc (default threads)\n\
+    --pes N             most threads to map frames over (default 4)\n\
     --bins N            RDF histogram bins (default 32)\n\
     --r-max F           RDF range, Å (default 8, capped at half min edge)\n\
     --contact-cutoff F  contact-map distance, Å (default 4.5)\n\
     --frame-dt F        time between frames, fs (default 10)\n\
-    --msd-tasks N       MSD atom-block tasks (default 4)\n\
-    --profile-dir DIR   stream phase metrics + LB audit to DIR";
+    --msd-tasks N       MSD atom-block tasks (default 4)";
 
 fn parse_box(v: &str) -> Result<Cell, String> {
     let parts: Vec<f64> = v
@@ -49,8 +48,7 @@ pub fn cmd_analyze(args: &[String]) -> i32 {
     }
     let path = &args[0];
     let mut cell: Option<Cell> = None;
-    let mut cfg = AnalyzeConfig { backend: Backend::Threads, ..AnalyzeConfig::default() };
-    let mut profile_dir: Option<String> = None;
+    let mut cfg = AnalyzeConfig::default();
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         let mut value = || -> Result<String, String> {
@@ -62,7 +60,6 @@ pub fn cmd_analyze(args: &[String]) -> i32 {
                 "--pes" => {
                     cfg.n_pes = value()?.parse().map_err(|_| "bad --pes".to_string())?
                 }
-                "--backend" => cfg.backend = value()?.parse()?,
                 "--bins" => {
                     cfg.params.rdf_bins =
                         value()?.parse().map_err(|_| "bad --bins".to_string())?
@@ -83,7 +80,6 @@ pub fn cmd_analyze(args: &[String]) -> i32 {
                     cfg.params.msd_tasks =
                         value()?.parse().map_err(|_| "bad --msd-tasks".to_string())?
                 }
-                "--profile-dir" => profile_dir = Some(value()?),
                 other => return Err(format!("unknown option {other}")),
             }
             Ok(())
@@ -113,34 +109,22 @@ pub fn cmd_analyze(args: &[String]) -> i32 {
         }
     };
     println!(
-        "analyze {path}: {} frame(s) x {} atom(s), backend {}, {} PE(s)",
+        "analyze {path}: {} frame(s) x {} atom(s), up to {} thread(s)",
         frames.len(),
         traj.n_atoms(),
-        cfg.backend.as_str(),
         cfg.n_pes
     );
 
-    let mut metrics = match &profile_dir {
-        Some(dir) => match MetricsRegistry::with_dir(dir.as_str(), 1) {
-            Ok(reg) => Some(reg),
-            Err(e) => {
-                eprintln!("cannot open profile dir {dir}: {e}");
-                return 1;
-            }
-        },
-        None => None,
-    };
-    let run = match analyze_frames(&frames, &cell, &cfg, metrics.as_mut()) {
+    let t0 = Instant::now();
+    let run = match analyze_frames(&frames, &cell, &cfg, None) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("analysis failed: {e}");
             return 1;
         }
     };
-    print_report(&run);
-    if let Some(dir) = &profile_dir {
-        println!("profile written under {dir}/");
-    }
+    println!("time:      {:.4} s", t0.elapsed().as_secs_f64());
+    print_report(&run.observables);
     if !run.oracle.ok() {
         eprintln!("{}", run.oracle.render());
         return 1;
@@ -148,16 +132,11 @@ pub fn cmd_analyze(args: &[String]) -> i32 {
     0
 }
 
-fn print_report(run: &AnalysisRun) {
-    let obs = &run.observables;
+fn print_report(obs: &Observables) {
     let (peak_r, peak_g) = obs.rdf_peak();
     let n = obs.rmsd.len().max(1) as f64;
     let rmsd_mean = obs.rmsd.iter().sum::<f64>() / n;
     let rmsd_max = obs.rmsd.iter().fold(0.0f64, |m, &x| m.max(x));
-    println!(
-        "{} task(s), makespan {:.4} s, {} msgs",
-        run.n_tasks, run.makespan, run.stats.msgs_sent
-    );
     println!("rdf:       peak g(r) = {peak_g:.3} at r = {peak_r:.3} A");
     println!("rmsd:      mean {rmsd_mean:.4} A, max {rmsd_max:.4} A (vs frame 0)");
     println!(

@@ -110,3 +110,41 @@ fn missing_file_is_a_clean_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("config error"));
 }
+
+#[test]
+fn analyze_reads_a_run_trajectory_identically_at_any_thread_count() {
+    let sample = namd_rs().arg("sample-config").output().unwrap();
+    let dir = std::env::temp_dir().join("namd_rs_bin_test_analyze");
+    std::fs::create_dir_all(&dir).unwrap();
+    let text = String::from_utf8(sample.stdout)
+        .unwrap()
+        .replace("atoms         1500", "atoms         300")
+        .replace("boxSize       26.0", "boxSize       20.0")
+        .replace("steps         100", "steps         12")
+        .replace("trajectoryEvery 10", "trajectoryEvery 2")
+        .replace("outputName    demo", "outputName    traj");
+    std::fs::write(dir.join("traj.conf"), text).unwrap();
+    let out = namd_rs().current_dir(&dir).args(["run", "traj.conf"]).output().unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    let crc_line = |pes: &str| {
+        let out = namd_rs()
+            .current_dir(&dir)
+            .args(["analyze", "traj.xyz", "--box", "20", "--pes", pes])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "--pes {pes}: {stdout}");
+        stdout.lines().find(|l| l.starts_with("obs_crc:")).expect("obs_crc line").to_string()
+    };
+    assert_eq!(crc_line("1"), crc_line("3"));
+
+    // The runtime backends are gone from analysis; the flag is unknown.
+    let out = namd_rs()
+        .current_dir(&dir)
+        .args(["analyze", "traj.xyz", "--box", "20", "--backend", "threads"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: namd-rs analyze"));
+}

@@ -92,41 +92,6 @@ pub fn flops(work: f64) -> f64 {
     work * mdcore::nonbonded::FLOPS_PER_PAIR
 }
 
-/// Work per min-image pair distance in a trajectory-analysis frame sweep
-/// (RDF binning + contact-map test share one sweep; no force evaluation, so
-/// far cheaper than [`WORK_PER_PAIR`]).
-pub const WORK_PER_ANALYSIS_PAIR: f64 = 0.3;
-
-/// Per-atom work for the RMSD alignment pass over one frame (centroid,
-/// cross-covariance accumulation, rotation application).
-pub const WORK_PER_ANALYSIS_ATOM: f64 = 9.0;
-
-/// Work per atom-frame sample in the MSD unwrapping scan (one min-image
-/// step plus displacement accumulation).
-pub const WORK_PER_MSD_SAMPLE: f64 = 2.0;
-
-/// Work per f64/u64 slot merged at an analysis reduce-tree node.
-pub const WORK_PER_REDUCE_SLOT: f64 = 0.01;
-
-/// Work to analyze one frame (RDF + contacts pair sweep over all unordered
-/// pairs, plus the linear RMSD alignment pass).
-pub fn analysis_frame_work(n_atoms: usize) -> f64 {
-    let pairs = n_atoms as u64 * n_atoms.saturating_sub(1) as u64 / 2;
-    pairs as f64 * WORK_PER_ANALYSIS_PAIR + n_atoms as f64 * WORK_PER_ANALYSIS_ATOM
-}
-
-/// Work for one MSD atom-block task: every atom in the block is unwrapped
-/// through every stored frame.
-pub fn analysis_msd_work(block_atoms: usize, n_frames: usize) -> f64 {
-    (block_atoms as u64 * n_frames as u64) as f64 * WORK_PER_MSD_SAMPLE
-}
-
-/// Work to fold one packed partial-observable payload into a reduce-tree
-/// node (`slots` = total f64/u64 slots in the partial).
-pub fn analysis_reduce_work(slots: usize) -> f64 {
-    slots as f64 * WORK_PER_REDUCE_SLOT
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,24 +124,6 @@ mod tests {
         assert!(hit >= pairs as f64 * WORK_PER_PAIR);
         // Degenerate case: a list with only true pairs costs exactly the pairs.
         assert_eq!(nonbonded_work_cached(pairs, pairs), pairs as f64 * WORK_PER_PAIR);
-    }
-
-    #[test]
-    fn analysis_work_scales_and_stays_below_force_work() {
-        // The frame sweep is quadratic in atoms once the pair term has
-        // outgrown the linear RMSD pass…
-        let w1 = analysis_frame_work(1_000);
-        let w2 = analysis_frame_work(2_000);
-        assert!(w2 > 3.5 * w1, "pair sweep should dominate: {w1} -> {w2}");
-        // …but an analysis pair is far cheaper than a force pair, so a
-        // frame of analysis costs less than a step of nonbonded forces on
-        // the same pair count.
-        let pairs = 100u64 * 99 / 2;
-        assert!(analysis_frame_work(100) < nonbonded_work(pairs, pairs));
-        // MSD is linear in block size × frames; the reduce is cheap
-        // relative to either compute.
-        assert_eq!(analysis_msd_work(10, 8), 2.0 * analysis_msd_work(10, 4));
-        assert!(analysis_reduce_work(200) < analysis_msd_work(10, 8));
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl Default for OracleParams {
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// Which oracle fired (`"quiescence"`, `"conservation"`, `"newton"`,
-    /// `"energy-drift"`, `"momentum"`).
+    /// `"energy-drift"`, `"momentum"`, or the analysis map's `"coverage"`).
     pub check: &'static str,
     /// First violating step, when the check is per-step.
     pub step: Option<usize>,
@@ -128,68 +128,6 @@ pub fn check_phase_with(engine: &Engine, r: &PhaseResult, params: OracleParams) 
         check_newton(engine, params, &mut report);
         check_energy_drift(r, params, &mut report);
         check_momentum(engine, &mut report);
-    }
-    report
-}
-
-/// Invariant oracle for the *analysis* phase shape: a scatter of `n_tasks`
-/// task messages followed by a pairwise reduce tree with exactly
-/// `n_tasks − 1` partial-merge edges, plus the usual balanced message
-/// ledger. Takes only `charmrt` types so the trajectory-analysis subsystem
-/// (which core does not depend on) can call it after every run, the same
-/// way simulation phases go through [`check_phase`].
-pub fn check_scatter_reduce(
-    stats: &charmrt::SummaryStats,
-    schedule: charmrt::SchedulePolicy,
-    scatter: charmrt::EntryId,
-    reduce: charmrt::EntryId,
-    n_tasks: usize,
-) -> OracleReport {
-    let mut report = OracleReport {
-        schedule,
-        faults_injected: false,
-        n_steps: 0,
-        checks_run: Vec::new(),
-        violations: Vec::new(),
-    };
-    report.checks_run.push("quiescence");
-    let scattered = stats.entry_count[scatter.idx()];
-    if scattered != n_tasks as u64 {
-        report.violations.push(Violation {
-            check: "quiescence",
-            step: None,
-            detail: format!("{scattered} task scatters for {n_tasks} tasks"),
-        });
-    }
-    let reduced = stats.entry_count[reduce.idx()];
-    let expected = n_tasks.saturating_sub(1) as u64;
-    if reduced != expected {
-        report.violations.push(Violation {
-            check: "quiescence",
-            step: None,
-            detail: format!(
-                "{reduced} partial merges for a {n_tasks}-leaf reduce tree (want {expected})"
-            ),
-        });
-    }
-    report.checks_run.push("conservation");
-    let residual = stats.conservation_residual();
-    if residual != 0 {
-        report.violations.push(Violation {
-            check: "conservation",
-            step: None,
-            detail: format!(
-                "message ledger residual {residual} (sent {} + injected {} + dup {} + \
-                 redelivered {} - dropped {} vs received {} + discarded {})",
-                stats.msgs_sent,
-                stats.msgs_injected,
-                stats.msgs_duplicated,
-                stats.msgs_redelivered,
-                stats.msgs_dropped,
-                stats.msgs_received,
-                stats.msgs_discarded,
-            ),
-        });
     }
     report
 }

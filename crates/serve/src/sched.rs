@@ -893,10 +893,9 @@ fn capture_frame(sched: &Scheduler, id: JobId, engine: &Engine, frame_every: usi
     }
 }
 
-/// Fan the captured frames out over the job's own backend and PE count
-/// as analysis chares. The reduced observables are bit-identical across
-/// backends and PE counts, so caching the summary under the physics key
-/// is sound even though service fields choose the substrate.
+/// Map the captured frames over up to `spec.pes` threads. The reduced
+/// observables are bit-identical for any thread count, so caching the
+/// summary under the physics key is sound.
 fn run_analysis(
     spec: &JobSpec,
     engine: &Engine,
@@ -910,12 +909,7 @@ fn run_analysis(
         frame_dt: spec.dt * spec.frame_every as f64,
         ..AnalyzeParams::default()
     };
-    let cfg = AnalyzeConfig {
-        backend: spec.backend,
-        n_pes: spec.pes,
-        params,
-        ..AnalyzeConfig::default()
-    };
+    let cfg = AnalyzeConfig { n_pes: spec.pes, params, ..AnalyzeConfig::default() };
     let run = analyze::analyze_frames(frames, &cell, &cfg, None)
         .map_err(|e| format!("analysis failed: {e}"))?;
     if !run.oracle.ok() {

@@ -26,7 +26,7 @@ pub struct CacheKey(pub u64, pub u64);
 
 impl CacheKey {
     pub fn of(bytes: &[u8]) -> CacheKey {
-        CacheKey(ckpt::crc64(bytes), fnv1a64(bytes))
+        CacheKey(ckpt::crc64(bytes), ckpt::fnv1a64(bytes))
     }
 }
 
@@ -36,19 +36,11 @@ impl std::fmt::Display for CacheKey {
     }
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// What kind of work a job asks the pool to do. Simulation integrates a
 /// trajectory; analysis additionally captures frames every `frameEvery`
-/// steps and fans them out over the same runtime as analysis chares
-/// (RDF, RMSD, contacts, MSD → diffusion) after the integration finishes.
+/// steps and, after the integration finishes, maps them over the job's
+/// `pes` threads with [`analyze::analyze_frames`] (RDF, RMSD, contacts,
+/// MSD → diffusion).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JobKind {
     #[default]
@@ -407,9 +399,10 @@ impl JobSpec {
                     self.frame_every, self.steps
                 ));
             }
-            if !(1..=4096).contains(&self.rdf_bins) {
+            if !(1..=analyze::MAX_RDF_BINS).contains(&self.rdf_bins) {
                 return Err(format!(
-                    "rdfBins must be in [1, 4096], got {}",
+                    "rdfBins must be in [1, {}], got {}",
+                    analyze::MAX_RDF_BINS,
                     self.rdf_bins
                 ));
             }
@@ -527,6 +520,16 @@ mod tests {
         let spec = JobSpec::parse("{}").unwrap();
         assert_eq!(spec, JobSpec::default());
         assert_eq!(spec.cache_key(), JobSpec::default().cache_key());
+    }
+
+    #[test]
+    fn default_cache_key_is_pinned() {
+        // Cached results outlive a build: the key of the default spec must
+        // not move when its hashes are refactored.
+        assert_eq!(
+            JobSpec::default().cache_key(),
+            CacheKey(0xe530_adda_cac7_749e, 0xdea0_0650_b654_139f)
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CLI parent-equality witness: run the same nine configurations through two
-# `namd-rs` binaries (a build of the parent commit and a build of this one)
-# and require byte-identical trajectories and energy logs.
+# `namd-rs` binaries (a build of the parent commit and a build of this one),
+# analyze one trajectory with each, and require byte-identical trajectories,
+# energy logs and analysis observables.
 #
 #   scripts/cli_witness.sh <parent namd-rs> <this namd-rs>
 #
@@ -18,6 +19,9 @@
 #      separate sequential driver)
 #   9. threads 1 + berendsen + pme on (mtsFrequency 1): the engine's PME
 #      against a parent whose `pme on` ran the sequential MTS driver
+# Then each binary runs `namd-rs analyze` on its own config 1 trajectory at
+# --pes 2: the rdf, rmsd, contacts, msd and obs_crc lines must match (the
+# timing line need not).
 # Configs 1-7 and 9 are compared across the two binaries. Every `.xyz` is `cmp`'d;
 # the logs are compared without the lines that carry wall-clock time or name
 # the crash (`phase crashed`, `resumed from`, `done:`), and with each step's
@@ -73,6 +77,8 @@ for side in parent this; do
   # Leg two of config 5: same deck, full length, resumed from leg one.
   sed -i 's/^steps 8$/steps 60/' "$dir/c5.conf"
   (cd "$dir" && "$bin" run c5.conf --restart-from ck5 >c5b.log)
+  box=$(awk '$1 == "boxSize" { print $2 }' "$dir/c1.conf")
+  (cd "$dir" && "$bin" analyze c1.xyz --box "$box" --pes 2 >a1.log)
 done
 
 status=0
@@ -92,6 +98,12 @@ for log in c1 c2 c3 c4 c5 c5b c6 c7 c9; do
     status=1
   fi
 done
+observables() { grep -E '^(rdf|rmsd|contacts|msd|obs_crc):' "$1"; }
+if ! observables "$work/this/a1.log" | grep -q '^obs_crc:' ||
+  ! diff <(observables "$work/parent/a1.log") <(observables "$work/this/a1.log"); then
+  echo "cli_witness: analyze: observables differ" >&2
+  status=1
+fi
 # Config 8 against this side's config 1; the header names the thread count.
 if ! cmp "$work/this/c1.xyz" "$work/this/c8.xyz"; then
   echo "cli_witness: c8: threads 1 trajectory differs from threads 2" >&2
@@ -111,6 +123,6 @@ for log in c4 c5b; do
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "cli_witness: 9 configurations, trajectories and energy logs identical"
+  echo "cli_witness: 9 configurations and an analysis, trajectories, energy logs and observables identical"
 fi
 exit "$status"

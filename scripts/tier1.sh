@@ -61,9 +61,9 @@ echo "==> scenario-zoo LB stress (SCENARIO_STRESS_CASES=3)"
 SCENARIO_STRESS_CASES=3 cargo test -q --test scenario_stress || status=1
 
 # Parallel trajectory analysis: closed-form observables (ideal-gas RDF,
-# rigid-motion RMSD, random-walk MSD slope) plus des/threads/proc ×
-# PE-count bit-identity through the reduce tree. Blocking — a diverged
-# obs_crc is a determinism regression in the runtime or the reduction.
+# rigid-motion RMSD, random-walk MSD slope) plus thread-count
+# bit-identity of the threaded map against a pinned obs_crc. Blocking — a
+# diverged obs_crc is a determinism regression in the map or its fold.
 echo "==> trajectory-analysis correctness (closed forms + bit-identity)"
 cargo test -q --test analyze_correctness || status=1
 

@@ -1,15 +1,15 @@
 //! Closed-form and equivalence tests for the parallel trajectory-analysis
-//! subsystem, end to end through the chare-array driver:
+//! subsystem, end to end through the threaded map:
 //!
 //! * an ideal gas (uniform random positions) must give a flat RDF,
-//!   g(r) ≈ 1, through the parallel reduce tree;
+//!   g(r) ≈ 1, through the parallel map and fold;
 //! * a rigidly translated trajectory has Kabsch RMSD exactly ~0 vs the
 //!   reference frame;
 //! * a √t-scaled displacement field has an exactly linear MSD, so the
 //!   diffusion fit must recover the closed-form slope;
-//! * all three runtime backends (DES, threads, real processes) and every
-//!   PE count reduce to *bit-identical* observables — the same guarantee
-//!   the MD engine makes, extended to analysis; and
+//! * every thread count reduces to *bit-identical* observables, whose
+//!   `obs_crc` is pinned to the value the chare-based reduce tree gave;
+//! * out-of-range parameters are errors, not silent defaults; and
 //! * the same analyze job submitted to service pools of different sizes
 //!   (and different service backends) reduces to the same `obs_crc`.
 
@@ -70,7 +70,7 @@ fn walk_trajectory(seed: u64, n_frames: usize, n_atoms: usize, edge: f64) -> Vec
 }
 
 fn cfg(backend: Backend, n_pes: usize, params: AnalyzeParams) -> AnalyzeConfig {
-    AnalyzeConfig { backend, n_pes, params, ..AnalyzeConfig::default() }
+    AnalyzeConfig { backend, n_pes, params }
 }
 
 #[test]
@@ -174,11 +174,17 @@ fn msd_and_diffusion_recover_the_closed_form_slope() {
     );
 }
 
+/// `obs_crc` of the `backends_and_pe_counts_reduce_bit_identically`
+/// trajectory, as the chare-based reduce tree computed it before the map
+/// replaced it: the map folds in the same tree order, so the bytes match.
+const WALK_OBS_CRC: u64 = 0x7f8a_db13_2d97_71d9;
+
 #[test]
 fn backends_and_pe_counts_reduce_bit_identically() {
-    // The tentpole guarantee: observables reduced over the DES, threads,
-    // and multi-process backends, at any PE count, are bit-identical —
-    // full struct equality, not approximate agreement.
+    // Observables at any thread count — including more threads than tasks
+    // — are bit-identical: full struct equality, not approximate
+    // agreement. The `backend` field is ignored by the map, so it cannot
+    // move a bit either.
     let edge = 16.0;
     let cell = Cell::periodic(Vec3::splat(0.0), Vec3::splat(edge));
     let frames = walk_trajectory(0xb17_1de1u64, 6, 60, edge);
@@ -187,26 +193,43 @@ fn backends_and_pe_counts_reduce_bit_identically() {
     let reference =
         analyze_frames(&frames, &cell, &cfg(Backend::Des, 1, params), None).unwrap();
     assert!(reference.oracle.ok(), "oracle: {}", reference.oracle.render());
-    assert_ne!(reference.observables.obs_crc, 0);
+    assert_eq!(reference.observables.obs_crc, WALK_OBS_CRC);
 
-    for (backend, pes) in [
-        (Backend::Des, 4),
-        (Backend::Des, 7),
-        (Backend::Threads, 1),
+    // 6 frames + 3 MSD blocks = 9 tasks; 64 threads asks for more.
+    for (backend, threads) in [
+        (Backend::Des, 2),
         (Backend::Threads, 3),
-        (Backend::Proc, 2),
+        (Backend::Threads, 7),
+        (Backend::Proc, 64),
     ] {
-        let run = analyze_frames(&frames, &cell, &cfg(backend, pes, params), None).unwrap();
-        assert!(run.oracle.ok(), "{backend:?}/p{pes} oracle: {}", run.oracle.render());
-        assert_eq!(
-            run.observables.obs_crc, reference.observables.obs_crc,
-            "{backend:?}/p{pes}: obs_crc diverged from des/p1"
-        );
+        let run = analyze_frames(&frames, &cell, &cfg(backend, threads, params), None).unwrap();
+        assert!(run.oracle.ok(), "t{threads} oracle: {}", run.oracle.render());
         assert_eq!(
             run.observables, reference.observables,
-            "{backend:?}/p{pes}: observables diverged from des/p1"
+            "t{threads}: observables diverged from 1 thread"
         );
     }
+}
+
+#[test]
+fn out_of_range_parameters_are_errors() {
+    let edge = 16.0;
+    let cell = Cell::periodic(Vec3::splat(0.0), Vec3::splat(edge));
+    let frames = walk_trajectory(0x5eed, 2, 40, edge);
+    let ok = AnalyzeParams::default();
+    for bad in [
+        AnalyzeParams { rdf_bins: 4097, ..ok },
+        AnalyzeParams { r_max: f64::NAN, ..ok },
+        AnalyzeParams { contact_cutoff: -1.0, ..ok },
+    ] {
+        let err = analyze_frames(&frames, &cell, &cfg(Backend::Threads, 2, bad), None);
+        assert!(err.is_err(), "{bad:?} was accepted");
+    }
+
+    // 256 "PEs" on a 2-frame trajectory start at most one thread per task.
+    let one = analyze_frames(&frames, &cell, &cfg(Backend::Threads, 1, ok), None).unwrap();
+    let many = analyze_frames(&frames, &cell, &cfg(Backend::Threads, 256, ok), None).unwrap();
+    assert_eq!(many.observables.obs_crc, one.observables.obs_crc);
 }
 
 #[test]
